@@ -1,7 +1,6 @@
 """Exact waiting-time and longest-run distributions for binary trials whose
 success probability decays geometrically with the number of failures."""
 
-from ._backend import backend_name
 from .distributions import (
     Pmf,
     Rel,
@@ -67,3 +66,8 @@ from .qcalc import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the core that runs: "py", the only one there is."""
+    return "py"

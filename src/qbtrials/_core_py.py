@@ -1,19 +1,21 @@
-"""Pure-Python core: composition-kernel polynomials and sequence enumeration.
+"""The core: composition-kernel polynomials and sequence enumeration.
 
 Every kernel value is a polynomial in q with nonnegative integer
 coefficients, so the heavy lifting here is exact integer arithmetic on
 coefficient lists (index = power of q).  Sequence enumeration groups the
 2^n binary sequences by (failure count, success weight), which determines
 the probability of a sequence completely; callers turn the integer count
-tables into exact probabilities.
-
-`qbtrials._core` is the compiled twin of this module.  The two must produce
-identical results; `tests/test_backends.py` checks that.
+tables into exact probabilities.  It walks all 2^n sequences through their
+trials together, one numpy vector step per trial.
 """
 
 from __future__ import annotations
 
-# Part-constraint codes shared with the compiled core.
+import math
+
+import numpy as np
+
+# Part-constraint codes: how the parts of one side of a kernel are bounded.
 CON_BOUNDED0 = 0  # parts in 0..hi
 CON_BOUNDED = 1   # parts in 1..hi
 CON_POSITIVE = 2  # parts >= 1
@@ -248,69 +250,97 @@ def cell_poly_v(r, s, k, memo):
     return result
 
 
+def _uint(bound):
+    """Smallest unsigned numpy integer dtype that holds 0..bound."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint64
+
+
+class _Lockstep:
+    """All 2**n sequences of length n, walked through their trials together.
+
+    Bit i of a sequence's index in arange(2**n) is trial i+1; a set bit is a
+    success.  After `step(i)` the arrays hold, per sequence, the failure
+    count, the success weight (the sum over successes of the number of
+    failures preceding each one) and the current success and failure runs.
+    """
+
+    def __init__(self, n):
+        self.max_weight = n * n // 4  # n/2 failures, then n/2 successes
+        self.masks = np.arange(1 << n, dtype=_uint((1 << n) - 1))
+        counter = _uint(n)
+        self.failures = np.zeros(self.masks.size, counter)
+        self.weight = np.zeros(self.masks.size, _uint(self.max_weight))
+        self.run1 = np.zeros(self.masks.size, counter)
+        self.run0 = np.zeros(self.masks.size, counter)
+
+    def step(self, i):
+        """Apply trial i+1; returns its outcome per sequence (True = success)."""
+        success = (self.masks & (1 << i)) != 0
+        failure = ~success
+        np.add(self.weight, self.failures, out=self.weight, where=success)
+        self.failures += failure
+        self.run1 += 1
+        self.run1 *= success
+        self.run0 += 1
+        self.run0 *= failure
+        return success
+
+
+def _group(columns, sizes):
+    """Count equal rows of the integer columns; column j takes values in
+    0..sizes[j]-1.  Keys come in order of first appearance, so a float sum
+    over the result adds its terms in sequence order."""
+    key = np.zeros(len(columns[0]), _uint(math.prod(sizes)))
+    for column, size in zip(columns, sizes):
+        key *= size
+        key += column
+    uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    rest = uniq[order].astype(np.uint64)
+    parts = []
+    for size in reversed(sizes):
+        rest, part = np.divmod(rest, size)
+        parts.append(part.tolist())
+    return dict(zip(zip(*reversed(parts)), counts[order].tolist()))
+
+
 def waiting_stop_counts(n, target, s_freq, k1, f_freq, k2, later):
     """Count length-n sequences whose quota stopping time equals `target`.
 
     Returns {(failures, weight): count} where weight is the sum over
-    successes of the number of failures preceding each one.  Bit i of a
-    mask is trial i+1; a set bit is a success.
+    successes of the number of failures preceding each one.
     """
-    counts = {}
-    for mask in range(1 << n):
-        f = 0
-        e = 0
-        run1 = run0 = 0
-        c1 = c0 = 0
-        hit1 = hit0 = 0
-        for i in range(n):
-            if (mask >> i) & 1:
-                e += f
-                c1 += 1
-                run1 += 1
-                run0 = 0
-                if hit1 == 0 and (c1 == k1 if s_freq else run1 == k1):
-                    hit1 = i + 1
-            else:
-                f += 1
-                c0 += 1
-                run0 += 1
-                run1 = 0
-                if hit0 == 0 and (c0 == k2 if f_freq else run0 == k2):
-                    hit0 = i + 1
-        if later:
-            stop = max(hit1, hit0) if (hit1 and hit0) else 0
-        else:
-            if hit1 and hit0:
-                stop = min(hit1, hit0)
-            else:
-                stop = hit1 or hit0
-        if stop == target:
-            key = (f, e)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    seqs = _Lockstep(n)
+    hit1 = np.zeros_like(seqs.failures)  # trial at which a quota is met, 0 if not yet
+    hit0 = np.zeros_like(seqs.failures)
+    for i in range(n):
+        success = seqs.step(i)
+        # the success count after trial i+1 is i+1 minus the failure count
+        met1 = seqs.failures == i + 1 - k1 if s_freq else seqs.run1 == k1
+        met0 = seqs.failures == k2 if f_freq else seqs.run0 == k2
+        hit1[(hit1 == 0) & success & met1] = i + 1
+        hit0[(hit0 == 0) & ~success & met0] = i + 1
+    both = (hit1 > 0) & (hit0 > 0)
+    if later:
+        stop = np.where(both, np.maximum(hit1, hit0), 0)
+    else:
+        stop = np.where(both, np.minimum(hit1, hit0), hit1 | hit0)
+    keep = stop == target
+    return _group((seqs.failures[keep], seqs.weight[keep]),
+                  (n + 1, seqs.max_weight + 1))
 
 
 def longest_joint_counts(n):
     """Group length-n sequences by (longest 1-run, longest 0-run, failures, weight)."""
-    counts = {}
-    for mask in range(1 << n):
-        f = 0
-        e = 0
-        run1 = run0 = 0
-        l1 = l0 = 0
-        for i in range(n):
-            if (mask >> i) & 1:
-                e += f
-                run1 += 1
-                run0 = 0
-                if run1 > l1:
-                    l1 = run1
-            else:
-                f += 1
-                run0 += 1
-                run1 = 0
-                if run0 > l0:
-                    l0 = run0
-        key = (l1, l0, f, e)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    seqs = _Lockstep(n)
+    l1 = np.zeros_like(seqs.failures)
+    l0 = np.zeros_like(seqs.failures)
+    for i in range(n):
+        seqs.step(i)
+        np.maximum(l1, seqs.run1, out=l1)
+        np.maximum(l0, seqs.run0, out=l0)
+    return _group((l1, l0, seqs.failures, seqs.weight),
+                  (n + 1, n + 1, n + 1, seqs.max_weight + 1))

@@ -23,7 +23,7 @@ from .distributions import (
     waiting_time_table,
 )
 from .kernels import EnumerationBudgetError
-from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota
+from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
 from .oracle import (
     LongestAtMost,
     ScanGrid,
@@ -176,14 +176,10 @@ def _emit_table(rows, args, exact, meta) -> None:
 def _meta(args, quota=None) -> dict:
     meta = {"params": {"theta": str(args.theta), "q": str(args.q)}}
     if quota is not None:
-        def one(qta):
-            kind = "freq" if isinstance(qta, FreqQuota) else "run"
-            return f"{kind}:{qta.k}"
-
         meta["quota"] = {
             "mode": quota.mode.value,
-            "success": one(quota.success_quota),
-            "failure": one(quota.failure_quota),
+            "success": quota_label(quota.success_quota),
+            "failure": quota_label(quota.failure_quota),
         }
     return meta
 
@@ -210,9 +206,9 @@ def _cmd_longest(parser, args) -> int:
         try:
             k1, k2 = int(k1s), int(k2s)
             rel1, rel2 = _parse_rel(rel1s), _parse_rel(rel2s)
+            value = joint_longest(params, args.n, k1, rel1, k2, rel2)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(str(exc))
-        value = joint_longest(params, args.n, k1, rel1, k2, rel2)
         rows = [(args.n, value)]
         meta = _meta(args)
         meta["statistic"] = f"joint longest: success {rel1.value} {k1}, failure {rel2.value} {k2}"
@@ -246,12 +242,20 @@ def _load_grid(parser, spec: str) -> ScanGrid:
     try:
         with open(spec, encoding="utf-8") as fh:
             raw = json.load(fh)
-        return ScanGrid(
+        grid = ScanGrid(
             thetas=tuple(Fraction(t) for t in raw["thetas"]),
             qs=tuple(Fraction(t) for t in raw["qs"]),
             k_pairs=tuple((int(a), int(b)) for a, b in raw["k_pairs"]),
             n_max=int(raw["n_max"]),
         )
+        # the model types validate their fields; any bad value raises here
+        for theta in grid.thetas:
+            for q in grid.qs:
+                ModelParams(theta, q)
+        for pair in grid.k_pairs:
+            for k in pair:
+                RunQuota(k)
+        return grid
     except (OSError, KeyError, ValueError) as exc:
         parser.error(f"cannot load grid {spec!r}: {exc}")
 
@@ -285,7 +289,10 @@ def _cmd_mc(parser, args) -> int:
             parser.error("mc needs either --atmost or --mode/--success/--failure")
         quota = QuotaSpec(args.success, args.failure, Mode(args.mode))
         pred = WaitingEquals(quota, args.n)
-    estimate, stderr = monte_carlo_estimate(params, args.n, pred, args.samples, args.seed)
+    try:
+        estimate, stderr = monte_carlo_estimate(params, args.n, pred, args.samples, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     print("estimate,stderr")
     print(f"{estimate:.17g},{stderr:.17g}")
     return 0

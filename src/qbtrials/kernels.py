@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from ._backend import core
+from . import _core_py as core
 from ._core_py import (
     CON_ATLEAST,
     CON_BOUNDED,

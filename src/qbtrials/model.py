@@ -75,6 +75,11 @@ class FreqQuota:
 Quota = RunQuota | FreqQuota
 
 
+def quota_label(quota: Quota) -> str:
+    """The CLI spelling of a quota: "run:K" or "freq:K"."""
+    return f"{'freq' if isinstance(quota, FreqQuota) else 'run'}:{quota.k}"
+
+
 class Mode(Enum):
     SOONER = "sooner"
     LATER = "later"

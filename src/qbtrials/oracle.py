@@ -16,10 +16,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._backend import core
+from . import _core_py as core
 from ._core_py import EnumerationBudgetError
 from .distributions import Pmf, Rel, support_min, waiting_time_pmf
-from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota
+from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
 from .qcalc import DEFAULT_TOLERANCE, Scalar
 
 __all__ = [
@@ -228,11 +228,8 @@ def default_grid() -> ScanGrid:
 
 
 def _quota_label(quota: QuotaSpec) -> str:
-    def one(qta):
-        kind = "freq" if isinstance(qta, FreqQuota) else "run"
-        return f"{kind}:{qta.k}"
-
-    return f"{quota.mode.value} {one(quota.success_quota)}/{one(quota.failure_quota)}"
+    return (f"{quota.mode.value} {quota_label(quota.success_quota)}"
+            f"/{quota_label(quota.failure_quota)}")
 
 
 def differential_scan(

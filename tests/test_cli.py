@@ -92,7 +92,7 @@ def test_exact_requires_fraction_inputs(capsys):
     assert exc.value.code == 2
 
 
-def test_bad_params_exit_2(capsys):
+def test_bad_params_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["pmf", "--mode", "sooner", "--success", "run:2", "--failure",
               "run:2", "--theta", "3/2", "--q", "1", "--n-max", "3"])
@@ -101,6 +101,17 @@ def test_bad_params_exit_2(capsys):
         main(["mc", "--samples", "10", "--seed", "1", "--theta", "1/2",
               "--q", "0", "--n", "4", "--atmost", "2"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--samples", "0", "--seed", "1", "--theta", "1/2",
+              "--q", "1/2", "--n", "4", "--atmost", "2"])
+    assert exc.value.code == 2
+    for bad in ({"thetas": ["3/2"], "qs": ["1/2"], "k_pairs": [[2, 2]]},
+                {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[0, 2]]}):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(dict(bad, n_max=5)))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--grid", str(path)])
+        assert exc.value.code == 2
 
 
 def test_oracle_budget_exit_2(capsys):
@@ -126,6 +137,10 @@ def test_bad_joint_relation_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["longest", "--n", "4", "--theta", "1/2", "--q", "1/2",
               "--joint", "1", "lt", "1", "le"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["longest", "--n", "4", "--theta", "1/2", "--q", "1/2",
+              "--joint", "0", "ge", "1", "le"])
     assert exc.value.code == 2
 
 

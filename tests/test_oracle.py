@@ -30,6 +30,7 @@ from qbtrials import (
     stopping_time,
     waiting_time_pmf,
 )
+from qbtrials import _core_py as core
 from qbtrials.model import longest_runs
 from qbtrials.oracle import reports_to_json
 
@@ -47,12 +48,43 @@ def test_oracle_examples():
     assert table.probs == [Fraction(1, 2), Fraction(1, 4)]
 
 
-def test_oracle_matches_naive_summation():
+ALL_KINDS = list(itertools.product((False, True), repeat=2))
+
+
+def _quota(s_freq, f_freq, k1, k2, mode):
+    return QuotaSpec(FreqQuota(k1) if s_freq else RunQuota(k1),
+                     FreqQuota(k2) if f_freq else RunQuota(k2), mode)
+
+
+def _failures_and_weight(seq):
+    failures = weight = 0
+    for bit in seq:
+        if bit:
+            weight += failures
+        else:
+            failures += 1
+    return failures, weight
+
+
+def _grouped(n, statistic):
+    """{(statistic(seq), failures, weight): count} over all length-n
+    sequences, keys in first-seen order; bit i of a mask is trial i+1."""
+    counts = {}
+    for mask in range(1 << n):
+        seq = [(mask >> i) & 1 for i in range(n)]
+        key = (statistic(seq),) + _failures_and_weight(seq)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("s_freq,f_freq", ALL_KINDS)
+@pytest.mark.parametrize("mode", [Mode.SOONER, Mode.LATER])
+def test_oracle_matches_naive_summation(s_freq, f_freq, mode):
     # the grouped enumeration must agree with a literal sum of
     # sequence_probability over sequences satisfying the predicate
     params = ModelParams(Fraction(2, 7), Fraction(3, 5))
     n = 7
-    quota = QuotaSpec(FreqQuota(3), RunQuota(2), Mode.LATER)
+    quota = _quota(s_freq, f_freq, 3, 2, mode)
     for t in range(0, n + 1):
         want = sum(
             sequence_probability(params, seq)
@@ -61,6 +93,28 @@ def test_oracle_matches_naive_summation():
         )
         got = oracle_event_prob(params, n, WaitingEquals(quota, t))
         assert got == want
+    # and its count tables must match model.stopping_time sequence by
+    # sequence, keys in the same order
+    for n in range(0, 9):
+        for k1, k2 in ((1, 1), (2, 3), (3, 2)):
+            quota = _quota(s_freq, f_freq, k1, k2, mode)
+            table = _grouped(n, lambda seq: stopping_time(seq, quota) or 0)
+            for target in range(0, n + 2):
+                want = [((f, e), c) for (stop, f, e), c in table.items() if stop == target]
+                got = core.waiting_stop_counts(
+                    n, target, s_freq, k1, f_freq, k2, mode is Mode.LATER)
+                assert list(got.items()) == want, (n, k1, k2, target)
+
+
+def test_longest_counts_match_naive_summation():
+    for n in range(0, 9):
+        want = {(l1, l0, f, e): c
+                for ((l1, l0), f, e), c in _grouped(n, longest_runs).items()}
+        got = core.longest_joint_counts(n)
+        assert list(got.items()) == list(want.items()), n
+        assert all(type(x) is int for key, c in got.items() for x in key + (c,))
+    params = ModelParams(Fraction(2, 7), Fraction(3, 5))
+    n = 7
     for k1, r1 in ((2, Rel.LE), (2, Rel.GE)):
         want = sum(
             sequence_probability(params, seq)
@@ -89,7 +143,6 @@ def test_oracle_rational_denominators():
 
 
 def test_grouped_counts_total_probability_one():
-    from qbtrials._backend import core
     from qbtrials.oracle import _class_prob
 
     for theta, q in ((Fraction(1, 3), Fraction(2, 5)), (Fraction(1), Fraction(1, 2))):
