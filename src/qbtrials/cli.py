@@ -301,6 +301,8 @@ def _cmd_mc(parser, args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "precision", 1) < 1:
+        parser.error("--precision must be >= 1")
     handlers = {
         "pmf": _cmd_pmf,
         "longest": _cmd_longest,

@@ -1,10 +1,28 @@
 """Waiting-time and longest-run distributions assembled over the kernel layer.
 
-Each evaluator decomposes the event by the failure count of a prefix and the
-number of runs, weights the matching composition kernels with the explicit
-probability prefactors, and sums.  Sum ranges are generous where feasibility
-is subtle; kernels vanish outside their domains.  Exact (Fraction) inputs
-produce exact outputs.
+Every waiting-time theorem and every joint longest-run quadrant is a sum over
+run arrangements holding x successes and y failures.  Each term is
+
+    theta**a * q**b * (theta; q)_c * sum over s of (two or four kernels)
+
+where s counts the runs of the symbol that ends the arrangement.  The
+theorems differ only in which kernel families they sum, in the ranges of x
+and y and in the stopping tail, so two tables drive one loop each:
+
+* `_WAITING_FAMILIES`, keyed (success freq?, failure freq?, later?), holds
+  the families summed when the success side stops the wait and those summed
+  when the failure side stops it (Theorems 3.1 and 3.2 for run/run, 4.1 and
+  4.2 for freq/run, 4.3 and 4.4 for run/freq, 5.1 and 5.3 for freq/freq,
+  sooner and later).  A run quota of k stops on a tail of k trials after the
+  arrangement, which adds k to a (success tail) or to c (failure tail) and
+  y*k to b for a success tail; a frequency quota of k fixes that side's
+  count at k and has no tail.
+* `_JOINT`, keyed by the two relations, holds the four families with their
+  s shifts and the shifts of k1 and k2 for each joint quadrant; there a = x,
+  b = 0 and c = y.
+
+Sum ranges are generous where feasibility is subtle; kernels vanish outside
+their domains.  Exact (Fraction) inputs produce exact outputs.
 """
 
 from __future__ import annotations
@@ -60,6 +78,33 @@ class Pmf:
         return sum(self.probs)
 
 
+# (success freq?, failure freq?, later?) -> (families summed when the success
+# side stops the wait, families summed when the failure side stops it)
+_WAITING_FAMILIES: dict[tuple[bool, bool, bool], tuple[tuple[str, ...], tuple[str, ...]]] = {
+    (False, False, False): (("A", "B"), ("C", "D")),            # Theorem 3.1
+    (False, False, True): (("E", "F"), ("G", "H")),             # Theorem 3.2
+    (True, False, False): (("Hbar", "Gbar"), ("Gbar", "Hbar")),  # Theorem 4.1
+    (True, False, True): (("I", "J"), ("Gbar", "Hbar")),        # Theorem 4.2
+    (False, True, False): (("Ebar", "Fbar"), ("Ebar", "Fbar")),  # Theorem 4.3
+    (False, True, True): (("Ebar", "Fbar"), ("K", "L")),        # Theorem 4.4
+    (True, True, False): (("Ibar", "Jbar"), ("Kbar", "Lbar")),  # Theorem 5.1
+    (True, True, True): (("Ibar", "Jbar"), ("Kbar", "Lbar")),   # Theorem 5.3
+}
+
+# (rel1, rel2) -> ((family, s shift) x 4, k1 shift, k2 shift); a <= k quota
+# bounds run lengths by k, which the families' "< k" constraints express at k+1
+_JOINT: dict[tuple[Rel, Rel], tuple[tuple[tuple[str, int], ...], int, int]] = {
+    (Rel.LE, Rel.LE): ((("D", 0), ("A", 0), ("C", 1), ("B", 0)), 1, 1),
+    (Rel.LE, Rel.GE): ((("M", 0), ("E", 0), ("N", 1), ("F", 0)), 1, 0),
+    (Rel.GE, Rel.LE): ((("H", 0), ("O", 0), ("G", 1), ("P", 0)), 0, 1),
+    (Rel.GE, Rel.GE): ((("Q", 0), ("R", 0), ("S", 1), ("T", 0)), 0, 0),
+}
+
+
+def _rel_holds(value: int, rel: Rel, k: int) -> bool:
+    return value <= k if rel is Rel.LE else value >= k
+
+
 def _ffp(theta: Scalar, q: Scalar, i: int) -> Scalar:
     """Probability of the first i failures: the shifted factorial (theta; q)_i."""
     return q_pochhammer(theta, q, i)
@@ -84,171 +129,47 @@ def waiting_time_pmf(
         raise ValueError("n must be >= 0")
     if n < support_min(quota):
         return 0
-    th, q = params.theta, params.q
-    k1 = quota.success_quota.k
-    k2 = quota.failure_quota.k
-
-    def K(fam, m, r, s, kk1=k1, kk2=k2):
-        return named_kernel(fam, m, r, s, kk1, kk2, q, cache)
-
-    s_freq = isinstance(quota.success_quota, FreqQuota)
-    f_freq = isinstance(quota.failure_quota, FreqQuota)
-    later = quota.mode is Mode.LATER
-
-    if not s_freq and not f_freq:
-        if later:
-            return _run_run_later(th, q, k1, k2, n, K)
-        return _run_run_sooner(th, q, k1, k2, n, K)
-    if s_freq and not f_freq:
-        if later:
-            return _freq_run_later(th, q, k1, k2, n, K)
-        return _freq_run_sooner(th, q, k1, k2, n, K)
-    if not s_freq and f_freq:
-        if later:
-            return _run_freq_later(th, q, k1, k2, n, K)
-        return _run_freq_sooner(th, q, k1, k2, n, K)
-    p = _freq_freq_mass(th, q, k1, k2, n, K)
-    if later:
-        return p
-    return p if n <= k1 + k2 - 1 else 0
+    sq, fq = quota.success_quota, quota.failure_quota
+    return _waiting_mass(params.theta, params.q, (sq.k, fq.k),
+                         (isinstance(sq, FreqQuota), isinstance(fq, FreqQuota)),
+                         quota.mode is Mode.LATER, n, _kernel_fn(params.q, cache))
 
 
-def _run_run_sooner(th, q, k1, k2, n, K):
+def _kernel_fn(q: Scalar, cache: KernelValueCache | None):
+    # named_kernel is looked up at call time, so a wrapper installed on
+    # this module's binding sees every kernel call
+    return lambda fam, m, r, s, k1, k2: named_kernel(fam, m, r, s, k1, k2, q, cache)
+
+
+def _waiting_mass(th, q, ks, freqs, later, n, K):
+    """Sum of the stopping-side terms of one waiting-time theorem.
+
+    Side j (0 = success, 1 = failure) stops the wait at trial n.  Under a
+    run quota the last k_j trials are the tail run and the other side's
+    count ranges; under a frequency quota side j holds exactly k_j trials,
+    the last of them on trial n.  K(family, x, y, s, k1, k2) is the kernel.
+    """
     p = 0
-    if n == k1:
-        p = p + th ** k1
-    elif n > k1:
-        for i in range(1, n - k1 + 1):
-            m = n - k1 - i
-            inner = 0
-            for s in range(1, i + 1):
-                inner = inner + K("A", m, i, s) + K("B", m, i, s)
+    for j, families in enumerate(_WAITING_FAMILIES[freqs[0], freqs[1], later]):
+        o = 1 - j
+        tail = 0 if freqs[j] else ks[j]
+        t1, t0 = (tail, 0) if j == 0 else (0, tail)
+        hi = n - ks[j]
+        if freqs[o] and not later:
+            hi = min(hi, ks[o] - 1)  # the other side must not reach its quota
+        lo = n - ks[j] if freqs[j] else (ks[o] if later else 0)
+        for other in range(max(lo, 0), hi + 1):
+            own = n - tail - other
+            x, y = (own, other) if j == 0 else (other, own)
+            # the arrangement ends with the stopping symbol under a frequency
+            # quota and with the other symbol before a tail run
+            ends = own if freqs[j] else other
+            inner = 1 if x == y == 0 else 0
+            for s in range(1, ends + 1):
+                for fam in families:
+                    inner = inner + K(fam, x, y, s, ks[0], ks[1])
             if inner:
-                p = p + th ** (n - i) * q ** (i * k1) * _ffp(th, q, i) * inner
-    if n == k2:
-        p = p + _ffp(th, q, k2)
-    elif n > k2:
-        # the i = 0 term covers an all-success prefix before the failure run
-        for i in range(0, n - k2 + 1):
-            m = n - k2 - i
-            inner = 0
-            for s in range(1, max(m, 1) + 1):
-                inner = inner + K("C", m, i, s) + K("D", m, i, s)
-            if inner:
-                p = p + th ** m * _ffp(th, q, i + k2) * inner
-    return p
-
-
-def _run_run_later(th, q, k1, k2, n, K):
-    p = 0
-    for i in range(k2, n - k1 + 1):
-        m = n - k1 - i
-        inner = 0
-        for s in range(1, i + 1):
-            inner = inner + K("E", m, i, s) + K("F", m, i, s)
-        if inner:
-            p = p + th ** (n - i) * q ** (i * k1) * _ffp(th, q, i) * inner
-    for i in range(k1, n - k2 + 1):
-        r = n - k2 - i
-        inner = 0
-        for s in range(1, i + 1):
-            inner = inner + K("G", i, r, s) + K("H", i, r, s)
-        if inner:
-            p = p + th ** i * _ffp(th, q, n - i) * inner
-    return p
-
-
-def _freq_run_sooner(th, q, k1, k2, n, K):
-    p = 0
-    if n >= k1:
-        inner = 0
-        for s in range(1, k1 + 1):
-            inner = inner + K("Hbar", k1, n - k1, s) + K("Gbar", k1, n - k1, s)
-        if inner:
-            p = p + th ** k1 * _ffp(th, q, n - k1) * inner
-    if n == k2:
-        p = p + _ffp(th, q, k2)
-    elif n > k2:
-        for i in range(1, min(n - k2, k1 - 1) + 1):
-            r = n - k2 - i
-            inner = 0
-            for s in range(1, i + 1):
-                inner = inner + K("Gbar", i, r, s) + K("Hbar", i, r, s)
-            if inner:
-                p = p + th ** i * _ffp(th, q, n - i) * inner
-    return p
-
-
-def _freq_run_later(th, q, k1, k2, n, K):
-    p = 0
-    inner = 0
-    for s in range(1, k1 + 1):
-        inner = inner + K("I", k1, n - k1, s) + K("J", k1, n - k1, s)
-    if inner:
-        p = p + th ** k1 * _ffp(th, q, n - k1) * inner
-    for i in range(k1, n - k2 + 1):
-        r = n - k2 - i
-        inner = 0
-        for s in range(1, i + 1):
-            inner = inner + K("Gbar", i, r, s) + K("Hbar", i, r, s)
-        if inner:
-            p = p + th ** i * _ffp(th, q, n - i) * inner
-    return p
-
-
-def _run_freq_sooner(th, q, k1, k2, n, K):
-    p = 0
-    if n == k1:
-        p = p + th ** k1
-    elif n > k1:
-        for i in range(1, min(n - k1, k2 - 1) + 1):
-            m = n - k1 - i
-            inner = 0
-            for s in range(1, i + 1):
-                inner = inner + K("Ebar", m, i, s) + K("Fbar", m, i, s)
-            if inner:
-                p = p + th ** (n - i) * q ** (i * k1) * _ffp(th, q, i) * inner
-    if n >= k2:
-        inner = 0
-        for s in range(1, k2 + 1):
-            inner = inner + K("Ebar", n - k2, k2, s) + K("Fbar", n - k2, k2, s)
-        if inner:
-            p = p + th ** (n - k2) * _ffp(th, q, k2) * inner
-    return p
-
-
-def _run_freq_later(th, q, k1, k2, n, K):
-    p = 0
-    for i in range(k2, n - k1 + 1):
-        m = n - k1 - i
-        inner = 0
-        for s in range(1, i + 1):
-            inner = inner + K("Ebar", m, i, s) + K("Fbar", m, i, s)
-        if inner:
-            p = p + th ** (n - i) * q ** (i * k1) * _ffp(th, q, i) * inner
-    inner = 0
-    for s in range(1, k2 + 1):
-        inner = inner + K("K", n - k2, k2, s) + K("L", n - k2, k2, s)
-    if inner:
-        p = p + th ** (n - k2) * _ffp(th, q, k2) * inner
-    return p
-
-
-def _freq_freq_mass(th, q, k1, k2, n, K):
-    """P(the k1-th success or the k2-th failure lands exactly on trial n)."""
-    p = 0
-    if n >= k1:
-        inner = 0
-        for s in range(1, k1 + 1):
-            inner = inner + K("Ibar", k1, n - k1, s) + K("Jbar", k1, n - k1, s)
-        if inner:
-            p = p + th ** k1 * _ffp(th, q, n - k1) * inner
-    if n >= k2:
-        inner = 0
-        for s in range(1, k2 + 1):
-            inner = inner + K("Kbar", n - k2, k2, s) + K("Lbar", n - k2, k2, s)
-        if inner:
-            p = p + th ** (n - k2) * _ffp(th, q, k2) * inner
+                p = p + th ** (x + t1) * q ** (y * t1) * _ffp(th, q, y + t0) * inner
     return p
 
 
@@ -328,64 +249,24 @@ def joint_longest(
             raise ValueError("a >= relation needs k >= 1")
         if rel is Rel.LE and k < 0:
             raise ValueError("a <= relation needs k >= 0")
-    th, q = params.theta, params.q
+    return _joint_mass(params.theta, params.q, n, k1, rel1, k2, rel2,
+                       _kernel_fn(params.q, cache))
 
-    def K(fam, m, r, s, kk1, kk2):
-        return named_kernel(fam, m, r, s, kk1, kk2, q, cache)
 
+def _joint_mass(th, q, n, k1, rel1, k2, rel2, K):
+    """Sum of the terms of one joint quadrant; K is the kernel, as in `_waiting_mass`."""
+    families, dk1, dk2 = _JOINT[rel1, rel2]
     p = 0
-    if rel1 is Rel.LE and rel2 is Rel.LE:
-        for i in range(1, n + 1):
-            m = n - i
-            inner = 0
-            for s in range(1, i + 1):
-                inner = (inner
-                         + K("D", m, i, s, k1 + 1, k2 + 1)
-                         + K("A", m, i, s, k1 + 1, k2 + 1)
-                         + K("C", m, i, s + 1, k1 + 1, k2 + 1)
-                         + K("B", m, i, s, k1 + 1, k2 + 1))
-            if inner:
-                p = p + th ** m * _ffp(th, q, i) * inner
-        if n <= k1:
-            p = p + th ** n  # the all-success sequence
-    elif rel1 is Rel.LE and rel2 is Rel.GE:
-        for i in range(k2, n + 1):
-            m = n - i
-            inner = 0
-            for s in range(1, i + 1):
-                inner = (inner
-                         + K("M", m, i, s, k1 + 1, k2)
-                         + K("E", m, i, s, k1 + 1, k2)
-                         + K("N", m, i, s + 1, k1 + 1, k2)
-                         + K("F", m, i, s, k1 + 1, k2))
-            if inner:
-                p = p + th ** m * _ffp(th, q, i) * inner
-    elif rel1 is Rel.GE and rel2 is Rel.LE:
-        for i in range(1, n - k1 + 1):
-            m = n - i
-            inner = 0
-            for s in range(1, i + 1):
-                inner = (inner
-                         + K("H", m, i, s, k1, k2 + 1)
-                         + K("O", m, i, s, k1, k2 + 1)
-                         + K("G", m, i, s + 1, k1, k2 + 1)
-                         + K("P", m, i, s, k1, k2 + 1))
-            if inner:
-                p = p + th ** m * _ffp(th, q, i) * inner
-        if n >= k1:
-            p = p + th ** n  # the all-success sequence
-    else:
-        for i in range(k2, n - k1 + 1):
-            m = n - i
-            inner = 0
-            for s in range(1, i + 1):
-                inner = (inner
-                         + K("Q", m, i, s, k1, k2)
-                         + K("R", m, i, s, k1, k2)
-                         + K("S", m, i, s + 1, k1, k2)
-                         + K("T", m, i, s, k1, k2))
-            if inner:
-                p = p + th ** m * _ffp(th, q, i) * inner
+    for y in range(k2 if rel2 is Rel.GE else 1, n - (k1 if rel1 is Rel.GE else 0) + 1):
+        x = n - y
+        inner = 0
+        for s in range(1, y + 1):
+            for fam, ds in families:
+                inner = inner + K(fam, x, y, s + ds, k1 + dk1, k2 + dk2)
+        if inner:
+            p = p + th ** x * _ffp(th, q, y) * inner
+    if rel2 is Rel.LE and _rel_holds(n, rel1, k1):
+        p = p + th ** n  # the all-success sequence
     return p
 
 

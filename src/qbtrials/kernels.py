@@ -139,46 +139,56 @@ class KernelSpec:
 
 
 class KernelValueCache:
-    """Memo for kernel values; safe to share across threads.
+    """Memo for kernel and longest-run cell values; safe to share across threads.
 
     Holds q-independent coefficient polynomials plus evaluated scalars
-    keyed by (spec, q).  Lookups never change returned values.
+    keyed by (polynomial key, q, exact regime).  One lock guards every
+    build and store; a hit reads without it.  Lookups never change
+    returned values.
     """
 
     def __init__(self) -> None:
         self._dp_memo: dict = {}
+        self._cell_u_memo: dict = {}
+        self._cell_v_memo: dict = {}
         self._values: dict = {}
         self._lock = threading.Lock()
 
-    def poly(self, spec: KernelSpec) -> list[int]:
+    def _kernel_poly(self, spec: KernelSpec) -> list[int]:
         xcode, xparam = _constraint_code(spec.x_constraint)
         ycode, yparam = _constraint_code(spec.y_constraint)
-        with self._lock:
-            return core.kernel_eval_poly(
-                spec.shape.starts_with_success,
-                spec.x_runs,
-                spec.y_runs,
-                spec.x_total,
-                spec.y_total,
-                xcode,
-                xparam,
-                ycode,
-                yparam,
-                self._dp_memo,
-            )
+        return core.kernel_eval_poly(
+            spec.shape.starts_with_success,
+            spec.x_runs,
+            spec.y_runs,
+            spec.x_total,
+            spec.y_total,
+            xcode,
+            xparam,
+            ycode,
+            yparam,
+            self._dp_memo,
+        )
 
-    def value(self, spec: KernelSpec, q: Scalar) -> Scalar:
+    def poly(self, spec: KernelSpec) -> list[int]:
+        with self._lock:
+            return self._kernel_poly(spec)
+
+    def _lookup(self, key, q: Scalar, build, *args) -> Scalar:
+        """Value at q of the polynomial `build(*args)`, memoized under key."""
         # Fraction(1, 2) and 0.5 are equal and hash alike, so the regime
         # must be part of the key or float results would leak into exact runs
-        vkey = (spec._key(), q, isinstance(q, (int, Fraction)))
-        with self._lock:
-            hit = self._values.get(vkey)
-        if hit is not None:
-            return hit
-        val = _eval_poly_at(self.poly(spec), q)
-        with self._lock:
-            self._values[vkey] = val
+        vkey = key + (q, isinstance(q, (int, Fraction)))
+        val = self._values.get(vkey)
+        if val is None:
+            # builds are deterministic: a thread that loses a race to the
+            # lock stores a value equal to the one already there
+            with self._lock:
+                val = self._values[vkey] = _eval_poly_at(build(*args), q)
         return val
+
+    def value(self, spec: KernelSpec, q: Scalar) -> Scalar:
+        return self._lookup(spec._key(), q, self._kernel_poly, spec)
 
 
 def _eval_poly_at(coeffs: list[int], q: Scalar) -> Scalar:
@@ -327,38 +337,18 @@ def named_kernel(
     return kernel_eval(family_spec(family, m, r, s, k1, k2), q, cache)
 
 
-_cell_lock = threading.Lock()
-_cell_u_memo: dict = {}
-_cell_v_memo: dict = {}
-_cell_values: dict = {}
-
-
 def longest_cell_kernel_U(r: int, s: int, t: int, k: int, q: Scalar) -> Scalar:
     """Weighted count of ways to fill r cells with s items, cells capped at k,
     exactly t cells full; cell j carries weight (j-1) per item."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    vkey = ("u", r, s, t, k, q, isinstance(q, (int, Fraction)))
-    with _cell_lock:
-        hit = _cell_values.get(vkey)
-        if hit is not None:
-            return hit
-        poly = core.cell_poly_u(r, s, t, k, _cell_u_memo)
-        val = _eval_poly_at(poly, q)
-        _cell_values[vkey] = val
-    return val
+    c = _default_cache
+    return c._lookup(("u", r, s, t, k), q, core.cell_poly_u, r, s, t, k, c._cell_u_memo)
 
 
 def longest_cell_kernel_V(r: int, s: int, k: int, q: Scalar) -> Scalar:
     """Same as the U kernel but without the full-cell count constraint."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    vkey = ("v", r, s, k, q, isinstance(q, (int, Fraction)))
-    with _cell_lock:
-        hit = _cell_values.get(vkey)
-        if hit is not None:
-            return hit
-        poly = core.cell_poly_v(r, s, k, _cell_v_memo)
-        val = _eval_poly_at(poly, q)
-        _cell_values[vkey] = val
-    return val
+    c = _default_cache
+    return c._lookup(("v", r, s, k), q, core.cell_poly_v, r, s, k, c._cell_v_memo)

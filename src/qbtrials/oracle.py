@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _core_py as core
 from ._core_py import EnumerationBudgetError
-from .distributions import Pmf, Rel, support_min, waiting_time_pmf
+from .distributions import Pmf, Rel, _rel_holds, support_min, waiting_time_pmf
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
 from .qcalc import DEFAULT_TOLERANCE, Scalar
 
@@ -69,18 +69,6 @@ class JointLongest:
 EventPredicate = WaitingEquals | LongestEquals | LongestAtMost | JointLongest
 
 
-def _class_prob(params: ModelParams, n: int, failures: int, weight: int) -> Scalar:
-    """Probability of any single sequence with the given failure count and
-    success weight (sum over successes of failures preceding each)."""
-    th, q = params.theta, params.q
-    p = th ** (n - failures) * q ** weight
-    qp: Scalar = 1
-    for _ in range(failures):
-        p = p * (1 - th * qp)
-        qp = qp * q
-    return p
-
-
 _longest_counts_cache: dict[int, dict] = {}
 
 
@@ -100,10 +88,6 @@ def _longest_counts(n: int) -> dict:
 @lru_cache(maxsize=4096)
 def _waiting_counts(n, target, s_freq, k1, f_freq, k2, later):
     return core.waiting_stop_counts(n, target, s_freq, k1, f_freq, k2, later)
-
-
-def _rel_holds(value: int, rel: Rel, k: int) -> bool:
-    return value <= k if rel is Rel.LE else value >= k
 
 
 def oracle_event_prob(
@@ -148,9 +132,15 @@ def oracle_event_prob(
                 merged[key] = merged.get(key, 0) + c
         items = merged.items()
 
+    # a sequence with f failures and success weight e (the failures before
+    # each success, summed) has probability theta^(n-f) q^e (theta; q)_f
+    th, q = params.theta, params.q
+    ffp: list[Scalar] = [1]
+    for j in range(n):
+        ffp.append(ffp[-1] * (1 - th * q ** j))
     total: Scalar = 0
     for (f, e), c in items:
-        total = total + c * _class_prob(params, n, f, e)
+        total = total + c * (th ** (n - f) * q ** e * ffp[f])
     return total
 
 
@@ -294,6 +284,8 @@ def monte_carlo_estimate(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     rng = np.random.default_rng(seed)
     th = float(params.theta)
     q = float(params.q)

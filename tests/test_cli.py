@@ -105,6 +105,15 @@ def test_bad_params_exit_2(capsys, tmp_path):
         main(["mc", "--samples", "0", "--seed", "1", "--theta", "1/2",
               "--q", "1/2", "--n", "4", "--atmost", "2"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--samples", "10", "--seed", "1", "--theta", "1/2",
+              "--q", "1/2", "--n", "-1", "--atmost", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["pmf", "--mode", "sooner", "--success", "run:2", "--failure",
+              "run:2", "--theta", "0.5", "--q", "1", "--n-max", "3",
+              "--precision", "-1"])
+    assert exc.value.code == 2
     for bad in ({"thetas": ["3/2"], "qs": ["1/2"], "k_pairs": [[2, 2]]},
                 {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[0, 2]]}):
         path = tmp_path / "grid.json"

@@ -217,7 +217,7 @@ def test_classical_reduction_at_q_one_run_run():
     params = ModelParams(theta, Fraction(1))
     from qbtrials.qcalc import count_S
 
-    def classical_run_run_sooner(n, k1, k2):
+    def classical_sooner_mass(n, k1, k2):
         p = Fraction(0)
         if n == k1:
             p += theta ** k1
@@ -245,7 +245,7 @@ def test_classical_reduction_at_q_one_run_run():
 
     quota = make_quota(False, False, 2, 3, Mode.SOONER)
     for n in range(2, 13):
-        assert waiting_time_pmf(params, quota, n) == classical_run_run_sooner(n, 2, 3)
+        assert waiting_time_pmf(params, quota, n) == classical_sooner_mass(n, 2, 3)
 
 
 def test_classical_reduction_at_q_one_all_configs():
@@ -268,32 +268,16 @@ def test_classical_reduction_at_q_one_all_configs():
 
         return side(xkind, spec.x_runs, m, k1) * side(ykind, spec.y_runs, r, k2)
 
-    branches = {
-        (False, False, Mode.SOONER): d._run_run_sooner,
-        (False, False, Mode.LATER): d._run_run_later,
-        (True, False, Mode.SOONER): d._freq_run_sooner,
-        (True, False, Mode.LATER): d._freq_run_later,
-        (False, True, Mode.SOONER): d._run_freq_sooner,
-        (False, True, Mode.LATER): d._run_freq_later,
-    }
     one = Fraction(1)
     for theta in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
         params = ModelParams(theta, one)
         for k1, k2 in ((2, 2), (2, 3), (3, 2)):
-
-            def K_classical(fam, m, r, s, kk1=k1, kk2=k2):
-                return counting_product(fam, m, r, s, kk1, kk2)
-
-            for (s_freq, f_freq, mode), branch in branches.items():
+            for (s_freq, f_freq), mode in itertools.product(
+                    ALL_KINDS, (Mode.SOONER, Mode.LATER)):
                 quota = make_quota(s_freq, f_freq, k1, k2, mode)
                 for n in range(support_min(quota), 15):
-                    classical = branch(theta, one, k1, k2, n, K_classical)
+                    classical = d._waiting_mass(
+                        theta, one, (k1, k2), (s_freq, f_freq),
+                        mode is Mode.LATER, n, counting_product)
                     assert classical == waiting_time_pmf(params, quota, n), (
                         s_freq, f_freq, mode, k1, k2, theta, n)
-            for mode in (Mode.SOONER, Mode.LATER):
-                quota = make_quota(True, True, k1, k2, mode)
-                for n in range(support_min(quota), 15):
-                    mass = d._freq_freq_mass(theta, one, k1, k2, n, K_classical)
-                    if mode is Mode.SOONER and n > k1 + k2 - 1:
-                        mass = 0
-                    assert mass == waiting_time_pmf(params, quota, n)

@@ -80,19 +80,22 @@ def test_joint_with_lopsided_quotas():
 def test_float_regime_tracks_exact():
     pf = ModelParams(0.37, 0.81)
     pe = ModelParams(Fraction(37, 100), Fraction(81, 100))
-    for s_freq, f_freq in [(False, False), (True, True)]:
-        for mode in (Mode.SOONER, Mode.LATER):
-            quota = QuotaSpec(
-                FreqQuota(2) if s_freq else RunQuota(2),
-                FreqQuota(3) if f_freq else RunQuota(3),
-                mode,
-            )
-            for n in range(support_min(quota), 13):
-                got = waiting_time_pmf(pf, quota, n)
-                want = float(waiting_time_pmf(pe, quota, n))
-                assert got == pytest.approx(want, abs=1e-10)
+
+    def close(got, exact):
+        assert abs(got - float(exact)) <= 1e-12 * abs(float(exact))
+
+    for s_freq, f_freq, mode in itertools.product(
+            (False, True), (False, True), (Mode.SOONER, Mode.LATER)):
+        quota = QuotaSpec(
+            FreqQuota(2) if s_freq else RunQuota(2),
+            FreqQuota(3) if f_freq else RunQuota(3),
+            mode,
+        )
+        for n in range(support_min(quota), 13):
+            close(waiting_time_pmf(pf, quota, n), waiting_time_pmf(pe, quota, n))
     for n in range(0, 13):
         for k in range(0, n + 1):
-            got = longest_run_pmf(pf, n, k)
-            want = float(longest_run_pmf(pe, n, k))
-            assert got == pytest.approx(want, abs=1e-10)
+            close(longest_run_pmf(pf, n, k), longest_run_pmf(pe, n, k))
+    for r1, r2 in itertools.product((Rel.LE, Rel.GE), repeat=2):
+        for n in range(1, 13):
+            close(joint_longest(pf, n, 2, r1, 3, r2), joint_longest(pe, n, 2, r1, 3, r2))

@@ -165,25 +165,42 @@ def test_direct_budget_error():
 
 
 def test_shared_cache_is_thread_safe():
+    import sys
+
     cache = KernelValueCache()
     specs = [family_spec(fam, 5, 5, 2, 3, 3) for fam in FAMILY_NAMES]
     expected = {id(s): kernel_direct(s, Fraction(7, 10)) for s in specs}
+    # a q no other test uses, so the threads race on the cell-value misses
+    cell_q = Fraction(5, 11)
+    cells = [(r, s, k) for r in range(1, 6) for s in range(0, 9) for k in range(1, 4)]
     results = []
 
     def worker():
         local = []
         for s in specs:
             local.append((id(s), kernel_eval(s, Fraction(7, 10), cache)))
-        results.append(local)
+        sums = [(longest_cell_kernel_V(r, s, k, cell_q),
+                 sum(longest_cell_kernel_U(r, s, t, k, cell_q) for t in range(r + 1)))
+                for r, s, k in cells]
+        results.append((local, sums))
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for local in results:
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
+    for local, sums in results:
         for key, val in local:
             assert val == expected[key]
+        assert all(v == u for v, u in sums)
+        assert sums == results[0][1]
 
 
 def test_eval_equals_direct_on_arbitrary_specs():

@@ -143,7 +143,7 @@ def test_oracle_rational_denominators():
 
 
 def test_grouped_counts_total_probability_one():
-    from qbtrials.oracle import _class_prob
+    from qbtrials.qcalc import q_pochhammer
 
     for theta, q in ((Fraction(1, 3), Fraction(2, 5)), (Fraction(1), Fraction(1, 2))):
         params = ModelParams(theta, q)
@@ -151,10 +151,11 @@ def test_grouped_counts_total_probability_one():
             counts = core.longest_joint_counts(n)
             assert sum(counts.values()) == 2 ** n
             total = sum(
-                c * _class_prob(params, n, f, e)
+                c * theta ** (n - f) * q ** e * q_pochhammer(theta, q, f)
                 for (_, _, f, e), c in counts.items()
             )
             assert total == 1
+            assert oracle_event_prob(params, n, LongestAtMost(n)) == 1
 
 
 def test_oracle_budget():
