@@ -15,13 +15,6 @@ import math
 
 import numpy as np
 
-# Part-constraint codes: how the parts of one side of a kernel are bounded.
-CON_BOUNDED0 = 0  # parts in 0..hi
-CON_BOUNDED = 1   # parts in 1..hi
-CON_POSITIVE = 2  # parts >= 1
-CON_ATLEAST = 3   # parts >= 1 and max part >= param
-
-
 class EnumerationBudgetError(Exception):
     """Raised when a direct-enumeration instance is too large."""
 
@@ -38,24 +31,13 @@ def _compositions(total, parts, lo, hi):
             yield (first,) + rest
 
 
-def _constrained_compositions(total, parts, code, param):
-    if code == CON_BOUNDED0:
-        yield from _compositions(total, parts, 0, param)
-    elif code == CON_BOUNDED:
-        yield from _compositions(total, parts, 1, param)
-    elif code == CON_POSITIVE:
-        yield from _compositions(total, parts, 1, total)
-    elif code == CON_ATLEAST:
-        for comp in _compositions(total, parts, 1, total):
-            if comp and max(comp) >= param:
-                yield comp
-    else:
-        raise ValueError(f"unknown constraint code {code}")
-
-
-def _materialize(total, parts, code, param, cap):
+def _materialize(total, parts, con, cap):
+    """All compositions of `total` into `parts` parts meeting `con`."""
+    lo, hi, need = con
     out = []
-    for comp in _constrained_compositions(total, parts, code, param):
+    for comp in _compositions(total, parts, lo, total if hi is None else hi):
+        if max(comp, default=0) < need:
+            continue
         out.append(comp)
         if len(out) > cap:
             raise EnumerationBudgetError(
@@ -63,14 +45,15 @@ def _materialize(total, parts, code, param, cap):
     return out
 
 
-def kernel_direct_poly(first_success, nx, ny, m, r, xcode, xparam, ycode, yparam,
-                       budget=2_000_000):
+def kernel_direct_poly(first_success, nx, ny, m, r, xcon, ycon, budget=2_000_000):
     """Coefficients of the kernel polynomial, by brute-force enumeration.
 
     The arrangement alternates success runs x_1..x_nx and failure runs
     y_1..y_ny, starting with a success run iff `first_success`.  Each term
     contributes q**(sum_j w_j x_j) where w_j is the total failure mass
-    before x_j in the arrangement.
+    before x_j in the arrangement.  Each side's constraint is a triple
+    (lo, hi, need): every part in lo..hi (no cap when hi is None) and,
+    unless need is 0, some part >= need.
     """
     if m < 0 or r < 0 or nx < 0 or ny < 0:
         return [0]
@@ -81,14 +64,14 @@ def kernel_direct_poly(first_success, nx, ny, m, r, xcode, xparam, ycode, yparam
     elif ny not in (nx, nx + 1):
         return [0]
     if nx == 0 and ny == 0:
-        ok = (m == 0 and r == 0
-              and xcode != CON_ATLEAST and ycode != CON_ATLEAST)
+        # no parts at all: met unless a side needs a part >= need
+        ok = m == 0 and r == 0 and not xcon[2] and not ycon[2]
         return [1] if ok else [0]
 
-    xcomps = _materialize(m, nx, xcode, xparam, budget)
+    xcomps = _materialize(m, nx, xcon, budget)
     if not xcomps:
         return [0]
-    ycomps = _materialize(r, ny, ycode, yparam, budget)
+    ycomps = _materialize(r, ny, ycon, budget)
     if not ycomps:
         return [0]
     if len(xcomps) * len(ycomps) > budget:
@@ -124,76 +107,63 @@ def _shift_add(dst, src, shift):
     return dst
 
 
-def kernel_eval_poly(first_success, nx, ny, m, r, xcode, xparam, ycode, yparam,
-                     memo):
+def kernel_eval_poly(first_success, nx, ny, m, r, xcon, ycon, memo):
     """Kernel polynomial by peeling the arrangement's final run (memoized).
 
     Peeling a success run of length a multiplies by q**(r*a): every failure
-    run still in the prefix precedes it.  A constraint that requires some
-    part >= k relaxes to plain positivity once such a part has been peeled.
+    run still in the prefix precedes it.  A constraint (lo, hi, need) that
+    requires some part >= need relaxes to (lo, hi, 0) once such a part has
+    been peeled, so the relaxed entries are shared by every need.
     """
-    key = (first_success, nx, ny, m, r, xcode, xparam, ycode, yparam)
+    key = (first_success, nx, ny, m, r, xcon, ycon)
     cached = memo.get(key)
     if cached is not None:
         return cached
 
-    result = _eval_uncached(first_success, nx, ny, m, r,
-                            xcode, xparam, ycode, yparam, memo)
+    result = _eval_uncached(first_success, nx, ny, m, r, xcon, ycon, memo)
     memo[key] = result
     return result
 
 
-def _part_range(code, param, total):
-    lo = 0 if code == CON_BOUNDED0 else 1
-    hi = param if code in (CON_BOUNDED0, CON_BOUNDED) else total
-    return lo, min(hi, total)
-
-
-def _eval_uncached(first_success, nx, ny, m, r, xcode, xparam, ycode, yparam, memo):
+def _eval_uncached(first_success, nx, ny, m, r, xcon, ycon, memo):
     if m < 0 or r < 0 or nx < 0 or ny < 0:
         return [0]
     if nx == 0 and ny == 0:
-        if m == 0 and r == 0 and xcode != CON_ATLEAST and ycode != CON_ATLEAST:
-            return [1]
-        return [0]
+        # no parts at all: met unless a side needs a part >= need
+        ok = m == 0 and r == 0 and not xcon[2] and not ycon[2]
+        return [1] if ok else [0]
 
     # which run type ends the current prefix
     if first_success:
         if nx == ny + 1:
-            last = "x"
+            last_x = True
         elif nx == ny and ny > 0:
-            last = "y"
+            last_x = False
         else:
             return [0]
     else:
         if ny == nx + 1:
-            last = "y"
+            last_x = False
         elif ny == nx and nx > 0:
-            last = "x"
+            last_x = True
         else:
             return [0]
 
+    own = xcon if last_x else ycon
+    lo, hi, need = own
+    total = m if last_x else r
+    relaxed = (lo, hi, 0)
     out = [0]
-    if last == "x":
-        lo, hi = _part_range(xcode, xparam, m)
-        for a in range(lo, hi + 1):
-            code = xcode
-            if code == CON_ATLEAST and a >= xparam:
-                code = CON_POSITIVE
-            child = kernel_eval_poly(first_success, nx - 1, ny, m - a, r,
-                                     code, xparam, ycode, yparam, memo)
-            if child != [0]:
-                _shift_add(out, child, r * a)
-    else:
-        lo, hi = _part_range(ycode, yparam, r)
-        for b in range(lo, hi + 1):
-            code = ycode
-            if code == CON_ATLEAST and b >= yparam:
-                code = CON_POSITIVE
-            child = kernel_eval_poly(first_success, nx, ny - 1, m, r - b,
-                                     xcode, xparam, code, yparam, memo)
-            if child != [0]:
-                _shift_add(out, child, 0)
+    for a in range(lo, (total if hi is None else min(hi, total)) + 1):
+        con = relaxed if need and a >= need else own
+        if last_x:
+            child = kernel_eval_poly(first_success, nx - 1, ny, m - a, r, con, ycon, memo)
+            shift = r * a
+        else:
+            child = kernel_eval_poly(first_success, nx, ny - 1, m, r - a, xcon, con, memo)
+            shift = 0
+        if child != [0]:
+            _shift_add(out, child, shift)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out

@@ -256,7 +256,7 @@ def _load_grid(parser, spec: str) -> ScanGrid:
             for k in pair:
                 RunQuota(k)
         return grid
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         parser.error(f"cannot load grid {spec!r}: {exc}")
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .kernels import (
     KernelValueCache,
@@ -38,7 +39,7 @@ from .kernels import (
     named_kernel,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec
-from .qcalc import Scalar, q_binomial, q_pochhammer
+from .qcalc import Scalar, q_binomial, q_pochhammer, q_pochhammer_prefixes
 
 __all__ = [
     "Pmf",
@@ -105,9 +106,23 @@ def _rel_holds(value: int, rel: Rel, k: int) -> bool:
     return value <= k if rel is Rel.LE else value >= k
 
 
-def _ffp(theta: Scalar, q: Scalar, i: int) -> Scalar:
-    """Probability of the first i failures: the shifted factorial (theta; q)_i."""
-    return q_pochhammer(theta, q, i)
+def _zero(th: Scalar, q: Scalar) -> Scalar:
+    """The int 0 for exact theta and q, 0.0 once either is a float."""
+    exact = isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction))
+    return 0 if exact else 0.0
+
+
+def _failure_sum(th: Scalar, q: Scalar, n: int, ys, inner) -> Scalar:
+    """Sum over y in ys of theta**(n-y) * (theta; q)_y * inner(y), zero
+    inners skipped: the mass of an event whose length-n sequences with y
+    failures have q-weighted count inner(y)."""
+    ffp = q_pochhammer_prefixes(th, q, n)
+    p = _zero(th, q)
+    for y in ys:
+        v = inner(y)
+        if v:
+            p = p + th ** (n - y) * ffp[y] * v
+    return p
 
 
 def support_min(quota: QuotaSpec) -> int:
@@ -128,7 +143,7 @@ def waiting_time_pmf(
     if n < 0:
         raise ValueError("n must be >= 0")
     if n < support_min(quota):
-        return 0
+        return _zero(params.theta, params.q)
     sq, fq = quota.success_quota, quota.failure_quota
     return _waiting_mass(params.theta, params.q, (sq.k, fq.k),
                          (isinstance(sq, FreqQuota), isinstance(fq, FreqQuota)),
@@ -149,7 +164,8 @@ def _waiting_mass(th, q, ks, freqs, later, n, K):
     count ranges; under a frequency quota side j holds exactly k_j trials,
     the last of them on trial n.  K(family, x, y, s, k1, k2) is the kernel.
     """
-    p = 0
+    ffp = q_pochhammer_prefixes(th, q, n)
+    p = _zero(th, q)
     for j, families in enumerate(_WAITING_FAMILIES[freqs[0], freqs[1], later]):
         o = 1 - j
         tail = 0 if freqs[j] else ks[j]
@@ -169,7 +185,7 @@ def _waiting_mass(th, q, ks, freqs, later, n, K):
                 for fam in families:
                     inner = inner + K(fam, x, y, s, ks[0], ks[1])
             if inner:
-                p = p + th ** (x + t1) * q ** (y * t1) * _ffp(th, q, y + t0) * inner
+                p = p + th ** (x + t1) * q ** (y * t1) * ffp[y + t0] * inner
     return p
 
 
@@ -177,12 +193,13 @@ def sooner_freq_freq_closed(params: ModelParams, k1: int, k2: int, n: int) -> Sc
     """Sooner frequency/frequency mass as a difference of survival sums."""
     if k1 < 1 or k2 < 1:
         raise ValueError("quota sizes must be >= 1")
+    zero = _zero(params.theta, params.q)
     if n < 1:
-        return 0
-    a = 0
+        return zero
+    a = zero
     for x in range(max(0, n - k2), k1):
         a = a + q_binomial_pmf(params, n - 1, x)
-    b = 0
+    b = zero
     for x in range(max(0, n + 1 - k2), k1):
         b = b + q_binomial_pmf(params, n, x)
     return a - b
@@ -190,46 +207,43 @@ def sooner_freq_freq_closed(params: ModelParams, k1: int, k2: int, n: int) -> Sc
 
 def q_binomial_pmf(params: ModelParams, n: int, r: int) -> Scalar:
     """P(exactly r successes in n trials)."""
-    if r < 0 or r > n:
-        return 0
     th, q = params.theta, params.q
-    return q_binomial(n, r, q) * th ** r * _ffp(th, q, n - r)
+    if r < 0 or r > n:
+        return _zero(th, q)
+    return q_binomial(n, r, q) * th ** r * q_pochhammer(th, q, n - r)
 
 
 def longest_run_pmf(params: ModelParams, n: int, k: int) -> Scalar:
     """P(longest success run in n trials = k)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if k < 0 or k > n:
-        return 0
     th, q = params.theta, params.q
+    if k < 0 or k > n:
+        return _zero(th, q)
     if k == 0:
-        return _ffp(th, q, n)
-    p = 0
-    for y in range(0, n - k + 1):
-        inner = 0
+        # all failures; adding the zero makes (theta; q)_0 a float in float mode
+        return _zero(th, q) + q_pochhammer(th, q, n)
+
+    def inner(y):
+        v = 0
         for i in range(1, y + 2):
-            inner = inner + longest_cell_kernel_U(y + 1, n - y, i, k, q)
-        if inner:
-            p = p + th ** (n - y) * _ffp(th, q, y) * inner
-    return p
+            v = v + longest_cell_kernel_U(y + 1, n - y, i, k, q)
+        return v
+
+    return _failure_sum(th, q, n, range(n - k + 1), inner)
 
 
 def longest_run_cdf(params: ModelParams, n: int, k: int) -> Scalar:
     """P(longest success run in n trials <= k)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if k < 0:
-        return 0
-    if k >= n:
-        return 1
     th, q = params.theta, params.q
-    p = 0
-    for y in range(0, n + 1):
-        v = longest_cell_kernel_V(y + 1, n - y, k, q)
-        if v:
-            p = p + th ** (n - y) * _ffp(th, q, y) * v
-    return p
+    if k < 0:
+        return _zero(th, q)
+    if k >= n:
+        return _zero(th, q) + 1
+    return _failure_sum(th, q, n, range(n + 1),
+                        lambda y: longest_cell_kernel_V(y + 1, n - y, k, q))
 
 
 def joint_longest(
@@ -256,15 +270,16 @@ def joint_longest(
 def _joint_mass(th, q, n, k1, rel1, k2, rel2, K):
     """Sum of the terms of one joint quadrant; K is the kernel, as in `_waiting_mass`."""
     families, dk1, dk2 = _JOINT[rel1, rel2]
-    p = 0
-    for y in range(k2 if rel2 is Rel.GE else 1, n - (k1 if rel1 is Rel.GE else 0) + 1):
-        x = n - y
-        inner = 0
+
+    def inner(y):
+        v = 0
         for s in range(1, y + 1):
             for fam, ds in families:
-                inner = inner + K(fam, x, y, s + ds, k1 + dk1, k2 + dk2)
-        if inner:
-            p = p + th ** x * _ffp(th, q, y) * inner
+                v = v + K(fam, n - y, y, s + ds, k1 + dk1, k2 + dk2)
+        return v
+
+    ys = range(k2 if rel2 is Rel.GE else 1, n - (k1 if rel1 is Rel.GE else 0) + 1)
+    p = _failure_sum(th, q, n, ys, inner)
     if rel2 is Rel.LE and _rel_holds(n, rel1, k1):
         p = p + th ** n  # the all-success sequence
     return p

@@ -6,8 +6,9 @@ of each success run is the total failure mass preceding it.  One generic
 evaluator covers every named family: the families differ only in arrangement
 shape and in the per-part constraints.
 
-Values are polynomials in q with nonnegative integer coefficients, so the
-cache is q-independent; evaluation at rational q is exact.
+Values are polynomials in q with nonnegative integer coefficients.  Only
+those q-independent coefficient lists are memoized; every call evaluates
+its polynomial at q afresh, exactly at rational q.
 """
 
 from __future__ import annotations
@@ -16,15 +17,10 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _core_py as core
-from ._core_py import (
-    CON_ATLEAST,
-    CON_BOUNDED,
-    CON_BOUNDED0,
-    CON_POSITIVE,
-    EnumerationBudgetError,
-)
+from ._core_py import EnumerationBudgetError
 from .qcalc import Scalar
 
 __all__ = [
@@ -66,45 +62,33 @@ class ArrangementShape(Enum):
         return y_runs
 
 
-@dataclass(frozen=True)
-class Bounded:
+class PartConstraint(NamedTuple):
+    """Every part in lo..hi (no upper cap when hi is None) and, unless need
+    is 0, some part >= need."""
+
+    lo: int
+    hi: int | None
+    need: int
+
+
+def Bounded(hi: int) -> PartConstraint:
     """Each part in 1..hi."""
+    return PartConstraint(1, hi, 0)
 
-    hi: int
 
-
-@dataclass(frozen=True)
-class BoundedWithZero:
+def BoundedWithZero(hi: int) -> PartConstraint:
     """Each part in 0..hi."""
+    return PartConstraint(0, hi, 0)
 
-    hi: int
 
-
-@dataclass(frozen=True)
-class Positive:
+def Positive() -> PartConstraint:
     """Each part >= 1."""
+    return PartConstraint(1, None, 0)
 
 
-@dataclass(frozen=True)
-class SomeAtLeast:
-    """Each part >= 1 and at least one part >= k."""
-
-    k: int
-
-
-PartConstraint = Bounded | BoundedWithZero | Positive | SomeAtLeast
-
-
-def _constraint_code(con: PartConstraint) -> tuple[int, int]:
-    if isinstance(con, BoundedWithZero):
-        return CON_BOUNDED0, con.hi
-    if isinstance(con, Bounded):
-        return CON_BOUNDED, con.hi
-    if isinstance(con, Positive):
-        return CON_POSITIVE, 0
-    if isinstance(con, SomeAtLeast):
-        return CON_ATLEAST, con.k
-    raise TypeError(f"not a part constraint: {con!r}")
+def SomeAtLeast(k: int) -> PartConstraint:
+    """Each part >= 1 and at least one part >= k; k <= 1 still asks for a part."""
+    return PartConstraint(1, None, max(k, 1))
 
 
 @dataclass(frozen=True)
@@ -127,68 +111,41 @@ class KernelSpec:
     def x_runs(self) -> int:
         return self.shape.x_runs(self.y_runs)
 
-    def _key(self):
+    def core_args(self) -> tuple:
+        """Leading arguments of `core.kernel_eval_poly` and `core.kernel_direct_poly`."""
         return (
-            self.shape.value,
+            self.shape.starts_with_success,
+            self.x_runs,
             self.y_runs,
             self.x_total,
             self.y_total,
-            _constraint_code(self.x_constraint),
-            _constraint_code(self.y_constraint),
+            self.x_constraint,
+            self.y_constraint,
         )
 
 
 class KernelValueCache:
-    """Memo for kernel and longest-run cell values; safe to share across threads.
+    """Memo of kernel and longest-run cell polynomials; safe to share across threads.
 
-    Holds q-independent coefficient polynomials plus evaluated scalars
-    keyed by (polynomial key, q, exact regime).  One lock guards every
-    build and store; a hit reads without it.  Lookups never change
-    returned values.
+    Kernel values are polynomials in q with nonnegative integer
+    coefficients, so the memos hold only the q-independent coefficient
+    lists and stay the same size however many q are asked for.  Every
+    call evaluates its polynomial at q afresh: exactly at int or Fraction
+    q, in floating point at float q.  One lock guards every memo.
     """
 
     def __init__(self) -> None:
         self._dp_memo: dict = {}
         self._cell_u_memo: dict = {}
         self._cell_v_memo: dict = {}
-        self._values: dict = {}
         self._lock = threading.Lock()
-
-    def _kernel_poly(self, spec: KernelSpec) -> list[int]:
-        xcode, xparam = _constraint_code(spec.x_constraint)
-        ycode, yparam = _constraint_code(spec.y_constraint)
-        return core.kernel_eval_poly(
-            spec.shape.starts_with_success,
-            spec.x_runs,
-            spec.y_runs,
-            spec.x_total,
-            spec.y_total,
-            xcode,
-            xparam,
-            ycode,
-            yparam,
-            self._dp_memo,
-        )
 
     def poly(self, spec: KernelSpec) -> list[int]:
         with self._lock:
-            return self._kernel_poly(spec)
-
-    def _lookup(self, key, q: Scalar, build, *args) -> Scalar:
-        """Value at q of the polynomial `build(*args)`, memoized under key."""
-        # Fraction(1, 2) and 0.5 are equal and hash alike, so the regime
-        # must be part of the key or float results would leak into exact runs
-        vkey = key + (q, isinstance(q, (int, Fraction)))
-        val = self._values.get(vkey)
-        if val is None:
-            # builds are deterministic: a thread that loses a race to the
-            # lock stores a value equal to the one already there
-            with self._lock:
-                val = self._values[vkey] = _eval_poly_at(build(*args), q)
-        return val
+            return core.kernel_eval_poly(*spec.core_args(), self._dp_memo)
 
     def value(self, spec: KernelSpec, q: Scalar) -> Scalar:
-        return self._lookup(spec._key(), q, self._kernel_poly, spec)
+        return _eval_poly_at(self.poly(spec), q)
 
 
 def _eval_poly_at(coeffs: list[int], q: Scalar) -> Scalar:
@@ -211,21 +168,7 @@ def kernel_direct(spec: KernelSpec, q: Scalar, budget: int = 2_000_000) -> Scala
     number of composition pairs exceeds `budget`.  Serves as the oracle
     for `kernel_eval`.
     """
-    xcode, xparam = _constraint_code(spec.x_constraint)
-    ycode, yparam = _constraint_code(spec.y_constraint)
-    poly = core.kernel_direct_poly(
-        spec.shape.starts_with_success,
-        spec.x_runs,
-        spec.y_runs,
-        spec.x_total,
-        spec.y_total,
-        xcode,
-        xparam,
-        ycode,
-        yparam,
-        budget,
-    )
-    return _eval_poly_at(poly, q)
+    return _eval_poly_at(core.kernel_direct_poly(*spec.core_args(), budget), q)
 
 
 def kernel_eval(spec: KernelSpec, q: Scalar, cache: KernelValueCache | None = None) -> Scalar:
@@ -343,7 +286,9 @@ def longest_cell_kernel_U(r: int, s: int, t: int, k: int, q: Scalar) -> Scalar:
     if r < 1:
         raise ValueError("r must be >= 1")
     c = _default_cache
-    return c._lookup(("u", r, s, t, k), q, core.cell_poly_u, r, s, t, k, c._cell_u_memo)
+    with c._lock:
+        poly = core.cell_poly_u(r, s, t, k, c._cell_u_memo)
+    return _eval_poly_at(poly, q)
 
 
 def longest_cell_kernel_V(r: int, s: int, k: int, q: Scalar) -> Scalar:
@@ -351,4 +296,6 @@ def longest_cell_kernel_V(r: int, s: int, k: int, q: Scalar) -> Scalar:
     if r < 1:
         raise ValueError("r must be >= 1")
     c = _default_cache
-    return c._lookup(("v", r, s, k), q, core.cell_poly_v, r, s, k, c._cell_v_memo)
+    with c._lock:
+        poly = core.cell_poly_v(r, s, k, c._cell_v_memo)
+    return _eval_poly_at(poly, q)

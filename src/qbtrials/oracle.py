@@ -18,9 +18,9 @@ import numpy as np
 
 from . import _core_py as core
 from ._core_py import EnumerationBudgetError
-from .distributions import Pmf, Rel, _rel_holds, support_min, waiting_time_pmf
+from .distributions import Pmf, Rel, _rel_holds, _zero, support_min, waiting_time_pmf
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
-from .qcalc import DEFAULT_TOLERANCE, Scalar
+from .qcalc import DEFAULT_TOLERANCE, Scalar, q_pochhammer_prefixes
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -104,7 +104,8 @@ def oracle_event_prob(
 
     if isinstance(pred, WaitingEquals):
         if pred.n < 1 or pred.n > n:
-            return 0  # a stop happens at a trial index in 1..n or not at all
+            # a stop happens at a trial index in 1..n or not at all
+            return _zero(params.theta, params.q)
         quota = pred.quota
         counts = _waiting_counts(
             n,
@@ -135,10 +136,8 @@ def oracle_event_prob(
     # a sequence with f failures and success weight e (the failures before
     # each success, summed) has probability theta^(n-f) q^e (theta; q)_f
     th, q = params.theta, params.q
-    ffp: list[Scalar] = [1]
-    for j in range(n):
-        ffp.append(ffp[-1] * (1 - th * q ** j))
-    total: Scalar = 0
+    ffp = q_pochhammer_prefixes(th, q, n)
+    total = _zero(th, q)
     for (f, e), c in items:
         total = total + c * (th ** (n - f) * q ** e * ffp[f])
     return total

@@ -55,11 +55,16 @@ def q_binomial(n: int, m: int, q: Scalar) -> Scalar:
 
 def q_pochhammer(a: Scalar, q: Scalar, n: int) -> Scalar:
     """(a; q)_n = product over k = 0..n-1 of (1 - a*q**k)."""
+    return q_pochhammer_prefixes(a, q, n)[-1]
+
+
+def q_pochhammer_prefixes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
+    """[(a; q)_0, ..., (a; q)_n], each the one before it times (1 - a*q**k)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: Scalar = 1
+    out: list[Scalar] = [1]
     for k in range(n):
-        out = out * (1 - a * q ** k)
+        out.append(out[-1] * (1 - a * q ** k))
     return out
 
 

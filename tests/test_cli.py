@@ -114,10 +114,13 @@ def test_bad_params_exit_2(capsys, tmp_path):
               "run:2", "--theta", "0.5", "--q", "1", "--n-max", "3",
               "--precision", "-1"])
     assert exc.value.code == 2
-    for bad in ({"thetas": ["3/2"], "qs": ["1/2"], "k_pairs": [[2, 2]]},
-                {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[0, 2]]}):
+    for bad in ({"thetas": ["3/2"], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 5},
+                {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[0, 2]], "n_max": 5},
+                {"thetas": 5, "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 5},
+                {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [2], "n_max": 5},
+                [["1/2"], ["1/2"], [[2, 2]], 5]):
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps(dict(bad, n_max=5)))
+        path.write_text(json.dumps(bad))
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--grid", str(path)])
         assert exc.value.code == 2

@@ -14,7 +14,9 @@ from qbtrials import (
     QuotaSpec,
     Rel,
     RunQuota,
+    WaitingEquals,
     joint_longest,
+    longest_run_cdf,
     longest_run_pmf,
     oracle_event_prob,
     oracle_waiting_pmf,
@@ -82,6 +84,7 @@ def test_float_regime_tracks_exact():
     pe = ModelParams(Fraction(37, 100), Fraction(81, 100))
 
     def close(got, exact):
+        assert isinstance(got, float), got
         assert abs(got - float(exact)) <= 1e-12 * abs(float(exact))
 
     for s_freq, f_freq, mode in itertools.product(
@@ -91,11 +94,18 @@ def test_float_regime_tracks_exact():
             FreqQuota(3) if f_freq else RunQuota(3),
             mode,
         )
-        for n in range(support_min(quota), 13):
+        # n below the support minimum and a stop after the last trial are zeros
+        for n in range(0, 13):
             close(waiting_time_pmf(pf, quota, n), waiting_time_pmf(pe, quota, n))
+        close(oracle_event_prob(pf, 4, WaitingEquals(quota, 5)), 0)
     for n in range(0, 13):
-        for k in range(0, n + 1):
+        # k > n and k < 0 are zeros; k >= n is the CDF's one
+        for k in range(-1, n + 2):
             close(longest_run_pmf(pf, n, k), longest_run_pmf(pe, n, k))
+            close(longest_run_cdf(pf, n, k), longest_run_cdf(pe, n, k))
     for r1, r2 in itertools.product((Rel.LE, Rel.GE), repeat=2):
         for n in range(1, 13):
             close(joint_longest(pf, n, 2, r1, 3, r2), joint_longest(pe, n, 2, r1, 3, r2))
+            # (n=3, 2 GE, 3 GE) is empty: every term of its sum vanishes
+            close(oracle_event_prob(pf, n, JointLongest(2, r1, 3, r2)),
+                  oracle_event_prob(pe, n, JointLongest(2, r1, 3, r2)))

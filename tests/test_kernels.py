@@ -170,7 +170,8 @@ def test_shared_cache_is_thread_safe():
     cache = KernelValueCache()
     specs = [family_spec(fam, 5, 5, 2, 3, 3) for fam in FAMILY_NAMES]
     expected = {id(s): kernel_direct(s, Fraction(7, 10)) for s in specs}
-    # a q no other test uses, so the threads race on the cell-value misses
+    # the threads share the default cache's cell memos and evaluate every
+    # cell polynomial at the same q at once
     cell_q = Fraction(5, 11)
     cells = [(r, s, k) for r in range(1, 6) for s in range(0, 9) for k in range(1, 4)]
     results = []
@@ -237,8 +238,8 @@ def test_eval_equals_direct_on_arbitrary_specs():
 
 
 def test_caches_keep_float_and_fraction_regimes_apart():
-    # Fraction(1, 2) == 0.5 and they hash alike; a float hit must never be
-    # returned for an exact query (or vice versa)
+    # Fraction(1, 2) == 0.5 and they hash alike; each query is evaluated
+    # in its own regime, a float for float q and exact for Fraction q
     cache = KernelValueCache()
     spec = family_spec("A", 2, 3, 2, 3, 3)
     as_float = kernel_eval(spec, 0.5, cache)
@@ -249,6 +250,24 @@ def test_caches_keep_float_and_fraction_regimes_apart():
         float(longest_cell_kernel_U(3, 4, 1, 2, Fraction(1, 2))))
     assert isinstance(longest_cell_kernel_U(3, 4, 1, 2, Fraction(1, 2)), Fraction)
     assert isinstance(longest_cell_kernel_V(3, 4, 2, Fraction(1, 2)), Fraction)
+
+
+def test_cache_does_not_grow_with_q():
+    # the memos hold q-independent polynomials, so a new q adds no entry
+    from qbtrials.kernels import _default_cache as cache
+
+    spec = family_spec("E", 5, 6, 2, 2, 3)
+
+    def sizes():
+        return {name: len(v) for name, v in vars(cache).items() if isinstance(v, dict)}
+
+    for i in range(200):
+        q = Fraction(i + 1, 211) if i % 2 else (i + 1) / 211
+        assert kernel_eval(spec, q, cache) == kernel_direct(spec, q)
+        longest_cell_kernel_U(4, 5, 1, 2, q)
+        if i == 0:
+            first = sizes()
+    assert sizes() == first
 
 
 def test_spec_run_counts_follow_shape():
