@@ -1,12 +1,13 @@
-"""The core: composition-kernel polynomials and sequence enumeration.
+"""The core: composition-kernel polynomials and the trial walker.
 
 Every kernel value is a polynomial in q with nonnegative integer
 coefficients, so the heavy lifting here is exact integer arithmetic on
 coefficient lists (index = power of q).  Sequence enumeration groups the
 2^n binary sequences by (failure count, success weight), which determines
 the probability of a sequence completely; callers turn the integer count
-tables into exact probabilities.  It walks all 2^n sequences through their
-trials together, one numpy vector step per trial.
+tables into exact probabilities.  One walker steps many sequences through
+their trials together, one numpy vector step per trial: all 2^n of them
+for enumeration, random draws of the model for Monte Carlo.
 """
 
 from __future__ import annotations
@@ -229,26 +230,27 @@ def _uint(bound):
 
 
 class _Lockstep:
-    """All 2**n sequences of length n, walked through their trials together.
+    """Trial sequences walked through their trials together, one numpy
+    vector per statistic.
 
-    Bit i of a sequence's index in arange(2**n) is trial i+1; a set bit is a
-    success.  After `step(i)` the arrays hold, per sequence, the failure
-    count, the success weight (the sum over successes of the number of
-    failures preceding each one) and the current success and failure runs.
+    `step(success)` applies the next trial, given its outcome per sequence
+    (True = success).  Per sequence the arrays hold the failure count, the
+    success weight (the sum over successes of the number of failures
+    preceding each one), the current success and failure runs and either,
+    for a quota (s_freq, k1, f_freq, k2), the trial at which each side met
+    it (0 while it has not) or, without one, the longest runs (l1, l0).
     """
 
-    def __init__(self, n):
+    def __init__(self, size, n, quota=None):
         self.max_weight = n * n // 4  # n/2 failures, then n/2 successes
-        self.masks = np.arange(1 << n, dtype=_uint((1 << n) - 1))
+        self.trials = 0
+        self.quota = quota
         counter = _uint(n)
-        self.failures = np.zeros(self.masks.size, counter)
-        self.weight = np.zeros(self.masks.size, _uint(self.max_weight))
-        self.run1 = np.zeros(self.masks.size, counter)
-        self.run0 = np.zeros(self.masks.size, counter)
+        self.weight = np.zeros(size, _uint(self.max_weight))
+        self.failures, self.run1, self.run0, self.l1, self.l0, self.hit1, self.hit0 = (
+            np.zeros(size, counter) for _ in range(7))
 
-    def step(self, i):
-        """Apply trial i+1; returns its outcome per sequence (True = success)."""
-        success = (self.masks & (1 << i)) != 0
+    def step(self, success):
         failure = ~success
         np.add(self.weight, self.failures, out=self.weight, where=success)
         self.failures += failure
@@ -256,7 +258,47 @@ class _Lockstep:
         self.run1 *= success
         self.run0 += 1
         self.run0 *= failure
-        return success
+        self.trials += 1
+        if self.quota is None:
+            np.maximum(self.l1, self.run1, out=self.l1)
+            np.maximum(self.l0, self.run0, out=self.l0)
+        else:
+            s_freq, k1, f_freq, k2 = self.quota
+            # the success count is the trial count minus the failure count
+            met1 = self.failures == self.trials - k1 if s_freq else self.run1 == k1
+            met0 = self.failures == k2 if f_freq else self.run0 == k2
+            self.hit1[(self.hit1 == 0) & success & met1] = self.trials
+            self.hit0[(self.hit0 == 0) & failure & met0] = self.trials
+
+    def stop(self, later):
+        """Trial at which the wait ends (sooner or later rule), 0 if it has not."""
+        both = (self.hit1 > 0) & (self.hit0 > 0)
+        if later:
+            return np.where(both, np.maximum(self.hit1, self.hit0), 0)
+        return np.where(both, np.minimum(self.hit1, self.hit0), self.hit1 | self.hit0)
+
+
+def _enumerate(n, quota=None):
+    """All 2**n sequences of length n, walked; bit i of a sequence's index in
+    arange(2**n) is trial i+1, a set bit a success."""
+    masks = np.arange(1 << n, dtype=_uint((1 << n) - 1))
+    seqs = _Lockstep(masks.size, n, quota)
+    for i in range(n):
+        seqs.step((masks & (1 << i)) != 0)
+    return seqs
+
+
+def simulate(rng, theta, q, n, samples, quota=None):
+    """`samples` random length-n sequences of the model, walked.
+
+    Each trial draws one `rng.random(samples)` and succeeds where the draw
+    is below theta * q**failures, computed in float64.
+    """
+    seqs = _Lockstep(samples, n, quota)
+    for _ in range(n):
+        u = rng.random(samples)
+        seqs.step(u < theta * np.power(q, seqs.failures.astype(np.float64)))
+    return seqs
 
 
 def _group(columns, sizes):
@@ -278,39 +320,20 @@ def _group(columns, sizes):
 
 
 def waiting_stop_counts(n, target, s_freq, k1, f_freq, k2, later):
-    """Count length-n sequences whose quota stopping time equals `target`.
+    """Count length-n sequences whose quota stopping time equals `target`
+    (0: the wait has not ended by trial n).
 
     Returns {(failures, weight): count} where weight is the sum over
     successes of the number of failures preceding each one.
     """
-    seqs = _Lockstep(n)
-    hit1 = np.zeros_like(seqs.failures)  # trial at which a quota is met, 0 if not yet
-    hit0 = np.zeros_like(seqs.failures)
-    for i in range(n):
-        success = seqs.step(i)
-        # the success count after trial i+1 is i+1 minus the failure count
-        met1 = seqs.failures == i + 1 - k1 if s_freq else seqs.run1 == k1
-        met0 = seqs.failures == k2 if f_freq else seqs.run0 == k2
-        hit1[(hit1 == 0) & success & met1] = i + 1
-        hit0[(hit0 == 0) & ~success & met0] = i + 1
-    both = (hit1 > 0) & (hit0 > 0)
-    if later:
-        stop = np.where(both, np.maximum(hit1, hit0), 0)
-    else:
-        stop = np.where(both, np.minimum(hit1, hit0), hit1 | hit0)
-    keep = stop == target
+    seqs = _enumerate(n, (s_freq, k1, f_freq, k2))
+    keep = seqs.stop(later) == target
     return _group((seqs.failures[keep], seqs.weight[keep]),
                   (n + 1, seqs.max_weight + 1))
 
 
 def longest_joint_counts(n):
     """Group length-n sequences by (longest 1-run, longest 0-run, failures, weight)."""
-    seqs = _Lockstep(n)
-    l1 = np.zeros_like(seqs.failures)
-    l0 = np.zeros_like(seqs.failures)
-    for i in range(n):
-        seqs.step(i)
-        np.maximum(l1, seqs.run1, out=l1)
-        np.maximum(l0, seqs.run0, out=l0)
-    return _group((l1, l0, seqs.failures, seqs.weight),
+    seqs = _enumerate(n)
+    return _group((seqs.l1, seqs.l0, seqs.failures, seqs.weight),
                   (n + 1, n + 1, n + 1, seqs.max_weight + 1))

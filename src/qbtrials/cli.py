@@ -101,10 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_long = sub.add_parser("longest", help="longest-run table")
     p_long.add_argument("--n", type=int, required=True)
     add_params(p_long)
-    p_long.add_argument("--cdf", action="store_true",
-                        help="cumulative probabilities instead of the PMF")
-    p_long.add_argument("--joint", nargs=4, metavar=("K1", "le|ge", "K2", "le|ge"),
-                        help="joint probability for the success and failure runs")
+    statistic = p_long.add_mutually_exclusive_group()
+    statistic.add_argument("--cdf", action="store_true",
+                           help="cumulative probabilities instead of the PMF")
+    statistic.add_argument("--joint", nargs=4, metavar=("K1", "le|ge", "K2", "le|ge"),
+                           help="joint probability for the success and failure runs")
     add_output(p_long)
 
     p_oracle = sub.add_parser("oracle", help="enumeration oracle PMF table")
@@ -266,6 +267,8 @@ def _cmd_verify(parser, args) -> int:
         reports = differential_scan(grid)
     except EnumerationBudgetError as exc:
         parser.error(str(exc))
+    if not reports:
+        parser.error(f"grid {args.grid!r} has no points to check")
     mismatches = [r for r in reports if r.verdict == "mismatch"]
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -283,6 +286,8 @@ def _cmd_verify(parser, args) -> int:
 def _cmd_mc(parser, args) -> int:
     params = _params(parser, args)
     if args.atmost is not None:
+        if args.mode or args.success or args.failure:
+            parser.error("--atmost does not take --mode/--success/--failure")
         pred = LongestAtMost(args.atmost)
     else:
         if not (args.mode and args.success and args.failure):

@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 20
-_LONGEST_CACHE_MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,16 @@ class WaitingEquals:
 class LongestEquals:
     k: int
 
+    def holds(self, l1, l0):
+        return l1 == self.k
+
 
 @dataclass(frozen=True)
 class LongestAtMost:
     k: int
+
+    def holds(self, l1, l0):
+        return l1 <= self.k
 
 
 @dataclass(frozen=True)
@@ -65,29 +70,29 @@ class JointLongest:
     k2: int
     rel2: Rel
 
+    def holds(self, l1, l0):
+        return _rel_holds(l1, self.rel1, self.k1) & _rel_holds(l0, self.rel2, self.k2)
+
 
 EventPredicate = WaitingEquals | LongestEquals | LongestAtMost | JointLongest
 
 
-_longest_counts_cache: dict[int, dict] = {}
+def _core_quota(quota: QuotaSpec) -> tuple[bool, int, bool, int]:
+    """The walker's (s_freq, k1, f_freq, k2) for a quota."""
+    return (isinstance(quota.success_quota, FreqQuota), quota.success_quota.k,
+            isinstance(quota.failure_quota, FreqQuota), quota.failure_quota.k)
 
 
-def _longest_counts(n: int) -> dict:
-    if n <= _LONGEST_CACHE_MAX_N:
-        hit = _longest_counts_cache.get(n)
-        if hit is None:
-            hit = core.longest_joint_counts(n)
-            _longest_counts_cache[n] = hit
-        return hit
-    return core.longest_joint_counts(n)
-
-
-# the count tables are parameter-free, so they are shared across the
-# theta/q grid of a scan; the grouped dicts are small (<= one entry per
-# distinct (failures, weight) pair)
+# the count tables are parameter-free, so one table serves the whole
+# theta/q grid of a scan; callers must not mutate what it returns
 @lru_cache(maxsize=4096)
-def _waiting_counts(n, target, s_freq, k1, f_freq, k2, later):
-    return core.waiting_stop_counts(n, target, s_freq, k1, f_freq, k2, later)
+def _counts(n, waiting=None):
+    """Grouped counts of the length-n sequences: {(failures, weight): count}
+    of those whose wait ends at the target, for waiting = (target, s_freq,
+    k1, f_freq, k2, later); with none, {(l1, l0, failures, weight): count}."""
+    if waiting is None:
+        return core.longest_joint_counts(n)
+    return core.waiting_stop_counts(n, *waiting)
 
 
 def oracle_event_prob(
@@ -107,28 +112,11 @@ def oracle_event_prob(
             # a stop happens at a trial index in 1..n or not at all
             return _zero(params.theta, params.q)
         quota = pred.quota
-        counts = _waiting_counts(
-            n,
-            pred.n,
-            isinstance(quota.success_quota, FreqQuota),
-            quota.success_quota.k,
-            isinstance(quota.failure_quota, FreqQuota),
-            quota.failure_quota.k,
-            quota.mode is Mode.LATER,
-        )
-        items = counts.items()
+        items = _counts(n, (pred.n, *_core_quota(quota), quota.mode is Mode.LATER)).items()
     else:
-        grouped = _longest_counts(n)
-        if isinstance(pred, LongestEquals):
-            keep = lambda l1, l0: l1 == pred.k
-        elif isinstance(pred, LongestAtMost):
-            keep = lambda l1, l0: l1 <= pred.k
-        else:
-            keep = lambda l1, l0: (_rel_holds(l1, pred.rel1, pred.k1)
-                                   and _rel_holds(l0, pred.rel2, pred.k2))
         merged: dict[tuple[int, int], int] = {}
-        for (l1, l0, f, e), c in grouped.items():
-            if keep(l1, l0):
+        for (l1, l0, f, e), c in _counts(n).items():
+            if pred.holds(l1, l0):
                 key = (f, e)
                 merged[key] = merged.get(key, 0) + c
         items = merged.items()
@@ -277,70 +265,22 @@ def monte_carlo_estimate(
 ) -> tuple[float, float]:
     """(estimate, standard error) of the event probability by simulation.
 
-    The simulator draws all replicas in lockstep with numpy's default
-    generator (PCG64), one uniform per trial per replica; fixed seeds give
-    identical output on any platform.
+    The simulator walks all replicas through their trials together with
+    numpy's default generator (PCG64), one uniform per trial per replica;
+    fixed seeds give identical output on any platform.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    rng = np.random.default_rng(seed)
-    th = float(params.theta)
-    q = float(params.q)
-
-    failures = np.zeros(samples, dtype=np.int64)
-    run1 = np.zeros(samples, dtype=np.int64)
-    run0 = np.zeros(samples, dtype=np.int64)
-    l1 = np.zeros(samples, dtype=np.int64)
-    l0 = np.zeros(samples, dtype=np.int64)
-    c1 = np.zeros(samples, dtype=np.int64)
-    hit1 = np.zeros(samples, dtype=np.int64)
-    hit0 = np.zeros(samples, dtype=np.int64)
-
-    if isinstance(pred, WaitingEquals):
-        quota = pred.quota
-        s_freq = isinstance(quota.success_quota, FreqQuota)
-        f_freq = isinstance(quota.failure_quota, FreqQuota)
-        k1, k2 = quota.success_quota.k, quota.failure_quota.k
+    waiting = isinstance(pred, WaitingEquals)
+    seqs = core.simulate(np.random.default_rng(seed), float(params.theta), float(params.q),
+                         n, samples, _core_quota(pred.quota) if waiting else None)
+    if waiting:
+        stop = seqs.stop(pred.quota.mode is Mode.LATER)
+        ok = (stop == pred.n) & (stop > 0)  # 0: the wait has not ended
     else:
-        quota = None
-
-    for t in range(1, n + 1):
-        u = rng.random(samples)
-        succ = u < th * np.power(q, failures)
-        fail = ~succ
-        run1[succ] += 1
-        run1[fail] = 0
-        run0[fail] += 1
-        run0[succ] = 0
-        c1[succ] += 1
-        failures[fail] += 1
-        np.maximum(l1, run1, out=l1)
-        np.maximum(l0, run0, out=l0)
-        if quota is not None:
-            side1 = c1 == k1 if s_freq else run1 == k1
-            new1 = (hit1 == 0) & side1
-            hit1[new1] = t
-            side0 = failures == k2 if f_freq else run0 == k2
-            new0 = (hit0 == 0) & side0
-            hit0[new0] = t
-
-    if isinstance(pred, WaitingEquals):
-        if quota.mode is Mode.LATER:
-            stop = np.where((hit1 > 0) & (hit0 > 0), np.maximum(hit1, hit0), 0)
-        else:
-            both = np.where(hit1 == 0, hit0, np.where(hit0 == 0, hit1, np.minimum(hit1, hit0)))
-            stop = both
-        ok = stop == pred.n
-    elif isinstance(pred, LongestEquals):
-        ok = l1 == pred.k
-    elif isinstance(pred, LongestAtMost):
-        ok = l1 <= pred.k
-    else:
-        side1 = l1 <= pred.k1 if pred.rel1 is Rel.LE else l1 >= pred.k1
-        side0 = l0 <= pred.k2 if pred.rel2 is Rel.LE else l0 >= pred.k2
-        ok = side1 & side0
+        ok = pred.holds(seqs.l1, seqs.l0)
 
     phat = float(np.count_nonzero(ok)) / samples
     stderr = float(np.sqrt(phat * (1.0 - phat) / samples))

@@ -114,11 +114,20 @@ def test_bad_params_exit_2(capsys, tmp_path):
               "run:2", "--theta", "0.5", "--q", "1", "--n-max", "3",
               "--precision", "-1"])
     assert exc.value.code == 2
+    for quota_flag in (("--mode", "sooner"), ("--success", "run:2"), ("--failure", "run:2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--samples", "10", "--seed", "1", "--theta", "1/2",
+                  "--q", "1/2", "--n", "4", "--atmost", "2", *quota_flag])
+        assert exc.value.code == 2
     for bad in ({"thetas": ["3/2"], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 5},
                 {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[0, 2]], "n_max": 5},
                 {"thetas": 5, "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 5},
                 {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [2], "n_max": 5},
-                [["1/2"], ["1/2"], [[2, 2]], 5]):
+                [["1/2"], ["1/2"], [[2, 2]], 5],
+                # grids with no point to check
+                {"thetas": [], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 5},
+                {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 1},
+                {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": -3}):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(bad))
         with pytest.raises(SystemExit) as exc:
@@ -154,6 +163,10 @@ def test_bad_joint_relation_exits_2(capsys):
         main(["longest", "--n", "4", "--theta", "1/2", "--q", "1/2",
               "--joint", "0", "ge", "1", "le"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["longest", "--n", "4", "--theta", "1/2", "--q", "1/2",
+              "--joint", "1", "le", "1", "le", "--cdf"])
+    assert exc.value.code == 2
 
 
 def test_mc_deterministic_output(capsys):
@@ -174,3 +187,10 @@ def test_mc_waiting_event(capsys):
     assert code == 0
     est = float(out.splitlines()[1].split(",")[0])
     assert 0 <= est <= 1
+    # a wait that has not ended by trial n never counts as ending at trial 0
+    code, out, _ = run_cli(
+        capsys, "mc", "--samples", "10", "--seed", "1", "--theta", "1/2",
+        "--q", "1/2", "--n", "0", "--mode", "sooner", "--success", "run:2",
+        "--failure", "run:2")
+    assert code == 0
+    assert out == "estimate,stderr\n0,0\n"

@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qbtrials import (
@@ -251,3 +252,46 @@ def test_monte_carlo_deterministic():
     a = monte_carlo_estimate(HALF, 6, LongestAtMost(2), 5000, seed=3)
     b = monte_carlo_estimate(HALF, 6, LongestAtMost(2), 5000, seed=3)
     assert a == b
+    # fixed-seed values pin the draws and the float64 success thresholds
+    assert a == (0.8556, 0.004970888049433421)
+    assert monte_carlo_estimate(HALF, 4, WaitingEquals(RR_SOONER, 4), 2000, seed=4) == \
+        (0.0955, 0.006571900410079264)
+    # thresholds not exact in binary: a float16 product moves these
+    assert monte_carlo_estimate(ModelParams(0.37, 0.81), 6, LongestAtMost(2), 5000, seed=3) == \
+        (0.907, 0.004107334902342393)
+    # a wait that has not ended by trial n never counts as ending at trial 0
+    later = QuotaSpec(RunQuota(3), RunQuota(3), Mode.LATER)
+    assert oracle_event_prob(HALF, 5, WaitingEquals(later, 0)) == 0
+    assert monte_carlo_estimate(HALF, 5, WaitingEquals(later, 0), 100, seed=4) == (0.0, 0.0)
+
+
+class _Replay:
+    """Stands in for a numpy generator: at trial i, replica j draws 0.0 (a
+    success at theta = 1/2) when bit i of j is set, else 0.75 (a failure)."""
+
+    def __init__(self, n):
+        self.masks = np.arange(1 << n)
+        self.trial = 0
+
+    def random(self, size):
+        assert size == self.masks.size
+        bits = (self.masks >> self.trial) & 1
+        self.trial += 1
+        return np.where(bits == 1, 0.0, 0.75)
+
+
+@pytest.mark.parametrize("s_freq,f_freq", ALL_KINDS)
+@pytest.mark.parametrize("mode", [Mode.SOONER, Mode.LATER])
+def test_simulator_replays_sequences(s_freq, f_freq, mode):
+    # fed every length-n sequence, the simulator's walk must give each one
+    # the stopping time and longest runs of the per-sequence reference
+    for n in range(0, 9):
+        seqs = [[(mask >> i) & 1 for i in range(n)] for mask in range(1 << n)]
+        for k1, k2 in ((1, 1), (2, 3), (3, 2)):
+            quota = _quota(s_freq, f_freq, k1, k2, mode)
+            walk = core.simulate(_Replay(n), 0.5, 0.5, n, 1 << n, (s_freq, k1, f_freq, k2))
+            stop = walk.stop(mode is Mode.LATER).tolist()
+            assert stop == [stopping_time(seq, quota) or 0 for seq in seqs], (n, k1, k2)
+        walk = core.simulate(_Replay(n), 0.5, 0.5, n, 1 << n)
+        assert list(zip(walk.l1.tolist(), walk.l0.tolist())) == \
+            [longest_runs(seq) for seq in seqs], n

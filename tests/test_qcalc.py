@@ -25,7 +25,7 @@ def brute_compositions(total, parts, lo, hi):
     if parts == 0:
         return [()] if total == 0 else []
     out = []
-    for head in range(lo, hi + 1):
+    for head in range(lo, min(hi, total - lo * (parts - 1)) + 1):
         for tail in brute_compositions(total - head, parts - 1, lo, hi):
             out.append((head,) + tail)
     return out
