@@ -36,7 +36,6 @@ from .model import (
     QuotaSpec,
     RunQuota,
     longest_runs,
-    sample_sequence,
     sequence_probability,
     stopping_time,
     success_prob_after,

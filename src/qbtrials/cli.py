@@ -41,7 +41,10 @@ _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def _parse_prob(text: str):
     """Fraction for 'p/q' or integer literals, float for decimals."""
     if _FRACTION_RE.match(text):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
     try:
         return float(text)
     except ValueError:
@@ -85,18 +88,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=int, default=17,
                        help="significant digits for float output")
 
-    def add_quota(p):
+    # the formula table and the enumeration table take the same arguments
+    for name, text in (("pmf", "waiting-time PMF table"),
+                       ("oracle", "enumeration oracle PMF table")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--mode", choices=("sooner", "later"), required=True)
         p.add_argument("--success", type=_parse_quota, required=True,
                        metavar="run:K|freq:K")
         p.add_argument("--failure", type=_parse_quota, required=True,
                        metavar="run:K|freq:K")
-
-    p_pmf = sub.add_parser("pmf", help="waiting-time PMF table")
-    add_quota(p_pmf)
-    add_params(p_pmf)
-    p_pmf.add_argument("--n-max", type=int, required=True)
-    add_output(p_pmf)
+        add_params(p)
+        p.add_argument("--n-max", type=int, required=True)
+        add_output(p)
 
     p_long = sub.add_parser("longest", help="longest-run table")
     p_long.add_argument("--n", type=int, required=True)
@@ -107,14 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     statistic.add_argument("--joint", nargs=4, metavar=("K1", "le|ge", "K2", "le|ge"),
                            help="joint probability for the success and failure runs")
     add_output(p_long)
-
-    p_oracle = sub.add_parser("oracle", help="enumeration oracle PMF table")
-    add_quota(p_oracle)
-    add_params(p_oracle)
-    p_oracle.add_argument("--n-max", type=int, required=True)
-    p_oracle.add_argument("--rational", action="store_true",
-                          help="require fraction inputs; exact output")
-    add_output(p_oracle)
 
     p_verify = sub.add_parser("verify", help="differential scan against the oracle")
     p_verify.add_argument("--grid", default="default",
@@ -140,9 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _require_exact(parser, args) -> bool:
     """Whether to run in the exact regime, validating --exact if given."""
     exact_inputs = isinstance(args.theta, Fraction) and isinstance(args.q, Fraction)
-    wants = getattr(args, "exact", False) or getattr(args, "rational", False)
-    if wants and not exact_inputs:
-        parser.error("--exact/--rational require --theta and --q as fractions")
+    if args.exact and not exact_inputs:
+        parser.error("--exact requires --theta and --q as fractions")
     return exact_inputs
 
 
@@ -185,13 +179,18 @@ def _meta(args, quota=None) -> dict:
     return meta
 
 
-def _cmd_pmf(parser, args) -> int:
+def _cmd_table(parser, args) -> int:
+    """`pmf` from the formula layer, `oracle` from 2^n enumeration."""
     exact = _require_exact(parser, args)
     quota = QuotaSpec(args.success, args.failure, Mode(args.mode))
     params = _params(parser, args)
     if args.n_max < support_min(quota):
         parser.error(f"--n-max below the support minimum {support_min(quota)}")
-    table = waiting_time_table(params, quota, args.n_max)
+    table_fn = waiting_time_table if args.command == "pmf" else oracle_waiting_pmf
+    try:
+        table = table_fn(params, quota, args.n_max)
+    except EnumerationBudgetError as exc:
+        parser.error(str(exc))
     rows = list(zip(table.support(), table.probs))
     _emit_table(rows, args, exact, _meta(args, quota))
     return 0
@@ -222,19 +221,11 @@ def _cmd_longest(parser, args) -> int:
     return 0
 
 
-def _cmd_oracle(parser, args) -> int:
-    exact = _require_exact(parser, args)
-    quota = QuotaSpec(args.success, args.failure, Mode(args.mode))
-    params = _params(parser, args)
-    if args.n_max < support_min(quota):
-        parser.error(f"--n-max below the support minimum {support_min(quota)}")
-    try:
-        table = oracle_waiting_pmf(params, quota, args.n_max)
-    except EnumerationBudgetError as exc:
-        parser.error(str(exc))
-    rows = list(zip(table.support(), table.probs))
-    _emit_table(rows, args, exact, _meta(args, quota))
-    return 0
+def _json_int(value) -> int:
+    """A JSON integer as is; a float, string or boolean is refused, not cast."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _load_grid(parser, spec: str) -> ScanGrid:
@@ -246,8 +237,8 @@ def _load_grid(parser, spec: str) -> ScanGrid:
         grid = ScanGrid(
             thetas=tuple(Fraction(t) for t in raw["thetas"]),
             qs=tuple(Fraction(t) for t in raw["qs"]),
-            k_pairs=tuple((int(a), int(b)) for a, b in raw["k_pairs"]),
-            n_max=int(raw["n_max"]),
+            k_pairs=tuple((_json_int(a), _json_int(b)) for a, b in raw["k_pairs"]),
+            n_max=_json_int(raw["n_max"]),
         )
         # the model types validate their fields; any bad value raises here
         for theta in grid.thetas:
@@ -257,7 +248,7 @@ def _load_grid(parser, spec: str) -> ScanGrid:
             for k in pair:
                 RunQuota(k)
         return grid
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         parser.error(f"cannot load grid {spec!r}: {exc}")
 
 
@@ -309,9 +300,9 @@ def main(argv=None) -> int:
     if getattr(args, "precision", 1) < 1:
         parser.error("--precision must be >= 1")
     handlers = {
-        "pmf": _cmd_pmf,
+        "pmf": _cmd_table,
         "longest": _cmd_longest,
-        "oracle": _cmd_oracle,
+        "oracle": _cmd_table,
         "verify": _cmd_verify,
         "mc": _cmd_mc,
     }

@@ -80,7 +80,8 @@ class Pmf:
 
 
 # (success freq?, failure freq?, later?) -> (families summed when the success
-# side stops the wait, families summed when the failure side stops it)
+# side stops the wait, families summed when the failure side stops it); the
+# differential scan certifies the configurations in this key order
 _WAITING_FAMILIES: dict[tuple[bool, bool, bool], tuple[tuple[str, ...], tuple[str, ...]]] = {
     (False, False, False): (("A", "B"), ("C", "D")),            # Theorem 3.1
     (False, False, True): (("E", "F"), ("G", "H")),             # Theorem 3.2

@@ -7,7 +7,6 @@ Sequences are plain lists of 0/1 ints (1 = success).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,7 +25,6 @@ __all__ = [
     "sequence_probability",
     "stopping_time",
     "longest_runs",
-    "sample_sequence",
 ]
 
 BinarySequence = Sequence[int]
@@ -164,25 +162,3 @@ def longest_runs(seq: BinarySequence) -> tuple[int, int]:
             best[bit] = run
     return best[1], best[0]
 
-
-def sample_sequence(params: ModelParams, n: int, seed: int) -> list[int]:
-    """Draw n trials from the model, deterministically for a fixed seed.
-
-    Uses `random.Random(seed)` (CPython's Mersenne Twister) with one
-    `random()` call per trial, compared against theta * q**failures, so
-    runs reproduce across platforms and Python versions.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rng = random.Random(seed)
-    theta = float(params.theta)
-    q = float(params.q)
-    out = []
-    failures = 0
-    for _ in range(n):
-        if rng.random() < theta * q ** failures:
-            out.append(1)
-        else:
-            out.append(0)
-            failures += 1
-    return out

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import _core_py as core
 from ._core_py import EnumerationBudgetError
-from .distributions import Pmf, Rel, _rel_holds, _zero, support_min, waiting_time_pmf
+from .distributions import (
+    _WAITING_FAMILIES, Pmf, Rel, _rel_holds, _zero, support_min, waiting_time_pmf,
+)
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
 from .qcalc import DEFAULT_TOLERANCE, Scalar, q_pochhammer_prefixes
 
@@ -95,17 +97,13 @@ def _counts(n, waiting=None):
     return core.waiting_stop_counts(n, *waiting)
 
 
-def oracle_event_prob(
-    params: ModelParams,
-    n: int,
-    pred: EventPredicate,
-    budget: int = DEFAULT_BUDGET,
-) -> Scalar:
+def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scalar:
     """Sum of sequence probabilities over all length-n sequences in the event."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > budget:
-        raise EnumerationBudgetError(f"n={n} exceeds enumeration budget {budget}")
+    if n > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(
+            f"n={n} exceeds enumeration budget {DEFAULT_BUDGET}")
 
     if isinstance(pred, WaitingEquals):
         if pred.n < 1 or pred.n > n:
@@ -131,18 +129,13 @@ def oracle_event_prob(
     return total
 
 
-def oracle_waiting_pmf(
-    params: ModelParams,
-    quota: QuotaSpec,
-    n_max: int,
-    budget: int = DEFAULT_BUDGET,
-) -> Pmf:
+def oracle_waiting_pmf(params: ModelParams, quota: QuotaSpec, n_max: int) -> Pmf:
     """Exact PMF of the waiting time, truncated at n_max."""
     offset = support_min(quota)
     if n_max < offset:
         raise ValueError(f"n_max={n_max} is below the support minimum {offset}")
     probs = [
-        oracle_event_prob(params, n, WaitingEquals(quota, n), budget)
+        oracle_event_prob(params, n, WaitingEquals(quota, n))
         for n in range(offset, n_max + 1)
     ]
     return Pmf(offset=offset, probs=probs)
@@ -180,19 +173,13 @@ def reports_to_json(reports: Iterable[DiscrepancyReport]) -> str:
 
 @dataclass(frozen=True)
 class ScanGrid:
-    """Cartesian grid of parameters and quota configurations to certify."""
+    """Cartesian grid of parameters and quota sizes to certify; each point
+    is checked in all eight quota configurations."""
 
     thetas: tuple[Scalar, ...]
     qs: tuple[Scalar, ...]
     k_pairs: tuple[tuple[int, int], ...]
     n_max: int
-    modes: tuple[Mode, ...] = (Mode.SOONER, Mode.LATER)
-    quota_kinds: tuple[tuple[bool, bool], ...] = (
-        (False, False),  # run / run
-        (True, False),   # freq / run
-        (False, True),   # run / freq
-        (True, True),    # freq / freq
-    )
 
 
 def default_grid() -> ScanGrid:
@@ -212,47 +199,45 @@ def _quota_label(quota: QuotaSpec) -> str:
 def differential_scan(
     grid: ScanGrid,
     formula: Callable[[ModelParams, QuotaSpec, int], Scalar] = waiting_time_pmf,
-    budget: int = DEFAULT_BUDGET,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[DiscrepancyReport]:
-    """One report per grid point comparing the formula layer to enumeration.
+    """One report per grid point comparing the formula layer to enumeration,
+    over the eight configurations of the theorem table in its order.
 
     With exact parameters the verdict is mismatch iff the difference is
-    nonzero; in float mode iff it exceeds `tolerance`.
+    nonzero; in float mode iff it exceeds DEFAULT_TOLERANCE.
     """
     reports = []
-    for s_freq, f_freq in grid.quota_kinds:
-        for mode in grid.modes:
-            for k1, k2 in grid.k_pairs:
-                quota = QuotaSpec(
-                    success_quota=FreqQuota(k1) if s_freq else RunQuota(k1),
-                    failure_quota=FreqQuota(k2) if f_freq else RunQuota(k2),
-                    mode=mode,
-                )
-                lo = support_min(quota)
-                if lo > grid.n_max:
-                    continue
-                for theta in grid.thetas:
-                    for q in grid.qs:
-                        params = ModelParams(theta=theta, q=q)
-                        exact = params.exact
-                        label = f"{_quota_label(quota)} theta={theta} q={q}"
-                        got = oracle_waiting_pmf(params, quota, grid.n_max, budget)
-                        for n in range(lo, grid.n_max + 1):
-                            fv = formula(params, quota, n)
-                            ov = got.probs[n - got.offset]
-                            diff = abs(fv - ov)
-                            bad = (diff != 0) if exact else (diff > tolerance)
-                            reports.append(
-                                DiscrepancyReport(
-                                    configuration=label,
-                                    n=n,
-                                    formula_value=fv,
-                                    oracle_value=ov,
-                                    abs_difference=diff,
-                                    verdict="mismatch" if bad else "match",
-                                )
+    for s_freq, f_freq, later in _WAITING_FAMILIES:
+        for k1, k2 in grid.k_pairs:
+            quota = QuotaSpec(
+                success_quota=FreqQuota(k1) if s_freq else RunQuota(k1),
+                failure_quota=FreqQuota(k2) if f_freq else RunQuota(k2),
+                mode=Mode.LATER if later else Mode.SOONER,
+            )
+            lo = support_min(quota)
+            if lo > grid.n_max:
+                continue
+            for theta in grid.thetas:
+                for q in grid.qs:
+                    params = ModelParams(theta=theta, q=q)
+                    exact = params.exact
+                    label = f"{_quota_label(quota)} theta={theta} q={q}"
+                    got = oracle_waiting_pmf(params, quota, grid.n_max)
+                    for n in range(lo, grid.n_max + 1):
+                        fv = formula(params, quota, n)
+                        ov = got.probs[n - got.offset]
+                        diff = abs(fv - ov)
+                        bad = (diff != 0) if exact else (diff > DEFAULT_TOLERANCE)
+                        reports.append(
+                            DiscrepancyReport(
+                                configuration=label,
+                                n=n,
+                                formula_value=fv,
+                                oracle_value=ov,
+                                abs_difference=diff,
+                                verdict="mismatch" if bad else "match",
                             )
+                        )
     return reports
 
 

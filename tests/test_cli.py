@@ -68,7 +68,7 @@ def test_oracle_matches_pmf_output(capsys):
     base = ("--mode", "sooner", "--success", "run:2", "--failure", "run:2",
             "--theta", "1/2", "--q", "1", "--n-max", "3")
     _, out_pmf, _ = run_cli(capsys, "pmf", *base, "--exact")
-    _, out_oracle, _ = run_cli(capsys, "oracle", *base, "--rational")
+    _, out_oracle, _ = run_cli(capsys, "oracle", *base, "--exact")
     assert out_pmf == out_oracle
 
 
@@ -119,7 +119,25 @@ def test_bad_params_exit_2(capsys, tmp_path):
             main(["mc", "--samples", "10", "--seed", "1", "--theta", "1/2",
                   "--q", "1/2", "--n", "4", "--atmost", "2", *quota_flag])
         assert exc.value.code == 2
+    # a zero denominator on every subcommand that reads --theta and --q
+    commands = (["pmf", "--mode", "sooner", "--success", "run:2", "--failure", "run:2",
+                 "--n-max", "3"],
+                ["oracle", "--mode", "sooner", "--success", "run:2", "--failure", "run:2",
+                 "--n-max", "3"],
+                ["longest", "--n", "3"],
+                ["mc", "--samples", "10", "--seed", "1", "--n", "4", "--atmost", "2"])
+    for command in commands:
+        for theta, q in (("1/0", "1/2"), ("1/2", "0/0")):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--theta", theta, "--q", q])
+            assert exc.value.code == 2
     for bad in ({"thetas": ["3/2"], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 5},
+                {"thetas": ["1/0"], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 5},
+                {"thetas": ["1/2"], "qs": ["0/0"], "k_pairs": [[2, 2]], "n_max": 5},
+                # counts that are not JSON integers are refused, not truncated
+                {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 6.9},
+                {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[2.5, 2]], "n_max": 6},
+                {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": "6"},
                 {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[0, 2]], "n_max": 5},
                 {"thetas": 5, "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 5},
                 {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [2], "n_max": 5},
@@ -139,7 +157,7 @@ def test_oracle_budget_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--mode", "sooner", "--success", "run:2", "--failure",
               "run:2", "--theta", "1/2", "--q", "1", "--n-max", "25",
-              "--rational"])
+              "--exact"])
     assert exc.value.code == 2
 
 

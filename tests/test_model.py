@@ -1,4 +1,4 @@
-"""Model semantics: per-trial probabilities, quota hits, runs, sampling."""
+"""Model semantics: per-trial probabilities, quota hits, runs."""
 
 import itertools
 from fractions import Fraction
@@ -14,7 +14,6 @@ from qbtrials import (
     QuotaSpec,
     RunQuota,
     longest_runs,
-    sample_sequence,
     sequence_probability,
     stopping_time,
     success_prob_after,
@@ -135,27 +134,3 @@ def test_longest_runs_match_rescan(seq):
     assert l1 == brute(1)
     assert l0 == brute(0)
     assert l1 <= len(seq) and l0 <= len(seq)
-
-
-def test_sampler_determinism_and_extremes():
-    assert sample_sequence(ModelParams(1, Fraction(1, 2)), 3, 7) == [1, 1, 1]
-    assert sample_sequence(ModelParams(0, Fraction(1, 2)), 3, 7) == [0, 0, 0]
-    a = sample_sequence(HALF, 50, 1234)
-    b = sample_sequence(HALF, 50, 1234)
-    c = sample_sequence(HALF, 50, 1235)
-    assert a == b
-    assert a != c
-    assert set(a) <= {0, 1}
-
-
-def test_sampler_mean_matches_exact_expectation():
-    from qbtrials import q_binomial_pmf
-
-    n, reps = 6, 4000
-    exact_mean = float(sum(r * q_binomial_pmf(HALF, n, r) for r in range(n + 1)))
-    exact_second = float(
-        sum(r * r * q_binomial_pmf(HALF, n, r) for r in range(n + 1)))
-    sd = (exact_second - exact_mean ** 2) ** 0.5
-    total = sum(sum(sample_sequence(HALF, n, seed)) for seed in range(reps))
-    mean = total / reps
-    assert abs(mean - exact_mean) <= 4 * sd / reps ** 0.5

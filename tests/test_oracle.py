@@ -1,5 +1,6 @@
 """Enumeration oracle: exactness, totals, harness sanity, Monte Carlo."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -33,7 +34,8 @@ from qbtrials import (
 )
 from qbtrials import _core_py as core
 from qbtrials.model import longest_runs
-from qbtrials.oracle import reports_to_json
+from qbtrials.distributions import _WAITING_FAMILIES
+from qbtrials.oracle import DEFAULT_BUDGET, reports_to_json
 
 HALF = ModelParams(Fraction(1, 2), Fraction(1, 2))
 IID = ModelParams(Fraction(1, 2), Fraction(1))
@@ -163,7 +165,7 @@ def test_oracle_budget():
     with pytest.raises(EnumerationBudgetError):
         oracle_event_prob(HALF, 25, LongestAtMost(3))
     with pytest.raises(EnumerationBudgetError):
-        oracle_event_prob(HALF, 11, LongestAtMost(3), budget=10)
+        oracle_event_prob(HALF, DEFAULT_BUDGET + 1, LongestAtMost(3))
 
 
 def test_later_partial_sums_below_one():
@@ -235,7 +237,18 @@ def test_default_grid_shape():
     assert grid.n_max == 14
     assert len(grid.thetas) == 3 and len(grid.qs) == 3
     assert len(grid.k_pairs) == 3
-    assert len(grid.quota_kinds) == 4 and len(grid.modes) == 2
+    # the scan runs the theorem table's eight configurations, in its order
+    small = dataclasses.replace(grid, thetas=grid.thetas[:1], qs=grid.qs[:1], n_max=6)
+    seen = []
+    for r in differential_scan(small):
+        mode, kinds = r.configuration.split(" ")[:2]
+        label = (mode, *(kind.split(":")[0] for kind in kinds.split("/")))
+        if label not in seen:
+            seen.append(label)
+    kind = {False: "run", True: "freq"}
+    assert seen == [("later" if later else "sooner", kind[s_freq], kind[f_freq])
+                    for s_freq, f_freq, later in _WAITING_FAMILIES]
+    assert len(seen) == 8
 
 
 def test_monte_carlo_matches_exact_smoke():
