@@ -228,6 +228,14 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_fraction(value) -> Fraction:
+    """A JSON fraction string or integer as a Fraction; a float or boolean is
+    refused, not read as its binary fraction or as 0/1."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected a fraction string or an integer, got {value!r}")
+    return Fraction(value)
+
+
 def _load_grid(parser, spec: str) -> ScanGrid:
     if spec == "default":
         return default_grid()
@@ -235,8 +243,8 @@ def _load_grid(parser, spec: str) -> ScanGrid:
         with open(spec, encoding="utf-8") as fh:
             raw = json.load(fh)
         grid = ScanGrid(
-            thetas=tuple(Fraction(t) for t in raw["thetas"]),
-            qs=tuple(Fraction(t) for t in raw["qs"]),
+            thetas=tuple(_json_fraction(t) for t in raw["thetas"]),
+            qs=tuple(_json_fraction(t) for t in raw["qs"]),
             k_pairs=tuple((_json_int(a), _json_int(b)) for a, b in raw["k_pairs"]),
             n_max=_json_int(raw["n_max"]),
         )

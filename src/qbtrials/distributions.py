@@ -21,6 +21,11 @@ and y and in the stopping tail, so two tables drive one loop each:
   s shifts and the shifts of k1 and k2 for each joint quadrant; there a = x,
   b = 0 and c = y.
 
+The kernel sum of one arrangement term (over s and over the theorem's
+families) is one q-free polynomial, memoized by `kernels.kernel_term`, so
+each (x, y) term costs one evaluation at q; the longest-run PMF's sum of U
+cells is one polynomial per term the same way (`longest_cell_term_U`).
+
 Sum ranges are generous where feasibility is subtle; kernels vanish outside
 their domains.  Exact (Fraction) inputs produce exact outputs.
 """
@@ -32,10 +37,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+# named_kernel and longest_cell_kernel_U are not called here; they stay bound
+# as the single-kernel names a traced run wraps in this module
 from .kernels import (
     KernelValueCache,
+    kernel_term,
     longest_cell_kernel_U,
     longest_cell_kernel_V,
+    longest_cell_term_U,
     named_kernel,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec
@@ -148,13 +157,11 @@ def waiting_time_pmf(
     sq, fq = quota.success_quota, quota.failure_quota
     return _waiting_mass(params.theta, params.q, (sq.k, fq.k),
                          (isinstance(sq, FreqQuota), isinstance(fq, FreqQuota)),
-                         quota.mode is Mode.LATER, n, _kernel_fn(params.q, cache))
+                         quota.mode is Mode.LATER, n, _term_fn(params.q, cache))
 
 
-def _kernel_fn(q: Scalar, cache: KernelValueCache | None):
-    # named_kernel is looked up at call time, so a wrapper installed on
-    # this module's binding sees every kernel call
-    return lambda fam, m, r, s, k1, k2: named_kernel(fam, m, r, s, k1, k2, q, cache)
+def _term_fn(q: Scalar, cache: KernelValueCache | None):
+    return lambda pairs, m, r, s_max, k1, k2: kernel_term(pairs, m, r, s_max, k1, k2, q, cache)
 
 
 def _waiting_mass(th, q, ks, freqs, later, n, K):
@@ -163,11 +170,13 @@ def _waiting_mass(th, q, ks, freqs, later, n, K):
     Side j (0 = success, 1 = failure) stops the wait at trial n.  Under a
     run quota the last k_j trials are the tail run and the other side's
     count ranges; under a frequency quota side j holds exactly k_j trials,
-    the last of them on trial n.  K(family, x, y, s, k1, k2) is the kernel.
+    the last of them on trial n.  K(pairs, x, y, s_max, k1, k2) is the sum
+    of the kernels of the (family, s shift) pairs over s = 1..s_max.
     """
     ffp = q_pochhammer_prefixes(th, q, n)
     p = _zero(th, q)
     for j, families in enumerate(_WAITING_FAMILIES[freqs[0], freqs[1], later]):
+        pairs = tuple((fam, 0) for fam in families)
         o = 1 - j
         tail = 0 if freqs[j] else ks[j]
         t1, t0 = (tail, 0) if j == 0 else (0, tail)
@@ -181,10 +190,8 @@ def _waiting_mass(th, q, ks, freqs, later, n, K):
             # the arrangement ends with the stopping symbol under a frequency
             # quota and with the other symbol before a tail run
             ends = own if freqs[j] else other
-            inner = 1 if x == y == 0 else 0
-            for s in range(1, ends + 1):
-                for fam in families:
-                    inner = inner + K(fam, x, y, s, ks[0], ks[1])
+            # no runs before the tail: only the empty arrangement counts
+            inner = K(pairs, x, y, ends, ks[0], ks[1]) if ends else int(x == y == 0)
             if inner:
                 p = p + th ** (x + t1) * q ** (y * t1) * ffp[y + t0] * inner
     return p
@@ -225,13 +232,8 @@ def longest_run_pmf(params: ModelParams, n: int, k: int) -> Scalar:
         # all failures; adding the zero makes (theta; q)_0 a float in float mode
         return _zero(th, q) + q_pochhammer(th, q, n)
 
-    def inner(y):
-        v = 0
-        for i in range(1, y + 2):
-            v = v + longest_cell_kernel_U(y + 1, n - y, i, k, q)
-        return v
-
-    return _failure_sum(th, q, n, range(n - k + 1), inner)
+    return _failure_sum(th, q, n, range(n - k + 1),
+                        lambda y: longest_cell_term_U(y + 1, n - y, k, q))
 
 
 def longest_run_cdf(params: ModelParams, n: int, k: int) -> Scalar:
@@ -265,22 +267,14 @@ def joint_longest(
         if rel is Rel.LE and k < 0:
             raise ValueError("a <= relation needs k >= 0")
     return _joint_mass(params.theta, params.q, n, k1, rel1, k2, rel2,
-                       _kernel_fn(params.q, cache))
+                       _term_fn(params.q, cache))
 
 
 def _joint_mass(th, q, n, k1, rel1, k2, rel2, K):
-    """Sum of the terms of one joint quadrant; K is the kernel, as in `_waiting_mass`."""
-    families, dk1, dk2 = _JOINT[rel1, rel2]
-
-    def inner(y):
-        v = 0
-        for s in range(1, y + 1):
-            for fam, ds in families:
-                v = v + K(fam, n - y, y, s + ds, k1 + dk1, k2 + dk2)
-        return v
-
+    """Sum of the terms of one joint quadrant; K is the term sum, as in `_waiting_mass`."""
+    pairs, dk1, dk2 = _JOINT[rel1, rel2]
     ys = range(k2 if rel2 is Rel.GE else 1, n - (k1 if rel1 is Rel.GE else 0) + 1)
-    p = _failure_sum(th, q, n, ys, inner)
+    p = _failure_sum(th, q, n, ys, lambda y: K(pairs, n - y, y, y, k1 + dk1, k2 + dk2))
     if rel2 is Rel.LE and _rel_holds(n, rel1, k1):
         p = p + th ** n  # the all-success sequence
     return p

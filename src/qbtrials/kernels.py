@@ -8,7 +8,15 @@ shape and in the per-part constraints.
 
 Values are polynomials in q with nonnegative integer coefficients.  Only
 those q-independent coefficient lists are memoized; every call evaluates
-its polynomial at q afresh, exactly at rational q.
+its polynomial at q afresh, exactly at rational q (by integer Horner and
+one Fraction at the end).
+
+The distribution layer sums kernels over the run index s and over a
+theorem's families for each run arrangement (x successes, y failures).
+`kernel_term` memoizes that sum as one q-free term polynomial, so each
+arrangement term costs one evaluation at q; `longest_cell_term_U` does the
+same for the longest-run PMF's sum of U cells.  `named_kernel` stays the
+single-kernel API and the reference the term sums are tested against.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple
 
 from . import _core_py as core
@@ -34,9 +43,11 @@ __all__ = [
     "SomeAtLeast",
     "kernel_direct",
     "kernel_eval",
+    "kernel_term",
     "named_kernel",
     "longest_cell_kernel_U",
     "longest_cell_kernel_V",
+    "longest_cell_term_U",
     "FAMILY_NAMES",
 ]
 
@@ -131,12 +142,17 @@ class KernelValueCache:
     coefficients, so the memos hold only the q-independent coefficient
     lists and stay the same size however many q are asked for.  Every
     call evaluates its polynomial at q afresh: exactly at int or Fraction
-    q, in floating point at float q.  One lock guards every memo.
+    q, in floating point at float q.  Besides the kernel and cell
+    polynomials, the term memos hold the sums the distribution layer
+    evaluates once per run arrangement (see `term_poly` and
+    `cell_term_poly`).  One lock guards every memo.
     """
 
     def __init__(self) -> None:
         self._dp_memo: dict = {}
+        self._term_memo: dict = {}
         self._cell_u_memo: dict = {}
+        self._cell_u_term_memo: dict = {}
         self._cell_v_memo: dict = {}
         self._lock = threading.Lock()
 
@@ -147,11 +163,49 @@ class KernelValueCache:
     def value(self, spec: KernelSpec, q: Scalar) -> Scalar:
         return _eval_poly_at(self.poly(spec), q)
 
+    def term_poly(self, pairs: tuple, m: int, r: int, s_max: int, k1: int, k2: int) -> tuple:
+        """Sum of family_spec(fam, m, r, s + ds, k1, k2) over s = 1..s_max
+        and (fam, ds) in `pairs`, memoized."""
+        key = (pairs, m, r, s_max, k1, k2)
+        with self._lock:
+            out = self._term_memo.get(key)
+            if out is None:
+                out = self._term_memo[key] = _poly_sum(
+                    core.kernel_eval_poly(
+                        *family_spec(fam, m, r, s + ds, k1, k2).core_args(), self._dp_memo)
+                    for s in range(1, s_max + 1) for fam, ds in pairs)
+            return out
 
-def _eval_poly_at(coeffs: list[int], q: Scalar) -> Scalar:
+    def cell_term_poly(self, r: int, s: int, k: int) -> tuple:
+        """Sum of the U cell polynomials over t = 1..r, memoized."""
+        key = (r, s, k)
+        with self._lock:
+            out = self._cell_u_term_memo.get(key)
+            if out is None:
+                out = self._cell_u_term_memo[key] = _poly_sum(
+                    core.cell_poly_u(r, s, t, k, self._cell_u_memo) for t in range(1, r + 1))
+            return out
+
+
+def _poly_sum(polys) -> tuple:
+    """Coefficient-wise sum of nonnegative polynomials; (0,) for none.  The
+    sum's leading coefficient is nonzero whenever one summand's is."""
+    return tuple(sum(cs) for cs in zip_longest(*polys, fillvalue=0)) or (0,)
+
+
+def _eval_poly_at(coeffs: list[int] | tuple[int, ...], q: Scalar) -> Scalar:
     if q == 1:
         total = sum(coeffs)
         return total if isinstance(q, (int, Fraction)) else float(total)
+    if isinstance(q, Fraction):
+        # sum c_i a**i b**(d-i) in integers, then one Fraction over b**d
+        a, b = q.numerator, q.denominator
+        num = coeffs[-1]
+        den = 1
+        for c in reversed(coeffs[:-1]):
+            den *= b
+            num = num * a + c * den
+        return Fraction(num, den)
     out: Scalar = 0
     for c in reversed(coeffs):
         out = out * q + c
@@ -280,6 +334,23 @@ def named_kernel(
     return kernel_eval(family_spec(family, m, r, s, k1, k2), q, cache)
 
 
+def kernel_term(
+    pairs: tuple,
+    m: int,
+    r: int,
+    s_max: int,
+    k1: int,
+    k2: int,
+    q: Scalar,
+    cache: KernelValueCache | None = None,
+) -> Scalar:
+    """Sum of named_kernel(fam, m, r, s + ds, k1, k2, q) over s = 1..s_max
+    and (fam, ds) in `pairs`, as one memoized polynomial evaluated once."""
+    if cache is None:
+        cache = _default_cache
+    return _eval_poly_at(cache.term_poly(pairs, m, r, s_max, k1, k2), q)
+
+
 def longest_cell_kernel_U(r: int, s: int, t: int, k: int, q: Scalar) -> Scalar:
     """Weighted count of ways to fill r cells with s items, cells capped at k,
     exactly t cells full; cell j carries weight (j-1) per item."""
@@ -299,3 +370,11 @@ def longest_cell_kernel_V(r: int, s: int, k: int, q: Scalar) -> Scalar:
     with c._lock:
         poly = core.cell_poly_v(r, s, k, c._cell_v_memo)
     return _eval_poly_at(poly, q)
+
+
+def longest_cell_term_U(r: int, s: int, k: int, q: Scalar) -> Scalar:
+    """Sum of longest_cell_kernel_U(r, s, t, k, q) over t = 1..r (some cell
+    full), as one memoized polynomial evaluated once."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    return _eval_poly_at(_default_cache.cell_term_poly(r, s, k), q)

@@ -139,6 +139,12 @@ def test_bad_params_exit_2(capsys, tmp_path):
                 {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[2.5, 2]], "n_max": 6},
                 {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": "6"},
                 {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[0, 2]], "n_max": 5},
+                # probabilities that are JSON floats or booleans are refused,
+                # not read as binary fractions or as 0/1
+                {"thetas": [0.1], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 5},
+                {"thetas": [True], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 5},
+                {"thetas": ["1/2"], "qs": [0.5], "k_pairs": [[2, 2]], "n_max": 5},
+                {"thetas": ["1/2"], "qs": [False], "k_pairs": [[2, 2]], "n_max": 5},
                 {"thetas": 5, "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 5},
                 {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [2], "n_max": 5},
                 [["1/2"], ["1/2"], [[2, 2]], 5],

@@ -249,8 +249,9 @@ def test_classical_reduction_at_q_one_run_run():
 
 
 def test_classical_reduction_at_q_one_all_configs():
-    # substitute each kernel's classical counting product into the same
-    # assembly and compare against the evaluator at q = 1, all 8 configs
+    # substitute each kernel's classical counting product, summed over s
+    # and over the families as a term, into the same assembly and compare
+    # against the evaluator at q = 1, all 8 configs
     from qbtrials import distributions as d
     from qbtrials.kernels import _FAMILIES, family_spec
     from qbtrials.qcalc import count_M, count_R, count_S
@@ -268,6 +269,10 @@ def test_classical_reduction_at_q_one_all_configs():
 
         return side(xkind, spec.x_runs, m, k1) * side(ykind, spec.y_runs, r, k2)
 
+    def counting_term(pairs, m, r, s_max, k1, k2):
+        return sum(counting_product(fam, m, r, s + ds, k1, k2)
+                   for s in range(1, s_max + 1) for fam, ds in pairs)
+
     one = Fraction(1)
     for theta in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
         params = ModelParams(theta, one)
@@ -278,6 +283,6 @@ def test_classical_reduction_at_q_one_all_configs():
                 for n in range(support_min(quota), 15):
                     classical = d._waiting_mass(
                         theta, one, (k1, k2), (s_freq, f_freq),
-                        mode is Mode.LATER, n, counting_product)
+                        mode is Mode.LATER, n, counting_term)
                     assert classical == waiting_time_pmf(params, quota, n), (
                         s_freq, f_freq, mode, k1, k2, theta, n)

@@ -253,21 +253,124 @@ def test_caches_keep_float_and_fraction_regimes_apart():
 
 
 def test_cache_does_not_grow_with_q():
-    # the memos hold q-independent polynomials, so a new q adds no entry
+    # the memos, term memos included, hold q-independent polynomials, so a
+    # new q adds no entry
+    from qbtrials import (
+        Mode,
+        ModelParams,
+        QuotaSpec,
+        Rel,
+        RunQuota,
+        joint_longest,
+        longest_run_pmf,
+        waiting_time_table,
+    )
     from qbtrials.kernels import _default_cache as cache
 
     spec = family_spec("E", 5, 6, 2, 2, 3)
+    quota = QuotaSpec(RunQuota(2), RunQuota(3), Mode.LATER)
 
     def sizes():
         return {name: len(v) for name, v in vars(cache).items() if isinstance(v, dict)}
 
     for i in range(200):
         q = Fraction(i + 1, 211) if i % 2 else (i + 1) / 211
+        params = ModelParams(Fraction(1, 3) if i % 2 else 1 / 3, q)
         assert kernel_eval(spec, q, cache) == kernel_direct(spec, q)
         longest_cell_kernel_U(4, 5, 1, 2, q)
+        waiting_time_table(params, quota, 9)
+        joint_longest(params, 7, 2, Rel.LE, 2, Rel.GE)
+        longest_run_pmf(params, 7, 2)
         if i == 0:
             first = sizes()
     assert sizes() == first
+    assert cache._term_memo and cache._cell_u_term_memo
+
+
+def _horner_fraction(coeffs, q):
+    """Plain Fraction Horner, with q = 1 summed as an int, as the evaluator
+    did before integer Horner."""
+    if q == 1:
+        return sum(coeffs)
+    out = 0
+    for c in reversed(coeffs):
+        out = out * q + c
+    return out
+
+
+def test_integer_horner_matches_fraction_horner():
+    from qbtrials.kernels import _eval_poly_at
+
+    big = 2**64 + 12345
+    polys = ([0], [7], [0, 0, 1], [3, 1, 4, 1, 5], [big, 0, 3 * big, 1, big * big],
+             [1] * 40, [2**70 - i for i in range(25)])
+    qs = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(101, 103),
+          Fraction(1, 2**40 + 1), Fraction(7, 10**20 + 3))
+    for coeffs, q in itertools.product(polys, qs):
+        for seq in (coeffs, tuple(coeffs)):
+            got = _eval_poly_at(seq, q)
+            want = _horner_fraction(coeffs, q)
+            assert got == want, (coeffs, q)
+            assert type(got) is type(want), (coeffs, q, type(got), type(want))
+
+
+def _term_pairs():
+    """Every (family, s shift) tuple the distribution layer sums as a term."""
+    from qbtrials.distributions import _JOINT, _WAITING_FAMILIES
+
+    pairs = {tuple((fam, 0) for fam in families)
+             for sides in _WAITING_FAMILIES.values() for families in sides}
+    pairs |= {families for families, _, _ in _JOINT.values()}
+    return sorted(pairs)
+
+
+def test_term_equals_sum_of_named_kernels():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from qbtrials.kernels import kernel_term
+
+    cache = KernelValueCache()
+    reference = KernelValueCache()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_term_pairs()), st.integers(0, 9), st.integers(0, 9),
+           st.integers(0, 6), st.integers(1, 5), st.integers(1, 5),
+           st.fractions(min_value=0, max_value=1, max_denominator=60))
+    def check(pairs, m, r, s_max, k1, k2, q):
+        for qq in (q, float(q)):
+            got = kernel_term(pairs, m, r, s_max, k1, k2, qq, cache)
+            want = sum(named_kernel(fam, m, r, s + ds, k1, k2, qq, reference)
+                       for s in range(1, s_max + 1) for fam, ds in pairs)
+            if isinstance(qq, Fraction):
+                assert got == want and isinstance(got, (int, Fraction))
+            else:
+                assert isinstance(got, float)
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    check()
+
+
+def test_cell_term_equals_sum_of_u_cells():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from qbtrials.kernels import longest_cell_term_U
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 14), st.integers(1, 5),
+           st.fractions(min_value=0, max_value=1, max_denominator=60))
+    def check(r, s, k, q):
+        for qq in (q, float(q)):
+            got = longest_cell_term_U(r, s, k, qq)
+            want = sum(longest_cell_kernel_U(r, s, t, k, qq) for t in range(1, r + 1))
+            if isinstance(qq, Fraction):
+                assert got == want and isinstance(got, (int, Fraction))
+            else:
+                assert isinstance(got, float)
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    check()
 
 
 def test_spec_run_counts_follow_shape():
