@@ -9,6 +9,7 @@ point.  Exit codes: 0 success, 1 verification mismatch, 2 argument error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--grid", default="default",
                           help="'default' or a JSON grid file")
     p_verify.add_argument("--report", metavar="FILE",
-                          help="write the full JSON report here")
+                          help="write the full JSON report here (opened before the scan)")
 
     p_mc = sub.add_parser("mc", help="Monte Carlo estimate with standard error")
     p_mc.add_argument("--samples", type=int, required=True)
@@ -262,16 +263,22 @@ def _load_grid(parser, spec: str) -> ScanGrid:
 
 def _cmd_verify(parser, args) -> int:
     grid = _load_grid(parser, args.grid)
+    # opened before the scan, so a path that cannot be written is refused
+    # up front instead of after the scan's work
     try:
-        reports = differential_scan(grid)
-    except EnumerationBudgetError as exc:
-        parser.error(str(exc))
-    if not reports:
-        parser.error(f"grid {args.grid!r} has no points to check")
+        report = open(args.report, "w", encoding="utf-8") if args.report else None
+    except OSError as exc:
+        parser.error(f"cannot write report {args.report!r}: {exc}")
+    with report or contextlib.nullcontext():
+        try:
+            reports = differential_scan(grid)
+        except EnumerationBudgetError as exc:
+            parser.error(str(exc))
+        if not reports:
+            parser.error(f"grid {args.grid!r} has no points to check")
+        if report:
+            report.write(reports_to_json(reports))
     mismatches = [r for r in reports if r.verdict == "mismatch"]
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(reports_to_json(reports))
     print(f"checked {len(reports)} grid points: {len(mismatches)} mismatches")
     for r in mismatches:
         print(

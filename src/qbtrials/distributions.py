@@ -22,9 +22,13 @@ and y and in the stopping tail, so two tables drive one loop each:
   b = 0 and c = y.
 
 The kernel sum of one arrangement term (over s and over the theorem's
-families) is one q-free polynomial, memoized by `kernels.kernel_term`, so
-each (x, y) term costs one evaluation at q; the longest-run PMF's sum of U
-cells is one polynomial per term the same way (`longest_cell_term_U`).
+families) is one q-free polynomial, memoized by
+`KernelValueCache.term_poly`; the longest-run PMF's sum of U cells
+(`cell_term_poly`) and the CDF's V cell are one polynomial per term the
+same way.  Each probability hands its terms' exponents and polynomials to
+one `qcalc.TermSum`: at rational theta = c/d and q = a/b the whole sum is
+one integer over d**n * b**B, and one Fraction is built at the end; at
+float inputs each term is a float product, added in the same order.
 
 Sum ranges are generous where feasibility is subtle; kernels vanish outside
 their domains.  Exact (Fraction) inputs produce exact outputs.
@@ -37,18 +41,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-# named_kernel and longest_cell_kernel_U are not called here; they stay bound
-# as the single-kernel names a traced run wraps in this module
+# named_kernel and longest_cell_kernel_U/V are not called here; they stay
+# bound as the single-kernel names a traced run wraps in this module
 from .kernels import (
     KernelValueCache,
-    kernel_term,
+    _default_cache,
     longest_cell_kernel_U,
     longest_cell_kernel_V,
-    longest_cell_term_U,
     named_kernel,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec
-from .qcalc import Scalar, q_binomial, q_pochhammer, q_pochhammer_prefixes
+from .qcalc import Scalar, TermSum, q_binomial, q_pochhammer
 
 __all__ = [
     "Pmf",
@@ -122,17 +125,14 @@ def _zero(th: Scalar, q: Scalar) -> Scalar:
     return 0 if exact else 0.0
 
 
-def _failure_sum(th: Scalar, q: Scalar, n: int, ys, inner) -> Scalar:
-    """Sum over y in ys of theta**(n-y) * (theta; q)_y * inner(y), zero
-    inners skipped: the mass of an event whose length-n sequences with y
-    failures have q-weighted count inner(y)."""
-    ffp = q_pochhammer_prefixes(th, q, n)
-    p = _zero(th, q)
+def _failure_sum(th: Scalar, q: Scalar, n: int, ys, poly) -> TermSum:
+    """Terms theta**(n-y) * (theta; q)_y * poly(y)(q) for y in ys: the mass
+    of an event whose length-n sequences with y failures have q-weighted
+    count poly(y), a coefficient sequence."""
+    terms = TermSum(th, q, n)
     for y in ys:
-        v = inner(y)
-        if v:
-            p = p + th ** (n - y) * ffp[y] * v
-    return p
+        terms.add(n - y, 0, y, poly(y))
+    return terms
 
 
 def support_min(quota: QuotaSpec) -> int:
@@ -157,11 +157,7 @@ def waiting_time_pmf(
     sq, fq = quota.success_quota, quota.failure_quota
     return _waiting_mass(params.theta, params.q, (sq.k, fq.k),
                          (isinstance(sq, FreqQuota), isinstance(fq, FreqQuota)),
-                         quota.mode is Mode.LATER, n, _term_fn(params.q, cache))
-
-
-def _term_fn(q: Scalar, cache: KernelValueCache | None):
-    return lambda pairs, m, r, s_max, k1, k2: kernel_term(pairs, m, r, s_max, k1, k2, q, cache)
+                         quota.mode is Mode.LATER, n, (cache or _default_cache).term_poly)
 
 
 def _waiting_mass(th, q, ks, freqs, later, n, K):
@@ -170,11 +166,11 @@ def _waiting_mass(th, q, ks, freqs, later, n, K):
     Side j (0 = success, 1 = failure) stops the wait at trial n.  Under a
     run quota the last k_j trials are the tail run and the other side's
     count ranges; under a frequency quota side j holds exactly k_j trials,
-    the last of them on trial n.  K(pairs, x, y, s_max, k1, k2) is the sum
-    of the kernels of the (family, s shift) pairs over s = 1..s_max.
+    the last of them on trial n.  K(pairs, x, y, s_max, k1, k2) is the
+    coefficient sequence of the sum of the kernels of the (family, s shift)
+    pairs over s = 1..s_max.
     """
-    ffp = q_pochhammer_prefixes(th, q, n)
-    p = _zero(th, q)
+    terms = TermSum(th, q, n)
     for j, families in enumerate(_WAITING_FAMILIES[freqs[0], freqs[1], later]):
         pairs = tuple((fam, 0) for fam in families)
         o = 1 - j
@@ -191,10 +187,9 @@ def _waiting_mass(th, q, ks, freqs, later, n, K):
             # quota and with the other symbol before a tail run
             ends = own if freqs[j] else other
             # no runs before the tail: only the empty arrangement counts
-            inner = K(pairs, x, y, ends, ks[0], ks[1]) if ends else int(x == y == 0)
-            if inner:
-                p = p + th ** (x + t1) * q ** (y * t1) * ffp[y + t0] * inner
-    return p
+            poly = K(pairs, x, y, ends, ks[0], ks[1]) if ends else (int(x == y == 0),)
+            terms.add(x + t1, y * t1, y + t0, poly)
+    return terms.total()
 
 
 def sooner_freq_freq_closed(params: ModelParams, k1: int, k2: int, n: int) -> Scalar:
@@ -233,7 +228,7 @@ def longest_run_pmf(params: ModelParams, n: int, k: int) -> Scalar:
         return _zero(th, q) + q_pochhammer(th, q, n)
 
     return _failure_sum(th, q, n, range(n - k + 1),
-                        lambda y: longest_cell_term_U(y + 1, n - y, k, q))
+                        lambda y: _default_cache.cell_term_poly(y + 1, n - y, k)).total()
 
 
 def longest_run_cdf(params: ModelParams, n: int, k: int) -> Scalar:
@@ -246,7 +241,7 @@ def longest_run_cdf(params: ModelParams, n: int, k: int) -> Scalar:
     if k >= n:
         return _zero(th, q) + 1
     return _failure_sum(th, q, n, range(n + 1),
-                        lambda y: longest_cell_kernel_V(y + 1, n - y, k, q))
+                        lambda y: _default_cache.cell_v_poly(y + 1, n - y, k)).total()
 
 
 def joint_longest(
@@ -267,17 +262,18 @@ def joint_longest(
         if rel is Rel.LE and k < 0:
             raise ValueError("a <= relation needs k >= 0")
     return _joint_mass(params.theta, params.q, n, k1, rel1, k2, rel2,
-                       _term_fn(params.q, cache))
+                       (cache or _default_cache).term_poly)
 
 
 def _joint_mass(th, q, n, k1, rel1, k2, rel2, K):
-    """Sum of the terms of one joint quadrant; K is the term sum, as in `_waiting_mass`."""
+    """Sum of the terms of one joint quadrant; K is the term polynomial, as
+    in `_waiting_mass`."""
     pairs, dk1, dk2 = _JOINT[rel1, rel2]
     ys = range(k2 if rel2 is Rel.GE else 1, n - (k1 if rel1 is Rel.GE else 0) + 1)
-    p = _failure_sum(th, q, n, ys, lambda y: K(pairs, n - y, y, y, k1 + dk1, k2 + dk2))
+    terms = _failure_sum(th, q, n, ys, lambda y: K(pairs, n - y, y, y, k1 + dk1, k2 + dk2))
     if rel2 is Rel.LE and _rel_holds(n, rel1, k1):
-        p = p + th ** n  # the all-success sequence
-    return p
+        terms.add(n, 0, 0, (1,))  # the all-success sequence
+    return terms.total()
 
 
 def waiting_time_table(

@@ -7,16 +7,18 @@ evaluator covers every named family: the families differ only in arrangement
 shape and in the per-part constraints.
 
 Values are polynomials in q with nonnegative integer coefficients.  Only
-those q-independent coefficient lists are memoized; every call evaluates
-its polynomial at q afresh, exactly at rational q (by integer Horner and
-one Fraction at the end).
+those q-independent coefficient lists are memoized; every value call
+evaluates its polynomial at q afresh with `qcalc.poly_value`, exactly at
+rational q (by integer Horner and one Fraction at the end).
 
 The distribution layer sums kernels over the run index s and over a
 theorem's families for each run arrangement (x successes, y failures).
-`kernel_term` memoizes that sum as one q-free term polynomial, so each
-arrangement term costs one evaluation at q; `longest_cell_term_U` does the
-same for the longest-run PMF's sum of U cells.  `named_kernel` stays the
-single-kernel API and the reference the term sums are tested against.
+`KernelValueCache.term_poly` memoizes that sum as one q-free term
+polynomial, and `cell_term_poly` the longest-run PMF's sum of U cells; the
+distribution layer hands those coefficients to `qcalc.TermSum` unevaluated.
+`kernel_term` and `longest_cell_term_U` evaluate one term on its own, and
+`named_kernel` stays the single-kernel API and the reference the term sums
+are tested against.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple
 
 from . import _core_py as core
 from ._core_py import EnumerationBudgetError
-from .qcalc import Scalar
+from .qcalc import Scalar, poly_value
 
 __all__ = [
     "ArrangementShape",
@@ -161,7 +162,7 @@ class KernelValueCache:
             return core.kernel_eval_poly(*spec.core_args(), self._dp_memo)
 
     def value(self, spec: KernelSpec, q: Scalar) -> Scalar:
-        return _eval_poly_at(self.poly(spec), q)
+        return poly_value(self.poly(spec), q)
 
     def term_poly(self, pairs: tuple, m: int, r: int, s_max: int, k1: int, k2: int) -> tuple:
         """Sum of family_spec(fam, m, r, s + ds, k1, k2) over s = 1..s_max
@@ -175,6 +176,11 @@ class KernelValueCache:
                         *family_spec(fam, m, r, s + ds, k1, k2).core_args(), self._dp_memo)
                     for s in range(1, s_max + 1) for fam, ds in pairs)
             return out
+
+    def cell_v_poly(self, r: int, s: int, k: int) -> list[int]:
+        """The V cell polynomial (see `longest_cell_kernel_V`), memoized."""
+        with self._lock:
+            return core.cell_poly_v(r, s, k, self._cell_v_memo)
 
     def cell_term_poly(self, r: int, s: int, k: int) -> tuple:
         """Sum of the U cell polynomials over t = 1..r, memoized."""
@@ -193,25 +199,6 @@ def _poly_sum(polys) -> tuple:
     return tuple(sum(cs) for cs in zip_longest(*polys, fillvalue=0)) or (0,)
 
 
-def _eval_poly_at(coeffs: list[int] | tuple[int, ...], q: Scalar) -> Scalar:
-    if q == 1:
-        total = sum(coeffs)
-        return total if isinstance(q, (int, Fraction)) else float(total)
-    if isinstance(q, Fraction):
-        # sum c_i a**i b**(d-i) in integers, then one Fraction over b**d
-        a, b = q.numerator, q.denominator
-        num = coeffs[-1]
-        den = 1
-        for c in reversed(coeffs[:-1]):
-            den *= b
-            num = num * a + c * den
-        return Fraction(num, den)
-    out: Scalar = 0
-    for c in reversed(coeffs):
-        out = out * q + c
-    return out
-
-
 _default_cache = KernelValueCache()
 
 
@@ -222,7 +209,7 @@ def kernel_direct(spec: KernelSpec, q: Scalar, budget: int = 2_000_000) -> Scala
     number of composition pairs exceeds `budget`.  Serves as the oracle
     for `kernel_eval`.
     """
-    return _eval_poly_at(core.kernel_direct_poly(*spec.core_args(), budget), q)
+    return poly_value(core.kernel_direct_poly(*spec.core_args(), budget), q)
 
 
 def kernel_eval(spec: KernelSpec, q: Scalar, cache: KernelValueCache | None = None) -> Scalar:
@@ -348,7 +335,7 @@ def kernel_term(
     and (fam, ds) in `pairs`, as one memoized polynomial evaluated once."""
     if cache is None:
         cache = _default_cache
-    return _eval_poly_at(cache.term_poly(pairs, m, r, s_max, k1, k2), q)
+    return poly_value(cache.term_poly(pairs, m, r, s_max, k1, k2), q)
 
 
 def longest_cell_kernel_U(r: int, s: int, t: int, k: int, q: Scalar) -> Scalar:
@@ -359,17 +346,14 @@ def longest_cell_kernel_U(r: int, s: int, t: int, k: int, q: Scalar) -> Scalar:
     c = _default_cache
     with c._lock:
         poly = core.cell_poly_u(r, s, t, k, c._cell_u_memo)
-    return _eval_poly_at(poly, q)
+    return poly_value(poly, q)
 
 
 def longest_cell_kernel_V(r: int, s: int, k: int, q: Scalar) -> Scalar:
     """Same as the U kernel but without the full-cell count constraint."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    c = _default_cache
-    with c._lock:
-        poly = core.cell_poly_v(r, s, k, c._cell_v_memo)
-    return _eval_poly_at(poly, q)
+    return poly_value(_default_cache.cell_v_poly(r, s, k), q)
 
 
 def longest_cell_term_U(r: int, s: int, k: int, q: Scalar) -> Scalar:
@@ -377,4 +361,4 @@ def longest_cell_term_U(r: int, s: int, k: int, q: Scalar) -> Scalar:
     full), as one memoized polynomial evaluated once."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return _eval_poly_at(_default_cache.cell_term_poly(r, s, k), q)
+    return poly_value(_default_cache.cell_term_poly(r, s, k), q)

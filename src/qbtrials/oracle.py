@@ -3,7 +3,11 @@
 The enumeration groups all 2**n sequences by (failure count, success weight),
 which fixes a sequence's probability exactly; with Fraction parameters every
 oracle value is an exact rational, so "match" in a report means equality,
-not closeness.
+not closeness.  An event's classes are summed by `qcalc.TermSum`, the
+accumulator the formula layer uses: one integer over d**n * b**B at
+theta = c/d and q = a/b, and one Fraction at the end.  That shared
+accumulator is tested against plain Fraction arithmetic on its own, and the
+class sums against `model.sequence_probability` summed over sequences.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .distributions import (
     _WAITING_FAMILIES, Pmf, Rel, _rel_holds, _zero, support_min, waiting_time_pmf,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
-from .qcalc import DEFAULT_TOLERANCE, Scalar, q_pochhammer_prefixes
+from .qcalc import DEFAULT_TOLERANCE, Scalar, TermSum
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -121,12 +125,10 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
 
     # a sequence with f failures and success weight e (the failures before
     # each success, summed) has probability theta^(n-f) q^e (theta; q)_f
-    th, q = params.theta, params.q
-    ffp = q_pochhammer_prefixes(th, q, n)
-    total = _zero(th, q)
+    terms = TermSum(params.theta, params.q, n)
     for (f, e), c in items:
-        total = total + c * (th ** (n - f) * q ** e * ffp[f])
-    return total
+        terms.add(n - f, e, f, (c,))
+    return terms.total()
 
 
 def oracle_waiting_pmf(params: ModelParams, quota: QuotaSpec, n_max: int) -> Pmf:

@@ -1,8 +1,15 @@
-"""q-calculus primitives and the classical composition-counting functions.
+"""q-calculus primitives, exact term sums and the classical composition counts.
 
 All functions are total on their stated domains and exact when given
 `fractions.Fraction` arguments; q = 1 is always the continuous extension
 (the ordinary combinatorial value).
+
+Every probability the package computes is a sum of terms
+theta**i * q**j * (theta; q)_f * P(q), with P an integer polynomial.
+`TermSum` adds such terms.  At rational theta = c/d and q = a/b every term
+of the n-th probability has a denominator dividing d**n * b**B for some B,
+so the exact sum is one integer numerator over that common denominator,
+and one `Fraction` is built at the end.
 """
 
 from __future__ import annotations
@@ -66,6 +73,106 @@ def q_pochhammer_prefixes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
     for k in range(n):
         out.append(out[-1] * (1 - a * q ** k))
     return out
+
+
+def horner_numerator(coeffs, a: int, b: int) -> int:
+    """sum c_i a**i b**(deg-i) for coeffs c_0..c_deg: the numerator of the
+    polynomial at q = a/b over b**deg."""
+    num = coeffs[-1]
+    bp = 1
+    for c in reversed(coeffs[:-1]):
+        bp *= b
+        num = num * a + c * bp
+    return num
+
+
+def poly_value(coeffs, q: Scalar) -> Scalar:
+    """The integer polynomial c_0 + c_1 q + ... at q: the coefficient sum at
+    q = 1 (an int unless q is a float), exact at Fraction q by integer
+    Horner and one Fraction, by float Horner otherwise."""
+    if q == 1:
+        total = sum(coeffs)
+        return total if isinstance(q, (int, Fraction)) else float(total)
+    if isinstance(q, Fraction):
+        return Fraction(horner_numerator(coeffs, q.numerator, q.denominator),
+                        q.denominator ** (len(coeffs) - 1))
+    out: Scalar = 0
+    for c in reversed(coeffs):
+        out = out * q + c
+    return out
+
+
+class TermSum:
+    """Sum of theta**i * q**j * (theta; q)_f * P(q) over the terms added,
+    for one (theta, q) and f <= n.
+
+    At exact theta = c/d and q = a/b a term is the integer
+    c**i a**j N_f H over d**(i+f) b**(j + f(f-1)/2 + deg P), where
+    N_f = prod_{k<f} (d b**k - c a**k) is the Pochhammer numerator and H the
+    Horner numerator of P at a/b.  The running numerator is rescaled when a
+    term needs a larger power of d or b, and `total` builds one Fraction (an
+    int when neither input is a Fraction).  At float inputs each term is
+    th**i * q**j * (th; q)_f * P(q) in that order, as a product of floats.
+
+    A term whose polynomial is zero at q is skipped.  With no term added the
+    total is the int 0 at exact inputs and 0.0 at float ones; a term added
+    with a zero prefactor (theta = 1) makes an exact total Fraction(0).
+    """
+
+    def __init__(self, th: Scalar, q: Scalar, n: int) -> None:
+        self._th, self._q = th, q
+        self._exact = isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction))
+        if not self._exact:
+            self._ffp = q_pochhammer_prefixes(th, q, n)
+            self._total = 0.0
+            return
+        self._added = False
+        c, d, a, b = th.numerator, th.denominator, q.numerator, q.denominator
+        self._cdab = c, d, a, b
+        pochhammer = [1]
+        for k in range(n):
+            pochhammer.append(pochhammer[-1] * (d * b ** k - c * a ** k))
+        self._pochhammer = pochhammer
+        self._num = 0
+        self._d_exp = 0
+        self._b_exp = 0
+
+    def add(self, i: int, j: int, f: int, coeffs) -> None:
+        """Add theta**i * q**j * (theta; q)_f * P(q), P given by its coefficients."""
+        if not self._exact:
+            v = poly_value(coeffs, self._q)
+            if v:
+                self._total = self._total + self._th ** i * self._q ** j * self._ffp[f] * v
+            return
+        c, d, a, b = self._cdab
+        h = horner_numerator(coeffs, a, b)
+        if not h:
+            return
+        self._added = True
+        num = c ** i * a ** j * self._pochhammer[f] * h
+        d_exp = i + f
+        b_exp = j + f * (f - 1) // 2 + len(coeffs) - 1
+        if d_exp > self._d_exp:
+            self._num *= d ** (d_exp - self._d_exp)
+            self._d_exp = d_exp
+        else:
+            num *= d ** (self._d_exp - d_exp)
+        if b_exp > self._b_exp:
+            self._num *= b ** (b_exp - self._b_exp)
+            self._b_exp = b_exp
+        else:
+            num *= b ** (self._b_exp - b_exp)
+        self._num += num
+
+    def total(self) -> Scalar:
+        if not self._exact:
+            return self._total
+        if not self._added:
+            return 0
+        if isinstance(self._th, Fraction) or isinstance(self._q, Fraction):
+            _, d, _, b = self._cdab
+            return Fraction(self._num, d ** self._d_exp * b ** self._b_exp)
+        return self._num
 
 
 def _comb(n: int, k: int) -> int:

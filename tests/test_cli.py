@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qbtrials import cli
 from qbtrials.cli import main
 
 
@@ -92,7 +93,7 @@ def test_exact_requires_fraction_inputs(capsys):
     assert exc.value.code == 2
 
 
-def test_bad_params_exit_2(capsys, tmp_path):
+def test_bad_params_exit_2(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["pmf", "--mode", "sooner", "--success", "run:2", "--failure",
               "run:2", "--theta", "3/2", "--q", "1", "--n-max", "3"])
@@ -157,6 +158,14 @@ def test_bad_params_exit_2(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--grid", str(path)])
         assert exc.value.code == 2
+    # a report path that cannot be written is refused before the scan runs
+    def no_scan(grid):
+        raise AssertionError("the scan ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "differential_scan", no_scan)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--grid", "default", "--report", str(tmp_path / "missing" / "r.json")])
+    assert exc.value.code == 2
 
 
 def test_oracle_budget_exit_2(capsys):

@@ -270,8 +270,8 @@ def test_classical_reduction_at_q_one_all_configs():
         return side(xkind, spec.x_runs, m, k1) * side(ykind, spec.y_runs, r, k2)
 
     def counting_term(pairs, m, r, s_max, k1, k2):
-        return sum(counting_product(fam, m, r, s + ds, k1, k2)
-                   for s in range(1, s_max + 1) for fam, ds in pairs)
+        return (sum(counting_product(fam, m, r, s + ds, k1, k2)
+                    for s in range(1, s_max + 1) for fam, ds in pairs),)
 
     one = Fraction(1)
     for theta in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):

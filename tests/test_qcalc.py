@@ -133,3 +133,71 @@ def test_infeasible_inputs_return_zero():
     assert count_R(0, 2, 0) == 0
     assert count_C(-1, 2, 3) == 0
     assert count_C(0, 0, 0) == 1
+
+
+def _fraction_horner(coeffs, q):
+    out = 0
+    for c in reversed(coeffs):
+        out = out * q + c
+    return out
+
+
+def test_term_sum_matches_fraction_arithmetic():
+    """`TermSum` against plain Fraction arithmetic (value and type), and its
+    float regime against the float expressions it replaced, bit for bit."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from qbtrials.qcalc import TermSum, poly_value, q_pochhammer_prefixes
+
+    def ratio(zero_ok):
+        return st.integers(1, 60).flatmap(
+            lambda den: st.builds(Fraction, st.integers(0 if zero_ok else 1, den),
+                                  st.just(den)))
+
+    # theta in [0, 1] and q in (0, 1], the edges 0 and 1 drawn often; ints too
+    thetas = st.one_of(st.sampled_from([Fraction(0), Fraction(1), 0, 1]), ratio(True))
+    qs = st.one_of(st.sampled_from([Fraction(1), 1]), ratio(False))
+    coeffs = st.one_of(
+        st.lists(st.just(0), min_size=1, max_size=4),
+        st.lists(st.one_of(st.integers(0, 9), st.integers(2**64, 2**80)),
+                 min_size=1, max_size=6))
+
+    @settings(max_examples=400, deadline=None)
+    @given(thetas, qs, st.integers(0, 12), st.data())
+    def check(th, q, n, data):
+        terms = data.draw(st.lists(st.tuples(
+            st.integers(0, n + 3), st.integers(0, 3 * n + 3), st.integers(0, n), coeffs),
+            max_size=8))
+        acc = TermSum(th, q, n)
+        want = 0
+        for i, j, f, cs in terms:
+            acc.add(i, j, f, cs)
+            if any(cs):
+                want = want + th ** i * q ** j * q_pochhammer(th, q, f) * _fraction_horner(cs, q)
+        got = acc.total()
+        assert got == want
+        assert type(got) is type(want), (type(got), type(want))
+
+        # float regime: the expressions of the waiting-time sum, the failure
+        # sum (no q factor) and the oracle (a count times the prefactors)
+        fth, fq = float(th), float(q)
+        ffp = q_pochhammer_prefixes(fth, fq, n)
+        acc = TermSum(fth, fq, n)
+        want = 0.0
+        for i, j, f, cs in terms:
+            acc.add(i, j, f, cs)
+            v = poly_value(cs, fq)
+            if v:
+                want = want + fth ** i * fq ** j * ffp[f] * v
+        assert acc.total().hex() == want.hex()
+        for i, j, f, cs in terms:
+            single = TermSum(fth, fq, n)
+            single.add(i, 0, f, cs)
+            v = poly_value(cs, fq)
+            assert single.total().hex() == (fth ** i * ffp[f] * v if v else 0.0).hex()
+            single = TermSum(fth, fq, n)
+            single.add(i, j, f, (cs[0] + 1,))
+            assert single.total().hex() == ((cs[0] + 1) * (fth ** i * fq ** j * ffp[f])).hex()
+
+    check()
