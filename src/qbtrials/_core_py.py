@@ -98,6 +98,9 @@ def kernel_direct_poly(first_success, nx, ny, m, r, xcon, ycon, budget=2_000_000
     return coeffs
 
 
+_ZERO, _ONE = (0,), (1,)
+
+
 def _shift_add(dst, src, shift):
     need = shift + len(src)
     if len(dst) < need:
@@ -114,59 +117,53 @@ def kernel_eval_poly(first_success, nx, ny, m, r, xcon, ycon, memo):
     Peeling a success run of length a multiplies by q**(r*a): every failure
     run still in the prefix precedes it.  A constraint (lo, hi, need) that
     requires some part >= need relaxes to (lo, hi, 0) once such a part has
-    been peeled, so the relaxed entries are shared by every need.
+    been peeled, so the relaxed entries are shared by every need.  Each
+    peeled run is one Python frame.  Values are coefficient tuples, never
+    mutated: a peel with one admissible length and no shift stores its
+    prefix's tuple itself.  Keys and values hold only ints, so the garbage
+    collector stops tracking them and a large memo does not slow every full
+    collection.  Children are trimmed and nonnegative, so sums need no trim.
     """
     key = (first_success, nx, ny, m, r, xcon, ycon)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-
-    result = _eval_uncached(first_success, nx, ny, m, r, xcon, ycon, memo)
-    memo[key] = result
-    return result
-
-
-def _eval_uncached(first_success, nx, ny, m, r, xcon, ycon, memo):
-    if m < 0 or r < 0 or nx < 0 or ny < 0:
-        return [0]
-    if nx == 0 and ny == 0:
-        # no parts at all: met unless a side needs a part >= need
-        ok = m == 0 and r == 0 and not xcon[2] and not ycon[2]
-        return [1] if ok else [0]
-
-    # which run type ends the current prefix
+    out = memo.get(key)
+    if out is not None:
+        return out
+    # which run type ends the current prefix; the first run's symbol fixes
+    # which side may hold the extra run
     if first_success:
-        if nx == ny + 1:
-            last_x = True
-        elif nx == ny and ny > 0:
-            last_x = False
-        else:
-            return [0]
+        last_x = nx == ny + 1
+        shaped = last_x or nx == ny > 0
     else:
-        if ny == nx + 1:
-            last_x = False
-        elif ny == nx and nx > 0:
-            last_x = True
-        else:
-            return [0]
-
-    own = xcon if last_x else ycon
-    lo, hi, need = own
-    total = m if last_x else r
-    relaxed = (lo, hi, 0)
-    out = [0]
-    for a in range(lo, (total if hi is None else min(hi, total)) + 1):
-        con = relaxed if need and a >= need else own
-        if last_x:
-            child = kernel_eval_poly(first_success, nx - 1, ny, m - a, r, con, ycon, memo)
-            shift = r * a
-        else:
-            child = kernel_eval_poly(first_success, nx, ny - 1, m, r - a, xcon, con, memo)
-            shift = 0
-        if child != [0]:
-            _shift_add(out, child, shift)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
+        last_x = nx == ny > 0
+        shaped = last_x or ny == nx + 1
+    if nx == ny == m == r == 0:
+        # no parts at all: met unless a side needs a part >= need
+        out = _ZERO if xcon[2] or ycon[2] else _ONE
+    elif m < 0 or r < 0 or nx < 0 or ny < 0 or not shaped:
+        out = _ZERO
+    else:
+        own = xcon if last_x else ycon
+        lo, hi, need = own
+        total = m if last_x else r
+        top = total if hi is None else min(hi, total)
+        relaxed = (lo, hi, 0)
+        acc = [0]
+        for a in range(lo, top + 1):
+            con = relaxed if need and a >= need else own
+            if last_x:
+                child = kernel_eval_poly(first_success, nx - 1, ny, m - a, r, con, ycon, memo)
+                shift = r * a
+            else:
+                child = kernel_eval_poly(first_success, nx, ny - 1, m, r - a, xcon, con, memo)
+                shift = 0
+            if child == _ZERO:
+                continue
+            if lo == top and not shift:
+                acc = child
+            else:
+                _shift_add(acc, child, shift)
+        out = tuple(acc)  # the child itself when acc is one
+    memo[key] = out
     return out
 
 

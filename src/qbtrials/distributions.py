@@ -23,12 +23,14 @@ and y and in the stopping tail, so two tables drive one loop each:
 
 The kernel sum of one arrangement term (over s and over the theorem's
 families) is one q-free polynomial, memoized by
-`KernelValueCache.term_poly`; the longest-run PMF's sum of U cells
-(`cell_term_poly`) and the CDF's V cell are one polynomial per term the
-same way.  Each probability hands its terms' exponents and polynomials to
-one `qcalc.TermSum`: at rational theta = c/d and q = a/b the whole sum is
-one integer over d**n * b**B, and one Fraction is built at the end; at
-float inputs each term is a float product, added in the same order.
+`KernelValueCache.term_poly`.  The longest-run PMF and CDF are one sum over
+the failure count y of the same recurrence's cell kernels
+(`KernelValueCache.cell_polys`): the y + 1 success runs are at most k long
+and, for the PMF, one of them is exactly k.  Each probability hands its
+terms' exponents and polynomials to one `qcalc.TermSum`: at rational
+theta = c/d and q = a/b the whole sum is one integer over d**n * b**B, and
+one Fraction is built at the end; at float inputs each term is a float
+product, added in the same order.
 
 Sum ranges are generous where feasibility is subtle; kernels vanish outside
 their domains.  Exact (Fraction) inputs produce exact outputs.
@@ -36,7 +38,6 @@ their domains.  Exact (Fraction) inputs produce exact outputs.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -66,9 +67,6 @@ __all__ = [
     "support_min",
 ]
 
-logger = logging.getLogger(__name__)
-
-_NEG_CLAMP = 1e-12
 _SUM_SLACK = 1e-10
 
 
@@ -223,12 +221,7 @@ def longest_run_pmf(params: ModelParams, n: int, k: int) -> Scalar:
     th, q = params.theta, params.q
     if k < 0 or k > n:
         return _zero(th, q)
-    if k == 0:
-        # all failures; adding the zero makes (theta; q)_0 a float in float mode
-        return _zero(th, q) + q_pochhammer(th, q, n)
-
-    return _failure_sum(th, q, n, range(n - k + 1),
-                        lambda y: _default_cache.cell_term_poly(y + 1, n - y, k)).total()
+    return _longest_mass(th, q, n, k, k)
 
 
 def longest_run_cdf(params: ModelParams, n: int, k: int) -> Scalar:
@@ -240,8 +233,14 @@ def longest_run_cdf(params: ModelParams, n: int, k: int) -> Scalar:
         return _zero(th, q)
     if k >= n:
         return _zero(th, q) + 1
-    return _failure_sum(th, q, n, range(n + 1),
-                        lambda y: _default_cache.cell_v_poly(y + 1, n - y, k)).total()
+    return _longest_mass(th, q, n, k, 0)
+
+
+def _longest_mass(th, q, n, k, need):
+    """Mass of the length-n sequences whose success runs are all <= k and,
+    unless need is 0, one of them >= need."""
+    cells = _default_cache.cell_polys(n, k, need)
+    return _failure_sum(th, q, n, range(len(cells)), cells.__getitem__).total()
 
 
 def joint_longest(
@@ -290,11 +289,6 @@ def waiting_time_table(
     running: Scalar = 0
     for n in range(offset, n_max + 1):
         p = waiting_time_pmf(params, quota, n, cache)
-        if isinstance(p, float) and p < 0:
-            if p < -_NEG_CLAMP:
-                raise ValueError(f"negative probability {p} at n={n}")
-            logger.warning("clamping tiny negative probability %g at n=%d", p, n)
-            p = 0.0
         running = running + p
         probs.append(p)
     if running > 1 + _SUM_SLACK:

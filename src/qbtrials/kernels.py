@@ -14,11 +14,19 @@ rational q (by integer Horner and one Fraction at the end).
 The distribution layer sums kernels over the run index s and over a
 theorem's families for each run arrangement (x successes, y failures).
 `KernelValueCache.term_poly` memoizes that sum as one q-free term
-polynomial, and `cell_term_poly` the longest-run PMF's sum of U cells; the
-distribution layer hands those coefficients to `qcalc.TermSum` unevaluated.
-`kernel_term` and `longest_cell_term_U` evaluate one term on its own, and
-`named_kernel` stays the single-kernel API and the reference the term sums
-are tested against.
+polynomial; the distribution layer hands those coefficients to
+`qcalc.TermSum` unevaluated.  `kernel_term` evaluates one term on its own,
+and `named_kernel` stays the single-kernel API and the reference the term
+sums are tested against.
+
+The longest-run cells are one more kernel of the same recurrence: the
+y + 1 success runs around y failures, as an SS arrangement whose failure
+runs have length 1 (cell j carries weight j - 1 per item).  The x
+constraint (0, k, 0) gives the V kernel and (0, k, k) the U kernels summed
+over t >= 1 full cells; `KernelValueCache.cell_polys` memoizes them per
+sequence length.  The paper's single-cell `longest_cell_kernel_U/V` keep
+their own recurrences, as API and as the reference the cells are tested
+against.
 """
 
 from __future__ import annotations
@@ -48,7 +56,6 @@ __all__ = [
     "named_kernel",
     "longest_cell_kernel_U",
     "longest_cell_kernel_V",
-    "longest_cell_term_U",
     "FAMILY_NAMES",
 ]
 
@@ -124,15 +131,16 @@ class KernelSpec:
         return self.shape.x_runs(self.y_runs)
 
     def core_args(self) -> tuple:
-        """Leading arguments of `core.kernel_eval_poly` and `core.kernel_direct_poly`."""
+        """Leading arguments of `core.kernel_eval_poly` and `core.kernel_direct_poly`;
+        plain constraint tuples keep memo keys untracked by the garbage collector."""
         return (
             self.shape.starts_with_success,
             self.x_runs,
             self.y_runs,
             self.x_total,
             self.y_total,
-            self.x_constraint,
-            self.y_constraint,
+            tuple(self.x_constraint),
+            tuple(self.y_constraint),
         )
 
 
@@ -141,23 +149,22 @@ class KernelValueCache:
 
     Kernel values are polynomials in q with nonnegative integer
     coefficients, so the memos hold only the q-independent coefficient
-    lists and stay the same size however many q are asked for.  Every
+    sequences and stay the same size however many q are asked for.  Every
     call evaluates its polynomial at q afresh: exactly at int or Fraction
-    q, in floating point at float q.  Besides the kernel and cell
-    polynomials, the term memos hold the sums the distribution layer
-    evaluates once per run arrangement (see `term_poly` and
-    `cell_term_poly`).  One lock guards every memo.
+    q, in floating point at float q.  Besides the kernel polynomials, the
+    term memo holds what the distribution layer evaluates per run
+    arrangement (see `term_poly` and `cell_polys`); the U and V memos serve
+    only the single-cell API.  One lock guards every memo.
     """
 
     def __init__(self) -> None:
         self._dp_memo: dict = {}
         self._term_memo: dict = {}
         self._cell_u_memo: dict = {}
-        self._cell_u_term_memo: dict = {}
         self._cell_v_memo: dict = {}
         self._lock = threading.Lock()
 
-    def poly(self, spec: KernelSpec) -> list[int]:
+    def poly(self, spec: KernelSpec) -> tuple:
         with self._lock:
             return core.kernel_eval_poly(*spec.core_args(), self._dp_memo)
 
@@ -177,19 +184,19 @@ class KernelValueCache:
                     for s in range(1, s_max + 1) for fam, ds in pairs)
             return out
 
-    def cell_v_poly(self, r: int, s: int, k: int) -> list[int]:
-        """The V cell polynomial (see `longest_cell_kernel_V`), memoized."""
+    def cell_polys(self, n: int, k: int, need: int) -> tuple:
+        """Cell polynomials of the length-n sequences with y failures, for
+        y = 0..n - need: the y + 1 success runs each of length 0..k and,
+        unless need is 0, one of length >= need; memoized in the term memo,
+        whose term keys are longer."""
+        key = (n, k, need)
         with self._lock:
-            return core.cell_poly_v(r, s, k, self._cell_v_memo)
-
-    def cell_term_poly(self, r: int, s: int, k: int) -> tuple:
-        """Sum of the U cell polynomials over t = 1..r, memoized."""
-        key = (r, s, k)
-        with self._lock:
-            out = self._cell_u_term_memo.get(key)
+            out = self._term_memo.get(key)
             if out is None:
-                out = self._cell_u_term_memo[key] = _poly_sum(
-                    core.cell_poly_u(r, s, t, k, self._cell_u_memo) for t in range(1, r + 1))
+                cells, gaps = (0, k, need), (1, 1, 0)  # gaps: Bounded(1)
+                out = self._term_memo[key] = tuple(
+                    core.kernel_eval_poly(True, y + 1, y, n - y, y, cells, gaps, self._dp_memo)
+                    for y in range(n - need + 1))
             return out
 
 
@@ -353,12 +360,7 @@ def longest_cell_kernel_V(r: int, s: int, k: int, q: Scalar) -> Scalar:
     """Same as the U kernel but without the full-cell count constraint."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return poly_value(_default_cache.cell_v_poly(r, s, k), q)
-
-
-def longest_cell_term_U(r: int, s: int, k: int, q: Scalar) -> Scalar:
-    """Sum of longest_cell_kernel_U(r, s, t, k, q) over t = 1..r (some cell
-    full), as one memoized polynomial evaluated once."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return poly_value(_default_cache.cell_term_poly(r, s, k), q)
+    c = _default_cache
+    with c._lock:
+        poly = core.cell_poly_v(r, s, k, c._cell_v_memo)
+    return poly_value(poly, q)

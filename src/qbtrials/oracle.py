@@ -133,6 +133,10 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
 
 def oracle_waiting_pmf(params: ModelParams, quota: QuotaSpec, n_max: int) -> Pmf:
     """Exact PMF of the waiting time, truncated at n_max."""
+    if n_max > DEFAULT_BUDGET:
+        # refused before any table is enumerated
+        raise EnumerationBudgetError(
+            f"n={n_max} exceeds enumeration budget {DEFAULT_BUDGET}")
     offset = support_min(quota)
     if n_max < offset:
         raise ValueError(f"n_max={n_max} is below the support minimum {offset}")

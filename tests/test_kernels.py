@@ -284,7 +284,23 @@ def test_cache_does_not_grow_with_q():
         if i == 0:
             first = sizes()
     assert sizes() == first
-    assert cache._term_memo and cache._cell_u_term_memo
+    assert cache._term_memo and cache._cell_u_memo
+
+
+def test_memo_entries_are_not_gc_tracked():
+    # keys and values are plain tuples of ints, which the garbage collector
+    # stops tracking, so a large memo does not slow every full collection
+    import gc
+
+    cache = KernelValueCache()
+    for fam in FAMILY_NAMES:
+        kernel_eval(family_spec(fam, 6, 5, 3, 2, 3), Fraction(1, 3), cache)
+    cache.cell_polys(9, 2, 2)
+    gc.collect()
+    gc.collect()
+    assert cache._dp_memo
+    assert not any(gc.is_tracked(key) or gc.is_tracked(value)
+                   for key, value in cache._dp_memo.items())
 
 
 def _horner_fraction(coeffs, q):
@@ -351,26 +367,62 @@ def test_term_equals_sum_of_named_kernels():
     check()
 
 
-def test_cell_term_equals_sum_of_u_cells():
+def _u_sum(r, s, k, memo):
+    """Coefficients of the U cells summed over t = 1..r full cells."""
+    from qbtrials import _core_py as core
+    from qbtrials.kernels import _poly_sum
+
+    return list(_poly_sum(core.cell_poly_u(r, s, t, k, memo) for t in range(1, r + 1)))
+
+
+def test_cell_polys_equal_u_and_v_cells():
+    # the PMF's cells (need = k) are the U cells summed over t >= 1 full
+    # cells and the CDF's (need = 0) the V cells, coefficient for
+    # coefficient and in value, exact and float
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from qbtrials.kernels import longest_cell_term_U
+    from qbtrials import _core_py as core
+    from qbtrials.qcalc import poly_value
+
+    cache = KernelValueCache()
+    u_memo, v_memo = {}, {}
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 8), st.integers(0, 14), st.integers(1, 5),
+    @given(st.integers(0, 14), st.integers(0, 6), st.booleans(),
            st.fractions(min_value=0, max_value=1, max_denominator=60))
-    def check(r, s, k, q):
-        for qq in (q, float(q)):
-            got = longest_cell_term_U(r, s, k, qq)
-            want = sum(longest_cell_kernel_U(r, s, t, k, qq) for t in range(1, r + 1))
-            if isinstance(qq, Fraction):
-                assert got == want and isinstance(got, (int, Fraction))
-            else:
-                assert isinstance(got, float)
-                assert got == pytest.approx(want, rel=1e-12, abs=0)
+    def check(n, k, full, q):
+        cells = cache.cell_polys(n, k, k if full else 0)
+        for y in range(n + 1):
+            r, s = y + 1, n - y
+            want = _u_sum(r, s, k, u_memo) if full else core.cell_poly_v(r, s, k, v_memo)
+            if y >= len(cells):
+                # too few items left for a full cell
+                assert full and want == [0], (n, k, y)
+                continue
+            assert list(cells[y]) == want, (n, k, full, y)
+            for qq in (q, float(q)):
+                if full:
+                    ref = sum(longest_cell_kernel_U(r, s, t, k, qq) for t in range(1, r + 1))
+                else:
+                    ref = longest_cell_kernel_V(r, s, k, qq)
+                value = poly_value(cells[y], qq)
+                if isinstance(qq, Fraction):
+                    assert value == ref and isinstance(value, (int, Fraction))
+                else:
+                    assert isinstance(value, float)
+                    assert value == pytest.approx(ref, rel=1e-12, abs=0)
 
     check()
+
+
+def test_cell_kernel_depth_is_one_frame_per_run():
+    # 400 cells around 399 single failures, 3 items in cells of size 1 with
+    # one full: 799 runs peeled within the default recursion limit
+    from qbtrials import _core_py as core
+
+    got = core.kernel_eval_poly(True, 400, 399, 3, 399, (0, 1, 1), (1, 1, 0), {})
+    assert list(got) == _u_sum(400, 3, 1, {})
 
 
 def test_spec_run_counts_follow_shape():

@@ -168,6 +168,30 @@ def test_oracle_budget():
         oracle_event_prob(HALF, DEFAULT_BUDGET + 1, LongestAtMost(3))
 
 
+def test_oracle_table_budget_refused_before_enumerating(monkeypatch, tmp_path):
+    # n_max above the budget is refused before any count table is built,
+    # from the library and from both CLI paths that reach it
+    from qbtrials import cli, oracle
+
+    def no_counts(*args):
+        raise AssertionError("enumerated before the budget was checked")
+
+    monkeypatch.setattr(oracle, "_counts", no_counts)
+    n_max = DEFAULT_BUDGET + 1
+    with pytest.raises(EnumerationBudgetError):
+        oracle_waiting_pmf(HALF, RR_SOONER, n_max)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--mode", "sooner", "--success", "run:2", "--failure",
+                  "run:2", "--theta", "1/2", "--q", "1/2", "--n-max", str(n_max), "--exact"])
+    assert exc.value.code == 2
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(
+        {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": n_max}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--grid", str(grid)])
+    assert exc.value.code == 2
+
+
 def test_later_partial_sums_below_one():
     later = QuotaSpec(RunQuota(2), RunQuota(2), Mode.LATER)
     table = oracle_waiting_pmf(HALF, later, 14)
