@@ -46,7 +46,12 @@ def _materialize(total, parts, con, cap):
     return out
 
 
-def kernel_direct_poly(first_success, nx, ny, m, r, xcon, ycon, budget=2_000_000):
+# most compositions on one side, and composition pairs, that
+# `kernel_direct_poly` enumerates
+_DIRECT_BUDGET = 2_000_000
+
+
+def kernel_direct_poly(first_success, nx, ny, m, r, xcon, ycon):
     """Coefficients of the kernel polynomial, by brute-force enumeration.
 
     The arrangement alternates success runs x_1..x_nx and failure runs
@@ -54,7 +59,8 @@ def kernel_direct_poly(first_success, nx, ny, m, r, xcon, ycon, budget=2_000_000
     contributes q**(sum_j w_j x_j) where w_j is the total failure mass
     before x_j in the arrangement.  Each side's constraint is a triple
     (lo, hi, need): every part in lo..hi (no cap when hi is None) and,
-    unless need is 0, some part >= need.
+    unless need is 0, some part >= need.  Raises EnumerationBudgetError
+    beyond `_DIRECT_BUDGET` compositions or pairs.
     """
     if m < 0 or r < 0 or nx < 0 or ny < 0:
         return [0]
@@ -69,15 +75,15 @@ def kernel_direct_poly(first_success, nx, ny, m, r, xcon, ycon, budget=2_000_000
         ok = m == 0 and r == 0 and not xcon[2] and not ycon[2]
         return [1] if ok else [0]
 
-    xcomps = _materialize(m, nx, xcon, budget)
+    xcomps = _materialize(m, nx, xcon, _DIRECT_BUDGET)
     if not xcomps:
         return [0]
-    ycomps = _materialize(r, ny, ycon, budget)
+    ycomps = _materialize(r, ny, ycon, _DIRECT_BUDGET)
     if not ycomps:
         return [0]
-    if len(xcomps) * len(ycomps) > budget:
+    if len(xcomps) * len(ycomps) > _DIRECT_BUDGET:
         raise EnumerationBudgetError(
-            f"{len(xcomps)}x{len(ycomps)} composition pairs exceed budget {budget}")
+            f"{len(xcomps)}x{len(ycomps)} composition pairs exceed budget {_DIRECT_BUDGET}")
 
     coeffs = [0] * (m * r + 1)
     for ys in ycomps:
@@ -112,36 +118,47 @@ def _shift_add(dst, src, shift):
 
 
 def kernel_eval_poly(first_success, nx, ny, m, r, xcon, ycon, memo):
-    """Kernel polynomial by peeling the arrangement's final run (memoized).
+    """Kernel polynomial of one arrangement shape: `arrangement_poly` with
+    the run count fixed at nx + ny (memoized)."""
+    # the first run's symbol fixes which side may hold the extra run
+    if nx < 0 or ny < 0 or (nx - ny if first_success else ny - nx) not in (0, 1):
+        return _ZERO
+    last_x = nx > ny if first_success else nx == ny > 0
+    return arrangement_poly(last_x, m, r, xcon, ycon, memo, nx + ny)
 
-    Peeling a success run of length a multiplies by q**(r*a): every failure
-    run still in the prefix precedes it.  A constraint (lo, hi, need) that
-    requires some part >= need relaxes to (lo, hi, 0) once such a part has
-    been peeled, so the relaxed entries are shared by every need.  Each
-    peeled run is one Python frame.  Values are coefficient tuples, never
-    mutated: a peel with one admissible length and no shift stores its
-    prefix's tuple itself.  Keys and values hold only ints, so the garbage
-    collector stops tracking them and a large memo does not slow every full
-    collection.  Children are trimmed and nonnegative, so sums need no trim.
+
+def arrangement_poly(last_x, m, r, xcon, ycon, memo, runs=None):
+    """Sum of the kernels of every run count: the q-weighted count of the
+    arrangements of m successes and r failures that end with a success run
+    iff `last_x`, plus the empty arrangement (memoized).  Failure runs
+    have length >= 1.  Given `runs`, only the arrangements of that many
+    runs count, and the empty one only at runs = 0.
+
+    Peeling the last run leaves a prefix that ends with the other symbol or
+    is empty.  Peeling a success run of length a multiplies by q**(r*a):
+    every failure run still in the prefix precedes it.  A constraint (lo,
+    hi, need) that requires some part >= need relaxes to (lo, hi, 0) once
+    such a part has been peeled, so the relaxed entries are shared by every
+    need.  With x parts from 0 (lo = 0, the longest-run cells) a leading
+    empty success run and the empty prefix are one arrangement, so the
+    count is that of the arrangements that start with a success run.
+
+    Each peeled run is one Python frame.  Values are coefficient tuples,
+    never mutated: a peel with one admissible length and no shift stores
+    its prefix's tuple itself.  Keys and values hold only ints and None, so
+    the garbage collector stops tracking them and a large memo does not
+    slow every full collection.  Children are trimmed and nonnegative, so
+    sums need no trim.
     """
-    key = (first_success, nx, ny, m, r, xcon, ycon)
+    key = (last_x, m, r, xcon, ycon, runs)
     out = memo.get(key)
     if out is not None:
         return out
-    # which run type ends the current prefix; the first run's symbol fixes
-    # which side may hold the extra run
-    if first_success:
-        last_x = nx == ny + 1
-        shaped = last_x or nx == ny > 0
-    else:
-        last_x = nx == ny > 0
-        shaped = last_x or ny == nx + 1
-    if nx == ny == m == r == 0:
+    if runs == 0 or runs is None and m == r == 0:
         # no parts at all: met unless a side needs a part >= need
-        out = _ZERO if xcon[2] or ycon[2] else _ONE
-    elif m < 0 or r < 0 or nx < 0 or ny < 0 or not shaped:
-        out = _ZERO
+        out = _ZERO if m or r or xcon[2] or ycon[2] else _ONE
     else:
+        left = None if runs is None else runs - 1
         own = xcon if last_x else ycon
         lo, hi, need = own
         total = m if last_x else r
@@ -151,10 +168,10 @@ def kernel_eval_poly(first_success, nx, ny, m, r, xcon, ycon, memo):
         for a in range(lo, top + 1):
             con = relaxed if need and a >= need else own
             if last_x:
-                child = kernel_eval_poly(first_success, nx - 1, ny, m - a, r, con, ycon, memo)
+                child = arrangement_poly(False, m - a, r, con, ycon, memo, left)
                 shift = r * a
             else:
-                child = kernel_eval_poly(first_success, nx, ny - 1, m, r - a, xcon, con, memo)
+                child = arrangement_poly(True, m, r - a, xcon, con, memo, left)
                 shift = 0
             if child == _ZERO:
                 continue

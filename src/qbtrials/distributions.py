@@ -3,34 +3,35 @@
 Every waiting-time theorem and every joint longest-run quadrant is a sum over
 run arrangements holding x successes and y failures.  Each term is
 
-    theta**a * q**b * (theta; q)_c * sum over s of (two or four kernels)
+    theta**a * q**b * (theta; q)_c * K
 
-where s counts the runs of the symbol that ends the arrangement.  The
-theorems differ only in which kernel families they sum, in the ranges of x
-and y and in the stopping tail, so two tables drive one loop each:
+where the paper's K sums two or four kernels over the run index s.  The
+families of one sum end with the same symbol under the same constraints,
+and s covers every feasible run count, so K is the q-weighted count of all
+arrangements of x successes and y failures that end with that symbol
+(`KernelValueCache.arrangement_poly`, one memoized polynomial per term).
 
 * `_WAITING_FAMILIES`, keyed (success freq?, failure freq?, later?), holds
   the families summed when the success side stops the wait and those summed
   when the failure side stops it (Theorems 3.1 and 3.2 for run/run, 4.1 and
   4.2 for freq/run, 4.3 and 4.4 for run/freq, 5.1 and 5.3 for freq/freq,
-  sooner and later).  A run quota of k stops on a tail of k trials after the
+  sooner and later); `kernels.family_arrangement` gives their last symbol
+  and constraints.  A run quota of k stops on a tail of k trials after the
   arrangement, which adds k to a (success tail) or to c (failure tail) and
   y*k to b for a success tail; a frequency quota of k fixes that side's
   count at k and has no tail.
-* `_JOINT`, keyed by the two relations, holds the four families with their
-  s shifts and the shifts of k1 and k2 for each joint quadrant; there a = x,
-  b = 0 and c = y.
+* A joint quadrant bounds the success runs by k1 and the failure runs by
+  k2, each from above (<=) or below (>=), and its K is the arrangements
+  that end with a success run plus those that end with a failure run; there
+  a = x, b = 0 and c = y.
 
-The kernel sum of one arrangement term (over s and over the theorem's
-families) is one q-free polynomial, memoized by
-`KernelValueCache.term_poly`.  The longest-run PMF and CDF are one sum over
-the failure count y of the same recurrence's cell kernels
-(`KernelValueCache.cell_polys`): the y + 1 success runs are at most k long
-and, for the PMF, one of them is exactly k.  Each probability hands its
-terms' exponents and polynomials to one `qcalc.TermSum`: at rational
-theta = c/d and q = a/b the whole sum is one integer over d**n * b**B, and
-one Fraction is built at the end; at float inputs each term is a float
-product, added in the same order.
+The longest-run PMF and CDF are one sum over the failure count y of the
+same recurrence's cell polynomials (`KernelValueCache.cell_polys`): the
+y + 1 success runs are at most k long and, for the PMF, one of them is
+exactly k.  Each probability hands its terms' exponents and polynomials to
+one `qcalc.TermSum`: at rational theta = c/d and q = a/b the whole sum is
+one integer over d**n * b**B, and one Fraction is built at the end; at
+float inputs each term is a float product, added in the same order.
 
 Sum ranges are generous where feasibility is subtle; kernels vanish outside
 their domains.  Exact (Fraction) inputs produce exact outputs.
@@ -47,6 +48,7 @@ from fractions import Fraction
 from .kernels import (
     KernelValueCache,
     _default_cache,
+    family_arrangement,
     longest_cell_kernel_U,
     longest_cell_kernel_V,
     named_kernel,
@@ -103,34 +105,10 @@ _WAITING_FAMILIES: dict[tuple[bool, bool, bool], tuple[tuple[str, ...], tuple[st
     (True, True, True): (("Ibar", "Jbar"), ("Kbar", "Lbar")),   # Theorem 5.3
 }
 
-# (rel1, rel2) -> ((family, s shift) x 4, k1 shift, k2 shift); a <= k quota
-# bounds run lengths by k, which the families' "< k" constraints express at k+1
-_JOINT: dict[tuple[Rel, Rel], tuple[tuple[tuple[str, int], ...], int, int]] = {
-    (Rel.LE, Rel.LE): ((("D", 0), ("A", 0), ("C", 1), ("B", 0)), 1, 1),
-    (Rel.LE, Rel.GE): ((("M", 0), ("E", 0), ("N", 1), ("F", 0)), 1, 0),
-    (Rel.GE, Rel.LE): ((("H", 0), ("O", 0), ("G", 1), ("P", 0)), 0, 1),
-    (Rel.GE, Rel.GE): ((("Q", 0), ("R", 0), ("S", 1), ("T", 0)), 0, 0),
-}
-
-
-def _rel_holds(value: int, rel: Rel, k: int) -> bool:
-    return value <= k if rel is Rel.LE else value >= k
-
-
 def _zero(th: Scalar, q: Scalar) -> Scalar:
     """The int 0 for exact theta and q, 0.0 once either is a float."""
     exact = isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction))
     return 0 if exact else 0.0
-
-
-def _failure_sum(th: Scalar, q: Scalar, n: int, ys, poly) -> TermSum:
-    """Terms theta**(n-y) * (theta; q)_y * poly(y)(q) for y in ys: the mass
-    of an event whose length-n sequences with y failures have q-weighted
-    count poly(y), a coefficient sequence."""
-    terms = TermSum(th, q, n)
-    for y in ys:
-        terms.add(n - y, 0, y, poly(y))
-    return terms
 
 
 def support_min(quota: QuotaSpec) -> int:
@@ -155,7 +133,7 @@ def waiting_time_pmf(
     sq, fq = quota.success_quota, quota.failure_quota
     return _waiting_mass(params.theta, params.q, (sq.k, fq.k),
                          (isinstance(sq, FreqQuota), isinstance(fq, FreqQuota)),
-                         quota.mode is Mode.LATER, n, (cache or _default_cache).term_poly)
+                         quota.mode is Mode.LATER, n, (cache or _default_cache).arrangement_poly)
 
 
 def _waiting_mass(th, q, ks, freqs, later, n, K):
@@ -164,13 +142,13 @@ def _waiting_mass(th, q, ks, freqs, later, n, K):
     Side j (0 = success, 1 = failure) stops the wait at trial n.  Under a
     run quota the last k_j trials are the tail run and the other side's
     count ranges; under a frequency quota side j holds exactly k_j trials,
-    the last of them on trial n.  K(pairs, x, y, s_max, k1, k2) is the
-    coefficient sequence of the sum of the kernels of the (family, s shift)
-    pairs over s = 1..s_max.
+    the last of them on trial n.  K(last_x, x, y, xcon, ycon) is the
+    coefficient sequence of the side's kernels summed over s and over its
+    families, as `KernelValueCache.arrangement_poly`.
     """
     terms = TermSum(th, q, n)
     for j, families in enumerate(_WAITING_FAMILIES[freqs[0], freqs[1], later]):
-        pairs = tuple((fam, 0) for fam in families)
+        last_x, xcon, ycon = family_arrangement(families[0], *ks)
         o = 1 - j
         tail = 0 if freqs[j] else ks[j]
         t1, t0 = (tail, 0) if j == 0 else (0, tail)
@@ -181,12 +159,7 @@ def _waiting_mass(th, q, ks, freqs, later, n, K):
         for other in range(max(lo, 0), hi + 1):
             own = n - tail - other
             x, y = (own, other) if j == 0 else (other, own)
-            # the arrangement ends with the stopping symbol under a frequency
-            # quota and with the other symbol before a tail run
-            ends = own if freqs[j] else other
-            # no runs before the tail: only the empty arrangement counts
-            poly = K(pairs, x, y, ends, ks[0], ks[1]) if ends else (int(x == y == 0),)
-            terms.add(x + t1, y * t1, y + t0, poly)
+            terms.add(x + t1, y * t1, y + t0, K(last_x, x, y, xcon, ycon))
     return terms.total()
 
 
@@ -239,8 +212,10 @@ def longest_run_cdf(params: ModelParams, n: int, k: int) -> Scalar:
 def _longest_mass(th, q, n, k, need):
     """Mass of the length-n sequences whose success runs are all <= k and,
     unless need is 0, one of them >= need."""
-    cells = _default_cache.cell_polys(n, k, need)
-    return _failure_sum(th, q, n, range(len(cells)), cells.__getitem__).total()
+    terms = TermSum(th, q, n)
+    for y, cell in enumerate(_default_cache.cell_polys(n, k, need)):
+        terms.add(n - y, 0, y, cell)
+    return terms.total()
 
 
 def joint_longest(
@@ -261,17 +236,20 @@ def joint_longest(
         if rel is Rel.LE and k < 0:
             raise ValueError("a <= relation needs k >= 0")
     return _joint_mass(params.theta, params.q, n, k1, rel1, k2, rel2,
-                       (cache or _default_cache).term_poly)
+                       (cache or _default_cache).arrangement_poly)
 
 
 def _joint_mass(th, q, n, k1, rel1, k2, rel2, K):
-    """Sum of the terms of one joint quadrant; K is the term polynomial, as
-    in `_waiting_mass`."""
-    pairs, dk1, dk2 = _JOINT[rel1, rel2]
-    ys = range(k2 if rel2 is Rel.GE else 1, n - (k1 if rel1 is Rel.GE else 0) + 1)
-    terms = _failure_sum(th, q, n, ys, lambda y: K(pairs, n - y, y, y, k1 + dk1, k2 + dk2))
-    if rel2 is Rel.LE and _rel_holds(n, rel1, k1):
-        terms.add(n, 0, 0, (1,))  # the all-success sequence
+    """Sum of the terms of one joint quadrant; K is the arrangement
+    polynomial, as in `_waiting_mass`."""
+    # every run of the symbol <= k, or some run >= k
+    xcon = (1, k1, 0) if rel1 is Rel.LE else (1, None, k1)
+    ycon = (1, k2, 0) if rel2 is Rel.LE else (1, None, k2)
+    terms = TermSum(th, q, n)
+    for y in range(k2 if rel2 is Rel.GE else 0, n - (k1 if rel1 is Rel.GE else 0) + 1):
+        terms.add(n - y, 0, y, K(True, n - y, y, xcon, ycon))
+        if y:  # with no failure the empty arrangement, counted above, ends with one
+            terms.add(n - y, 0, y, K(False, n - y, y, xcon, ycon))
     return terms.total()
 
 
@@ -291,6 +269,7 @@ def waiting_time_table(
         p = waiting_time_pmf(params, quota, n, cache)
         running = running + p
         probs.append(p)
-    if running > 1 + _SUM_SLACK:
+    # an exact table may not exceed 1 at all, a float one by rounding only
+    if running > 1 + (_SUM_SLACK if isinstance(running, float) else 0):
         raise ValueError(f"partial sums exceed 1: {running}")
     return Pmf(offset=offset, probs=probs)

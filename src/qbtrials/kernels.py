@@ -11,30 +11,32 @@ those q-independent coefficient lists are memoized; every value call
 evaluates its polynomial at q afresh with `qcalc.poly_value`, exactly at
 rational q (by integer Horner and one Fraction at the end).
 
-The distribution layer sums kernels over the run index s and over a
-theorem's families for each run arrangement (x successes, y failures).
-`KernelValueCache.term_poly` memoizes that sum as one q-free term
-polynomial; the distribution layer hands those coefficients to
-`qcalc.TermSum` unevaluated.  `kernel_term` evaluates one term on its own,
-and `named_kernel` stays the single-kernel API and the reference the term
-sums are tested against.
+Each theorem of the distribution layer sums kernels over the run index s
+and over the families that end with the same symbol under the same
+constraints.  For each run arrangement (x successes, y failures) that sum
+covers every run count, so it is one run-count-free polynomial:
+`core.arrangement_poly`, the same peel without the run counts, memoized
+per (last symbol, x, y, constraints) by `KernelValueCache.arrangement_poly`.
+`family_arrangement` gives a family's last symbol and constraints, and
+`named_kernel` stays the fixed-s kernel API and the reference the
+arrangement sums are tested against.
 
-The longest-run cells are one more kernel of the same recurrence: the
-y + 1 success runs around y failures, as an SS arrangement whose failure
-runs have length 1 (cell j carries weight j - 1 per item).  The x
-constraint (0, k, 0) gives the V kernel and (0, k, k) the U kernels summed
-over t >= 1 full cells; `KernelValueCache.cell_polys` memoizes them per
-sequence length.  The paper's single-cell `longest_cell_kernel_U/V` keep
-their own recurrences, as API and as the reference the cells are tested
-against.
+The longest-run cells are the same recurrence: the y + 1 success runs
+around y failures, as arrangements that start and end with a success run
+whose failure runs have length 1 (cell j carries weight j - 1 per item).
+The x constraint (0, k, 0) gives the V kernel and (0, k, k) the U kernels
+summed over t >= 1 full cells; `KernelValueCache.cell_polys` memoizes them
+per sequence length.  The paper's single-cell `longest_cell_kernel_U/V`
+keep their own recurrences, as API and as the reference the cells are
+tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from itertools import zip_longest
 from typing import NamedTuple
 
 from . import _core_py as core
@@ -52,7 +54,6 @@ __all__ = [
     "SomeAtLeast",
     "kernel_direct",
     "kernel_eval",
-    "kernel_term",
     "named_kernel",
     "longest_cell_kernel_U",
     "longest_cell_kernel_V",
@@ -145,21 +146,23 @@ class KernelSpec:
 
 
 class KernelValueCache:
-    """Memo of kernel and longest-run cell polynomials; safe to share across threads.
+    """Memo of kernel, arrangement and longest-run cell polynomials; safe to
+    share across threads.
 
     Kernel values are polynomials in q with nonnegative integer
     coefficients, so the memos hold only the q-independent coefficient
     sequences and stay the same size however many q are asked for.  Every
     call evaluates its polynomial at q afresh: exactly at int or Fraction
-    q, in floating point at float q.  Besides the kernel polynomials, the
-    term memo holds what the distribution layer evaluates per run
-    arrangement (see `term_poly` and `cell_polys`); the U and V memos serve
-    only the single-cell API.  One lock guards every memo.
+    q, in floating point at float q.  The arrangement and cell memos hold
+    what the distribution layer sums (see `arrangement_poly` and
+    `cell_polys`); the U and V memos serve only the single-cell API.  One
+    lock guards every memo.
     """
 
     def __init__(self) -> None:
         self._dp_memo: dict = {}
-        self._term_memo: dict = {}
+        self._arrangement_memo: dict = {}
+        self._cells_memo: dict = {}
         self._cell_u_memo: dict = {}
         self._cell_v_memo: dict = {}
         self._lock = threading.Lock()
@@ -171,52 +174,39 @@ class KernelValueCache:
     def value(self, spec: KernelSpec, q: Scalar) -> Scalar:
         return poly_value(self.poly(spec), q)
 
-    def term_poly(self, pairs: tuple, m: int, r: int, s_max: int, k1: int, k2: int) -> tuple:
-        """Sum of family_spec(fam, m, r, s + ds, k1, k2) over s = 1..s_max
-        and (fam, ds) in `pairs`, memoized."""
-        key = (pairs, m, r, s_max, k1, k2)
+    def arrangement_poly(self, last_x: bool, m: int, r: int, xcon: tuple, ycon: tuple) -> tuple:
+        """`core.arrangement_poly`, memoized: the arrangements of m successes
+        and r failures ending with a success run iff `last_x`, and the empty
+        one; constraints are plain (lo, hi, need) tuples."""
         with self._lock:
-            out = self._term_memo.get(key)
-            if out is None:
-                out = self._term_memo[key] = _poly_sum(
-                    core.kernel_eval_poly(
-                        *family_spec(fam, m, r, s + ds, k1, k2).core_args(), self._dp_memo)
-                    for s in range(1, s_max + 1) for fam, ds in pairs)
-            return out
+            return core.arrangement_poly(last_x, m, r, xcon, ycon, self._arrangement_memo)
 
     def cell_polys(self, n: int, k: int, need: int) -> tuple:
         """Cell polynomials of the length-n sequences with y failures, for
         y = 0..n - need: the y + 1 success runs each of length 0..k and,
-        unless need is 0, one of length >= need; memoized in the term memo,
-        whose term keys are longer."""
+        unless need is 0, one of length >= need; memoized as one tuple."""
         key = (n, k, need)
         with self._lock:
-            out = self._term_memo.get(key)
+            out = self._cells_memo.get(key)
             if out is None:
                 cells, gaps = (0, k, need), (1, 1, 0)  # gaps: Bounded(1)
-                out = self._term_memo[key] = tuple(
-                    core.kernel_eval_poly(True, y + 1, y, n - y, y, cells, gaps, self._dp_memo)
+                out = self._cells_memo[key] = tuple(
+                    core.arrangement_poly(True, n - y, y, cells, gaps, self._arrangement_memo)
                     for y in range(n - need + 1))
             return out
-
-
-def _poly_sum(polys) -> tuple:
-    """Coefficient-wise sum of nonnegative polynomials; (0,) for none.  The
-    sum's leading coefficient is nonzero whenever one summand's is."""
-    return tuple(sum(cs) for cs in zip_longest(*polys, fillvalue=0)) or (0,)
 
 
 _default_cache = KernelValueCache()
 
 
-def kernel_direct(spec: KernelSpec, q: Scalar, budget: int = 2_000_000) -> Scalar:
+def kernel_direct(spec: KernelSpec, q: Scalar) -> Scalar:
     """Kernel value by exhaustive enumeration of the defining sum.
 
     Intended for small instances; raises EnumerationBudgetError when the
-    number of composition pairs exceeds `budget`.  Serves as the oracle
-    for `kernel_eval`.
+    compositions on one side, or the composition pairs, exceed the core's
+    `_DIRECT_BUDGET`.  Serves as the oracle for `kernel_eval`.
     """
-    return poly_value(core.kernel_direct_poly(*spec.core_args(), budget), q)
+    return poly_value(core.kernel_direct_poly(*spec.core_args()), q)
 
 
 def kernel_eval(spec: KernelSpec, q: Scalar, cache: KernelValueCache | None = None) -> Scalar:
@@ -292,6 +282,15 @@ def _make_constraint(kind: str, k1: int, k2: int) -> PartConstraint:
     raise ValueError(kind)
 
 
+@functools.cache  # immutable results; the waiting sums ask once per side and n
+def family_arrangement(family: str, k1: int, k2: int) -> tuple[bool, tuple, tuple]:
+    """(ends with a success run?, x constraint, y constraint) of a family,
+    the constraints as plain tuples: what its kernels share for every s."""
+    shape, xkind, ykind = _FAMILIES[family]
+    return (shape.value[1] == "S", tuple(_make_constraint(xkind, k1, k2)),
+            tuple(_make_constraint(ykind, k1, k2)))
+
+
 def family_spec(family: str, m: int, r: int, s: int, k1: int, k2: int) -> KernelSpec:
     """KernelSpec for a named family at its own s-index convention.
 
@@ -326,23 +325,6 @@ def named_kernel(
 ) -> Scalar:
     """Value of one of the 36 named composition-kernel families."""
     return kernel_eval(family_spec(family, m, r, s, k1, k2), q, cache)
-
-
-def kernel_term(
-    pairs: tuple,
-    m: int,
-    r: int,
-    s_max: int,
-    k1: int,
-    k2: int,
-    q: Scalar,
-    cache: KernelValueCache | None = None,
-) -> Scalar:
-    """Sum of named_kernel(fam, m, r, s + ds, k1, k2, q) over s = 1..s_max
-    and (fam, ds) in `pairs`, as one memoized polynomial evaluated once."""
-    if cache is None:
-        cache = _default_cache
-    return poly_value(cache.term_poly(pairs, m, r, s_max, k1, k2), q)
 
 
 def longest_cell_kernel_U(r: int, s: int, t: int, k: int, q: Scalar) -> Scalar:

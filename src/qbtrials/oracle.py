@@ -23,7 +23,7 @@ import numpy as np
 from . import _core_py as core
 from ._core_py import EnumerationBudgetError
 from .distributions import (
-    _WAITING_FAMILIES, Pmf, Rel, _rel_holds, _zero, support_min, waiting_time_pmf,
+    _WAITING_FAMILIES, Pmf, Rel, _zero, support_min, waiting_time_pmf,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
 from .qcalc import DEFAULT_TOLERANCE, Scalar, TermSum
@@ -67,6 +67,10 @@ class LongestAtMost:
 
     def holds(self, l1, l0):
         return l1 <= self.k
+
+
+def _rel_holds(value, rel: Rel, k: int):
+    return value <= k if rel is Rel.LE else value >= k
 
 
 @dataclass(frozen=True)

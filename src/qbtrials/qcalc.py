@@ -23,12 +23,20 @@ Scalar = Union[int, float, Fraction]
 DEFAULT_TOLERANCE = 1e-10
 
 
+def _one(*args: Scalar) -> Scalar:
+    """The int 1, or 1.0 once an argument is a float: the empty product."""
+    for x in args:
+        if isinstance(x, float):
+            return 1.0
+    return 1
+
+
 def q_number(z: int, q: Scalar) -> Scalar:
     """[z]_q = (1 - q**z) / (1 - q), continuously extended to z at q = 1."""
     if z < 0:
         raise ValueError("z must be nonnegative")
     if q == 1:
-        return z if isinstance(q, (int, Fraction)) else float(z)
+        return z * _one(q)
     return (1 - q ** z) / (1 - q)
 
 
@@ -36,7 +44,7 @@ def q_factorial(m: int, q: Scalar) -> Scalar:
     """Product of [j]_q for j = 1..m; 1 for m = 0."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    out: Scalar = 1
+    out = _one(q)
     for j in range(1, m + 1):
         out = out * q_number(j, q)
     return out
@@ -49,12 +57,11 @@ def q_binomial(n: int, m: int, q: Scalar) -> Scalar:
     q = 1 (where it reduces to the ordinary binomial coefficient).
     """
     if m < 0 or m > n:
-        return 0
+        return 0 * _one(q)
     if q == 1:
-        c = math.comb(n, m)
-        return c if isinstance(q, (int, Fraction)) else float(c)
+        return math.comb(n, m) * _one(q)
     m = min(m, n - m)
-    out: Scalar = 1
+    out = _one(q)
     for j in range(1, m + 1):
         out = out * q_number(n - m + j, q) / q_number(j, q)
     return out
@@ -69,7 +76,7 @@ def q_pochhammer_prefixes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
     """[(a; q)_0, ..., (a; q)_n], each the one before it times (1 - a*q**k)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[Scalar] = [1]
+    out = [_one(a, q)]
     for k in range(n):
         out.append(out[-1] * (1 - a * q ** k))
     return out

@@ -201,6 +201,28 @@ def test_later_mode_partial_sums_bounded(s_freq, f_freq):
         previous = running
 
 
+def test_exact_table_partial_sums_may_not_exceed_one(monkeypatch):
+    # an exact table has no rounding to forgive: 1 + 10**-12 is refused,
+    # while a float table keeps its slack for rounding
+    from qbtrials import distributions as d
+
+    quota = make_quota(True, True, 2, 2, Mode.SOONER)
+    real = d.waiting_time_pmf
+
+    def overshoot(params, quota, n, cache=None):
+        p = real(params, quota, n, cache)
+        if n == 2:
+            p += Fraction(1, 10**12) if params.exact else 1e-12
+        return p
+
+    assert waiting_time_table(HALF, quota, 3).total() == 1
+    monkeypatch.setattr(d, "waiting_time_pmf", overshoot)
+    with pytest.raises(ValueError, match="partial sums exceed 1"):
+        waiting_time_table(HALF, quota, 3)
+    floats = waiting_time_table(ModelParams(0.5, 0.5), quota, 3)
+    assert floats.total() == pytest.approx(1 + 1e-12, rel=1e-15)
+
+
 def test_later_mode_is_defective_for_small_q():
     # with decaying success probability the success-run quota may never be met
     quota = make_quota(False, False, 2, 2, Mode.LATER)
@@ -249,29 +271,28 @@ def test_classical_reduction_at_q_one_run_run():
 
 
 def test_classical_reduction_at_q_one_all_configs():
-    # substitute each kernel's classical counting product, summed over s
-    # and over the families as a term, into the same assembly and compare
-    # against the evaluator at q = 1, all 8 configs
+    # substitute each term's classical count, the counting products summed
+    # over the run counts, into the same assembly and compare against the
+    # evaluator at q = 1, all 8 configs
     from qbtrials import distributions as d
-    from qbtrials.kernels import _FAMILIES, family_spec
     from qbtrials.qcalc import count_M, count_R, count_S
 
-    def counting_product(fam, m, r, s, k1, k2):
-        _, xkind, ykind = _FAMILIES[fam]
-        spec = family_spec(fam, m, r, s, k1, k2)
+    def side(con, parts, total):
+        _, hi, need = con
+        if hi is not None:
+            return count_S(parts, hi + 1, total)
+        if need:
+            return count_R(parts, need, total)
+        return count_M(parts, total)
 
-        def side(kind, parts, total, k):
-            if kind.startswith("b"):
-                return count_S(parts, k, total)
-            if kind == "p":
-                return count_M(parts, total)
-            return count_R(parts, k, total)
-
-        return side(xkind, spec.x_runs, m, k1) * side(ykind, spec.y_runs, r, k2)
-
-    def counting_term(pairs, m, r, s_max, k1, k2):
-        return (sum(counting_product(fam, m, r, s + ds, k1, k2)
-                    for s in range(1, s_max + 1) for fam, ds in pairs),)
+    def counting_term(last_x, m, r, xcon, ycon):
+        # (success runs, failure runs) of the arrangements that start with
+        # either symbol and end with the last one; (0, 0), no runs, once
+        total = 0
+        for runs in range(m + r + 1):
+            for nx, ny in ((runs + 1, runs) if last_x else (runs, runs + 1), (runs, runs)):
+                total += side(xcon, nx, m) * side(ycon, ny, r)
+        return (total,)
 
     one = Fraction(1)
     for theta in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):

@@ -158,10 +158,13 @@ def test_kernel_values_are_monotone_in_q():
             assert 0 <= at0 <= at1
 
 
-def test_direct_budget_error():
+def test_direct_budget_error(monkeypatch):
+    from qbtrials import _core_py as core
+
+    monkeypatch.setattr(core, "_DIRECT_BUDGET", 10)
     spec = KernelSpec(ArrangementShape.FS, 12, 24, 24, Positive(), Positive())
     with pytest.raises(EnumerationBudgetError):
-        kernel_direct(spec, Fraction(1, 2), budget=10)
+        kernel_direct(spec, Fraction(1, 2))
 
 
 def test_shared_cache_is_thread_safe():
@@ -284,7 +287,7 @@ def test_cache_does_not_grow_with_q():
         if i == 0:
             first = sizes()
     assert sizes() == first
-    assert cache._term_memo and cache._cell_u_memo
+    assert cache._arrangement_memo and cache._cells_memo and cache._cell_u_memo
 
 
 def test_memo_entries_are_not_gc_tracked():
@@ -295,12 +298,15 @@ def test_memo_entries_are_not_gc_tracked():
     cache = KernelValueCache()
     for fam in FAMILY_NAMES:
         kernel_eval(family_spec(fam, 6, 5, 3, 2, 3), Fraction(1, 3), cache)
+    for last_x in (True, False):
+        cache.arrangement_poly(last_x, 6, 5, (1, 2, 0), (1, None, 3))
     cache.cell_polys(9, 2, 2)
     gc.collect()
     gc.collect()
-    assert cache._dp_memo
+    memos = (cache._dp_memo, cache._arrangement_memo, cache._cells_memo)
+    assert all(memos)
     assert not any(gc.is_tracked(key) or gc.is_tracked(value)
-                   for key, value in cache._dp_memo.items())
+                   for memo in memos for key, value in memo.items())
 
 
 def _horner_fraction(coeffs, q):
@@ -330,49 +336,128 @@ def test_integer_horner_matches_fraction_horner():
             assert type(got) is type(want), (coeffs, q, type(got), type(want))
 
 
-def _term_pairs():
-    """Every (family, s shift) tuple the distribution layer sums as a term."""
-    from qbtrials.distributions import _JOINT, _WAITING_FAMILIES
-
-    pairs = {tuple((fam, 0) for fam in families)
-             for sides in _WAITING_FAMILIES.values() for families in sides}
-    pairs |= {families for families, _, _ in _JOINT.values()}
-    return sorted(pairs)
-
-
-def test_term_equals_sum_of_named_kernels():
+def test_arrangement_poly_equals_direct_over_run_counts():
+    # the run-count-free recurrence against brute force summed over every
+    # run count and both first symbols, the empty arrangement once; with x
+    # parts from 0 (the longest-run cells) a leading empty success run is
+    # the empty prefix, so only arrangements that start with one count
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from qbtrials.kernels import kernel_term
+    from qbtrials import _core_py as core
 
-    cache = KernelValueCache()
-    reference = KernelValueCache()
+    def constraint(lo):
+        return st.tuples(st.just(lo), st.one_of(st.none(), st.integers(max(lo, 1), 5)),
+                         st.integers(0, 5))
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(_term_pairs()), st.integers(0, 9), st.integers(0, 9),
-           st.integers(0, 6), st.integers(1, 5), st.integers(1, 5),
-           st.fractions(min_value=0, max_value=1, max_denominator=60))
-    def check(pairs, m, r, s_max, k1, k2, q):
-        for qq in (q, float(q)):
-            got = kernel_term(pairs, m, r, s_max, k1, k2, qq, cache)
-            want = sum(named_kernel(fam, m, r, s + ds, k1, k2, qq, reference)
-                       for s in range(1, s_max + 1) for fam, ds in pairs)
-            if isinstance(qq, Fraction):
-                assert got == want and isinstance(got, (int, Fraction))
-            else:
-                assert isinstance(got, float)
-                assert got == pytest.approx(want, rel=1e-12, abs=0)
+    def reference(last_x, m, r, xcon, ycon):
+        total = [0] * (m * r + 1)
+        for first in (True,) if xcon[0] == 0 else (True, False):
+            for runs in range(max(m, r) + 2):
+                if first:
+                    nx, ny = (runs + 1, runs) if last_x else (runs, runs)
+                else:
+                    nx, ny = (runs, runs) if last_x else (runs, runs + 1)
+                for i, c in enumerate(core.kernel_direct_poly(first, nx, ny, m, r, xcon, ycon)):
+                    total[i] += c
+        while len(total) > 1 and total[-1] == 0:
+            total.pop()
+        return total
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.booleans(), st.integers(0, 7), st.integers(0, 7),
+           st.one_of(constraint(0), constraint(1)),
+           st.one_of(st.just((1, 1, 0)), constraint(1)))
+    def check(last_x, m, r, xcon, ycon):
+        got = core.arrangement_poly(last_x, m, r, xcon, ycon, {})
+        assert list(got) == reference(last_x, m, r, xcon, ycon)
 
     check()
 
 
+# (rel1, rel2) -> the paper's four families of a joint quadrant with their s
+# shifts, and the shifts of k1 and k2: a <= k quota bounds run lengths by k,
+# which the families' "< k" constraints express at k + 1
+_JOINT_FAMILIES = {
+    ("le", "le"): ((("D", 0), ("A", 0), ("C", 1), ("B", 0)), 1, 1),
+    ("le", "ge"): ((("M", 0), ("E", 0), ("N", 1), ("F", 0)), 1, 0),
+    ("ge", "le"): ((("H", 0), ("O", 0), ("G", 1), ("P", 0)), 0, 1),
+    ("ge", "ge"): ((("Q", 0), ("R", 0), ("S", 1), ("T", 0)), 0, 0),
+}
+
+
+def test_term_equals_sum_of_named_kernels():
+    # each waiting side's arrangement polynomial is its named kernels summed
+    # over s = 1..(count of the last symbol), plus the empty arrangement;
+    # each joint quadrant is its four named kernels summed over s and the
+    # failure count, plus the all-success sequence; exact at Fraction
+    # inputs, 1e-12 relative at float ones
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from qbtrials import ModelParams, Rel, joint_longest, q_pochhammer
+    from qbtrials.distributions import _WAITING_FAMILIES
+    from qbtrials.kernels import family_arrangement
+    from qbtrials.qcalc import poly_value
+
+    cache = KernelValueCache()
+    reference = KernelValueCache()
+    sides = sorted({families for pair in _WAITING_FAMILIES.values() for families in pair})
+    fractions = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+    def agree(got, want, q):
+        if isinstance(q, float):
+            assert isinstance(got, float)
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0)
+        else:
+            assert got == want and isinstance(got, (int, Fraction))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sides), st.integers(0, 9), st.integers(0, 9),
+           st.integers(1, 5), st.integers(1, 5), fractions)
+    def check_side(families, m, r, k1, k2, q):
+        last_x, xcon, ycon = family_arrangement(families[0], k1, k2)
+        assert all(family_arrangement(fam, k1, k2) == (last_x, xcon, ycon)
+                   for fam in families)
+        poly = cache.arrangement_poly(last_x, m, r, xcon, ycon)
+        empty = int(m == r == 0 and not xcon[2] and not ycon[2])
+        for qq in (q, float(q)):
+            want = empty + sum(named_kernel(fam, m, r, s, k1, k2, qq, reference)
+                               for s in range(1, (m if last_x else r) + 1)
+                               for fam in families)
+            agree(poly_value(poly, qq), want, qq)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(_JOINT_FAMILIES)), st.integers(0, 9),
+           st.integers(1, 5), st.integers(1, 5), st.booleans(), fractions,
+           st.fractions(min_value=Fraction(1, 60), max_value=1, max_denominator=60))
+    def check_joint(rels, n, k1, k2, zero_k, th, q):
+        rel1, rel2 = (Rel(rel) for rel in rels)
+        # a <= relation also takes k = 0
+        k1, k2 = (0 if zero_k and rel is Rel.LE else k for rel, k in ((rel1, k1), (rel2, k2)))
+        pairs, dk1, dk2 = _JOINT_FAMILIES[rels]
+        for tt, qq in ((th, q), (float(th), float(q))):
+            want = tt ** n if rel2 is Rel.LE and (n <= k1 if rel1 is Rel.LE else n >= k1) else 0
+            for y in range(1, n + 1):
+                kernels = sum(named_kernel(fam, n - y, y, s + ds, k1 + dk1, k2 + dk2, qq,
+                                           reference)
+                              for s in range(1, y + 1) for fam, ds in pairs)
+                want = want + tt ** (n - y) * q_pochhammer(tt, qq, y) * kernels
+            got = joint_longest(ModelParams(tt, qq), n, k1, rel1, k2, rel2, cache)
+            agree(got, want, qq)
+
+    check_side()
+    check_joint()
+
+
 def _u_sum(r, s, k, memo):
     """Coefficients of the U cells summed over t = 1..r full cells."""
-    from qbtrials import _core_py as core
-    from qbtrials.kernels import _poly_sum
+    from itertools import zip_longest
 
-    return list(_poly_sum(core.cell_poly_u(r, s, t, k, memo) for t in range(1, r + 1)))
+    from qbtrials import _core_py as core
+
+    cells = (core.cell_poly_u(r, s, t, k, memo) for t in range(1, r + 1))
+    return [sum(cs) for cs in zip_longest(*cells, fillvalue=0)] or [0]
 
 
 def test_cell_polys_equal_u_and_v_cells():
@@ -421,7 +506,7 @@ def test_cell_kernel_depth_is_one_frame_per_run():
     # one full: 799 runs peeled within the default recursion limit
     from qbtrials import _core_py as core
 
-    got = core.kernel_eval_poly(True, 400, 399, 3, 399, (0, 1, 1), (1, 1, 0), {})
+    got = core.arrangement_poly(True, 3, 399, (0, 1, 1), (1, 1, 0), {})
     assert list(got) == _u_sum(400, 3, 1, {})
 
 

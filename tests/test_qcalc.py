@@ -57,6 +57,18 @@ def test_q_pochhammer_examples():
     assert q_pochhammer(0.5, 0.5, 2) == pytest.approx(0.375, abs=TOL)
 
 
+def test_float_inputs_give_floats():
+    # empty products and out-of-range zeros follow the input regime too
+    for got, want in ((q_binomial(3, 5, 0.5), 0.0), (q_binomial(3, -1, 0.7), 0.0),
+                      (q_binomial(3, 0, 0.5), 1.0), (q_binomial(3, 3, 0.5), 1.0),
+                      (q_factorial(0, 0.5), 1.0), (q_pochhammer(0.5, 0.5, 0), 1.0),
+                      (q_pochhammer(0.5, Fraction(1, 2), 0), 1.0), (q_number(0, 0.5), 0.0)):
+        assert type(got) is float and got == want
+    for got, want in ((q_binomial(3, 5, Fraction(1, 2)), 0), (q_factorial(0, Fraction(1, 2)), 1),
+                      (q_pochhammer(Fraction(1, 2), Fraction(1, 2), 0), 1)):
+        assert type(got) is int and got == want
+
+
 def test_q_binomial_classical_limit_exact():
     for n in range(21):
         for m in range(n + 1):
