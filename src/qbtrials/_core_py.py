@@ -2,7 +2,7 @@
 
 Every kernel value is a polynomial in q with nonnegative integer
 coefficients, so the heavy lifting here is exact integer arithmetic on
-coefficient lists (index = power of q).  Sequence enumeration groups the
+coefficient tuples (index = power of q).  Sequence enumeration groups the
 2^n binary sequences by (failure count, success weight), which determines
 the probability of a sequence completely; callers turn the integer count
 tables into exact probabilities.  One walker steps many sequences through
@@ -46,6 +46,8 @@ def _materialize(total, parts, con, cap):
     return out
 
 
+_ZERO, _ONE = (0,), (1,)
+
 # most compositions on one side, and composition pairs, that
 # `kernel_direct_poly` enumerates
 _DIRECT_BUDGET = 2_000_000
@@ -63,24 +65,24 @@ def kernel_direct_poly(first_success, nx, ny, m, r, xcon, ycon):
     beyond `_DIRECT_BUDGET` compositions or pairs.
     """
     if m < 0 or r < 0 or nx < 0 or ny < 0:
-        return [0]
+        return _ZERO
     # the first run's symbol fixes which side may hold the extra run
     if first_success:
         if nx not in (ny, ny + 1):
-            return [0]
+            return _ZERO
     elif ny not in (nx, nx + 1):
-        return [0]
+        return _ZERO
     if nx == 0 and ny == 0:
         # no parts at all: met unless a side needs a part >= need
         ok = m == 0 and r == 0 and not xcon[2] and not ycon[2]
-        return [1] if ok else [0]
+        return _ONE if ok else _ZERO
 
     xcomps = _materialize(m, nx, xcon, _DIRECT_BUDGET)
     if not xcomps:
-        return [0]
+        return _ZERO
     ycomps = _materialize(r, ny, ycon, _DIRECT_BUDGET)
     if not ycomps:
-        return [0]
+        return _ZERO
     if len(xcomps) * len(ycomps) > _DIRECT_BUDGET:
         raise EnumerationBudgetError(
             f"{len(xcomps)}x{len(ycomps)} composition pairs exceed budget {_DIRECT_BUDGET}")
@@ -101,10 +103,7 @@ def kernel_direct_poly(first_success, nx, ny, m, r, xcon, ycon):
             coeffs[w] += 1
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return coeffs
-
-
-_ZERO, _ONE = (0,), (1,)
+    return tuple(coeffs)
 
 
 def _shift_add(dst, src, shift):
@@ -185,54 +184,35 @@ def arrangement_poly(last_x, m, r, xcon, ycon, memo, runs=None):
 
 
 def cell_poly_u(r, s, t, k, memo):
-    """Polynomial of the bounded-cell kernel with an exact count of full cells.
+    """Polynomial of the bounded-cell kernel with t full cells (memoized).
 
     Cells x_1..x_r take values 0..k with sum s and exactly t cells equal
-    to k; cell j carries weight (j-1)*x_j.
+    to k, or any number of them when t is None; cell j carries weight
+    (j-1)*x_j.  Peeling the last cell of a value a multiplies by
+    q**(a*(r-1)).  Values are coefficient tuples, as in `arrangement_poly`.
     """
-    if s < 0 or t < 0 or r < 1 or t > r or s > r * k:
-        return [0]
+    if s < 0 or r < 1 or s > r * k or t is not None and not 0 <= t <= r:
+        return _ZERO
     key = (r, s, t, k)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+    out = memo.get(key)
+    if out is not None:
+        return out
     if r == 1:
-        if (s == k and t == 1) or (s < k and t == 0):
-            result = [1]
-        else:
-            result = [0]
+        out = _ONE if t is None or t == (s == k) else _ZERO
     else:
-        result = [0]
-        for a in range(0, min(k, s) + 1):
-            child = cell_poly_u(r - 1, s - a, t - (1 if a == k else 0), k, memo)
-            if child != [0]:
-                _shift_add(result, child, a * (r - 1))
-        while len(result) > 1 and result[-1] == 0:
-            result.pop()
-    memo[key] = result
-    return result
+        acc = [0]
+        for a in range(min(k, s) + 1):
+            child = cell_poly_u(r - 1, s - a, t if t is None or a < k else t - 1, k, memo)
+            if child != _ZERO:
+                _shift_add(acc, child, a * (r - 1))
+        out = tuple(acc)
+    memo[key] = out
+    return out
 
 
 def cell_poly_v(r, s, k, memo):
     """Polynomial of the bounded-cell kernel without the full-cell count."""
-    if s < 0 or r < 1 or s > r * k:
-        return [0]
-    key = (r, s, k)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if r == 1:
-        result = [1]
-    else:
-        result = [0]
-        for a in range(0, min(k, s) + 1):
-            child = cell_poly_v(r - 1, s - a, k, memo)
-            if child != [0]:
-                _shift_add(result, child, a * (r - 1))
-        while len(result) > 1 and result[-1] == 0:
-            result.pop()
-    memo[key] = result
-    return result
+    return cell_poly_u(r, s, None, k, memo)
 
 
 def _uint(bound):

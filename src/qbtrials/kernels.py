@@ -7,7 +7,7 @@ evaluator covers every named family: the families differ only in arrangement
 shape and in the per-part constraints.
 
 Values are polynomials in q with nonnegative integer coefficients.  Only
-those q-independent coefficient lists are memoized; every value call
+those q-independent coefficient tuples are memoized; every value call
 evaluates its polynomial at q afresh with `qcalc.poly_value`, exactly at
 rational q (by integer Horner and one Fraction at the end).
 
@@ -19,7 +19,8 @@ covers every run count, so it is one run-count-free polynomial:
 per (last symbol, x, y, constraints) by `KernelValueCache.arrangement_poly`.
 `family_arrangement` gives a family's last symbol and constraints, and
 `named_kernel` stays the fixed-s kernel API and the reference the
-arrangement sums are tested against.
+arrangement sums are tested against: the same peel with the run count
+fixed, in the same memo under keys that carry the run count.
 
 The longest-run cells are the same recurrence: the y + 1 success runs
 around y failures, as arrangements that start and end with a success run
@@ -27,8 +28,9 @@ whose failure runs have length 1 (cell j carries weight j - 1 per item).
 The x constraint (0, k, 0) gives the V kernel and (0, k, k) the U kernels
 summed over t >= 1 full cells; `KernelValueCache.cell_polys` memoizes them
 per sequence length.  The paper's single-cell `longest_cell_kernel_U/V`
-keep their own recurrences, as API and as the reference the cells are
-tested against.
+keep one recurrence of their own, `core.cell_poly_u` (V is t = None, any
+number of full cells), as API and as the reference the cells are tested
+against.
 """
 
 from __future__ import annotations
@@ -151,25 +153,30 @@ class KernelValueCache:
 
     Kernel values are polynomials in q with nonnegative integer
     coefficients, so the memos hold only the q-independent coefficient
-    sequences and stay the same size however many q are asked for.  Every
+    tuples and stay the same size however many q are asked for.  Every
     call evaluates its polynomial at q afresh: exactly at int or Fraction
-    q, in floating point at float q.  The arrangement and cell memos hold
-    what the distribution layer sums (see `arrangement_poly` and
-    `cell_polys`); the U and V memos serve only the single-cell API.  One
-    lock guards every memo.
+    q, in floating point at float q.  There are three memos, one per
+    recurrence and one per table:
+
+    * `_arrangement_memo`: `core.arrangement_poly`, for the library sums
+      (run count None) and the fixed-s kernels (run count given);
+    * `_cell_memo`: `core.cell_poly_u`, the single-cell U and V kernels
+      (t None for V), which serve only that API;
+    * `_cells_memo`: one tuple of cell polynomials per longest-run table.
+
+    Keys and values hold only ints and None, so the garbage collector does
+    not track them.  One lock guards every memo.
     """
 
     def __init__(self) -> None:
-        self._dp_memo: dict = {}
         self._arrangement_memo: dict = {}
+        self._cell_memo: dict = {}
         self._cells_memo: dict = {}
-        self._cell_u_memo: dict = {}
-        self._cell_v_memo: dict = {}
         self._lock = threading.Lock()
 
     def poly(self, spec: KernelSpec) -> tuple:
         with self._lock:
-            return core.kernel_eval_poly(*spec.core_args(), self._dp_memo)
+            return core.kernel_eval_poly(*spec.core_args(), self._arrangement_memo)
 
     def value(self, spec: KernelSpec, q: Scalar) -> Scalar:
         return poly_value(self.poly(spec), q)
@@ -330,19 +337,20 @@ def named_kernel(
 def longest_cell_kernel_U(r: int, s: int, t: int, k: int, q: Scalar) -> Scalar:
     """Weighted count of ways to fill r cells with s items, cells capped at k,
     exactly t cells full; cell j carries weight (j-1) per item."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    c = _default_cache
-    with c._lock:
-        poly = core.cell_poly_u(r, s, t, k, c._cell_u_memo)
-    return poly_value(poly, q)
+    return _cell_value(r, s, t, k, q)
 
 
 def longest_cell_kernel_V(r: int, s: int, k: int, q: Scalar) -> Scalar:
     """Same as the U kernel but without the full-cell count constraint."""
+    return _cell_value(r, s, None, k, q)
+
+
+def _cell_value(r: int, s: int, t: int | None, k: int, q: Scalar) -> Scalar:
+    """`core.cell_poly_u` at q, memoized in the default cache; t None
+    counts any number of full cells."""
     if r < 1:
         raise ValueError("r must be >= 1")
     c = _default_cache
     with c._lock:
-        poly = core.cell_poly_v(r, s, k, c._cell_v_memo)
+        poly = core.cell_poly_u(r, s, t, k, c._cell_memo)
     return poly_value(poly, q)

@@ -31,13 +31,19 @@ def _one(*args: Scalar) -> Scalar:
     return 1
 
 
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """a / b, as an int when both are ints: every quotient taken here is the
+    value of an integer polynomial at an int q, so b divides a."""
+    return a // b if isinstance(a, int) and isinstance(b, int) else a / b
+
+
 def q_number(z: int, q: Scalar) -> Scalar:
     """[z]_q = (1 - q**z) / (1 - q), continuously extended to z at q = 1."""
     if z < 0:
         raise ValueError("z must be nonnegative")
     if q == 1:
         return z * _one(q)
-    return (1 - q ** z) / (1 - q)
+    return _div(1 - q ** z, 1 - q)
 
 
 def q_factorial(m: int, q: Scalar) -> Scalar:
@@ -54,7 +60,9 @@ def q_binomial(n: int, m: int, q: Scalar) -> Scalar:
     """Gaussian binomial coefficient; 0 outside 0 <= m <= n.
 
     Evaluated as a product of q-number ratios, which stays stable through
-    q = 1 (where it reduces to the ordinary binomial coefficient).
+    q = 1 (where it reduces to the ordinary binomial coefficient).  Each
+    partial product is itself a Gaussian binomial, an integer polynomial,
+    so at int q every division is exact.
     """
     if m < 0 or m > n:
         return 0 * _one(q)
@@ -63,7 +71,7 @@ def q_binomial(n: int, m: int, q: Scalar) -> Scalar:
     m = min(m, n - m)
     out = _one(q)
     for j in range(1, m + 1):
-        out = out * q_number(n - m + j, q) / q_number(j, q)
+        out = _div(out * q_number(n - m + j, q), q_number(j, q))
     return out
 
 

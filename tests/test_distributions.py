@@ -7,6 +7,7 @@ import pytest
 
 from qbtrials import (
     FreqQuota,
+    KernelValueCache,
     LongestAtMost,
     LongestEquals,
     Mode,
@@ -26,6 +27,7 @@ from qbtrials import (
     waiting_time_table,
 )
 from qbtrials.oracle import JointLongest
+from qbtrials.qcalc import TermSum
 
 HALF = ModelParams(Fraction(1, 2), Fraction(1, 2))
 IID = ModelParams(Fraction(1, 2), Fraction(1))
@@ -307,3 +309,53 @@ def test_classical_reduction_at_q_one_all_configs():
                         mode is Mode.LATER, n, counting_term)
                     assert classical == waiting_time_pmf(params, quota, n), (
                         s_freq, f_freq, mode, k1, k2, theta, n)
+
+
+@pytest.mark.parametrize("k1,k2,n", [(3, 2, 30), (4, 3, 40), (2, 5, 40)])
+@pytest.mark.parametrize("theta,q", [(Fraction(37, 100), Fraction(81, 100)),
+                                     (Fraction(4, 7), Fraction(5, 13))])
+def test_encodings_agree_beyond_enumeration(theta, q, k1, k2, n):
+    # all eight waiting theorems and the joint quadrants against other
+    # encodings of the same events, exactly, at n past the oracle's reach:
+    # a sooner wait has not ended by n iff neither side met its quota, a
+    # later one has ended iff both did
+    params = ModelParams(theta, q)
+    cache = KernelValueCache()
+    cells = cache.cell_polys(n, k1 - 1, 0)
+
+    def S(s_freq, f_freq, mode):
+        return waiting_time_table(params, make_quota(s_freq, f_freq, k1, k2, mode), n,
+                                  cache).total()
+
+    def J(a, rel1, b, rel2):
+        return joint_longest(params, n, a, rel1, b, rel2, cache)
+
+    def B(x):
+        return q_binomial_pmf(params, n, x)
+
+    def C(y):
+        # longest success run <= k1 - 1, y failures
+        terms = TermSum(theta, q, n)
+        terms.add(n - y, 0, y, cells[y])
+        return terms.total()
+
+    def D(x):
+        # longest failure run <= k2 - 1, x successes
+        y, ycon = n - x, (1, k2 - 1, 0)
+        terms = TermSum(theta, q, n)
+        terms.add(x, 0, y, cache.arrangement_poly(True, x, y, (1, None, 0), ycon))
+        if y:
+            terms.add(x, 0, y, cache.arrangement_poly(False, x, y, (1, None, 0), ycon))
+        return terms.total()
+
+    sooner, later = Mode.SOONER, Mode.LATER
+    assert 1 - S(False, False, sooner) == J(k1 - 1, Rel.LE, k2 - 1, Rel.LE)
+    assert S(False, False, later) == J(k1, Rel.GE, k2, Rel.GE)
+    assert S(True, True, sooner) == 1
+    assert S(True, True, later) == sum(B(x) for x in range(k1, n - k2 + 1))
+    assert 1 - S(False, True, sooner) == sum(C(y) for y in range(k2))
+    assert S(False, True, later) == sum(B(n - y) - C(y) for y in range(k2, n + 1))
+    assert 1 - S(True, False, sooner) == sum(D(x) for x in range(k1))
+    assert S(True, False, later) == sum(B(x) - D(x) for x in range(k1, n + 1))
+    assert (J(k1, Rel.LE, k2, Rel.LE) + J(k1, Rel.LE, k2 + 1, Rel.GE)
+            == longest_run_cdf(params, n, k1))

@@ -281,19 +281,24 @@ def test_cache_does_not_grow_with_q():
         params = ModelParams(Fraction(1, 3) if i % 2 else 1 / 3, q)
         assert kernel_eval(spec, q, cache) == kernel_direct(spec, q)
         longest_cell_kernel_U(4, 5, 1, 2, q)
+        longest_cell_kernel_V(4, 5, 2, q)
         waiting_time_table(params, quota, 9)
         joint_longest(params, 7, 2, Rel.LE, 2, Rel.GE)
         longest_run_pmf(params, 7, 2)
         if i == 0:
             first = sizes()
     assert sizes() == first
-    assert cache._arrangement_memo and cache._cells_memo and cache._cell_u_memo
+    assert set(first) == {"_arrangement_memo", "_cell_memo", "_cells_memo"}
+    assert all(first.values())
 
 
 def test_memo_entries_are_not_gc_tracked():
-    # keys and values are plain tuples of ints, which the garbage collector
-    # stops tracking, so a large memo does not slow every full collection
+    # keys and values are plain tuples of ints and None, which the garbage
+    # collector stops tracking, so a large memo does not slow every full
+    # collection; the single-cell kernels fill the default cache's cell memo
     import gc
+
+    from qbtrials.kernels import _default_cache
 
     cache = KernelValueCache()
     for fam in FAMILY_NAMES:
@@ -301,9 +306,14 @@ def test_memo_entries_are_not_gc_tracked():
     for last_x in (True, False):
         cache.arrangement_poly(last_x, 6, 5, (1, 2, 0), (1, None, 3))
     cache.cell_polys(9, 2, 2)
+    for t in range(4):
+        longest_cell_kernel_U(5, 6, t, 2, Fraction(1, 3))
+    longest_cell_kernel_V(5, 6, 2, Fraction(1, 3))
     gc.collect()
     gc.collect()
-    memos = (cache._dp_memo, cache._arrangement_memo, cache._cells_memo)
+    cells = _default_cache._cell_memo
+    assert {key[2] is None for key in cells} == {True, False}  # U and V entries
+    memos = (cache._arrangement_memo, cells, cache._cells_memo)
     assert all(memos)
     assert not any(gc.is_tracked(key) or gc.is_tracked(value)
                    for memo in memos for key, value in memo.items())
@@ -485,7 +495,7 @@ def test_cell_polys_equal_u_and_v_cells():
                 # too few items left for a full cell
                 assert full and want == [0], (n, k, y)
                 continue
-            assert list(cells[y]) == want, (n, k, full, y)
+            assert list(cells[y]) == list(want), (n, k, full, y)
             for qq in (q, float(q)):
                 if full:
                     ref = sum(longest_cell_kernel_U(r, s, t, k, qq) for t in range(1, r + 1))

@@ -64,9 +64,17 @@ def test_float_inputs_give_floats():
                       (q_factorial(0, 0.5), 1.0), (q_pochhammer(0.5, 0.5, 0), 1.0),
                       (q_pochhammer(0.5, Fraction(1, 2), 0), 1.0), (q_number(0, 0.5), 0.0)):
         assert type(got) is float and got == want
+    # at int q every q-number and Gaussian binomial is an integer
     for got, want in ((q_binomial(3, 5, Fraction(1, 2)), 0), (q_factorial(0, Fraction(1, 2)), 1),
-                      (q_pochhammer(Fraction(1, 2), Fraction(1, 2), 0), 1)):
+                      (q_pochhammer(Fraction(1, 2), Fraction(1, 2), 0), 1),
+                      (q_number(2, 0), 1), (q_binomial(3, 1, 0), 1),
+                      (q_binomial(4, 2, 2), 35), (q_factorial(3, 2), 21)):
         assert type(got) is int and got == want
+    for q, n in itertools.product((0, 2, 3, -2), range(9)):
+        for got, want in [(q_number(n, q), q_number(n, Fraction(q))),
+                          (q_factorial(n, q), q_factorial(n, Fraction(q)))] + [
+                (q_binomial(n, m, q), q_binomial(n, m, Fraction(q))) for m in range(n + 1)]:
+            assert type(got) is int and got == want, (q, n)
 
 
 def test_q_binomial_classical_limit_exact():
