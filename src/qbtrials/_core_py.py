@@ -1,8 +1,15 @@
 """The core: composition-kernel polynomials and the trial walker.
 
 Every kernel value is a polynomial in q with nonnegative integer
-coefficients, so the heavy lifting here is exact integer arithmetic on
-coefficient tuples (index = power of q).  Sequence enumeration groups the
+coefficients, so the heavy lifting here is exact integer arithmetic.  The
+library's arrangement polynomials come from `band_table`, a bottom-up fill
+with no recursion, one table per pair of bands (every run of a symbol in
+lo..hi), in which a polynomial is one packed int (coefficient i at bits
+w*i); `unpack` turns an entry into a coefficient tuple (index = power of
+q).  The top-down peel `arrangement_poly` stays as the paper's fixed-run-
+count kernel (`kernel_eval_poly`) and as the reference the tables are
+tested against; `cell_poly_u` is the single-cell kernel of the longest-run
+API, and `kernel_direct_poly` brute force.  Sequence enumeration groups the
 2^n binary sequences by (failure count, success weight), which determines
 the probability of a sequence completely; callers turn the integer count
 tables into exact probabilities.  One walker steps many sequences through
@@ -13,6 +20,7 @@ for enumeration, random draws of the model for Monte Carlo.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -114,6 +122,97 @@ def _shift_add(dst, src, shift):
         if c:
             dst[shift + i] += c
     return dst
+
+
+def packed_width(n, wide=False):
+    """Bits per coefficient of a packed polynomial in a table of size n, a
+    multiple of 8.  An arrangement of m + r <= n symbols whose runs are all
+    nonempty is its binary string, so a count is below 2**n and n + 1 bits
+    hold it.  With empty success runs (x lo 0) and failure runs of more than
+    one length, a failure run, an empty success run and a failure run differ
+    from the one merged failure run, so a count is only below
+    2**(m + 2r) <= 2**(2n): `wide` gives 2n + 1 bits."""
+    return (2 * n if wide else n) // 8 * 8 + 8
+
+
+def band_table(xband, yband, n, wide=False):
+    """Arrangement table of one pair of bands, bottom-up, as packed ints.
+
+    A band (lo, hi) bounds every run of its symbol to lo..hi (no cap when
+    hi is None); failure runs have lo >= 1.  Returns (n, S, F), where S and
+    F hold, column by column (r = 0..n, each m = 0..n - r; see
+    `table_index`), the q-weighted count of the arrangements of m successes
+    and r failures that end with a success run (S) or a failure run (F),
+    and the empty arrangement at (0, 0) in both: the top-down
+    `arrangement_poly` with need 0 on both sides.  A polynomial is one int,
+    coefficient i at bits w*i (w = `packed_width(n, wide)`), so q**s * P is
+    P << w*s.  S and F are flat tuples of ints, which the garbage collector
+    stops tracking.
+
+    The outer loop runs over r, and each entry costs O(1) int operations.
+    F[r][m] sums S[c][m] over c in r - hi..r - lo, a running sum per m with
+    no shift.  S[r][m] sums q**(r*a) F[r][m - a] over a in lo..hi, a window
+    that slides in m: shift by q**r, add the entering term, subtract the
+    leaving one.  Packing is linear and exact on ints, so a signed sum of
+    tables unpacks to the signed sum of their coefficients when each of
+    those fits in w bits.
+    """
+    xlo, xhi = xband
+    ylo, yhi = yband
+    w = packed_width(n, wide)
+    s_cols, f_cols = [], []
+    acc = [0] * (n + 1)  # acc[m]: the failure window over columns c of S
+    for r in range(n + 1):
+        size = n - r + 1
+        if ylo == yhi:
+            # a window of one column: F shares S's ints (the longest-run cells)
+            f = s_cols[r - ylo][:size] if r >= ylo else [0] * size
+        else:
+            if r >= ylo:
+                col = s_cols[r - ylo]
+                for m in range(size):
+                    acc[m] += col[m]
+            if yhi is not None and r > yhi:
+                col = s_cols[r - yhi - 1]
+                for m in range(size):
+                    acc[m] -= col[m]
+            f = acc[:size]
+        if r == 0:
+            f[0] = 1  # the empty arrangement
+        step = w * r
+        enter, leave = step * xlo, None if xhi is None else step * (xhi + 1)
+        s = [0] * size
+        win = 0
+        for m in range(size):
+            win <<= step
+            if m >= xlo:
+                win += f[m - xlo] << enter
+            if leave is not None and m > xhi:
+                win -= f[m - xhi - 1] << leave
+            s[m] = win
+        if r == 0:
+            s[0] = 1
+        s_cols.append(s)
+        f_cols.append(f)
+    return n, tuple(chain.from_iterable(s_cols)), tuple(chain.from_iterable(f_cols))
+
+
+def table_index(n, m, r):
+    """Index of entry (m, r) in a flat table of size n: the columns before
+    column r hold n + 1, n, ..., n - r + 2 entries."""
+    return r * (n + 1) - r * (r - 1) // 2 + m
+
+
+def unpack(p, w):
+    """Coefficient tuple, trimmed, of a packed polynomial of width w bits
+    (a multiple of 8): one `to_bytes` and a slice per coefficient."""
+    if not p:
+        return _ZERO
+    step = w // 8
+    size = -(-p.bit_length() // w) * step
+    raw = p.to_bytes(size, "little")
+    cuts = map(slice, range(0, size, step), range(step, size + step, step))
+    return tuple(map(int.from_bytes, map(raw.__getitem__, cuts), repeat("little")))
 
 
 def kernel_eval_poly(first_success, nx, ny, m, r, xcon, ycon, memo):

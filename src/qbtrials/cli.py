@@ -13,6 +13,7 @@ import contextlib
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .distributions import (
@@ -148,10 +149,18 @@ def _params(parser, args) -> ModelParams:
         parser.error(str(exc))
 
 
+def _digits(n: int) -> str:
+    """Decimal digits of an int of any size: Decimal converts without the
+    interpreter's limit on int-to-string digits, and prints an integral
+    value as its plain digits, as str does."""
+    return str(Decimal(n))
+
+
 def _fmt_value(v, exact: bool, precision: int) -> str:
     if exact:
         f = Fraction(v)
-        return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+        num = _digits(f.numerator)
+        return f"{num}/{_digits(f.denominator)}" if f.denominator != 1 else num
     return format(float(v), f".{precision}g")
 
 

@@ -9,7 +9,8 @@ where the paper's K sums two or four kernels over the run index s.  The
 families of one sum end with the same symbol under the same constraints,
 and s covers every feasible run count, so K is the q-weighted count of all
 arrangements of x successes and y failures that end with that symbol
-(`KernelValueCache.arrangement_poly`, one memoized polynomial per term).
+(`KernelValueCache.arrangement_poly`, one memoized polynomial per term,
+read off the cache's bottom-up band tables of packed ints).
 
 * `_WAITING_FAMILIES`, keyed (success freq?, failure freq?, later?), holds
   the families summed when the success side stops the wait and those summed
@@ -26,12 +27,15 @@ arrangements of x successes and y failures that end with that symbol
   a = x, b = 0 and c = y.
 
 The longest-run PMF and CDF are one sum over the failure count y of the
-same recurrence's cell polynomials (`KernelValueCache.cell_polys`): the
-y + 1 success runs are at most k long and, for the PMF, one of them is
-exactly k.  Each probability hands its terms' exponents and polynomials to
-one `qcalc.TermSum`: at rational theta = c/d and q = a/b the whole sum is
-one integer over d**n * b**B, and one Fraction is built at the end; at
-float inputs each term is a float product, added in the same order.
+same tables' cell polynomials (`KernelValueCache.cell_polys`): the y + 1
+success runs are at most k long and, for the PMF, one of them is exactly k,
+which is the band (0, k) minus the band (0, k - 1), so PMF(k) shares its
+tables with CDF(k) and CDF(k - 1).  Each function that reads polynomials
+takes an optional `KernelValueCache` and uses the module-level one without
+it.  Each probability hands its terms' exponents and polynomials to one
+`qcalc.TermSum`: at rational theta = c/d and q = a/b the whole sum is one
+integer over d**n * b**B, and one Fraction is built at the end; at float
+inputs each term is a float product, added in the same order.
 
 Sum ranges are generous where feasibility is subtle; kernels vanish outside
 their domains.  Exact (Fraction) inputs produce exact outputs.
@@ -187,17 +191,27 @@ def q_binomial_pmf(params: ModelParams, n: int, r: int) -> Scalar:
     return q_binomial(n, r, q) * th ** r * q_pochhammer(th, q, n - r)
 
 
-def longest_run_pmf(params: ModelParams, n: int, k: int) -> Scalar:
+def longest_run_pmf(
+    params: ModelParams,
+    n: int,
+    k: int,
+    cache: KernelValueCache | None = None,
+) -> Scalar:
     """P(longest success run in n trials = k)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     th, q = params.theta, params.q
     if k < 0 or k > n:
         return _zero(th, q)
-    return _longest_mass(th, q, n, k, k)
+    return _longest_mass(th, q, n, k, k, cache or _default_cache)
 
 
-def longest_run_cdf(params: ModelParams, n: int, k: int) -> Scalar:
+def longest_run_cdf(
+    params: ModelParams,
+    n: int,
+    k: int,
+    cache: KernelValueCache | None = None,
+) -> Scalar:
     """P(longest success run in n trials <= k)."""
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -206,14 +220,14 @@ def longest_run_cdf(params: ModelParams, n: int, k: int) -> Scalar:
         return _zero(th, q)
     if k >= n:
         return _zero(th, q) + 1
-    return _longest_mass(th, q, n, k, 0)
+    return _longest_mass(th, q, n, k, 0, cache or _default_cache)
 
 
-def _longest_mass(th, q, n, k, need):
+def _longest_mass(th, q, n, k, need, cache):
     """Mass of the length-n sequences whose success runs are all <= k and,
     unless need is 0, one of them >= need."""
     terms = TermSum(th, q, n)
-    for y, cell in enumerate(_default_cache.cell_polys(n, k, need)):
+    for y, cell in enumerate(cache.cell_polys(n, k, need)):
         terms.add(n - y, 0, y, cell)
     return terms.total()
 
@@ -263,12 +277,12 @@ def waiting_time_table(
     offset = support_min(quota)
     if n_max < offset:
         raise ValueError(f"n_max={n_max} is below the support minimum {offset}")
-    probs = []
+    # n_max first, so the band tables are built at full size, not again per n
+    probs = [waiting_time_pmf(params, quota, n, cache) for n in range(n_max, offset - 1, -1)]
+    probs.reverse()
     running: Scalar = 0
-    for n in range(offset, n_max + 1):
-        p = waiting_time_pmf(params, quota, n, cache)
+    for p in probs:
         running = running + p
-        probs.append(p)
     # an exact table may not exceed 1 at all, a float one by rounding only
     if running > 1 + (_SUM_SLACK if isinstance(running, float) else 0):
         raise ValueError(f"partial sums exceed 1: {running}")

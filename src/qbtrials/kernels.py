@@ -14,20 +14,25 @@ rational q (by integer Horner and one Fraction at the end).
 Each theorem of the distribution layer sums kernels over the run index s
 and over the families that end with the same symbol under the same
 constraints.  For each run arrangement (x successes, y failures) that sum
-covers every run count, so it is one run-count-free polynomial:
-`core.arrangement_poly`, the same peel without the run counts, memoized
+covers every run count, so it is one run-count-free polynomial, memoized
 per (last symbol, x, y, constraints) by `KernelValueCache.arrangement_poly`.
+It is read off `core.band_table`, a bottom-up table of packed ints per pair
+of bands (each side's lo..hi); a constraint that needs some part >= need
+is its band minus the band capped at need - 1, so one entry is a signed sum
+of up to four tables, unpacked once.  The tables are memoized per band
+pair and rebuilt at the entry's size when it lies beyond them.
 `family_arrangement` gives a family's last symbol and constraints, and
-`named_kernel` stays the fixed-s kernel API and the reference the
-arrangement sums are tested against: the same peel with the run count
-fixed, in the same memo under keys that carry the run count.
+`named_kernel` stays the fixed-s kernel API: the top-down peel
+`core.arrangement_poly` with the run count fixed, in the same memo under
+keys that carry the run count.  The same peel without the run count is the
+reference the tables are tested against.
 
-The longest-run cells are the same recurrence: the y + 1 success runs
-around y failures, as arrangements that start and end with a success run
-whose failure runs have length 1 (cell j carries weight j - 1 per item).
-The x constraint (0, k, 0) gives the V kernel and (0, k, k) the U kernels
-summed over t >= 1 full cells; `KernelValueCache.cell_polys` memoizes them
-per sequence length.  The paper's single-cell `longest_cell_kernel_U/V`
+The longest-run cells are the same tables: the y + 1 success runs around y
+failures, as arrangements that start and end with a success run whose
+failure runs have length 1 (cell j carries weight j - 1 per item).  The x
+constraint (0, k, 0) gives the V kernel and (0, k, k) the U kernels summed
+over t >= 1 full cells; `KernelValueCache.cell_polys` memoizes them per
+sequence length.  The paper's single-cell `longest_cell_kernel_U/V`
 keep one recurrence of their own, `core.cell_poly_u` (V is t = None, any
 number of full cells), as API and as the reference the cells are tested
 against.
@@ -147,28 +152,42 @@ class KernelSpec:
         )
 
 
+def _bands(con: tuple) -> tuple:
+    """(band, sign) pairs whose signed sum is the constraint (lo, hi, need):
+    every part in lo..hi, minus, when need is set, every part in
+    lo..min(hi, need - 1)."""
+    lo, hi, need = con
+    if not need:
+        return (((lo, hi), 1),)
+    return (((lo, hi), 1), ((lo, need - 1 if hi is None else min(hi, need - 1)), -1))
+
+
 class KernelValueCache:
     """Memo of kernel, arrangement and longest-run cell polynomials; safe to
     share across threads.
 
     Kernel values are polynomials in q with nonnegative integer
-    coefficients, so the memos hold only the q-independent coefficient
-    tuples and stay the same size however many q are asked for.  Every
-    call evaluates its polynomial at q afresh: exactly at int or Fraction
-    q, in floating point at float q.  There are three memos, one per
-    recurrence and one per table:
+    coefficients, so the memos hold only the q-independent coefficients
+    and stay the same size however many q are asked for.  Every call
+    evaluates its polynomial at q afresh: exactly at int or Fraction q, in
+    floating point at float q.  There are four memos:
 
-    * `_arrangement_memo`: `core.arrangement_poly`, for the library sums
-      (run count None) and the fixed-s kernels (run count given);
+    * `_band_memo`: one `core.band_table` per pair of bands and packing
+      width, packed ints;
+    * `_arrangement_memo`: the library's arrangement polynomials, read off
+      the band tables (run count None), and the top-down
+      `core.arrangement_poly` entries of the fixed-s kernels (run count
+      given);
     * `_cell_memo`: `core.cell_poly_u`, the single-cell U and V kernels
       (t None for V), which serve only that API;
     * `_cells_memo`: one tuple of cell polynomials per longest-run table.
 
-    Keys and values hold only ints and None, so the garbage collector does
-    not track them.  One lock guards every memo.
+    Keys and values hold only ints, None and tuples of them, so the garbage
+    collector does not track them.  One lock guards every write.
     """
 
     def __init__(self) -> None:
+        self._band_memo: dict = {}
         self._arrangement_memo: dict = {}
         self._cell_memo: dict = {}
         self._cells_memo: dict = {}
@@ -182,25 +201,54 @@ class KernelValueCache:
         return poly_value(self.poly(spec), q)
 
     def arrangement_poly(self, last_x: bool, m: int, r: int, xcon: tuple, ycon: tuple) -> tuple:
-        """`core.arrangement_poly`, memoized: the arrangements of m successes
-        and r failures ending with a success run iff `last_x`, and the empty
-        one; constraints are plain (lo, hi, need) tuples."""
-        with self._lock:
-            return core.arrangement_poly(last_x, m, r, xcon, ycon, self._arrangement_memo)
+        """The arrangements of m successes and r failures ending with a
+        success run iff `last_x`, and the empty one, as `core.arrangement_poly`
+        gives them; constraints are plain (lo, hi, need) tuples, and failure
+        runs have lo >= 1.  Memoized."""
+        key = (last_x, m, r, xcon, ycon, None)
+        out = self._arrangement_memo.get(key)
+        if out is None:
+            with self._lock:
+                out = self._arrangement_memo[key] = self._read(last_x, m, r, xcon, ycon)
+        return out
 
     def cell_polys(self, n: int, k: int, need: int) -> tuple:
         """Cell polynomials of the length-n sequences with y failures, for
         y = 0..n - need: the y + 1 success runs each of length 0..k and,
         unless need is 0, one of length >= need; memoized as one tuple."""
         key = (n, k, need)
-        with self._lock:
-            out = self._cells_memo.get(key)
-            if out is None:
-                cells, gaps = (0, k, need), (1, 1, 0)  # gaps: Bounded(1)
+        out = self._cells_memo.get(key)
+        if out is None:
+            cells, gaps = (0, k, need), (1, 1, 0)  # gaps: Bounded(1)
+            with self._lock:
                 out = self._cells_memo[key] = tuple(
-                    core.arrangement_poly(True, n - y, y, cells, gaps, self._arrangement_memo)
-                    for y in range(n - need + 1))
-            return out
+                    self._read(True, n - y, y, cells, gaps) for y in range(n - need + 1))
+        return out
+
+    def _read(self, last_x: bool, m: int, r: int, xcon: tuple, ycon: tuple) -> tuple:
+        """One entry off the band tables, by inclusion-exclusion over each
+        side's need, unpacked; the caller holds the lock.
+
+        The tables of one entry share one size and one packing width: a
+        table smaller than m + r or than another of the entry's is rebuilt
+        at the larger size.  The width is wide (`core.packed_width`) when
+        success runs may be empty and failure runs have more than one
+        length; it is part of the memo key, so the narrow tables of the
+        longest-run cells are never rebuilt wide.
+        """
+        if m < 0 or r < 0:
+            return core._ZERO
+        wide = not xcon[0] and ycon[0] != ycon[1]
+        keys = [((xb, yb, wide), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
+        memo = self._band_memo
+        size = max([m + r] + [memo[key][0] for key, _ in keys if key in memo])
+        total = 0
+        for key, sign in keys:
+            table = memo.get(key)
+            if table is None or table[0] < size:
+                table = memo[key] = core.band_table(key[0], key[1], size, wide)
+            total += sign * table[1 if last_x else 2][core.table_index(size, m, r)]
+        return core.unpack(total, core.packed_width(size, wide))
 
 
 _default_cache = KernelValueCache()

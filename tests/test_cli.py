@@ -53,6 +53,32 @@ def test_longest_table(capsys):
     assert out == "n,probability\n0,3/8\n1,3/8\n2,1/4\n"
 
 
+def test_exact_values_of_any_size(capsys):
+    # q's denominator is the Mersenne prime 2**521 - 1, so at n = 10 the
+    # exact values pass the 4,300 digits str() converts by default; they
+    # print in full, and the interpreter's limit is left as it was
+    import sys
+    from fractions import Fraction
+
+    from qbtrials import ModelParams, longest_run_pmf
+
+    limit = sys.get_int_max_str_digits()
+    prime = 2**521 - 1
+    code, out, _ = run_cli(capsys, "longest", "--n", "10", "--theta", "1/2",
+                           "--q", f"1/{prime}", "--exact")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    params = ModelParams(Fraction(1, 2), Fraction(1, prime))
+    values = [longest_run_pmf(params, 10, k) for k in range(11)]
+    sys.set_int_max_str_digits(0)
+    try:
+        want = "n,probability\n" + "".join(f"{k},{v}\n" for k, v in enumerate(values))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == want
+    assert max(len(line) for line in out.splitlines()) > 2 * 4300
+
+
 def test_longest_cdf_and_joint(capsys):
     code, out, _ = run_cli(
         capsys, "longest", "--n", "2", "--theta", "1/2", "--q", "1/2", "--cdf")

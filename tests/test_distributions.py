@@ -118,6 +118,35 @@ def test_longest_run_pmf_is_cdf_difference():
                 assert left == right
 
 
+def test_longest_run_pmf_is_cdf_difference_at_n_100():
+    # far beyond enumeration, exactly: the band tables at n = 100 hold
+    # coefficients wider than 64 bits
+    params = ModelParams(Fraction(37, 100), Fraction(81, 100))
+    cache = KernelValueCache()
+    pmf = longest_run_pmf(params, 100, 5, cache)
+    assert isinstance(pmf, Fraction) and 0 < pmf < 1
+    assert longest_run_cdf(params, 100, 5, cache) - longest_run_cdf(params, 100, 4, cache) == pmf
+
+
+def test_longest_run_fills_the_callers_cache():
+    # a caller's cache fills and the module-level one gains no entry; the
+    # calls without a cache, which use the module-level one, agree
+    from qbtrials.kernels import _default_cache
+
+    def sizes(cache):
+        return {name: len(v) for name, v in vars(cache).items() if isinstance(v, dict)}
+
+    params = ModelParams(Fraction(3, 7), Fraction(5, 11))
+    before = sizes(_default_cache)
+    cache = KernelValueCache()
+    values = [(longest_run_pmf(params, 13, k, cache), longest_run_cdf(params, 13, k, cache=cache))
+              for k in range(14)]
+    assert sizes(_default_cache) == before
+    assert cache._cells_memo and cache._band_memo
+    assert values == [(longest_run_pmf(params, 13, k), longest_run_cdf(params, 13, k))
+                      for k in range(14)]
+
+
 def test_longest_run_matches_oracle_trimmed():
     params = ModelParams(Fraction(2, 5), Fraction(3, 4))
     for n in range(0, 11):
@@ -189,6 +218,28 @@ def test_waiting_time_table_examples():
     assert ff.total() == 1
     with pytest.raises(ValueError):
         waiting_time_table(HALF, make_quota(False, False, 2, 2, Mode.LATER), 3)
+
+
+def test_waiting_time_table_does_not_rebuild_band_tables_as_n_grows(monkeypatch):
+    # a table asks for its largest n first, so a band table is not rebuilt
+    # as n grows: at most once more, where the two stopping sides (tails
+    # k1 and k2) ask one shared table for m + r = n - k1 and n - k2; its
+    # rows equal the one-n calls
+    from qbtrials import _core_py as core
+
+    built = []
+    real = core.band_table
+    monkeypatch.setattr(core, "band_table", lambda *args: built.append(args[:2]) or real(*args))
+    for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
+        quota = make_quota(s_freq, f_freq, 3, 2, mode)
+        cache = KernelValueCache()
+        table = waiting_time_table(HALF, quota, 30, cache)
+        assert built and max(map(built.count, built)) <= 2
+        assert len(set(built)) == len(cache._band_memo)
+        built.clear()
+        assert table.probs == [waiting_time_pmf(HALF, quota, n, KernelValueCache())
+                               for n in table.support()]
+        built.clear()
 
 
 @pytest.mark.parametrize("s_freq,f_freq", ALL_KINDS)

@@ -288,14 +288,15 @@ def test_cache_does_not_grow_with_q():
         if i == 0:
             first = sizes()
     assert sizes() == first
-    assert set(first) == {"_arrangement_memo", "_cell_memo", "_cells_memo"}
+    assert set(first) == {"_band_memo", "_arrangement_memo", "_cell_memo", "_cells_memo"}
     assert all(first.values())
 
 
 def test_memo_entries_are_not_gc_tracked():
-    # keys and values are plain tuples of ints and None, which the garbage
-    # collector stops tracking, so a large memo does not slow every full
-    # collection; the single-cell kernels fill the default cache's cell memo
+    # keys and values are plain tuples of ints and None (the band tables
+    # tuples of packed ints), which the garbage collector stops tracking, so
+    # a large memo does not slow every full collection; the single-cell
+    # kernels fill the default cache's cell memo
     import gc
 
     from qbtrials.kernels import _default_cache
@@ -313,8 +314,10 @@ def test_memo_entries_are_not_gc_tracked():
     gc.collect()
     cells = _default_cache._cell_memo
     assert {key[2] is None for key in cells} == {True, False}  # U and V entries
-    memos = (cache._arrangement_memo, cells, cache._cells_memo)
+    memos = (cache._band_memo, cache._arrangement_memo, cells, cache._cells_memo)
     assert all(memos)
+    # library entries (run count None) beside the fixed-s kernels' entries
+    assert {key[-1] is None for key in cache._arrangement_memo} == {True, False}
     assert not any(gc.is_tracked(key) or gc.is_tracked(value)
                    for memo in memos for key, value in memo.items())
 
@@ -346,6 +349,14 @@ def test_integer_horner_matches_fraction_horner():
             assert type(got) is type(want), (coeffs, q, type(got), type(want))
 
 
+def _constraints(lo, top):
+    """Part constraints (lo, hi, need) with hi None or up to top, need up to top."""
+    from hypothesis import strategies as st
+
+    return st.tuples(st.just(lo), st.one_of(st.none(), st.integers(max(lo, 1), top)),
+                     st.integers(0, top))
+
+
 def test_arrangement_poly_equals_direct_over_run_counts():
     # the run-count-free recurrence against brute force summed over every
     # run count and both first symbols, the empty arrangement once; with x
@@ -355,10 +366,6 @@ def test_arrangement_poly_equals_direct_over_run_counts():
     from hypothesis import strategies as st
 
     from qbtrials import _core_py as core
-
-    def constraint(lo):
-        return st.tuples(st.just(lo), st.one_of(st.none(), st.integers(max(lo, 1), 5)),
-                         st.integers(0, 5))
 
     def reference(last_x, m, r, xcon, ycon):
         total = [0] * (m * r + 1)
@@ -376,13 +383,86 @@ def test_arrangement_poly_equals_direct_over_run_counts():
 
     @settings(max_examples=400, deadline=None)
     @given(st.booleans(), st.integers(0, 7), st.integers(0, 7),
-           st.one_of(constraint(0), constraint(1)),
-           st.one_of(st.just((1, 1, 0)), constraint(1)))
+           st.one_of(_constraints(0, 5), _constraints(1, 5)),
+           st.one_of(st.just((1, 1, 0)), _constraints(1, 5)))
     def check(last_x, m, r, xcon, ycon):
         got = core.arrangement_poly(last_x, m, r, xcon, ycon, {})
         assert list(got) == reference(last_x, m, r, xcon, ycon)
 
     check()
+
+
+def test_band_tables_equal_top_down_peel():
+    # the bottom-up band tables, combined over each side's need and
+    # unpacked, against the top-down peel, coefficient for coefficient;
+    # one cache for every example, so the tables also grow between them
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from qbtrials import _core_py as core
+
+    cache = KernelValueCache()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.booleans(), st.integers(0, 10), st.integers(0, 10),
+           st.one_of(_constraints(0, 6), _constraints(1, 6)),
+           st.one_of(st.just((1, 1, 0)), _constraints(1, 6)))
+    def check(last_x, m, r, xcon, ycon):
+        want = core.arrangement_poly(last_x, m, r, xcon, ycon, {})
+        got = cache.arrangement_poly(last_x, m, r, xcon, ycon)
+        assert type(got) is tuple and list(got) == list(want)
+
+    check()
+
+
+def test_band_tables_grow():
+    # a query beyond the tables rebuilds them at its own size, and the
+    # tables of one entry share one size; every entry equals a fresh
+    # cache's, before and after each growth
+    cache = KernelValueCache()
+    xcon, ycon = (1, None, 3), (1, 4, 2)
+    entries = [(last_x, m, r) for last_x in (True, False) for m in range(8) for r in range(8)]
+    steps = ((2, 2), (14, 6), (3, 3), (11, 22), (5, 7))
+    for m, r in steps:
+        for last_x in (True, False):
+            got = cache.arrangement_poly(last_x, m, r, xcon, ycon)
+            assert got == KernelValueCache().arrangement_poly(last_x, m, r, xcon, ycon)
+    sizes = {table[0] for table in cache._band_memo.values()}
+    assert sizes == {11 + 22}  # the largest query, not more
+    for last_x, m, r in entries:
+        assert cache.arrangement_poly(last_x, m, r, xcon, ycon) == \
+            KernelValueCache().arrangement_poly(last_x, m, r, xcon, ycon)
+    # an entry whose tables differ in size rebuilds the smaller at the
+    # larger one's size, so both pack at one width
+    narrow, wide = ((1, 3), (1, 4), False), ((1, 5), (1, 4), False)
+    cache.arrangement_poly(True, 2, 2, (1, 3, 0), (1, 4, 0))
+    cache.arrangement_poly(True, 30, 30, (1, 5, 0), (1, 4, 0))
+    assert (cache._band_memo[narrow][0], cache._band_memo[wide][0]) == (4, 60)
+    for m, r in ((2, 2), (9, 6)):
+        assert cache.arrangement_poly(True, m, r, (1, 5, 4), (1, 4, 0)) == \
+            KernelValueCache().arrangement_poly(True, m, r, (1, 5, 4), (1, 4, 0))
+    assert (cache._band_memo[narrow][0], cache._band_memo[wide][0]) == (60, 60)
+
+
+def test_band_tables_pack_wide_with_empty_success_runs():
+    # with empty success runs and failure runs of more than one length, a
+    # failure run, an empty success run and a failure run count apart from
+    # the merged run, so coefficients outgrow n + 1 bits (here 51 bits at
+    # m + r = 44, against 48); the longest-run cells (failure runs of
+    # length 1) keep the narrow width
+    from qbtrials import _core_py as core
+
+    cache = KernelValueCache()
+    for xcon, ycon in (((0, None, 0), (1, None, 0)), ((0, 9, 0), (1, 6, 2)),
+                       ((0, None, 5), (1, None, 3))):
+        for last_x in (True, False):
+            want = core.arrangement_poly(last_x, 13, 31, xcon, ycon, {})
+            assert cache.arrangement_poly(last_x, 13, 31, xcon, ycon) == want
+    assert max(core.arrangement_poly(True, 13, 31, (0, None, 0), (1, None, 0), {})) \
+        >= 2 ** core.packed_width(44)
+    cache.cell_polys(44, 5, 0)
+    assert ((0, 5), (1, 1), False) in cache._band_memo
+    assert ((0, 5), (1, 1), True) not in cache._band_memo
 
 
 # (rel1, rel2) -> the paper's four families of a joint quadrant with their s
