@@ -6,10 +6,13 @@ library's arrangement polynomials come from `band_table`, a bottom-up fill
 with no recursion, one table per pair of bands (every run of a symbol in
 lo..hi), in which a polynomial is one packed int (coefficient i at bits
 w*i); `unpack` turns an entry into a coefficient tuple (index = power of
-q).  The top-down peel `arrangement_poly` stays as the paper's fixed-run-
-count kernel (`kernel_eval_poly`) and as the reference the tables are
-tested against; `cell_poly_u` is the single-cell kernel of the longest-run
-API, and `kernel_direct_poly` brute force.  Sequence enumeration groups the
+q).  `band_values` is the same fill on values at one rational q = a/b,
+each entry an integer numerator over a power of b: what an exact
+probability reads, with no unpacking and no Horner.  The top-down peel
+`arrangement_poly` stays as the paper's fixed-run-count kernel
+(`kernel_eval_poly`) and as the reference the tables are tested against;
+`cell_poly_u` is the single-cell kernel of the longest-run API, and
+`kernel_direct_poly` brute force.  Sequence enumeration groups the
 2^n binary sequences by (failure count, success weight), which determines
 the probability of a sequence completely; callers turn the integer count
 tables into exact probabilities.  One walker steps many sequences through
@@ -189,6 +192,69 @@ def band_table(xband, yband, n, wide=False):
                 win += f[m - xlo] << enter
             if leave is not None and m > xhi:
                 win -= f[m - xhi - 1] << leave
+            s[m] = win
+        if r == 0:
+            s[0] = 1
+        s_cols.append(s)
+        f_cols.append(f)
+    return n, tuple(chain.from_iterable(s_cols)), tuple(chain.from_iterable(f_cols))
+
+
+def band_values(xband, yband, n, a, b):
+    """`band_table` at q = a/b: the same fill, on values.
+
+    Returns (n, S, F) laid out as in `band_table`; entry (m, r) is the
+    integer numerator of its value over b**(m*r), since each of its
+    polynomials has degree <= m*r.  At b = 1 (int q, q = 1) the entries are
+    the values themselves, and q = 0 goes through 0**0 == 1.
+
+    The loops and the O(1) int operations per entry are those of
+    `band_table`, with the shift by q**s a multiply by a**s.  The failure
+    side's running sum moves from denominator b**(m*(r-1)) to b**(m*r) by
+    a multiply by b**m per step; the column that enters it is scaled by
+    b**(m*lo), the one that leaves by b**(m*(hi+1)).  The success window
+    W = W*a**r + F[m-lo]*a**(r*lo) - F[m-hi-1]*a**(r*(hi+1)) keeps
+    denominator b**(m*r).
+    """
+    xlo, xhi = xband
+    ylo, yhi = yband
+    # b**m, b**(m*lo) and b**(m*(hi+1)) per m for the failure side
+    step = [b ** m for m in range(n + 1)]
+    enter_f = [p ** ylo for p in step]
+    leave_f = None if yhi is None else [p ** (yhi + 1) for p in step]
+    s_cols, f_cols = [], []
+    acc = [0] * (n + 1)  # acc[m]: the failure window over columns c of S
+    for r in range(n + 1):
+        size = n - r + 1
+        if ylo == yhi:
+            # a window of one column (the longest-run cells)
+            f = list(map(int.__mul__, s_cols[r - ylo], enter_f[:size])) if r >= ylo \
+                else [0] * size
+        else:
+            if b != 1:
+                for m in range(size):
+                    acc[m] *= step[m]
+            if r >= ylo:
+                col = s_cols[r - ylo]
+                for m in range(size):
+                    acc[m] += col[m] * enter_f[m]
+            if leave_f is not None and r > yhi:
+                col = s_cols[r - yhi - 1]
+                for m in range(size):
+                    acc[m] -= col[m] * leave_f[m]
+            f = acc[:size]
+        if r == 0:
+            f[0] = 1  # the empty arrangement
+        shift = a ** r
+        enter, leave = shift ** xlo, None if xhi is None else shift ** (xhi + 1)
+        s = [0] * size
+        win = 0
+        for m in range(size):
+            win *= shift
+            if m >= xlo:
+                win += f[m - xlo] * enter
+            if leave is not None and m > xhi:
+                win -= f[m - xhi - 1] * leave
             s[m] = win
         if r == 0:
             s[0] = 1

@@ -8,9 +8,14 @@ run arrangements holding x successes and y failures.  Each term is
 where the paper's K sums two or four kernels over the run index s.  The
 families of one sum end with the same symbol under the same constraints,
 and s covers every feasible run count, so K is the q-weighted count of all
-arrangements of x successes and y failures that end with that symbol
-(`KernelValueCache.arrangement_poly`, one memoized polynomial per term,
-read off the cache's bottom-up band tables of packed ints).
+arrangements of x successes and y failures that end with that symbol.
+Each probability picks how K is read from its input types (`_mass`):
+
+* at exact theta and q = a/b, as the integer numerator over b**(x*y) of
+  K at a/b, one read of a flat table (`KernelValueCache.values`), built
+  bottom-up on values at that q and resolved once per side of the sum;
+* otherwise as the polynomial (`KernelValueCache.arrangement_poly`, read
+  off the cache's q-free band tables of packed ints) evaluated at q.
 
 * `_WAITING_FAMILIES`, keyed (success freq?, failure freq?, later?), holds
   the families summed when the success side stops the wait and those summed
@@ -27,15 +32,16 @@ read off the cache's bottom-up band tables of packed ints).
   a = x, b = 0 and c = y.
 
 The longest-run PMF and CDF are one sum over the failure count y of the
-same tables' cell polynomials (`KernelValueCache.cell_polys`): the y + 1
-success runs are at most k long and, for the PMF, one of them is exactly k,
-which is the band (0, k) minus the band (0, k - 1), so PMF(k) shares its
-tables with CDF(k) and CDF(k - 1).  Each function that reads polynomials
-takes an optional `KernelValueCache` and uses the module-level one without
-it.  Each probability hands its terms' exponents and polynomials to one
-`qcalc.TermSum`: at rational theta = c/d and q = a/b the whole sum is one
-integer over d**n * b**B, and one Fraction is built at the end; at float
-inputs each term is a float product, added in the same order.
+same tables' cells (values at exact inputs, `KernelValueCache.cell_polys`
+otherwise): the y + 1 success runs are at most k long and, for the PMF,
+one of them is exactly k, which is the band (0, k) minus the band
+(0, k - 1), so PMF(k) shares its tables with CDF(k) and CDF(k - 1).  Each
+function that reads kernels takes an optional `KernelValueCache` and uses
+the module-level one without it.  Each probability hands its terms'
+exponents and kernels to one `qcalc.TermSum`: at rational theta = c/d and
+q = a/b the whole sum is one integer over d**n * b**B, and one Fraction is
+built at the end; at float inputs each term is a float product, added in
+the same order.
 
 Sum ranges are generous where feasibility is subtle; kernels vanish outside
 their domains.  Exact (Fraction) inputs produce exact outputs.
@@ -43,6 +49,7 @@ their domains.  Exact (Fraction) inputs produce exact outputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -58,7 +65,7 @@ from .kernels import (
     named_kernel,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec
-from .qcalc import Scalar, TermSum, q_binomial, q_pochhammer
+from .qcalc import Scalar, TermSum, poly_value, q_binomial, q_pochhammer
 
 __all__ = [
     "Pmf",
@@ -109,10 +116,14 @@ _WAITING_FAMILIES: dict[tuple[bool, bool, bool], tuple[tuple[str, ...], tuple[st
     (True, True, True): (("Ibar", "Jbar"), ("Kbar", "Lbar")),   # Theorem 5.3
 }
 
+def _exact(th: Scalar, q: Scalar) -> bool:
+    """Whether theta and q are both exact: ints or Fractions."""
+    return isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction))
+
+
 def _zero(th: Scalar, q: Scalar) -> Scalar:
     """The int 0 for exact theta and q, 0.0 once either is a float."""
-    exact = isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction))
-    return 0 if exact else 0.0
+    return 0 if _exact(th, q) else 0.0
 
 
 def support_min(quota: QuotaSpec) -> int:
@@ -135,35 +146,73 @@ def waiting_time_pmf(
     if n < support_min(quota):
         return _zero(params.theta, params.q)
     sq, fq = quota.success_quota, quota.failure_quota
-    return _waiting_mass(params.theta, params.q, (sq.k, fq.k),
-                         (isinstance(sq, FreqQuota), isinstance(fq, FreqQuota)),
-                         quota.mode is Mode.LATER, n, (cache or _default_cache).arrangement_poly)
+    sides = _waiting_sides((sq.k, fq.k), (isinstance(sq, FreqQuota), isinstance(fq, FreqQuota)),
+                           quota.mode is Mode.LATER, n)
+    return _mass(params.theta, params.q, n, sides, cache or _default_cache)
 
 
-def _waiting_mass(th, q, ks, freqs, later, n, K):
-    """Sum of the stopping-side terms of one waiting-time theorem.
+@functools.lru_cache(maxsize=4096)
+def _waiting_sides(ks, freqs, later, n):
+    """The terms of one waiting-time theorem, one side per stopping side.
 
     Side j (0 = success, 1 = failure) stops the wait at trial n.  Under a
     run quota the last k_j trials are the tail run and the other side's
     count ranges; under a frequency quota side j holds exactly k_j trials,
-    the last of them on trial n.  K(last_x, x, y, xcon, ycon) is the
-    coefficient sequence of the side's kernels summed over s and over its
-    families, as `KernelValueCache.arrangement_poly`.
+    the last of them on trial n.  A side is (last_x, xcon, ycon, size,
+    rows), its kernels summed over s and over its families: each row
+    (i, j, f, x, y) is the term theta**i q**j (theta; q)_f K(x, y), K the
+    arrangements of x successes and y failures (x + y <= size) that end
+    with a success run iff last_x, under the constraints.
+
+    The terms do not depend on theta and q, so they are memoized as tuples:
+    building them costs about as much as evaluating them at float inputs.
+    The bound holds the terms of every n <= 30 of 8 configurations at
+    9 quota pairs.
     """
-    terms = TermSum(th, q, n)
+    sides = []
     for j, families in enumerate(_WAITING_FAMILIES[freqs[0], freqs[1], later]):
         last_x, xcon, ycon = family_arrangement(families[0], *ks)
         o = 1 - j
         tail = 0 if freqs[j] else ks[j]
-        t1, t0 = (tail, 0) if j == 0 else (0, tail)
         hi = n - ks[j]
         if freqs[o] and not later:
             hi = min(hi, ks[o] - 1)  # the other side must not reach its quota
         lo = n - ks[j] if freqs[j] else (ks[o] if later else 0)
-        for other in range(max(lo, 0), hi + 1):
-            own = n - tail - other
-            x, y = (own, other) if j == 0 else (other, own)
-            terms.add(x + t1, y * t1, y + t0, K(last_x, x, y, xcon, ycon))
+        others = range(max(lo, 0), hi + 1)
+        if j == 0:
+            # y failures and n - tail - y successes, then the success tail,
+            # whose successes each follow the y failures
+            rows = [(n - y, y * tail, y, n - tail - y, y) for y in others]
+        else:
+            # x successes and n - tail - x failures, then the failure tail
+            rows = [(x, 0, n - x, x, n - tail - x) for x in others]
+        sides.append((last_x, xcon, ycon, n - tail, tuple(rows)))
+    return tuple(sides)
+
+
+def _mass(th, q, n, sides, cache):
+    """Sum of the terms of `sides`, as `_waiting_sides` gives them, with
+    K read as the input types allow.
+
+    At exact theta and q = a/b, each side's value table at a/b is resolved
+    once (`KernelValueCache.values`) and a term's K is one read of it, an
+    integer numerator over b**(x*y).  Otherwise K is the arrangement
+    polynomial (`KernelValueCache.arrangement_poly`) evaluated at q.
+    """
+    terms = TermSum(th, q, n)
+    if terms.exact:
+        a, b = q.numerator, q.denominator
+        for last_x, xcon, ycon, size, rows in sides:
+            if not rows:
+                continue  # no table to build
+            starts, table = cache.values(a, b, last_x, xcon, ycon, size)
+            for i, j, f, x, y in rows:
+                terms.add(i, j, f, table[starts[y] + x], x * y)
+    else:
+        poly = cache.arrangement_poly
+        for last_x, xcon, ycon, _, rows in sides:
+            for i, j, f, x, y in rows:
+                terms.add(i, j, f, poly_value(poly(last_x, x, y, xcon, ycon), q))
     return terms.total()
 
 
@@ -225,10 +274,15 @@ def longest_run_cdf(
 
 def _longest_mass(th, q, n, k, need, cache):
     """Mass of the length-n sequences whose success runs are all <= k and,
-    unless need is 0, one of them >= need."""
+    unless need is 0, one of them >= need: the cells, y + 1 success runs
+    of 0..k around y failure runs of length 1."""
+    cells = (0, k, need)
+    if _exact(th, q):
+        rows = [(n - y, 0, y, n - y, y) for y in range(n - need + 1)]
+        return _mass(th, q, n, [(True, cells, (1, 1, 0), n, rows)], cache)
     terms = TermSum(th, q, n)
     for y, cell in enumerate(cache.cell_polys(n, k, need)):
-        terms.add(n - y, 0, y, cell)
+        terms.add(n - y, 0, y, poly_value(cell, q))
     return terms.total()
 
 
@@ -249,22 +303,16 @@ def joint_longest(
             raise ValueError("a >= relation needs k >= 1")
         if rel is Rel.LE and k < 0:
             raise ValueError("a <= relation needs k >= 0")
-    return _joint_mass(params.theta, params.q, n, k1, rel1, k2, rel2,
-                       (cache or _default_cache).arrangement_poly)
-
-
-def _joint_mass(th, q, n, k1, rel1, k2, rel2, K):
-    """Sum of the terms of one joint quadrant; K is the arrangement
-    polynomial, as in `_waiting_mass`."""
     # every run of the symbol <= k, or some run >= k
     xcon = (1, k1, 0) if rel1 is Rel.LE else (1, None, k1)
     ycon = (1, k2, 0) if rel2 is Rel.LE else (1, None, k2)
-    terms = TermSum(th, q, n)
-    for y in range(k2 if rel2 is Rel.GE else 0, n - (k1 if rel1 is Rel.GE else 0) + 1):
-        terms.add(n - y, 0, y, K(True, n - y, y, xcon, ycon))
-        if y:  # with no failure the empty arrangement, counted above, ends with one
-            terms.add(n - y, 0, y, K(False, n - y, y, xcon, ycon))
-    return terms.total()
+    ys = range(k2 if rel2 is Rel.GE else 0, n - (k1 if rel1 is Rel.GE else 0) + 1)
+    # its K ends with either symbol, one side each per y, in the order a
+    # float sum adds them; with no failure the empty arrangement, counted
+    # among those that end with a success run, ends with one
+    sides = [(last_x, xcon, ycon, n, [(n - y, 0, y, n - y, y)])
+             for y in ys for last_x in (True, False) if y or last_x]
+    return _mass(params.theta, params.q, n, sides, cache or _default_cache)
 
 
 def waiting_time_table(

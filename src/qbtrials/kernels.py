@@ -20,7 +20,16 @@ It is read off `core.band_table`, a bottom-up table of packed ints per pair
 of bands (each side's lo..hi); a constraint that needs some part >= need
 is its band minus the band capped at need - 1, so one entry is a signed sum
 of up to four tables, unpacked once.  The tables are memoized per band
-pair and rebuilt at the entry's size when it lies beyond them.
+pair and rebuilt at the entry's size when it lies beyond them.  These
+q-free polynomials serve float inputs and the kernel API.
+
+Exact probabilities need K only at their one rational q = a/b, so
+`KernelValueCache.values` runs the same bottom-up fill on values at a/b
+(`core.band_values`, integer numerators over b**(x*y)), with no unpacking
+and no Horner.  It combines each (last symbol, constraints)'s signed sum
+of band tables once, into one flat table a term reads with one index, and
+it holds the tables of one q at a time.
+
 `family_arrangement` gives a family's last symbol and constraints, and
 `named_kernel` stays the fixed-s kernel API: the top-down peel
 `core.arrangement_poly` with the run count fixed, in the same memo under
@@ -41,6 +50,7 @@ against.
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -163,14 +173,14 @@ def _bands(con: tuple) -> tuple:
 
 
 class KernelValueCache:
-    """Memo of kernel, arrangement and longest-run cell polynomials; safe to
-    share across threads.
+    """Memo of kernel, arrangement and longest-run cell polynomials, and of
+    arrangement values at one exact q; safe to share across threads.
 
     Kernel values are polynomials in q with nonnegative integer
-    coefficients, so the memos hold only the q-independent coefficients
-    and stay the same size however many q are asked for.  Every call
-    evaluates its polynomial at q afresh: exactly at int or Fraction q, in
-    floating point at float q.  There are four memos:
+    coefficients, so the polynomial memos hold only the q-independent
+    coefficients and stay the same size however many q are asked for.
+    Every call on them evaluates its polynomial at q afresh: exactly at int
+    or Fraction q, in floating point at float q.  There are four of them:
 
     * `_band_memo`: one `core.band_table` per pair of bands and packing
       width, packed ints;
@@ -182,6 +192,12 @@ class KernelValueCache:
       (t None for V), which serve only that API;
     * `_cells_memo`: one tuple of cell polynomials per longest-run table.
 
+    `_values` is (q, value memo): the value tables (`values`) of one exact
+    q = a/b, keyed q = (a, b), one `core.band_values` per pair of bands,
+    keyed (x band, y band), and one combined table per (last_x, xcon,
+    ycon).  A call at another q replaces the pair under the lock, so its
+    memory is that of one q's tables however many q are asked for.
+
     Keys and values hold only ints, None and tuples of them, so the garbage
     collector does not track them.  One lock guards every write.
     """
@@ -191,6 +207,7 @@ class KernelValueCache:
         self._arrangement_memo: dict = {}
         self._cell_memo: dict = {}
         self._cells_memo: dict = {}
+        self._values: tuple = (None, {})
         self._lock = threading.Lock()
 
     def poly(self, spec: KernelSpec) -> tuple:
@@ -224,6 +241,52 @@ class KernelValueCache:
                 out = self._cells_memo[key] = tuple(
                     self._read(True, n - y, y, cells, gaps) for y in range(n - need + 1))
         return out
+
+    def values(self, a: int, b: int, last_x: bool, xcon: tuple, ycon: tuple,
+               size: int) -> tuple:
+        """(starts, T): the arrangements of m successes and r failures that
+        end with a success run iff `last_x`, and the empty one, at q = a/b,
+        for every m + r <= n with n >= size.  Entry T[starts[r] + m] (T flat
+        as in `core.table_index`) is the integer numerator of
+        `arrangement_poly(last_x, m, r, xcon, ycon)` at a/b over b**(m*r).
+
+        Memoized for one q at a time: a call at another q swaps in an empty
+        value memo under the lock, so the memo holds the tables of one q.
+        Each (last_x, xcon, ycon) is the signed sum, over each side's need,
+        of up to four `core.band_values` tables, combined once.
+        """
+        key = (last_x, xcon, ycon)
+        q, memo = self._values  # one attribute, so the pair stays consistent
+        out = memo.get(key) if q == (a, b) else None
+        if out is None or out[0] < size:
+            with self._lock:
+                if self._values[0] != (a, b):
+                    self._values = (a, b), {}
+                memo = self._values[1]
+                out = memo.get(key)
+                if out is None or out[0] < size:
+                    out = memo[key] = self._combine(memo, a, b, last_x, xcon, ycon, size)
+        return out[1:]
+
+    @staticmethod
+    def _combine(memo: dict, a: int, b: int, last_x: bool, xcon: tuple, ycon: tuple,
+                 size: int) -> tuple:
+        """(n, starts, T): the signed sum T of an entry's band value tables,
+        which share one size n, rebuilt as in `_read`, and the index in T of
+        each column's first entry; the caller holds the lock."""
+        keys = [((xb, yb), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
+        size = max([size] + [memo[key][0] for key, _ in keys if key in memo])
+        total = None
+        for key, sign in keys:
+            table = memo.get(key)
+            if table is None or table[0] < size:
+                table = memo[key] = core.band_values(key[0], key[1], size, a, b)
+            col = table[1 if last_x else 2]
+            # the first key has sign 1
+            total = col if total is None else map(
+                operator.add if sign > 0 else operator.sub, total, col)
+        starts = tuple(core.table_index(size, 0, r) for r in range(size + 1))
+        return size, starts, tuple(total)
 
     def _read(self, last_x: bool, m: int, r: int, xcon: tuple, ycon: tuple) -> tuple:
         """One entry off the band tables, by inclusion-exclusion over each

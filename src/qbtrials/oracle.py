@@ -131,7 +131,7 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
     # each success, summed) has probability theta^(n-f) q^e (theta; q)_f
     terms = TermSum(params.theta, params.q, n)
     for (f, e), c in items:
-        terms.add(n - f, e, f, (c,))
+        terms.add(n - f, e, f, c)
     return terms.total()
 
 
@@ -233,8 +233,11 @@ def differential_scan(
                     exact = params.exact
                     label = f"{_quota_label(quota)} theta={theta} q={q}"
                     got = oracle_waiting_pmf(params, quota, grid.n_max)
-                    for n in range(lo, grid.n_max + 1):
-                        fv = formula(params, quota, n)
+                    # n_max first, as in `waiting_time_table`, so the
+                    # point's tables are built at full size, not once per n
+                    fvs = [formula(params, quota, n) for n in range(grid.n_max, lo - 1, -1)]
+                    fvs.reverse()
+                    for n, fv in enumerate(fvs, lo):
                         ov = got.probs[n - got.offset]
                         diff = abs(fv - ov)
                         bad = (diff != 0) if exact else (diff > DEFAULT_TOLERANCE)

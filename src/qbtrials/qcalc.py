@@ -5,11 +5,16 @@ All functions are total on their stated domains and exact when given
 (the ordinary combinatorial value).
 
 Every probability the package computes is a sum of terms
-theta**i * q**j * (theta; q)_f * P(q), with P an integer polynomial.
-`TermSum` adds such terms.  At rational theta = c/d and q = a/b every term
-of the n-th probability has a denominator dividing d**n * b**B for some B,
-so the exact sum is one integer numerator over that common denominator,
-and one `Fraction` is built at the end.
+theta**i * q**j * (theta; q)_f * K, with K an integer polynomial in q.
+`TermSum` adds such terms, each K given by its value: at rational q = a/b
+as an integer numerator over a power of b, read off a table of values at
+that q (or a sequence count, over b**0), so no caller evaluates a
+polynomial there; at float inputs as a float.  At rational
+theta = c/d and q = a/b every term of the n-th probability has a
+denominator dividing d**n * b**B for some B, so the exact sum is one
+integer numerator over that common denominator, and one `Fraction` is
+built at the end.  `poly_value` evaluates a polynomial at q, by integer
+Horner at Fraction q, for the float path and the single-kernel API.
 """
 
 from __future__ import annotations
@@ -118,26 +123,27 @@ def poly_value(coeffs, q: Scalar) -> Scalar:
 
 
 class TermSum:
-    """Sum of theta**i * q**j * (theta; q)_f * P(q) over the terms added,
-    for one (theta, q) and f <= n.
+    """Sum of theta**i * q**j * (theta; q)_f * K over the terms added, for
+    one (theta, q) and f <= n.
 
-    At exact theta = c/d and q = a/b a term is the integer
-    c**i a**j N_f H over d**(i+f) b**(j + f(f-1)/2 + deg P), where
-    N_f = prod_{k<f} (d b**k - c a**k) is the Pochhammer numerator and H the
-    Horner numerator of P at a/b.  The running numerator is rescaled when a
+    At exact theta = c/d and q = a/b, K is given as an integer H over
+    b**e, and the term is the integer c**i a**j N_f H over
+    d**(i+f) b**(j + f(f-1)/2 + e), where N_f = prod_{k<f} (d b**k - c a**k)
+    is the Pochhammer numerator.  The running numerator is rescaled when a
     term needs a larger power of d or b, and `total` builds one Fraction (an
-    int when neither input is a Fraction).  At float inputs each term is
-    th**i * q**j * (th; q)_f * P(q) in that order, as a product of floats.
+    int when neither input is a Fraction).  At float inputs K is its value,
+    and each term is th**i * q**j * (th; q)_f * K in that order, as a
+    product of floats.
 
-    A term whose polynomial is zero at q is skipped.  With no term added the
-    total is the int 0 at exact inputs and 0.0 at float ones; a term added
-    with a zero prefactor (theta = 1) makes an exact total Fraction(0).
+    A term whose K is zero is skipped.  With no term added the total is the
+    int 0 at exact inputs and 0.0 at float ones; a term added with a zero
+    prefactor (theta = 1) makes an exact total Fraction(0).
     """
 
     def __init__(self, th: Scalar, q: Scalar, n: int) -> None:
         self._th, self._q = th, q
-        self._exact = isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction))
-        if not self._exact:
+        self.exact = isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction))
+        if not self.exact:
             self._ffp = q_pochhammer_prefixes(th, q, n)
             self._total = 0.0
             return
@@ -152,21 +158,20 @@ class TermSum:
         self._d_exp = 0
         self._b_exp = 0
 
-    def add(self, i: int, j: int, f: int, coeffs) -> None:
-        """Add theta**i * q**j * (theta; q)_f * P(q), P given by its coefficients."""
-        if not self._exact:
-            v = poly_value(coeffs, self._q)
-            if v:
-                self._total = self._total + self._th ** i * self._q ** j * self._ffp[f] * v
+    def add(self, i: int, j: int, f: int, h: Scalar, e: int = 0) -> None:
+        """Add theta**i * q**j * (theta; q)_f * K, with K = h / b**e at exact
+        inputs (h an int) and K = h at float ones (e unused)."""
+        if not self.exact:
+            if h:
+                self._total = self._total + self._th ** i * self._q ** j * self._ffp[f] * h
             return
-        c, d, a, b = self._cdab
-        h = horner_numerator(coeffs, a, b)
         if not h:
             return
         self._added = True
+        c, d, a, b = self._cdab
         num = c ** i * a ** j * self._pochhammer[f] * h
         d_exp = i + f
-        b_exp = j + f * (f - 1) // 2 + len(coeffs) - 1
+        b_exp = j + f * (f - 1) // 2 + e
         if d_exp > self._d_exp:
             self._num *= d ** (d_exp - self._d_exp)
             self._d_exp = d_exp
@@ -180,7 +185,7 @@ class TermSum:
         self._num += num
 
     def total(self) -> Scalar:
-        if not self._exact:
+        if not self.exact:
             return self._total
         if not self._added:
             return 0

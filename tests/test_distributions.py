@@ -27,7 +27,7 @@ from qbtrials import (
     waiting_time_table,
 )
 from qbtrials.oracle import JointLongest
-from qbtrials.qcalc import TermSum
+from qbtrials.qcalc import TermSum, horner_numerator
 
 HALF = ModelParams(Fraction(1, 2), Fraction(1, 2))
 IID = ModelParams(Fraction(1, 2), Fraction(1))
@@ -129,22 +129,33 @@ def test_longest_run_pmf_is_cdf_difference_at_n_100():
 
 
 def test_longest_run_fills_the_callers_cache():
-    # a caller's cache fills and the module-level one gains no entry; the
+    # a caller's cache fills and the module-level one gains nothing: exact
+    # inputs fill the value memo at q, float ones the polynomial memos; the
     # calls without a cache, which use the module-level one, agree
     from qbtrials.kernels import _default_cache
 
-    def sizes(cache):
-        return {name: len(v) for name, v in vars(cache).items() if isinstance(v, dict)}
+    def state(cache):
+        q, values = cache._values
+        return q, len(values), {name: len(v) for name, v in vars(cache).items()
+                                if isinstance(v, dict)}
 
     params = ModelParams(Fraction(3, 7), Fraction(5, 11))
-    before = sizes(_default_cache)
+    floats = ModelParams(3 / 7, 5 / 11)
+    before = state(_default_cache)
     cache = KernelValueCache()
     values = [(longest_run_pmf(params, 13, k, cache), longest_run_cdf(params, 13, k, cache=cache))
               for k in range(14)]
-    assert sizes(_default_cache) == before
+    assert state(_default_cache) == before
+    assert cache._values[0] == (5, 11) and cache._values[1]
+    assert not cache._cells_memo and not cache._band_memo
+    float_values = [(longest_run_pmf(floats, 13, k, cache), longest_run_cdf(floats, 13, k, cache))
+                    for k in range(14)]
+    assert state(_default_cache) == before
     assert cache._cells_memo and cache._band_memo
     assert values == [(longest_run_pmf(params, 13, k), longest_run_cdf(params, 13, k))
                       for k in range(14)]
+    assert float_values == [(longest_run_pmf(floats, 13, k), longest_run_cdf(floats, 13, k))
+                            for k in range(14)]
 
 
 def test_longest_run_matches_oracle_trimmed():
@@ -224,22 +235,31 @@ def test_waiting_time_table_does_not_rebuild_band_tables_as_n_grows(monkeypatch)
     # a table asks for its largest n first, so a band table is not rebuilt
     # as n grows: at most once more, where the two stopping sides (tails
     # k1 and k2) ask one shared table for m + r = n - k1 and n - k2; its
-    # rows equal the one-n calls
+    # rows equal the one-n calls.  Exact inputs build value tables at q,
+    # float ones the polynomial tables
     from qbtrials import _core_py as core
 
     built = []
-    real = core.band_table
-    monkeypatch.setattr(core, "band_table", lambda *args: built.append(args[:2]) or real(*args))
-    for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
-        quota = make_quota(s_freq, f_freq, 3, 2, mode)
-        cache = KernelValueCache()
-        table = waiting_time_table(HALF, quota, 30, cache)
-        assert built and max(map(built.count, built)) <= 2
-        assert len(set(built)) == len(cache._band_memo)
-        built.clear()
-        assert table.probs == [waiting_time_pmf(HALF, quota, n, KernelValueCache())
-                               for n in table.support()]
-        built.clear()
+    for params, name in ((HALF, "band_values"), (ModelParams(0.5, 0.5), "band_table")):
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *args, real=real: built.append(args[:2])
+                            or real(*args))
+        for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
+            quota = make_quota(s_freq, f_freq, 3, 2, mode)
+            cache = KernelValueCache()
+            table = waiting_time_table(params, quota, 30, cache)
+            assert built and max(map(built.count, built)) <= 2
+            if name == "band_values":
+                # band pairs, beside the combined tables keyed (last_x, xcon, ycon)
+                bands = [key for key in cache._values[1] if len(key) == 2]
+                assert len(set(built)) == len(bands) and not cache._band_memo
+            else:
+                assert len(set(built)) == len(cache._band_memo) and not cache._values[1]
+            built.clear()
+            assert table.probs == [waiting_time_pmf(params, quota, n, KernelValueCache())
+                                   for n in table.support()]
+            built.clear()
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("s_freq,f_freq", ALL_KINDS)
@@ -326,7 +346,8 @@ def test_classical_reduction_at_q_one_run_run():
 def test_classical_reduction_at_q_one_all_configs():
     # substitute each term's classical count, the counting products summed
     # over the run counts, into the same assembly and compare against the
-    # evaluator at q = 1, all 8 configs
+    # evaluator at q = 1, all 8 configs; a count is its term's kernel, as
+    # the value tables give it at q = 1 (b = 1)
     from qbtrials import distributions as d
     from qbtrials.qcalc import count_M, count_R, count_S
 
@@ -345,7 +366,7 @@ def test_classical_reduction_at_q_one_all_configs():
         for runs in range(m + r + 1):
             for nx, ny in ((runs + 1, runs) if last_x else (runs, runs + 1), (runs, runs)):
                 total += side(xcon, nx, m) * side(ycon, ny, r)
-        return (total,)
+        return total
 
     one = Fraction(1)
     for theta in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
@@ -355,9 +376,12 @@ def test_classical_reduction_at_q_one_all_configs():
                     ALL_KINDS, (Mode.SOONER, Mode.LATER)):
                 quota = make_quota(s_freq, f_freq, k1, k2, mode)
                 for n in range(support_min(quota), 15):
-                    classical = d._waiting_mass(
-                        theta, one, (k1, k2), (s_freq, f_freq),
-                        mode is Mode.LATER, n, counting_term)
+                    terms = TermSum(theta, one, n)
+                    for last_x, xcon, ycon, _, rows in d._waiting_sides(
+                            (k1, k2), (s_freq, f_freq), mode is Mode.LATER, n):
+                        for i, j, f, x, y in rows:
+                            terms.add(i, j, f, counting_term(last_x, x, y, xcon, ycon))
+                    classical = terms.total()
                     assert classical == waiting_time_pmf(params, quota, n), (
                         s_freq, f_freq, mode, k1, k2, theta, n)
 
@@ -369,7 +393,8 @@ def test_encodings_agree_beyond_enumeration(theta, q, k1, k2, n):
     # all eight waiting theorems and the joint quadrants against other
     # encodings of the same events, exactly, at n past the oracle's reach:
     # a sooner wait has not ended by n iff neither side met its quota, a
-    # later one has ended iff both did
+    # later one has ended iff both did.  C and D sum the polynomial tables,
+    # the distributions read the value tables
     params = ModelParams(theta, q)
     cache = KernelValueCache()
     cells = cache.cell_polys(n, k1 - 1, 0)
@@ -384,19 +409,22 @@ def test_encodings_agree_beyond_enumeration(theta, q, k1, k2, n):
     def B(x):
         return q_binomial_pmf(params, n, x)
 
+    def add(terms, i, f, poly):
+        terms.add(i, 0, f, horner_numerator(poly, q.numerator, q.denominator), len(poly) - 1)
+
     def C(y):
         # longest success run <= k1 - 1, y failures
         terms = TermSum(theta, q, n)
-        terms.add(n - y, 0, y, cells[y])
+        add(terms, n - y, y, cells[y])
         return terms.total()
 
     def D(x):
         # longest failure run <= k2 - 1, x successes
         y, ycon = n - x, (1, k2 - 1, 0)
         terms = TermSum(theta, q, n)
-        terms.add(x, 0, y, cache.arrangement_poly(True, x, y, (1, None, 0), ycon))
+        add(terms, x, y, cache.arrangement_poly(True, x, y, (1, None, 0), ycon))
         if y:
-            terms.add(x, 0, y, cache.arrangement_poly(False, x, y, (1, None, 0), ycon))
+            add(terms, x, y, cache.arrangement_poly(False, x, y, (1, None, 0), ycon))
         return terms.total()
 
     sooner, later = Mode.SOONER, Mode.LATER
@@ -410,3 +438,32 @@ def test_encodings_agree_beyond_enumeration(theta, q, k1, k2, n):
     assert S(True, False, later) == sum(B(x) - D(x) for x in range(k1, n + 1))
     assert (J(k1, Rel.LE, k2, Rel.LE) + J(k1, Rel.LE, k2 + 1, Rel.GE)
             == longest_run_cdf(params, n, k1))
+
+
+def test_float_error_against_exact_beyond_enumeration():
+    # float values come from the packed polynomial tables evaluated at q,
+    # exact ones from the value tables at q: two independent evaluations,
+    # compared at two points and n up to 60 (rows of every n to 60, the
+    # joint quadrants and longest-run PMFs at n = 20, 40, 60); exact zeros
+    # stay 0.0.  One cache, so the float tables are built once
+    cache = KernelValueCache()
+    pairs = []
+    for theta, q in ((Fraction(37, 100), Fraction(81, 100)), (Fraction(4, 7), Fraction(5, 13))):
+        exact, floats = ModelParams(theta, q), ModelParams(float(theta), float(q))
+        for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
+            quota = make_quota(s_freq, f_freq, 3, 2, mode)
+            pairs += zip(waiting_time_table(floats, quota, 60, cache).probs,
+                         waiting_time_table(exact, quota, 60, cache).probs)
+        for n in (20, 40, 60):
+            for k1, rel1, k2, rel2 in ((3, Rel.LE, 2, Rel.LE), (3, Rel.LE, 3, Rel.GE),
+                                       (4, Rel.GE, 2, Rel.LE), (4, Rel.GE, 3, Rel.GE)):
+                pairs.append((joint_longest(floats, n, k1, rel1, k2, rel2, cache),
+                              joint_longest(exact, n, k1, rel1, k2, rel2, cache)))
+            pairs += [(longest_run_pmf(floats, n, k, cache), longest_run_pmf(exact, n, k, cache))
+                      for k in range(n + 1)]
+    zeros = [f for f, e in pairs if e == 0]
+    assert zeros and all(f == 0.0 for f in zeros)  # sooner freq/freq ends by n = 4
+    for f, e in pairs:
+        assert isinstance(f, float) and isinstance(e, (int, Fraction))
+        if e:
+            assert abs(Fraction(f) - e) <= Fraction(1, 10**12) * e, (f, e)

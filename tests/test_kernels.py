@@ -256,8 +256,9 @@ def test_caches_keep_float_and_fraction_regimes_apart():
 
 
 def test_cache_does_not_grow_with_q():
-    # the memos, term memos included, hold q-independent polynomials, so a
-    # new q adds no entry
+    # the polynomial memos, term memos included, hold q-independent
+    # polynomials, so a new q adds no entry; the value memo holds the
+    # tables of the last exact q only, the same ones at every exact q
     from qbtrials import (
         Mode,
         ModelParams,
@@ -287,14 +288,22 @@ def test_cache_does_not_grow_with_q():
         longest_run_pmf(params, 7, 2)
         if i == 0:
             first = sizes()
+        if i % 2:
+            value_q, memo = cache._values
+            assert value_q == (i + 1, 211)
+            values = {key: len(table[1]) for key, table in memo.items()}
+            if i == 1:
+                first_values = values
+            assert values == first_values
     assert sizes() == first
     assert set(first) == {"_band_memo", "_arrangement_memo", "_cell_memo", "_cells_memo"}
-    assert all(first.values())
+    assert all(first.values()) and first_values
 
 
 def test_memo_entries_are_not_gc_tracked():
     # keys and values are plain tuples of ints and None (the band tables
-    # tuples of packed ints), which the garbage collector stops tracking, so
+    # tuples of packed ints, the value tables flat tuples of numerators),
+    # which the garbage collector stops tracking, so
     # a large memo does not slow every full collection; the single-cell
     # kernels fill the default cache's cell memo
     import gc
@@ -307,6 +316,9 @@ def test_memo_entries_are_not_gc_tracked():
     for last_x in (True, False):
         cache.arrangement_poly(last_x, 6, 5, (1, 2, 0), (1, None, 3))
     cache.cell_polys(9, 2, 2)
+    for last_x in (True, False):
+        cache.values(1, 3, last_x, (1, 2, 0), (1, None, 3), 11)
+    cache.values(1, 3, True, (0, 2, 2), (1, 1, 0), 9)
     for t in range(4):
         longest_cell_kernel_U(5, 6, t, 2, Fraction(1, 3))
     longest_cell_kernel_V(5, 6, 2, Fraction(1, 3))
@@ -314,7 +326,8 @@ def test_memo_entries_are_not_gc_tracked():
     gc.collect()
     cells = _default_cache._cell_memo
     assert {key[2] is None for key in cells} == {True, False}  # U and V entries
-    memos = (cache._band_memo, cache._arrangement_memo, cells, cache._cells_memo)
+    memos = (cache._band_memo, cache._arrangement_memo, cells, cache._cells_memo,
+             cache._values[1])
     assert all(memos)
     # library entries (run count None) beside the fixed-s kernels' entries
     assert {key[-1] is None for key in cache._arrangement_memo} == {True, False}
@@ -413,6 +426,123 @@ def test_band_tables_equal_top_down_peel():
         assert type(got) is tuple and list(got) == list(want)
 
     check()
+
+
+def test_band_values_equal_band_tables_at_q():
+    # every entry of the value tables at q = a/b, over b**(m*r), against
+    # the packed polynomial tables unpacked and evaluated at q, for the
+    # bands of the constraints of `test_band_tables_equal_top_down_peel`;
+    # one cache's combined value tables (each side's need) against its
+    # polynomials, with the q changing between examples
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from qbtrials import _core_py as core
+    from qbtrials.kernels import _bands
+    from qbtrials.qcalc import poly_value
+
+    qs = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(-2)]),
+                   st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)))
+    cache = KernelValueCache()
+
+    def agree(xband, yband, n, q):
+        wide = not xband[0] and yband[0] != yband[1]
+        w = core.packed_width(n, wide)
+        _, polys_s, polys_f = core.band_table(xband, yband, n, wide)
+        size, values_s, values_f = core.band_values(xband, yband, n, q.numerator, q.denominator)
+        assert size == n and len(values_s) == len(values_f) == len(polys_s)
+        for r in range(n + 1):
+            for m in range(n - r + 1):
+                i = core.table_index(n, m, r)
+                for polys, values in ((polys_s, values_s), (polys_f, values_f)):
+                    assert Fraction(values[i], q.denominator ** (m * r)) == \
+                        poly_value(core.unpack(polys[i], w), q), (xband, yband, m, r, q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.integers(0, 10), st.integers(0, 10),
+           st.one_of(_constraints(0, 6), _constraints(1, 6)),
+           st.one_of(st.just((1, 1, 0)), _constraints(1, 6)), qs)
+    def check(last_x, m, r, xcon, ycon, q):
+        for xband, _ in _bands(xcon):
+            for yband, _ in _bands(ycon):
+                agree(xband, yband, m + r, q)
+        starts, table = cache.values(q.numerator, q.denominator, last_x, xcon, ycon, m + r)
+        assert len(starts) > m + r and starts[r] == core.table_index(len(starts) - 1, 0, r)
+        assert Fraction(table[starts[r] + m], q.denominator ** (m * r)) == \
+            poly_value(cache.arrangement_poly(last_x, m, r, xcon, ycon), q)
+
+    check()
+    # the wide width: empty success runs and failure runs of more than one
+    # length, whose counts outgrow n + 1 bits at m + r = 44
+    for q in (Fraction(81, 100), Fraction(-2)):
+        agree((0, None), (1, None), 44, q)
+
+
+def test_value_memo_is_swapped_under_the_lock():
+    # four threads (more than a 2-vCPU host has cores) share one cache and
+    # alternate between two exact q, half of them starting at each; each
+    # gets the single-thread values, because a call at another q swaps in
+    # the value memo of that q under the lock
+    import sys
+
+    from qbtrials import (
+        FreqQuota,
+        Mode,
+        ModelParams,
+        QuotaSpec,
+        Rel,
+        RunQuota,
+        joint_longest,
+        longest_run_pmf,
+        waiting_time_table,
+    )
+
+    points = (ModelParams(Fraction(2, 5), Fraction(3, 7)),
+              ModelParams(Fraction(4, 9), Fraction(5, 6)))
+    quota = QuotaSpec(RunQuota(3), FreqQuota(2), Mode.LATER)
+
+    def values(params, cache):
+        return (waiting_time_table(params, quota, 16, cache).probs,
+                joint_longest(params, 12, 2, Rel.LE, 3, Rel.GE, cache),
+                [longest_run_pmf(params, 14, k, cache) for k in range(15)])
+
+    # the threads also read one small value table directly, so that q
+    # changes between most calls
+    qs = [(p.q.numerator, p.q.denominator) for p in points]
+    entry = (True, (1, 2, 0), (1, None, 2), 4)
+    want = [values(params, KernelValueCache()) for params in points]
+    want_tables = [KernelValueCache().values(a, b, *entry) for a, b in qs]
+    cache = KernelValueCache()
+    results = ([], [], [], [])
+    tables = ([], [], [], [])
+
+    def worker(t):
+        for i in range(10):
+            j = (i + t) % 2
+            results[t].append((j, values(points[j], cache)))
+        for i in range(5000):
+            j = (i + t) % 2
+            tables[t].append((j, cache.values(*qs[j], *entry)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(r) == 10 for r in results) and all(len(r) == 5000 for r in tables)
+    for j, got in sum(results, []):
+        assert got == want[j]
+    for j, (starts, table) in sum(tables, []):
+        # the shared cache may hold a larger table of the same entries
+        want_starts, want_table = want_tables[j]
+        assert [table[starts[r] + m] for r in range(5) for m in range(5 - r)] == \
+            [want_table[want_starts[r] + m] for r in range(5) for m in range(5 - r)]
 
 
 def test_band_tables_grow():

@@ -219,6 +219,33 @@ def test_differential_scan_small_grid_matches():
         [(r.configuration, r.n) for r in again]
 
 
+def test_differential_scan_builds_value_tables_once_per_point(monkeypatch):
+    # each point's formula rows go from n_max down, so its value tables are
+    # built at full size once: at most twice per band pair, where the two
+    # stopping sides ask for n_max - k1 and n_max - k2 (as in
+    # `waiting_time_table`), not once per n.  q changes at every point, so
+    # each point starts from an empty value memo.  Reports stay ascending
+    from qbtrials import oracle
+
+    grid = ScanGrid(thetas=(Fraction(1, 3), Fraction(3, 4)),
+                    qs=(Fraction(1, 2), Fraction(7, 9)), k_pairs=((2, 3), (3, 2)), n_max=12)
+    points = []
+    real_values, real_oracle = core.band_values, oracle.oracle_waiting_pmf
+    monkeypatch.setattr(core, "band_values",
+                        lambda *args: points[-1].append(args[:2]) or real_values(*args))
+    monkeypatch.setattr(oracle, "oracle_waiting_pmf",
+                        lambda *args: points.append([]) or real_oracle(*args))
+    reports = differential_scan(grid)
+    assert len(points) == 8 * 2 * 2 * 2
+    # the first point may find the default cache's tables at its q
+    assert all(points[1:]) and all(built.count(band) <= 2 for built in points for band in built)
+    assert all(r.verdict == "match" for r in reports)
+    by_label = {}
+    for r in reports:
+        by_label.setdefault(r.configuration, []).append(r.n)
+    assert all(ns == list(range(ns[0], grid.n_max + 1)) for ns in by_label.values())
+
+
 def test_differential_scan_flags_corrupted_formula():
     grid = ScanGrid(
         thetas=(Fraction(1, 2),),
