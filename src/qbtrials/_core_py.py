@@ -2,17 +2,17 @@
 
 Every kernel value is a polynomial in q with nonnegative integer
 coefficients, so the heavy lifting here is exact integer arithmetic.  The
-library's arrangement polynomials come from `band_table`, a bottom-up fill
+library's arrangement counts come from `band_table`, a bottom-up fill
 with no recursion, one table per pair of bands (every run of a symbol in
-lo..hi), in which a polynomial is one packed int (coefficient i at bits
-w*i); `unpack` turns an entry into a coefficient tuple (index = power of
-q).  `band_values` is the same fill on values at one rational q = a/b,
-each entry an integer numerator over a power of b: what an exact
-probability reads, with no unpacking and no Horner.  The top-down peel
-`arrangement_poly` stays as the paper's fixed-run-count kernel
-(`kernel_eval_poly`) and as the reference the tables are tested against;
-`cell_poly_u` is the single-cell kernel of the longest-run API, and
-`kernel_direct_poly` brute force.  Sequence enumeration groups the
+lo..hi), at one rational q = a/b: each entry is an integer numerator over
+a power of b.  At q = 2**w (b = 1) an entry is its polynomial packed into
+one int, coefficient i at bits w*i, and `unpack` turns it into a
+coefficient tuple (index = power of q); at the q of an exact probability
+it is the value that probability reads, with no unpacking and no Horner.
+The top-down peel `arrangement_poly` stays as the paper's fixed-run-count
+kernel (`kernel_eval_poly`) and as the reference the tables are tested
+against; `cell_poly_u` is the single-cell kernel of the longest-run API,
+and `kernel_direct_poly` brute force.  Sequence enumeration groups the
 2^n binary sequences by (failure count, success weight), which determines
 the probability of a sequence completely; callers turn the integer count
 tables into exact probabilities.  One walker steps many sequences through
@@ -23,6 +23,7 @@ for enumeration, random draws of the model for Monte Carlo.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import chain, repeat
 
 import numpy as np
@@ -138,8 +139,8 @@ def packed_width(n, wide=False):
     return (2 * n if wide else n) // 8 * 8 + 8
 
 
-def band_table(xband, yband, n, wide=False):
-    """Arrangement table of one pair of bands, bottom-up, as packed ints.
+def band_table(xband, yband, n, a, b):
+    """Arrangement table of one pair of bands at q = a/b, bottom-up.
 
     A band (lo, hi) bounds every run of its symbol to lo..hi (no cap when
     hi is None); failure runs have lo >= 1.  Returns (n, S, F), where S and
@@ -147,114 +148,83 @@ def band_table(xband, yband, n, wide=False):
     `table_index`), the q-weighted count of the arrangements of m successes
     and r failures that end with a success run (S) or a failure run (F),
     and the empty arrangement at (0, 0) in both: the top-down
-    `arrangement_poly` with need 0 on both sides.  A polynomial is one int,
-    coefficient i at bits w*i (w = `packed_width(n, wide)`), so q**s * P is
-    P << w*s.  S and F are flat tuples of ints, which the garbage collector
-    stops tracking.
+    `arrangement_poly` with need 0 on both sides, at q.  Entry (m, r) is
+    the integer numerator of its value over b**(m*r), since each of its
+    polynomials has degree <= m*r; at b = 1 (int q, q = 1) it is the value
+    itself, and q = 0 goes through 0**0 == 1.  S and F are flat tuples of
+    ints, which the garbage collector stops tracking.
+
+    A polynomial with coefficients below 2**w, packed into one int with
+    coefficient i at bits w*i, is its value at q = 2**w: at a = 1 << w,
+    b = 1, with w = `packed_width(n, wide)`, the entries are the packed
+    polynomials.  At a power-of-two q = a (b = 1, a > 0) a step by q**s is
+    a shift by log2(a)*s bits, otherwise a multiply by a**s:
+    `x * (1 << k)` costs many times `x << k` in CPython.
 
     The outer loop runs over r, and each entry costs O(1) int operations.
-    F[r][m] sums S[c][m] over c in r - hi..r - lo, a running sum per m with
-    no shift.  S[r][m] sums q**(r*a) F[r][m - a] over a in lo..hi, a window
-    that slides in m: shift by q**r, add the entering term, subtract the
-    leaving one.  Packing is linear and exact on ints, so a signed sum of
-    tables unpacks to the signed sum of their coefficients when each of
-    those fits in w bits.
+    F[r][m] sums S[c][m] over c in r - hi..r - lo, a running sum per m that
+    moves from denominator b**(m*(r-1)) to b**(m*r) by a multiply by b**m;
+    the column that enters it is scaled by b**(m*lo), the one that leaves
+    by b**(m*(hi+1)).  At b = 1 nothing is scaled, so F's window of one
+    column (the longest-run cells) shares S's ints.  S[r][m] sums
+    q**(r*a) F[r][m - a] over a in lo..hi, a window that slides in m:
+    W = W*q**r + F[m-lo]*q**(r*lo) - F[m-hi-1]*q**(r*(hi+1)), denominator
+    b**(m*r).  The fill is linear and exact on ints, so a signed sum of
+    packed tables unpacks to the signed sum of their coefficients when
+    each of those fits in w bits.
     """
     xlo, xhi = xband
     ylo, yhi = yband
-    w = packed_width(n, wide)
+    if b == 1 and a > 0 and not a & (a - 1):
+        base, scale, power = a.bit_length() - 1, operator.lshift, operator.mul
+    else:
+        base, scale, power = a, operator.mul, pow
+    if b == 1:
+        step = enter_f = leave_f = None
+    else:
+        # b**m, b**(m*lo) and b**(m*(hi+1)) per m for the failure side
+        step = [b ** m for m in range(n + 1)]
+        enter_f = [p ** ylo for p in step]
+        leave_f = None if yhi is None else [p ** (yhi + 1) for p in step]
     s_cols, f_cols = [], []
     acc = [0] * (n + 1)  # acc[m]: the failure window over columns c of S
     for r in range(n + 1):
         size = n - r + 1
-        if ylo == yhi:
-            # a window of one column: F shares S's ints (the longest-run cells)
-            f = s_cols[r - ylo][:size] if r >= ylo else [0] * size
+        if r < ylo:
+            f = [0] * size
+        elif ylo == yhi:
+            # a window of one column (the longest-run cells)
+            col = s_cols[r - ylo]
+            f = col[:size] if step is None else list(map(operator.mul, col, enter_f[:size]))
         else:
-            if r >= ylo:
-                col = s_cols[r - ylo]
+            col = s_cols[r - ylo]
+            if step is None:
                 for m in range(size):
                     acc[m] += col[m]
+            else:
+                for m in range(size):
+                    acc[m] = acc[m] * step[m] + col[m] * enter_f[m]
             if yhi is not None and r > yhi:
                 col = s_cols[r - yhi - 1]
-                for m in range(size):
-                    acc[m] -= col[m]
+                if step is None:
+                    for m in range(size):
+                        acc[m] -= col[m]
+                else:
+                    for m in range(size):
+                        acc[m] -= col[m] * leave_f[m]
             f = acc[:size]
         if r == 0:
             f[0] = 1  # the empty arrangement
-        step = w * r
-        enter, leave = step * xlo, None if xhi is None else step * (xhi + 1)
+        shift = power(base, r)
+        enter, leave = power(shift, xlo), None if xhi is None else power(shift, xhi + 1)
         s = [0] * size
         win = 0
         for m in range(size):
-            win <<= step
+            win = scale(win, shift)
             if m >= xlo:
-                win += f[m - xlo] << enter
+                win += scale(f[m - xlo], enter)
             if leave is not None and m > xhi:
-                win -= f[m - xhi - 1] << leave
-            s[m] = win
-        if r == 0:
-            s[0] = 1
-        s_cols.append(s)
-        f_cols.append(f)
-    return n, tuple(chain.from_iterable(s_cols)), tuple(chain.from_iterable(f_cols))
-
-
-def band_values(xband, yband, n, a, b):
-    """`band_table` at q = a/b: the same fill, on values.
-
-    Returns (n, S, F) laid out as in `band_table`; entry (m, r) is the
-    integer numerator of its value over b**(m*r), since each of its
-    polynomials has degree <= m*r.  At b = 1 (int q, q = 1) the entries are
-    the values themselves, and q = 0 goes through 0**0 == 1.
-
-    The loops and the O(1) int operations per entry are those of
-    `band_table`, with the shift by q**s a multiply by a**s.  The failure
-    side's running sum moves from denominator b**(m*(r-1)) to b**(m*r) by
-    a multiply by b**m per step; the column that enters it is scaled by
-    b**(m*lo), the one that leaves by b**(m*(hi+1)).  The success window
-    W = W*a**r + F[m-lo]*a**(r*lo) - F[m-hi-1]*a**(r*(hi+1)) keeps
-    denominator b**(m*r).
-    """
-    xlo, xhi = xband
-    ylo, yhi = yband
-    # b**m, b**(m*lo) and b**(m*(hi+1)) per m for the failure side
-    step = [b ** m for m in range(n + 1)]
-    enter_f = [p ** ylo for p in step]
-    leave_f = None if yhi is None else [p ** (yhi + 1) for p in step]
-    s_cols, f_cols = [], []
-    acc = [0] * (n + 1)  # acc[m]: the failure window over columns c of S
-    for r in range(n + 1):
-        size = n - r + 1
-        if ylo == yhi:
-            # a window of one column (the longest-run cells)
-            f = list(map(int.__mul__, s_cols[r - ylo], enter_f[:size])) if r >= ylo \
-                else [0] * size
-        else:
-            if b != 1:
-                for m in range(size):
-                    acc[m] *= step[m]
-            if r >= ylo:
-                col = s_cols[r - ylo]
-                for m in range(size):
-                    acc[m] += col[m] * enter_f[m]
-            if leave_f is not None and r > yhi:
-                col = s_cols[r - yhi - 1]
-                for m in range(size):
-                    acc[m] -= col[m] * leave_f[m]
-            f = acc[:size]
-        if r == 0:
-            f[0] = 1  # the empty arrangement
-        shift = a ** r
-        enter, leave = shift ** xlo, None if xhi is None else shift ** (xhi + 1)
-        s = [0] * size
-        win = 0
-        for m in range(size):
-            win *= shift
-            if m >= xlo:
-                win += f[m - xlo] * enter
-            if leave is not None and m > xhi:
-                win -= f[m - xhi - 1] * leave
+                win -= scale(f[m - xhi - 1], leave)
             s[m] = win
         if r == 0:
             s[0] = 1

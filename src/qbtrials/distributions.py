@@ -9,13 +9,15 @@ where the paper's K sums two or four kernels over the run index s.  The
 families of one sum end with the same symbol under the same constraints,
 and s covers every feasible run count, so K is the q-weighted count of all
 arrangements of x successes and y failures that end with that symbol.
-Each probability picks how K is read from its input types (`_mass`):
+Each probability picks how K is read from its input types (`_mass`), off
+the cache's bottom-up arrangement tables (`kernels.KernelValueCache`):
 
 * at exact theta and q = a/b, as the integer numerator over b**(x*y) of
-  K at a/b, one read of a flat table (`KernelValueCache.values`), built
-  bottom-up on values at that q and resolved once per side of the sum;
+  K at a/b, one read of a flat table of values at that q
+  (`KernelValueCache.values`), resolved once per side of the sum;
 * otherwise as the polynomial (`KernelValueCache.arrangement_poly`, read
-  off the cache's q-free band tables of packed ints) evaluated at q.
+  off the tables at q = 2**w, which hold packed polynomials) evaluated
+  at q.
 
 * `_WAITING_FAMILIES`, keyed (success freq?, failure freq?, later?), holds
   the families summed when the success side stops the wait and those summed
@@ -32,12 +34,12 @@ Each probability picks how K is read from its input types (`_mass`):
   a = x, b = 0 and c = y.
 
 The longest-run PMF and CDF are one sum over the failure count y of the
-same tables' cells (values at exact inputs, `KernelValueCache.cell_polys`
-otherwise): the y + 1 success runs are at most k long and, for the PMF,
-one of them is exactly k, which is the band (0, k) minus the band
-(0, k - 1), so PMF(k) shares its tables with CDF(k) and CDF(k - 1).  Each
-function that reads kernels takes an optional `KernelValueCache` and uses
-the module-level one without it.  Each probability hands its terms'
+same tables' cells, read through `_mass` like every other probability:
+the y + 1 success runs are at most k long and, for the PMF, one of them
+is exactly k, which is the band (0, k) minus the band (0, k - 1), so
+PMF(k) shares its tables with CDF(k) and CDF(k - 1).  Each function that
+reads kernels takes an optional `KernelValueCache` and uses the
+module-level one without it.  Each probability hands its terms'
 exponents and kernels to one `qcalc.TermSum`: at rational theta = c/d and
 q = a/b the whole sum is one integer over d**n * b**B, and one Fraction is
 built at the end; at float inputs each term is a float product, added in
@@ -276,14 +278,8 @@ def _longest_mass(th, q, n, k, need, cache):
     """Mass of the length-n sequences whose success runs are all <= k and,
     unless need is 0, one of them >= need: the cells, y + 1 success runs
     of 0..k around y failure runs of length 1."""
-    cells = (0, k, need)
-    if _exact(th, q):
-        rows = [(n - y, 0, y, n - y, y) for y in range(n - need + 1)]
-        return _mass(th, q, n, [(True, cells, (1, 1, 0), n, rows)], cache)
-    terms = TermSum(th, q, n)
-    for y, cell in enumerate(cache.cell_polys(n, k, need)):
-        terms.add(n - y, 0, y, poly_value(cell, q))
-    return terms.total()
+    rows = [(n - y, 0, y, n - y, y) for y in range(n - need + 1)]
+    return _mass(th, q, n, [(True, (0, k, need), (1, 1, 0), n, rows)], cache)
 
 
 def joint_longest(

@@ -6,29 +6,34 @@ of each success run is the total failure mass preceding it.  One generic
 evaluator covers every named family: the families differ only in arrangement
 shape and in the per-part constraints.
 
-Values are polynomials in q with nonnegative integer coefficients.  Only
-those q-independent coefficient tuples are memoized; every value call
-evaluates its polynomial at q afresh with `qcalc.poly_value`, exactly at
-rational q (by integer Horner and one Fraction at the end).
+Values are polynomials in q with nonnegative integer coefficients.  The
+kernel API (`kernel_eval`, `named_kernel`, the cell kernels) memoizes
+those q-independent coefficient tuples and evaluates one at q per call
+with `qcalc.poly_value`, exactly at rational q (by integer Horner and one
+Fraction at the end).
 
 Each theorem of the distribution layer sums kernels over the run index s
 and over the families that end with the same symbol under the same
 constraints.  For each run arrangement (x successes, y failures) that sum
-covers every run count, so it is one run-count-free polynomial, memoized
-per (last symbol, x, y, constraints) by `KernelValueCache.arrangement_poly`.
-It is read off `core.band_table`, a bottom-up table of packed ints per pair
-of bands (each side's lo..hi); a constraint that needs some part >= need
-is its band minus the band capped at need - 1, so one entry is a signed sum
-of up to four tables, unpacked once.  The tables are memoized per band
-pair and rebuilt at the entry's size when it lies beyond them.  These
-q-free polynomials serve float inputs and the kernel API.
+covers every run count, so it is one count free of the run count.
+`core.band_table` fills those counts bottom-up at one q = a/b, one table
+per pair of bands (each side's lo..hi); a constraint that needs some part
+>= need is its band minus the band capped at need - 1, so one entry is a
+signed sum of up to four tables.  The cache asks for tables at two kinds
+of q:
 
-Exact probabilities need K only at their one rational q = a/b, so
-`KernelValueCache.values` runs the same bottom-up fill on values at a/b
-(`core.band_values`, integer numerators over b**(x*y)), with no unpacking
-and no Horner.  It combines each (last symbol, constraints)'s signed sum
-of band tables once, into one flat table a term reads with one index, and
-it holds the tables of one q at a time.
+* at the exact q = a/b of a probability (`KernelValueCache.values`),
+  integer numerators over b**(x*y): each (last symbol, constraints)'s
+  signed sum is combined once into one flat table, which a term reads
+  with one index, and the tables of one q are held at a time;
+* at q = 2**w, where an entry is its polynomial packed with coefficient i
+  at bits w*i (`KernelValueCache.arrangement_poly`): the signed sum is
+  unpacked once and memoized per (last symbol, x, y, constraints).  These
+  q-free polynomials serve float inputs.
+
+Either way an entry's tables share one size, and a table that lies
+short of the entry or of another of them is rebuilt at the larger size
+(`KernelValueCache._tables`).
 
 `family_arrangement` gives a family's last symbol and constraints, and
 `named_kernel` stays the fixed-s kernel API: the top-down peel
@@ -40,11 +45,10 @@ The longest-run cells are the same tables: the y + 1 success runs around y
 failures, as arrangements that start and end with a success run whose
 failure runs have length 1 (cell j carries weight j - 1 per item).  The x
 constraint (0, k, 0) gives the V kernel and (0, k, k) the U kernels summed
-over t >= 1 full cells; `KernelValueCache.cell_polys` memoizes them per
-sequence length.  The paper's single-cell `longest_cell_kernel_U/V`
-keep one recurrence of their own, `core.cell_poly_u` (V is t = None, any
-number of full cells), as API and as the reference the cells are tested
-against.
+over t >= 1 full cells, read like any other arrangement.  The paper's
+single-cell `longest_cell_kernel_U/V` keep one recurrence of their own,
+`core.cell_poly_u` (V is t = None, any number of full cells), as API and
+as the reference the cells are tested against.
 """
 
 from __future__ import annotations
@@ -173,30 +177,29 @@ def _bands(con: tuple) -> tuple:
 
 
 class KernelValueCache:
-    """Memo of kernel, arrangement and longest-run cell polynomials, and of
-    arrangement values at one exact q; safe to share across threads.
+    """Memo of kernel, arrangement and cell polynomials, and of arrangement
+    values at one exact q; safe to share across threads.
 
     Kernel values are polynomials in q with nonnegative integer
     coefficients, so the polynomial memos hold only the q-independent
     coefficients and stay the same size however many q are asked for.
     Every call on them evaluates its polynomial at q afresh: exactly at int
-    or Fraction q, in floating point at float q.  There are four of them:
+    or Fraction q, in floating point at float q.  There are three of them:
 
-    * `_band_memo`: one `core.band_table` per pair of bands and packing
-      width, packed ints;
-    * `_arrangement_memo`: the library's arrangement polynomials, read off
-      the band tables (run count None), and the top-down
-      `core.arrangement_poly` entries of the fixed-s kernels (run count
-      given);
+    * `_band_memo`: one `core.band_table` at q = 2**w, packed polynomials,
+      per pair of bands and packing width (w = `core.packed_width`);
+    * `_arrangement_memo`: the arrangement polynomials, read off the band
+      tables (run count None), among them the longest-run cells, and the
+      top-down `core.arrangement_poly` entries of the fixed-s kernels (run
+      count given);
     * `_cell_memo`: `core.cell_poly_u`, the single-cell U and V kernels
-      (t None for V), which serve only that API;
-    * `_cells_memo`: one tuple of cell polynomials per longest-run table.
+      (t None for V), which serve only that API.
 
     `_values` is (q, value memo): the value tables (`values`) of one exact
-    q = a/b, keyed q = (a, b), one `core.band_values` per pair of bands,
-    keyed (x band, y band), and one combined table per (last_x, xcon,
-    ycon).  A call at another q replaces the pair under the lock, so its
-    memory is that of one q's tables however many q are asked for.
+    q = a/b, keyed q = (a, b), one `core.band_table` at a/b per pair of
+    bands, keyed (x band, y band), and one combined table per (last_x,
+    xcon, ycon).  A call at another q replaces the pair under the lock, so
+    its memory is that of one q's tables however many q are asked for.
 
     Keys and values hold only ints, None and tuples of them, so the garbage
     collector does not track them.  One lock guards every write.
@@ -206,7 +209,6 @@ class KernelValueCache:
         self._band_memo: dict = {}
         self._arrangement_memo: dict = {}
         self._cell_memo: dict = {}
-        self._cells_memo: dict = {}
         self._values: tuple = (None, {})
         self._lock = threading.Lock()
 
@@ -229,19 +231,6 @@ class KernelValueCache:
                 out = self._arrangement_memo[key] = self._read(last_x, m, r, xcon, ycon)
         return out
 
-    def cell_polys(self, n: int, k: int, need: int) -> tuple:
-        """Cell polynomials of the length-n sequences with y failures, for
-        y = 0..n - need: the y + 1 success runs each of length 0..k and,
-        unless need is 0, one of length >= need; memoized as one tuple."""
-        key = (n, k, need)
-        out = self._cells_memo.get(key)
-        if out is None:
-            cells, gaps = (0, k, need), (1, 1, 0)  # gaps: Bounded(1)
-            with self._lock:
-                out = self._cells_memo[key] = tuple(
-                    self._read(True, n - y, y, cells, gaps) for y in range(n - need + 1))
-        return out
-
     def values(self, a: int, b: int, last_x: bool, xcon: tuple, ycon: tuple,
                size: int) -> tuple:
         """(starts, T): the arrangements of m successes and r failures that
@@ -253,7 +242,7 @@ class KernelValueCache:
         Memoized for one q at a time: a call at another q swaps in an empty
         value memo under the lock, so the memo holds the tables of one q.
         Each (last_x, xcon, ycon) is the signed sum, over each side's need,
-        of up to four `core.band_values` tables, combined once.
+        of up to four band tables at a/b, combined once.
         """
         key = (last_x, xcon, ycon)
         q, memo = self._values  # one attribute, so the pair stays consistent
@@ -265,53 +254,60 @@ class KernelValueCache:
                 memo = self._values[1]
                 out = memo.get(key)
                 if out is None or out[0] < size:
-                    out = memo[key] = self._combine(memo, a, b, last_x, xcon, ycon, size)
+                    size, cols = self._tables(
+                        memo, (), last_x, xcon, ycon, size,
+                        lambda xband, yband, n: core.band_table(xband, yband, n, a, b))
+                    total = cols[0][0]  # the first band pair has sign 1
+                    for col, sign in cols[1:]:
+                        total = map(operator.add if sign > 0 else operator.sub, total, col)
+                    starts = tuple(core.table_index(size, 0, r) for r in range(size + 1))
+                    out = memo[key] = size, starts, tuple(total)
         return out[1:]
 
-    @staticmethod
-    def _combine(memo: dict, a: int, b: int, last_x: bool, xcon: tuple, ycon: tuple,
-                 size: int) -> tuple:
-        """(n, starts, T): the signed sum T of an entry's band value tables,
-        which share one size n, rebuilt as in `_read`, and the index in T of
-        each column's first entry; the caller holds the lock."""
-        keys = [((xb, yb), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
-        size = max([size] + [memo[key][0] for key, _ in keys if key in memo])
-        total = None
-        for key, sign in keys:
-            table = memo.get(key)
-            if table is None or table[0] < size:
-                table = memo[key] = core.band_values(key[0], key[1], size, a, b)
-            col = table[1 if last_x else 2]
-            # the first key has sign 1
-            total = col if total is None else map(
-                operator.add if sign > 0 else operator.sub, total, col)
-        starts = tuple(core.table_index(size, 0, r) for r in range(size + 1))
-        return size, starts, tuple(total)
-
     def _read(self, last_x: bool, m: int, r: int, xcon: tuple, ycon: tuple) -> tuple:
-        """One entry off the band tables, by inclusion-exclusion over each
-        side's need, unpacked; the caller holds the lock.
+        """One entry off the packed band tables, by inclusion-exclusion over
+        each side's need, unpacked; the caller holds the lock.
 
-        The tables of one entry share one size and one packing width: a
-        table smaller than m + r or than another of the entry's is rebuilt
-        at the larger size.  The width is wide (`core.packed_width`) when
-        success runs may be empty and failure runs have more than one
-        length; it is part of the memo key, so the narrow tables of the
-        longest-run cells are never rebuilt wide.
+        The width is wide (`core.packed_width`) when success runs may be
+        empty and failure runs have more than one length; it is part of the
+        memo key, so the narrow tables of the longest-run cells are never
+        rebuilt wide.
         """
         if m < 0 or r < 0:
             return core._ZERO
         wide = not xcon[0] and ycon[0] != ycon[1]
-        keys = [((xb, yb, wide), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
-        memo = self._band_memo
-        size = max([m + r] + [memo[key][0] for key, _ in keys if key in memo])
+        size, cols = self._tables(
+            self._band_memo, (wide,), last_x, xcon, ycon, m + r,
+            lambda xband, yband, n: core.band_table(
+                xband, yband, n, 1 << core.packed_width(n, wide), 1))
+        i = core.table_index(size, m, r)
         total = 0
+        for col, sign in cols:
+            total += sign * col[i]
+        return core.unpack(total, core.packed_width(size, wide))
+
+    @staticmethod
+    def _tables(memo: dict, tag: tuple, last_x: bool, xcon: tuple, ycon: tuple,
+                size: int, build) -> tuple:
+        """(n, [(column, sign)]): the band tables of one entry, by
+        inclusion-exclusion over each side's need, at one common size n, and
+        of each its S side (`last_x`) or F side; the caller holds the lock.
+
+        Tables are memoized under (x band, y band) + `tag`.  n is `size` or
+        the size of the largest of the entry's tables already in `memo`,
+        whichever is larger; a table that is missing or smaller is built at
+        n by `build(x band, y band, n)`, so every table of the entry packs
+        at one width.
+        """
+        keys = [((xb, yb) + tag, sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
+        size = max([size] + [memo[key][0] for key, _ in keys if key in memo])
+        cols = []
         for key, sign in keys:
             table = memo.get(key)
             if table is None or table[0] < size:
-                table = memo[key] = core.band_table(key[0], key[1], size, wide)
-            total += sign * table[1 if last_x else 2][core.table_index(size, m, r)]
-        return core.unpack(total, core.packed_width(size, wide))
+                table = memo[key] = build(key[0], key[1], size)
+            cols.append((table[1 if last_x else 2], sign))
+        return size, cols
 
 
 _default_cache = KernelValueCache()

@@ -147,11 +147,11 @@ def test_longest_run_fills_the_callers_cache():
               for k in range(14)]
     assert state(_default_cache) == before
     assert cache._values[0] == (5, 11) and cache._values[1]
-    assert not cache._cells_memo and not cache._band_memo
+    assert not cache._arrangement_memo and not cache._band_memo
     float_values = [(longest_run_pmf(floats, 13, k, cache), longest_run_cdf(floats, 13, k, cache))
                     for k in range(14)]
     assert state(_default_cache) == before
-    assert cache._cells_memo and cache._band_memo
+    assert cache._arrangement_memo and cache._band_memo
     assert values == [(longest_run_pmf(params, 13, k), longest_run_cdf(params, 13, k))
                       for k in range(14)]
     assert float_values == [(longest_run_pmf(floats, 13, k), longest_run_cdf(floats, 13, k))
@@ -236,20 +236,19 @@ def test_waiting_time_table_does_not_rebuild_band_tables_as_n_grows(monkeypatch)
     # as n grows: at most once more, where the two stopping sides (tails
     # k1 and k2) ask one shared table for m + r = n - k1 and n - k2; its
     # rows equal the one-n calls.  Exact inputs build value tables at q,
-    # float ones the polynomial tables
+    # float ones the polynomial tables (at q = 2**w)
     from qbtrials import _core_py as core
 
     built = []
-    for params, name in ((HALF, "band_values"), (ModelParams(0.5, 0.5), "band_table")):
-        real = getattr(core, name)
-        monkeypatch.setattr(core, name, lambda *args, real=real: built.append(args[:2])
-                            or real(*args))
+    real = core.band_table
+    monkeypatch.setattr(core, "band_table", lambda *args: built.append(args[:2]) or real(*args))
+    for params in (HALF, ModelParams(0.5, 0.5)):
         for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
             quota = make_quota(s_freq, f_freq, 3, 2, mode)
             cache = KernelValueCache()
             table = waiting_time_table(params, quota, 30, cache)
             assert built and max(map(built.count, built)) <= 2
-            if name == "band_values":
+            if isinstance(params.q, Fraction):
                 # band pairs, beside the combined tables keyed (last_x, xcon, ycon)
                 bands = [key for key in cache._values[1] if len(key) == 2]
                 assert len(set(built)) == len(bands) and not cache._band_memo
@@ -259,7 +258,6 @@ def test_waiting_time_table_does_not_rebuild_band_tables_as_n_grows(monkeypatch)
             assert table.probs == [waiting_time_pmf(params, quota, n, KernelValueCache())
                                    for n in table.support()]
             built.clear()
-        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("s_freq,f_freq", ALL_KINDS)
@@ -397,7 +395,8 @@ def test_encodings_agree_beyond_enumeration(theta, q, k1, k2, n):
     # the distributions read the value tables
     params = ModelParams(theta, q)
     cache = KernelValueCache()
-    cells = cache.cell_polys(n, k1 - 1, 0)
+    cells = [cache.arrangement_poly(True, n - y, y, (0, k1 - 1, 0), (1, 1, 0))
+             for y in range(n + 1)]
 
     def S(s_freq, f_freq, mode):
         return waiting_time_table(params, make_quota(s_freq, f_freq, k1, k2, mode), n,
@@ -442,7 +441,7 @@ def test_encodings_agree_beyond_enumeration(theta, q, k1, k2, n):
 
 def test_float_error_against_exact_beyond_enumeration():
     # float values come from the packed polynomial tables evaluated at q,
-    # exact ones from the value tables at q: two independent evaluations,
+    # exact ones from the value tables at q: two evaluations of one fill,
     # compared at two points and n up to 60 (rows of every n to 60, the
     # joint quadrants and longest-run PMFs at n = 20, 40, 60); exact zeros
     # stay 0.0.  One cache, so the float tables are built once

@@ -296,7 +296,7 @@ def test_cache_does_not_grow_with_q():
                 first_values = values
             assert values == first_values
     assert sizes() == first
-    assert set(first) == {"_band_memo", "_arrangement_memo", "_cell_memo", "_cells_memo"}
+    assert set(first) == {"_band_memo", "_arrangement_memo", "_cell_memo"}
     assert all(first.values()) and first_values
 
 
@@ -315,7 +315,8 @@ def test_memo_entries_are_not_gc_tracked():
         kernel_eval(family_spec(fam, 6, 5, 3, 2, 3), Fraction(1, 3), cache)
     for last_x in (True, False):
         cache.arrangement_poly(last_x, 6, 5, (1, 2, 0), (1, None, 3))
-    cache.cell_polys(9, 2, 2)
+    for y in range(8):
+        cache.arrangement_poly(True, 9 - y, y, (0, 2, 2), (1, 1, 0))  # longest-run cells
     for last_x in (True, False):
         cache.values(1, 3, last_x, (1, 2, 0), (1, None, 3), 11)
     cache.values(1, 3, True, (0, 2, 2), (1, 1, 0), 9)
@@ -326,8 +327,7 @@ def test_memo_entries_are_not_gc_tracked():
     gc.collect()
     cells = _default_cache._cell_memo
     assert {key[2] is None for key in cells} == {True, False}  # U and V entries
-    memos = (cache._band_memo, cache._arrangement_memo, cells, cache._cells_memo,
-             cache._values[1])
+    memos = (cache._band_memo, cache._arrangement_memo, cells, cache._values[1])
     assert all(memos)
     # library entries (run count None) beside the fixed-s kernels' entries
     assert {key[-1] is None for key in cache._arrangement_memo} == {True, False}
@@ -428,12 +428,15 @@ def test_band_tables_equal_top_down_peel():
     check()
 
 
-def test_band_values_equal_band_tables_at_q():
-    # every entry of the value tables at q = a/b, over b**(m*r), against
-    # the packed polynomial tables unpacked and evaluated at q, for the
-    # bands of the constraints of `test_band_tables_equal_top_down_peel`;
-    # one cache's combined value tables (each side's need) against its
-    # polynomials, with the q changing between examples
+def test_band_table_equals_top_down_peel_at_q():
+    # the one bottom-up fill against the top-down peel of its band pair
+    # (need 0 on both sides), entry by entry: at q = a/b an entry over
+    # b**(m*r) is the peel's polynomial at q, and at q = 2**w (b = 1) the
+    # peel's polynomial packed.  q = 1, 2 and 4 step by shifts, q = 0 and
+    # -2 (b = 1, not a positive power of two) and the random a/b by
+    # multiplies.  One cache's combined value tables (each side's need)
+    # against the peel, with the q changing between examples; the bands
+    # are those of the constraints of `test_band_tables_equal_top_down_peel`
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -441,22 +444,32 @@ def test_band_values_equal_band_tables_at_q():
     from qbtrials.kernels import _bands
     from qbtrials.qcalc import poly_value
 
-    qs = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(-2)]),
+    qs = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(4),
+                                    Fraction(-2)]),
                    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)))
     cache = KernelValueCache()
+    peel = {}
 
     def agree(xband, yband, n, q):
         wide = not xband[0] and yband[0] != yband[1]
         w = core.packed_width(n, wide)
-        _, polys_s, polys_f = core.band_table(xband, yband, n, wide)
-        size, values_s, values_f = core.band_values(xband, yband, n, q.numerator, q.denominator)
-        assert size == n and len(values_s) == len(values_f) == len(polys_s)
+        a, b = q.numerator, q.denominator
+        tables = core.band_table(xband, yband, n, a, b), \
+            core.band_table(xband, yband, n, 1 << w, 1)
+        for size, *sides in tables:
+            assert size == n and [len(side) for side in sides] == \
+                [core.table_index(n, 0, n) + 1] * 2
+        (_, values_s, values_f), (_, packed_s, packed_f) = tables
+        xcon, ycon = xband + (0,), yband + (0,)
         for r in range(n + 1):
             for m in range(n - r + 1):
                 i = core.table_index(n, m, r)
-                for polys, values in ((polys_s, values_s), (polys_f, values_f)):
-                    assert Fraction(values[i], q.denominator ** (m * r)) == \
-                        poly_value(core.unpack(polys[i], w), q), (xband, yband, m, r, q)
+                for last_x, values, packed in ((True, values_s, packed_s),
+                                               (False, values_f, packed_f)):
+                    want = core.arrangement_poly(last_x, m, r, xcon, ycon, peel)
+                    where = (xband, yband, last_x, m, r, q)
+                    assert core.unpack(packed[i], w) == want, where
+                    assert Fraction(values[i], b ** (m * r)) == poly_value(want, q), where
 
     @settings(max_examples=150, deadline=None)
     @given(st.booleans(), st.integers(0, 10), st.integers(0, 10),
@@ -469,12 +482,12 @@ def test_band_values_equal_band_tables_at_q():
         starts, table = cache.values(q.numerator, q.denominator, last_x, xcon, ycon, m + r)
         assert len(starts) > m + r and starts[r] == core.table_index(len(starts) - 1, 0, r)
         assert Fraction(table[starts[r] + m], q.denominator ** (m * r)) == \
-            poly_value(cache.arrangement_poly(last_x, m, r, xcon, ycon), q)
+            poly_value(core.arrangement_poly(last_x, m, r, xcon, ycon, peel), q)
 
     check()
     # the wide width: empty success runs and failure runs of more than one
     # length, whose counts outgrow n + 1 bits at m + r = 44
-    for q in (Fraction(81, 100), Fraction(-2)):
+    for q in (Fraction(81, 100), Fraction(2), Fraction(-2)):
         agree((0, None), (1, None), 44, q)
 
 
@@ -590,7 +603,8 @@ def test_band_tables_pack_wide_with_empty_success_runs():
             assert cache.arrangement_poly(last_x, 13, 31, xcon, ycon) == want
     assert max(core.arrangement_poly(True, 13, 31, (0, None, 0), (1, None, 0), {})) \
         >= 2 ** core.packed_width(44)
-    cache.cell_polys(44, 5, 0)
+    for y in range(45):
+        cache.arrangement_poly(True, 44 - y, y, (0, 5, 0), (1, 1, 0))  # longest-run cells
     assert ((0, 5), (1, 1), False) in cache._band_memo
     assert ((0, 5), (1, 1), True) not in cache._band_memo
 
@@ -697,7 +711,9 @@ def test_cell_polys_equal_u_and_v_cells():
     @given(st.integers(0, 14), st.integers(0, 6), st.booleans(),
            st.fractions(min_value=0, max_value=1, max_denominator=60))
     def check(n, k, full, q):
-        cells = cache.cell_polys(n, k, k if full else 0)
+        need = k if full else 0
+        cells = [cache.arrangement_poly(True, n - y, y, (0, k, need), (1, 1, 0))
+                 for y in range(n - need + 1)]
         for y in range(n + 1):
             r, s = y + 1, n - y
             want = _u_sum(r, s, k, u_memo) if full else core.cell_poly_v(r, s, k, v_memo)

@@ -230,9 +230,9 @@ def test_differential_scan_builds_value_tables_once_per_point(monkeypatch):
     grid = ScanGrid(thetas=(Fraction(1, 3), Fraction(3, 4)),
                     qs=(Fraction(1, 2), Fraction(7, 9)), k_pairs=((2, 3), (3, 2)), n_max=12)
     points = []
-    real_values, real_oracle = core.band_values, oracle.oracle_waiting_pmf
-    monkeypatch.setattr(core, "band_values",
-                        lambda *args: points[-1].append(args[:2]) or real_values(*args))
+    real_table, real_oracle = core.band_table, oracle.oracle_waiting_pmf
+    monkeypatch.setattr(core, "band_table",
+                        lambda *args: points[-1].append(args[:2]) or real_table(*args))
     monkeypatch.setattr(oracle, "oracle_waiting_pmf",
                         lambda *args: points.append([]) or real_oracle(*args))
     reports = differential_scan(grid)
