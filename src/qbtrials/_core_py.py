@@ -128,35 +128,35 @@ def _shift_add(dst, src, shift):
     return dst
 
 
-def packed_width(n, wide=False):
+def packed_width(n):
     """Bits per coefficient of a packed polynomial in a table of size n, a
-    multiple of 8.  An arrangement of m + r <= n symbols whose runs are all
-    nonempty is its binary string, so a count is below 2**n and n + 1 bits
-    hold it.  With empty success runs (x lo 0) and failure runs of more than
-    one length, a failure run, an empty success run and a failure run differ
-    from the one merged failure run, so a count is only below
-    2**(m + 2r) <= 2**(2n): `wide` gives 2n + 1 bits."""
-    return (2 * n if wide else n) // 8 * 8 + 8
+    multiple of 8.  In the domain of `band_table` an arrangement of
+    m + r <= n symbols is its binary string, so a count is below 2**n and
+    n + 1 bits hold it."""
+    return n // 8 * 8 + 8
 
 
 def band_table(xband, yband, n, a, b):
     """Arrangement table of one pair of bands at q = a/b, bottom-up.
 
     A band (lo, hi) bounds every run of its symbol to lo..hi (no cap when
-    hi is None); failure runs have lo >= 1.  Returns (n, S, F), where S and
-    F hold, column by column (r = 0..n, each m = 0..n - r; see
-    `table_index`), the q-weighted count of the arrangements of m successes
-    and r failures that end with a success run (S) or a failure run (F),
-    and the empty arrangement at (0, 0) in both: the top-down
-    `arrangement_poly` with need 0 on both sides, at q.  Entry (m, r) is
-    the integer numerator of its value over b**(m*r), since each of its
-    polynomials has degree <= m*r; at b = 1 (int q, q = 1) it is the value
-    itself, and q = 0 goes through 0**0 == 1.  S and F are flat tuples of
-    ints, which the garbage collector stops tracking.
+    hi is None).  Returns (n, S, F), where S and F hold, column by column
+    (r = 0..n, each m = 0..n - r; see `table_index`), the q-weighted count
+    of the arrangements of m successes and r failures that end with a
+    success run (S) or a failure run (F), and the empty arrangement at
+    (0, 0) in both: the top-down `arrangement_poly` with need 0 on both
+    sides, at q.  Entry (m, r) is the integer numerator of its value over
+    b**(m*r), since each of its polynomials has degree <= m*r; at b = 1
+    (int q, q = 1) it is the value itself, and q = 0 goes through
+    0**0 == 1.  S and F are flat tuples of ints, which the garbage
+    collector stops tracking.  Failure runs need lo >= 1 and, beside empty
+    success runs (x lo 0), at most one length, as in the longest-run cells;
+    other bands raise `ValueError` (there failures split around empty
+    success runs in more than one way, and no library caller asks for them).
 
     A polynomial with coefficients below 2**w, packed into one int with
     coefficient i at bits w*i, is its value at q = 2**w: at a = 1 << w,
-    b = 1, with w = `packed_width(n, wide)`, the entries are the packed
+    b = 1, with w = `packed_width(n)`, the entries are the packed
     polynomials.  At a power-of-two q = a (b = 1, a > 0) a step by q**s is
     a shift by log2(a)*s bits, otherwise a multiply by a**s:
     `x * (1 << k)` costs many times `x << k` in CPython.
@@ -175,6 +175,9 @@ def band_table(xband, yband, n, a, b):
     """
     xlo, xhi = xband
     ylo, yhi = yband
+    if ylo < 1 or not xlo and (yhi is None or yhi > ylo):
+        raise ValueError(f"bands {xband} x {yband}: failure runs need lo >= 1 and, "
+                         "beside empty success runs, at most one length")
     if b == 1 and a > 0 and not a & (a - 1):
         base, scale, power = a.bit_length() - 1, operator.lshift, operator.mul
     else:
@@ -318,31 +321,45 @@ def arrangement_poly(last_x, m, r, xcon, ycon, memo, runs=None):
     return out
 
 
+def _cell_fits(r, s, t, k):
+    """Whether some filling of r >= 1 cells of 0..k holds s items, t full (t None: any)."""
+    return r >= 1 and (0 <= s <= r * k if t is None
+                       else 0 <= t <= r and 0 <= s - t * k <= (r - t) * (k - 1))
+
+
 def cell_poly_u(r, s, t, k, memo):
     """Polynomial of the bounded-cell kernel with t full cells (memoized).
 
     Cells x_1..x_r take values 0..k with sum s and exactly t cells equal
     to k, or any number of them when t is None; cell j carries weight
     (j-1)*x_j.  Peeling the last cell of a value a multiplies by
-    q**(a*(r-1)).  Values are coefficient tuples, as in `arrangement_poly`.
+    q**(a*(r-1)).  Values are coefficient tuples, as in `arrangement_poly`;
+    the memo holds only states that some filling fits, so none is 0.  A
+    loop, so r is not bounded by the recursion limit: the states the memo
+    lacks are collected one cell count at a time from r down, then filled.
     """
-    if s < 0 or r < 1 or s > r * k or t is not None and not 0 <= t <= r:
+    if not _cell_fits(r, s, t, k):
         return _ZERO
-    key = (r, s, t, k)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    if r == 1:
-        out = _ONE if t is None or t == (s == k) else _ZERO
-    else:
-        acc = [0]
+
+    def children(cells, s, t, _):
+        """(a, key) per value a of the last cell that leaves a filling."""
         for a in range(min(k, s) + 1):
-            child = cell_poly_u(r - 1, s - a, t if t is None or a < k else t - 1, k, memo)
-            if child != _ZERO:
-                _shift_add(acc, child, a * (r - 1))
-        out = tuple(acc)
-    memo[key] = out
-    return out
+            key = (cells - 1, s - a, t if t is None or a < k else t - 1, k)
+            if _cell_fits(*key):
+                yield a, key
+
+    top = (r, s, t, k)
+    layers = [{} if top in memo else {top: None}]
+    while layers[-1]:
+        layers.append({key: None for parent in layers[-1] for _, key in children(*parent)
+                       if key not in memo})
+    for layer in reversed(layers):
+        for key in layer:
+            acc = [1 if key[0] == 1 else 0]  # one cell has one filling
+            for a, child in children(*key):
+                _shift_add(acc, memo[child], a * (key[0] - 1))
+            memo[key] = tuple(acc)
+    return memo[top]
 
 
 def cell_poly_v(r, s, k, memo):

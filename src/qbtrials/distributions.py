@@ -3,12 +3,13 @@
 Every waiting-time theorem and every joint longest-run quadrant is a sum over
 run arrangements holding x successes and y failures.  Each term is
 
-    theta**a * q**b * (theta; q)_c * K
+    theta**(n-f) * q**j * (theta; q)_f * K
 
-where the paper's K sums two or four kernels over the run index s.  The
-families of one sum end with the same symbol under the same constraints,
-and s covers every feasible run count, so K is the q-weighted count of all
-arrangements of x successes and y failures that end with that symbol.
+for n trials with f failures in all, where the paper's K sums two or four
+kernels over the run index s.  The families of one sum end with the same
+symbol under the same constraints, and s covers every feasible run count,
+so K counts, q-weighted, the arrangements of x successes and y failures
+that end with that symbol.
 Each probability picks how K is read from its input types (`_mass`), off
 the cache's bottom-up arrangement tables (`kernels.KernelValueCache`):
 
@@ -25,13 +26,13 @@ the cache's bottom-up arrangement tables (`kernels.KernelValueCache`):
   4.2 for freq/run, 4.3 and 4.4 for run/freq, 5.1 and 5.3 for freq/freq,
   sooner and later); `kernels.family_arrangement` gives their last symbol
   and constraints.  A run quota of k stops on a tail of k trials after the
-  arrangement, which adds k to a (success tail) or to c (failure tail) and
-  y*k to b for a success tail; a frequency quota of k fixes that side's
-  count at k and has no tail.
+  arrangement, which adds k to f for a failure tail and y*k to j for a
+  success tail; a frequency quota of k fixes that side's count at k and
+  has no tail.
 * A joint quadrant bounds the success runs by k1 and the failure runs by
   k2, each from above (<=) or below (>=), and its K is the arrangements
   that end with a success run plus those that end with a failure run; there
-  a = x, b = 0 and c = y.
+  j = 0 and f = y.
 
 The longest-run PMF and CDF are one sum over the failure count y of the
 same tables' cells, read through `_mass` like every other probability:
@@ -39,11 +40,10 @@ the y + 1 success runs are at most k long and, for the PMF, one of them
 is exactly k, which is the band (0, k) minus the band (0, k - 1), so
 PMF(k) shares its tables with CDF(k) and CDF(k - 1).  Each function that
 reads kernels takes an optional `KernelValueCache` and uses the
-module-level one without it.  Each probability hands its terms'
-exponents and kernels to one `qcalc.TermSum`: at rational theta = c/d and
-q = a/b the whole sum is one integer over d**n * b**B, and one Fraction is
-built at the end; at float inputs each term is a float product, added in
-the same order.
+module-level one without it.  Each probability hands its terms' j, f and
+K to one `qcalc.TermSum`: at rational theta = c/d and q = a/b the whole
+sum is one integer over d**n * b**B, and one Fraction is built at the end;
+at float inputs each term is a float product, added in the same order.
 
 Sum ranges are generous where feasibility is subtle; kernels vanish outside
 their domains.  Exact (Fraction) inputs produce exact outputs.
@@ -118,14 +118,9 @@ _WAITING_FAMILIES: dict[tuple[bool, bool, bool], tuple[tuple[str, ...], tuple[st
     (True, True, True): (("Ibar", "Jbar"), ("Kbar", "Lbar")),   # Theorem 5.3
 }
 
-def _exact(th: Scalar, q: Scalar) -> bool:
-    """Whether theta and q are both exact: ints or Fractions."""
-    return isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction))
-
-
 def _zero(th: Scalar, q: Scalar) -> Scalar:
-    """The int 0 for exact theta and q, 0.0 once either is a float."""
-    return 0 if _exact(th, q) else 0.0
+    """The int 0 for exact theta and q (ints or Fractions), 0.0 once either is a float."""
+    return 0 if isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction)) else 0.0
 
 
 def support_min(quota: QuotaSpec) -> int:
@@ -162,7 +157,7 @@ def _waiting_sides(ks, freqs, later, n):
     count ranges; under a frequency quota side j holds exactly k_j trials,
     the last of them on trial n.  A side is (last_x, xcon, ycon, size,
     rows), its kernels summed over s and over its families: each row
-    (i, j, f, x, y) is the term theta**i q**j (theta; q)_f K(x, y), K the
+    (j, f, x, y) is the term theta**(n-f) q**j (theta; q)_f K(x, y), K the
     arrangements of x successes and y failures (x + y <= size) that end
     with a success run iff last_x, under the constraints.
 
@@ -184,10 +179,10 @@ def _waiting_sides(ks, freqs, later, n):
         if j == 0:
             # y failures and n - tail - y successes, then the success tail,
             # whose successes each follow the y failures
-            rows = [(n - y, y * tail, y, n - tail - y, y) for y in others]
+            rows = [(y * tail, y, n - tail - y, y) for y in others]
         else:
             # x successes and n - tail - x failures, then the failure tail
-            rows = [(x, 0, n - x, x, n - tail - x) for x in others]
+            rows = [(0, n - x, x, n - tail - x) for x in others]
         sides.append((last_x, xcon, ycon, n - tail, tuple(rows)))
     return tuple(sides)
 
@@ -208,13 +203,13 @@ def _mass(th, q, n, sides, cache):
             if not rows:
                 continue  # no table to build
             starts, table = cache.values(a, b, last_x, xcon, ycon, size)
-            for i, j, f, x, y in rows:
-                terms.add(i, j, f, table[starts[y] + x], x * y)
+            for j, f, x, y in rows:
+                terms.add(j, f, table[starts[y] + x], x * y)
     else:
         poly = cache.arrangement_poly
         for last_x, xcon, ycon, _, rows in sides:
-            for i, j, f, x, y in rows:
-                terms.add(i, j, f, poly_value(poly(last_x, x, y, xcon, ycon), q))
+            for j, f, x, y in rows:
+                terms.add(j, f, poly_value(poly(last_x, x, y, xcon, ycon), q))
     return terms.total()
 
 
@@ -278,7 +273,7 @@ def _longest_mass(th, q, n, k, need, cache):
     """Mass of the length-n sequences whose success runs are all <= k and,
     unless need is 0, one of them >= need: the cells, y + 1 success runs
     of 0..k around y failure runs of length 1."""
-    rows = [(n - y, 0, y, n - y, y) for y in range(n - need + 1)]
+    rows = [(0, y, n - y, y) for y in range(n - need + 1)]
     return _mass(th, q, n, [(True, (0, k, need), (1, 1, 0), n, rows)], cache)
 
 
@@ -306,7 +301,7 @@ def joint_longest(
     # its K ends with either symbol, one side each per y, in the order a
     # float sum adds them; with no failure the empty arrangement, counted
     # among those that end with a success run, ends with one
-    sides = [(last_x, xcon, ycon, n, [(n - y, 0, y, n - y, y)])
+    sides = [(last_x, xcon, ycon, n, [(0, y, n - y, y)])
              for y in ys for last_x in (True, False) if y or last_x]
     return _mass(params.theta, params.q, n, sides, cache or _default_cache)
 

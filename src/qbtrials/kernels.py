@@ -19,8 +19,8 @@ covers every run count, so it is one count free of the run count.
 `core.band_table` fills those counts bottom-up at one q = a/b, one table
 per pair of bands (each side's lo..hi); a constraint that needs some part
 >= need is its band minus the band capped at need - 1, so one entry is a
-signed sum of up to four tables.  The cache asks for tables at two kinds
-of q:
+signed sum of up to four tables, each in the domain `core.band_table`
+states.  The cache asks for tables at two kinds of q:
 
 * at the exact q = a/b of a probability (`KernelValueCache.values`),
   integer numerators over b**(x*y): each (last symbol, constraints)'s
@@ -186,8 +186,8 @@ class KernelValueCache:
     Every call on them evaluates its polynomial at q afresh: exactly at int
     or Fraction q, in floating point at float q.  There are three of them:
 
-    * `_band_memo`: one `core.band_table` at q = 2**w, packed polynomials,
-      per pair of bands and packing width (w = `core.packed_width`);
+    * `_band_memo`: one `core.band_table` at q = 2**w, packed polynomials
+      (w = `core.packed_width`), per pair of bands, keyed (x band, y band);
     * `_arrangement_memo`: the arrangement polynomials, read off the band
       tables (run count None), among them the longest-run cells, and the
       top-down `core.arrangement_poly` entries of the fixed-s kernels (run
@@ -222,8 +222,8 @@ class KernelValueCache:
     def arrangement_poly(self, last_x: bool, m: int, r: int, xcon: tuple, ycon: tuple) -> tuple:
         """The arrangements of m successes and r failures ending with a
         success run iff `last_x`, and the empty one, as `core.arrangement_poly`
-        gives them; constraints are plain (lo, hi, need) tuples, and failure
-        runs have lo >= 1.  Memoized."""
+        gives them; constraints are plain (lo, hi, need) tuples in the domain
+        of `core.band_table` (`ValueError` otherwise).  Memoized."""
         key = (last_x, m, r, xcon, ycon, None)
         out = self._arrangement_memo.get(key)
         if out is None:
@@ -255,7 +255,7 @@ class KernelValueCache:
                 out = memo.get(key)
                 if out is None or out[0] < size:
                     size, cols = self._tables(
-                        memo, (), last_x, xcon, ycon, size,
+                        memo, last_x, xcon, ycon, size,
                         lambda xband, yband, n: core.band_table(xband, yband, n, a, b))
                     total = cols[0][0]  # the first band pair has sign 1
                     for col, sign in cols[1:]:
@@ -266,46 +266,38 @@ class KernelValueCache:
 
     def _read(self, last_x: bool, m: int, r: int, xcon: tuple, ycon: tuple) -> tuple:
         """One entry off the packed band tables, by inclusion-exclusion over
-        each side's need, unpacked; the caller holds the lock.
-
-        The width is wide (`core.packed_width`) when success runs may be
-        empty and failure runs have more than one length; it is part of the
-        memo key, so the narrow tables of the longest-run cells are never
-        rebuilt wide.
-        """
+        each side's need, unpacked; the caller holds the lock."""
         if m < 0 or r < 0:
             return core._ZERO
-        wide = not xcon[0] and ycon[0] != ycon[1]
         size, cols = self._tables(
-            self._band_memo, (wide,), last_x, xcon, ycon, m + r,
-            lambda xband, yband, n: core.band_table(
-                xband, yband, n, 1 << core.packed_width(n, wide), 1))
+            self._band_memo, last_x, xcon, ycon, m + r,
+            lambda xband, yband, n: core.band_table(xband, yband, n, 1 << core.packed_width(n), 1))
         i = core.table_index(size, m, r)
         total = 0
         for col, sign in cols:
             total += sign * col[i]
-        return core.unpack(total, core.packed_width(size, wide))
+        return core.unpack(total, core.packed_width(size))
 
     @staticmethod
-    def _tables(memo: dict, tag: tuple, last_x: bool, xcon: tuple, ycon: tuple,
-                size: int, build) -> tuple:
+    def _tables(memo: dict, last_x: bool, xcon: tuple, ycon: tuple, size: int,
+                build) -> tuple:
         """(n, [(column, sign)]): the band tables of one entry, by
         inclusion-exclusion over each side's need, at one common size n, and
         of each its S side (`last_x`) or F side; the caller holds the lock.
 
-        Tables are memoized under (x band, y band) + `tag`.  n is `size` or
+        Tables are memoized under (x band, y band).  n is `size` or
         the size of the largest of the entry's tables already in `memo`,
         whichever is larger; a table that is missing or smaller is built at
         n by `build(x band, y band, n)`, so every table of the entry packs
         at one width.
         """
-        keys = [((xb, yb) + tag, sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
+        keys = [((xb, yb), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
         size = max([size] + [memo[key][0] for key, _ in keys if key in memo])
         cols = []
         for key, sign in keys:
             table = memo.get(key)
             if table is None or table[0] < size:
-                table = memo[key] = build(key[0], key[1], size)
+                table = memo[key] = build(*key, size)
             cols.append((table[1 if last_x else 2], sign))
         return size, cols
 

@@ -106,7 +106,9 @@ def _counts(n, waiting=None):
 
 
 def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scalar:
-    """Sum of sequence probabilities over all length-n sequences in the event."""
+    """Sum of sequence probabilities over all length-n sequences in the event;
+    {T = t} depends on trials 1..t only, so it sums the 2**t sequences of
+    its first t trials."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > DEFAULT_BUDGET:
@@ -117,8 +119,8 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
         if pred.n < 1 or pred.n > n:
             # a stop happens at a trial index in 1..n or not at all
             return _zero(params.theta, params.q)
-        quota = pred.quota
-        items = _counts(n, (pred.n, *_core_quota(quota), quota.mode is Mode.LATER)).items()
+        n, quota = pred.n, pred.quota
+        items = _counts(n, (n, *_core_quota(quota), quota.mode is Mode.LATER)).items()
     else:
         merged: dict[tuple[int, int], int] = {}
         for (l1, l0, f, e), c in _counts(n).items():
@@ -131,7 +133,7 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
     # each success, summed) has probability theta^(n-f) q^e (theta; q)_f
     terms = TermSum(params.theta, params.q, n)
     for (f, e), c in items:
-        terms.add(n - f, e, f, c)
+        terms.add(e, f, c)
     return terms.total()
 
 

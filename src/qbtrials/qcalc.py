@@ -4,8 +4,8 @@ All functions are total on their stated domains and exact when given
 `fractions.Fraction` arguments; q = 1 is always the continuous extension
 (the ordinary combinatorial value).
 
-Every probability the package computes is a sum of terms
-theta**i * q**j * (theta; q)_f * K, with K an integer polynomial in q.
+Every probability of length-n sequences sums, over classes of f failures,
+terms theta**(n-f) * q**j * (theta; q)_f * K, K an integer polynomial in q.
 `TermSum` adds such terms, each K given by its value: at rational q = a/b
 as an integer numerator over a power of b, read off a table of values at
 that q (or a sequence count, over b**0), so no caller evaluates a
@@ -123,16 +123,16 @@ def poly_value(coeffs, q: Scalar) -> Scalar:
 
 
 class TermSum:
-    """Sum of theta**i * q**j * (theta; q)_f * K over the terms added, for
-    one (theta, q) and f <= n.
+    """Sum of theta**(n-f) * q**j * (theta; q)_f * K over the terms added,
+    each a class of length-n sequences with f <= n failures, at one (theta, q).
 
     At exact theta = c/d and q = a/b, K is given as an integer H over
-    b**e, and the term is the integer c**i a**j N_f H over
-    d**(i+f) b**(j + f(f-1)/2 + e), where N_f = prod_{k<f} (d b**k - c a**k)
+    b**e, and the term is the integer c**(n-f) a**j N_f H over
+    d**n b**(j + f(f-1)/2 + e), where N_f = prod_{k<f} (d b**k - c a**k)
     is the Pochhammer numerator.  The running numerator is rescaled when a
-    term needs a larger power of d or b, and `total` builds one Fraction (an
+    term needs a larger power of b, and `total` builds one Fraction (an
     int when neither input is a Fraction).  At float inputs K is its value,
-    and each term is th**i * q**j * (th; q)_f * K in that order, as a
+    and each term is th**(n-f) * q**j * (th; q)_f * K in that order, as a
     product of floats.
 
     A term whose K is zero is skipped.  With no term added the total is the
@@ -141,7 +141,7 @@ class TermSum:
     """
 
     def __init__(self, th: Scalar, q: Scalar, n: int) -> None:
-        self._th, self._q = th, q
+        self._th, self._q, self._n = th, q, n
         self.exact = isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction))
         if not self.exact:
             self._ffp = q_pochhammer_prefixes(th, q, n)
@@ -155,28 +155,21 @@ class TermSum:
             pochhammer.append(pochhammer[-1] * (d * b ** k - c * a ** k))
         self._pochhammer = pochhammer
         self._num = 0
-        self._d_exp = 0
         self._b_exp = 0
 
-    def add(self, i: int, j: int, f: int, h: Scalar, e: int = 0) -> None:
-        """Add theta**i * q**j * (theta; q)_f * K, with K = h / b**e at exact
-        inputs (h an int) and K = h at float ones (e unused)."""
+    def add(self, j: int, f: int, h: Scalar, e: int = 0) -> None:
+        """Add theta**(n-f) * q**j * (theta; q)_f * K, with K = h / b**e at
+        exact inputs (h an int) and K = h at float ones (e unused)."""
         if not self.exact:
             if h:
-                self._total = self._total + self._th ** i * self._q ** j * self._ffp[f] * h
+                self._total += self._th ** (self._n - f) * self._q ** j * self._ffp[f] * h
             return
         if not h:
             return
         self._added = True
-        c, d, a, b = self._cdab
-        num = c ** i * a ** j * self._pochhammer[f] * h
-        d_exp = i + f
+        c, _, a, b = self._cdab
+        num = c ** (self._n - f) * a ** j * self._pochhammer[f] * h
         b_exp = j + f * (f - 1) // 2 + e
-        if d_exp > self._d_exp:
-            self._num *= d ** (d_exp - self._d_exp)
-            self._d_exp = d_exp
-        else:
-            num *= d ** (self._d_exp - d_exp)
         if b_exp > self._b_exp:
             self._num *= b ** (b_exp - self._b_exp)
             self._b_exp = b_exp
@@ -191,7 +184,7 @@ class TermSum:
             return 0
         if isinstance(self._th, Fraction) or isinstance(self._q, Fraction):
             _, d, _, b = self._cdab
-            return Fraction(self._num, d ** self._d_exp * b ** self._b_exp)
+            return Fraction(self._num, d ** self._n * b ** self._b_exp)
         return self._num
 
 

@@ -377,8 +377,8 @@ def test_classical_reduction_at_q_one_all_configs():
                     terms = TermSum(theta, one, n)
                     for last_x, xcon, ycon, _, rows in d._waiting_sides(
                             (k1, k2), (s_freq, f_freq), mode is Mode.LATER, n):
-                        for i, j, f, x, y in rows:
-                            terms.add(i, j, f, counting_term(last_x, x, y, xcon, ycon))
+                        for j, f, x, y in rows:
+                            terms.add(j, f, counting_term(last_x, x, y, xcon, ycon))
                     classical = terms.total()
                     assert classical == waiting_time_pmf(params, quota, n), (
                         s_freq, f_freq, mode, k1, k2, theta, n)
@@ -408,22 +408,22 @@ def test_encodings_agree_beyond_enumeration(theta, q, k1, k2, n):
     def B(x):
         return q_binomial_pmf(params, n, x)
 
-    def add(terms, i, f, poly):
-        terms.add(i, 0, f, horner_numerator(poly, q.numerator, q.denominator), len(poly) - 1)
+    def add(terms, f, poly):
+        terms.add(0, f, horner_numerator(poly, q.numerator, q.denominator), len(poly) - 1)
 
     def C(y):
         # longest success run <= k1 - 1, y failures
         terms = TermSum(theta, q, n)
-        add(terms, n - y, y, cells[y])
+        add(terms, y, cells[y])
         return terms.total()
 
     def D(x):
         # longest failure run <= k2 - 1, x successes
         y, ycon = n - x, (1, k2 - 1, 0)
         terms = TermSum(theta, q, n)
-        add(terms, x, y, cache.arrangement_poly(True, x, y, (1, None, 0), ycon))
+        add(terms, y, cache.arrangement_poly(True, x, y, (1, None, 0), ycon))
         if y:
-            add(terms, x, y, cache.arrangement_poly(False, x, y, (1, None, 0), ycon))
+            add(terms, y, cache.arrangement_poly(False, x, y, (1, None, 0), ycon))
         return terms.total()
 
     sooner, later = Mode.SOONER, Mode.LATER
@@ -442,9 +442,10 @@ def test_encodings_agree_beyond_enumeration(theta, q, k1, k2, n):
 def test_float_error_against_exact_beyond_enumeration():
     # float values come from the packed polynomial tables evaluated at q,
     # exact ones from the value tables at q: two evaluations of one fill,
-    # compared at two points and n up to 60 (rows of every n to 60, the
-    # joint quadrants and longest-run PMFs at n = 20, 40, 60); exact zeros
-    # stay 0.0.  One cache, so the float tables are built once
+    # compared at two points and n up to 100 (rows of every n to 60, the
+    # joint quadrants and longest-run PMFs at n = 20, 40, 60, and the
+    # longest-run PMF and CDF at n = 100, k = 5 and 8); exact zeros stay
+    # 0.0.  One cache, so the float tables are built once
     cache = KernelValueCache()
     pairs = []
     for theta, q in ((Fraction(37, 100), Fraction(81, 100)), (Fraction(4, 7), Fraction(5, 13))):
@@ -460,6 +461,8 @@ def test_float_error_against_exact_beyond_enumeration():
                               joint_longest(exact, n, k1, rel1, k2, rel2, cache)))
             pairs += [(longest_run_pmf(floats, n, k, cache), longest_run_pmf(exact, n, k, cache))
                       for k in range(n + 1)]
+        for k, f in itertools.product((5, 8), (longest_run_pmf, longest_run_cdf)):
+            pairs.append((f(floats, 100, k, cache), f(exact, 100, k, cache)))
     zeros = [f for f, e in pairs if e == 0]
     assert zeros and all(f == 0.0 for f in zeros)  # sooner freq/freq ends by n = 4
     for f, e in pairs:

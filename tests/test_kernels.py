@@ -117,6 +117,17 @@ def test_cell_kernel_examples():
     assert longest_cell_kernel_V(3, 4, 2, 1) == count_C(4, 3, 2) == 6
 
 
+def test_cell_kernels_reach_past_the_recursion_limit():
+    # one item in one of r = 1500 cells, more cells than the default
+    # recursion limit allows frames: cell j adds q**(j - 1), so both
+    # kernels are [r]_q
+    from qbtrials import q_number
+
+    q = Fraction(1, 2)
+    assert longest_cell_kernel_V(1500, 1, 2, q) == q_number(1500, q)
+    assert longest_cell_kernel_U(1500, 1, 1, 1, q) == q_number(1500, q)
+
+
 def test_cell_kernels_match_enumeration():
     def brute_u(r, s, t, k, q):
         total = Fraction(0)
@@ -370,6 +381,16 @@ def _constraints(lo, top):
                      st.integers(0, top))
 
 
+def _in_domain(xcon, ycon):
+    """Whether every band pair of two constraints is in the domain of
+    `core.band_table`: failure runs from length 1 and, beside empty success
+    runs, of at most one length."""
+    from qbtrials.kernels import _bands
+
+    return all(ylo >= 1 and (xlo or yhi is not None and yhi <= ylo)
+               for (xlo, _), _ in _bands(xcon) for (ylo, yhi), _ in _bands(ycon))
+
+
 def test_arrangement_poly_equals_direct_over_run_counts():
     # the run-count-free recurrence against brute force summed over every
     # run count and both first symbols, the empty arrangement once; with x
@@ -408,7 +429,9 @@ def test_arrangement_poly_equals_direct_over_run_counts():
 def test_band_tables_equal_top_down_peel():
     # the bottom-up band tables, combined over each side's need and
     # unpacked, against the top-down peel, coefficient for coefficient;
-    # one cache for every example, so the tables also grow between them
+    # one cache for every example, so the tables also grow between them.
+    # A draw outside the tables' domain (empty success runs beside failure
+    # runs of several lengths) is refused
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -421,6 +444,10 @@ def test_band_tables_equal_top_down_peel():
            st.one_of(_constraints(0, 6), _constraints(1, 6)),
            st.one_of(st.just((1, 1, 0)), _constraints(1, 6)))
     def check(last_x, m, r, xcon, ycon):
+        if not _in_domain(xcon, ycon):
+            with pytest.raises(ValueError):
+                cache.arrangement_poly(last_x, m, r, xcon, ycon)
+            return
         want = core.arrangement_poly(last_x, m, r, xcon, ycon, {})
         got = cache.arrangement_poly(last_x, m, r, xcon, ycon)
         assert type(got) is tuple and list(got) == list(want)
@@ -436,7 +463,9 @@ def test_band_table_equals_top_down_peel_at_q():
     # -2 (b = 1, not a positive power of two) and the random a/b by
     # multiplies.  One cache's combined value tables (each side's need)
     # against the peel, with the q changing between examples; the bands
-    # are those of the constraints of `test_band_tables_equal_top_down_peel`
+    # are those of the constraints of `test_band_tables_equal_top_down_peel`,
+    # and every draw outside the tables' domain is refused, the fill and
+    # the cache alike
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -451,9 +480,13 @@ def test_band_table_equals_top_down_peel_at_q():
     peel = {}
 
     def agree(xband, yband, n, q):
-        wide = not xband[0] and yband[0] != yband[1]
-        w = core.packed_width(n, wide)
+        w = core.packed_width(n)
         a, b = q.numerator, q.denominator
+        if not _in_domain(xband + (0,), yband + (0,)):
+            for args in ((a, b), (1 << w, 1)):
+                with pytest.raises(ValueError):
+                    core.band_table(xband, yband, n, *args)
+            return
         tables = core.band_table(xband, yband, n, a, b), \
             core.band_table(xband, yband, n, 1 << w, 1)
         for size, *sides in tables:
@@ -479,16 +512,22 @@ def test_band_table_equals_top_down_peel_at_q():
         for xband, _ in _bands(xcon):
             for yband, _ in _bands(ycon):
                 agree(xband, yband, m + r, q)
+        if not _in_domain(xcon, ycon):
+            with pytest.raises(ValueError):
+                cache.values(q.numerator, q.denominator, last_x, xcon, ycon, m + r)
+            return
         starts, table = cache.values(q.numerator, q.denominator, last_x, xcon, ycon, m + r)
         assert len(starts) > m + r and starts[r] == core.table_index(len(starts) - 1, 0, r)
         assert Fraction(table[starts[r] + m], q.denominator ** (m * r)) == \
             poly_value(core.arrangement_poly(last_x, m, r, xcon, ycon, peel), q)
 
     check()
-    # the wide width: empty success runs and failure runs of more than one
-    # length, whose counts outgrow n + 1 bits at m + r = 44
+    # empty success runs beside failure runs of several lengths, whose
+    # counts would outgrow n + 1 bits at m + r = 44, are refused
     for q in (Fraction(81, 100), Fraction(2), Fraction(-2)):
-        agree((0, None), (1, None), 44, q)
+        for args in ((q.numerator, q.denominator), (1 << core.packed_width(44), 1)):
+            with pytest.raises(ValueError):
+                core.band_table((0, None), (1, None), 44, *args)
 
 
 def test_value_memo_is_swapped_under_the_lock():
@@ -576,37 +615,48 @@ def test_band_tables_grow():
         assert cache.arrangement_poly(last_x, m, r, xcon, ycon) == \
             KernelValueCache().arrangement_poly(last_x, m, r, xcon, ycon)
     # an entry whose tables differ in size rebuilds the smaller at the
-    # larger one's size, so both pack at one width
-    narrow, wide = ((1, 3), (1, 4), False), ((1, 5), (1, 4), False)
+    # larger one's size, so both pack at one width; tables are keyed by
+    # their pair of bands
+    small, large = ((1, 3), (1, 4)), ((1, 5), (1, 4))
     cache.arrangement_poly(True, 2, 2, (1, 3, 0), (1, 4, 0))
     cache.arrangement_poly(True, 30, 30, (1, 5, 0), (1, 4, 0))
-    assert (cache._band_memo[narrow][0], cache._band_memo[wide][0]) == (4, 60)
+    assert (cache._band_memo[small][0], cache._band_memo[large][0]) == (4, 60)
     for m, r in ((2, 2), (9, 6)):
         assert cache.arrangement_poly(True, m, r, (1, 5, 4), (1, 4, 0)) == \
             KernelValueCache().arrangement_poly(True, m, r, (1, 5, 4), (1, 4, 0))
-    assert (cache._band_memo[narrow][0], cache._band_memo[wide][0]) == (60, 60)
+    assert (cache._band_memo[small][0], cache._band_memo[large][0]) == (60, 60)
 
 
-def test_band_tables_pack_wide_with_empty_success_runs():
+def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
     # with empty success runs and failure runs of more than one length, a
     # failure run, an empty success run and a failure run count apart from
-    # the merged run, so coefficients outgrow n + 1 bits (here 51 bits at
-    # m + r = 44, against 48); the longest-run cells (failure runs of
-    # length 1) keep the narrow width
+    # the merged run, so coefficients outgrow n + 1 bits (51 bits at
+    # m + r = 44, against 48); failure runs of length 0 leave the fill
+    # nothing to read.  Nothing in the library asks for either, and the
+    # cache refuses both at packed and at exact q, building nothing.  The
+    # longest-run cells (failure runs of length 1) pack at n + 1 bits and
+    # equal the top-down peel at m + r = 44
     from qbtrials import _core_py as core
 
     cache = KernelValueCache()
     for xcon, ycon in (((0, None, 0), (1, None, 0)), ((0, 9, 0), (1, 6, 2)),
-                       ((0, None, 5), (1, None, 3))):
+                       ((0, None, 5), (1, None, 3)), ((1, None, 0), (0, 3, 0)),
+                       ((0, 5, 0), (0, 0, 0))):
         for last_x in (True, False):
-            want = core.arrangement_poly(last_x, 13, 31, xcon, ycon, {})
-            assert cache.arrangement_poly(last_x, 13, 31, xcon, ycon) == want
+            with pytest.raises(ValueError):
+                cache.arrangement_poly(last_x, 13, 31, xcon, ycon)
+            with pytest.raises(ValueError):
+                cache.values(81, 100, last_x, xcon, ycon, 44)
+    assert not cache._band_memo and not cache._arrangement_memo and not cache._values[1]
     assert max(core.arrangement_poly(True, 13, 31, (0, None, 0), (1, None, 0), {})) \
         >= 2 ** core.packed_width(44)
+    peel = {}
     for y in range(45):
-        cache.arrangement_poly(True, 44 - y, y, (0, 5, 0), (1, 1, 0))  # longest-run cells
-    assert ((0, 5), (1, 1), False) in cache._band_memo
-    assert ((0, 5), (1, 1), True) not in cache._band_memo
+        cell = cache.arrangement_poly(True, 44 - y, y, (0, 5, 0), (1, 1, 0))  # longest-run cells
+        assert cell == core.arrangement_poly(True, 44 - y, y, (0, 5, 0), (1, 1, 0), peel)
+        assert max(cell) < 2 ** 45
+    assert [(key, table[0]) for key, table in cache._band_memo.items()] == \
+        [(((0, 5), (1, 1)), 44)]
 
 
 # (rel1, rel2) -> the paper's four families of a joint quadrant with their s

@@ -192,6 +192,35 @@ def test_oracle_table_budget_refused_before_enumerating(monkeypatch, tmp_path):
     assert exc.value.code == 2
 
 
+def test_waiting_event_reads_only_its_trials(monkeypatch):
+    # {T = t} depends on trials 1..t only: at n = 12 the event enumerates
+    # the 2**t sequences of its first t trials, and its mass equals that of
+    # the 2**12 sequences whose wait ends at t, in plain Fraction arithmetic
+    from qbtrials import oracle, q_pochhammer
+
+    real = core.waiting_stop_counts
+    calls = []
+    monkeypatch.setattr(core, "waiting_stop_counts",
+                        lambda n, *rest: calls.append(n) or real(n, *rest))
+    oracle._counts.cache_clear()
+    th, q = Fraction(3, 7), Fraction(5, 11)
+    params = ModelParams(th, q)
+    for s_freq, f_freq, later in _WAITING_FAMILIES:
+        walk = (s_freq, 2, f_freq, 3, later)
+        quota = QuotaSpec(FreqQuota(2) if s_freq else RunQuota(2),
+                          FreqQuota(3) if f_freq else RunQuota(3),
+                          Mode.LATER if later else Mode.SOONER)
+        for t in range(1, 13):
+            calls.clear()
+            got = oracle_event_prob(params, 12, WaitingEquals(quota, t))
+            assert calls == [t]
+            # the int 0 when no sequence stops at t
+            want = sum(c * th ** (12 - f) * q ** e * q_pochhammer(th, q, f)
+                       for (f, e), c in real(12, t, *walk).items())
+            assert got == want and type(got) is type(want), (walk, t)
+    oracle._counts.cache_clear()
+
+
 def test_later_partial_sums_below_one():
     later = QuotaSpec(RunQuota(2), RunQuota(2), Mode.LATER)
     table = oracle_waiting_pmf(HALF, later, 14)

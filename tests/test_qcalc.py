@@ -165,8 +165,9 @@ def _fraction_horner(coeffs, q):
 def test_term_sum_matches_fraction_arithmetic():
     """`TermSum` against plain Fraction arithmetic (value and type), and its
     float regime against the float expressions it replaced, bit for bit.
-    An exact term's kernel is a Horner numerator over b**e, e at least the
-    degree, as the value tables give it (e = m*r)."""
+    A term is a class of length-n sequences with f failures, so its theta
+    exponent is n - f.  An exact term's kernel is a Horner numerator over
+    b**e, e at least the degree, as the value tables give it (e = m*r)."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -189,16 +190,17 @@ def test_term_sum_matches_fraction_arithmetic():
     @given(thetas, qs, st.integers(0, 12), st.data())
     def check(th, q, n, data):
         terms = data.draw(st.lists(st.tuples(
-            st.integers(0, n + 3), st.integers(0, 3 * n + 3), st.integers(0, n), coeffs,
-            st.integers(0, 4)), max_size=8))
+            st.integers(0, 3 * n + 3), st.integers(0, n), coeffs, st.integers(0, 4)),
+            max_size=8))
         acc = TermSum(th, q, n)
         want = 0
-        for i, j, f, cs, extra in terms:
+        for j, f, cs, extra in terms:
             e = len(cs) - 1 + extra
-            acc.add(i, j, f, horner_numerator(cs, q.numerator, q.denominator)
+            acc.add(j, f, horner_numerator(cs, q.numerator, q.denominator)
                     * q.denominator ** extra, e)
             if any(cs):
-                want = want + th ** i * q ** j * q_pochhammer(th, q, f) * _fraction_horner(cs, q)
+                want = want + th ** (n - f) * q ** j * q_pochhammer(th, q, f) \
+                    * _fraction_horner(cs, q)
         got = acc.total()
         assert got == want
         assert type(got) is type(want), (type(got), type(want))
@@ -209,20 +211,21 @@ def test_term_sum_matches_fraction_arithmetic():
         ffp = q_pochhammer_prefixes(fth, fq, n)
         acc = TermSum(fth, fq, n)
         want = 0.0
-        for i, j, f, cs, _ in terms:
-            acc.add(i, j, f, poly_value(cs, fq))
+        for j, f, cs, _ in terms:
+            acc.add(j, f, poly_value(cs, fq))
             v = poly_value(cs, fq)
             if v:
-                want = want + fth ** i * fq ** j * ffp[f] * v
+                want = want + fth ** (n - f) * fq ** j * ffp[f] * v
         assert acc.total().hex() == want.hex()
-        for i, j, f, cs, _ in terms:
+        for j, f, cs, _ in terms:
             single = TermSum(fth, fq, n)
-            single.add(i, 0, f, poly_value(cs, fq))
+            single.add(0, f, poly_value(cs, fq))
             v = poly_value(cs, fq)
-            assert single.total().hex() == (fth ** i * ffp[f] * v if v else 0.0).hex()
+            assert single.total().hex() == (fth ** (n - f) * ffp[f] * v if v else 0.0).hex()
             # the oracle's class count, an int kernel
             single = TermSum(fth, fq, n)
-            single.add(i, j, f, cs[0] + 1)
-            assert single.total().hex() == ((cs[0] + 1) * (fth ** i * fq ** j * ffp[f])).hex()
+            single.add(j, f, cs[0] + 1)
+            assert single.total().hex() == \
+                ((cs[0] + 1) * (fth ** (n - f) * fq ** j * ffp[f])).hex()
 
     check()
