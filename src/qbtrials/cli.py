@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -318,8 +319,19 @@ def _cmd_mc(parser, args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call: parsing leaves no
+    state in it, so every later call of the process reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line (sys.argv[1:] without argv) and return its exit
+    code; an argument error exits 2 through the parser.  Every call of a
+    process parses with the one parser `_parser` built, so in-process
+    callers do not rebuild the argument tree per call."""
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "precision", 1) < 1:
         parser.error("--precision must be >= 1")

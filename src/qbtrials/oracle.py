@@ -5,9 +5,12 @@ which fixes a sequence's probability exactly; with Fraction parameters every
 oracle value is an exact rational, so "match" in a report means equality,
 not closeness.  An event's classes are summed by `qcalc.TermSum`, the
 accumulator the formula layer uses: one integer over d**n * b**B at
-theta = c/d and q = a/b, and one Fraction at the end.  That shared
-accumulator is tested against plain Fraction arithmetic on its own, and the
-class sums against `model.sequence_probability` summed over sequences.
+theta = c/d and q = a/b, and one Fraction at the end.  The classes of one
+failure count f share the prefactor theta**(n-f) (theta; q)_f, so they are
+added as one term whose kernel is their counts as a polynomial in q.  The
+shared accumulator is tested against plain Fraction arithmetic on its own,
+the per-f sums against the sums over the raw classes, and those against
+`model.sequence_probability` summed over sequences.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .distributions import (
     _WAITING_FAMILIES, Pmf, Rel, _zero, support_min, waiting_time_pmf,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
-from .qcalc import DEFAULT_TOLERANCE, Scalar, TermSum
+from .qcalc import DEFAULT_TOLERANCE, Scalar, TermSum, horner_numerator, poly_value
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -93,22 +96,46 @@ def _core_quota(quota: QuotaSpec) -> tuple[bool, int, bool, int]:
             isinstance(quota.failure_quota, FreqQuota), quota.failure_quota.k)
 
 
+def _rows(classes) -> tuple:
+    """{(failures, weight): count} as one row per failure count f:
+    (f, e_min, degree, coefficients), the counts of weights e_min ..
+    e_min + degree, a polynomial in q with the weight as exponent."""
+    by_f: dict[int, dict[int, int]] = {}
+    for (f, e), c in classes:
+        by_f.setdefault(f, {})[e] = c
+    rows = []
+    for f, counts in by_f.items():
+        lo = min(counts)
+        coeffs = [0] * (max(counts) - lo + 1)
+        for e, c in counts.items():
+            coeffs[e - lo] = c
+        rows.append((f, lo, len(coeffs) - 1, tuple(coeffs)))
+    return tuple(rows)
+
+
 # the count tables are parameter-free, so one table serves the whole
 # theta/q grid of a scan; callers must not mutate what it returns
 @lru_cache(maxsize=4096)
 def _counts(n, waiting=None):
-    """Grouped counts of the length-n sequences: {(failures, weight): count}
-    of those whose wait ends at the target, for waiting = (target, s_freq,
-    k1, f_freq, k2, later); with none, {(l1, l0, failures, weight): count}."""
+    """Grouped counts of the length-n sequences.  For waiting = (target,
+    s_freq, k1, f_freq, k2, later), those whose wait ends at the target, as
+    `_rows`: one (f, e_min, degree, coefficients over e) per failure count;
+    with none, {(l1, l0, failures, weight): count}, which an event merges
+    by its predicate before it groups the rows."""
     if waiting is None:
         return core.longest_joint_counts(n)
-    return core.waiting_stop_counts(n, *waiting)
+    return _rows(core.waiting_stop_counts(n, *waiting).items())
 
 
 def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scalar:
     """Sum of sequence probabilities over all length-n sequences in the event;
     {T = t} depends on trials 1..t only, so it sums the 2**t sequences of
-    its first t trials."""
+    its first t trials.
+
+    A sequence with f failures and success weight e (the failures before
+    each success, summed) has probability theta^(n-f) q^e (theta; q)_f, so
+    the classes of one f add as one term, their counts a polynomial in q:
+    at q = a/b its Horner numerator over b**degree, at float q its value."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > DEFAULT_BUDGET:
@@ -120,20 +147,24 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
             # a stop happens at a trial index in 1..n or not at all
             return _zero(params.theta, params.q)
         n, quota = pred.n, pred.quota
-        items = _counts(n, (n, *_core_quota(quota), quota.mode is Mode.LATER)).items()
+        rows = _counts(n, (n, *_core_quota(quota), quota.mode is Mode.LATER))
     else:
         merged: dict[tuple[int, int], int] = {}
         for (l1, l0, f, e), c in _counts(n).items():
             if pred.holds(l1, l0):
                 key = (f, e)
                 merged[key] = merged.get(key, 0) + c
-        items = merged.items()
+        rows = _rows(merged.items())
 
-    # a sequence with f failures and success weight e (the failures before
-    # each success, summed) has probability theta^(n-f) q^e (theta; q)_f
-    terms = TermSum(params.theta, params.q, n)
-    for (f, e), c in items:
-        terms.add(e, f, c)
+    q = params.q
+    terms = TermSum(params.theta, q, n)
+    if terms.exact:
+        a, b = q.numerator, q.denominator
+        for f, e_min, degree, coeffs in rows:
+            terms.add(e_min, f, horner_numerator(coeffs, a, b), degree)
+    else:
+        for f, e_min, _, coeffs in rows:
+            terms.add(e_min, f, poly_value(coeffs, q))
     return terms.total()
 
 

@@ -8,13 +8,15 @@ Every probability of length-n sequences sums, over classes of f failures,
 terms theta**(n-f) * q**j * (theta; q)_f * K, K an integer polynomial in q.
 `TermSum` adds such terms, each K given by its value: at rational q = a/b
 as an integer numerator over a power of b, read off a table of values at
-that q (or a sequence count, over b**0), so no caller evaluates a
-polynomial there; at float inputs as a float.  At rational
+that q (or, for the oracle, the Horner numerator of one failure count's
+sequence counts), so no formula evaluates a polynomial there; at float
+inputs as a float.  At rational
 theta = c/d and q = a/b every term of the n-th probability has a
 denominator dividing d**n * b**B for some B, so the exact sum is one
 integer numerator over that common denominator, and one `Fraction` is
 built at the end.  `poly_value` evaluates a polynomial at q, by integer
-Horner at Fraction q, for the float path and the single-kernel API.
+Horner at Fraction q, for the float path, the oracle's float sums and the
+single-kernel API.
 """
 
 from __future__ import annotations
@@ -122,6 +124,29 @@ def poly_value(coeffs, q: Scalar) -> Scalar:
     return out
 
 
+# (point (c, d, a, b), its Pochhammer numerators N_0..N_m): one pair, replaced
+# by a single assignment, so a reader always sees a key and numerators that
+# belong together, and it holds one point's numerators
+_numerator_memo: tuple = (None, ())
+
+
+def _numerators(point: tuple, n: int) -> tuple:
+    """N_0..N_m, m >= n, at point = (c, d, a, b): N_f = prod_{k<f}
+    (d b**k - c a**k) is the numerator of (c/d; a/b)_f over d**f
+    b**(f(f-1)/2).  Held for the last point asked for, extended as n grows."""
+    global _numerator_memo
+    key, nums = _numerator_memo
+    if key == point and len(nums) > n:
+        return nums
+    grown = list(nums) if key == point else [1]
+    c, d, a, b = point
+    for k in range(len(grown) - 1, n):
+        grown.append(grown[-1] * (d * b ** k - c * a ** k))
+    nums = tuple(grown)
+    _numerator_memo = point, nums
+    return nums
+
+
 class TermSum:
     """Sum of theta**(n-f) * q**j * (theta; q)_f * K over the terms added,
     each a class of length-n sequences with f <= n failures, at one (theta, q).
@@ -129,7 +154,9 @@ class TermSum:
     At exact theta = c/d and q = a/b, K is given as an integer H over
     b**e, and the term is the integer c**(n-f) a**j N_f H over
     d**n b**(j + f(f-1)/2 + e), where N_f = prod_{k<f} (d b**k - c a**k)
-    is the Pochhammer numerator.  The running numerator is rescaled when a
+    is the Pochhammer numerator.  The numerators are held per point
+    (`_numerators`), so the sums of one table, which ask for every n at one
+    (theta, q), compute each N_f once.  The running numerator is rescaled when a
     term needs a larger power of b, and `total` builds one Fraction (an
     int when neither input is a Fraction).  At float inputs K is its value,
     and each term is th**(n-f) * q**j * (th; q)_f * K in that order, as a
@@ -148,12 +175,8 @@ class TermSum:
             self._total = 0.0
             return
         self._added = False
-        c, d, a, b = th.numerator, th.denominator, q.numerator, q.denominator
-        self._cdab = c, d, a, b
-        pochhammer = [1]
-        for k in range(n):
-            pochhammer.append(pochhammer[-1] * (d * b ** k - c * a ** k))
-        self._pochhammer = pochhammer
+        self._cdab = th.numerator, th.denominator, q.numerator, q.denominator
+        self._pochhammer = _numerators(self._cdab, n)
         self._num = 0
         self._b_exp = 0
 

@@ -253,3 +253,51 @@ def test_mc_waiting_event(capsys):
         "--failure", "run:2")
     assert code == 0
     assert out == "estimate,stderr\n0,0\n"
+
+
+def test_one_parser_per_process(capsys, monkeypatch, tmp_path):
+    # in-process calls share one parser, and each prints what a fresh
+    # process prints for the same arguments; a repeated call, what the
+    # first printed
+    import os
+    import subprocess
+    import sys
+
+    import qbtrials
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"thetas": ["2/5"], "qs": ["3/4"], "k_pairs": [[2, 3]],
+                                "n_max": 8}))
+    calls = [
+        ("pmf", "--mode", "later", "--success", "run:2", "--failure", "freq:2",
+         "--theta", "2/5", "--q", "3/4", "--n-max", "7"),
+        ("longest", "--n", "5", "--theta", "0.37", "--q", "0.81", "--cdf"),
+        ("verify", "--grid", str(grid)),
+        ("pmf", "--mode", "sooner", "--success", "run:0", "--failure", "run:2",
+         "--theta", "1/2", "--q", "1", "--n-max", "3"),
+        ("verify", "--grid", str(grid)),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbtrials.__file__)))
+    fresh = {}
+    try:
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            got = (code, *capsys.readouterr())
+            if argv not in fresh:
+                proc = subprocess.run([sys.executable, "-m", "qbtrials.cli", *argv], env=env,
+                                      capture_output=True, text=True, timeout=120, check=False)
+                fresh[argv] = (proc.returncode, proc.stdout, proc.stderr)
+            assert got == fresh[argv], argv
+    finally:
+        cli._parser.cache_clear()
+    assert [code for code, _, _ in fresh.values()] == [0, 0, 0, 2]
+    assert built == [1]

@@ -161,6 +161,63 @@ def test_grouped_counts_total_probability_one():
             assert oracle_event_prob(params, n, LongestAtMost(n)) == 1
 
 
+def _oracle_events(n_max):
+    """(n, event, its raw core classes {(failures, weight): count}) for
+    every waiting configuration at three quota pairs and for longest-run
+    and joint events, n <= n_max."""
+    for n in range(n_max + 1):
+        joint = core.longest_joint_counts(n)
+        for (s_freq, f_freq, later), (k1, k2) in itertools.product(
+                _WAITING_FAMILIES, ((1, 1), (2, 3), (3, 2))):
+            if n:
+                quota = _quota(s_freq, f_freq, k1, k2, Mode.LATER if later else Mode.SOONER)
+                yield n, WaitingEquals(quota, n), core.waiting_stop_counts(
+                    n, n, s_freq, k1, f_freq, k2, later)
+        preds = [cls(k) for k in range(n + 2) for cls in (LongestEquals, LongestAtMost)]
+        preds += [JointLongest(k1, r1, k2, r2)
+                  for k1, k2 in itertools.product((1, 3), repeat=2)
+                  for r1, r2 in itertools.product(Rel, repeat=2)]
+        for pred in preds:
+            classes = {}
+            for (l1, l0, f, e), c in joint.items():
+                if pred.holds(l1, l0):
+                    classes[f, e] = classes.get((f, e), 0) + c
+            yield n, pred, classes
+
+
+def test_oracle_sums_per_failure_count():
+    # the oracle adds one term per failure count; it equals the sum over
+    # the raw (failures, weight) classes in plain Fraction arithmetic,
+    # value and type, and at a float point the exact value at the same
+    # rationals within 1e-15 (there at n = 4, 8, 12: the exact sums at
+    # its 50-bit denominators take most of the time)
+    from qbtrials.qcalc import q_pochhammer
+
+    exact_points = ((Fraction(3, 7), Fraction(5, 11)), (Fraction(1), Fraction(1, 2)),
+                    (Fraction(2, 5), 1), (0, 1), (1, 1))
+    fth, fq = 0.37, 0.81
+    events = list(_oracle_events(12))
+    for th, q in exact_points + ((Fraction(fth), Fraction(fq)),):
+        params = ModelParams(th, q)
+        exact = (th, q) in exact_points
+        prefactors = {}
+        for n, pred, classes in events:
+            if not exact and n % 4:
+                continue
+            want = 0
+            for (f, e), c in classes.items():
+                if (n, f, e) not in prefactors:
+                    prefactors[n, f, e] = th ** (n - f) * q ** e * q_pochhammer(th, q, f)
+                want = want + c * prefactors[n, f, e]
+            if exact:
+                got = oracle_event_prob(params, n, pred)
+                assert got == want and type(got) is type(want), (th, q, n, pred)
+            else:
+                got = oracle_event_prob(ModelParams(fth, fq), n, pred)
+                assert type(got) is float
+                assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 15) * want, (n, pred)
+
+
 def test_oracle_budget():
     with pytest.raises(EnumerationBudgetError):
         oracle_event_prob(HALF, 25, LongestAtMost(3))

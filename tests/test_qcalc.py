@@ -229,3 +229,77 @@ def test_term_sum_matches_fraction_arithmetic():
                 ((cs[0] + 1) * (fth ** (n - f) * fq ** j * ffp[f])).hex()
 
     check()
+
+
+def test_term_sum_numerators_held_per_point():
+    """The Pochhammer numerators are held for one point and extended as n
+    grows: sums at interleaved points and sizes, the edges theta in {0, 1}
+    and q = 1 and int inputs among them, equal plain Fraction arithmetic in
+    value and type."""
+    from qbtrials import qcalc
+    from qbtrials.qcalc import TermSum, horner_numerator
+
+    th1, q1 = Fraction(3, 7), Fraction(5, 11)
+    th2, q2 = Fraction(2, 9), Fraction(7, 13)
+    groups = [
+        [(th1, q1, 5), (th2, q2, 20), (th1, q1, 30)],
+        [(th1, q1, 12), (0, 1, 9), (1, 1, 9), (Fraction(0), q2, 9), (1, q1, 9)],
+        [(th2, 1, 14), (th2, Fraction(1), 14), (3, 2, 7), (th1, q1, 31), (th2, q2, 3)],
+    ]
+    for points in groups:
+        # every sum of a group is created before any term is added, and
+        # the terms are added round-robin: one per failure count, with
+        # kernels of a few degrees
+        sums = [TermSum(th, q, n) for th, q, n in points]
+        wants = [0] * len(points)
+        for f in range(max(n for _, _, n in points) + 1):
+            j, cs = f % 4, [1 + f, 0, 3 * f + 2][: 1 + f % 3]
+            for i, (th, q, n) in enumerate(points):
+                if f <= n:
+                    sums[i].add(j, f, horner_numerator(cs, q.numerator, q.denominator),
+                                len(cs) - 1)
+                    wants[i] = wants[i] + th ** (n - f) * q ** j \
+                        * q_pochhammer(th, q, f) * _fraction_horner(cs, q)
+        for acc, want, point in zip(sums, wants, points):
+            got = acc.total()
+            assert got == want and type(got) is type(want), (point, got, want)
+    # one point's numerators are held: the last asked for
+    th, q, n = groups[-1][-1]
+    key, nums = qcalc._numerator_memo
+    assert key == (th.numerator, th.denominator, q.numerator, q.denominator)
+    assert len(nums) > n
+
+
+def test_waiting_tables_at_points_computed_concurrently():
+    """Tables at eight points computed by eight threads at once, each
+    replacing the numerators of the others, equal the serial ones."""
+    import sys
+    import threading
+
+    from qbtrials import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, waiting_time_table
+
+    quotas = (QuotaSpec(RunQuota(2), FreqQuota(3), Mode.SOONER),
+              QuotaSpec(RunQuota(3), RunQuota(2), Mode.LATER))
+    points = [ModelParams(Fraction(i + 1, 11), Fraction(5 + i, 13 + 2 * i)) for i in range(8)]
+    def tables(p):
+        return [[(type(v), v) for v in waiting_time_table(p, quota, 18).probs]
+                for quota in quotas]
+
+    serial = [tables(p) for p in points]
+    results = [None] * len(points)
+
+    def work(i):
+        results[i] = [tables(points[i]) for _ in range(10)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(points))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[want] * 10 for want in serial]
