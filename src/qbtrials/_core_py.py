@@ -9,15 +9,16 @@ a power of b.  At q = 2**w (b = 1) an entry is its polynomial packed into
 one int, coefficient i at bits w*i, and `unpack` turns it into a
 coefficient tuple (index = power of q); at the q of an exact probability
 it is the value that probability reads, with no unpacking and no Horner.
-The top-down peel `arrangement_poly` stays as the paper's fixed-run-count
-kernel (`kernel_eval_poly`) and as the reference the tables are tested
-against; `cell_poly_u` is the single-cell kernel of the longest-run API,
-and `kernel_direct_poly` brute force.  Sequence enumeration groups the
-2^n binary sequences by (failure count, success weight), which determines
-the probability of a sequence completely; callers turn the integer count
-tables into exact probabilities.  One walker steps many sequences through
-their trials together, one numpy vector step per trial: all 2^n of them
-for enumeration, random draws of the model for Monte Carlo.
+Two top-down peels remain, each one `_fill` with no recursion:
+`arrangement_poly`, the paper's fixed-run-count kernel (`kernel_eval_poly`
+and the V cells, `cell_poly_v`) and the reference the tables are tested
+against, and `cell_poly_u`, the U cells; `kernel_direct_poly` is brute
+force.  Sequence enumeration groups the 2^n binary sequences by (failure
+count, success weight), which determines the probability of a sequence
+completely; callers turn the integer count tables into exact
+probabilities.  One walker steps many sequences through their trials
+together, one numpy vector step per trial: all 2^n of them for
+enumeration, random draws of the model for Monte Carlo.
 """
 
 from __future__ import annotations
@@ -119,13 +120,11 @@ def kernel_direct_poly(first_success, nx, ny, m, r, xcon, ycon):
 
 
 def _shift_add(dst, src, shift):
-    need = shift + len(src)
-    if len(dst) < need:
-        dst.extend([0] * (need - len(dst)))
-    for i, c in enumerate(src):
-        if c:
-            dst[shift + i] += c
-    return dst
+    if len(dst) < shift:
+        dst.extend([0] * (shift - len(dst)))
+    end = min(len(dst), shift + len(src))
+    dst[shift:end] = map(operator.add, dst[shift:end], src)
+    dst.extend(src[end - shift:])  # the part of src past dst's end
 
 
 def packed_width(n):
@@ -254,6 +253,45 @@ def unpack(p, w):
     return tuple(map(int.from_bytes, map(raw.__getitem__, cuts), repeat("little")))
 
 
+def _fill(memo, top, parts):
+    """Memo entry of state `top`, after filling every state below it that
+    the memo lacks, children first and without recursion.
+
+    `parts(key)` gives a state's own coefficients and its (shift, child
+    key) pairs: the state is its own plus q**shift times each child.  A
+    state waits on a stack above its missing children.  Values are
+    coefficient tuples, never mutated.  Children are trimmed and
+    nonnegative and zero ones are skipped, so sums need no trim; a state
+    with no own coefficients and one unshifted child stores the child's
+    tuple itself.
+    """
+    out = memo.get(top)
+    if out is not None:
+        return out
+    stack = [(top, None)]  # (key, its parts once asked for)
+    while stack:
+        key, got = stack.pop()
+        if got is None:
+            if key in memo:  # pushed by two parents
+                continue
+            got = parts(key)
+            missing = [(child, None) for _, child in got[1] if child not in memo]
+            if missing:
+                stack += [(key, got), *missing]
+                continue
+        own, kids = got
+        if own == _ZERO and len(kids) == 1 and not kids[0][0]:
+            memo[key] = memo[kids[0][1]]
+            continue
+        acc = list(own)
+        for shift, child in kids:
+            poly = memo[child]
+            if poly != _ZERO:
+                _shift_add(acc, poly, shift)
+        memo[key] = tuple(acc)
+    return memo[top]
+
+
 def kernel_eval_poly(first_success, nx, ny, m, r, xcon, ycon, memo):
     """Kernel polynomial of one arrangement shape: `arrangement_poly` with
     the run count fixed at nx + ny (memoized)."""
@@ -262,6 +300,23 @@ def kernel_eval_poly(first_success, nx, ny, m, r, xcon, ycon, memo):
         return _ZERO
     last_x = nx > ny if first_success else nx == ny > 0
     return arrangement_poly(last_x, m, r, xcon, ycon, memo, nx + ny)
+
+
+def _arrangement_parts(key):
+    """`_fill` parts of one `arrangement_poly` state: the peels of its last run."""
+    last_x, m, r, xcon, ycon, runs = key
+    if runs == 0 or runs is None and m == r == 0:
+        # no parts at all: met unless a side needs a part >= need
+        return (_ZERO if m or r or xcon[2] or ycon[2] else _ONE), ()
+    left = None if runs is None else runs - 1
+    lo, hi, need = con = xcon if last_x else ycon
+    relaxed, total = (lo, hi, 0), m if last_x else r
+    kids = []
+    for a in range(lo, (total if hi is None else min(hi, total)) + 1):
+        c = relaxed if need and a >= need else con
+        kids.append((r * a, (False, m - a, r, c, ycon, left)) if last_x
+                    else (0, (True, m, r - a, xcon, c, left)))
+    return _ZERO, kids
 
 
 def arrangement_poly(last_x, m, r, xcon, ycon, memo, runs=None):
@@ -280,91 +335,43 @@ def arrangement_poly(last_x, m, r, xcon, ycon, memo, runs=None):
     empty success run and the empty prefix are one arrangement, so the
     count is that of the arrangements that start with a success run.
 
-    Each peeled run is one Python frame.  Values are coefficient tuples,
-    never mutated: a peel with one admissible length and no shift stores
-    its prefix's tuple itself.  Keys and values hold only ints and None, so
-    the garbage collector stops tracking them and a large memo does not
-    slow every full collection.  Children are trimmed and nonnegative, so
-    sums need no trim.
+    One `_fill` over the states (last_x, m, r, xcon, ycon, runs): no run
+    count is bounded by the recursion limit.  Keys and values hold only ints
+    and None, which the garbage collector stops tracking, so a large memo
+    does not slow every full collection.
     """
-    key = (last_x, m, r, xcon, ycon, runs)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    if runs == 0 or runs is None and m == r == 0:
-        # no parts at all: met unless a side needs a part >= need
-        out = _ZERO if m or r or xcon[2] or ycon[2] else _ONE
-    else:
-        left = None if runs is None else runs - 1
-        own = xcon if last_x else ycon
-        lo, hi, need = own
-        total = m if last_x else r
-        top = total if hi is None else min(hi, total)
-        relaxed = (lo, hi, 0)
-        acc = [0]
-        for a in range(lo, top + 1):
-            con = relaxed if need and a >= need else own
-            if last_x:
-                child = arrangement_poly(False, m - a, r, con, ycon, memo, left)
-                shift = r * a
-            else:
-                child = arrangement_poly(True, m, r - a, xcon, con, memo, left)
-                shift = 0
-            if child == _ZERO:
-                continue
-            if lo == top and not shift:
-                acc = child
-            else:
-                _shift_add(acc, child, shift)
-        out = tuple(acc)  # the child itself when acc is one
-    memo[key] = out
-    return out
+    return _fill(memo, (last_x, m, r, xcon, ycon, runs), _arrangement_parts)
 
 
 def _cell_fits(r, s, t, k):
-    """Whether some filling of r >= 1 cells of 0..k holds s items, t full (t None: any)."""
-    return r >= 1 and (0 <= s <= r * k if t is None
-                       else 0 <= t <= r and 0 <= s - t * k <= (r - t) * (k - 1))
+    """Whether some filling of r >= 1 cells of 0..k holds s items, t of them full."""
+    return r >= 1 and 0 <= t <= r and 0 <= s - t * k <= (r - t) * (k - 1)
+
+
+def _cell_parts(key):
+    """`_fill` parts of a `cell_poly_u` state: its last cell's values (one cell, one filling)."""
+    r, s, t, k = key
+    kids = [(a * (r - 1), (r - 1, s - a, t if a < k else t - 1, k)) for a in range(min(k, s) + 1)]
+    return (_ONE if r == 1 else _ZERO), [kid for kid in kids if _cell_fits(*kid[1])]
 
 
 def cell_poly_u(r, s, t, k, memo):
     """Polynomial of the bounded-cell kernel with t full cells (memoized).
 
     Cells x_1..x_r take values 0..k with sum s and exactly t cells equal
-    to k, or any number of them when t is None; cell j carries weight
-    (j-1)*x_j.  Peeling the last cell of a value a multiplies by
-    q**(a*(r-1)).  Values are coefficient tuples, as in `arrangement_poly`;
-    the memo holds only states that some filling fits, so none is 0.  A
-    loop, so r is not bounded by the recursion limit: the states the memo
-    lacks are collected one cell count at a time from r down, then filled.
+    to k; cell j carries weight (j-1)*x_j.  Peeling the last cell of a
+    value a multiplies by q**(a*(r-1)).  One `_fill` over the states
+    (r, s, t, k) that some filling fits, so none is 0; keys and values are
+    untracked by the garbage collector, as in `arrangement_poly`.
     """
-    if not _cell_fits(r, s, t, k):
-        return _ZERO
-
-    def children(cells, s, t, _):
-        """(a, key) per value a of the last cell that leaves a filling."""
-        for a in range(min(k, s) + 1):
-            key = (cells - 1, s - a, t if t is None or a < k else t - 1, k)
-            if _cell_fits(*key):
-                yield a, key
-
-    top = (r, s, t, k)
-    layers = [{} if top in memo else {top: None}]
-    while layers[-1]:
-        layers.append({key: None for parent in layers[-1] for _, key in children(*parent)
-                       if key not in memo})
-    for layer in reversed(layers):
-        for key in layer:
-            acc = [1 if key[0] == 1 else 0]  # one cell has one filling
-            for a, child in children(*key):
-                _shift_add(acc, memo[child], a * (key[0] - 1))
-            memo[key] = tuple(acc)
-    return memo[top]
+    return _fill(memo, (r, s, t, k), _cell_parts) if _cell_fits(r, s, t, k) else _ZERO
 
 
 def cell_poly_v(r, s, k, memo):
-    """Polynomial of the bounded-cell kernel without the full-cell count."""
-    return cell_poly_u(r, s, None, k, memo)
+    """Polynomial of the bounded-cell kernel with any number of full cells:
+    r cells as success runs of 0..k around r - 1 single failures, by
+    `kernel_eval_poly` (whose keys are longer than `cell_poly_u`'s)."""
+    return kernel_eval_poly(True, r, r - 1, s, r - 1, (0, k, 0), (1, 1, 0), memo)
 
 
 def _uint(bound):

@@ -54,7 +54,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 # named_kernel and longest_cell_kernel_U/V are not called here; they stay
 # bound as the single-kernel names a traced run wraps in this module
@@ -67,7 +66,7 @@ from .kernels import (
     named_kernel,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec
-from .qcalc import Scalar, TermSum, poly_value, q_binomial, q_pochhammer
+from .qcalc import Scalar, TermSum, is_exact, poly_value, q_binomial, q_pochhammer
 
 __all__ = [
     "Pmf",
@@ -120,7 +119,7 @@ _WAITING_FAMILIES: dict[tuple[bool, bool, bool], tuple[tuple[str, ...], tuple[st
 
 def _zero(th: Scalar, q: Scalar) -> Scalar:
     """The int 0 for exact theta and q (ints or Fractions), 0.0 once either is a float."""
-    return 0 if isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction)) else 0.0
+    return 0 if is_exact(th, q) else 0.0
 
 
 def support_min(quota: QuotaSpec) -> int:

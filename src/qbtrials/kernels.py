@@ -35,20 +35,14 @@ Either way an entry's tables share one size, and a table that lies
 short of the entry or of another of them is rebuilt at the larger size
 (`KernelValueCache._tables`).
 
-`family_arrangement` gives a family's last symbol and constraints, and
-`named_kernel` stays the fixed-s kernel API: the top-down peel
-`core.arrangement_poly` with the run count fixed, in the same memo under
-keys that carry the run count.  The same peel without the run count is the
-reference the tables are tested against.
-
-The longest-run cells are the same tables: the y + 1 success runs around y
-failures, as arrangements that start and end with a success run whose
-failure runs have length 1 (cell j carries weight j - 1 per item).  The x
-constraint (0, k, 0) gives the V kernel and (0, k, k) the U kernels summed
-over t >= 1 full cells, read like any other arrangement.  The paper's
-single-cell `longest_cell_kernel_U/V` keep one recurrence of their own,
-`core.cell_poly_u` (V is t = None, any number of full cells), as API and
-as the reference the cells are tested against.
+`family_arrangement` gives a family's last symbol and constraints.  The
+top-down peels, in a memo of their own, stay as the fixed-s API and the
+references the tables are tested against: `named_kernel` is
+`core.arrangement_poly` with the run count fixed, the single-cell V kernel
+that peel over one cell arrangement, and U a peel of the last cell.  The
+tables hold the longest-run cells too: y + 1 success runs around y single
+failures (cell j weighs j - 1 per item), x constraint (0, k, 0) for the V
+kernel and (0, k, k) for the U kernels summed over t >= 1 full cells.
 """
 
 from __future__ import annotations
@@ -188,12 +182,11 @@ class KernelValueCache:
 
     * `_band_memo`: one `core.band_table` at q = 2**w, packed polynomials
       (w = `core.packed_width`), per pair of bands, keyed (x band, y band);
-    * `_arrangement_memo`: the arrangement polynomials, read off the band
-      tables (run count None), among them the longest-run cells, and the
-      top-down `core.arrangement_poly` entries of the fixed-s kernels (run
-      count given);
-    * `_cell_memo`: `core.cell_poly_u`, the single-cell U and V kernels
-      (t None for V), which serve only that API.
+    * `_arrangement_memo`: the float path's arrangement polynomials,
+      unpacked off the band tables, keyed (last_x, m, r, xcon, ycon);
+    * `_peel_memo`: the states of the top-down peels `core.arrangement_poly`
+      (keys of six, the run count last) and `core.cell_poly_u` (of four):
+      the fixed-s kernels and, in the default cache, the U and V cells.
 
     `_values` is (q, value memo): the value tables (`values`) of one exact
     q = a/b, keyed q = (a, b), one `core.band_table` at a/b per pair of
@@ -208,13 +201,13 @@ class KernelValueCache:
     def __init__(self) -> None:
         self._band_memo: dict = {}
         self._arrangement_memo: dict = {}
-        self._cell_memo: dict = {}
+        self._peel_memo: dict = {}
         self._values: tuple = (None, {})
         self._lock = threading.Lock()
 
     def poly(self, spec: KernelSpec) -> tuple:
         with self._lock:
-            return core.kernel_eval_poly(*spec.core_args(), self._arrangement_memo)
+            return core.kernel_eval_poly(*spec.core_args(), self._peel_memo)
 
     def value(self, spec: KernelSpec, q: Scalar) -> Scalar:
         return poly_value(self.poly(spec), q)
@@ -224,7 +217,7 @@ class KernelValueCache:
         success run iff `last_x`, and the empty one, as `core.arrangement_poly`
         gives them; constraints are plain (lo, hi, need) tuples in the domain
         of `core.band_table` (`ValueError` otherwise).  Memoized."""
-        key = (last_x, m, r, xcon, ycon, None)
+        key = (last_x, m, r, xcon, ycon)
         out = self._arrangement_memo.get(key)
         if out is None:
             with self._lock:
@@ -317,9 +310,7 @@ def kernel_direct(spec: KernelSpec, q: Scalar) -> Scalar:
 
 def kernel_eval(spec: KernelSpec, q: Scalar, cache: KernelValueCache | None = None) -> Scalar:
     """Kernel value by the peel-the-last-run recurrence, memoized."""
-    if cache is None:
-        cache = _default_cache
-    return cache.value(spec, q)
+    return (cache or _default_cache).value(spec, q)
 
 
 # family -> (shape, x-constraint kind, y-constraint kind); constraint kinds:
@@ -436,20 +427,19 @@ def named_kernel(
 def longest_cell_kernel_U(r: int, s: int, t: int, k: int, q: Scalar) -> Scalar:
     """Weighted count of ways to fill r cells with s items, cells capped at k,
     exactly t cells full; cell j carries weight (j-1) per item."""
-    return _cell_value(r, s, t, k, q)
+    if t is None:
+        raise ValueError("t must be a full-cell count; longest_cell_kernel_V counts any")
+    return poly_value(_cell_poly(core.cell_poly_u, r, s, t, k), q)
 
 
 def longest_cell_kernel_V(r: int, s: int, k: int, q: Scalar) -> Scalar:
     """Same as the U kernel but without the full-cell count constraint."""
-    return _cell_value(r, s, None, k, q)
+    return poly_value(_cell_poly(core.cell_poly_v, r, s, k), q)
 
 
-def _cell_value(r: int, s: int, t: int | None, k: int, q: Scalar) -> Scalar:
-    """`core.cell_poly_u` at q, memoized in the default cache; t None
-    counts any number of full cells."""
+def _cell_poly(cell_poly, r: int, *args) -> tuple:
+    """`cell_poly(r, *args, memo)` in the default cache's peel memo."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    c = _default_cache
-    with c._lock:
-        poly = core.cell_poly_u(r, s, t, k, c._cell_memo)
-    return poly_value(poly, q)
+    with _default_cache._lock:
+        return cell_poly(r, *args, _default_cache._peel_memo)

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
-from .qcalc import Scalar
+from .qcalc import Scalar, is_exact
 
 __all__ = [
     "BinarySequence",
@@ -45,7 +44,7 @@ class ModelParams:
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.theta, (int, Fraction)) and isinstance(self.q, (int, Fraction))
+        return is_exact(self.theta, self.q)
 
 
 @dataclass(frozen=True)

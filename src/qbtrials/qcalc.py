@@ -30,6 +30,11 @@ Scalar = Union[int, float, Fraction]
 DEFAULT_TOLERANCE = 1e-10
 
 
+def is_exact(th: Scalar, q: Scalar) -> bool:
+    """Whether theta and q are both ints or Fractions: exact inputs."""
+    return isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction))
+
+
 def _one(*args: Scalar) -> Scalar:
     """The int 1, or 1.0 once an argument is a float: the empty product."""
     for x in args:
@@ -169,7 +174,7 @@ class TermSum:
 
     def __init__(self, th: Scalar, q: Scalar, n: int) -> None:
         self._th, self._q, self._n = th, q, n
-        self.exact = isinstance(th, (int, Fraction)) and isinstance(q, (int, Fraction))
+        self.exact = is_exact(th, q)
         if not self.exact:
             self._ffp = q_pochhammer_prefixes(th, q, n)
             self._total = 0.0

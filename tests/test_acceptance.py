@@ -28,7 +28,6 @@ from qbtrials import (
     default_grid,
     differential_scan,
     joint_longest,
-    kernel_direct,
     kernel_eval,
     longest_cell_kernel_U,
     longest_cell_kernel_V,
@@ -66,13 +65,21 @@ def _report(number, name, started):
 
 
 def test_criterion_1_kernel_certification():
+    # the brute-force polynomial of each spec, built once, equals the
+    # recurrence's coefficient for coefficient, and its value at each q
+    # equals `kernel_eval`'s
+    from qbtrials import _core_py as core
+    from qbtrials.qcalc import poly_value
+
     started = time.time()
     cache = KernelValueCache()
     for fam in FAMILY_NAMES:
         for m, r, s, k1, k2 in FULL_GRID:
             spec = family_spec(fam, m, r, s, k1, k2)
+            direct = core.kernel_direct_poly(*spec.core_args())
+            assert cache.poly(spec) == direct, (fam, m, r, s, k1, k2)
             for q in QS:
-                assert kernel_eval(spec, q, cache) == kernel_direct(spec, q), (
+                assert kernel_eval(spec, q, cache) == poly_value(direct, q), (
                     fam, m, r, s, k1, k2, q)
     _report(1, "kernel recurrences equal direct enumeration", started)
 

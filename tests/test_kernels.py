@@ -158,6 +158,8 @@ def test_v_is_u_summed_over_hits():
                         longest_cell_kernel_U(r, s, t, k, q) for t in range(r + 1)
                     )
                     assert longest_cell_kernel_V(r, s, k, q) == total
+    with pytest.raises(ValueError):
+        longest_cell_kernel_U(2, 1, None, 1, QS[0])  # V counts any number of full cells
 
 
 def test_kernel_values_are_monotone_in_q():
@@ -307,7 +309,7 @@ def test_cache_does_not_grow_with_q():
                 first_values = values
             assert values == first_values
     assert sizes() == first
-    assert set(first) == {"_band_memo", "_arrangement_memo", "_cell_memo"}
+    assert set(first) == {"_band_memo", "_arrangement_memo", "_peel_memo"}
     assert all(first.values()) and first_values
 
 
@@ -316,7 +318,7 @@ def test_memo_entries_are_not_gc_tracked():
     # tuples of packed ints, the value tables flat tuples of numerators),
     # which the garbage collector stops tracking, so
     # a large memo does not slow every full collection; the single-cell
-    # kernels fill the default cache's cell memo
+    # kernels fill the default cache's peel memo
     import gc
 
     from qbtrials.kernels import _default_cache
@@ -336,12 +338,15 @@ def test_memo_entries_are_not_gc_tracked():
     longest_cell_kernel_V(5, 6, 2, Fraction(1, 3))
     gc.collect()
     gc.collect()
-    cells = _default_cache._cell_memo
-    assert {key[2] is None for key in cells} == {True, False}  # U and V entries
-    memos = (cache._band_memo, cache._arrangement_memo, cells, cache._values[1])
+    cells = _default_cache._peel_memo
+    # U cells (r, s, t, k) beside V's arrangement-peel states, which carry a run count
+    assert {len(key) for key in cells} == {4, 6}
+    memos = (cache._band_memo, cache._arrangement_memo, cache._peel_memo, cells,
+             cache._values[1])
     assert all(memos)
-    # library entries (run count None) beside the fixed-s kernels' entries
-    assert {key[-1] is None for key in cache._arrangement_memo} == {True, False}
+    # the float path's unpacked entries apart from the fixed-s kernels' peel states
+    assert {len(key) for key in cache._arrangement_memo} == {5}
+    assert {key[-1] is None for key in cache._peel_memo} == {False}
     assert not any(gc.is_tracked(key) or gc.is_tracked(value)
                    for memo in memos for key, value in memo.items())
 
@@ -787,13 +792,28 @@ def test_cell_polys_equal_u_and_v_cells():
     check()
 
 
-def test_cell_kernel_depth_is_one_frame_per_run():
+def test_peels_are_not_bounded_by_the_recursion_limit(monkeypatch):
     # 400 cells around 399 single failures, 3 items in cells of size 1 with
-    # one full: 799 runs peeled within the default recursion limit
+    # one full: 799 runs peeled; then 1500 cells (2999 runs), as the
+    # arrangement peel and as a fixed-s kernel, whose value is
+    # q**(0+1+2) times the 3-subsets of 1500 cells.  The V cell kernel is
+    # that kernel's peel state, here in a default cache released after the
+    # test
+    from qbtrials import BoundedWithZero
     from qbtrials import _core_py as core
+    from qbtrials import kernels
+    from qbtrials.qcalc import poly_value, q_binomial
 
     got = core.arrangement_poly(True, 3, 399, (0, 1, 1), (1, 1, 0), {})
     assert list(got) == _u_sum(400, 3, 1, {})
+    q = Fraction(1, 2)
+    want = q ** 3 * q_binomial(1500, 3, q)
+    got = core.arrangement_poly(True, 3, 1499, (0, 1, 1), (1, 1, 0), {})
+    assert poly_value(got, q) == want
+    cache = KernelValueCache()
+    monkeypatch.setattr(kernels, "_default_cache", cache)
+    spec = KernelSpec(ArrangementShape.SS, 1499, 3, 1499, BoundedWithZero(1), Bounded(1))
+    assert kernel_eval(spec, q, cache) == want == longest_cell_kernel_V(1500, 3, 1, q)
 
 
 def test_spec_run_counts_follow_shape():
