@@ -13,17 +13,17 @@ Two top-down peels remain, each one `_fill` with no recursion:
 `arrangement_poly`, the paper's fixed-run-count kernel (`kernel_eval_poly`
 and the V cells, `cell_poly_v`) and the reference the tables are tested
 against, and `cell_poly_u`, the U cells; `kernel_direct_poly` is brute
-force.  Sequence enumeration groups the 2^n binary sequences by (failure
-count, success weight), which determines the probability of a sequence
-completely; callers turn the integer count tables into exact
-probabilities.  One walker steps many sequences through their trials
-together, one numpy vector step per trial: all 2^n of them for
-enumeration, random draws of the model for Monte Carlo.
+force.  One walker steps many sequences through their trials together,
+one numpy vector step per trial: all 2^n of them for enumeration, random
+draws of the model for Monte Carlo.  `count_rows` counts the sequences
+of one event, a boolean mask over the walk, by failure count and success
+weight, which fix a sequence's probability completely; it gives one row
+of counts per failure count, and callers turn the rows into exact
+probabilities.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from itertools import chain, repeat
 
@@ -431,7 +431,7 @@ class _Lockstep:
         return np.where(both, np.minimum(self.hit1, self.hit0), self.hit1 | self.hit0)
 
 
-def _enumerate(n, quota=None):
+def enumerate_walk(n, quota=None):
     """All 2**n sequences of length n, walked; bit i of a sequence's index in
     arange(2**n) is trial i+1, a set bit a success."""
     masks = np.arange(1 << n, dtype=_uint((1 << n) - 1))
@@ -454,39 +454,26 @@ def simulate(rng, theta, q, n, samples, quota=None):
     return seqs
 
 
-def _group(columns, sizes):
-    """Count equal rows of the integer columns; column j takes values in
-    0..sizes[j]-1.  Keys come in order of first appearance, so a float sum
-    over the result adds its terms in sequence order."""
-    key = np.zeros(len(columns[0]), _uint(math.prod(sizes)))
-    for column, size in zip(columns, sizes):
-        key *= size
-        key += column
-    uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    rest = uniq[order].astype(np.uint64)
-    parts = []
-    for size in reversed(sizes):
-        rest, part = np.divmod(rest, size)
-        parts.append(part.tolist())
-    return dict(zip(zip(*reversed(parts)), counts[order].tolist()))
+def count_rows(seqs, keep):
+    """The walked sequences where `keep` holds, counted per failure count f:
+    one row (f, e_min, degree, coefficients) per f that occurs, in ascending
+    f, whose coefficients count the sequences of success weights e_min ..
+    e_min + degree, a polynomial in q with the weight as exponent.  One
+    `np.bincount` over f * (max_weight + 1) + weight, with f cast to intp
+    first: in the walk's narrow unsigned dtypes the key would wrap."""
+    width = seqs.max_weight + 1
+    key = seqs.failures[keep].astype(np.intp) * width + seqs.weight[keep]
+    table = np.bincount(key, minlength=(seqs.trials + 1) * width).reshape(-1, width)
+    rows = []
+    for f, counts in enumerate(table):
+        e = np.flatnonzero(counts)
+        if e.size:
+            lo, hi = e[[0, -1]].tolist()
+            rows.append((f, lo, hi - lo, tuple(counts[lo:hi + 1].tolist())))
+    return tuple(rows)
 
 
-def waiting_stop_counts(n, target, s_freq, k1, f_freq, k2, later):
-    """Count length-n sequences whose quota stopping time equals `target`
-    (0: the wait has not ended by trial n).
-
-    Returns {(failures, weight): count} where weight is the sum over
-    successes of the number of failures preceding each one.
-    """
-    seqs = _enumerate(n, (s_freq, k1, f_freq, k2))
-    keep = seqs.stop(later) == target
-    return _group((seqs.failures[keep], seqs.weight[keep]),
-                  (n + 1, seqs.max_weight + 1))
-
-
-def longest_joint_counts(n):
-    """Group length-n sequences by (longest 1-run, longest 0-run, failures, weight)."""
-    seqs = _enumerate(n)
-    return _group((seqs.l1, seqs.l0, seqs.failures, seqs.weight),
-                  (n + 1, n + 1, n + 1, seqs.max_weight + 1))
+def waiting_stop_counts(n, s_freq, k1, f_freq, k2, later):
+    """`count_rows` of the length-n sequences whose quota wait ends at trial n."""
+    seqs = enumerate_walk(n, (s_freq, k1, f_freq, k2))
+    return count_rows(seqs, seqs.stop(later) == n)

@@ -217,7 +217,8 @@ def sooner_freq_freq_closed(params: ModelParams, k1: int, k2: int, n: int) -> Sc
     if k1 < 1 or k2 < 1:
         raise ValueError("quota sizes must be >= 1")
     zero = _zero(params.theta, params.q)
-    if n < 1:
+    if n < min(k1, k2):
+        # below the support both sums are 1, and 1 - 1 can round below 0
         return zero
     a = zero
     for x in range(max(0, n - k2), k1):

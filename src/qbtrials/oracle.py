@@ -1,15 +1,18 @@
 """Ground truth by exhaustive enumeration, plus the differential-test harness.
 
-The enumeration groups all 2**n sequences by (failure count, success weight),
-which fixes a sequence's probability exactly; with Fraction parameters every
-oracle value is an exact rational, so "match" in a report means equality,
-not closeness.  An event's classes are summed by `qcalc.TermSum`, the
-accumulator the formula layer uses: one integer over d**n * b**B at
-theta = c/d and q = a/b, and one Fraction at the end.  The classes of one
-failure count f share the prefactor theta**(n-f) (theta; q)_f, so they are
-added as one term whose kernel is their counts as a polynomial in q.  The
-shared accumulator is tested against plain Fraction arithmetic on its own,
-the per-f sums against the sums over the raw classes, and those against
+The enumeration walks all 2**n sequences and counts those in an event by
+(failure count, success weight), which fixes a sequence's probability
+exactly; with Fraction parameters every oracle value is an exact rational,
+so "match" in a report means equality, not closeness.  Every event, a
+waiting time or a longest-run or joint predicate, is a mask over the walk
+and gives one row of counts per failure count f: the sequences of one f
+share the prefactor theta**(n-f) (theta; q)_f, so they are added as one
+term whose kernel is their counts as a polynomial in q.  The rows are
+summed by `qcalc.TermSum`, the accumulator the formula layer uses: one
+integer over d**n * b**B at theta = c/d and q = a/b, and one Fraction at
+the end.  The shared accumulator is tested against plain Fraction
+arithmetic on its own, each event's rows against a per-sequence grouping
+of `model.stopping_time` and `model.longest_runs`, and the sums against
 `model.sequence_probability` summed over sequences.
 """
 
@@ -96,35 +99,18 @@ def _core_quota(quota: QuotaSpec) -> tuple[bool, int, bool, int]:
             isinstance(quota.failure_quota, FreqQuota), quota.failure_quota.k)
 
 
-def _rows(classes) -> tuple:
-    """{(failures, weight): count} as one row per failure count f:
-    (f, e_min, degree, coefficients), the counts of weights e_min ..
-    e_min + degree, a polynomial in q with the weight as exponent."""
-    by_f: dict[int, dict[int, int]] = {}
-    for (f, e), c in classes:
-        by_f.setdefault(f, {})[e] = c
-    rows = []
-    for f, counts in by_f.items():
-        lo = min(counts)
-        coeffs = [0] * (max(counts) - lo + 1)
-        for e, c in counts.items():
-            coeffs[e - lo] = c
-        rows.append((f, lo, len(coeffs) - 1, tuple(coeffs)))
-    return tuple(rows)
-
-
-# the count tables are parameter-free, so one table serves the whole
-# theta/q grid of a scan; callers must not mutate what it returns
+# the rows are parameter-free, so one serves the whole theta/q grid of a scan
 @lru_cache(maxsize=4096)
-def _counts(n, waiting=None):
-    """Grouped counts of the length-n sequences.  For waiting = (target,
-    s_freq, k1, f_freq, k2, later), those whose wait ends at the target, as
-    `_rows`: one (f, e_min, degree, coefficients over e) per failure count;
-    with none, {(l1, l0, failures, weight): count}, which an event merges
-    by its predicate before it groups the rows."""
-    if waiting is None:
-        return core.longest_joint_counts(n)
-    return _rows(core.waiting_stop_counts(n, *waiting).items())
+def _counts(n, event):
+    """`core.count_rows` of the length-n sequences in an event: one row
+    (f, e_min, degree, coefficients over e) per failure count f.  A waiting
+    event is the walker's (s_freq, k1, f_freq, k2, later), and counts the
+    sequences whose wait ends at trial n; a longest-run or joint predicate
+    counts those whose longest runs (l1, l0) it holds for."""
+    if isinstance(event, tuple):
+        return core.waiting_stop_counts(n, *event)
+    seqs = core.enumerate_walk(n)
+    return core.count_rows(seqs, event.holds(seqs.l1, seqs.l0))
 
 
 def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scalar:
@@ -138,23 +124,18 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
     at q = a/b its Horner numerator over b**degree, at float q its value."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > DEFAULT_BUDGET:
-        raise EnumerationBudgetError(
-            f"n={n} exceeds enumeration budget {DEFAULT_BUDGET}")
-
     if isinstance(pred, WaitingEquals):
         if pred.n < 1 or pred.n > n:
             # a stop happens at a trial index in 1..n or not at all
             return _zero(params.theta, params.q)
         n, quota = pred.n, pred.quota
-        rows = _counts(n, (n, *_core_quota(quota), quota.mode is Mode.LATER))
+        event = (*_core_quota(quota), quota.mode is Mode.LATER)
     else:
-        merged: dict[tuple[int, int], int] = {}
-        for (l1, l0, f, e), c in _counts(n).items():
-            if pred.holds(l1, l0):
-                key = (f, e)
-                merged[key] = merged.get(key, 0) + c
-        rows = _rows(merged.items())
+        event = pred
+    if n > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(
+            f"n={n} exceeds enumeration budget {DEFAULT_BUDGET}")
+    rows = _counts(n, event)
 
     q = params.q
     terms = TermSum(params.theta, q, n)

@@ -79,6 +79,15 @@ def test_sooner_freq_freq_closed_examples():
     assert sooner_freq_freq_closed(HALF, 2, 1, 1) == Fraction(1, 2)
     assert sooner_freq_freq_closed(HALF, 2, 3, 5) == 0
     assert sooner_freq_freq_closed(ModelParams(0.3, 0.7), 3, 4, 7) == 0
+    # below the support min(k1, k2): the zero of waiting_time_pmf, never
+    # the float rounding of 1 - 1
+    for th, q, k1, k2, n in ((0.5875806061435594, 0.9177353005823004, 5, 4, 2),
+                             (0.5, 1 - 1e-13, 3, 3, 2), (Fraction(1, 3), Fraction(1, 2), 3, 3, 0),
+                             (0.37, 0.81, 4, 6, 3)):
+        params = ModelParams(th, q)
+        got = sooner_freq_freq_closed(params, k1, k2, n)
+        want = waiting_time_pmf(params, make_quota(True, True, k1, k2, Mode.SOONER), n)
+        assert got == want == 0 and type(got) is type(want), (th, q, k1, k2, n)
 
 
 def test_sooner_freq_freq_closed_matches_assembly():

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -71,7 +72,7 @@ def _failures_and_weight(seq):
 
 def _grouped(n, statistic):
     """{(statistic(seq), failures, weight): count} over all length-n
-    sequences, keys in first-seen order; bit i of a mask is trial i+1."""
+    sequences; bit i of a mask is trial i+1."""
     counts = {}
     for mask in range(1 << n):
         seq = [(mask >> i) & 1 for i in range(n)]
@@ -80,11 +81,34 @@ def _grouped(n, statistic):
     return counts
 
 
+def _naive_rows(classes):
+    """{(failures, weight): count} as the oracle's rows: (f, e_min, degree,
+    coefficients over the weights e_min .. e_min + degree), ascending f."""
+    rows = []
+    for f in sorted({f for f, _ in classes}):
+        counts = {e: c for (g, e), c in classes.items() if g == f}
+        lo, hi = min(counts), max(counts)
+        rows.append((f, lo, hi - lo, tuple(counts.get(e, 0) for e in range(lo, hi + 1))))
+    return tuple(rows)
+
+
+def _all_ints(rows):
+    return all(type(x) is int for f, e, d, coeffs in rows for x in (f, e, d, *coeffs))
+
+
+def _predicates(n):
+    """Longest-run events at every k up to n + 1, and joint events."""
+    preds = [cls(k) for k in range(n + 2) for cls in (LongestEquals, LongestAtMost)]
+    return preds + [JointLongest(k1, r1, k2, r2)
+                    for k1, k2 in itertools.product((1, 3), repeat=2)
+                    for r1, r2 in itertools.product(Rel, repeat=2)]
+
+
 @pytest.mark.parametrize("s_freq,f_freq", ALL_KINDS)
 @pytest.mark.parametrize("mode", [Mode.SOONER, Mode.LATER])
 def test_oracle_matches_naive_summation(s_freq, f_freq, mode):
-    # the grouped enumeration must agree with a literal sum of
-    # sequence_probability over sequences satisfying the predicate
+    # the oracle must agree with a literal sum of sequence_probability over
+    # the sequences whose wait ends at t, for every t in 0..n
     params = ModelParams(Fraction(2, 7), Fraction(3, 5))
     n = 7
     quota = _quota(s_freq, f_freq, 3, 2, mode)
@@ -96,26 +120,40 @@ def test_oracle_matches_naive_summation(s_freq, f_freq, mode):
         )
         got = oracle_event_prob(params, n, WaitingEquals(quota, t))
         assert got == want
-    # and its count tables must match model.stopping_time sequence by
-    # sequence, keys in the same order
+    # and its rows must match model.stopping_time sequence by sequence:
+    # the event's at trial n, and the walk's masked at every other target
+    # (0: the wait has not ended by trial n)
+    later = mode is Mode.LATER
     for n in range(0, 9):
         for k1, k2 in ((1, 1), (2, 3), (3, 2)):
             quota = _quota(s_freq, f_freq, k1, k2, mode)
             table = _grouped(n, lambda seq: stopping_time(seq, quota) or 0)
+            walk = core.enumerate_walk(n, (s_freq, k1, f_freq, k2))
             for target in range(0, n + 2):
-                want = [((f, e), c) for (stop, f, e), c in table.items() if stop == target]
-                got = core.waiting_stop_counts(
-                    n, target, s_freq, k1, f_freq, k2, mode is Mode.LATER)
-                assert list(got.items()) == want, (n, k1, k2, target)
+                want = _naive_rows({(f, e): c for (stop, f, e), c in table.items()
+                                    if stop == target})
+                got = core.count_rows(walk, walk.stop(later) == target)
+                assert got == want and _all_ints(got), (n, k1, k2, target)
+            if n:
+                got = core.waiting_stop_counts(n, s_freq, k1, f_freq, k2, later)
+                assert got == core.count_rows(walk, walk.stop(later) == n), (n, k1, k2)
 
 
 def test_longest_counts_match_naive_summation():
+    # each longest-run and joint event's rows match model.longest_runs
+    # sequence by sequence
+    from qbtrials import oracle
+
     for n in range(0, 9):
-        want = {(l1, l0, f, e): c
-                for ((l1, l0), f, e), c in _grouped(n, longest_runs).items()}
-        got = core.longest_joint_counts(n)
-        assert list(got.items()) == list(want.items()), n
-        assert all(type(x) is int for key, c in got.items() for x in key + (c,))
+        table = _grouped(n, longest_runs)
+        for pred in _predicates(n):
+            classes = Counter()
+            for ((l1, l0), f, e), c in table.items():
+                if pred.holds(l1, l0):
+                    classes[f, e] += c
+            want = _naive_rows(classes)
+            got = oracle._counts(n, pred)
+            assert got == want and _all_ints(got), (n, pred)
     params = ModelParams(Fraction(2, 7), Fraction(3, 5))
     n = 7
     for k1, r1 in ((2, Rel.LE), (2, Rel.GE)):
@@ -146,43 +184,41 @@ def test_oracle_rational_denominators():
 
 
 def test_grouped_counts_total_probability_one():
+    from qbtrials import oracle
     from qbtrials.qcalc import q_pochhammer
 
     for theta, q in ((Fraction(1, 3), Fraction(2, 5)), (Fraction(1), Fraction(1, 2))):
         params = ModelParams(theta, q)
         for n in (0, 1, 5, 9):
-            counts = core.longest_joint_counts(n)
-            assert sum(counts.values()) == 2 ** n
+            rows = oracle._counts(n, LongestAtMost(n))  # every sequence
+            assert sum(sum(coeffs) for *_, coeffs in rows) == 2 ** n
             total = sum(
-                c * theta ** (n - f) * q ** e * q_pochhammer(theta, q, f)
-                for (_, _, f, e), c in counts.items()
+                c * theta ** (n - f) * q ** (e_min + i) * q_pochhammer(theta, q, f)
+                for f, e_min, _, coeffs in rows for i, c in enumerate(coeffs)
             )
             assert total == 1
             assert oracle_event_prob(params, n, LongestAtMost(n)) == 1
 
 
+def _classes(walk, keep):
+    """{(failures, weight): count} of the walked sequences where keep holds."""
+    return Counter(zip(walk.failures[keep].tolist(), walk.weight[keep].tolist()))
+
+
 def _oracle_events(n_max):
-    """(n, event, its raw core classes {(failures, weight): count}) for
-    every waiting configuration at three quota pairs and for longest-run
-    and joint events, n <= n_max."""
+    """(n, event, its raw classes {(failures, weight): count}, grouped
+    from the walk sequence by sequence) for every waiting configuration
+    at three quota pairs and for longest-run and joint events, n <= n_max."""
     for n in range(n_max + 1):
-        joint = core.longest_joint_counts(n)
         for (s_freq, f_freq, later), (k1, k2) in itertools.product(
                 _WAITING_FAMILIES, ((1, 1), (2, 3), (3, 2))):
             if n:
                 quota = _quota(s_freq, f_freq, k1, k2, Mode.LATER if later else Mode.SOONER)
-                yield n, WaitingEquals(quota, n), core.waiting_stop_counts(
-                    n, n, s_freq, k1, f_freq, k2, later)
-        preds = [cls(k) for k in range(n + 2) for cls in (LongestEquals, LongestAtMost)]
-        preds += [JointLongest(k1, r1, k2, r2)
-                  for k1, k2 in itertools.product((1, 3), repeat=2)
-                  for r1, r2 in itertools.product(Rel, repeat=2)]
-        for pred in preds:
-            classes = {}
-            for (l1, l0, f, e), c in joint.items():
-                if pred.holds(l1, l0):
-                    classes[f, e] = classes.get((f, e), 0) + c
-            yield n, pred, classes
+                walk = core.enumerate_walk(n, (s_freq, k1, f_freq, k2))
+                yield n, WaitingEquals(quota, n), _classes(walk, walk.stop(later) == n)
+        walk = core.enumerate_walk(n)
+        for pred in _predicates(n):
+            yield n, pred, _classes(walk, pred.holds(walk.l1, walk.l0))
 
 
 def test_oracle_sums_per_failure_count():
@@ -218,11 +254,39 @@ def test_oracle_sums_per_failure_count():
                 assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 15) * want, (n, pred)
 
 
-def test_oracle_budget():
+def test_oracle_budget(monkeypatch):
     with pytest.raises(EnumerationBudgetError):
         oracle_event_prob(HALF, 25, LongestAtMost(3))
     with pytest.raises(EnumerationBudgetError):
         oracle_event_prob(HALF, DEFAULT_BUDGET + 1, LongestAtMost(3))
+    # the budget bounds the trials enumerated, not n: {T = 10} walks the
+    # 2**10 sequences of its first 10 trials at any n >= 10
+    quota = QuotaSpec(RunQuota(2), RunQuota(3), Mode.SOONER)
+    want = Fraction(11909699235, 8796093022208)
+    for n in (10, DEFAULT_BUDGET, DEFAULT_BUDGET + 1, 40):
+        assert oracle_event_prob(HALF, n, WaitingEquals(quota, 10)) == want, n
+    with pytest.raises(EnumerationBudgetError):
+        oracle_event_prob(HALF, 25, WaitingEquals(quota, DEFAULT_BUDGET + 1))
+    # a table above the budget is refused before anything is walked
+    def no_walk(*args):
+        raise AssertionError("enumerated before the budget was checked")
+
+    monkeypatch.setattr(core, "enumerate_walk", no_walk)
+    with pytest.raises(EnumerationBudgetError):
+        oracle_waiting_pmf(HALF, quota, DEFAULT_BUDGET + 1)
+
+
+def test_oracle_longest_events_at_budget():
+    # at n = DEFAULT_BUDGET the longest-run and joint events walk all 2**20
+    # sequences, whose grouping keys pass 2**11, and equal the formulas
+    from qbtrials import joint_longest, longest_run_pmf
+
+    params = ModelParams(Fraction(3, 7), Fraction(5, 11))
+    n = DEFAULT_BUDGET
+    assert oracle_event_prob(params, n, LongestAtMost(4)) == longest_run_cdf(params, n, 4)
+    assert oracle_event_prob(params, n, LongestEquals(3)) == longest_run_pmf(params, n, 3)
+    assert oracle_event_prob(params, n, JointLongest(3, Rel.LE, 2, Rel.GE)) == \
+        joint_longest(params, n, 3, Rel.LE, 2, Rel.GE)
 
 
 def test_oracle_table_budget_refused_before_enumerating(monkeypatch, tmp_path):
@@ -263,7 +327,7 @@ def test_waiting_event_reads_only_its_trials(monkeypatch):
     th, q = Fraction(3, 7), Fraction(5, 11)
     params = ModelParams(th, q)
     for s_freq, f_freq, later in _WAITING_FAMILIES:
-        walk = (s_freq, 2, f_freq, 3, later)
+        walk = core.enumerate_walk(12, (s_freq, 2, f_freq, 3))
         quota = QuotaSpec(FreqQuota(2) if s_freq else RunQuota(2),
                           FreqQuota(3) if f_freq else RunQuota(3),
                           Mode.LATER if later else Mode.SOONER)
@@ -273,8 +337,8 @@ def test_waiting_event_reads_only_its_trials(monkeypatch):
             assert calls == [t]
             # the int 0 when no sequence stops at t
             want = sum(c * th ** (12 - f) * q ** e * q_pochhammer(th, q, f)
-                       for (f, e), c in real(12, t, *walk).items())
-            assert got == want and type(got) is type(want), (walk, t)
+                       for (f, e), c in _classes(walk, walk.stop(later) == t).items())
+            assert got == want and type(got) is type(want), (s_freq, f_freq, later, t)
     oracle._counts.cache_clear()
 
 
