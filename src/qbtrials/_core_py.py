@@ -7,7 +7,8 @@ with no recursion, one table per pair of bands (every run of a symbol in
 lo..hi), at one rational q = a/b: each entry is an integer numerator over
 a power of b.  At q = 2**w (b = 1) an entry is its polynomial packed into
 one int, coefficient i at bits w*i, and `unpack` turns it into a
-coefficient tuple (index = power of q); at the q of an exact probability
+coefficient tuple (index = power of q), `unpack_matrix` a list of them into
+one float64 matrix for the float path; at the q of an exact probability
 it is the value that probability reads, with no unpacking and no Horner.
 Two top-down peels remain, each one `_fill` with no recursion:
 `arrangement_poly`, the paper's fixed-run-count kernel (`kernel_eval_poly`
@@ -251,6 +252,43 @@ def unpack(p, w):
     raw = p.to_bytes(size, "little")
     cuts = map(slice, range(0, size, step), range(step, size + step, step))
     return tuple(map(int.from_bytes, map(raw.__getitem__, cuts), repeat("little")))
+
+
+def unpack_matrix(rows, w):
+    """(first row, first power, M): the packed polynomials `rows` (width w
+    bits, a multiple of 8, nonnegative coefficients) as one float64 matrix,
+    trimmed to the bounding box of their nonzero rows and powers, so
+    M[i, e] is the coefficient of q**(first power + e) in
+    rows[first row + i].  An all-zero `rows` gives (0, 0, a 0 x 0 matrix).
+
+    One numpy unpack: each row's bytes, little-endian, go into one buffer,
+    each coefficient padded to whole 64-bit limbs, and the limbs are
+    scaled to float64 from the top one down.  While w <= 64 (tables of
+    size n <= 63) a coefficient is one limb and its float is float(c)
+    exactly; beyond, within one ulp of it.  Raises `OverflowError` where a
+    coefficient overflows a float, as float(c) does.
+    """
+    live = [i for i, p in enumerate(rows) if p]
+    if not live:
+        return 0, 0, np.zeros((0, 0))
+    first = live[0]
+    rows = rows[first:live[-1] + 1]
+    # the lowest and highest nonzero coefficient of any row
+    low = min(((p & -p).bit_length() - 1) // w for p in rows if p)
+    cols = (max(p.bit_length() for p in rows) - 1) // w + 1 - low
+    step = w // 8
+    raw = b"".join([(p >> low * w).to_bytes(cols * step, "little") for p in rows])
+    limbs = -(-step // 8)
+    digits = np.zeros((len(rows), cols, limbs * 8), np.uint8)
+    digits[:, :, :step] = np.frombuffer(raw, np.uint8).reshape(len(rows), cols, step)
+    words = digits.view("<u8")
+    with np.errstate(over="ignore"):
+        out = words[:, :, -1].astype(np.float64)
+        for i in range(limbs - 2, -1, -1):
+            out = np.ldexp(out, 64) + words[:, :, i]
+    if not np.isfinite(out).all():
+        raise OverflowError("a kernel coefficient is too large for a float")
+    return first, low, out
 
 
 def _fill(memo, top, parts):

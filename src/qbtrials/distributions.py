@@ -16,9 +16,11 @@ the cache's bottom-up arrangement tables (`kernels.KernelValueCache`):
 * at exact theta and q = a/b, as the integer numerator over b**(x*y) of
   K at a/b, one read of a flat table of values at that q
   (`KernelValueCache.values`), resolved once per side of the sum;
-* otherwise as the polynomial (`KernelValueCache.arrangement_poly`, read
-  off the tables at q = 2**w, which hold packed polynomials) evaluated
-  at q.
+* otherwise in float64: every entry of one side of a sum lies on one
+  anti-diagonal x + y = size of the tables at q = 2**w, which hold packed
+  polynomials, and those entries, unpacked once into one q-free float64
+  matrix (`KernelValueCache.matrix`), give every K of the side by one
+  product with q**powers.
 
 * `_WAITING_FAMILIES`, keyed (success freq?, failure freq?, later?), holds
   the families summed when the success side stops the wait and those summed
@@ -43,7 +45,8 @@ reads kernels takes an optional `KernelValueCache` and uses the
 module-level one without it.  Each probability hands its terms' j, f and
 K to one `qcalc.TermSum`: at rational theta = c/d and q = a/b the whole
 sum is one integer over d**n * b**B, and one Fraction is built at the end;
-at float inputs each term is a float product, added in the same order.
+at float inputs each term is a float product, and the terms are summed
+by `math.fsum`.
 
 Sum ranges are generous where feasibility is subtle; kernels vanish outside
 their domains.  Exact (Fraction) inputs produce exact outputs.
@@ -54,6 +57,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 # named_kernel and longest_cell_kernel_U/V are not called here; they stay
 # bound as the single-kernel names a traced run wraps in this module
@@ -66,7 +71,7 @@ from .kernels import (
     named_kernel,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec
-from .qcalc import Scalar, TermSum, is_exact, poly_value, q_binomial, q_pochhammer
+from .qcalc import Scalar, TermSum, is_exact, q_binomial, q_pochhammer
 
 __all__ = [
     "Pmf",
@@ -192,8 +197,11 @@ def _mass(th, q, n, sides, cache):
 
     At exact theta and q = a/b, each side's value table at a/b is resolved
     once (`KernelValueCache.values`) and a term's K is one read of it, an
-    integer numerator over b**(x*y).  Otherwise K is the arrangement
-    polynomial (`KernelValueCache.arrangement_poly`) evaluated at q.
+    integer numerator over b**(x*y).  Otherwise every entry of a side lies
+    on the anti-diagonal x + y = size of its tables, so each side makes one
+    product of its q-free float64 matrix (`KernelValueCache.matrix`) with
+    q**powers, which gives the K of every y at once; a y outside the
+    matrix's rows has K = 0.
     """
     terms = TermSum(th, q, n)
     if terms.exact:
@@ -205,10 +213,15 @@ def _mass(th, q, n, sides, cache):
             for j, f, x, y in rows:
                 terms.add(j, f, table[starts[y] + x], x * y)
     else:
-        poly = cache.arrangement_poly
-        for last_x, xcon, ycon, _, rows in sides:
+        fq = float(q)
+        for last_x, xcon, ycon, size, rows in sides:
+            if not rows:
+                continue  # no matrix to build
+            first, low, matrix = cache.matrix(last_x, xcon, ycon, size)
+            ks = (matrix @ fq ** np.arange(low, low + matrix.shape[1], dtype=np.float64)).tolist()
             for j, f, x, y in rows:
-                terms.add(j, f, poly_value(poly(last_x, x, y, xcon, ycon), q))
+                if 0 <= y - first < len(ks):
+                    terms.add(j, f, ks[y - first])
     return terms.total()
 
 
@@ -298,11 +311,11 @@ def joint_longest(
     xcon = (1, k1, 0) if rel1 is Rel.LE else (1, None, k1)
     ycon = (1, k2, 0) if rel2 is Rel.LE else (1, None, k2)
     ys = range(k2 if rel2 is Rel.GE else 0, n - (k1 if rel1 is Rel.GE else 0) + 1)
-    # its K ends with either symbol, one side each per y, in the order a
-    # float sum adds them; with no failure the empty arrangement, counted
-    # among those that end with a success run, ends with one
-    sides = [(last_x, xcon, ycon, n, [(0, y, n - y, y)])
-             for y in ys for last_x in (True, False) if y or last_x]
+    rows = [(0, y, n - y, y) for y in ys]
+    # its K ends with either symbol, one side each; with no failure the
+    # empty arrangement, counted among those that end with a success run,
+    # ends with one
+    sides = [(True, xcon, ycon, n, rows), (False, xcon, ycon, n, [row for row in rows if row[1]])]
     return _mass(params.theta, params.q, n, sides, cache or _default_cache)
 
 

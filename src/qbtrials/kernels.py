@@ -27,9 +27,12 @@ states.  The cache asks for tables at two kinds of q:
   signed sum is combined once into one flat table, which a term reads
   with one index, and the tables of one q are held at a time;
 * at q = 2**w, where an entry is its polynomial packed with coefficient i
-  at bits w*i (`KernelValueCache.arrangement_poly`): the signed sum is
-  unpacked once and memoized per (last symbol, x, y, constraints).  These
-  q-free polynomials serve float inputs.
+  at bits w*i: the signed sums of one anti-diagonal m + r = size are
+  unpacked at once into one q-free float64 matrix, memoized per (last
+  symbol, constraints, size) (`KernelValueCache.matrix`), whose product
+  with q**powers gives every K of one side of a float sum;
+  `KernelValueCache.arrangement_poly` reads one entry exactly, as a
+  coefficient tuple, for the tests.
 
 Either way an entry's tables share one size, and a table that lies
 short of the entry or of another of them is rebuilt at the larger size
@@ -171,8 +174,9 @@ def _bands(con: tuple) -> tuple:
 
 
 class KernelValueCache:
-    """Memo of kernel, arrangement and cell polynomials, and of arrangement
-    values at one exact q; safe to share across threads.
+    """Memo of kernel, arrangement and cell polynomials, of the float
+    path's coefficient matrices, and of arrangement values at one exact q;
+    safe to share across threads.
 
     Kernel values are polynomials in q with nonnegative integer
     coefficients, so the polynomial memos hold only the q-independent
@@ -182,8 +186,11 @@ class KernelValueCache:
 
     * `_band_memo`: one `core.band_table` at q = 2**w, packed polynomials
       (w = `core.packed_width`), per pair of bands, keyed (x band, y band);
-    * `_arrangement_memo`: the float path's arrangement polynomials,
-      unpacked off the band tables, keyed (last_x, m, r, xcon, ycon);
+      `arrangement_poly` reads an entry off it, unmemoized;
+    * `_matrix_memo`: the float path's coefficients (`matrix`), one float64
+      matrix per anti-diagonal m + r = size of the band tables, unpacked
+      off them and trimmed, keyed (last_x, xcon, ycon, size), each value
+      (first row, first power, matrix);
     * `_peel_memo`: the states of the top-down peels `core.arrangement_poly`
       (keys of six, the run count last) and `core.cell_poly_u` (of four):
       the fixed-s kernels and, in the default cache, the U and V cells.
@@ -194,13 +201,14 @@ class KernelValueCache:
     xcon, ycon).  A call at another q replaces the pair under the lock, so
     its memory is that of one q's tables however many q are asked for.
 
-    Keys and values hold only ints, None and tuples of them, so the garbage
-    collector does not track them.  One lock guards every write.
+    Keys and values hold only ints, None, tuples of them and numpy
+    arrays, so the garbage collector does not track them.  One lock guards
+    every write.
     """
 
     def __init__(self) -> None:
         self._band_memo: dict = {}
-        self._arrangement_memo: dict = {}
+        self._matrix_memo: dict = {}
         self._peel_memo: dict = {}
         self._values: tuple = (None, {})
         self._lock = threading.Lock()
@@ -216,12 +224,34 @@ class KernelValueCache:
         """The arrangements of m successes and r failures ending with a
         success run iff `last_x`, and the empty one, as `core.arrangement_poly`
         gives them; constraints are plain (lo, hi, need) tuples in the domain
-        of `core.band_table` (`ValueError` otherwise).  Memoized."""
-        key = (last_x, m, r, xcon, ycon)
-        out = self._arrangement_memo.get(key)
+        of `core.band_table` (`ValueError` otherwise).  The exact accessor:
+        one entry off the packed band tables, by inclusion-exclusion over
+        each side's need, unpacked; not memoized itself."""
+        if m < 0 or r < 0:
+            return core._ZERO
+        with self._lock:
+            n, cols = self._packed(last_x, xcon, ycon, m + r)
+        return core.unpack(_signed(cols, core.table_index(n, m, r)), core.packed_width(n))
+
+    def matrix(self, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> tuple:
+        """(first row, first power, M): the float path's coefficients of
+        every entry on the anti-diagonal m + r = size, row r the entry
+        (size - r, r) of `arrangement_poly`, as `core.unpack_matrix` gives
+        them, trimmed to their nonzero rows and powers: the q-free float64
+        matrix whose product with q**powers is every K of one side of a
+        sum.  Memoized per (last_x, xcon, ycon, size); `OverflowError`
+        where a coefficient overflows a float."""
+        key = (last_x, xcon, ycon, size)
+        out = self._matrix_memo.get(key)
         if out is None:
             with self._lock:
-                out = self._arrangement_memo[key] = self._read(last_x, m, r, xcon, ycon)
+                out = self._matrix_memo.get(key)
+                if out is None:
+                    n, cols = self._packed(last_x, xcon, ycon, size)
+                    rows = [_signed(cols, core.table_index(n, size - r, r))
+                            for r in range(size + 1)]
+                    out = self._matrix_memo[key] = core.unpack_matrix(
+                        rows, core.packed_width(n))
         return out
 
     def values(self, a: int, b: int, last_x: bool, xcon: tuple, ycon: tuple,
@@ -257,19 +287,12 @@ class KernelValueCache:
                     out = memo[key] = size, starts, tuple(total)
         return out[1:]
 
-    def _read(self, last_x: bool, m: int, r: int, xcon: tuple, ycon: tuple) -> tuple:
-        """One entry off the packed band tables, by inclusion-exclusion over
-        each side's need, unpacked; the caller holds the lock."""
-        if m < 0 or r < 0:
-            return core._ZERO
-        size, cols = self._tables(
-            self._band_memo, last_x, xcon, ycon, m + r,
+    def _packed(self, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> tuple:
+        """`_tables` of the packed band tables, at q = 2**w; the caller holds
+        the lock."""
+        return self._tables(
+            self._band_memo, last_x, xcon, ycon, size,
             lambda xband, yband, n: core.band_table(xband, yband, n, 1 << core.packed_width(n), 1))
-        i = core.table_index(size, m, r)
-        total = 0
-        for col, sign in cols:
-            total += sign * col[i]
-        return core.unpack(total, core.packed_width(size))
 
     @staticmethod
     def _tables(memo: dict, last_x: bool, xcon: tuple, ycon: tuple, size: int,
@@ -293,6 +316,14 @@ class KernelValueCache:
                 table = memo[key] = build(*key, size)
             cols.append((table[1 if last_x else 2], sign))
         return size, cols
+
+
+def _signed(cols: list, i: int) -> int:
+    """Entry i of the signed sum of the (column, sign) pairs of `_tables`."""
+    total = 0
+    for col, sign in cols:
+        total += sign * col[i]
+    return total
 
 
 _default_cache = KernelValueCache()

@@ -106,11 +106,20 @@ def _counts(n, event):
     (f, e_min, degree, coefficients over e) per failure count f.  A waiting
     event is the walker's (s_freq, k1, f_freq, k2, later), and counts the
     sequences whose wait ends at trial n; a longest-run or joint predicate
-    counts those whose longest runs (l1, l0) it holds for."""
+    counts those whose longest runs (l1, l0) it holds for, on the one
+    walk per n that `_walk` holds."""
     if isinstance(event, tuple):
         return core.waiting_stop_counts(n, *event)
-    seqs = core.enumerate_walk(n)
+    seqs = _walk(n)
     return core.count_rows(seqs, event.holds(seqs.l1, seqs.l0))
+
+
+@lru_cache(maxsize=1)
+def _walk(n):
+    """The unconditioned walk of all 2**n sequences, held for the last n, so
+    the longest-run and joint predicates of a scan over k at one n share
+    one walk; never mutated."""
+    return core.enumerate_walk(n)
 
 
 def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scalar:

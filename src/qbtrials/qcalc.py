@@ -10,13 +10,13 @@ terms theta**(n-f) * q**j * (theta; q)_f * K, K an integer polynomial in q.
 as an integer numerator over a power of b, read off a table of values at
 that q (or, for the oracle, the Horner numerator of one failure count's
 sequence counts), so no formula evaluates a polynomial there; at float
-inputs as a float.  At rational
-theta = c/d and q = a/b every term of the n-th probability has a
+inputs as a float, and the float terms are summed by `math.fsum`.  At
+rational theta = c/d and q = a/b every term of the n-th probability has a
 denominator dividing d**n * b**B for some B, so the exact sum is one
 integer numerator over that common denominator, and one `Fraction` is
 built at the end.  `poly_value` evaluates a polynomial at q, by integer
-Horner at Fraction q, for the float path, the oracle's float sums and the
-single-kernel API.
+Horner at Fraction q, for the oracle's float sums and the single-kernel
+API.
 """
 
 from __future__ import annotations
@@ -133,6 +133,8 @@ def poly_value(coeffs, q: Scalar) -> Scalar:
 # by a single assignment, so a reader always sees a key and numerators that
 # belong together, and it holds one point's numerators
 _numerator_memo: tuple = (None, ())
+# the same for float inputs: ((theta, q, their types), (theta; q)_0..m)
+_prefix_memo: tuple = (None, ())
 
 
 def _numerators(point: tuple, n: int) -> tuple:
@@ -152,6 +154,20 @@ def _numerators(point: tuple, n: int) -> tuple:
     return nums
 
 
+def _float_prefixes(th: Scalar, q: Scalar, n: int) -> tuple:
+    """`q_pochhammer_prefixes(th, q, m)`, m >= n, at inputs where one is a
+    float: held for the last (theta, q) asked for, as `_numerators` holds
+    the exact ones.  The key carries the input types, since 1.0 == 1 but
+    the prefixes of an int q and of a float q are computed apart."""
+    global _prefix_memo
+    point = th, q, type(th), type(q)
+    key, prefixes = _prefix_memo
+    if key != point or len(prefixes) <= n:
+        prefixes = tuple(q_pochhammer_prefixes(th, q, n))
+        _prefix_memo = point, prefixes
+    return prefixes
+
+
 class TermSum:
     """Sum of theta**(n-f) * q**j * (theta; q)_f * K over the terms added,
     each a class of length-n sequences with f <= n failures, at one (theta, q).
@@ -164,8 +180,11 @@ class TermSum:
     (theta, q), compute each N_f once.  The running numerator is rescaled when a
     term needs a larger power of b, and `total` builds one Fraction (an
     int when neither input is a Fraction).  At float inputs K is its value,
-    and each term is th**(n-f) * q**j * (th; q)_f * K in that order, as a
-    product of floats.
+    each term is th**(n-f) * q**j * (th; q)_f * K in that order, as a
+    product of floats, with the prefixes (th; q)_f held per point as the
+    numerators are (`_float_prefixes`), and `total` is the `math.fsum` of
+    the terms: correctly rounded, so no digit is lost to the order in
+    which they are added.
 
     A term whose K is zero is skipped.  With no term added the total is the
     int 0 at exact inputs and 0.0 at float ones; a term added with a zero
@@ -176,8 +195,8 @@ class TermSum:
         self._th, self._q, self._n = th, q, n
         self.exact = is_exact(th, q)
         if not self.exact:
-            self._ffp = q_pochhammer_prefixes(th, q, n)
-            self._total = 0.0
+            self._ffp = _float_prefixes(th, q, n)
+            self._terms = []
             return
         self._added = False
         self._cdab = th.numerator, th.denominator, q.numerator, q.denominator
@@ -190,7 +209,7 @@ class TermSum:
         exact inputs (h an int) and K = h at float ones (e unused)."""
         if not self.exact:
             if h:
-                self._total += self._th ** (self._n - f) * self._q ** j * self._ffp[f] * h
+                self._terms.append(self._th ** (self._n - f) * self._q ** j * self._ffp[f] * h)
             return
         if not h:
             return
@@ -207,7 +226,7 @@ class TermSum:
 
     def total(self) -> Scalar:
         if not self.exact:
-            return self._total
+            return math.fsum(self._terms)
         if not self._added:
             return 0
         if isinstance(self._th, Fraction) or isinstance(self._q, Fraction):

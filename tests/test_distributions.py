@@ -139,8 +139,9 @@ def test_longest_run_pmf_is_cdf_difference_at_n_100():
 
 def test_longest_run_fills_the_callers_cache():
     # a caller's cache fills and the module-level one gains nothing: exact
-    # inputs fill the value memo at q, float ones the polynomial memos; the
-    # calls without a cache, which use the module-level one, agree
+    # inputs fill the value memo at q, float ones the packed band tables
+    # and the float coefficient matrices; the calls without a cache, which
+    # use the module-level one, agree
     from qbtrials.kernels import _default_cache
 
     def state(cache):
@@ -156,11 +157,11 @@ def test_longest_run_fills_the_callers_cache():
               for k in range(14)]
     assert state(_default_cache) == before
     assert cache._values[0] == (5, 11) and cache._values[1]
-    assert not cache._arrangement_memo and not cache._band_memo
+    assert not cache._matrix_memo and not cache._band_memo
     float_values = [(longest_run_pmf(floats, 13, k, cache), longest_run_cdf(floats, 13, k, cache))
                     for k in range(14)]
     assert state(_default_cache) == before
-    assert cache._arrangement_memo and cache._band_memo
+    assert cache._matrix_memo and cache._band_memo
     assert values == [(longest_run_pmf(params, 13, k), longest_run_cdf(params, 13, k))
                       for k in range(14)]
     assert float_values == [(longest_run_pmf(floats, 13, k), longest_run_cdf(floats, 13, k))

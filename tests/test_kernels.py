@@ -1,9 +1,11 @@
 """Kernel layer: direct enumeration vs recurrence, classical limits, cells."""
 
 import itertools
+import math
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qbtrials import (
@@ -309,14 +311,15 @@ def test_cache_does_not_grow_with_q():
                 first_values = values
             assert values == first_values
     assert sizes() == first
-    assert set(first) == {"_band_memo", "_arrangement_memo", "_peel_memo"}
+    assert set(first) == {"_band_memo", "_matrix_memo", "_peel_memo"}
     assert all(first.values()) and first_values
 
 
 def test_memo_entries_are_not_gc_tracked():
     # keys and values are plain tuples of ints and None (the band tables
-    # tuples of packed ints, the value tables flat tuples of numerators),
-    # which the garbage collector stops tracking, so
+    # tuples of packed ints, the value tables flat tuples of numerators)
+    # and numpy arrays (the float matrices), which the garbage collector
+    # does not track once collected, so
     # a large memo does not slow every full collection; the single-cell
     # kernels fill the default cache's peel memo
     import gc
@@ -328,8 +331,10 @@ def test_memo_entries_are_not_gc_tracked():
         kernel_eval(family_spec(fam, 6, 5, 3, 2, 3), Fraction(1, 3), cache)
     for last_x in (True, False):
         cache.arrangement_poly(last_x, 6, 5, (1, 2, 0), (1, None, 3))
+        cache.matrix(last_x, (1, 2, 0), (1, None, 3), 11)
     for y in range(8):
         cache.arrangement_poly(True, 9 - y, y, (0, 2, 2), (1, 1, 0))  # longest-run cells
+    cache.matrix(True, (0, 2, 2), (1, 1, 0), 9)
     for last_x in (True, False):
         cache.values(1, 3, last_x, (1, 2, 0), (1, None, 3), 11)
     cache.values(1, 3, True, (0, 2, 2), (1, 1, 0), 9)
@@ -341,11 +346,13 @@ def test_memo_entries_are_not_gc_tracked():
     cells = _default_cache._peel_memo
     # U cells (r, s, t, k) beside V's arrangement-peel states, which carry a run count
     assert {len(key) for key in cells} == {4, 6}
-    memos = (cache._band_memo, cache._arrangement_memo, cache._peel_memo, cells,
+    memos = (cache._band_memo, cache._matrix_memo, cache._peel_memo, cells,
              cache._values[1])
     assert all(memos)
-    # the float path's unpacked entries apart from the fixed-s kernels' peel states
-    assert {len(key) for key in cache._arrangement_memo} == {5}
+    # the float path's matrices, (first row, first power, float64 array)
+    # per (last_x, xcon, ycon, size), apart from the fixed-s kernels' peel states
+    assert {len(key) for key in cache._matrix_memo} == {4}
+    assert all(isinstance(value[2], np.ndarray) for value in cache._matrix_memo.values())
     assert {key[-1] is None for key in cache._peel_memo} == {False}
     assert not any(gc.is_tracked(key) or gc.is_tracked(value)
                    for memo in memos for key, value in memo.items())
@@ -652,7 +659,9 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
                 cache.arrangement_poly(last_x, 13, 31, xcon, ycon)
             with pytest.raises(ValueError):
                 cache.values(81, 100, last_x, xcon, ycon, 44)
-    assert not cache._band_memo and not cache._arrangement_memo and not cache._values[1]
+            with pytest.raises(ValueError):
+                cache.matrix(last_x, xcon, ycon, 44)
+    assert not cache._band_memo and not cache._matrix_memo and not cache._values[1]
     assert max(core.arrangement_poly(True, 13, 31, (0, None, 0), (1, None, 0), {})) \
         >= 2 ** core.packed_width(44)
     peel = {}
@@ -662,6 +671,79 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
         assert max(cell) < 2 ** 45
     assert [(key, table[0]) for key, table in cache._band_memo.items()] == \
         [(((0, 5), (1, 1)), 44)]
+
+
+@pytest.mark.parametrize("n", [40, 55, 70])
+def test_float_matrices_equal_the_exact_coefficients(n):
+    # every row of a side's float matrix is entry (n - r, r) of the exact
+    # accessor, coefficient by coefficient: exactly (as float(c)) while a
+    # coefficient is one 64-bit limb (n = 40, 55), within one ulp at
+    # n = 70 (w = 72 bits, two limbs); the matrix is trimmed to the
+    # bounding box of its nonzero rows and powers.  Waiting keys of every
+    # family at k = (3, 2), longest-run cells, and joint keys
+    from qbtrials import _core_py as core
+    from qbtrials.kernels import family_arrangement
+
+    keys = {family_arrangement(fam, 3, 2) for fam in FAMILY_NAMES}
+    keys |= {(True, (0, 5, need), (1, 1, 0)) for need in (0, 5)}
+    keys |= {(last_x, xcon, ycon) for last_x in (True, False)
+             for xcon in ((1, 3, 0), (1, None, 4)) for ycon in ((1, 2, 0), (1, None, 3))}
+    exact = core.packed_width(n) <= 64
+    assert exact == (n < 64)
+    cache = KernelValueCache()
+    for last_x, xcon, ycon in sorted(keys, key=repr):
+        first, low, matrix = cache.matrix(last_x, xcon, ycon, n)
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+        assert matrix[0].any() and matrix[-1].any()
+        assert matrix[:, 0].any() and matrix[:, -1].any()
+        for r in range(n + 1):
+            poly = cache.arrangement_poly(last_x, n - r, r, xcon, ycon)
+            got = np.zeros(max(len(poly), low + matrix.shape[1]))
+            if 0 <= r - first < len(matrix):
+                got[low:low + matrix.shape[1]] = matrix[r - first]
+            want = np.zeros(len(got))
+            want[:len(poly)] = [float(c) for c in poly]
+            if exact:
+                assert np.array_equal(got, want), (last_x, xcon, ycon, r)
+            else:
+                assert (abs(got - want) <= np.spacing(want)).all(), (last_x, xcon, ycon, r)
+
+
+def test_unpack_matrix_limbs_and_overflow():
+    # fabricated packed rows: coefficients of one to seventeen 64-bit
+    # limbs are within one ulp of float(c), exact below 2**53; a
+    # coefficient of 2**1024 or more raises OverflowError, as float(c)
+    # does, and zero rows and powers are trimmed
+    import random
+
+    from qbtrials import _core_py as core
+
+    rng = random.Random(5)
+    for w in (8, 64, 72, 136, 1032):
+        rows = [[rng.randrange(1 << rng.randrange(1, w + 1)) for _ in range(6)]
+                for _ in range(4)]
+        rows[0], rows[1][:2], rows[2][-1] = [0] * 6, [0, 0], 0
+        packed = [sum(c << w * i for i, c in enumerate(cs)) for cs in rows]
+        first, low, matrix = core.unpack_matrix(packed, w)
+        assert (first, low) == (1, min(next(i for i, c in enumerate(cs) if c) for cs in rows[1:]))
+        for r, cs in enumerate(rows[1:], 1):
+            for e, c in enumerate(cs):
+                if e >= low:
+                    got = matrix[r - first, e - low]
+                    assert abs(got - float(c)) <= math.ulp(float(c)), (w, r, e)
+                    if c < 2 ** 53:
+                        assert got == c
+                else:
+                    assert not c
+        assert matrix.shape == (3, max(len(cs) for cs in rows) - low)
+    assert core.unpack_matrix([0, 0], 64)[2].shape == (0, 0)
+    top = 2 ** 1024 - 2 ** 971  # the largest float
+    assert core.unpack_matrix([top << 1032], 1032)[2].tolist() == [[float(top)]]
+    for c in (2 ** 1024, 2 ** 1031 + 5):
+        with pytest.raises(OverflowError):
+            float(c)
+        with pytest.raises(OverflowError):
+            core.unpack_matrix([3, c << 1032], 1032)
 
 
 # (rel1, rel2) -> the paper's four families of a joint quadrant with their s

@@ -289,6 +289,27 @@ def test_oracle_longest_events_at_budget():
         joint_longest(params, n, 3, Rel.LE, 2, Rel.GE)
 
 
+def test_longest_predicates_share_one_walk_per_n(monkeypatch):
+    # a scan over k at one n walks the 2**n sequences once: LongestEquals(k)
+    # for k = 0..n and a JointLongest at n = 12 share the held walk, and
+    # each equals its formula
+    from qbtrials import joint_longest, longest_run_pmf, oracle
+
+    real = core.enumerate_walk
+    calls = []
+    monkeypatch.setattr(core, "enumerate_walk", lambda *args: calls.append(args) or real(*args))
+    oracle._counts.cache_clear()
+    oracle._walk.cache_clear()
+    params, n = ModelParams(Fraction(3, 7), Fraction(5, 11)), 12
+    for k in range(n + 1):
+        assert oracle_event_prob(params, n, LongestEquals(k)) == longest_run_pmf(params, n, k)
+    assert oracle_event_prob(params, n, JointLongest(3, Rel.LE, 2, Rel.GE)) == \
+        joint_longest(params, n, 3, Rel.LE, 2, Rel.GE)
+    assert calls == [(n,)]
+    oracle._counts.cache_clear()
+    oracle._walk.cache_clear()
+
+
 def test_oracle_table_budget_refused_before_enumerating(monkeypatch, tmp_path):
     # n_max above the budget is refused before any count table is built,
     # from the library and from both CLI paths that reach it
