@@ -1,24 +1,28 @@
 """Ground truth by exhaustive enumeration, plus the differential-test harness.
 
-The enumeration walks all 2**n sequences and counts those in an event by
+The enumeration walks every sequence and counts those in an event by
 (failure count, success weight), which fixes a sequence's probability
 exactly; with Fraction parameters every oracle value is an exact rational,
-so "match" in a report means equality, not closeness.  Every event, a
-waiting time or a longest-run or joint predicate, is a mask over the walk
-and gives one row of counts per failure count f: the sequences of one f
-share the prefactor theta**(n-f) (theta; q)_f, so they are added as one
-term whose kernel is their counts as a polynomial in q.  The rows are
-summed by `qcalc.TermSum`, the accumulator the formula layer uses: one
-integer over d**n * b**B at theta = c/d and q = a/b, and one Fraction at
-the end.  The shared accumulator is tested against plain Fraction
-arithmetic on its own, each event's rows against a per-sequence grouping
-of `model.stopping_time` and `model.longest_runs`, and the sums against
-`model.sequence_probability` summed over sequences.
+so "match" in a report means equality, not closeness.  A longest-run or
+joint predicate is a mask over the walk of all 2**n sequences.  A waiting
+event is one walk that grows its prefixes trial by trial and drops each
+one once its wait has ended, counting at every t the prefixes that stop
+there; the rows of every t up to the longest walked so far are held per
+event.  Every event gives one row of counts per failure count f: the
+sequences of one f share the prefactor theta**(n-f) (theta; q)_f, so they
+are added as one term whose kernel is their counts as a polynomial in q.
+The rows are summed by `qcalc.TermSum`, the accumulator the formula layer
+uses: one integer over d**n * b**B at theta = c/d and q = a/b, and one
+Fraction at the end.  The shared accumulator is tested against plain
+Fraction arithmetic on its own, each event's rows against a per-sequence
+grouping of `model.stopping_time` and `model.longest_runs`, and the sums
+against `model.sequence_probability` summed over sequences.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -99,17 +103,41 @@ def _core_quota(quota: QuotaSpec) -> tuple[bool, int, bool, int]:
             isinstance(quota.failure_quota, FreqQuota), quota.failure_quota.k)
 
 
-# the rows are parameter-free, so one serves the whole theta/q grid of a scan
+def _waiting_event(quota: QuotaSpec) -> tuple[bool, int, bool, int, bool]:
+    """The walker's (s_freq, k1, f_freq, k2, later) for a quota."""
+    return (*_core_quota(quota), quota.mode is Mode.LATER)
+
+
+# held waiting events; the least recently used goes first
+_HELD_EVENTS = 256
+_held = {}
+_held_lock = threading.Lock()
+
+
+def _waiting_rows(event, n):
+    """The rows of a waiting event (the walker's s_freq, k1, f_freq, k2,
+    later) for t = 1..n at least, one `core.count_rows` tuple per t: the
+    sequences whose wait ends at trial t.  The longest row tuple walked so
+    far is held per event, and a longer n walks once to n.  The rows are
+    parameter-free, so one walk serves the whole theta/q grid of a scan.
+    Threads share the held rows under one lock, the walk included, so an
+    event is walked once however many threads ask for it."""
+    with _held_lock:
+        rows = _held.pop(event, ())
+        if len(rows) < n:
+            rows = core.waiting_stop_counts(n, *event)
+        _held[event] = rows
+        if len(_held) > _HELD_EVENTS:
+            del _held[next(iter(_held))]
+        return rows
+
+
 @lru_cache(maxsize=4096)
 def _counts(n, event):
-    """`core.count_rows` of the length-n sequences in an event: one row
-    (f, e_min, degree, coefficients over e) per failure count f.  A waiting
-    event is the walker's (s_freq, k1, f_freq, k2, later), and counts the
-    sequences whose wait ends at trial n; a longest-run or joint predicate
-    counts those whose longest runs (l1, l0) it holds for, on the one
+    """`core.count_rows` of the length-n sequences in a longest-run or joint
+    predicate: one row (f, e_min, degree, coefficients over e) per failure
+    count f, of those whose longest runs (l1, l0) it holds for, on the one
     walk per n that `_walk` holds."""
-    if isinstance(event, tuple):
-        return core.waiting_stop_counts(n, *event)
     seqs = _walk(n)
     return core.count_rows(seqs, event.holds(seqs.l1, seqs.l0))
 
@@ -124,8 +152,9 @@ def _walk(n):
 
 def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scalar:
     """Sum of sequence probabilities over all length-n sequences in the event;
-    {T = t} depends on trials 1..t only, so it sums the 2**t sequences of
-    its first t trials.
+    {T = t} depends on trials 1..t only, so it sums the sequences of its
+    first t trials: the event's held rows when they reach t, otherwise one
+    walk to t.
 
     A sequence with f failures and success weight e (the failures before
     each success, summed) has probability theta^(n-f) q^e (theta; q)_f, so
@@ -137,14 +166,14 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
         if pred.n < 1 or pred.n > n:
             # a stop happens at a trial index in 1..n or not at all
             return _zero(params.theta, params.q)
-        n, quota = pred.n, pred.quota
-        event = (*_core_quota(quota), quota.mode is Mode.LATER)
-    else:
-        event = pred
+        n = pred.n
     if n > DEFAULT_BUDGET:
         raise EnumerationBudgetError(
             f"n={n} exceeds enumeration budget {DEFAULT_BUDGET}")
-    rows = _counts(n, event)
+    if isinstance(pred, WaitingEquals):
+        rows = _waiting_rows(_waiting_event(pred.quota), n)[n - 1]
+    else:
+        rows = _counts(n, pred)
 
     q = params.q
     terms = TermSum(params.theta, q, n)
@@ -159,7 +188,8 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
 
 
 def oracle_waiting_pmf(params: ModelParams, quota: QuotaSpec, n_max: int) -> Pmf:
-    """Exact PMF of the waiting time, truncated at n_max."""
+    """Exact PMF of the waiting time, truncated at n_max: one walk to
+    n_max, then one `oracle_event_prob` per n on the held rows."""
     if n_max > DEFAULT_BUDGET:
         # refused before any table is enumerated
         raise EnumerationBudgetError(
@@ -167,6 +197,7 @@ def oracle_waiting_pmf(params: ModelParams, quota: QuotaSpec, n_max: int) -> Pmf
     offset = support_min(quota)
     if n_max < offset:
         raise ValueError(f"n_max={n_max} is below the support minimum {offset}")
+    _waiting_rows(_waiting_event(quota), n_max)
     probs = [
         oracle_event_prob(params, n, WaitingEquals(quota, n))
         for n in range(offset, n_max + 1)

@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 import json
 import math
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -135,8 +137,10 @@ def test_oracle_matches_naive_summation(s_freq, f_freq, mode):
                 got = core.count_rows(walk, walk.stop(later) == target)
                 assert got == want and _all_ints(got), (n, k1, k2, target)
             if n:
+                # one row tuple per t = 1..n; the last is the walk's at n
                 got = core.waiting_stop_counts(n, s_freq, k1, f_freq, k2, later)
-                assert got == core.count_rows(walk, walk.stop(later) == n), (n, k1, k2)
+                assert len(got) == n, (n, k1, k2)
+                assert got[-1] == core.count_rows(walk, walk.stop(later) == n), (n, k1, k2)
 
 
 def test_longest_counts_match_naive_summation():
@@ -272,6 +276,7 @@ def test_oracle_budget(monkeypatch):
         raise AssertionError("enumerated before the budget was checked")
 
     monkeypatch.setattr(core, "enumerate_walk", no_walk)
+    monkeypatch.setattr(core, "waiting_stop_counts", no_walk)
     with pytest.raises(EnumerationBudgetError):
         oracle_waiting_pmf(HALF, quota, DEFAULT_BUDGET + 1)
 
@@ -319,6 +324,7 @@ def test_oracle_table_budget_refused_before_enumerating(monkeypatch, tmp_path):
         raise AssertionError("enumerated before the budget was checked")
 
     monkeypatch.setattr(oracle, "_counts", no_counts)
+    monkeypatch.setattr(core, "waiting_stop_counts", no_counts)
     n_max = DEFAULT_BUDGET + 1
     with pytest.raises(EnumerationBudgetError):
         oracle_waiting_pmf(HALF, RR_SOONER, n_max)
@@ -335,16 +341,15 @@ def test_oracle_table_budget_refused_before_enumerating(monkeypatch, tmp_path):
 
 
 def test_waiting_event_reads_only_its_trials(monkeypatch):
-    # {T = t} depends on trials 1..t only: at n = 12 the event enumerates
-    # the 2**t sequences of its first t trials, and its mass equals that of
-    # the 2**12 sequences whose wait ends at t, in plain Fraction arithmetic
+    # {T = t} depends on trials 1..t only: at n = 12 a lone event, with no
+    # rows held, walks its first t trials, and its mass equals that of the
+    # 2**12 sequences whose wait ends at t, in plain Fraction arithmetic
     from qbtrials import oracle, q_pochhammer
 
     real = core.waiting_stop_counts
     calls = []
     monkeypatch.setattr(core, "waiting_stop_counts",
                         lambda n, *rest: calls.append(n) or real(n, *rest))
-    oracle._counts.cache_clear()
     th, q = Fraction(3, 7), Fraction(5, 11)
     params = ModelParams(th, q)
     for s_freq, f_freq, later in _WAITING_FAMILIES:
@@ -354,13 +359,113 @@ def test_waiting_event_reads_only_its_trials(monkeypatch):
                           Mode.LATER if later else Mode.SOONER)
         for t in range(1, 13):
             calls.clear()
+            oracle._held.clear()
             got = oracle_event_prob(params, 12, WaitingEquals(quota, t))
             assert calls == [t]
             # the int 0 when no sequence stops at t
             want = sum(c * th ** (12 - f) * q ** e * q_pochhammer(th, q, f)
                        for (f, e), c in _classes(walk, walk.stop(later) == t).items())
             assert got == want and type(got) is type(want), (s_freq, f_freq, later, t)
-    oracle._counts.cache_clear()
+    oracle._held.clear()
+
+
+@pytest.mark.parametrize("s_freq,f_freq,later", _WAITING_FAMILIES)
+def test_pruned_walk_equals_unpruned_walk(monkeypatch, s_freq, f_freq, later):
+    # one walk to n_max = 14 that drops stopped prefixes gives, for every t,
+    # the rows of the full t-trial walk masked at stop == t; at k = (15, 15)
+    # no wait ends, so nothing is dropped and every row is empty
+    live = []
+    real = core._Lockstep.grow
+    monkeypatch.setattr(core._Lockstep, "grow",
+                        lambda self: live.append(self.weight.size) or real(self))
+    for k1, k2 in ((1, 1), (2, 3), (3, 2), (4, 4), (15, 15)):
+        live.clear()
+        got = core.waiting_stop_counts(14, s_freq, k1, f_freq, k2, later)
+        live_before = list(live)  # live prefixes before each grow
+        assert len(got) == 14 and len(live_before) == 14
+        for t in range(1, 15):
+            walk = core.enumerate_walk(t, (s_freq, k1, f_freq, k2))
+            want = core.count_rows(walk, walk.stop(later) == t)
+            assert got[t - 1] == want and _all_ints(got[t - 1]), (k1, k2, t)
+        if (k1, k2) == (15, 15):
+            assert got == ((),) * 14 and live_before == [1 << t for t in range(14)]
+        elif (s_freq, f_freq, later, k1, k2) == (True, True, False, 4, 4):
+            # 4 successes or 4 failures end the wait by trial 7: at most
+            # the C(6, 3) = 20 prefixes of 3 each stay live
+            assert max(live_before) == 20 and live_before[7:] == [0] * 7, live_before
+
+
+def test_enumerate_walk_index_order():
+    # bit t - 1 of a sequence's index is trial t, a set bit a success: at
+    # index i the walk holds what model computes from the bits of i, and
+    # the stop of a quota walk is model.stopping_time's
+    for n in range(11):
+        walk = core.enumerate_walk(n)
+        assert walk.weight.size == 1 << n
+        for i in range(1 << n):
+            seq = [(i >> t) & 1 for t in range(n)]
+            assert (walk.failures[i], walk.weight[i]) == _failures_and_weight(seq), (n, i)
+            assert (walk.l1[i], walk.l0[i]) == longest_runs(seq), (n, i)
+    n = 10
+    for s_freq, f_freq, later in _WAITING_FAMILIES:
+        quota = _quota(s_freq, f_freq, 2, 3, Mode.LATER if later else Mode.SOONER)
+        stop = core.enumerate_walk(n, (s_freq, 2, f_freq, 3)).stop(later).tolist()
+        assert stop == [stopping_time([(i >> t) & 1 for t in range(n)], quota) or 0
+                        for i in range(1 << n)], (s_freq, f_freq, later)
+
+
+def test_waiting_event_walks_once(monkeypatch):
+    # the rows of a waiting event are held for every t up to the longest
+    # walked: one table walks once, and later tables, points and lone
+    # events within it walk no more
+    from qbtrials import oracle
+
+    real = core.waiting_stop_counts
+    calls = []
+    monkeypatch.setattr(core, "waiting_stop_counts",
+                        lambda *args: calls.append(args) or real(*args))
+    oracle._held.clear()
+    quota = QuotaSpec(RunQuota(2), FreqQuota(3), Mode.LATER)
+    first = oracle_waiting_pmf(HALF, quota, 14)
+    assert calls == [(14, False, 2, True, 3, True)]
+    params = ModelParams(Fraction(3, 7), Fraction(5, 11))
+    table = oracle_waiting_pmf(params, quota, 14)
+    for t in range(1, 15):
+        got = oracle_event_prob(params, 14, WaitingEquals(quota, t))
+        assert got == (table.probs[t - table.offset] if t >= table.offset else 0), t
+    assert oracle_waiting_pmf(HALF, quota, 9).probs == first.probs[:9 - first.offset + 1]
+    assert len(calls) == 1
+    # a longer table walks once more, to its own n_max
+    oracle_waiting_pmf(HALF, quota, 16)
+    assert calls[1:] == [(16, False, 2, True, 3, True)]
+    # the default scan walks each of its 8 x 3 events once
+    calls.clear()
+    oracle._held.clear()
+    reports = differential_scan(default_grid(), formula=lambda params, quota, n: 0)
+    assert len(reports) == 2520 and len(calls) == 24 and len(set(calls)) == 24
+    # a table above the budget is refused before any walk
+    calls.clear()
+    with pytest.raises(EnumerationBudgetError):
+        oracle_waiting_pmf(HALF, quota, DEFAULT_BUDGET + 1)
+    assert calls == []
+    # threads asking for one event at once share one walk, however long
+    # it takes
+    calls.clear()
+    oracle._held.clear()
+    monkeypatch.setattr(core, "waiting_stop_counts",
+                        lambda *args: calls.append(args) or time.sleep(0.05) or real(*args))
+    with ThreadPoolExecutor(4) as pool:
+        tables = list(pool.map(lambda _: oracle_waiting_pmf(HALF, quota, 16), range(4)))
+    assert len(calls) == 1 and all(t == tables[0] for t in tables)
+    # the least recently used event goes once more are held than allowed
+    calls.clear()
+    monkeypatch.setattr(oracle, "_HELD_EVENTS", 2)
+    oracle._held.clear()
+    for k in (2, 3, 2, 4):
+        oracle_waiting_pmf(HALF, QuotaSpec(RunQuota(k), RunQuota(k), Mode.SOONER), 8)
+    assert list(oracle._held) == [(False, 2, False, 2, False), (False, 4, False, 4, False)]
+    assert len(calls) == 3
+    oracle._held.clear()
 
 
 def test_later_partial_sums_below_one():
