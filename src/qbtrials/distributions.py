@@ -10,17 +10,12 @@ kernels over the run index s.  The families of one sum end with the same
 symbol under the same constraints, and s covers every feasible run count,
 so K counts, q-weighted, the arrangements of x successes and y failures
 that end with that symbol.
-Each probability picks how K is read from its input types (`_mass`), off
-the cache's bottom-up arrangement tables (`kernels.KernelValueCache`):
-
-* at exact theta and q = a/b, as the integer numerator over b**(x*y) of
-  K at a/b, one read of a flat table of values at that q
-  (`KernelValueCache.values`), resolved once per side of the sum;
-* otherwise in float64: every entry of one side of a sum lies on one
-  anti-diagonal x + y = size of the tables at q = 2**w, which hold packed
-  polynomials, and those entries, unpacked once into one q-free float64
-  matrix (`KernelValueCache.matrix`), give every K of the side by one
-  product with q**powers.
+Every term of one side of a sum reads K off one anti-diagonal
+x + y = size of the cache's bottom-up arrangement tables, and `_mass`
+reads that anti-diagonal with one `kernels.KernelValueCache.diagonal` per
+side: at exact theta and q = a/b as the integer numerators over
+b**(x*y) of K at a/b, otherwise as floats, one product of a q-free
+float64 matrix with q**powers.
 
 * `_WAITING_FAMILIES`, keyed (success freq?, failure freq?, later?), holds
   the families summed when the success side stops the wait and those summed
@@ -57,8 +52,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 # named_kernel and longest_cell_kernel_U/V are not called here; they stay
 # bound as the single-kernel names a traced run wraps in this module
@@ -192,36 +185,20 @@ def _waiting_sides(ks, freqs, later, n):
 
 
 def _mass(th, q, n, sides, cache):
-    """Sum of the terms of `sides`, as `_waiting_sides` gives them, with
-    K read as the input types allow.
+    """Sum of the terms of `sides`, as `_waiting_sides` gives them.
 
-    At exact theta and q = a/b, each side's value table at a/b is resolved
-    once (`KernelValueCache.values`) and a term's K is one read of it, an
-    integer numerator over b**(x*y).  Otherwise every entry of a side lies
-    on the anti-diagonal x + y = size of its tables, so each side makes one
-    product of its q-free float64 matrix (`KernelValueCache.matrix`) with
-    q**powers, which gives the K of every y at once; a y outside the
-    matrix's rows has K = 0.
+    Every entry of a side lies on the anti-diagonal x + y = size of its
+    tables, so each side reads its K once, for every y, with
+    `KernelValueCache.diagonal`: at exact theta and q = a/b an integer
+    numerator over b**(x*y), otherwise a float at float(q).
     """
     terms = TermSum(th, q, n)
-    if terms.exact:
-        a, b = q.numerator, q.denominator
-        for last_x, xcon, ycon, size, rows in sides:
-            if not rows:
-                continue  # no table to build
-            starts, table = cache.values(a, b, last_x, xcon, ycon, size)
+    q = q if terms.exact else float(q)
+    for last_x, xcon, ycon, size, rows in sides:
+        if rows:  # else no table to build
+            ks = cache.diagonal(q, last_x, xcon, ycon, size)
             for j, f, x, y in rows:
-                terms.add(j, f, table[starts[y] + x], x * y)
-    else:
-        fq = float(q)
-        for last_x, xcon, ycon, size, rows in sides:
-            if not rows:
-                continue  # no matrix to build
-            first, low, matrix = cache.matrix(last_x, xcon, ycon, size)
-            ks = (matrix @ fq ** np.arange(low, low + matrix.shape[1], dtype=np.float64)).tolist()
-            for j, f, x, y in rows:
-                if 0 <= y - first < len(ks):
-                    terms.add(j, f, ks[y - first])
+                terms.add(j, f, ks[y], x * y)
     return terms.total()
 
 

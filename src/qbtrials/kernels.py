@@ -20,17 +20,18 @@ covers every run count, so it is one count free of the run count.
 per pair of bands (each side's lo..hi); a constraint that needs some part
 >= need is its band minus the band capped at need - 1, so one entry is a
 signed sum of up to four tables, each in the domain `core.band_table`
-states.  The cache asks for tables at two kinds of q:
+states.  Every term of one side of a sum reads one anti-diagonal
+x + y = size of those sums, and `KernelValueCache.diagonal` gives it as
+a list, gathered off each table's columns and summed with their signs
+(`_diagonal`).  The cache asks for tables at two kinds of q:
 
-* at the exact q = a/b of a probability (`KernelValueCache.values`),
-  integer numerators over b**(x*y): each (last symbol, constraints)'s
-  signed sum is combined once into one flat table, which a term reads
-  with one index, and the tables of one q are held at a time;
+* at the exact q = a/b of a probability, integer numerators over
+  b**(x*y): the tables of one q are held at a time, and each (last
+  symbol, constraints)'s columns and signs are resolved once per q;
 * at q = 2**w, where an entry is its polynomial packed with coefficient i
-  at bits w*i: the signed sums of one anti-diagonal m + r = size are
-  unpacked at once into one q-free float64 matrix, memoized per (last
-  symbol, constraints, size) (`KernelValueCache.matrix`), whose product
-  with q**powers gives every K of one side of a float sum;
+  at bits w*i: the packed anti-diagonal is unpacked at once into one
+  q-free float64 matrix, memoized per (last symbol, constraints, size),
+  whose product with q**powers gives every K of the side at a float q;
   `KernelValueCache.arrangement_poly` reads one entry exactly, as a
   coefficient tuple, for the tests.
 
@@ -55,7 +56,10 @@ import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple
+
+import numpy as np
 
 from . import _core_py as core
 from ._core_py import EnumerationBudgetError
@@ -187,18 +191,18 @@ class KernelValueCache:
     * `_band_memo`: one `core.band_table` at q = 2**w, packed polynomials
       (w = `core.packed_width`), per pair of bands, keyed (x band, y band);
       `arrangement_poly` reads an entry off it, unmemoized;
-    * `_matrix_memo`: the float path's coefficients (`matrix`), one float64
-      matrix per anti-diagonal m + r = size of the band tables, unpacked
-      off them and trimmed, keyed (last_x, xcon, ycon, size), each value
-      (first row, first power, matrix);
+    * `_matrix_memo`: the float path's coefficients, one float64 matrix per
+      anti-diagonal m + r = size of the band tables, unpacked off them and
+      trimmed, keyed (last_x, xcon, ycon, size), each value (first row,
+      first power, matrix) as `core.unpack_matrix` gives it;
     * `_peel_memo`: the states of the top-down peels `core.arrangement_poly`
       (keys of six, the run count last) and `core.cell_poly_u` (of four):
       the fixed-s kernels and, in the default cache, the U and V cells.
 
-    `_values` is (q, value memo): the value tables (`values`) of one exact
-    q = a/b, keyed q = (a, b), one `core.band_table` at a/b per pair of
-    bands, keyed (x band, y band), and one combined table per (last_x,
-    xcon, ycon).  A call at another q replaces the pair under the lock, so
+    `_values` is (q, value memo), the exact reads of one q = a/b, keyed
+    q = (a, b): one `core.band_table` at a/b per pair of bands, keyed (x
+    band, y band), and per (last_x, xcon, ycon) the (n, signs, *columns) of
+    `_tables`.  A call at another q replaces the pair under the lock, so
     its memory is that of one q's tables however many q are asked for.
 
     Keys and values hold only ints, None, tuples of them and numpy
@@ -225,51 +229,45 @@ class KernelValueCache:
         success run iff `last_x`, and the empty one, as `core.arrangement_poly`
         gives them; constraints are plain (lo, hi, need) tuples in the domain
         of `core.band_table` (`ValueError` otherwise).  The exact accessor:
-        one entry off the packed band tables, by inclusion-exclusion over
-        each side's need, unpacked; not memoized itself."""
+        entry r of the packed anti-diagonal m + r, unpacked; not memoized
+        itself."""
         if m < 0 or r < 0:
             return core._ZERO
         with self._lock:
-            n, cols = self._packed(last_x, xcon, ycon, m + r)
-        return core.unpack(_signed(cols, core.table_index(n, m, r)), core.packed_width(n))
+            entry = self._packed(last_x, xcon, ycon, m + r)
+        return core.unpack(_diagonal(m + r, *entry)[r], core.packed_width(entry[0]))
 
-    def matrix(self, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> tuple:
-        """(first row, first power, M): the float path's coefficients of
-        every entry on the anti-diagonal m + r = size, row r the entry
-        (size - r, r) of `arrangement_poly`, as `core.unpack_matrix` gives
-        them, trimmed to their nonzero rows and powers: the q-free float64
-        matrix whose product with q**powers is every K of one side of a
-        sum.  Memoized per (last_x, xcon, ycon, size); `OverflowError`
-        where a coefficient overflows a float."""
-        key = (last_x, xcon, ycon, size)
-        out = self._matrix_memo.get(key)
-        if out is None:
-            with self._lock:
-                out = self._matrix_memo.get(key)
-                if out is None:
-                    n, cols = self._packed(last_x, xcon, ycon, size)
-                    rows = [_signed(cols, core.table_index(n, size - r, r))
-                            for r in range(size + 1)]
-                    out = self._matrix_memo[key] = core.unpack_matrix(
-                        rows, core.packed_width(n))
-        return out
+    def diagonal(self, q: Scalar, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> list:
+        """ks, with ks[y] the arrangements of size - y successes and y
+        failures that end with a success run iff `last_x`, and the empty
+        one, at q: `arrangement_poly(last_x, size - y, y, xcon, ycon)` at q,
+        for y = 0..size.
 
-    def values(self, a: int, b: int, last_x: bool, xcon: tuple, ycon: tuple,
-               size: int) -> tuple:
-        """(starts, T): the arrangements of m successes and r failures that
-        end with a success run iff `last_x`, and the empty one, at q = a/b,
-        for every m + r <= n with n >= size.  Entry T[starts[r] + m] (T flat
-        as in `core.table_index`) is the integer numerator of
-        `arrangement_poly(last_x, m, r, xcon, ycon)` at a/b over b**(m*r).
-
-        Memoized for one q at a time: a call at another q swaps in an empty
-        value memo under the lock, so the memo holds the tables of one q.
-        Each (last_x, xcon, ycon) is the signed sum, over each side's need,
-        of up to four band tables at a/b, combined once.
+        At int or Fraction q = a/b, ks[y] is the integer numerator over
+        b**((size - y)*y), off the band tables at a/b.  Those are memoized
+        for one q at a time: a call at another q swaps in an empty value
+        memo under the lock.  At float q, ks[y] is a float: the product of
+        the anti-diagonal's q-free float64 matrix (see `_matrix_memo`) with
+        q**powers, 0.0 outside its rows; `OverflowError` where a
+        coefficient overflows a float.
         """
+        if isinstance(q, float):
+            key = (last_x, xcon, ycon, size)
+            out = self._matrix_memo.get(key)
+            if out is None:
+                with self._lock:
+                    out = self._matrix_memo.get(key)
+                    if out is None:
+                        entry = self._packed(last_x, xcon, ycon, size)
+                        out = self._matrix_memo[key] = core.unpack_matrix(
+                            _diagonal(size, *entry), core.packed_width(entry[0]))
+            first, low, matrix = out
+            ks = (matrix @ q ** np.arange(low, low + matrix.shape[1], dtype=np.float64)).tolist()
+            return [0.0] * first + ks + [0.0] * (size + 1 - first - len(ks))
+        a, b = q.numerator, q.denominator
         key = (last_x, xcon, ycon)
-        q, memo = self._values  # one attribute, so the pair stays consistent
-        out = memo.get(key) if q == (a, b) else None
+        value_q, memo = self._values  # one attribute, so the pair stays consistent
+        out = memo.get(key) if value_q == (a, b) else None
         if out is None or out[0] < size:
             with self._lock:
                 if self._values[0] != (a, b):
@@ -277,15 +275,10 @@ class KernelValueCache:
                 memo = self._values[1]
                 out = memo.get(key)
                 if out is None or out[0] < size:
-                    size, cols = self._tables(
+                    out = memo[key] = self._tables(
                         memo, last_x, xcon, ycon, size,
                         lambda xband, yband, n: core.band_table(xband, yband, n, a, b))
-                    total = cols[0][0]  # the first band pair has sign 1
-                    for col, sign in cols[1:]:
-                        total = map(operator.add if sign > 0 else operator.sub, total, col)
-                    starts = tuple(core.table_index(size, 0, r) for r in range(size + 1))
-                    out = memo[key] = size, starts, tuple(total)
-        return out[1:]
+        return _diagonal(size, *out)
 
     def _packed(self, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> tuple:
         """`_tables` of the packed band tables, at q = 2**w; the caller holds
@@ -297,9 +290,11 @@ class KernelValueCache:
     @staticmethod
     def _tables(memo: dict, last_x: bool, xcon: tuple, ycon: tuple, size: int,
                 build) -> tuple:
-        """(n, [(column, sign)]): the band tables of one entry, by
-        inclusion-exclusion over each side's need, at one common size n, and
-        of each its S side (`last_x`) or F side; the caller holds the lock.
+        """(n, signs, *columns): the band tables of one entry, by
+        inclusion-exclusion over each side's need, at one common size n,
+        each its S side (`last_x`) or F side, and their signs, the first 1;
+        the caller holds the lock.  Flat, so two garbage collections
+        untrack it whatever order they visit it and its columns in.
 
         Tables are memoized under (x band, y band).  n is `size` or
         the size of the largest of the entry's tables already in `memo`,
@@ -310,20 +305,26 @@ class KernelValueCache:
         keys = [((xb, yb), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
         size = max([size] + [memo[key][0] for key, _ in keys if key in memo])
         cols = []
-        for key, sign in keys:
+        for key, _ in keys:
             table = memo.get(key)
             if table is None or table[0] < size:
                 table = memo[key] = build(*key, size)
-            cols.append((table[1 if last_x else 2], sign))
-        return size, cols
+            cols.append(table[1 if last_x else 2])
+        return (size, tuple(sign for _, sign in keys), *cols)
 
 
-def _signed(cols: list, i: int) -> int:
-    """Entry i of the signed sum of the (column, sign) pairs of `_tables`."""
-    total = 0
-    for col, sign in cols:
-        total += sign * col[i]
-    return total
+def _diagonal(size: int, n: int, signs: tuple, *cols: tuple) -> list:
+    """Entries (size - r, r), r = 0..size, of the signed sum of the flat
+    tables `cols` of size n >= size with `signs` (the first 1), as `_tables`
+    gives them.  `core.table_index(n, size - r, r)` grows by n - r from r
+    to r + 1, so one `itemgetter` gathers the anti-diagonal of each table."""
+    if not size:  # an itemgetter of one index returns the entry, not a tuple
+        return [sum(sign * col[0] for col, sign in zip(cols, signs))]
+    get = operator.itemgetter(*accumulate(range(n, n - size, -1), initial=size))
+    total = get(cols[0])
+    for col, sign in zip(cols[1:], signs[1:]):
+        total = map(operator.add if sign > 0 else operator.sub, total, get(col))
+    return list(total)
 
 
 _default_cache = KernelValueCache()

@@ -7,8 +7,8 @@ All functions are total on their stated domains and exact when given
 Every probability of length-n sequences sums, over classes of f failures,
 terms theta**(n-f) * q**j * (theta; q)_f * K, K an integer polynomial in q.
 `TermSum` adds such terms, each K given by its value: at rational q = a/b
-as an integer numerator over a power of b, read off a table of values at
-that q (or, for the oracle, the Horner numerator of one failure count's
+as an integer numerator over a power of b, read off the arrangement tables
+at that q (or, for the oracle, the Horner numerator of one failure count's
 sequence counts), so no formula evaluates a polynomial there; at float
 inputs as a float, and the float terms are summed by `math.fsum`.  At
 rational theta = c/d and q = a/b every term of the n-th probability has a

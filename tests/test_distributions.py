@@ -259,7 +259,7 @@ def test_waiting_time_table_does_not_rebuild_band_tables_as_n_grows(monkeypatch)
             table = waiting_time_table(params, quota, 30, cache)
             assert built and max(map(built.count, built)) <= 2
             if isinstance(params.q, Fraction):
-                # band pairs, beside the combined tables keyed (last_x, xcon, ycon)
+                # band pairs, beside the (n, signs, *columns) keyed (last_x, xcon, ycon)
                 bands = [key for key in cache._values[1] if len(key) == 2]
                 assert len(set(built)) == len(bands) and not cache._band_memo
             else:
@@ -475,6 +475,32 @@ def test_float_error_against_exact_beyond_enumeration():
             pairs.append((f(floats, 100, k, cache), f(exact, 100, k, cache)))
     zeros = [f for f, e in pairs if e == 0]
     assert zeros and all(f == 0.0 for f in zeros)  # sooner freq/freq ends by n = 4
+    for f, e in pairs:
+        assert isinstance(f, float) and isinstance(e, (int, Fraction))
+        if e:
+            assert abs(Fraction(f) - e) <= Fraction(1, 10**12) * e, (f, e)
+
+
+def test_float_error_beyond_n_60():
+    # the waiting-time rows at n = 100 and the joint quadrants at n = 80,
+    # where the packed tables are two 64-bit limbs wide (w >= 72), against
+    # the exact values at (37/100, 81/100): within 1e-12 relative, and 0.0
+    # exactly where the exact value is 0 (a sooner wait with a frequency
+    # quota ends within a few trials)
+    cache = KernelValueCache()
+    theta, q = Fraction(37, 100), Fraction(81, 100)
+    exact, floats = ModelParams(theta, q), ModelParams(float(theta), float(q))
+    pairs = []
+    for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
+        quota = make_quota(s_freq, f_freq, 3, 2, mode)
+        pairs.append((waiting_time_pmf(floats, quota, 100, cache),
+                      waiting_time_pmf(exact, quota, 100, cache)))
+    for k1, rel1, k2, rel2 in ((3, Rel.LE, 2, Rel.LE), (3, Rel.LE, 3, Rel.GE),
+                               (4, Rel.GE, 2, Rel.LE), (4, Rel.GE, 3, Rel.GE)):
+        pairs.append((joint_longest(floats, 80, k1, rel1, k2, rel2, cache),
+                      joint_longest(exact, 80, k1, rel1, k2, rel2, cache)))
+    zeros = [f for f, e in pairs if e == 0]
+    assert len(zeros) == 3 and all(f == 0.0 for f in zeros)
     for f, e in pairs:
         assert isinstance(f, float) and isinstance(e, (int, Fraction))
         if e:

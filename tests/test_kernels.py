@@ -317,9 +317,9 @@ def test_cache_does_not_grow_with_q():
 
 def test_memo_entries_are_not_gc_tracked():
     # keys and values are plain tuples of ints and None (the band tables
-    # tuples of packed ints, the value tables flat tuples of numerators)
-    # and numpy arrays (the float matrices), which the garbage collector
-    # does not track once collected, so
+    # tuples of packed ints or numerators, an exact read's flat (n,
+    # signs, *columns)) and numpy arrays (the float matrices), which the
+    # garbage collector does not track once collected, so
     # a large memo does not slow every full collection; the single-cell
     # kernels fill the default cache's peel memo
     import gc
@@ -331,13 +331,13 @@ def test_memo_entries_are_not_gc_tracked():
         kernel_eval(family_spec(fam, 6, 5, 3, 2, 3), Fraction(1, 3), cache)
     for last_x in (True, False):
         cache.arrangement_poly(last_x, 6, 5, (1, 2, 0), (1, None, 3))
-        cache.matrix(last_x, (1, 2, 0), (1, None, 3), 11)
+        cache.diagonal(1 / 3, last_x, (1, 2, 0), (1, None, 3), 11)
     for y in range(8):
         cache.arrangement_poly(True, 9 - y, y, (0, 2, 2), (1, 1, 0))  # longest-run cells
-    cache.matrix(True, (0, 2, 2), (1, 1, 0), 9)
+    cache.diagonal(1 / 3, True, (0, 2, 2), (1, 1, 0), 9)
     for last_x in (True, False):
-        cache.values(1, 3, last_x, (1, 2, 0), (1, None, 3), 11)
-    cache.values(1, 3, True, (0, 2, 2), (1, 1, 0), 9)
+        cache.diagonal(Fraction(1, 3), last_x, (1, 2, 0), (1, None, 3), 11)
+    cache.diagonal(Fraction(1, 3), True, (0, 2, 2), (1, 1, 0), 9)
     for t in range(4):
         longest_cell_kernel_U(5, 6, t, 2, Fraction(1, 3))
     longest_cell_kernel_V(5, 6, 2, Fraction(1, 3))
@@ -473,11 +473,11 @@ def test_band_table_equals_top_down_peel_at_q():
     # b**(m*r) is the peel's polynomial at q, and at q = 2**w (b = 1) the
     # peel's polynomial packed.  q = 1, 2 and 4 step by shifts, q = 0 and
     # -2 (b = 1, not a positive power of two) and the random a/b by
-    # multiplies.  One cache's combined value tables (each side's need)
-    # against the peel, with the q changing between examples; the bands
-    # are those of the constraints of `test_band_tables_equal_top_down_peel`,
-    # and every draw outside the tables' domain is refused, the fill and
-    # the cache alike
+    # multiplies.  One cache's exact anti-diagonals (each side's need
+    # combined) against the peel, with the q changing between examples;
+    # the bands are those of the constraints of
+    # `test_band_tables_equal_top_down_peel`, and every draw outside the
+    # tables' domain is refused, the fill and the cache alike
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -526,11 +526,11 @@ def test_band_table_equals_top_down_peel_at_q():
                 agree(xband, yband, m + r, q)
         if not _in_domain(xcon, ycon):
             with pytest.raises(ValueError):
-                cache.values(q.numerator, q.denominator, last_x, xcon, ycon, m + r)
+                cache.diagonal(q, last_x, xcon, ycon, m + r)
             return
-        starts, table = cache.values(q.numerator, q.denominator, last_x, xcon, ycon, m + r)
-        assert len(starts) > m + r and starts[r] == core.table_index(len(starts) - 1, 0, r)
-        assert Fraction(table[starts[r] + m], q.denominator ** (m * r)) == \
+        ks = cache.diagonal(q, last_x, xcon, ycon, m + r)
+        assert len(ks) == m + r + 1
+        assert Fraction(ks[r], q.denominator ** (m * r)) == \
             poly_value(core.arrangement_poly(last_x, m, r, xcon, ycon, peel), q)
 
     check()
@@ -570,12 +570,13 @@ def test_value_memo_is_swapped_under_the_lock():
                 joint_longest(params, 12, 2, Rel.LE, 3, Rel.GE, cache),
                 [longest_run_pmf(params, 14, k, cache) for k in range(15)])
 
-    # the threads also read one small value table directly, so that q
-    # changes between most calls
-    qs = [(p.q.numerator, p.q.denominator) for p in points]
-    entry = (True, (1, 2, 0), (1, None, 2), 4)
+    # the threads also read the anti-diagonals of one small entry
+    # directly, sizes 0..4 in turn, so that q changes between most calls
+    qs = [p.q for p in points]
+    entry = (True, (1, 2, 0), (1, None, 2))
     want = [values(params, KernelValueCache()) for params in points]
-    want_tables = [KernelValueCache().values(a, b, *entry) for a, b in qs]
+    want_tables = [[KernelValueCache().diagonal(q, *entry, size) for size in range(5)]
+                   for q in qs]
     cache = KernelValueCache()
     results = ([], [], [], [])
     tables = ([], [], [], [])
@@ -586,7 +587,7 @@ def test_value_memo_is_swapped_under_the_lock():
             results[t].append((j, values(points[j], cache)))
         for i in range(5000):
             j = (i + t) % 2
-            tables[t].append((j, cache.values(*qs[j], *entry)))
+            tables[t].append((j, i % 5, cache.diagonal(qs[j], *entry, i % 5)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -602,11 +603,9 @@ def test_value_memo_is_swapped_under_the_lock():
     assert all(len(r) == 10 for r in results) and all(len(r) == 5000 for r in tables)
     for j, got in sum(results, []):
         assert got == want[j]
-    for j, (starts, table) in sum(tables, []):
+    for j, size, got in sum(tables, []):
         # the shared cache may hold a larger table of the same entries
-        want_starts, want_table = want_tables[j]
-        assert [table[starts[r] + m] for r in range(5) for m in range(5 - r)] == \
-            [want_table[want_starts[r] + m] for r in range(5) for m in range(5 - r)]
+        assert got == want_tables[j][size]
 
 
 def test_band_tables_grow():
@@ -658,9 +657,9 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
             with pytest.raises(ValueError):
                 cache.arrangement_poly(last_x, 13, 31, xcon, ycon)
             with pytest.raises(ValueError):
-                cache.values(81, 100, last_x, xcon, ycon, 44)
+                cache.diagonal(Fraction(81, 100), last_x, xcon, ycon, 44)
             with pytest.raises(ValueError):
-                cache.matrix(last_x, xcon, ycon, 44)
+                cache.diagonal(0.81, last_x, xcon, ycon, 44)
     assert not cache._band_memo and not cache._matrix_memo and not cache._values[1]
     assert max(core.arrangement_poly(True, 13, 31, (0, None, 0), (1, None, 0), {})) \
         >= 2 ** core.packed_width(44)
@@ -692,7 +691,8 @@ def test_float_matrices_equal_the_exact_coefficients(n):
     assert exact == (n < 64)
     cache = KernelValueCache()
     for last_x, xcon, ycon in sorted(keys, key=repr):
-        first, low, matrix = cache.matrix(last_x, xcon, ycon, n)
+        cache.diagonal(0.81, last_x, xcon, ycon, n)
+        first, low, matrix = cache._matrix_memo[last_x, xcon, ycon, n]
         assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
         assert matrix[0].any() and matrix[-1].any()
         assert matrix[:, 0].any() and matrix[:, -1].any()
@@ -707,6 +707,46 @@ def test_float_matrices_equal_the_exact_coefficients(n):
                 assert np.array_equal(got, want), (last_x, xcon, ycon, r)
             else:
                 assert (abs(got - want) <= np.spacing(want)).all(), (last_x, xcon, ycon, r)
+
+
+@pytest.mark.parametrize("size", [0, 1, 9, 40])
+def test_diagonal_equals_arrangement_poly(size):
+    # every entry of an anti-diagonal read against the top-down peel's
+    # polynomial at q: at exact q (a Fraction and the int 1) the integer
+    # numerator over b**((size - y)*y) equals it exactly, at float q it is
+    # within 1e-12 relative of the polynomial at the float's exact value,
+    # and 0.0 where that is 0.  Waiting keys of every family at k = (3, 2),
+    # longest-run cells (need 0 and k), and joint keys
+    from qbtrials import _core_py as core
+    from qbtrials.kernels import family_arrangement
+    from qbtrials.qcalc import poly_value
+
+    keys = {family_arrangement(fam, 3, 2) for fam in FAMILY_NAMES}
+    keys |= {(True, (0, 5, need), (1, 1, 0)) for need in (0, 5)}
+    keys |= {(last_x, xcon, ycon) for last_x in (True, False)
+             for xcon in ((1, 3, 0), (1, None, 4)) for ycon in ((1, 2, 0), (1, None, 3))}
+    cache = KernelValueCache()
+    peel = {}
+    zeros = 0
+    for last_x, xcon, ycon in sorted(keys, key=repr):
+        polys = [core.arrangement_poly(last_x, size - y, y, xcon, ycon, peel)
+                 for y in range(size + 1)]
+        for q in (Fraction(81, 100), 1):
+            ks = cache.diagonal(q, last_x, xcon, ycon, size)
+            assert len(ks) == size + 1 and all(type(k) is int for k in ks)
+            for y, (k, poly) in enumerate(zip(ks, polys)):
+                assert Fraction(k, q.denominator ** ((size - y) * y)) == poly_value(poly, q), \
+                    (last_x, xcon, ycon, q, y)
+        ks = cache.diagonal(0.81, last_x, xcon, ycon, size)
+        assert len(ks) == size + 1 and all(type(k) is float for k in ks)
+        for y, (k, poly) in enumerate(zip(ks, polys)):
+            want = poly_value(poly, Fraction(0.81))
+            if want:
+                assert abs(Fraction(k) - want) <= Fraction(1, 10**12) * want, (last_x, xcon, ycon, y)
+            else:
+                zeros += 1
+                assert k == 0.0, (last_x, xcon, ycon, y)
+    assert zeros  # some entries lie outside every key's arrangements
 
 
 def test_unpack_matrix_limbs_and_overflow():
