@@ -2,26 +2,28 @@
 
 Every kernel value is a polynomial in q with nonnegative integer
 coefficients, so the heavy lifting here is exact integer arithmetic.  The
-library's arrangement counts come from `band_table`, a bottom-up fill
-with no recursion, one table per pair of bands (every run of a symbol in
-lo..hi), at one rational q = a/b: each entry is an integer numerator over
-a power of b.  At q = 2**w (b = 1) an entry is its polynomial packed into
-one int, coefficient i at bits w*i, and `unpack` turns it into a
-coefficient tuple (index = power of q), `unpack_matrix` a list of them into
-one float64 matrix for the float path; at the q of an exact probability
-it is the value that probability reads, with no unpacking and no Horner.
-Two top-down peels remain, each one `_fill` with no recursion:
-`arrangement_poly`, the paper's fixed-run-count kernel (`kernel_eval_poly`
-and the V cells, `cell_poly_v`) and the reference the tables are tested
-against, and `cell_poly_u`, the U cells; `kernel_direct_poly` is brute
-force.  One walker steps many sequences through their trials together,
-one numpy vector step per trial: random draws of the model for Monte
-Carlo, and for enumeration every prefix, doubled into its two
-continuations at each trial.  The unconditioned walk keeps all 2^n;
-`waiting_stop_counts` drops each prefix once its wait has ended, so one
-walk gives the rows of every t up to n_max.  `count_rows` counts the
-sequences of one event, a boolean mask over the walk, by failure count
-and success weight, which fix a sequence's probability completely; it
+library's arrangement counts come from `band_table`, a bottom-up fill with
+no recursion, one table per pair of bands (every run of a symbol in
+lo..hi), at one rational q = a/b: each entry is an integer numerator over a
+power of b.  It fills and stores each table by anti-diagonal m + r, each
+from the ones before it, so one anti-diagonal is one slice and a table
+starts with every smaller table of its bands.  At q = 2**w (b = 1) an entry
+is its polynomial packed into one int, coefficient i at bits w*i, and
+`unpack` turns it into a coefficient tuple (index = power of q),
+`unpack_matrix` a list of them into one float64 matrix for the float path;
+at the q of an exact probability it is the value that probability reads,
+with no unpacking and no Horner.  Two top-down peels remain, each one
+`_fill` with no recursion: `arrangement_poly`, the paper's fixed-run-count
+kernel (`kernel_eval_poly` and the V cells, `cell_poly_v`) and the
+reference the tables are tested against, and `cell_poly_u`, the U cells;
+`kernel_direct_poly` is brute force.  One walker steps many sequences
+through their trials together, one numpy vector step per trial: random
+draws of the model for Monte Carlo, and for enumeration every prefix,
+doubled into its two continuations at each trial.  The unconditioned walk
+keeps all 2^n; `waiting_stop_counts` drops each prefix once its wait has
+ended, so one walk gives the rows of every t up to n_max.  `count_rows`
+counts the sequences of one event, a boolean mask over the walk, by failure
+count and success weight, which fix a sequence's probability completely; it
 gives one row of counts per failure count, and callers turn the rows into
 exact probabilities.
 """
@@ -139,110 +141,106 @@ def packed_width(n):
     return n // 8 * 8 + 8
 
 
+def _steps(c, n, *exps):
+    """(scale, steps): per exponent e, the steps by c**(e*i), i = 0..n,
+    applied as scale(x, step).  At a power of two c > 0 a step is a shift
+    by log2(c)*e*i bits, otherwise a multiply by c**(e*i):
+    `x * (1 << k)` costs many times `x << k` in CPython.  The steps are
+    None where each is 1 (c = 1 or e = 0) or e is None."""
+    if c > 0 and not c & (c - 1):
+        unit = [(c.bit_length() - 1) * i for i in range(n + 1)]
+        scale, power = operator.lshift, operator.mul
+    else:
+        unit = [c ** i for i in range(n + 1)]
+        scale, power = operator.mul, pow
+    return scale, [None if not e or c == 1 else unit if e == 1 else [power(u, e) for u in unit]
+                   for e in exps]
+
+
+def _scaled(diag, scale, steps):
+    """The entries of `diag` times `steps` in turn, as `_steps` gives them."""
+    return diag if steps is None else map(scale, diag, steps)
+
+
+def _next(prev, enter, leave, scale, steps):
+    """(prev + enter - leave) times steps[0], enter and leave (or None)
+    scaled by steps[1] and steps[2]: one diagonal of one side, each term
+    indexed alike and prev one entry short."""
+    out = [*prev, 0]
+    if enter is not None:
+        out[:len(enter)] = map(operator.add, out, _scaled(enter, scale, steps[1]))
+    if leave is not None:
+        out[:len(leave)] = map(operator.sub, out, _scaled(leave, scale, steps[2]))
+    return out if steps[0] is None else list(map(scale, out, steps[0]))
+
+
 def band_table(xband, yband, n, a, b):
     """Arrangement table of one pair of bands at q = a/b, bottom-up.
 
     A band (lo, hi) bounds every run of its symbol to lo..hi (no cap when
-    hi is None).  Returns (n, S, F), where S and F hold, column by column
-    (r = 0..n, each m = 0..n - r; see `table_index`), the q-weighted count
-    of the arrangements of m successes and r failures that end with a
-    success run (S) or a failure run (F), and the empty arrangement at
-    (0, 0) in both: the top-down `arrangement_poly` with need 0 on both
-    sides, at q.  Entry (m, r) is the integer numerator of its value over
-    b**(m*r), since each of its polynomials has degree <= m*r; at b = 1
-    (int q, q = 1) it is the value itself, and q = 0 goes through
-    0**0 == 1.  S and F are flat tuples of ints, which the garbage
-    collector stops tracking.  Failure runs need lo >= 1 and, beside empty
-    success runs (x lo 0), at most one length, as in the longest-run cells;
-    other bands raise `ValueError` (there failures split around empty
-    success runs in more than one way, and no library caller asks for them).
+    hi is None).  Returns (n, S, F), where S and F hold the q-weighted
+    count of the arrangements of m successes and r failures, m + r <= n,
+    that end with a success run (S) or a failure run (F), and the empty
+    arrangement at (0, 0) in both: the top-down `arrangement_poly` with
+    need 0 on both sides, at q.  Entry (m, r) is the integer numerator of
+    its value over b**(m*r), since each of its polynomials has degree
+    <= m*r; at b = 1 (int q, q = 1) it is the value itself, and q = 0 goes
+    through 0**0 == 1.  S and F are flat tuples of ints, which the garbage
+    collector stops tracking, by anti-diagonal: entry (m, r) is index r of
+    diagonal d = m + r, which starts at d*(d+1)/2 whatever n is, so a
+    table starts with every smaller one.  Failure runs need lo >= 1 and,
+    beside empty success runs (x lo 0), at most one length, as in the
+    longest-run cells; other bands raise `ValueError` (there failures
+    split around empty success runs in more than one way, and no library
+    caller asks for them).  At a = 1 << w, b = 1, w = `packed_width(n)`,
+    an entry is its polynomial packed, coefficient i at bits w*i: a
+    polynomial with coefficients below 2**w is its value at q = 2**w.
 
-    A polynomial with coefficients below 2**w, packed into one int with
-    coefficient i at bits w*i, is its value at q = 2**w: at a = 1 << w,
-    b = 1, with w = `packed_width(n)`, the entries are the packed
-    polynomials.  At a power-of-two q = a (b = 1, a > 0) a step by q**s is
-    a shift by log2(a)*s bits, otherwise a multiply by a**s:
-    `x * (1 << k)` costs many times `x << k` in CPython.
+    Each diagonal comes from earlier ones, at O(1) int operations per
+    entry and no state carried along it; in numerators, a term outside
+    the table being 0,
 
-    The outer loop runs over r, and each entry costs O(1) int operations.
-    F[r][m] sums S[c][m] over c in r - hi..r - lo, a running sum per m that
-    moves from denominator b**(m*(r-1)) to b**(m*r) by a multiply by b**m;
-    the column that enters it is scaled by b**(m*lo), the one that leaves
-    by b**(m*(hi+1)).  At b = 1 nothing is scaled, so F's window of one
-    column (the longest-run cells) shares S's ints.  S[r][m] sums
-    q**(r*a) F[r][m - a] over a in lo..hi, a window that slides in m:
-    W = W*q**r + F[m-lo]*q**(r*lo) - F[m-hi-1]*q**(r*(hi+1)), denominator
-    b**(m*r).  The fill is linear and exact on ints, so a signed sum of
-    packed tables unpacks to the signed sum of their coefficients when
-    each of those fits in w bits.
+        F(m, r) = (F(m, r-1) + S(m, r-ylo) b**(m(ylo-1))
+                   - S(m, r-yhi-1) b**(m*yhi)) b**m,
+        S(m, r) = (S(m-1, r) + F(m-xlo, r) a**(r(xlo-1))
+                   - F(m-xhi-1, r) a**(r*xhi)) a**r:
+
+    the last run one symbol longer, plus a last run of the band's
+    shortest length, minus one that has just grown too long.  At xlo = 0
+    the entering term is F(m, r) itself, filled first and added after the
+    step; at ylo = yhi (the longest-run cells) F is one term,
+    S(m, r-ylo) b**(m*ylo).  Diagonal 0, the empty arrangement, is 1 in
+    both, but 0 as the predecessor of its own side (F(0, 0) in F(0, 1),
+    S(0, 0) in S(1, 0)) unless xlo = 0, where in S it also ends with an
+    empty success run.  F's terms share m and S's share r, so F is filled
+    by m and reversed.  The fill is linear and exact on ints, so a signed
+    sum of packed tables unpacks to the signed sum of their coefficients
+    when each of those fits in w bits.
     """
     xlo, xhi = xband
     ylo, yhi = yband
     if ylo < 1 or not xlo and (yhi is None or yhi > ylo):
         raise ValueError(f"bands {xband} x {yband}: failure runs need lo >= 1 and, "
                          "beside empty success runs, at most one length")
-    if b == 1 and a > 0 and not a & (a - 1):
-        base, scale, power = a.bit_length() - 1, operator.lshift, operator.mul
-    else:
-        base, scale, power = a, operator.mul, pow
-    if b == 1:
-        step = enter_f = leave_f = None
-    else:
-        # b**m, b**(m*lo) and b**(m*(hi+1)) per m for the failure side
-        step = [b ** m for m in range(n + 1)]
-        enter_f = [p ** ylo for p in step]
-        leave_f = None if yhi is None else [p ** (yhi + 1) for p in step]
-    s_cols, f_cols = [], []
-    acc = [0] * (n + 1)  # acc[m]: the failure window over columns c of S
-    for r in range(n + 1):
-        size = n - r + 1
-        if r < ylo:
-            f = [0] * size
-        elif ylo == yhi:
-            # a window of one column (the longest-run cells)
-            col = s_cols[r - ylo]
-            f = col[:size] if step is None else list(map(operator.mul, col, enter_f[:size]))
+    s_scale, s_steps = _steps(a, n, 1, max(xlo - 1, 0), xhi)
+    f_scale, f_steps = _steps(b, n, 1, ylo - 1, yhi)
+    s_diags, f_diags = [(1,)], [(1,)]  # the empty arrangement
+    s, f = (0,) if xlo else (1,), (0,)  # diagonal 0 as its own side's predecessor
+    for d in range(1, n + 1):
+        if ylo == yhi:
+            f = [0] * (d + 1) if d < ylo else \
+                [*_scaled(s_diags[d - ylo][::-1], f_scale, f_steps[2]), *[0] * ylo]
         else:
-            col = s_cols[r - ylo]
-            if step is None:
-                for m in range(size):
-                    acc[m] += col[m]
-            else:
-                for m in range(size):
-                    acc[m] = acc[m] * step[m] + col[m] * enter_f[m]
-            if yhi is not None and r > yhi:
-                col = s_cols[r - yhi - 1]
-                if step is None:
-                    for m in range(size):
-                        acc[m] -= col[m]
-                else:
-                    for m in range(size):
-                        acc[m] -= col[m] * leave_f[m]
-            f = acc[:size]
-        if r == 0:
-            f[0] = 1  # the empty arrangement
-        shift = power(base, r)
-        enter, leave = power(shift, xlo), None if xhi is None else power(shift, xhi + 1)
-        s = [0] * size
-        win = 0
-        for m in range(size):
-            win = scale(win, shift)
-            if m >= xlo:
-                win += scale(f[m - xlo], enter)
-            if leave is not None and m > xhi:
-                win -= scale(f[m - xhi - 1], leave)
-            s[m] = win
-        if r == 0:
-            s[0] = 1
-        s_cols.append(s)
-        f_cols.append(f)
-    return n, tuple(chain.from_iterable(s_cols)), tuple(chain.from_iterable(f_cols))
-
-
-def table_index(n, m, r):
-    """Index of entry (m, r) in a flat table of size n: the columns before
-    column r hold n + 1, n, ..., n - r + 2 entries."""
-    return r * (n + 1) - r * (r - 1) // 2 + m
+            f = _next(f, s_diags[d - ylo][::-1] if d >= ylo else None,
+                      s_diags[d - yhi - 1][::-1] if yhi is not None and d > yhi else None,
+                      f_scale, f_steps)
+        f_diags.append(f[::-1])
+        s = _next(s, f_diags[d - xlo] if xlo and d >= xlo else None,
+                  f_diags[d - xhi - 1] if xhi is not None and d > xhi else None, s_scale, s_steps)
+        if not xlo:
+            s = list(map(operator.add, s, f_diags[d]))
+        s_diags.append(s)
+    return n, tuple(chain.from_iterable(s_diags)), tuple(chain.from_iterable(f_diags))
 
 
 def unpack(p, w):

@@ -21,13 +21,14 @@ per pair of bands (each side's lo..hi); a constraint that needs some part
 >= need is its band minus the band capped at need - 1, so one entry is a
 signed sum of up to four tables, each in the domain `core.band_table`
 states.  Every term of one side of a sum reads one anti-diagonal
-x + y = size of those sums, and `KernelValueCache.diagonal` gives it as
-a list, gathered off each table's columns and summed with their signs
-(`_diagonal`).  The cache asks for tables at two kinds of q:
+x + y = size of those sums, and `KernelValueCache.diagonal` gives it.
+The tables are stored by anti-diagonal, so that is one slice of each
+table, summed with their signs (`_diagonal`).  The cache asks for tables
+at two kinds of q:
 
 * at the exact q = a/b of a probability, integer numerators over
   b**(x*y): the tables of one q are held at a time, and each (last
-  symbol, constraints)'s columns and signs are resolved once per q;
+  symbol, constraints)'s tables and signs are resolved once per q;
 * at q = 2**w, where an entry is its polynomial packed with coefficient i
   at bits w*i: the packed anti-diagonal is unpacked at once into one
   q-free float64 matrix, memoized per (last symbol, constraints, size),
@@ -56,7 +57,6 @@ import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -201,7 +201,7 @@ class KernelValueCache:
 
     `_values` is (q, value memo), the exact reads of one q = a/b, keyed
     q = (a, b): one `core.band_table` at a/b per pair of bands, keyed (x
-    band, y band), and per (last_x, xcon, ycon) the (n, signs, *columns) of
+    band, y band), and per (last_x, xcon, ycon) the (n, signs, *tables) of
     `_tables`.  A call at another q replaces the pair under the lock, so
     its memory is that of one q's tables however many q are asked for.
 
@@ -235,21 +235,22 @@ class KernelValueCache:
             return core._ZERO
         with self._lock:
             entry = self._packed(last_x, xcon, ycon, m + r)
-        return core.unpack(_diagonal(m + r, *entry)[r], core.packed_width(entry[0]))
+        return core.unpack(_diagonal(entry, m + r)[r], core.packed_width(entry[0]))
 
-    def diagonal(self, q: Scalar, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> list:
+    def diagonal(self, q: Scalar, last_x: bool, xcon: tuple, ycon: tuple,
+                 size: int) -> tuple | list:
         """ks, with ks[y] the arrangements of size - y successes and y
         failures that end with a success run iff `last_x`, and the empty
         one, at q: `arrangement_poly(last_x, size - y, y, xcon, ycon)` at q,
         for y = 0..size.
 
-        At int or Fraction q = a/b, ks[y] is the integer numerator over
-        b**((size - y)*y), off the band tables at a/b.  Those are memoized
-        for one q at a time: a call at another q swaps in an empty value
-        memo under the lock.  At float q, ks[y] is a float: the product of
-        the anti-diagonal's q-free float64 matrix (see `_matrix_memo`) with
-        q**powers, 0.0 outside its rows; `OverflowError` where a
-        coefficient overflows a float.
+        At int or Fraction q = a/b, ks is a tuple and ks[y] the integer
+        numerator over b**((size - y)*y), off the band tables at a/b.
+        Those are memoized for one q at a time: a call at another q swaps
+        in an empty value memo under the lock.  At float q, ks is a list
+        of floats: the product of the anti-diagonal's q-free float64
+        matrix (see `_matrix_memo`) with q**powers, 0.0 outside its rows;
+        `OverflowError` where a coefficient overflows a float.
         """
         if isinstance(q, float):
             key = (last_x, xcon, ycon, size)
@@ -260,7 +261,7 @@ class KernelValueCache:
                     if out is None:
                         entry = self._packed(last_x, xcon, ycon, size)
                         out = self._matrix_memo[key] = core.unpack_matrix(
-                            _diagonal(size, *entry), core.packed_width(entry[0]))
+                            _diagonal(entry, size), core.packed_width(entry[0]))
             first, low, matrix = out
             ks = (matrix @ q ** np.arange(low, low + matrix.shape[1], dtype=np.float64)).tolist()
             return [0.0] * first + ks + [0.0] * (size + 1 - first - len(ks))
@@ -278,7 +279,7 @@ class KernelValueCache:
                     out = memo[key] = self._tables(
                         memo, last_x, xcon, ycon, size,
                         lambda xband, yband, n: core.band_table(xband, yband, n, a, b))
-        return _diagonal(size, *out)
+        return _diagonal(out, size)
 
     def _packed(self, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> tuple:
         """`_tables` of the packed band tables, at q = 2**w; the caller holds
@@ -290,11 +291,11 @@ class KernelValueCache:
     @staticmethod
     def _tables(memo: dict, last_x: bool, xcon: tuple, ycon: tuple, size: int,
                 build) -> tuple:
-        """(n, signs, *columns): the band tables of one entry, by
+        """(n, signs, *tables): the band tables of one entry, by
         inclusion-exclusion over each side's need, at one common size n,
         each its S side (`last_x`) or F side, and their signs, the first 1;
         the caller holds the lock.  Flat, so two garbage collections
-        untrack it whatever order they visit it and its columns in.
+        untrack it whatever order they visit it and its tables in.
 
         Tables are memoized under (x band, y band).  n is `size` or
         the size of the largest of the entry's tables already in `memo`,
@@ -304,27 +305,25 @@ class KernelValueCache:
         """
         keys = [((xb, yb), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
         size = max([size] + [memo[key][0] for key, _ in keys if key in memo])
-        cols = []
+        sides = []
         for key, _ in keys:
             table = memo.get(key)
             if table is None or table[0] < size:
                 table = memo[key] = build(*key, size)
-            cols.append(table[1 if last_x else 2])
-        return (size, tuple(sign for _, sign in keys), *cols)
+            sides.append(table[1 if last_x else 2])
+        return (size, tuple(sign for _, sign in keys), *sides)
 
 
-def _diagonal(size: int, n: int, signs: tuple, *cols: tuple) -> list:
-    """Entries (size - r, r), r = 0..size, of the signed sum of the flat
-    tables `cols` of size n >= size with `signs` (the first 1), as `_tables`
-    gives them.  `core.table_index(n, size - r, r)` grows by n - r from r
-    to r + 1, so one `itemgetter` gathers the anti-diagonal of each table."""
-    if not size:  # an itemgetter of one index returns the entry, not a tuple
-        return [sum(sign * col[0] for col, sign in zip(cols, signs))]
-    get = operator.itemgetter(*accumulate(range(n, n - size, -1), initial=size))
-    total = get(cols[0])
-    for col, sign in zip(cols[1:], signs[1:]):
-        total = map(operator.add if sign > 0 else operator.sub, total, get(col))
-    return list(total)
+def _diagonal(entry: tuple, size: int) -> tuple:
+    """Entries (size - r, r), r = 0..size, of the signed sum of an entry's
+    tables, (n, signs, *tables) as `_tables` gives them, n >= size: one
+    slice of each flat table, since diagonal `size` starts at
+    size*(size+1)/2 in every table."""
+    cut = slice(size * (size + 1) // 2, (size + 1) * (size + 2) // 2)
+    total = entry[2][cut]
+    for sign, table in zip(entry[1][1:], entry[3:]):
+        total = map(operator.add if sign > 0 else operator.sub, total, table[cut])
+    return tuple(total)
 
 
 _default_cache = KernelValueCache()

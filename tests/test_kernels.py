@@ -318,7 +318,7 @@ def test_cache_does_not_grow_with_q():
 def test_memo_entries_are_not_gc_tracked():
     # keys and values are plain tuples of ints and None (the band tables
     # tuples of packed ints or numerators, an exact read's flat (n,
-    # signs, *columns)) and numpy arrays (the float matrices), which the
+    # signs, *tables)) and numpy arrays (the float matrices), which the
     # garbage collector does not track once collected, so
     # a large memo does not slow every full collection; the single-cell
     # kernels fill the default cache's peel memo
@@ -469,9 +469,11 @@ def test_band_tables_equal_top_down_peel():
 
 def test_band_table_equals_top_down_peel_at_q():
     # the one bottom-up fill against the top-down peel of its band pair
-    # (need 0 on both sides), entry by entry: at q = a/b an entry over
-    # b**(m*r) is the peel's polynomial at q, and at q = 2**w (b = 1) the
-    # peel's polynomial packed.  q = 1, 2 and 4 step by shifts, q = 0 and
+    # (need 0 on both sides), entry by entry: entry (m, r) of a side of
+    # (n + 1)(n + 2)/2 entries is index r of anti-diagonal d = m + r,
+    # which starts at d(d + 1)/2; at q = a/b an entry over b**(m*r) is the
+    # peel's polynomial at q, and at q = 2**w (b = 1) the peel's
+    # polynomial packed.  q = 1, 2 and 4 step by shifts, q = 0 and
     # -2 (b = 1, not a positive power of two) and the random a/b by
     # multiplies.  One cache's exact anti-diagonals (each side's need
     # combined) against the peel, with the q changing between examples;
@@ -502,13 +504,12 @@ def test_band_table_equals_top_down_peel_at_q():
         tables = core.band_table(xband, yband, n, a, b), \
             core.band_table(xband, yband, n, 1 << w, 1)
         for size, *sides in tables:
-            assert size == n and [len(side) for side in sides] == \
-                [core.table_index(n, 0, n) + 1] * 2
+            assert size == n and [len(side) for side in sides] == [(n + 1) * (n + 2) // 2] * 2
         (_, values_s, values_f), (_, packed_s, packed_f) = tables
         xcon, ycon = xband + (0,), yband + (0,)
-        for r in range(n + 1):
-            for m in range(n - r + 1):
-                i = core.table_index(n, m, r)
+        for d in range(n + 1):
+            for r in range(d + 1):
+                m, i = d - r, d * (d + 1) // 2 + r
                 for last_x, values, packed in ((True, values_s, packed_s),
                                                (False, values_f, packed_f)):
                     want = core.arrangement_poly(last_x, m, r, xcon, ycon, peel)
@@ -540,6 +541,36 @@ def test_band_table_equals_top_down_peel_at_q():
         for args in ((q.numerator, q.denominator), (1 << core.packed_width(44), 1)):
             with pytest.raises(ValueError):
                 core.band_table((0, None), (1, None), 44, *args)
+
+
+def test_band_tables_extend_every_smaller_table():
+    # anti-diagonal d starts at d(d + 1)/2 whatever the table's size, so
+    # at an exact q a table of size n starts with the table of size n' of
+    # the same bands for every n' < n, and a cache whose tables grew to n
+    # reads every smaller anti-diagonal as a fresh cache does: an entry
+    # with a need on both sides (four tables) and a longest-run cell
+    from qbtrials import _core_py as core
+
+    n = 12
+    bands = (((1, 2), (1, None)), ((1, None), (2, 4)), ((2, 3), (3, 3)), ((0, 3), (1, 1)))
+    for q in (Fraction(81, 100), 0, 1, -3):
+        a, b = q.numerator, q.denominator
+        for xband, yband in bands:
+            _, s, f = core.band_table(xband, yband, n, a, b)
+            for k in range(n):
+                _, s_k, f_k = core.band_table(xband, yband, k, a, b)
+                assert (s[:len(s_k)], f[:len(f_k)]) == (s_k, f_k), (xband, yband, q, k)
+    keys = ((True, (1, 3, 2), (1, None, 3)), (False, (1, 3, 2), (1, None, 3)),
+            (True, (0, 4, 4), (1, 1, 0)))
+    for q in (Fraction(81, 100), Fraction(-3, 7), -3):
+        cache = KernelValueCache()
+        for key in keys:
+            cache.diagonal(q, *key, 3)
+            cache.diagonal(q, *key, n)  # grows the entry's tables from 3 to n
+            for size in range(n + 1):
+                assert cache.diagonal(q, *key, size) == \
+                    KernelValueCache().diagonal(q, *key, size), (key, q, size)
+        assert {table[0] for table in cache._values[1].values()} == {n}
 
 
 def test_value_memo_is_swapped_under_the_lock():
