@@ -72,29 +72,28 @@ _ZERO, _ONE = (0,), (1,)
 _DIRECT_BUDGET = 2_000_000
 
 
-def kernel_direct_poly(first_success, nx, ny, m, r, xcon, ycon):
+def kernel_direct_poly(last_x, runs, m, r, xcon, ycon):
     """Coefficients of the kernel polynomial, by brute-force enumeration.
 
-    The arrangement alternates success runs x_1..x_nx and failure runs
-    y_1..y_ny, starting with a success run iff `first_success`.  Each term
+    The arrangement alternates `runs` runs, the last a success run iff
+    `last_x`, so the first is a success run iff last_x == runs % 2; it holds
+    nx = (runs + last_x) // 2 success runs x_1..x_nx and ny = runs - nx
+    failure runs y_1..y_ny; no arrangement has runs < 0.  Each term
     contributes q**(sum_j w_j x_j) where w_j is the total failure mass
     before x_j in the arrangement.  Each side's constraint is a triple
     (lo, hi, need): every part in lo..hi (no cap when hi is None) and,
     unless need is 0, some part >= need.  Raises EnumerationBudgetError
     beyond `_DIRECT_BUDGET` compositions or pairs.
     """
-    if m < 0 or r < 0 or nx < 0 or ny < 0:
+    if m < 0 or r < 0 or runs < 0:
         return _ZERO
-    # the first run's symbol fixes which side may hold the extra run
-    if first_success:
-        if nx not in (ny, ny + 1):
-            return _ZERO
-    elif ny not in (nx, nx + 1):
-        return _ZERO
-    if nx == 0 and ny == 0:
+    if runs == 0:
         # no parts at all: met unless a side needs a part >= need
         ok = m == 0 and r == 0 and not xcon[2] and not ycon[2]
         return _ONE if ok else _ZERO
+    first_success = last_x == runs % 2
+    nx = (runs + last_x) // 2
+    ny = runs - nx
 
     xcomps = _materialize(m, nx, xcon, _DIRECT_BUDGET)
     if not xcomps:
@@ -333,14 +332,11 @@ def _fill(memo, top, parts):
     return memo[top]
 
 
-def kernel_eval_poly(first_success, nx, ny, m, r, xcon, ycon, memo):
-    """Kernel polynomial of one arrangement shape: `arrangement_poly` with
-    the run count fixed at nx + ny (memoized)."""
-    # the first run's symbol fixes which side may hold the extra run
-    if nx < 0 or ny < 0 or (nx - ny if first_success else ny - nx) not in (0, 1):
-        return _ZERO
-    last_x = nx > ny if first_success else nx == ny > 0
-    return arrangement_poly(last_x, m, r, xcon, ycon, memo, nx + ny)
+def kernel_eval_poly(last_x, runs, m, r, xcon, ycon, memo):
+    """Kernel polynomial of one arrangement shape, the last run's symbol
+    (a success iff `last_x`) and the run count: `arrangement_poly` with
+    `runs` fixed (memoized); no arrangement has runs < 0."""
+    return _ZERO if runs < 0 else arrangement_poly(last_x, m, r, xcon, ycon, memo, runs)
 
 
 def _arrangement_parts(key):
@@ -410,9 +406,9 @@ def cell_poly_u(r, s, t, k, memo):
 
 def cell_poly_v(r, s, k, memo):
     """Polynomial of the bounded-cell kernel with any number of full cells:
-    r cells as success runs of 0..k around r - 1 single failures, by
-    `kernel_eval_poly` (whose keys are longer than `cell_poly_u`'s)."""
-    return kernel_eval_poly(True, r, r - 1, s, r - 1, (0, k, 0), (1, 1, 0), memo)
+    r cells as success runs of 0..k around r - 1 single failures, 2r - 1
+    runs by `kernel_eval_poly` (whose keys are longer than `cell_poly_u`'s)."""
+    return kernel_eval_poly(True, 2 * r - 1, s, r - 1, (0, k, 0), (1, 1, 0), memo)
 
 
 def _uint(bound):

@@ -63,7 +63,7 @@ from .kernels import (
     longest_cell_kernel_V,
     named_kernel,
 )
-from .model import FreqQuota, Mode, ModelParams, QuotaSpec
+from .model import Mode, ModelParams, QuotaSpec
 from .qcalc import Scalar, TermSum, is_exact, q_binomial, q_pochhammer
 
 __all__ = [
@@ -139,15 +139,14 @@ def waiting_time_pmf(
         raise ValueError("n must be >= 0")
     if n < support_min(quota):
         return _zero(params.theta, params.q)
-    sq, fq = quota.success_quota, quota.failure_quota
-    sides = _waiting_sides((sq.k, fq.k), (isinstance(sq, FreqQuota), isinstance(fq, FreqQuota)),
-                           quota.mode is Mode.LATER, n)
-    return _mass(params.theta, params.q, n, sides, cache or _default_cache)
+    return _mass(params.theta, params.q, n, _waiting_sides(quota.key, n),
+                 cache or _default_cache)
 
 
 @functools.lru_cache(maxsize=4096)
-def _waiting_sides(ks, freqs, later, n):
-    """The terms of one waiting-time theorem, one side per stopping side.
+def _waiting_sides(key, n):
+    """The terms of one waiting-time theorem, one side per stopping side,
+    for the quota whose `QuotaSpec.key` is `key`.
 
     Side j (0 = success, 1 = failure) stops the wait at trial n.  Under a
     run quota the last k_j trials are the tail run and the other side's
@@ -163,8 +162,10 @@ def _waiting_sides(ks, freqs, later, n):
     The bound holds the terms of every n <= 30 of 8 configurations at
     9 quota pairs.
     """
+    s_freq, k1, f_freq, k2, later = key
+    ks, freqs = (k1, k2), (s_freq, f_freq)
     sides = []
-    for j, families in enumerate(_WAITING_FAMILIES[freqs[0], freqs[1], later]):
+    for j, families in enumerate(_WAITING_FAMILIES[s_freq, f_freq, later]):
         last_x, xcon, ycon = family_arrangement(families[0], *ks)
         o = 1 - j
         tail = 0 if freqs[j] else ks[j]

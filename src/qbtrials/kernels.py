@@ -91,10 +91,6 @@ class ArrangementShape(Enum):
     SF = "SF"
     SS = "SS"
 
-    @property
-    def starts_with_success(self) -> bool:
-        return self.value[0] == "S"
-
     def x_runs(self, y_runs: int) -> int:
         """Success-run count implied by the failure-run count."""
         if self is ArrangementShape.FF:
@@ -154,17 +150,15 @@ class KernelSpec:
         return self.shape.x_runs(self.y_runs)
 
     def core_args(self) -> tuple:
-        """Leading arguments of `core.kernel_eval_poly` and `core.kernel_direct_poly`;
-        plain constraint tuples keep memo keys untracked by the garbage collector."""
-        return (
-            self.shape.starts_with_success,
-            self.x_runs,
-            self.y_runs,
-            self.x_total,
-            self.y_total,
-            tuple(self.x_constraint),
-            tuple(self.y_constraint),
-        )
+        """(last_x, runs, m, r, xcon, ycon), the leading arguments of
+        `core.kernel_eval_poly` and `core.kernel_direct_poly`: the shape as
+        the last run's symbol (a success iff last_x) and the run count, -1
+        when either side's is negative, then the totals and the constraints
+        as plain tuples, which keep memo keys untracked by the garbage
+        collector."""
+        x_runs, y_runs = self.x_runs, self.y_runs
+        return (self.shape.value[1] == "S", x_runs + y_runs if min(x_runs, y_runs) >= 0 else -1,
+                self.x_total, self.y_total, tuple(self.x_constraint), tuple(self.y_constraint))
 
 
 def _bands(con: tuple) -> tuple:
@@ -412,11 +406,10 @@ def _make_constraint(kind: str, k1: int, k2: int) -> PartConstraint:
 
 @functools.cache  # immutable results; the waiting sums ask once per side and n
 def family_arrangement(family: str, k1: int, k2: int) -> tuple[bool, tuple, tuple]:
-    """(ends with a success run?, x constraint, y constraint) of a family,
-    the constraints as plain tuples: what its kernels share for every s."""
-    shape, xkind, ykind = _FAMILIES[family]
-    return (shape.value[1] == "S", tuple(_make_constraint(xkind, k1, k2)),
-            tuple(_make_constraint(ykind, k1, k2)))
+    """(last_x, xcon, ycon) of a family, as `KernelSpec.core_args` gives
+    them: what its kernels share for every s."""
+    last_x, _, _, _, xcon, ycon = family_spec(family, 0, 0, 1, k1, k2).core_args()
+    return last_x, xcon, ycon
 
 
 def family_spec(family: str, m: int, r: int, s: int, k1: int, k2: int) -> KernelSpec:

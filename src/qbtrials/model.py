@@ -90,6 +90,15 @@ class QuotaSpec:
     failure_quota: Quota
     mode: Mode
 
+    @property
+    def key(self) -> tuple[bool, int, bool, int, bool]:
+        """(success freq?, k1, failure freq?, k2, later?): the one internal
+        form of a quota.  The formula's theorem sides, the oracle's held
+        rows and its walker read all five, the sampler the first four."""
+        sq, fq = self.success_quota, self.failure_quota
+        return (isinstance(sq, FreqQuota), sq.k, isinstance(fq, FreqQuota), fq.k,
+                self.mode is Mode.LATER)
+
 
 def success_prob_after(params: ModelParams, prior_failures: int) -> Scalar:
     """P(next trial succeeds | prior_failures failures so far)."""

@@ -7,10 +7,12 @@ so "match" in a report means equality, not closeness.  A longest-run or
 joint predicate is a mask over the walk of all 2**n sequences.  A waiting
 event is one walk that grows its prefixes trial by trial and drops each
 one once its wait has ended, counting at every t the prefixes that stop
-there; the rows of every t up to the longest walked so far are held per
-event.  Every event gives one row of counts per failure count f: the
-sequences of one f share the prefactor theta**(n-f) (theta; q)_f, so they
-are added as one term whose kernel is their counts as a polynomial in q.
+there; the rows of every t up to the longest walked so far are held
+under the quota's `QuotaSpec.key`, the form the walker and the formula's
+theorem sides read too.  Every event gives one row of counts per failure
+count f: the sequences of one f share the prefactor theta**(n-f)
+(theta; q)_f, so they are added as one term whose kernel is their counts
+as a polynomial in q.
 The rows are summed by `qcalc.TermSum`, the accumulator the formula layer
 uses: one integer over d**n * b**B at theta = c/d and q = a/b, and one
 Fraction at the end.  The shared accumulator is tested against plain
@@ -97,36 +99,25 @@ class JointLongest:
 EventPredicate = WaitingEquals | LongestEquals | LongestAtMost | JointLongest
 
 
-def _core_quota(quota: QuotaSpec) -> tuple[bool, int, bool, int]:
-    """The walker's (s_freq, k1, f_freq, k2) for a quota."""
-    return (isinstance(quota.success_quota, FreqQuota), quota.success_quota.k,
-            isinstance(quota.failure_quota, FreqQuota), quota.failure_quota.k)
-
-
-def _waiting_event(quota: QuotaSpec) -> tuple[bool, int, bool, int, bool]:
-    """The walker's (s_freq, k1, f_freq, k2, later) for a quota."""
-    return (*_core_quota(quota), quota.mode is Mode.LATER)
-
-
-# held waiting events; the least recently used goes first
+# held waiting rows by quota key; the least recently used goes first
 _HELD_EVENTS = 256
 _held = {}
 _held_lock = threading.Lock()
 
 
-def _waiting_rows(event, n):
-    """The rows of a waiting event (the walker's s_freq, k1, f_freq, k2,
-    later) for t = 1..n at least, one `core.count_rows` tuple per t: the
-    sequences whose wait ends at trial t.  The longest row tuple walked so
-    far is held per event, and a longer n walks once to n.  The rows are
-    parameter-free, so one walk serves the whole theta/q grid of a scan.
+def _waiting_rows(key, n):
+    """The rows of the waiting event of a quota, keyed by its
+    `QuotaSpec.key`, for t = 1..n at least, one `core.count_rows` tuple per
+    t: the sequences whose wait ends at trial t.  The longest row tuple
+    walked so far is held per key, and a longer n walks once to n.  The rows
+    are parameter-free, so one walk serves the whole theta/q grid of a scan.
     Threads share the held rows under one lock, the walk included, so an
     event is walked once however many threads ask for it."""
     with _held_lock:
-        rows = _held.pop(event, ())
+        rows = _held.pop(key, ())
         if len(rows) < n:
-            rows = core.waiting_stop_counts(n, *event)
-        _held[event] = rows
+            rows = core.waiting_stop_counts(n, *key)
+        _held[key] = rows
         if len(_held) > _HELD_EVENTS:
             del _held[next(iter(_held))]
         return rows
@@ -171,7 +162,7 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
         raise EnumerationBudgetError(
             f"n={n} exceeds enumeration budget {DEFAULT_BUDGET}")
     if isinstance(pred, WaitingEquals):
-        rows = _waiting_rows(_waiting_event(pred.quota), n)[n - 1]
+        rows = _waiting_rows(pred.quota.key, n)[n - 1]
     else:
         rows = _counts(n, pred)
 
@@ -197,7 +188,7 @@ def oracle_waiting_pmf(params: ModelParams, quota: QuotaSpec, n_max: int) -> Pmf
     offset = support_min(quota)
     if n_max < offset:
         raise ValueError(f"n_max={n_max} is below the support minimum {offset}")
-    _waiting_rows(_waiting_event(quota), n_max)
+    _waiting_rows(quota.key, n_max)
     probs = [
         oracle_event_prob(params, n, WaitingEquals(quota, n))
         for n in range(offset, n_max + 1)
@@ -319,17 +310,19 @@ def monte_carlo_estimate(
 
     The simulator walks all replicas through their trials together with
     numpy's default generator (PCG64), one uniform per trial per replica;
-    fixed seeds give identical output on any platform.
+    fixed seeds give identical output on any platform.  A waiting event's
+    walk tracks the first four fields of its quota's `QuotaSpec.key`, and
+    the fifth (later?) picks the stopping rule.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    waiting = isinstance(pred, WaitingEquals)
+    key = pred.quota.key if isinstance(pred, WaitingEquals) else None
     seqs = core.simulate(np.random.default_rng(seed), float(params.theta), float(params.q),
-                         n, samples, _core_quota(pred.quota) if waiting else None)
-    if waiting:
-        stop = seqs.stop(pred.quota.mode is Mode.LATER)
+                         n, samples, None if key is None else key[:4])
+    if key is not None:
+        stop = seqs.stop(key[4])
         ok = (stop == pred.n) & (stop > 0)  # 0: the wait has not ended
     else:
         ok = pred.holds(seqs.l1, seqs.l0)

@@ -1,6 +1,7 @@
 """Distribution assemblies: frozen examples, oracle agreement, identities."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -385,8 +386,7 @@ def test_classical_reduction_at_q_one_all_configs():
                 quota = make_quota(s_freq, f_freq, k1, k2, mode)
                 for n in range(support_min(quota), 15):
                     terms = TermSum(theta, one, n)
-                    for last_x, xcon, ycon, _, rows in d._waiting_sides(
-                            (k1, k2), (s_freq, f_freq), mode is Mode.LATER, n):
+                    for last_x, xcon, ycon, _, rows in d._waiting_sides(quota.key, n):
                         for j, f, x, y in rows:
                             terms.add(j, f, counting_term(last_x, x, y, xcon, ycon))
                     classical = terms.total()
@@ -482,26 +482,37 @@ def test_float_error_against_exact_beyond_enumeration():
 
 
 def test_float_error_beyond_n_60():
-    # the waiting-time rows at n = 100 and the joint quadrants at n = 80,
-    # where the packed tables are two 64-bit limbs wide (w >= 72), against
-    # the exact values at (37/100, 81/100): within 1e-12 relative, and 0.0
-    # exactly where the exact value is 0 (a sooner wait with a frequency
-    # quota ends within a few trials)
-    cache = KernelValueCache()
-    theta, q = Fraction(37, 100), Fraction(81, 100)
-    exact, floats = ModelParams(theta, q), ModelParams(float(theta), float(q))
-    pairs = []
-    for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
-        quota = make_quota(s_freq, f_freq, 3, 2, mode)
-        pairs.append((waiting_time_pmf(floats, quota, 100, cache),
-                      waiting_time_pmf(exact, quota, 100, cache)))
-    for k1, rel1, k2, rel2 in ((3, Rel.LE, 2, Rel.LE), (3, Rel.LE, 3, Rel.GE),
-                               (4, Rel.GE, 2, Rel.LE), (4, Rel.GE, 3, Rel.GE)):
-        pairs.append((joint_longest(floats, 80, k1, rel1, k2, rel2, cache),
-                      joint_longest(exact, 80, k1, rel1, k2, rel2, cache)))
-    zeros = [f for f, e in pairs if e == 0]
-    assert len(zeros) == 3 and all(f == 0.0 for f in zeros)
-    for f, e in pairs:
-        assert isinstance(f, float) and isinstance(e, (int, Fraction))
-        if e:
-            assert abs(Fraction(f) - e) <= Fraction(1, 10**12) * e, (f, e)
+    # the waiting-time rows at n = 100, the later run:3/run:2 table to
+    # n_max = 80 and the joint quadrants at n = 80, where the packed tables
+    # are two 64-bit limbs wide (w >= 72), against the exact values at two
+    # points: within 1e-12 relative wherever the exact value is at least
+    # the least normal float, and float(exact) itself below it.  That is
+    # 0.0 at the 3 exact zeros (a sooner wait with a frequency quota ends
+    # within a few trials) and at (4/7, 5/13) for sooner run:3/run:2 at
+    # n = 100, about 1e-409
+    quadrants = ((3, Rel.LE, 2, Rel.LE), (3, Rel.LE, 3, Rel.GE),
+                 (4, Rel.GE, 2, Rel.LE), (4, Rel.GE, 3, Rel.GE))
+    for theta, q, tiny in ((Fraction(37, 100), Fraction(81, 100), 0),
+                           (Fraction(4, 7), Fraction(5, 13), 1)):
+        cache = KernelValueCache()
+        exact, floats = ModelParams(theta, q), ModelParams(float(theta), float(q))
+        pairs = []
+        for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
+            quota = make_quota(s_freq, f_freq, 3, 2, mode)
+            pairs.append((waiting_time_pmf(floats, quota, 100, cache),
+                          waiting_time_pmf(exact, quota, 100, cache)))
+        later = make_quota(False, False, 3, 2, Mode.LATER)
+        pairs += zip(waiting_time_table(floats, later, 80, cache).probs,
+                     waiting_time_table(exact, later, 80, cache).probs)
+        for k1, rel1, k2, rel2 in quadrants:
+            pairs.append((joint_longest(floats, 80, k1, rel1, k2, rel2, cache),
+                          joint_longest(exact, 80, k1, rel1, k2, rel2, cache)))
+        assert len(pairs) == 88
+        assert sum(e == 0 for _, e in pairs) == 3
+        assert sum(0 < e < sys.float_info.min for _, e in pairs) == tiny
+        for f, e in pairs:
+            assert isinstance(f, float) and isinstance(e, (int, Fraction))
+            if e >= sys.float_info.min:
+                assert abs(Fraction(f) - e) <= Fraction(1, 10**12) * e, (theta, q, f, e)
+            else:
+                assert f == float(e), (theta, q, f, e)

@@ -237,7 +237,7 @@ def test_eval_equals_direct_on_arbitrary_specs():
     specs = st.builds(
         KernelSpec,
         shape=st.sampled_from(list(ArrangementShape)),
-        y_runs=st.integers(0, 4),
+        y_runs=st.integers(-1, 4),  # -1: no arrangement, 0 from both engines
         x_total=st.integers(0, 8),
         y_total=st.integers(0, 8),
         x_constraint=constraints,
@@ -405,9 +405,9 @@ def _in_domain(xcon, ycon):
 
 def test_arrangement_poly_equals_direct_over_run_counts():
     # the run-count-free recurrence against brute force summed over every
-    # run count and both first symbols, the empty arrangement once; with x
-    # parts from 0 (the longest-run cells) a leading empty success run is
-    # the empty prefix, so only arrangements that start with one count
+    # run count, the empty arrangement (0 runs) once; with x parts from 0
+    # (the longest-run cells) a leading empty success run is the empty
+    # prefix, so only arrangements that start with one count
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -415,14 +415,12 @@ def test_arrangement_poly_equals_direct_over_run_counts():
 
     def reference(last_x, m, r, xcon, ycon):
         total = [0] * (m * r + 1)
-        for first in (True,) if xcon[0] == 0 else (True, False):
-            for runs in range(max(m, r) + 2):
-                if first:
-                    nx, ny = (runs + 1, runs) if last_x else (runs, runs)
-                else:
-                    nx, ny = (runs, runs) if last_x else (runs, runs + 1)
-                for i, c in enumerate(core.kernel_direct_poly(first, nx, ny, m, r, xcon, ycon)):
-                    total[i] += c
+        # up to max(m, r) + 1 runs of each symbol
+        for runs in range(2 * max(m, r) + 4):
+            if xcon[0] == 0 and last_x != runs % 2:
+                continue  # starts with a failure run
+            for i, c in enumerate(core.kernel_direct_poly(last_x, runs, m, r, xcon, ycon)):
+                total[i] += c
         while len(total) > 1 and total[-1] == 0:
             total.pop()
         return total

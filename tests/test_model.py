@@ -87,6 +87,24 @@ def test_stopping_time_freq_semantics():
     assert stopping_time([1, 0, 1, 0], later) is None
 
 
+def test_quota_key_spells_each_configuration():
+    # (success freq?, k1, failure freq?, k2, later?) for the 8 configurations
+    keys = {
+        QuotaSpec(RunQuota(3), RunQuota(5), Mode.SOONER): (False, 3, False, 5, False),
+        QuotaSpec(RunQuota(3), RunQuota(5), Mode.LATER): (False, 3, False, 5, True),
+        QuotaSpec(FreqQuota(3), RunQuota(5), Mode.SOONER): (True, 3, False, 5, False),
+        QuotaSpec(FreqQuota(3), RunQuota(5), Mode.LATER): (True, 3, False, 5, True),
+        QuotaSpec(RunQuota(3), FreqQuota(5), Mode.SOONER): (False, 3, True, 5, False),
+        QuotaSpec(RunQuota(3), FreqQuota(5), Mode.LATER): (False, 3, True, 5, True),
+        QuotaSpec(FreqQuota(3), FreqQuota(5), Mode.SOONER): (True, 3, True, 5, False),
+        QuotaSpec(FreqQuota(3), FreqQuota(5), Mode.LATER): (True, 3, True, 5, True),
+    }
+    for quota, key in keys.items():
+        assert quota.key == key and type(quota.key) is tuple, quota
+        assert [type(v) for v in quota.key] == [bool, int, bool, int, bool], quota
+    assert QuotaSpec(FreqQuota(5), RunQuota(3), Mode.LATER).key == (True, 5, False, 3, True)
+
+
 @given(bits)
 def test_sooner_below_later(seq):
     sooner = stopping_time(seq, RUN22_SOONER)
