@@ -260,8 +260,9 @@ def unpack_matrix(rows, w):
     trimmed to the bounding box of their nonzero rows and powers, so
     M[i, e] is the coefficient of q**(first power + e) in
     rows[first row + i].  An all-zero `rows` gives (0, 0, a 0 x 0 matrix).
-    `KernelValueCache.diagonal` unpacks each packed anti-diagonal it reads
-    at float q with it, once.
+    `KernelValueCache.float_matrix` unpacks with it, once, the nonzero
+    entries of the packed anti-diagonals a float table reads under one
+    key.
 
     One numpy unpack: each row's bytes, little-endian, go into one buffer,
     each coefficient padded to whole 64-bit limbs, and the limbs are

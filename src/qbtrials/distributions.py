@@ -11,11 +11,13 @@ symbol under the same constraints, and s covers every feasible run count,
 so K counts, q-weighted, the arrangements of x successes and y failures
 that end with that symbol.
 Every term of one side of a sum reads K off one anti-diagonal
-x + y = size of the cache's bottom-up arrangement tables, and `_mass`
-reads that anti-diagonal with one `kernels.KernelValueCache.diagonal` per
-side: at exact theta and q = a/b as the integer numerators over
-b**(x*y) of K at a/b, otherwise as floats, one product of a q-free
-float64 matrix with q**powers.
+x + y = size of the cache's bottom-up arrangement tables.  At exact theta
+and q = a/b, `_mass` reads it with one `kernels.KernelValueCache.diagonal`
+per side and n, as the integer numerators over b**(x*y) of K at a/b.  At
+float inputs it takes every n of a table at once: the sides of one last
+symbol and constraints share one q-free float64 matrix over all their
+sizes (`kernels.KernelValueCache.float_matrix`), so one product with
+q**powers gives their every K.
 
 * `_WAITING_FAMILIES`, keyed (success freq?, failure freq?, later?), holds
   the families summed when the success side stops the wait and those summed
@@ -37,11 +39,12 @@ the y + 1 success runs are at most k long and, for the PMF, one of them
 is exactly k, which is the band (0, k) minus the band (0, k - 1), so
 PMF(k) shares its tables with CDF(k) and CDF(k - 1).  Each function that
 reads kernels takes an optional `KernelValueCache` and uses the
-module-level one without it.  Each probability hands its terms' j, f and
-K to one `qcalc.TermSum`: at rational theta = c/d and q = a/b the whole
-sum is one integer over d**n * b**B, and one Fraction is built at the end;
-at float inputs each term is a float product, and the terms are summed
-by `math.fsum`.
+module-level one without it.  At rational theta = c/d and q = a/b each
+probability hands its terms' j, f and K to one `qcalc.TermSum`: the whole
+sum is one integer over d**n * b**B, and one Fraction is built at the
+end.  At float inputs the terms of every n are one numpy product, in
+`TermSum`'s order, over a memoized q-free plan of their indices, and each
+n's terms are summed by `math.fsum`.
 
 Sum ranges are generous where feasibility is subtle; kernels vanish outside
 their domains.  Exact (Fraction) inputs produce exact outputs.
@@ -50,8 +53,12 @@ their domains.  Exact (Fraction) inputs produce exact outputs.
 from __future__ import annotations
 
 import functools
+import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 # named_kernel and longest_cell_kernel_U/V are not called here; they stay
 # bound as the single-kernel names a traced run wraps in this module
@@ -139,8 +146,8 @@ def waiting_time_pmf(
         raise ValueError("n must be >= 0")
     if n < support_min(quota):
         return _zero(params.theta, params.q)
-    return _mass(params.theta, params.q, n, _waiting_sides(quota.key, n),
-                 cache or _default_cache)
+    return _mass(params.theta, params.q, (n,), cache or _default_cache,
+                 _waiting_sides, quota.key)[0]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -185,22 +192,116 @@ def _waiting_sides(key, n):
     return tuple(sides)
 
 
-def _mass(th, q, n, sides, cache):
-    """Sum of the terms of `sides`, as `_waiting_sides` gives them.
+def _mass(th, q, ns, cache, sides, *args):
+    """The probabilities of the n in `ns`, in their order: each the sum of
+    the terms of `sides(*args, n)`, sides as `_waiting_sides` gives them.
 
     Every entry of a side lies on the anti-diagonal x + y = size of its
-    tables, so each side reads its K once, for every y, with
-    `KernelValueCache.diagonal`: at exact theta and q = a/b an integer
-    numerator over b**(x*y), otherwise a float at float(q).
+    tables.  At exact theta and q = a/b each n is one `TermSum`, and each
+    side reads its K once, for every y, with `KernelValueCache.diagonal`:
+    integer numerators over b**(x*y).  Otherwise the terms of every n are
+    taken at once, by the q-free plan of `_float_plan`: each side key's K
+    of every size is one product of its `KernelValueCache.float_matrix`
+    with the powers of q, the terms are one numpy product in `TermSum`'s
+    order, theta**(n-f) * q**j * (theta; q)_f * K, and each n's total is
+    one `math.fsum` of its slice, so it is correctly rounded.
     """
-    terms = TermSum(th, q, n)
-    q = q if terms.exact else float(q)
-    for last_x, xcon, ycon, size, rows in sides:
-        if rows:  # else no table to build
-            ks = cache.diagonal(q, last_x, xcon, ycon, size)
-            for j, f, x, y in rows:
-                terms.add(j, f, ks[y], x * y)
-    return terms.total()
+    if is_exact(th, q):
+        out = []
+        for n in ns:
+            terms = TermSum(th, q, n)
+            for last_x, xcon, ycon, size, rows in sides(*args, n):
+                if rows:  # else no table to build
+                    ks = cache.diagonal(q, last_x, xcon, ycon, size)
+                    for j, f, x, y in rows:
+                        terms.add(j, f, ks[y], x * y)
+            out.append(terms.total())
+        return out
+    keys, (nf, j, f, row), cuts, top = _float_plan(ns, cache, sides, args)
+    ths, qs, prefixes = _float_powers(float(th), float(q), top)
+    ks = [np.empty(0)]  # the K of every row, key by key
+    for key in keys:
+        low, matrix, _ = cache.float_matrix(*key)
+        ks.append(matrix @ qs[low:low + matrix.shape[1]])
+    terms = (ths[nf] * qs[j] * prefixes[f] * np.concatenate(ks)[row]).tolist()
+    return [math.fsum(terms[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+# ((theta, q), (theta**i, q**i, (theta; q)_i for i < top)): one pair, replaced
+# by a single assignment, so a reader sees powers of the point it keys
+_powers_memo: tuple = (None, ((),) * 3)
+
+
+def _float_powers(th, q, top):
+    """(theta**i, q**i, (theta; q)_i) for i = 0..m - 1, m >= top, as float64
+    arrays: held for the last point asked for, as a longest-run table asks
+    at one point once per k, and at least doubled when they grow."""
+    global _powers_memo
+    point, powers = _powers_memo
+    if point != (th, q) or len(powers[1]) < top:
+        if point == (th, q):
+            top = max(top, 2 * len(powers[1]))
+        exps = np.arange(top, dtype=np.float64)
+        qs = q ** exps
+        powers = th ** exps, qs, np.cumprod(np.concatenate(([1.0], 1 - th * qs[:-1])))
+        _powers_memo = (th, q), powers
+    return powers
+
+
+# (ns, sides, args) -> the plan of `_float_plan`, at most _PLAN_BOUND of
+# them, the oldest dropped first; written under the lock
+_plans: dict = {}
+_plans_lock = threading.Lock()
+_PLAN_BOUND = 256
+
+
+def _float_plan(ns, cache, sides, args):
+    """The q-free plan of `_mass` at float inputs: (keys, (n - f, j, f,
+    row), cuts, top).
+
+    The sides of one key (last_x, xcon, ycon) over every n share one
+    `KernelValueCache.float_matrix`, whose sizes close the key in `keys`.
+    Each term whose K is not zero is one column of four intp arrays: its
+    n - f, j and f, and row, the row of its K among the products of the
+    keys' matrices, concatenated in key order.  The columns are ordered
+    by n, those of ns[i] at cuts[i]:cuts[i + 1].  Every power of q and
+    of theta that the terms and matrices ask for is below top.
+
+    Memoized under (ns, sides, args), apart from the cache: a key's
+    matrix lays its rows out alike in every cache.  Building a plan costs
+    several evaluations of it.  A plan holds 32 bytes per term: 14 kB at
+    most for a k = (3, 2) table to n_max = 30, 178 kB to n_max = 100.
+    """
+    plan_key = ns, sides, args
+    plan = _plans.get(plan_key)
+    if plan is not None:
+        return plan
+    reads: dict = {}  # side key -> [(n index, n, size, rows)]
+    for i, n in enumerate(ns):
+        for last_x, xcon, ycon, size, rows in sides(*args, n):
+            if rows:  # else no table to build
+                reads.setdefault((last_x, xcon, ycon), []).append((i, n, size, rows))
+    keys, terms, top, offset = [], [], 1, 0
+    for side, side_reads in reads.items():
+        sizes = tuple(sorted({size for _, _, size, _ in side_reads}))
+        low, matrix, index = cache.float_matrix(*side, sizes)
+        keys.append((*side, sizes))
+        top = max(top, low + matrix.shape[1])
+        index = dict(zip(sizes, index.tolist()))
+        for i, n, size, rows in side_reads:
+            live = index[size]
+            terms += [(i, n - f, j, f, offset + live[y]) for j, f, _, y in rows if live[y] >= 0]
+        offset += len(matrix)
+    terms.sort()
+    i, *columns = np.array(terms, np.intp).reshape(-1, 5).T
+    top = max([top] + [column.max() + 1 for column in columns[:3] if len(column)])
+    cuts = tuple(np.searchsorted(i, np.arange(len(ns) + 1)).tolist())
+    plan = tuple(keys), tuple(np.ascontiguousarray(c) for c in columns), cuts, int(top)
+    with _plans_lock:
+        if len(_plans) >= _PLAN_BOUND:
+            del _plans[next(iter(_plans))]
+        _plans[plan_key] = plan
+    return plan
 
 
 def sooner_freq_freq_closed(params: ModelParams, k1: int, k2: int, n: int) -> Scalar:
@@ -264,8 +365,13 @@ def _longest_mass(th, q, n, k, need, cache):
     """Mass of the length-n sequences whose success runs are all <= k and,
     unless need is 0, one of them >= need: the cells, y + 1 success runs
     of 0..k around y failure runs of length 1."""
+    return _mass(th, q, (n,), cache, _longest_sides, k, need)[0]
+
+
+def _longest_sides(k, need, n):
+    """`_longest_mass`'s one side, as `_waiting_sides` gives sides."""
     rows = [(0, y, n - y, y) for y in range(n - need + 1)]
-    return _mass(th, q, n, [(True, (0, k, need), (1, 1, 0), n, rows)], cache)
+    return [(True, (0, k, need), (1, 1, 0), n, rows)]
 
 
 def joint_longest(
@@ -285,6 +391,12 @@ def joint_longest(
             raise ValueError("a >= relation needs k >= 1")
         if rel is Rel.LE and k < 0:
             raise ValueError("a <= relation needs k >= 0")
+    return _mass(params.theta, params.q, (n,), cache or _default_cache,
+                 _joint_sides, k1, rel1, k2, rel2)[0]
+
+
+def _joint_sides(k1, rel1, k2, rel2, n):
+    """`joint_longest`'s two sides, as `_waiting_sides` gives sides."""
     # every run of the symbol <= k, or some run >= k
     xcon = (1, k1, 0) if rel1 is Rel.LE else (1, None, k1)
     ycon = (1, k2, 0) if rel2 is Rel.LE else (1, None, k2)
@@ -293,8 +405,7 @@ def joint_longest(
     # its K ends with either symbol, one side each; with no failure the
     # empty arrangement, counted among those that end with a success run,
     # ends with one
-    sides = [(True, xcon, ycon, n, rows), (False, xcon, ycon, n, [row for row in rows if row[1]])]
-    return _mass(params.theta, params.q, n, sides, cache or _default_cache)
+    return [(True, xcon, ycon, n, rows), (False, xcon, ycon, n, [row for row in rows if row[1]])]
 
 
 def waiting_time_table(
@@ -307,8 +418,9 @@ def waiting_time_table(
     offset = support_min(quota)
     if n_max < offset:
         raise ValueError(f"n_max={n_max} is below the support minimum {offset}")
-    # n_max first, so the band tables are built at full size, not again per n
-    probs = [waiting_time_pmf(params, quota, n, cache) for n in range(n_max, offset - 1, -1)]
+    # n_max first, so exact band tables are built at full size, not again per n
+    probs = _mass(params.theta, params.q, range(n_max, offset - 1, -1), cache or _default_cache,
+                  _waiting_sides, quota.key)
     probs.reverse()
     running: Scalar = 0
     for p in probs:

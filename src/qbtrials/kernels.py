@@ -21,19 +21,21 @@ per pair of bands (each side's lo..hi); a constraint that needs some part
 >= need is its band minus the band capped at need - 1, so one entry is a
 signed sum of up to four tables, each in the domain `core.band_table`
 states.  Every term of one side of a sum reads one anti-diagonal
-x + y = size of those sums, and `KernelValueCache.diagonal` gives it.
-The tables are stored by anti-diagonal, so that is one slice of each
-table, summed with their signs (`_diagonal`).  The cache asks for tables
-at two kinds of q:
+x + y = size of those sums.  The tables are stored by anti-diagonal, so
+that is one slice of each table, summed with their signs (`_diagonal`).
+The cache asks for tables at two kinds of q:
 
 * at the exact q = a/b of a probability, integer numerators over
-  b**(x*y): the tables of one q are held at a time, and each (last
-  symbol, constraints)'s tables and signs are resolved once per q;
+  b**(x*y), which `KernelValueCache.diagonal` gives: the tables of one q
+  are held at a time, and each (last symbol, constraints)'s tables and
+  signs are resolved once per q;
 * at q = 2**w, where an entry is its polynomial packed with coefficient i
-  at bits w*i: the packed anti-diagonal is unpacked at once into one
-  q-free float64 matrix, memoized per (last symbol, constraints, size),
-  whose product with q**powers gives every K of the side at a float q;
-  `KernelValueCache.arrangement_poly` reads one entry exactly, as a
+  at bits w*i: `KernelValueCache.float_matrix` unpacks the nonzero
+  entries of every anti-diagonal a float probability or table reads
+  under one (last symbol, constraints) into one q-free float64 matrix
+  over one power range, memoized per (last symbol, constraints, sizes),
+  whose product with q**powers gives every K of those sizes at a float
+  q; `KernelValueCache.arrangement_poly` reads one entry exactly, as a
   coefficient tuple, for the tests.
 
 Either way an entry's tables share one size, and a table that lies
@@ -179,16 +181,19 @@ class KernelValueCache:
     Kernel values are polynomials in q with nonnegative integer
     coefficients, so the polynomial memos hold only the q-independent
     coefficients and stay the same size however many q are asked for.
-    Every call on them evaluates its polynomial at q afresh: exactly at int
-    or Fraction q, in floating point at float q.  There are three of them:
+    The kernel API evaluates its polynomial at q afresh on every call:
+    exactly at int or Fraction q, in floating point at float q;
+    `float_matrix` hands its caller the coefficients to evaluate.  There
+    are three of them:
 
     * `_band_memo`: one `core.band_table` at q = 2**w, packed polynomials
       (w = `core.packed_width`), per pair of bands, keyed (x band, y band);
       `arrangement_poly` reads an entry off it, unmemoized;
-    * `_matrix_memo`: the float path's coefficients, one float64 matrix per
-      anti-diagonal m + r = size of the band tables, unpacked off them and
-      trimmed, keyed (last_x, xcon, ycon, size), each value (first row,
-      first power, matrix) as `core.unpack_matrix` gives it;
+    * `_matrix_memo`: the float path's coefficients, keyed (last_x, xcon,
+      ycon, sizes): the nonzero entries of the band tables' anti-diagonals
+      m + r = size, size in sizes, unpacked off them into one float64
+      matrix over one power range, each value (first power, matrix, row
+      index) as `float_matrix` gives it;
     * `_peel_memo`: the states of the top-down peels `core.arrangement_poly`
       (keys of six, the run count last) and `core.cell_poly_u` (of four):
       the fixed-s kernels and, in the default cache, the U and V cells.
@@ -231,34 +236,17 @@ class KernelValueCache:
             entry = self._packed(last_x, xcon, ycon, m + r)
         return core.unpack(_diagonal(entry, m + r)[r], core.packed_width(entry[0]))
 
-    def diagonal(self, q: Scalar, last_x: bool, xcon: tuple, ycon: tuple,
-                 size: int) -> tuple | list:
+    def diagonal(self, q: Scalar, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> tuple:
         """ks, with ks[y] the arrangements of size - y successes and y
         failures that end with a success run iff `last_x`, and the empty
-        one, at q: `arrangement_poly(last_x, size - y, y, xcon, ycon)` at q,
-        for y = 0..size.
+        one, at an int or Fraction q = a/b: the integer numerator over
+        b**((size - y)*y) of `arrangement_poly(last_x, size - y, y, xcon,
+        ycon)` at a/b, for y = 0..size, off the band tables at a/b.
 
-        At int or Fraction q = a/b, ks is a tuple and ks[y] the integer
-        numerator over b**((size - y)*y), off the band tables at a/b.
         Those are memoized for one q at a time: a call at another q swaps
-        in an empty value memo under the lock.  At float q, ks is a list
-        of floats: the product of the anti-diagonal's q-free float64
-        matrix (see `_matrix_memo`) with q**powers, 0.0 outside its rows;
-        `OverflowError` where a coefficient overflows a float.
+        in an empty value memo under the lock.  Float q reads
+        `float_matrix` instead.
         """
-        if isinstance(q, float):
-            key = (last_x, xcon, ycon, size)
-            out = self._matrix_memo.get(key)
-            if out is None:
-                with self._lock:
-                    out = self._matrix_memo.get(key)
-                    if out is None:
-                        entry = self._packed(last_x, xcon, ycon, size)
-                        out = self._matrix_memo[key] = core.unpack_matrix(
-                            _diagonal(entry, size), core.packed_width(entry[0]))
-            first, low, matrix = out
-            ks = (matrix @ q ** np.arange(low, low + matrix.shape[1], dtype=np.float64)).tolist()
-            return [0.0] * first + ks + [0.0] * (size + 1 - first - len(ks))
         a, b = q.numerator, q.denominator
         key = (last_x, xcon, ycon)
         value_q, memo = self._values  # one attribute, so the pair stays consistent
@@ -274,6 +262,40 @@ class KernelValueCache:
                         memo, last_x, xcon, ycon, size,
                         lambda xband, yband, n: core.band_table(xband, yband, n, a, b))
         return _diagonal(out, size)
+
+    def float_matrix(self, last_x: bool, xcon: tuple, ycon: tuple, sizes: tuple) -> tuple:
+        """(low, matrix, index): the anti-diagonals x + y = size, for each
+        size of the ascending tuple `sizes`, of the arrangements that end
+        with a success run iff `last_x`, as q-free float64 coefficients.
+
+        The matrix holds only the nonzero entries, one row each, over one
+        power range: matrix[i, e] is the coefficient of q**(low + e) in
+        row i.  index[s, y] is the row of entry (sizes[s] - y, y), -1
+        where that entry is zero or y > sizes[s].  So one product
+        matrix @ q**(low + e) gives every nonzero K of the sizes at a
+        float q.  The rows are unpacked off the packed band tables
+        (`core.unpack_matrix`) and memoized under (last_x, xcon, ycon,
+        sizes); their order depends only on the key, so every cache lays
+        one key out alike.  `OverflowError` where a coefficient overflows
+        a float.
+        """
+        key = (last_x, xcon, ycon, sizes)
+        out = self._matrix_memo.get(key)
+        if out is None:
+            with self._lock:
+                out = self._matrix_memo.get(key)
+                if out is None:
+                    entry = self._packed(last_x, xcon, ycon, sizes[-1])
+                    index = np.full((len(sizes), sizes[-1] + 1), -1, np.intp)
+                    live = []
+                    for s, size in enumerate(sizes):
+                        for y, p in enumerate(_diagonal(entry, size)):
+                            if p:
+                                index[s, y] = len(live)
+                                live.append(p)
+                    _, low, matrix = core.unpack_matrix(live, core.packed_width(entry[0]))
+                    out = self._matrix_memo[key] = low, matrix, index
+        return out
 
     def _packed(self, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> tuple:
         """`_tables` of the packed band tables, at q = 2**w; the caller holds

@@ -10,7 +10,9 @@ terms theta**(n-f) * q**j * (theta; q)_f * K, K an integer polynomial in q.
 as an integer numerator over a power of b, read off the arrangement tables
 at that q (or, for the oracle, the Horner numerator of one failure count's
 sequence counts), so no formula evaluates a polynomial there; at float
-inputs as a float, and the float terms are summed by `math.fsum`.  At
+inputs as a float, and the float terms are summed by `math.fsum`: that
+branch serves the oracle's float sums, since the formula layer takes a
+float table's terms as one numpy product (`distributions._mass`).  At
 rational theta = c/d and q = a/b every term of the n-th probability has a
 denominator dividing d**n * b**B for some B, so the exact sum is one
 integer numerator over that common denominator, and one `Fraction` is
@@ -179,12 +181,14 @@ class TermSum:
     (`_numerators`), so the sums of one table, which ask for every n at one
     (theta, q), compute each N_f once.  The running numerator is rescaled when a
     term needs a larger power of b, and `total` builds one Fraction (an
-    int when neither input is a Fraction).  At float inputs K is its value,
-    each term is th**(n-f) * q**j * (th; q)_f * K in that order, as a
-    product of floats, with the prefixes (th; q)_f held per point as the
-    numerators are (`_float_prefixes`), and `total` is the `math.fsum` of
-    the terms: correctly rounded, so no digit is lost to the order in
-    which they are added.
+    int when neither input is a Fraction).  At float inputs, which only
+    the oracle's sums bring here, K is its value, each term is
+    th**(n-f) * q**j * (th; q)_f * K in that order, as a product of
+    floats, with the prefixes (th; q)_f held per point as the numerators
+    are (`_float_prefixes`), and `total` is the `math.fsum` of the terms:
+    correctly rounded, so no digit is lost to the order in which they are
+    added.  `distributions._mass` computes the formula layer's float
+    terms in the same order, as one numpy product.
 
     A term whose K is zero is skipped.  With no term added the total is the
     int 0 at exact inputs and 0.0 at float ones; a term added with a zero

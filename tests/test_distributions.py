@@ -289,16 +289,15 @@ def test_exact_table_partial_sums_may_not_exceed_one(monkeypatch):
     from qbtrials import distributions as d
 
     quota = make_quota(True, True, 2, 2, Mode.SOONER)
-    real = d.waiting_time_pmf
+    real = d._mass
 
-    def overshoot(params, quota, n, cache=None):
-        p = real(params, quota, n, cache)
-        if n == 2:
-            p += Fraction(1, 10**12) if params.exact else 1e-12
-        return p
+    def overshoot(th, q, ns, *args):
+        # the row of n = 2 raised by 10**-12
+        up = Fraction(1, 10**12) if isinstance(th, Fraction) else 1e-12
+        return [p + up if n == 2 else p for n, p in zip(ns, real(th, q, ns, *args))]
 
     assert waiting_time_table(HALF, quota, 3).total() == 1
-    monkeypatch.setattr(d, "waiting_time_pmf", overshoot)
+    monkeypatch.setattr(d, "_mass", overshoot)
     with pytest.raises(ValueError, match="partial sums exceed 1"):
         waiting_time_table(HALF, quota, 3)
     floats = waiting_time_table(ModelParams(0.5, 0.5), quota, 3)
@@ -516,3 +515,77 @@ def test_float_error_beyond_n_60():
                 assert abs(Fraction(f) - e) <= Fraction(1, 10**12) * e, (theta, q, f, e)
             else:
                 assert f == float(e), (theta, q, f, e)
+
+
+@pytest.mark.parametrize("k1,k2", [(2, 3), (3, 3), (4, 2)])
+def test_float_table_is_one_batch_of_its_rows(k1, k2, monkeypatch):
+    # a float table sums every n at once, one float matrix per side key
+    # over all its sizes: its rows equal the one-n calls within 1e-15
+    # relative and the exact table within 1e-12 (0.0 where float(exact)
+    # is 0.0).  On a fresh cache one table leaves at most one matrix per
+    # (last_x, xcon, ycon), and a second table at a new float point
+    # builds nothing: every memo keeps its size and the plans their keys,
+    # and no side is asked for, so the table's plan was memoized
+    from collections import Counter
+
+    from qbtrials import distributions as d
+
+    theta, q = Fraction(37, 100), Fraction(81, 100)
+    exact, floats, other = ModelParams(theta, q), ModelParams(0.37, 0.81), ModelParams(0.6, 0.45)
+    real_sides, asked = d._waiting_sides, []
+    monkeypatch.setattr(d, "_waiting_sides", lambda key, n: asked.append(n) or real_sides(key, n))
+
+    def sizes(cache):
+        return ({name: len(memo) for name, memo in vars(cache).items() if isinstance(memo, dict)},
+                list(d._plans), real_sides.cache_info().currsize)
+
+    for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
+        quota = make_quota(s_freq, f_freq, k1, k2, mode)
+        want = waiting_time_table(exact, quota, 60, KernelValueCache()).probs
+        for n_max in (30, 60):
+            cache = KernelValueCache()
+            table = waiting_time_table(floats, quota, n_max, cache)
+            assert max(Counter(key[:3] for key in cache._matrix_memo).values()) == 1
+            before = sizes(cache)
+            asked.clear()
+            waiting_time_table(other, quota, n_max, cache)
+            assert sizes(cache) == before and not asked, (quota, n_max)
+            single = KernelValueCache()
+            for n, got in zip(table.support(), table.probs):
+                one = waiting_time_pmf(floats, quota, n, single)
+                assert abs(got - one) <= 1e-15 * abs(one), (quota, n_max, n, got, one)
+                e = want[n - table.offset]
+                if float(e) == 0.0:
+                    assert got == 0.0, (quota, n_max, n, got)
+                else:
+                    assert abs(Fraction(got) - e) <= Fraction(1, 10**12) * e, (quota, n_max, n)
+
+
+@pytest.mark.parametrize("theta", [Fraction(0), Fraction(1), Fraction(37, 100)])
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(1, 1000), Fraction(81, 100)])
+def test_float_at_edge_points_tracks_exact(theta, q):
+    # theta at 0 and 1 (where theta**0 and a zero (theta; q)_f enter the
+    # float product), q at 1 and near 0: the waiting tables of all eight
+    # configurations at k = (3, 2) to n_max = 30, the longest-run PMF and
+    # CDF at n = 20 and the four joint quadrants at n = 16 are within
+    # 1e-12 relative of float(exact), and 0.0 exactly where it is 0.0
+    exact, floats = ModelParams(theta, q), ModelParams(float(theta), float(q))
+    cache = KernelValueCache()
+    pairs = []
+    for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
+        quota = make_quota(s_freq, f_freq, 3, 2, mode)
+        pairs += zip(waiting_time_table(floats, quota, 30, cache).probs,
+                     waiting_time_table(exact, quota, 30, cache).probs)
+    for k, f in itertools.product(range(21), (longest_run_pmf, longest_run_cdf)):
+        pairs.append((f(floats, 20, k, cache), f(exact, 20, k, cache)))
+    for k1, rel1, k2, rel2 in ((3, Rel.LE, 2, Rel.LE), (3, Rel.LE, 3, Rel.GE),
+                               (4, Rel.GE, 2, Rel.LE), (4, Rel.GE, 3, Rel.GE)):
+        pairs.append((joint_longest(floats, 16, k1, rel1, k2, rel2, cache),
+                      joint_longest(exact, 16, k1, rel1, k2, rel2, cache)))
+    assert len(pairs) == 4 * 29 + 4 * 26 + 42 + 4  # sooner tables start at n = 2, later at 5
+    for f, e in pairs:
+        assert isinstance(f, float) and isinstance(e, (int, Fraction))
+        if float(e) == 0.0:
+            assert f == 0.0, (f, e)
+        else:
+            assert abs(Fraction(f) - e) <= Fraction(1, 10**12) * e, (f, e)

@@ -318,9 +318,9 @@ def test_cache_does_not_grow_with_q():
 def test_memo_entries_are_not_gc_tracked():
     # keys and values are plain tuples of ints and None (the band tables
     # tuples of packed ints or numerators, an exact read's flat (n,
-    # signs, *tables)) and numpy arrays (the float matrices), which the
-    # garbage collector does not track once collected, so
-    # a large memo does not slow every full collection; the single-cell
+    # signs, *tables)) and numpy arrays (the float matrices and their row
+    # indexes), which the garbage collector does not track once collected,
+    # so a large memo does not slow every full collection; the single-cell
     # kernels fill the default cache's peel memo
     import gc
 
@@ -331,10 +331,10 @@ def test_memo_entries_are_not_gc_tracked():
         kernel_eval(family_spec(fam, 6, 5, 3, 2, 3), Fraction(1, 3), cache)
     for last_x in (True, False):
         cache.arrangement_poly(last_x, 6, 5, (1, 2, 0), (1, None, 3))
-        cache.diagonal(1 / 3, last_x, (1, 2, 0), (1, None, 3), 11)
+        cache.float_matrix(last_x, (1, 2, 0), (1, None, 3), (11,))
     for y in range(8):
         cache.arrangement_poly(True, 9 - y, y, (0, 2, 2), (1, 1, 0))  # longest-run cells
-    cache.diagonal(1 / 3, True, (0, 2, 2), (1, 1, 0), 9)
+    cache.float_matrix(True, (0, 2, 2), (1, 1, 0), (5, 9))
     for last_x in (True, False):
         cache.diagonal(Fraction(1, 3), last_x, (1, 2, 0), (1, None, 3), 11)
     cache.diagonal(Fraction(1, 3), True, (0, 2, 2), (1, 1, 0), 9)
@@ -349,10 +349,12 @@ def test_memo_entries_are_not_gc_tracked():
     memos = (cache._band_memo, cache._matrix_memo, cache._peel_memo, cells,
              cache._values[1])
     assert all(memos)
-    # the float path's matrices, (first row, first power, float64 array)
-    # per (last_x, xcon, ycon, size), apart from the fixed-s kernels' peel states
+    # the float path's matrices, (first power, float64 array, intp row
+    # index) per (last_x, xcon, ycon, sizes), apart from the fixed-s
+    # kernels' peel states
     assert {len(key) for key in cache._matrix_memo} == {4}
-    assert all(isinstance(value[2], np.ndarray) for value in cache._matrix_memo.values())
+    assert all(isinstance(value[1], np.ndarray) and isinstance(value[2], np.ndarray)
+               for value in cache._matrix_memo.values())
     assert {key[-1] is None for key in cache._peel_memo} == {False}
     assert not any(gc.is_tracked(key) or gc.is_tracked(value)
                    for memo in memos for key, value in memo.items())
@@ -688,7 +690,7 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
             with pytest.raises(ValueError):
                 cache.diagonal(Fraction(81, 100), last_x, xcon, ycon, 44)
             with pytest.raises(ValueError):
-                cache.diagonal(0.81, last_x, xcon, ycon, 44)
+                cache.float_matrix(last_x, xcon, ycon, (44,))
     assert not cache._band_memo and not cache._matrix_memo and not cache._values[1]
     assert max(core.arrangement_poly(True, 13, 31, (0, None, 0), (1, None, 0), {})) \
         >= 2 ** core.packed_width(44)
@@ -706,8 +708,9 @@ def test_float_matrices_equal_the_exact_coefficients(n):
     # every row of a side's float matrix is entry (n - r, r) of the exact
     # accessor, coefficient by coefficient: exactly (as float(c)) while a
     # coefficient is one 64-bit limb (n = 40, 55), within one ulp at
-    # n = 70 (w = 72 bits, two limbs); the matrix is trimmed to the
-    # bounding box of its nonzero rows and powers.  Waiting keys of every
+    # n = 70 (w = 72 bits, two limbs); the matrix holds the nonzero rows
+    # only, trimmed to their powers, and the index gives each entry's row
+    # (-1 for a zero one).  Waiting keys of every
     # family at k = (3, 2), longest-run cells, and joint keys
     from qbtrials import _core_py as core
     from qbtrials.kernels import family_arrangement
@@ -720,16 +723,18 @@ def test_float_matrices_equal_the_exact_coefficients(n):
     assert exact == (n < 64)
     cache = KernelValueCache()
     for last_x, xcon, ycon in sorted(keys, key=repr):
-        cache.diagonal(0.81, last_x, xcon, ycon, n)
-        first, low, matrix = cache._matrix_memo[last_x, xcon, ycon, n]
+        cache.float_matrix(last_x, xcon, ycon, (n,))
+        low, matrix, index = cache._matrix_memo[last_x, xcon, ycon, (n,)]
         assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
-        assert matrix[0].any() and matrix[-1].any()
+        assert matrix.any(axis=1).all()
         assert matrix[:, 0].any() and matrix[:, -1].any()
+        assert index.shape == (1, n + 1)
+        assert index[index >= 0].tolist() == list(range(len(matrix)))
         for r in range(n + 1):
             poly = cache.arrangement_poly(last_x, n - r, r, xcon, ycon)
             got = np.zeros(max(len(poly), low + matrix.shape[1]))
-            if 0 <= r - first < len(matrix):
-                got[low:low + matrix.shape[1]] = matrix[r - first]
+            if index[0, r] >= 0:
+                got[low:low + matrix.shape[1]] = matrix[index[0, r]]
             want = np.zeros(len(got))
             want[:len(poly)] = [float(c) for c in poly]
             if exact:
@@ -766,7 +771,9 @@ def test_diagonal_equals_arrangement_poly(size):
             for y, (k, poly) in enumerate(zip(ks, polys)):
                 assert Fraction(k, q.denominator ** ((size - y) * y)) == poly_value(poly, q), \
                     (last_x, xcon, ycon, q, y)
-        ks = cache.diagonal(0.81, last_x, xcon, ycon, size)
+        low, matrix, index = cache.float_matrix(last_x, xcon, ycon, (size,))
+        live = (matrix @ 0.81 ** np.arange(low, low + matrix.shape[1], dtype=np.float64)).tolist()
+        ks = [live[i] if i >= 0 else 0.0 for i in index[0].tolist()]
         assert len(ks) == size + 1 and all(type(k) is float for k in ks)
         for y, (k, poly) in enumerate(zip(ks, polys)):
             want = poly_value(poly, Fraction(0.81))

@@ -306,8 +306,10 @@ def test_float_prefixes_held_apart_from_exact_numerators():
 
 
 def test_waiting_tables_at_points_computed_concurrently():
-    """Tables at eight points computed by eight threads at once, each
-    replacing the numerators of the others, equal the serial ones."""
+    """Tables at eight exact points and their float twins computed by
+    sixteen threads at once, each replacing the numerators or the float
+    powers of the others and sharing the float plans, equal the serial
+    ones."""
     import sys
     import threading
 
@@ -316,11 +318,11 @@ def test_waiting_tables_at_points_computed_concurrently():
     quotas = (QuotaSpec(RunQuota(2), FreqQuota(3), Mode.SOONER),
               QuotaSpec(RunQuota(3), RunQuota(2), Mode.LATER))
     points = [ModelParams(Fraction(i + 1, 11), Fraction(5 + i, 13 + 2 * i)) for i in range(8)]
+    points += [ModelParams(float(p.theta), float(p.q)) for p in points]
     def tables(p):
         return [[(type(v), v) for v in waiting_time_table(p, quota, 18).probs]
                 for quota in quotas]
 
-    serial = [tables(p) for p in points]
     results = [None] * len(points)
 
     def work(i):
@@ -337,4 +339,5 @@ def test_waiting_tables_at_points_computed_concurrently():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    serial = [tables(p) for p in points]
     assert results == [[want] * 10 for want in serial]
