@@ -255,43 +255,44 @@ def unpack(p, w):
 
 
 def unpack_matrix(rows, w):
-    """(first row, first power, M): the packed polynomials `rows` (width w
-    bits, a multiple of 8, nonnegative coefficients) as one float64 matrix,
-    trimmed to the bounding box of their nonzero rows and powers, so
-    M[i, e] is the coefficient of q**(first power + e) in
-    rows[first row + i].  An all-zero `rows` gives (0, 0, a 0 x 0 matrix).
+    """(low, M): the nonzero packed polynomials `rows` (width w bits, a
+    multiple of 8, nonnegative coefficients) as one float64 matrix over
+    the range of their nonzero powers, so M[i, e] is the coefficient of
+    q**(low + e) in rows[i].  No rows give (0, a 0 x 0 matrix).
     `KernelValueCache.float_matrix` unpacks with it, once, the nonzero
-    entries of the packed anti-diagonals a float table reads under one
-    key.
+    entries a float plan reads, one row per term.
 
-    One numpy unpack: each row's bytes, little-endian, go into one buffer,
-    each coefficient padded to whole 64-bit limbs, and the limbs are
-    scaled to float64 from the top one down.  While w <= 64 (tables of
-    size n <= 63) a coefficient is one limb and its float is float(c)
-    exactly; beyond, within one ulp of it.  Raises `OverflowError` where a
+    One numpy unpack per block of rows, so the buffers beside M stay near
+    16 MB: each row's bytes, little-endian, go into one buffer, each
+    coefficient padded to whole 64-bit limbs, and the limbs are scaled to
+    float64 from the top one down.  While w <= 64 (tables of size
+    n <= 63) a coefficient is one limb and its float is float(c) exactly;
+    beyond, within one ulp of it.  Raises `OverflowError` where a
     coefficient overflows a float, as float(c) does.
     """
-    live = [i for i, p in enumerate(rows) if p]
-    if not live:
-        return 0, 0, np.zeros((0, 0))
-    first = live[0]
-    rows = rows[first:live[-1] + 1]
+    if not rows:
+        return 0, np.zeros((0, 0))
     # the lowest and highest nonzero coefficient of any row
-    low = min(((p & -p).bit_length() - 1) // w for p in rows if p)
+    low = min(((p & -p).bit_length() - 1) // w for p in rows)
     cols = (max(p.bit_length() for p in rows) - 1) // w + 1 - low
     step = w // 8
-    raw = b"".join([(p >> low * w).to_bytes(cols * step, "little") for p in rows])
     limbs = -(-step // 8)
-    digits = np.zeros((len(rows), cols, limbs * 8), np.uint8)
-    digits[:, :, :step] = np.frombuffer(raw, np.uint8).reshape(len(rows), cols, step)
-    words = digits.view("<u8")
-    with np.errstate(over="ignore"):
-        out = words[:, :, -1].astype(np.float64)
-        for i in range(limbs - 2, -1, -1):
-            out = np.ldexp(out, 64) + words[:, :, i]
+    out = np.empty((len(rows), cols))
+    block = max(1, (1 << 24) // (cols * limbs * 8))  # rows per 16 MB of limbs
+    for a in range(0, len(rows), block):
+        part = rows[a:a + block]
+        raw = b"".join([(p >> low * w).to_bytes(cols * step, "little") for p in part])
+        digits = np.zeros((len(part), cols, limbs * 8), np.uint8)
+        digits[:, :, :step] = np.frombuffer(raw, np.uint8).reshape(len(part), cols, step)
+        words = digits.view("<u8")
+        with np.errstate(over="ignore"):
+            part = words[:, :, -1].astype(np.float64)
+            for i in range(limbs - 2, -1, -1):
+                part = np.ldexp(part, 64) + words[:, :, i]
+        out[a:a + block] = part
     if not np.isfinite(out).all():
         raise OverflowError("a kernel coefficient is too large for a float")
-    return first, low, out
+    return low, out
 
 
 def _fill(memo, top, parts):

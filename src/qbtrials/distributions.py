@@ -14,10 +14,10 @@ Every term of one side of a sum reads K off one anti-diagonal
 x + y = size of the cache's bottom-up arrangement tables.  At exact theta
 and q = a/b, `_mass` reads it with one `kernels.KernelValueCache.diagonal`
 per side and n, as the integer numerators over b**(x*y) of K at a/b.  At
-float inputs it takes every n of a table at once: the sides of one last
-symbol and constraints share one q-free float64 matrix over all their
-sizes (`kernels.KernelValueCache.float_matrix`), so one product with
-q**powers gives their every K.
+float inputs it takes every n of a table at once: the call's q-free plan
+holds one float64 matrix with a row per term, the K it reads
+(`kernels.KernelValueCache.float_matrix`), so one product with q**powers
+gives every K of the call, in term order.
 
 * `_WAITING_FAMILIES`, keyed (success freq?, failure freq?, later?), holds
   the families summed when the success side stops the wait and those summed
@@ -43,8 +43,8 @@ module-level one without it.  At rational theta = c/d and q = a/b each
 probability hands its terms' j, f and K to one `qcalc.TermSum`: the whole
 sum is one integer over d**n * b**B, and one Fraction is built at the
 end.  At float inputs the terms of every n are one numpy product, in
-`TermSum`'s order, over a memoized q-free plan of their indices, and each
-n's terms are summed by `math.fsum`.
+`TermSum`'s order, over the plan's indices, memoized in the cache, and
+each n's terms are summed by `math.fsum`.
 
 Sum ranges are generous where feasibility is subtle; kernels vanish outside
 their domains.  Exact (Fraction) inputs produce exact outputs.
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -200,11 +199,12 @@ def _mass(th, q, ns, cache, sides, *args):
     tables.  At exact theta and q = a/b each n is one `TermSum`, and each
     side reads its K once, for every y, with `KernelValueCache.diagonal`:
     integer numerators over b**(x*y).  Otherwise the terms of every n are
-    taken at once, by the q-free plan of `_float_plan`: each side key's K
-    of every size is one product of its `KernelValueCache.float_matrix`
-    with the powers of q, the terms are one numpy product in `TermSum`'s
-    order, theta**(n-f) * q**j * (theta; q)_f * K, and each n's total is
-    one `math.fsum` of its slice, so it is correctly rounded.
+    taken at once, by the q-free plan of `_float_plan`, memoized in the
+    cache under (name of `sides`, ns, *args): the K of every term is one
+    product of the plan's matrix with the powers of q, the terms are one
+    numpy product in `TermSum`'s order, theta**(n-f) * q**j *
+    (theta; q)_f * K, and each n's total is one `math.fsum` of its slice,
+    so it is correctly rounded.
     """
     if is_exact(th, q):
         out = []
@@ -217,13 +217,11 @@ def _mass(th, q, ns, cache, sides, *args):
                         terms.add(j, f, ks[y], x * y)
             out.append(terms.total())
         return out
-    keys, (nf, j, f, row), cuts, top = _float_plan(ns, cache, sides, args)
+    (nf, j, f), cuts, low, matrix, top = cache.float_plan(
+        (sides.__name__, ns, *args), lambda: _float_plan(ns, cache, sides, args))
     ths, qs, prefixes = _float_powers(float(th), float(q), top)
-    ks = [np.empty(0)]  # the K of every row, key by key
-    for key in keys:
-        low, matrix, _ = cache.float_matrix(*key)
-        ks.append(matrix @ qs[low:low + matrix.shape[1]])
-    terms = (ths[nf] * qs[j] * prefixes[f] * np.concatenate(ks)[row]).tolist()
+    ks = matrix @ qs[low:low + matrix.shape[1]]
+    terms = (ths[nf] * qs[j] * prefixes[f] * ks).tolist()
     return [math.fsum(terms[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
@@ -248,60 +246,33 @@ def _float_powers(th, q, top):
     return powers
 
 
-# (ns, sides, args) -> the plan of `_float_plan`, at most _PLAN_BOUND of
-# them, the oldest dropped first; written under the lock
-_plans: dict = {}
-_plans_lock = threading.Lock()
-_PLAN_BOUND = 256
-
-
 def _float_plan(ns, cache, sides, args):
-    """The q-free plan of `_mass` at float inputs: (keys, (n - f, j, f,
-    row), cuts, top).
+    """The q-free plan of `_mass` at float inputs: ((n - f, j, f), cuts,
+    low, matrix, top).
 
-    The sides of one key (last_x, xcon, ycon) over every n share one
-    `KernelValueCache.float_matrix`, whose sizes close the key in `keys`.
-    Each term whose K is not zero is one column of four intp arrays: its
-    n - f, j and f, and row, the row of its K among the products of the
-    keys' matrices, concatenated in key order.  The columns are ordered
-    by n, those of ns[i] at cuts[i]:cuts[i + 1].  Every power of q and
-    of theta that the terms and matrices ask for is below top.
+    Each term whose K is not zero is one column of three intp arrays, its
+    n - f, j and f, and one row of the float64 matrix, the coefficients of
+    q**(low + e) in its K (`KernelValueCache.float_matrix`), so one product
+    matrix @ q**(low + e) gives the terms' K in their order.  The terms are
+    ordered by n, those of ns[i] at cuts[i]:cuts[i + 1].  Every power of q
+    and of theta that the terms and the matrix ask for is below top.
 
-    Memoized under (ns, sides, args), apart from the cache: a key's
-    matrix lays its rows out alike in every cache.  Building a plan costs
-    several evaluations of it.  A plan holds 32 bytes per term: 14 kB at
-    most for a k = (3, 2) table to n_max = 30, 178 kB to n_max = 100.
+    `_mass` memoizes it in the cache (`KernelValueCache.float_plan`).
+    Building a plan costs several evaluations of it.  Its matrix holds the
+    rows the plan reads and no other: 16 rows over 7 powers for sooner
+    run:3/freq:3 to n_max = 30, 192 rows over 292 powers for later
+    freq:3/freq:2 to n_max = 100.
     """
-    plan_key = ns, sides, args
-    plan = _plans.get(plan_key)
-    if plan is not None:
-        return plan
-    reads: dict = {}  # side key -> [(n index, n, size, rows)]
+    terms = []
     for i, n in enumerate(ns):
         for last_x, xcon, ycon, size, rows in sides(*args, n):
-            if rows:  # else no table to build
-                reads.setdefault((last_x, xcon, ycon), []).append((i, n, size, rows))
-    keys, terms, top, offset = [], [], 1, 0
-    for side, side_reads in reads.items():
-        sizes = tuple(sorted({size for _, _, size, _ in side_reads}))
-        low, matrix, index = cache.float_matrix(*side, sizes)
-        keys.append((*side, sizes))
-        top = max(top, low + matrix.shape[1])
-        index = dict(zip(sizes, index.tolist()))
-        for i, n, size, rows in side_reads:
-            live = index[size]
-            terms += [(i, n - f, j, f, offset + live[y]) for j, f, _, y in rows if live[y] >= 0]
-        offset += len(matrix)
-    terms.sort()
-    i, *columns = np.array(terms, np.intp).reshape(-1, 5).T
-    top = max([top] + [column.max() + 1 for column in columns[:3] if len(column)])
+            terms += [(i, n - f, j, f, (last_x, xcon, ycon, size, y)) for j, f, _, y in rows]
+    terms.sort(key=lambda term: term[:4])
+    live, low, matrix = cache.float_matrix([term[4] for term in terms])
+    i, *columns = np.array([terms[t][:4] for t in live], np.intp).reshape(-1, 4).T
+    top = max([low + matrix.shape[1]] + [column.max() + 1 for column in columns if len(column)])
     cuts = tuple(np.searchsorted(i, np.arange(len(ns) + 1)).tolist())
-    plan = tuple(keys), tuple(np.ascontiguousarray(c) for c in columns), cuts, int(top)
-    with _plans_lock:
-        if len(_plans) >= _PLAN_BOUND:
-            del _plans[next(iter(_plans))]
-        _plans[plan_key] = plan
-    return plan
+    return tuple(np.ascontiguousarray(c) for c in columns), cuts, low, matrix, int(top)
 
 
 def sooner_freq_freq_closed(params: ModelParams, k1: int, k2: int, n: int) -> Scalar:
@@ -392,15 +363,16 @@ def joint_longest(
         if rel is Rel.LE and k < 0:
             raise ValueError("a <= relation needs k >= 0")
     return _mass(params.theta, params.q, (n,), cache or _default_cache,
-                 _joint_sides, k1, rel1, k2, rel2)[0]
+                 _joint_sides, k1, rel1 is Rel.LE, k2, rel2 is Rel.LE)[0]
 
 
-def _joint_sides(k1, rel1, k2, rel2, n):
-    """`joint_longest`'s two sides, as `_waiting_sides` gives sides."""
+def _joint_sides(k1, le1, k2, le2, n):
+    """`joint_longest`'s two sides, as `_waiting_sides` gives sides; le1
+    and le2 are whether each relation is <=."""
     # every run of the symbol <= k, or some run >= k
-    xcon = (1, k1, 0) if rel1 is Rel.LE else (1, None, k1)
-    ycon = (1, k2, 0) if rel2 is Rel.LE else (1, None, k2)
-    ys = range(k2 if rel2 is Rel.GE else 0, n - (k1 if rel1 is Rel.GE else 0) + 1)
+    xcon = (1, k1, 0) if le1 else (1, None, k1)
+    ycon = (1, k2, 0) if le2 else (1, None, k2)
+    ys = range(0 if le2 else k2, n - (0 if le1 else k1) + 1)
     rows = [(0, y, n - y, y) for y in ys]
     # its K ends with either symbol, one side each; with no failure the
     # empty arrangement, counted among those that end with a success run,

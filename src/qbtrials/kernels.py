@@ -31,11 +31,11 @@ The cache asks for tables at two kinds of q:
   signs are resolved once per q;
 * at q = 2**w, where an entry is its polynomial packed with coefficient i
   at bits w*i: `KernelValueCache.float_matrix` unpacks the nonzero
-  entries of every anti-diagonal a float probability or table reads
-  under one (last symbol, constraints) into one q-free float64 matrix
-  over one power range, memoized per (last symbol, constraints, sizes),
-  whose product with q**powers gives every K of those sizes at a float
-  q; `KernelValueCache.arrangement_poly` reads one entry exactly, as a
+  entries a float probability or table reads, one row per term in its
+  order, into one q-free float64 matrix over the power range of those
+  rows, held with the call's plan (`KernelValueCache.float_plan`), so
+  one product with q**powers gives every K of the call at a float q;
+  `KernelValueCache.arrangement_poly` reads one entry exactly, as a
   coefficient tuple, for the tests.
 
 Either way an entry's tables share one size, and a table that lies
@@ -60,8 +60,6 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
-
-import numpy as np
 
 from . import _core_py as core
 from ._core_py import EnumerationBudgetError
@@ -175,8 +173,8 @@ def _bands(con: tuple) -> tuple:
 
 class KernelValueCache:
     """Memo of kernel, arrangement and cell polynomials, of the float
-    path's coefficient matrices, and of arrangement values at one exact q;
-    safe to share across threads.
+    path's plans and their matrices, and of arrangement values at one
+    exact q; safe to share across threads.
 
     Kernel values are polynomials in q with nonnegative integer
     coefficients, so the polynomial memos hold only the q-independent
@@ -189,11 +187,10 @@ class KernelValueCache:
     * `_band_memo`: one `core.band_table` at q = 2**w, packed polynomials
       (w = `core.packed_width`), per pair of bands, keyed (x band, y band);
       `arrangement_poly` reads an entry off it, unmemoized;
-    * `_matrix_memo`: the float path's coefficients, keyed (last_x, xcon,
-      ycon, sizes): the nonzero entries of the band tables' anti-diagonals
-      m + r = size, size in sizes, unpacked off them into one float64
-      matrix over one power range, each value (first power, matrix, row
-      index) as `float_matrix` gives it;
+    * `_plan_memo`: the float path's plans, keyed (name of the sides
+      function, ns, *args) as `distributions._mass` asks for them: each
+      term's indices and one float64 matrix of the nonzero K the plan
+      reads, a row per term, unpacked by `float_matrix` (`float_plan`);
     * `_peel_memo`: the states of the top-down peels `core.arrangement_poly`
       (keys of six, the run count last) and `core.cell_poly_u` (of four):
       the fixed-s kernels and, in the default cache, the U and V cells.
@@ -204,14 +201,14 @@ class KernelValueCache:
     `_tables`.  A call at another q replaces the pair under the lock, so
     its memory is that of one q's tables however many q are asked for.
 
-    Keys and values hold only ints, None, tuples of them and numpy
-    arrays, so the garbage collector does not track them.  One lock guards
-    every write.
+    Keys and values hold only ints, None, strings, ranges, tuples of them
+    and numpy arrays, so the garbage collector does not track them.  One
+    lock guards every write.
     """
 
     def __init__(self) -> None:
         self._band_memo: dict = {}
-        self._matrix_memo: dict = {}
+        self._plan_memo: dict = {}
         self._peel_memo: dict = {}
         self._values: tuple = (None, {})
         self._lock = threading.Lock()
@@ -263,39 +260,51 @@ class KernelValueCache:
                         lambda xband, yband, n: core.band_table(xband, yband, n, a, b))
         return _diagonal(out, size)
 
-    def float_matrix(self, last_x: bool, xcon: tuple, ycon: tuple, sizes: tuple) -> tuple:
-        """(low, matrix, index): the anti-diagonals x + y = size, for each
-        size of the ascending tuple `sizes`, of the arrangements that end
-        with a success run iff `last_x`, as q-free float64 coefficients.
+    def float_matrix(self, reads) -> tuple:
+        """(live, low, matrix) for the entries `reads`, each (last_x, xcon,
+        ycon, size, y): the arrangements of size - y successes and y
+        failures that end with a success run iff `last_x`.  live lists, in
+        order, the t whose entry reads[t] is not zero, and matrix[i, e] is
+        the coefficient of q**(low + e) in entry reads[live[i]], as a
+        q-free float64 over the power range of those rows alone.  So
+        matrix @ q**(low + e) gives every nonzero K read, in order, at a
+        float q.
 
-        The matrix holds only the nonzero entries, one row each, over one
-        power range: matrix[i, e] is the coefficient of q**(low + e) in
-        row i.  index[s, y] is the row of entry (sizes[s] - y, y), -1
-        where that entry is zero or y > sizes[s].  So one product
-        matrix @ q**(low + e) gives every nonzero K of the sizes at a
-        float q.  The rows are unpacked off the packed band tables
-        (`core.unpack_matrix`) and memoized under (last_x, xcon, ycon,
-        sizes); their order depends only on the key, so every cache lays
-        one key out alike.  `OverflowError` where a coefficient overflows
-        a float.
+        The entries are read off the packed anti-diagonals, and one
+        `core.unpack_matrix` unpacks them; so that they pack at one width,
+        a read whose keys' tables differ in width rebuilds them at the
+        largest one's size.  Not memoized itself: `float_plan` holds each
+        plan's matrix.  `OverflowError` where a coefficient overflows a
+        float.
         """
-        key = (last_x, xcon, ycon, sizes)
-        out = self._matrix_memo.get(key)
-        if out is None:
+        wanted: dict = {}  # (last_x, xcon, ycon) -> the sizes read
+        for last_x, xcon, ycon, size, _ in reads:
+            wanted.setdefault((last_x, xcon, ycon), set()).add(size)
+        with self._lock:
+            entries = {key: self._packed(*key, max(sizes)) for key, sizes in wanted.items()}
+            widths = {core.packed_width(entry[0]) for entry in entries.values()}
+            if len(widths) > 1:
+                n = max(entry[0] for entry in entries.values())
+                entries = {key: self._packed(*key, n) for key in entries}
+                widths = {core.packed_width(n)}
+        diagonals = {(*key, size): _diagonal(entries[key], size)
+                     for key, sizes in wanted.items() for size in sizes}
+        rows = [diagonals[read[:4]][read[4]] for read in reads]
+        live = [t for t, p in enumerate(rows) if p]
+        low, matrix = core.unpack_matrix([rows[t] for t in live], max(widths, default=8))
+        return live, low, matrix
+
+    def float_plan(self, key, build) -> tuple:
+        """`build()`, a float probability's q-free plan and its matrix
+        (`distributions._float_plan`), memoized under `key`.  Built outside
+        the lock, since it reads `float_matrix`; of two threads that build
+        one plan, the first to store it wins."""
+        plan = self._plan_memo.get(key)
+        if plan is None:
+            plan = build()
             with self._lock:
-                out = self._matrix_memo.get(key)
-                if out is None:
-                    entry = self._packed(last_x, xcon, ycon, sizes[-1])
-                    index = np.full((len(sizes), sizes[-1] + 1), -1, np.intp)
-                    live = []
-                    for s, size in enumerate(sizes):
-                        for y, p in enumerate(_diagonal(entry, size)):
-                            if p:
-                                index[s, y] = len(live)
-                                live.append(p)
-                    _, low, matrix = core.unpack_matrix(live, core.packed_width(entry[0]))
-                    out = self._matrix_memo[key] = low, matrix, index
-        return out
+                plan = self._plan_memo.setdefault(key, plan)
+        return plan
 
     def _packed(self, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> tuple:
         """`_tables` of the packed band tables, at q = 2**w; the caller holds

@@ -141,7 +141,7 @@ def test_longest_run_pmf_is_cdf_difference_at_n_100():
 def test_longest_run_fills_the_callers_cache():
     # a caller's cache fills and the module-level one gains nothing: exact
     # inputs fill the value memo at q, float ones the packed band tables
-    # and the float coefficient matrices; the calls without a cache, which
+    # and the float plans with their matrices; the calls without a cache, which
     # use the module-level one, agree
     from qbtrials.kernels import _default_cache
 
@@ -158,11 +158,11 @@ def test_longest_run_fills_the_callers_cache():
               for k in range(14)]
     assert state(_default_cache) == before
     assert cache._values[0] == (5, 11) and cache._values[1]
-    assert not cache._matrix_memo and not cache._band_memo
+    assert not cache._plan_memo and not cache._band_memo
     float_values = [(longest_run_pmf(floats, 13, k, cache), longest_run_cdf(floats, 13, k, cache))
                     for k in range(14)]
     assert state(_default_cache) == before
-    assert cache._matrix_memo and cache._band_memo
+    assert cache._plan_memo and cache._band_memo
     assert values == [(longest_run_pmf(params, 13, k), longest_run_cdf(params, 13, k))
                       for k in range(14)]
     assert float_values == [(longest_run_pmf(floats, 13, k), longest_run_cdf(floats, 13, k))
@@ -519,15 +519,13 @@ def test_float_error_beyond_n_60():
 
 @pytest.mark.parametrize("k1,k2", [(2, 3), (3, 3), (4, 2)])
 def test_float_table_is_one_batch_of_its_rows(k1, k2, monkeypatch):
-    # a float table sums every n at once, one float matrix per side key
-    # over all its sizes: its rows equal the one-n calls within 1e-15
-    # relative and the exact table within 1e-12 (0.0 where float(exact)
-    # is 0.0).  On a fresh cache one table leaves at most one matrix per
-    # (last_x, xcon, ycon), and a second table at a new float point
-    # builds nothing: every memo keeps its size and the plans their keys,
-    # and no side is asked for, so the table's plan was memoized
-    from collections import Counter
-
+    # a float table sums every n at once, one float matrix row per term:
+    # its rows equal the one-n calls within 1e-15 relative and the exact
+    # table within 1e-12 (0.0 where float(exact) is 0.0).  On a fresh
+    # cache one table leaves one plan, whose matrix has one nonzero row
+    # per term, and a second table at a new float point builds nothing:
+    # every memo keeps its size and the plans their keys, and no side is
+    # asked for, so the table's plan was memoized
     from qbtrials import distributions as d
 
     theta, q = Fraction(37, 100), Fraction(81, 100)
@@ -537,7 +535,7 @@ def test_float_table_is_one_batch_of_its_rows(k1, k2, monkeypatch):
 
     def sizes(cache):
         return ({name: len(memo) for name, memo in vars(cache).items() if isinstance(memo, dict)},
-                list(d._plans), real_sides.cache_info().currsize)
+                list(cache._plan_memo), real_sides.cache_info().currsize)
 
     for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
         quota = make_quota(s_freq, f_freq, k1, k2, mode)
@@ -545,7 +543,9 @@ def test_float_table_is_one_batch_of_its_rows(k1, k2, monkeypatch):
         for n_max in (30, 60):
             cache = KernelValueCache()
             table = waiting_time_table(floats, quota, n_max, cache)
-            assert max(Counter(key[:3] for key in cache._matrix_memo).values()) == 1
+            [((nf, j, f), cuts, low, matrix, top)] = cache._plan_memo.values()
+            assert len(matrix) == len(nf) == len(j) == len(f) == cuts[-1]
+            assert matrix.any(axis=1).all() and len(cuts) == len(table.probs) + 1
             before = sizes(cache)
             asked.clear()
             waiting_time_table(other, quota, n_max, cache)
@@ -562,10 +562,12 @@ def test_float_table_is_one_batch_of_its_rows(k1, k2, monkeypatch):
 
 
 @pytest.mark.parametrize("theta", [Fraction(0), Fraction(1), Fraction(37, 100)])
-@pytest.mark.parametrize("q", [Fraction(1), Fraction(1, 1000), Fraction(81, 100)])
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(1, 1000), Fraction(81, 100),
+                               Fraction(1, 10**6), Fraction(1, 10**30)])
 def test_float_at_edge_points_tracks_exact(theta, q):
     # theta at 0 and 1 (where theta**0 and a zero (theta; q)_f enter the
-    # float product), q at 1 and near 0: the waiting tables of all eight
+    # float product), q at 1 and near 0, down to 1e-30, where q**i
+    # underflows inside a row's power range: the waiting tables of all eight
     # configurations at k = (3, 2) to n_max = 30, the longest-run PMF and
     # CDF at n = 20 and the four joint quadrants at n = 16 are within
     # 1e-12 relative of float(exact), and 0.0 exactly where it is 0.0

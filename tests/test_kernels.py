@@ -311,19 +311,21 @@ def test_cache_does_not_grow_with_q():
                 first_values = values
             assert values == first_values
     assert sizes() == first
-    assert set(first) == {"_band_memo", "_matrix_memo", "_peel_memo"}
+    assert set(first) == {"_band_memo", "_plan_memo", "_peel_memo"}
     assert all(first.values()) and first_values
 
 
 def test_memo_entries_are_not_gc_tracked():
-    # keys and values are plain tuples of ints and None (the band tables
-    # tuples of packed ints or numerators, an exact read's flat (n,
-    # signs, *tables)) and numpy arrays (the float matrices and their row
-    # indexes), which the garbage collector does not track once collected,
-    # so a large memo does not slow every full collection; the single-cell
-    # kernels fill the default cache's peel memo
+    # keys and values are plain tuples of ints, None, strings and ranges
+    # (the band tables tuples of packed ints or numerators, an exact read's
+    # flat (n, signs, *tables)) and numpy arrays (the float plans' term
+    # indices and matrices), which the garbage collector does not track
+    # once collected, so a large memo does not slow every full collection;
+    # the single-cell kernels fill the default cache's peel memo
     import gc
 
+    from qbtrials import Mode, ModelParams, QuotaSpec, Rel, RunQuota, FreqQuota
+    from qbtrials import joint_longest, longest_run_pmf, waiting_time_table
     from qbtrials.kernels import _default_cache
 
     cache = KernelValueCache()
@@ -331,10 +333,13 @@ def test_memo_entries_are_not_gc_tracked():
         kernel_eval(family_spec(fam, 6, 5, 3, 2, 3), Fraction(1, 3), cache)
     for last_x in (True, False):
         cache.arrangement_poly(last_x, 6, 5, (1, 2, 0), (1, None, 3))
-        cache.float_matrix(last_x, (1, 2, 0), (1, None, 3), (11,))
     for y in range(8):
         cache.arrangement_poly(True, 9 - y, y, (0, 2, 2), (1, 1, 0))  # longest-run cells
-    cache.float_matrix(True, (0, 2, 2), (1, 1, 0), (5, 9))
+    floats = ModelParams(1 / 3, 1 / 3)
+    waiting_time_table(floats, QuotaSpec(RunQuota(3), FreqQuota(3), Mode.LATER), 14, cache)
+    for n in (5, 9):
+        longest_run_pmf(floats, n, 2, cache)
+    joint_longest(floats, 9, 2, Rel.LE, 3, Rel.GE, cache)
     for last_x in (True, False):
         cache.diagonal(Fraction(1, 3), last_x, (1, 2, 0), (1, None, 3), 11)
     cache.diagonal(Fraction(1, 3), True, (0, 2, 2), (1, 1, 0), 9)
@@ -346,15 +351,16 @@ def test_memo_entries_are_not_gc_tracked():
     cells = _default_cache._peel_memo
     # U cells (r, s, t, k) beside V's arrangement-peel states, which carry a run count
     assert {len(key) for key in cells} == {4, 6}
-    memos = (cache._band_memo, cache._matrix_memo, cache._peel_memo, cells,
+    memos = (cache._band_memo, cache._plan_memo, cache._peel_memo, cells,
              cache._values[1])
     assert all(memos)
-    # the float path's matrices, (first power, float64 array, intp row
-    # index) per (last_x, xcon, ycon, sizes), apart from the fixed-s
-    # kernels' peel states
-    assert {len(key) for key in cache._matrix_memo} == {4}
-    assert all(isinstance(value[1], np.ndarray) and isinstance(value[2], np.ndarray)
-               for value in cache._matrix_memo.values())
+    # the float path's plans, ((n - f, j, f) intp arrays, cuts, first
+    # power, float64 matrix, top) per (name of the sides, ns, *args), the
+    # joint relations as bools; apart from the fixed-s kernels' peel states
+    assert sorted(key[0] for key in cache._plan_memo) == \
+        ["_joint_sides", "_longest_sides", "_longest_sides", "_waiting_sides"]
+    assert all(isinstance(column, np.ndarray) for plan in cache._plan_memo.values()
+               for column in (*plan[0], plan[3]))
     assert {key[-1] is None for key in cache._peel_memo} == {False}
     assert not any(gc.is_tracked(key) or gc.is_tracked(value)
                    for memo in memos for key, value in memo.items())
@@ -690,8 +696,9 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
             with pytest.raises(ValueError):
                 cache.diagonal(Fraction(81, 100), last_x, xcon, ycon, 44)
             with pytest.raises(ValueError):
-                cache.float_matrix(last_x, xcon, ycon, (44,))
-    assert not cache._band_memo and not cache._matrix_memo and not cache._values[1]
+                cache.float_plan(("refused", (44,)), lambda: cache.float_matrix(
+                    [(last_x, xcon, ycon, 44, y) for y in range(45)]))
+    assert not cache._band_memo and not cache._plan_memo and not cache._values[1]
     assert max(core.arrangement_poly(True, 13, 31, (0, None, 0), (1, None, 0), {})) \
         >= 2 ** core.packed_width(44)
     peel = {}
@@ -705,15 +712,21 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
 
 @pytest.mark.parametrize("n", [40, 55, 70])
 def test_float_matrices_equal_the_exact_coefficients(n):
-    # every row of a side's float matrix is entry (n - r, r) of the exact
-    # accessor, coefficient by coefficient: exactly (as float(c)) while a
+    # a float probability whose terms read the whole anti-diagonal
+    # m + r = n of one key, term (j, f) = (0, r) on entry (n - r, r): its
+    # plan has one row per term whose entry is not zero and no other, in
+    # term order, and each row is that entry of the exact accessor,
+    # coefficient by coefficient: exactly (as float(c)) while a
     # coefficient is one 64-bit limb (n = 40, 55), within one ulp at
-    # n = 70 (w = 72 bits, two limbs); the matrix holds the nonzero rows
-    # only, trimmed to their powers, and the index gives each entry's row
-    # (-1 for a zero one).  Waiting keys of every
-    # family at k = (3, 2), longest-run cells, and joint keys
+    # n = 70 (w = 72 bits, two limbs).  The matrix is trimmed to the
+    # rows' powers.  Waiting keys of every family at k = (3, 2),
+    # longest-run cells, and joint keys
     from qbtrials import _core_py as core
+    from qbtrials import distributions as d
     from qbtrials.kernels import family_arrangement
+
+    def whole_diagonal(key, n):
+        return [(*key, n, [(0, r, n - r, r) for r in range(n + 1)])]
 
     keys = {family_arrangement(fam, 3, 2) for fam in FAMILY_NAMES}
     keys |= {(True, (0, 5, need), (1, 1, 0)) for need in (0, 5)}
@@ -722,25 +735,27 @@ def test_float_matrices_equal_the_exact_coefficients(n):
     exact = core.packed_width(n) <= 64
     assert exact == (n < 64)
     cache = KernelValueCache()
-    for last_x, xcon, ycon in sorted(keys, key=repr):
-        cache.float_matrix(last_x, xcon, ycon, (n,))
-        low, matrix, index = cache._matrix_memo[last_x, xcon, ycon, (n,)]
+    for key in sorted(keys, key=repr):
+        d._mass(0.5, 0.81, (n,), cache, whole_diagonal, key)
+        (nf, j, f), cuts, low, matrix, top = cache._plan_memo["whole_diagonal", (n,), key]
+        polys = [cache.arrangement_poly(key[0], n - r, r, *key[1:]) for r in range(n + 1)]
+        # by n - f, so r descends
+        assert f.tolist() == [r for r in range(n, -1, -1) if any(polys[r])], key
+        assert not j.any() and (nf == n - f).all() and cuts == (0, len(f))
         assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
-        assert matrix.any(axis=1).all()
+        assert len(matrix) == len(f) and matrix.any(axis=1).all()
         assert matrix[:, 0].any() and matrix[:, -1].any()
-        assert index.shape == (1, n + 1)
-        assert index[index >= 0].tolist() == list(range(len(matrix)))
-        for r in range(n + 1):
-            poly = cache.arrangement_poly(last_x, n - r, r, xcon, ycon)
+        assert top >= max(low + matrix.shape[1], n + 1)
+        for row, r in zip(matrix, f.tolist()):
+            poly = polys[r]
             got = np.zeros(max(len(poly), low + matrix.shape[1]))
-            if index[0, r] >= 0:
-                got[low:low + matrix.shape[1]] = matrix[index[0, r]]
+            got[low:low + matrix.shape[1]] = row
             want = np.zeros(len(got))
             want[:len(poly)] = [float(c) for c in poly]
             if exact:
-                assert np.array_equal(got, want), (last_x, xcon, ycon, r)
+                assert np.array_equal(got, want), (key, r)
             else:
-                assert (abs(got - want) <= np.spacing(want)).all(), (last_x, xcon, ycon, r)
+                assert (abs(got - want) <= np.spacing(want)).all(), (key, r)
 
 
 @pytest.mark.parametrize("size", [0, 1, 9, 40])
@@ -771,9 +786,11 @@ def test_diagonal_equals_arrangement_poly(size):
             for y, (k, poly) in enumerate(zip(ks, polys)):
                 assert Fraction(k, q.denominator ** ((size - y) * y)) == poly_value(poly, q), \
                     (last_x, xcon, ycon, q, y)
-        low, matrix, index = cache.float_matrix(last_x, xcon, ycon, (size,))
-        live = (matrix @ 0.81 ** np.arange(low, low + matrix.shape[1], dtype=np.float64)).tolist()
-        ks = [live[i] if i >= 0 else 0.0 for i in index[0].tolist()]
+        live, low, matrix = cache.float_matrix([(last_x, xcon, ycon, size, y)
+                                                for y in range(size + 1)])
+        ks = [0.0] * (size + 1)
+        for y, k in zip(live, matrix @ 0.81 ** np.arange(low, low + matrix.shape[1])):
+            ks[y] = float(k)
         assert len(ks) == size + 1 and all(type(k) is float for k in ks)
         for y, (k, poly) in enumerate(zip(ks, polys)):
             want = poly_value(poly, Fraction(0.81))
@@ -789,32 +806,34 @@ def test_unpack_matrix_limbs_and_overflow():
     # fabricated packed rows: coefficients of one to seventeen 64-bit
     # limbs are within one ulp of float(c), exact below 2**53; a
     # coefficient of 2**1024 or more raises OverflowError, as float(c)
-    # does, and zero rows and powers are trimmed
+    # does, and zero powers below and above every row's are trimmed
     import random
 
     from qbtrials import _core_py as core
 
     rng = random.Random(5)
     for w in (8, 64, 72, 136, 1032):
-        rows = [[rng.randrange(1 << rng.randrange(1, w + 1)) for _ in range(6)]
-                for _ in range(4)]
-        rows[0], rows[1][:2], rows[2][-1] = [0] * 6, [0, 0], 0
+        rows = [[rng.randrange(1, 1 << rng.randrange(1, w + 1)) for _ in range(6)]
+                for _ in range(3)]
+        for cs, zeros in zip(rows, ((0, 1, 5), (0, 1, 2, 5), (0, 1, 4, 5))):
+            for e in zeros:
+                cs[e] = 0
         packed = [sum(c << w * i for i, c in enumerate(cs)) for cs in rows]
-        first, low, matrix = core.unpack_matrix(packed, w)
-        assert (first, low) == (1, min(next(i for i, c in enumerate(cs) if c) for cs in rows[1:]))
-        for r, cs in enumerate(rows[1:], 1):
+        low, matrix = core.unpack_matrix(packed, w)
+        assert low == 2 and matrix.shape == (3, 3)
+        for r, cs in enumerate(rows):
             for e, c in enumerate(cs):
-                if e >= low:
-                    got = matrix[r - first, e - low]
+                if low <= e < low + 3:
+                    got = matrix[r, e - low]
                     assert abs(got - float(c)) <= math.ulp(float(c)), (w, r, e)
                     if c < 2 ** 53:
                         assert got == c
                 else:
                     assert not c
-        assert matrix.shape == (3, max(len(cs) for cs in rows) - low)
-    assert core.unpack_matrix([0, 0], 64)[2].shape == (0, 0)
+    assert core.unpack_matrix([], 64)[1].shape == (0, 0)
     top = 2 ** 1024 - 2 ** 971  # the largest float
-    assert core.unpack_matrix([top << 1032], 1032)[2].tolist() == [[float(top)]]
+    low, matrix = core.unpack_matrix([top << 1032], 1032)
+    assert low == 1 and matrix.tolist() == [[float(top)]]
     for c in (2 ** 1024, 2 ** 1031 + 5):
         with pytest.raises(OverflowError):
             float(c)
