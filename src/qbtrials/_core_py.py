@@ -2,14 +2,15 @@
 
 Every kernel value is a polynomial in q with nonnegative integer
 coefficients, so the heavy lifting here is exact integer arithmetic.  The
-library's arrangement counts come from `band_table`, a bottom-up fill with
-no recursion, one table per pair of bands (every run of a symbol in
-lo..hi), at one rational q = a/b: each entry is an integer numerator over a
-power of b.  It fills and stores each table by anti-diagonal m + r, each
-from the ones before it, so one anti-diagonal is one slice and a table
-starts with every smaller table of its bands.  At q = 2**w (b = 1) an entry
-is its polynomial packed into one int, coefficient i at bits w*i, and
-`unpack` turns it into a coefficient tuple (index = power of q),
+library's arrangement counts come from `band_diagonals`, a bottom-up fill
+with no recursion, per pair of bands (every run of a symbol in lo..hi), at
+one rational q = a/b: each entry is an integer numerator over a power of
+b.  It fills by anti-diagonal m + r, each from the few before it, and
+holds no older one, so a caller keeps only the diagonals it reads;
+`band_table` keeps them all, flat, so one anti-diagonal is one slice and
+a table starts with every smaller table of its bands.  At q = 2**w
+(b = 1) an entry is its polynomial packed into one int, coefficient i at
+bits w*i, and `unpack` turns it into a coefficient tuple (index = power of q),
 `unpack_matrix` a list of them into one float64 matrix for the float path;
 at the q of an exact probability it is the value that probability reads,
 with no unpacking and no Horner.  Two top-down peels remain, each one
@@ -31,7 +32,7 @@ exact probabilities.
 from __future__ import annotations
 
 import operator
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -173,27 +174,27 @@ def _next(prev, enter, leave, scale, steps):
     return out if steps[0] is None else list(map(scale, out, steps[0]))
 
 
-def band_table(xband, yband, n, a, b):
-    """Arrangement table of one pair of bands at q = a/b, bottom-up.
+def band_diagonals(xband, yband, n, a, b):
+    """Anti-diagonals of the arrangement table of one pair of bands at
+    q = a/b, bottom-up: yields (d, S_d, F_d) for d = 0..n, holding only
+    the earlier diagonals the recurrence still reads.
 
     A band (lo, hi) bounds every run of its symbol to lo..hi (no cap when
-    hi is None).  Returns (n, S, F), where S and F hold the q-weighted
-    count of the arrangements of m successes and r failures, m + r <= n,
-    that end with a success run (S) or a failure run (F), and the empty
-    arrangement at (0, 0) in both: the top-down `arrangement_poly` with
-    need 0 on both sides, at q.  Entry (m, r) is the integer numerator of
-    its value over b**(m*r), since each of its polynomials has degree
-    <= m*r; at b = 1 (int q, q = 1) it is the value itself, and q = 0 goes
-    through 0**0 == 1.  S and F are flat tuples of ints, which the garbage
-    collector stops tracking, by anti-diagonal: entry (m, r) is index r of
-    diagonal d = m + r, which starts at d*(d+1)/2 whatever n is, so a
-    table starts with every smaller one.  Failure runs need lo >= 1 and,
-    beside empty success runs (x lo 0), at most one length, as in the
-    longest-run cells; other bands raise `ValueError` (there failures
-    split around empty success runs in more than one way, and no library
-    caller asks for them).  At a = 1 << w, b = 1, w = `packed_width(n)`,
-    an entry is its polynomial packed, coefficient i at bits w*i: a
-    polynomial with coefficients below 2**w is its value at q = 2**w.
+    hi is None).  S and F hold the q-weighted count of the arrangements of
+    m successes and r failures that end with a success run (S) or a
+    failure run (F), and the empty arrangement at (0, 0) in both: the
+    top-down `arrangement_poly` with need 0 on both sides, at q.  S_d and
+    F_d are sequences of ints, entry r the arrangement (d - r, r); the entry
+    is the integer numerator of its value over b**(m*r), since each of its
+    polynomials has degree <= m*r; at b = 1 (int q, q = 1) it is the value
+    itself, and q = 0 goes through 0**0 == 1.  Failure runs need lo >= 1
+    and, beside empty success runs (x lo 0), at most one length, as in the
+    longest-run cells; other bands raise `ValueError` at the first
+    diagonal (there failures split around empty success runs in more than
+    one way, and no library caller asks for them).  At a = 1 << w, b = 1,
+    w >= `packed_width(n)`, an entry is its polynomial packed, coefficient
+    i at bits w*i: a polynomial with coefficients below 2**w is its value
+    at q = 2**w.
 
     Each diagonal comes from earlier ones, at O(1) int operations per
     entry and no state carried along it; in numerators, a term outside
@@ -205,25 +206,33 @@ def band_table(xband, yband, n, a, b):
                    - F(m-xhi-1, r) a**(r*xhi)) a**r:
 
     the last run one symbol longer, plus a last run of the band's
-    shortest length, minus one that has just grown too long.  At xlo = 0
-    the entering term is F(m, r) itself, filled first and added after the
-    step; at ylo = yhi (the longest-run cells) F is one term,
-    S(m, r-ylo) b**(m*ylo).  Diagonal 0, the empty arrangement, is 1 in
-    both, but 0 as the predecessor of its own side (F(0, 0) in F(0, 1),
-    S(0, 0) in S(1, 0)) unless xlo = 0, where in S it also ends with an
-    empty success run.  F's terms share m and S's share r, so F is filled
-    by m and reversed.  The fill is linear and exact on ints, so a signed
-    sum of packed tables unpacks to the signed sum of their coefficients
-    when each of those fits in w bits.
+    shortest length, minus one that has just grown too long.  So F reads
+    S at most max(ylo, yhi + 1) diagonals back (ylo when yhi is None) and
+    S reads F at most max(xlo, xhi + 1) back, and the pass holds no
+    diagonal older than that: a caller that keeps the sizes it asks for
+    holds O(n) entries per size beside an O(n * window) pass, not the
+    O(n**2) table.  At xlo = 0 the entering term is F(m, r) itself,
+    filled first and added after the step; at ylo = yhi (the longest-run
+    cells) F is one term, S(m, r-ylo) b**(m*ylo).  Diagonal 0, the empty
+    arrangement, is 1 in both, but 0 as the predecessor of its own side
+    (F(0, 0) in F(0, 1), S(0, 0) in S(1, 0)) unless xlo = 0, where in S
+    it also ends with an empty success run.  F's terms share m and S's
+    share r, so F is filled by m and reversed.  The fill is linear and
+    exact on ints, so a signed sum of packed diagonals unpacks to the
+    signed sum of their coefficients when each of those fits in w bits.
     """
     xlo, xhi = xband
     ylo, yhi = yband
     if ylo < 1 or not xlo and (yhi is None or yhi > ylo):
         raise ValueError(f"bands {xband} x {yband}: failure runs need lo >= 1 and, "
                          "beside empty success runs, at most one length")
+    # how far back each side's diagonals are read
+    s_back = ylo if yhi is None else max(ylo, yhi + 1)
+    f_back = xlo if xhi is None else max(xlo, xhi + 1)
     s_scale, s_steps = _steps(a, n, 1, max(xlo - 1, 0), xhi)
     f_scale, f_steps = _steps(b, n, 1, ylo - 1, yhi)
     s_diags, f_diags = [(1,)], [(1,)]  # the empty arrangement
+    yield 0, s_diags[0], f_diags[0]
     s, f = (0,) if xlo else (1,), (0,)  # diagonal 0 as its own side's predecessor
     for d in range(1, n + 1):
         if ylo == yhi:
@@ -239,7 +248,28 @@ def band_table(xband, yband, n, a, b):
         if not xlo:
             s = list(map(operator.add, s, f_diags[d]))
         s_diags.append(s)
-    return n, tuple(chain.from_iterable(s_diags)), tuple(chain.from_iterable(f_diags))
+        yield d, s, f_diags[d]
+        # no later diagonal reads these
+        if d >= s_back:
+            s_diags[d - s_back] = None
+        if d >= f_back:
+            f_diags[d - f_back] = None
+
+
+def band_table(xband, yband, n, a, b):
+    """(n, S, F): every anti-diagonal of `band_diagonals` up to n, flat.
+
+    S and F are tuples of ints, which the garbage collector stops
+    tracking, by anti-diagonal: entry (m, r) is index r of diagonal
+    d = m + r, which starts at d*(d+1)/2 whatever n is, so a table starts
+    with every smaller one.  At a = 1 << w, b = 1, w = `packed_width(n)`,
+    an entry is its polynomial packed.
+    """
+    s, f = [], []
+    for _, s_d, f_d in band_diagonals(xband, yband, n, a, b):
+        s += s_d
+        f += f_d
+    return n, tuple(s), tuple(f)
 
 
 def unpack(p, w):

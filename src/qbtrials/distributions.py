@@ -140,7 +140,14 @@ def waiting_time_pmf(
     n: int,
     cache: KernelValueCache | None = None,
 ) -> Scalar:
-    """P(waiting time = n) for any quota pair in either mode."""
+    """P(waiting time = n) for any quota pair in either mode.
+
+    At float inputs the cache keeps only the packed anti-diagonals a call
+    reads, not whole tables, so a call per n fills its band pairs again
+    whichever way n moves: later run:3/freq:2 at n = 60 down to 5 takes
+    about 0.2 s, three times what whole tables cost when n falls, and as
+    much as when it rises.  `waiting_time_table` reads every n with one
+    fill per band pair."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n < support_min(quota):
@@ -228,20 +235,35 @@ def _mass(th, q, ns, cache, sides, *args):
 # ((theta, q), (theta**i, q**i, (theta; q)_i for i < top)): one pair, replaced
 # by a single assignment, so a reader sees powers of the point it keys
 _powers_memo: tuple = (None, ((),) * 3)
+# the exponents 0, 1, 2, ... as float64, at least doubled when they grow
+_exponents = np.arange(0.0)
 
 
 def _float_powers(th, q, top):
-    """(theta**i, q**i, (theta; q)_i) for i = 0..m - 1, m >= top, as float64
-    arrays: held for the last point asked for, as a longest-run table asks
-    at one point once per k, and at least doubled when they grow."""
-    global _powers_memo
+    """(theta**i, q**i, (theta; q)_i) for i = 0..m - 1, m >= max(top, 1),
+    as float64 arrays: held for the last point asked for, as a longest-run
+    table asks at one point once per k, and at least doubled when they
+    grow.  The powers are taken over a held row of exponents, and the
+    prefixes are the running product of 1 - theta*q**i, built in place.
+    Two powers over the row cost less than one `np.power` of the point as
+    a column, which pays for converting it to an array."""
+    global _powers_memo, _exponents
     point, powers = _powers_memo
     if point != (th, q) or len(powers[1]) < top:
         if point == (th, q):
             top = max(top, 2 * len(powers[1]))
-        exps = np.arange(top, dtype=np.float64)
+        top = max(top, 1)
+        if len(_exponents) < top:
+            _exponents = np.arange(float(max(top, 2 * len(_exponents))))
+        exps = _exponents[:top]
         qs = q ** exps
-        powers = th ** exps, qs, np.cumprod(np.concatenate(([1.0], 1 - th * qs[:-1])))
+        prefixes = np.empty(top)
+        prefixes[0] = 1.0
+        tail = prefixes[1:]
+        np.multiply(qs[:-1], -th, out=tail)
+        np.add(tail, 1.0, out=tail)
+        np.multiply.accumulate(prefixes, out=prefixes)
+        powers = th ** exps, qs, prefixes
         _powers_memo = (th, q), powers
     return powers
 

@@ -16,31 +16,32 @@ Each theorem of the distribution layer sums kernels over the run index s
 and over the families that end with the same symbol under the same
 constraints.  For each run arrangement (x successes, y failures) that sum
 covers every run count, so it is one count free of the run count.
-`core.band_table` fills those counts bottom-up at one q = a/b, one table
-per pair of bands (each side's lo..hi); a constraint that needs some part
->= need is its band minus the band capped at need - 1, so one entry is a
-signed sum of up to four tables, each in the domain `core.band_table`
-states.  Every term of one side of a sum reads one anti-diagonal
-x + y = size of those sums.  The tables are stored by anti-diagonal, so
-that is one slice of each table, summed with their signs (`_diagonal`).
-The cache asks for tables at two kinds of q:
+`core.band_diagonals` fills those counts bottom-up at one q = a/b, one
+anti-diagonal x + y = d at a time, per pair of bands (each side's
+lo..hi); a constraint that needs some part >= need is its band minus the
+band capped at need - 1, so one entry is a signed sum of up to four band
+pairs' counts, each in the domain `core.band_diagonals` states.  Every
+term of one side of a sum reads one anti-diagonal x + y = size of those
+sums.  The cache asks for them at two kinds of q:
 
 * at the exact q = a/b of a probability, integer numerators over
-  b**(x*y), which `KernelValueCache.diagonal` gives: the tables of one q
-  are held at a time, and each (last symbol, constraints)'s tables and
-  signs are resolved once per q;
+  b**(x*y), which `KernelValueCache.diagonal` gives: the whole
+  `core.band_table`s of one q are held at a time, stored by
+  anti-diagonal, so a diagonal is one slice of each table, summed with
+  their signs (`_diagonal`); each (last symbol, constraints)'s tables
+  and signs are resolved once per q, and share one size: a table that
+  lies short of the entry or of another of them is rebuilt at the
+  larger size (`_tables`);
 * at q = 2**w, where an entry is its polynomial packed with coefficient i
-  at bits w*i: `KernelValueCache.float_matrix` unpacks the nonzero
-  entries a float probability or table reads, one row per term in its
+  at bits w*i: only the anti-diagonals read are held, each band pair's
+  at the sizes asked for (`KernelValueCache._packed`).
+  `KernelValueCache.float_matrix` unpacks the nonzero entries a float
+  probability or table reads, all at one width, one row per term in its
   order, into one q-free float64 matrix over the power range of those
   rows, held with the call's plan (`KernelValueCache.float_plan`), so
   one product with q**powers gives every K of the call at a float q;
   `KernelValueCache.arrangement_poly` reads one entry exactly, as a
   coefficient tuple, for the tests.
-
-Either way an entry's tables share one size, and a table that lies
-short of the entry or of another of them is rebuilt at the larger size
-(`KernelValueCache._tables`).
 
 `family_arrangement` gives a family's last symbol and constraints.  The
 top-down peels, in a memo of their own, stay as the fixed-s API and the
@@ -184,9 +185,12 @@ class KernelValueCache:
     `float_matrix` hands its caller the coefficients to evaluate.  There
     are three of them:
 
-    * `_band_memo`: one `core.band_table` at q = 2**w, packed polynomials
-      (w = `core.packed_width`), per pair of bands, keyed (x band, y band);
-      `arrangement_poly` reads an entry off it, unmemoized;
+    * `_band_memo`: the anti-diagonals that reads asked for at q = 2**w,
+      packed polynomials, keyed (x band, y band, w, size) -> (S diagonal,
+      F diagonal), each from one `core.band_diagonals` pass per band pair
+      and read (`_packed`); a float plan reads all its entries at w =
+      `core.packed_width` of its largest size, and `arrangement_poly` one
+      entry at that of its own, unmemoized;
     * `_plan_memo`: the float path's plans, keyed (name of the sides
       function, ns, *args) as `distributions._mass` asks for them: each
       term's indices and one float64 matrix of the nonzero K the plan
@@ -196,10 +200,11 @@ class KernelValueCache:
       the fixed-s kernels and, in the default cache, the U and V cells.
 
     `_values` is (q, value memo), the exact reads of one q = a/b, keyed
-    q = (a, b): one `core.band_table` at a/b per pair of bands, keyed (x
-    band, y band), and per (last_x, xcon, ycon) the (n, signs, *tables) of
-    `_tables`.  A call at another q replaces the pair under the lock, so
-    its memory is that of one q's tables however many q are asked for.
+    q = (a, b): one whole `core.band_table` at a/b per pair of bands,
+    since a verify grid reads every n, keyed (x band, y band), and per
+    (last_x, xcon, ycon) the (n, signs, *tables) of `_tables`.  A call at
+    another q replaces the pair under the lock, so its memory is that of
+    one q's tables however many q are asked for.
 
     Keys and values hold only ints, None, strings, ranges, tuples of them
     and numpy arrays, so the garbage collector does not track them.  One
@@ -225,13 +230,14 @@ class KernelValueCache:
         success run iff `last_x`, and the empty one, as `core.arrangement_poly`
         gives them; constraints are plain (lo, hi, need) tuples in the domain
         of `core.band_table` (`ValueError` otherwise).  The exact accessor:
-        entry r of the packed anti-diagonal m + r, unpacked; not memoized
-        itself."""
+        entry r of the packed anti-diagonal m + r, at w = `core.packed_width(m
+        + r)`, unpacked; not memoized itself."""
         if m < 0 or r < 0:
             return core._ZERO
+        entry, w = (last_x, xcon, ycon, m + r), core.packed_width(m + r)
         with self._lock:
-            entry = self._packed(last_x, xcon, ycon, m + r)
-        return core.unpack(_diagonal(entry, m + r)[r], core.packed_width(entry[0]))
+            diagonal = self._packed((entry,), w)[entry]
+        return core.unpack(diagonal[r], w)
 
     def diagonal(self, q: Scalar, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> tuple:
         """ks, with ks[y] the arrangements of size - y successes and y
@@ -255,9 +261,7 @@ class KernelValueCache:
                 memo = self._values[1]
                 out = memo.get(key)
                 if out is None or out[0] < size:
-                    out = memo[key] = self._tables(
-                        memo, last_x, xcon, ycon, size,
-                        lambda xband, yband, n: core.band_table(xband, yband, n, a, b))
+                    out = memo[key] = _tables(memo, last_x, xcon, ycon, size, a, b)
         return _diagonal(out, size)
 
     def float_matrix(self, reads) -> tuple:
@@ -270,28 +274,18 @@ class KernelValueCache:
         matrix @ q**(low + e) gives every nonzero K read, in order, at a
         float q.
 
-        The entries are read off the packed anti-diagonals, and one
-        `core.unpack_matrix` unpacks them; so that they pack at one width,
-        a read whose keys' tables differ in width rebuilds them at the
-        largest one's size.  Not memoized itself: `float_plan` holds each
-        plan's matrix.  `OverflowError` where a coefficient overflows a
-        float.
+        The entries are read off the packed anti-diagonals (`_packed`),
+        all at one width, w = `core.packed_width` of the largest size read,
+        and one `core.unpack_matrix` unpacks them.  Not memoized itself:
+        `float_plan` holds each plan's matrix, `_band_memo` the diagonals.
+        `OverflowError` where a coefficient overflows a float.
         """
-        wanted: dict = {}  # (last_x, xcon, ycon) -> the sizes read
-        for last_x, xcon, ycon, size, _ in reads:
-            wanted.setdefault((last_x, xcon, ycon), set()).add(size)
+        w = core.packed_width(max((read[3] for read in reads), default=0))
         with self._lock:
-            entries = {key: self._packed(*key, max(sizes)) for key, sizes in wanted.items()}
-            widths = {core.packed_width(entry[0]) for entry in entries.values()}
-            if len(widths) > 1:
-                n = max(entry[0] for entry in entries.values())
-                entries = {key: self._packed(*key, n) for key in entries}
-                widths = {core.packed_width(n)}
-        diagonals = {(*key, size): _diagonal(entries[key], size)
-                     for key, sizes in wanted.items() for size in sizes}
+            diagonals = self._packed(dict.fromkeys(read[:4] for read in reads), w)
         rows = [diagonals[read[:4]][read[4]] for read in reads]
         live = [t for t, p in enumerate(rows) if p]
-        low, matrix = core.unpack_matrix([rows[t] for t in live], max(widths, default=8))
+        low, matrix = core.unpack_matrix([rows[t] for t in live], w)
         return live, low, matrix
 
     def float_plan(self, key, build) -> tuple:
@@ -306,37 +300,73 @@ class KernelValueCache:
                 plan = self._plan_memo.setdefault(key, plan)
         return plan
 
-    def _packed(self, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> tuple:
-        """`_tables` of the packed band tables, at q = 2**w; the caller holds
-        the lock."""
-        return self._tables(
-            self._band_memo, last_x, xcon, ycon, size,
-            lambda xband, yband, n: core.band_table(xband, yband, n, 1 << core.packed_width(n), 1))
+    def _packed(self, entries, w: int) -> dict:
+        """{entry: its packed anti-diagonal} for each (last_x, xcon, ycon,
+        size) of `entries`, at q = 2**w, w >= `core.packed_width(size)`:
+        the signed sum of its band pairs' diagonals (`_band_pairs`), each
+        its S side (`last_x`) or F side; the caller holds the lock.
 
-    @staticmethod
-    def _tables(memo: dict, last_x: bool, xcon: tuple, ycon: tuple, size: int,
-                build) -> tuple:
-        """(n, signs, *tables): the band tables of one entry, by
-        inclusion-exclusion over each side's need, at one common size n,
-        each its S side (`last_x`) or F side, and their signs, the first 1;
-        the caller holds the lock.  Flat, so two garbage collections
-        untrack it whatever order they visit it and its tables in.
-
-        Tables are memoized under (x band, y band).  n is `size` or
-        the size of the largest of the entry's tables already in `memo`,
-        whichever is larger; a table that is missing or smaller is built at
-        n by `build(x band, y band, n)`, so every table of the entry packs
-        at one width.
+        The diagonals come from `_band_memo`, keyed (x band, y band, w,
+        size) -> (S diagonal, F diagonal).  Per band pair, one
+        `core.band_diagonals` pass to the largest size missing stores
+        every size missing, and only those; the memo gains nothing until
+        every pass is done, so a refused band leaves no entry.
         """
-        keys = [((xb, yb), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
-        size = max([size] + [memo[key][0] for key, _ in keys if key in memo])
-        sides = []
-        for key, _ in keys:
-            table = memo.get(key)
-            if table is None or table[0] < size:
-                table = memo[key] = build(*key, size)
-            sides.append(table[1 if last_x else 2])
-        return (size, tuple(sign for _, sign in keys), *sides)
+        pairs = {entry: _band_pairs(*entry[1:3]) for entry in entries}
+        wanted: dict = {}  # band pair -> the sizes read
+        for entry, signed in pairs.items():
+            for pair, _ in signed:
+                wanted.setdefault(pair, set()).add(entry[3])
+        memo, filled = self._band_memo, {}
+        for (xband, yband), sizes in wanted.items():
+            missing = {size for size in sizes if (xband, yband, w, size) not in memo}
+            if missing:
+                for d, s, f in core.band_diagonals(xband, yband, max(missing), 1 << w, 1):
+                    if d in missing:
+                        filled[xband, yband, w, d] = tuple(s), tuple(f)
+        memo.update(filled)
+        return {entry: _signed_sum([sign for _, sign in signed],
+                                   [memo[(*pair, w, entry[3])][0 if entry[0] else 1]
+                                    for pair, _ in signed])
+                for entry, signed in pairs.items()}
+
+
+def _band_pairs(xcon: tuple, ycon: tuple) -> list:
+    """((x band, y band), sign) pairs whose signed sum is the arrangement
+    count under the constraints (lo, hi, need), by inclusion-exclusion over
+    each side's need (`_bands`), the first sign 1."""
+    return [((xb, yb), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
+
+
+def _tables(memo: dict, last_x: bool, xcon: tuple, ycon: tuple, size: int, a: int,
+            b: int) -> tuple:
+    """(n, signs, *tables): the `core.band_table`s at q = a/b of one entry
+    (`_band_pairs`), at one common size n, each its S side (`last_x`) or F
+    side, and their signs; the caller holds the lock.  Flat, so two garbage
+    collections untrack it whatever order they visit it and its tables in.
+
+    Tables are memoized under (x band, y band).  n is `size` or the size
+    of the largest of the entry's tables already in `memo`, whichever is
+    larger; a table that is missing or smaller is built at n.
+    """
+    keys = _band_pairs(xcon, ycon)
+    size = max([size] + [memo[key][0] for key, _ in keys if key in memo])
+    sides = []
+    for key, _ in keys:
+        table = memo.get(key)
+        if table is None or table[0] < size:
+            table = memo[key] = core.band_table(*key, size, a, b)
+        sides.append(table[1 if last_x else 2])
+    return (size, tuple(sign for _, sign in keys), *sides)
+
+
+def _signed_sum(signs, diagonals) -> tuple:
+    """The sum, entry by entry, of `diagonals` with their `signs`, the
+    first 1."""
+    total = diagonals[0]
+    for sign, diagonal in zip(signs[1:], diagonals[1:]):
+        total = map(operator.add if sign > 0 else operator.sub, total, diagonal)
+    return tuple(total)
 
 
 def _diagonal(entry: tuple, size: int) -> tuple:
@@ -345,10 +375,7 @@ def _diagonal(entry: tuple, size: int) -> tuple:
     slice of each flat table, since diagonal `size` starts at
     size*(size+1)/2 in every table."""
     cut = slice(size * (size + 1) // 2, (size + 1) * (size + 2) // 2)
-    total = entry[2][cut]
-    for sign, table in zip(entry[1][1:], entry[3:]):
-        total = map(operator.add if sign > 0 else operator.sub, total, table[cut])
-    return tuple(total)
+    return _signed_sum(entry[1], [table[cut] for table in entry[2:]])
 
 
 _default_cache = KernelValueCache()

@@ -243,28 +243,44 @@ def test_waiting_time_table_examples():
 
 
 def test_waiting_time_table_does_not_rebuild_band_tables_as_n_grows(monkeypatch):
-    # a table asks for its largest n first, so a band table is not rebuilt
-    # as n grows: at most once more, where the two stopping sides (tails
-    # k1 and k2) ask one shared table for m + r = n - k1 and n - k2; its
-    # rows equal the one-n calls.  Exact inputs build value tables at q,
-    # float ones the polynomial tables (at q = 2**w)
+    # a table asks for its largest n first, so a band pair is not filled
+    # again as n grows: at most twice per table.  Exact inputs build whole
+    # value tables at q, at most once more where the two stopping sides
+    # (tails k1 and k2) ask one shared table for m + r = n - k1 and
+    # n - k2; float ones fill each band pair once, in one pass over the
+    # diagonals every n reads, all at the packed width of the largest
+    # size, and hold those diagonals only.  Its rows equal the one-n calls
     from qbtrials import _core_py as core
+    from qbtrials.distributions import _waiting_sides
+    from qbtrials.kernels import _band_pairs
 
     built = []
-    real = core.band_table
-    monkeypatch.setattr(core, "band_table", lambda *args: built.append(args[:2]) or real(*args))
+    for name in ("band_table", "band_diagonals"):
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *args, real=real, name=name:
+                            built.append((name, args[:2])) or real(*args))
     for params in (HALF, ModelParams(0.5, 0.5)):
         for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
             quota = make_quota(s_freq, f_freq, 3, 2, mode)
             cache = KernelValueCache()
             table = waiting_time_table(params, quota, 30, cache)
-            assert built and max(map(built.count, built)) <= 2
+            tables = [bands for name, bands in built if name == "band_table"]
+            fills = [bands for name, bands in built if name == "band_diagonals"]
+            assert fills and max(map(fills.count, fills)) <= 2
             if isinstance(params.q, Fraction):
                 # band pairs, beside the (n, signs, *columns) keyed (last_x, xcon, ycon)
                 bands = [key for key in cache._values[1] if len(key) == 2]
-                assert len(set(built)) == len(bands) and not cache._band_memo
+                assert fills == tables  # each a whole table
+                assert len(set(tables)) == len(bands) and not cache._band_memo
             else:
-                assert len(set(built)) == len(cache._band_memo) and not cache._values[1]
+                assert not tables and not cache._values[1]
+                assert len(fills) == len(set(fills))
+                read = {(*pair, size) for n in table.support()
+                        for _, xcon, ycon, size, rows in _waiting_sides(quota.key, n) if rows
+                        for pair, _ in _band_pairs(xcon, ycon)}
+                w = core.packed_width(max(size for *_, size in read))
+                assert set(cache._band_memo) == {(x, y, w, size) for x, y, size in read}
+                assert {key[:2] for key in cache._band_memo} == set(fills)
             built.clear()
             assert table.probs == [waiting_time_pmf(params, quota, n, KernelValueCache())
                                    for n in table.support()]
@@ -591,3 +607,33 @@ def test_float_at_edge_points_tracks_exact(theta, q):
             assert f == 0.0, (f, e)
         else:
             assert abs(Fraction(f) - e) <= Fraction(1, 10**12) * e, (f, e)
+
+
+def test_float_powers_are_the_plain_formula_bit_for_bit():
+    # theta**i, q**i and (theta; q)_i, taken over the held exponent row and
+    # built in place, are bit for bit the plain formula's arrays: a fresh
+    # arange of exponents, two powers, and the cumulative product of 1
+    # followed by 1 - theta*q**i; also where the memo grows at one point
+    # (at least doubling) and at the edges theta in {0, 1}, q = 1 and q
+    # near 0, where q**i underflows
+    import random
+
+    import numpy as np
+
+    from qbtrials import distributions as d
+
+    def plain(th, q, top):
+        exps = np.arange(top, dtype=np.float64)
+        qs = q ** exps
+        return th ** exps, qs, np.cumprod(np.concatenate(([1.0], 1 - th * qs[:-1])))
+
+    rng = random.Random(29)
+    points = [(rng.random(), rng.random()) for _ in range(200)]
+    points += [(0.0, 0.81), (1.0, 0.81), (0.37, 1.0), (0.37, 1e-30), (1.0, 1e-300)]
+    for th, q in points:
+        for top in (1, 2, 37, 131, 700):
+            got = d._float_powers(th, q, top)
+            m = len(got[0])
+            assert m >= top and all(len(a) == m for a in got)
+            assert all(a.dtype == np.float64 and a.tobytes() == b.tobytes()
+                       for a, b in zip(got, plain(th, q, m))), (th, q, top)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -645,34 +646,57 @@ def test_value_memo_is_swapped_under_the_lock():
         assert got == want_tables[j][size]
 
 
-def test_band_tables_grow():
-    # a query beyond the tables rebuilds them at its own size, and the
-    # tables of one entry share one size; every entry equals a fresh
-    # cache's, before and after each growth
+def test_band_tables_grow(monkeypatch):
+    # the packed memo holds the anti-diagonals reads asked for, and no
+    # other: an exact read stores its own size at its own width for each
+    # band pair of its entry, and a float read stores every size it reads
+    # at the width of its largest.  One pass per band pair fills the sizes
+    # missing, a read of held diagonals fills nothing, and every entry
+    # equals a fresh cache's, before and after the memo grows
+    from qbtrials import _core_py as core
+    from qbtrials.kernels import _band_pairs
+
+    fills = []
+    real = core.band_diagonals
+    monkeypatch.setattr(core, "band_diagonals",
+                        lambda *args: fills.append(args[:3]) or real(*args))
     cache = KernelValueCache()
     xcon, ycon = (1, None, 3), (1, 4, 2)
-    entries = [(last_x, m, r) for last_x in (True, False) for m in range(8) for r in range(8)]
+    pairs = [pair for pair, _ in _band_pairs(xcon, ycon)]
     steps = ((2, 2), (14, 6), (3, 3), (11, 22), (5, 7))
     for m, r in steps:
         for last_x in (True, False):
             got = cache.arrangement_poly(last_x, m, r, xcon, ycon)
             assert got == KernelValueCache().arrangement_poly(last_x, m, r, xcon, ycon)
-    sizes = {table[0] for table in cache._band_memo.values()}
-    assert sizes == {11 + 22}  # the largest query, not more
-    for last_x, m, r in entries:
+    assert set(cache._band_memo) == \
+        {(*pair, core.packed_width(m + r), m + r) for pair in pairs for m, r in steps}
+    for last_x, m, r in itertools.product((True, False), range(8), range(8)):
         assert cache.arrangement_poly(last_x, m, r, xcon, ycon) == \
             KernelValueCache().arrangement_poly(last_x, m, r, xcon, ycon)
-    # an entry whose tables differ in size rebuilds the smaller at the
-    # larger one's size, so both pack at one width; tables are keyed by
-    # their pair of bands
-    small, large = ((1, 3), (1, 4)), ((1, 5), (1, 4))
-    cache.arrangement_poly(True, 2, 2, (1, 3, 0), (1, 4, 0))
-    cache.arrangement_poly(True, 30, 30, (1, 5, 0), (1, 4, 0))
-    assert (cache._band_memo[small][0], cache._band_memo[large][0]) == (4, 60)
-    for m, r in ((2, 2), (9, 6)):
-        assert cache.arrangement_poly(True, m, r, (1, 5, 4), (1, 4, 0)) == \
-            KernelValueCache().arrangement_poly(True, m, r, (1, 5, 4), (1, 4, 0))
-    assert (cache._band_memo[small][0], cache._band_memo[large][0]) == (60, 60)
+    fills.clear()
+    for m, r in steps:
+        cache.arrangement_poly(True, m, r, xcon, ycon)
+    assert not fills
+    # a float read of two entries that share the band pair (1, 3) x (1, 4),
+    # at sizes 4, 9 and 60, reads every size at the width of 60, and fills
+    # each band pair in one pass to its largest size
+    cache = KernelValueCache()
+    w = core.packed_width(60)
+    small, large = (True, (1, 3, 0), (1, 4, 0)), (True, (1, 5, 4), (1, 4, 0))
+    reads = [(*small, 4, 2), (*large, 60, 30), (*large, 9, 3), (*large, 60, 31)]
+    live, low, matrix = cache.float_matrix(reads)
+    assert sorted(fills) == [((1, 3), (1, 4), 60), ((1, 5), (1, 4), 60)]
+    assert set(cache._band_memo) == {((1, 3), (1, 4), w, 4), ((1, 5), (1, 4), w, 60),
+                                     ((1, 5), (1, 4), w, 9), ((1, 3), (1, 4), w, 60),
+                                     ((1, 3), (1, 4), w, 9)}
+    assert live == [0, 1, 2, 3]
+    for (last_x, xcon, ycon, size, y), row in zip(reads, matrix):
+        want = KernelValueCache().arrangement_poly(last_x, size - y, y, xcon, ycon)
+        assert row[:len(want) - low].tolist() == [float(c) for c in want[low:]] \
+            and not row[len(want) - low:].any()
+    fills.clear()
+    assert [m.tolist() for m in cache.float_matrix(reads)[2:]] == [matrix.tolist()]
+    assert not fills
 
 
 def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
@@ -681,9 +705,10 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
     # the merged run, so coefficients outgrow n + 1 bits (51 bits at
     # m + r = 44, against 48); failure runs of length 0 leave the fill
     # nothing to read.  Nothing in the library asks for either, and the
-    # cache refuses both at packed and at exact q, building nothing.  The
-    # longest-run cells (failure runs of length 1) pack at n + 1 bits and
-    # equal the top-down peel at m + r = 44
+    # cache refuses both at packed and at exact q, storing nothing, not
+    # even the diagonals of a read's other band pairs filled before the
+    # refused one.  The longest-run cells (failure runs of length 1) pack
+    # at n + 1 bits and equal the top-down peel at m + r = 44
     from qbtrials import _core_py as core
 
     cache = KernelValueCache()
@@ -698,6 +723,10 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
             with pytest.raises(ValueError):
                 cache.float_plan(("refused", (44,)), lambda: cache.float_matrix(
                     [(last_x, xcon, ycon, 44, y) for y in range(45)]))
+            # a cell first, whose band pair fills, then the refused entry
+            with pytest.raises(ValueError):
+                cache.float_matrix([(True, (0, 5, 0), (1, 1, 0), 44, 3),
+                                    (last_x, xcon, ycon, 44, 3)])
     assert not cache._band_memo and not cache._plan_memo and not cache._values[1]
     assert max(core.arrangement_poly(True, 13, 31, (0, None, 0), (1, None, 0), {})) \
         >= 2 ** core.packed_width(44)
@@ -706,8 +735,108 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
         cell = cache.arrangement_poly(True, 44 - y, y, (0, 5, 0), (1, 1, 0))  # longest-run cells
         assert cell == core.arrangement_poly(True, 44 - y, y, (0, 5, 0), (1, 1, 0), peel)
         assert max(cell) < 2 ** 45
-    assert [(key, table[0]) for key, table in cache._band_memo.items()] == \
-        [(((0, 5), (1, 1)), 44)]
+    assert list(cache._band_memo) == [((0, 5), (1, 1), core.packed_width(44), 44)]
+
+
+def _library_band_pairs():
+    """Every kind of band pair the library reads: the waiting families'
+    bounded, positive and some-at-least bands, the longest-run cells and
+    the joint quadrants' bands."""
+    from qbtrials.kernels import _band_pairs, family_arrangement
+
+    cons = {family_arrangement(family, k1, k2)[1:]
+            for family in FAMILY_NAMES for k1, k2 in ((2, 3), (3, 2), (4, 4))}
+    cons |= {((0, k, need), (1, 1, 0)) for k in range(6) for need in (0, k)}
+    cons |= {(xcon, ycon) for k1, k2 in ((2, 3), (3, 1))
+             for xcon in ((1, k1, 0), (1, None, k1)) for ycon in ((1, k2, 0), (1, None, k2))}
+    return sorted({pair for xcon, ycon in cons for pair, _ in _band_pairs(xcon, ycon)},
+                  key=repr)
+
+
+@pytest.mark.parametrize("q", [None, Fraction(81, 100)])
+def test_band_diagonals_equal_the_whole_table(q):
+    # the pass that holds only the diagonals its recurrence still reads,
+    # and no older one, gives the anti-diagonals of the whole table, sizes
+    # 0..40, at q = 2**w
+    # (None) and at 81/100, for every kind of band pair the library asks
+    # for; the packed memo's diagonals, filled by passes to several sizes,
+    # are the same slices; and entries near both ends of diagonal 40 equal
+    # the top-down peel
+    from qbtrials import _core_py as core
+    from qbtrials.qcalc import poly_value
+
+    n, w = 40, core.packed_width(40)
+    a, b = (1 << w, 1) if q is None else (q.numerator, q.denominator)
+    cache, peel = KernelValueCache(), {}
+    pairs = _library_band_pairs()
+    assert len(pairs) >= 20 and ((0, 5), (1, 1)) in pairs and ((1, None), (1, 2)) in pairs
+    def held(diagonals, side):
+        # the diagonals something beside this list holds: the pass; 3 is
+        # the tuple's reference, the loop's and getrefcount's argument's
+        return [d for d, *sides in diagonals[1:] if sys.getrefcount(sides[side]) > 3]
+
+    for xband, yband in pairs:
+        _, s, f = core.band_table(xband, yband, n, a, b)
+        # the pass holds each side's diagonals max(lo, hi + 1) back, lo
+        # when hi is None: what the other side's recurrence reads
+        (xlo, xhi), (ylo, yhi) = xband, yband
+        s_back = ylo if yhi is None else max(ylo, yhi + 1)
+        f_back = xlo if xhi is None else max(xlo, xhi + 1)
+        diagonals = []
+        for d, s_d, f_d in core.band_diagonals(xband, yband, n, a, b):
+            diagonals.append((d, s_d, f_d))
+            assert held(diagonals, 0) == list(range(max(1, d - s_back), d + 1))
+            assert held(diagonals, 1) == list(range(max(1, d - f_back), d + 1))
+        assert [d for d, _, _ in diagonals] == list(range(n + 1))
+        for d, s_d, f_d in diagonals:
+            cut = slice(d * (d + 1) // 2, (d + 1) * (d + 2) // 2)
+            assert (list(s_d), list(f_d)) == (list(s[cut]), list(f[cut])), (xband, yband, d)
+        if q is None:
+            for sizes in ((7, 3), range(0, n + 1, 5), range(n + 1)):
+                entries = [(last_x, xband + (0,), yband + (0,), size)
+                           for last_x in (True, False) for size in sizes]
+                got = cache._packed(entries, w)
+                for entry in entries:
+                    assert list(got[entry]) == list(diagonals[entry[3]][1 if entry[0] else 2])
+        for r in (0, 1, 2, n - 2, n - 1, n):
+            for last_x, side in ((True, s), (False, f)):
+                want = core.arrangement_poly(last_x, n - r, r, xband + (0,), yband + (0,), peel)
+                got = side[n * (n + 1) // 2 + r]
+                if q is None:
+                    assert core.unpack(got, w) == want, (xband, yband, last_x, r)
+                else:
+                    assert Fraction(got, b ** ((n - r) * r)) == poly_value(want, q)
+
+
+def test_float_longest_run_reads_only_diagonal_n(monkeypatch):
+    # the float longest-run PMF of every k at n = 40, on a fresh cache,
+    # fills each cell band pair (0, k) x (1, 1) once, as PMF(k) reads the
+    # band (0, k - 1) PMF(k - 1) filled, and holds only diagonal 40 of
+    # each, at one width; its traced peak stays far below the whole
+    # tables' (29.3 MB with them, 7.5 MB without)
+    import tracemalloc
+
+    from qbtrials import ModelParams, longest_run_pmf
+    from qbtrials import _core_py as core
+
+    fills = []
+    real = core.band_diagonals
+    monkeypatch.setattr(core, "band_diagonals",
+                        lambda *args: fills.append(args[:2]) or real(*args))
+    params, cache = ModelParams(0.37, 0.81), KernelValueCache()
+    longest_run_pmf(params, 5, 2, KernelValueCache())
+    fills.clear()
+    tracemalloc.start()
+    try:
+        pmf = [longest_run_pmf(params, 40, k, cache) for k in range(41)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(math.fsum(pmf) - 1) <= 1e-12
+    assert sorted(fills) == [((0, k), (1, 1)) for k in range(41)]
+    assert set(cache._band_memo) == {((0, k), (1, 1), core.packed_width(40), 40)
+                                     for k in range(41)}
+    assert peak < 12 * 2**20, peak
 
 
 @pytest.mark.parametrize("n", [40, 55, 70])
