@@ -6,11 +6,11 @@ library's arrangement counts come from `band_diagonals`, a bottom-up fill
 with no recursion, per pair of bands (every run of a symbol in lo..hi), at
 one rational q = a/b: each entry is an integer numerator over a power of
 b.  It fills by anti-diagonal m + r, each from the few before it, and
-holds no older one, so a caller keeps only the diagonals it reads;
-`band_table` keeps them all, flat, so one anti-diagonal is one slice and
-a table starts with every smaller table of its bands.  At q = 2**w
-(b = 1) an entry is its polynomial packed into one int, coefficient i at
-bits w*i, and `unpack` turns it into a coefficient tuple (index = power of q),
+holds no older one, so a caller keeps only the diagonals it reads: the
+kernel cache keeps every diagonal of a pass at an exact q, which is read
+per n, and only the sizes read at q = 2**w.  At q = 2**w (b = 1) an
+entry is its polynomial packed into one int, coefficient i at bits w*i,
+and `unpack` turns it into a coefficient tuple (index = power of q),
 `unpack_matrix` a list of them into one float64 matrix for the float path;
 at the q of an exact probability it is the value that probability reads,
 with no unpacking and no Horner.  Two top-down peels remain, each one
@@ -135,7 +135,7 @@ def _shift_add(dst, src, shift):
 
 def packed_width(n):
     """Bits per coefficient of a packed polynomial in a table of size n, a
-    multiple of 8.  In the domain of `band_table` an arrangement of
+    multiple of 8.  In the domain of `band_diagonals` an arrangement of
     m + r <= n symbols is its binary string, so a count is below 2**n and
     n + 1 bits hold it."""
     return n // 8 * 8 + 8
@@ -163,15 +163,17 @@ def _scaled(diag, scale, steps):
 
 
 def _next(prev, enter, leave, scale, steps):
-    """(prev + enter - leave) times steps[0], enter and leave (or None)
-    scaled by steps[1] and steps[2]: one diagonal of one side, each term
-    indexed alike and prev one entry short."""
+    """(prev + enter - leave) times steps[0], as a tuple, enter and leave
+    (or None) scaled by steps[1] and steps[2]: one diagonal of one side,
+    each term indexed alike and prev one entry short."""
     out = [*prev, 0]
     if enter is not None:
         out[:len(enter)] = map(operator.add, out, _scaled(enter, scale, steps[1]))
     if leave is not None:
         out[:len(leave)] = map(operator.sub, out, _scaled(leave, scale, steps[2]))
-    return out if steps[0] is None else list(map(scale, out, steps[0]))
+    # tuples from lists, of exact size: one built from an iterator keeps
+    # the slack of its last resize
+    return tuple(out if steps[0] is None else list(map(scale, out, steps[0])))
 
 
 def band_diagonals(xband, yband, n, a, b):
@@ -184,10 +186,12 @@ def band_diagonals(xband, yband, n, a, b):
     m successes and r failures that end with a success run (S) or a
     failure run (F), and the empty arrangement at (0, 0) in both: the
     top-down `arrangement_poly` with need 0 on both sides, at q.  S_d and
-    F_d are sequences of ints, entry r the arrangement (d - r, r); the entry
-    is the integer numerator of its value over b**(m*r), since each of its
-    polynomials has degree <= m*r; at b = 1 (int q, q = 1) it is the value
-    itself, and q = 0 goes through 0**0 == 1.  Failure runs need lo >= 1
+    F_d are tuples of ints, so a caller stores them as they come and the
+    garbage collector stops tracking them, entry r the arrangement
+    (d - r, r); the entry is the integer numerator of its value over
+    b**(m*r), since each of its polynomials has degree <= m*r; at b = 1
+    (int q, q = 1) it is the value itself, and q = 0 goes through
+    0**0 == 1.  Failure runs need lo >= 1
     and, beside empty success runs (x lo 0), at most one length, as in the
     longest-run cells; other bands raise `ValueError` at the first
     diagonal (there failures split around empty success runs in more than
@@ -236,8 +240,8 @@ def band_diagonals(xband, yband, n, a, b):
     s, f = (0,) if xlo else (1,), (0,)  # diagonal 0 as its own side's predecessor
     for d in range(1, n + 1):
         if ylo == yhi:
-            f = [0] * (d + 1) if d < ylo else \
-                [*_scaled(s_diags[d - ylo][::-1], f_scale, f_steps[2]), *[0] * ylo]
+            f = (0,) * (d + 1) if d < ylo else \
+                (*_scaled(s_diags[d - ylo][::-1], f_scale, f_steps[2]), *(0,) * ylo)
         else:
             f = _next(f, s_diags[d - ylo][::-1] if d >= ylo else None,
                       s_diags[d - yhi - 1][::-1] if yhi is not None and d > yhi else None,
@@ -246,7 +250,7 @@ def band_diagonals(xband, yband, n, a, b):
         s = _next(s, f_diags[d - xlo] if xlo and d >= xlo else None,
                   f_diags[d - xhi - 1] if xhi is not None and d > xhi else None, s_scale, s_steps)
         if not xlo:
-            s = list(map(operator.add, s, f_diags[d]))
+            s = tuple(list(map(operator.add, s, f_diags[d])))
         s_diags.append(s)
         yield d, s, f_diags[d]
         # no later diagonal reads these
@@ -254,22 +258,6 @@ def band_diagonals(xband, yband, n, a, b):
             s_diags[d - s_back] = None
         if d >= f_back:
             f_diags[d - f_back] = None
-
-
-def band_table(xband, yband, n, a, b):
-    """(n, S, F): every anti-diagonal of `band_diagonals` up to n, flat.
-
-    S and F are tuples of ints, which the garbage collector stops
-    tracking, by anti-diagonal: entry (m, r) is index r of diagonal
-    d = m + r, which starts at d*(d+1)/2 whatever n is, so a table starts
-    with every smaller one.  At a = 1 << w, b = 1, w = `packed_width(n)`,
-    an entry is its polynomial packed.
-    """
-    s, f = [], []
-    for _, s_d, f_d in band_diagonals(xband, yband, n, a, b):
-        s += s_d
-        f += f_d
-    return n, tuple(s), tuple(f)
 
 
 def unpack(p, w):

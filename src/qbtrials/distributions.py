@@ -42,9 +42,10 @@ reads kernels takes an optional `KernelValueCache` and uses the
 module-level one without it.  At rational theta = c/d and q = a/b each
 probability hands its terms' j, f and K to one `qcalc.TermSum`: the whole
 sum is one integer over d**n * b**B, and one Fraction is built at the
-end.  At float inputs the terms of every n are one numpy product, in
-`TermSum`'s order, over the plan's indices, memoized in the cache, and
-each n's terms are summed by `math.fsum`.
+end.  At float inputs the terms of every n are one numpy product,
+theta**(n-f) * q**j * (theta; q)_f * K in that order, over the plan's
+indices, memoized in the cache, and each n's terms are summed by
+`math.fsum`.
 
 Sum ranges are generous where feasibility is subtle; kernels vanish outside
 their domains.  Exact (Fraction) inputs produce exact outputs.
@@ -142,12 +143,15 @@ def waiting_time_pmf(
 ) -> Scalar:
     """P(waiting time = n) for any quota pair in either mode.
 
-    At float inputs the cache keeps only the packed anti-diagonals a call
-    reads, not whole tables, so a call per n fills its band pairs again
-    whichever way n moves: later run:3/freq:2 at n = 60 down to 5 takes
-    about 0.2 s, three times what whole tables cost when n falls, and as
-    much as when it rises.  `waiting_time_table` reads every n with one
-    fill per band pair."""
+    Calls per n read the cache's anti-diagonals differently at each kind
+    of q.  At exact inputs a fill keeps every diagonal up to the size
+    asked for, so calls from the largest n down (as `verify` makes them)
+    fill each band pair once, and calls upwards once per n.  At float
+    inputs the cache keeps only the packed diagonals a call reads, so a
+    call per n fills its band pairs again whichever way n moves: later
+    run:3/freq:2 at n = 60 down to 5 takes about 0.2 s, as much as when
+    it rises.  `waiting_time_table` reads every n with one fill per band
+    pair at either kind."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n < support_min(quota):
@@ -209,8 +213,8 @@ def _mass(th, q, ns, cache, sides, *args):
     taken at once, by the q-free plan of `_float_plan`, memoized in the
     cache under (name of `sides`, ns, *args): the K of every term is one
     product of the plan's matrix with the powers of q, the terms are one
-    numpy product in `TermSum`'s order, theta**(n-f) * q**j *
-    (theta; q)_f * K, and each n's total is one `math.fsum` of its slice,
+    numpy product, theta**(n-f) * q**j * (theta; q)_f * K in that
+    order, and each n's total is one `math.fsum` of its slice,
     so it is correctly rounded.
     """
     if is_exact(th, q):

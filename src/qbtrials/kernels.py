@@ -25,13 +25,9 @@ term of one side of a sum reads one anti-diagonal x + y = size of those
 sums.  The cache asks for them at two kinds of q:
 
 * at the exact q = a/b of a probability, integer numerators over
-  b**(x*y), which `KernelValueCache.diagonal` gives: the whole
-  `core.band_table`s of one q are held at a time, stored by
-  anti-diagonal, so a diagonal is one slice of each table, summed with
-  their signs (`_diagonal`); each (last symbol, constraints)'s tables
-  and signs are resolved once per q, and share one size: a table that
-  lies short of the entry or of another of them is rebuilt at the
-  larger size (`_tables`);
+  b**(x*y), which `KernelValueCache.diagonal` gives: every anti-diagonal
+  of a pass is held, for one q at a time, since a verify grid and a
+  table read every size, the largest first;
 * at q = 2**w, where an entry is its polynomial packed with coefficient i
   at bits w*i: only the anti-diagonals read are held, each band pair's
   at the sizes asked for (`KernelValueCache._packed`).
@@ -42,6 +38,11 @@ sums.  The cache asks for them at two kinds of q:
   one product with q**powers gives every K of the call at a float q;
   `KernelValueCache.arrangement_poly` reads one entry exactly, as a
   coefficient tuple, for the tests.
+
+Both memos are flat, (x band, y band, size) -> (S diagonal, F diagonal),
+the packed one's key carrying w before the size; one `_fill` fills them,
+a pass per band pair, and one `_entry` reads an entry: a dict lookup per
+band pair and, where a side needs some part >= need, one signed sum.
 
 `family_arrangement` gives a family's last symbol and constraints.  The
 top-down peels, in a memo of their own, stay as the fixed-s API and the
@@ -187,10 +188,9 @@ class KernelValueCache:
 
     * `_band_memo`: the anti-diagonals that reads asked for at q = 2**w,
       packed polynomials, keyed (x band, y band, w, size) -> (S diagonal,
-      F diagonal), each from one `core.band_diagonals` pass per band pair
-      and read (`_packed`); a float plan reads all its entries at w =
-      `core.packed_width` of its largest size, and `arrangement_poly` one
-      entry at that of its own, unmemoized;
+      F diagonal) (`_fill`, `_packed`); a float plan reads all its
+      entries at w = `core.packed_width` of its largest size, and
+      `arrangement_poly` one entry at that of its own, unmemoized;
     * `_plan_memo`: the float path's plans, keyed (name of the sides
       function, ns, *args) as `distributions._mass` asks for them: each
       term's indices and one float64 matrix of the nonzero K the plan
@@ -200,11 +200,11 @@ class KernelValueCache:
       the fixed-s kernels and, in the default cache, the U and V cells.
 
     `_values` is (q, value memo), the exact reads of one q = a/b, keyed
-    q = (a, b): one whole `core.band_table` at a/b per pair of bands,
-    since a verify grid reads every n, keyed (x band, y band), and per
-    (last_x, xcon, ycon) the (n, signs, *tables) of `_tables`.  A call at
-    another q replaces the pair under the lock, so its memory is that of
-    one q's tables however many q are asked for.
+    q = (a, b): the anti-diagonals at a/b, keyed (x band, y band, size) ->
+    (S diagonal, F diagonal), every one up to the largest size a pass was
+    asked for (`_fill`, `diagonal`).  A call at another q replaces the
+    pair under the lock, so its memory is that of one q's diagonals
+    however many q are asked for.
 
     Keys and values hold only ints, None, strings, ranges, tuples of them
     and numpy arrays, so the garbage collector does not track them.  One
@@ -228,8 +228,9 @@ class KernelValueCache:
     def arrangement_poly(self, last_x: bool, m: int, r: int, xcon: tuple, ycon: tuple) -> tuple:
         """The arrangements of m successes and r failures ending with a
         success run iff `last_x`, and the empty one, as `core.arrangement_poly`
-        gives them; constraints are plain (lo, hi, need) tuples in the domain
-        of `core.band_table` (`ValueError` otherwise).  The exact accessor:
+        gives them; constraints are plain (lo, hi, need) tuples whose band
+        pairs are in the domain of `core.band_diagonals` (`ValueError`
+        otherwise).  The exact accessor:
         entry r of the packed anti-diagonal m + r, at w = `core.packed_width(m
         + r)`, unpacked; not memoized itself."""
         if m < 0 or r < 0:
@@ -244,25 +245,29 @@ class KernelValueCache:
         failures that end with a success run iff `last_x`, and the empty
         one, at an int or Fraction q = a/b: the integer numerator over
         b**((size - y)*y) of `arrangement_poly(last_x, size - y, y, xcon,
-        ycon)` at a/b, for y = 0..size, off the band tables at a/b.
+        ycon)` at a/b, for y = 0..size, off the anti-diagonals at a/b.
 
         Those are memoized for one q at a time: a call at another q swaps
-        in an empty value memo under the lock.  Float q reads
-        `float_matrix` instead.
+        in an empty value memo under the lock.  A pass fills every
+        anti-diagonal up to the size it is asked for, so a caller that
+        reads the largest size first (`verify`, the tables) reads every
+        smaller one with no further pass; a read of held diagonals takes
+        no lock.  Float q reads `float_matrix` instead.
         """
         a, b = q.numerator, q.denominator
-        key = (last_x, xcon, ycon)
+        entry = (last_x, xcon, ycon, size)
         value_q, memo = self._values  # one attribute, so the pair stays consistent
-        out = memo.get(key) if value_q == (a, b) else None
-        if out is None or out[0] < size:
-            with self._lock:
-                if self._values[0] != (a, b):
-                    self._values = (a, b), {}
-                memo = self._values[1]
-                out = memo.get(key)
-                if out is None or out[0] < size:
-                    out = memo[key] = _tables(memo, last_x, xcon, ycon, size, a, b)
-        return _diagonal(out, size)
+        if value_q == (a, b):
+            try:
+                return _entry(memo, entry)
+            except KeyError:
+                pass
+        with self._lock:
+            if self._values[0] != (a, b):
+                self._values = (a, b), {}
+            memo = self._values[1]
+            _fill(memo, (entry,), a, b)
+            return _entry(memo, entry)
 
     def float_matrix(self, reads) -> tuple:
         """(live, low, matrix) for the entries `reads`, each (last_x, xcon,
@@ -302,80 +307,60 @@ class KernelValueCache:
 
     def _packed(self, entries, w: int) -> dict:
         """{entry: its packed anti-diagonal} for each (last_x, xcon, ycon,
-        size) of `entries`, at q = 2**w, w >= `core.packed_width(size)`:
-        the signed sum of its band pairs' diagonals (`_band_pairs`), each
-        its S side (`last_x`) or F side; the caller holds the lock.
-
-        The diagonals come from `_band_memo`, keyed (x band, y band, w,
-        size) -> (S diagonal, F diagonal).  Per band pair, one
-        `core.band_diagonals` pass to the largest size missing stores
-        every size missing, and only those; the memo gains nothing until
-        every pass is done, so a refused band leaves no entry.
-        """
-        pairs = {entry: _band_pairs(*entry[1:3]) for entry in entries}
-        wanted: dict = {}  # band pair -> the sizes read
-        for entry, signed in pairs.items():
-            for pair, _ in signed:
-                wanted.setdefault(pair, set()).add(entry[3])
-        memo, filled = self._band_memo, {}
-        for (xband, yband), sizes in wanted.items():
-            missing = {size for size in sizes if (xband, yband, w, size) not in memo}
-            if missing:
-                for d, s, f in core.band_diagonals(xband, yband, max(missing), 1 << w, 1):
-                    if d in missing:
-                        filled[xband, yband, w, d] = tuple(s), tuple(f)
-        memo.update(filled)
-        return {entry: _signed_sum([sign for _, sign in signed],
-                                   [memo[(*pair, w, entry[3])][0 if entry[0] else 1]
-                                    for pair, _ in signed])
-                for entry, signed in pairs.items()}
+        size) of `entries`, at q = 2**w, w >= `core.packed_width(size)`,
+        off `_band_memo` (`_fill`, `_entry`); the caller holds the lock."""
+        _fill(self._band_memo, entries, 1 << w, 1, w)
+        return {entry: _entry(self._band_memo, entry, w) for entry in entries}
 
 
-def _band_pairs(xcon: tuple, ycon: tuple) -> list:
+@functools.cache  # a few constraint pairs, each read once per anti-diagonal
+def _band_pairs(xcon: tuple, ycon: tuple) -> tuple:
     """((x band, y band), sign) pairs whose signed sum is the arrangement
     count under the constraints (lo, hi, need), by inclusion-exclusion over
     each side's need (`_bands`), the first sign 1."""
-    return [((xb, yb), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon)]
+    return tuple(((xb, yb), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon))
 
 
-def _tables(memo: dict, last_x: bool, xcon: tuple, ycon: tuple, size: int, a: int,
-            b: int) -> tuple:
-    """(n, signs, *tables): the `core.band_table`s at q = a/b of one entry
-    (`_band_pairs`), at one common size n, each its S side (`last_x`) or F
-    side, and their signs; the caller holds the lock.  Flat, so two garbage
-    collections untrack it whatever order they visit it and its tables in.
+def _fill(memo: dict, entries, a: int, b: int, *w: int) -> None:
+    """Store in `memo` the anti-diagonals at q = a/b that the (last_x,
+    xcon, ycon, size) of `entries` read, keyed (x band, y band, *w, size)
+    -> (S diagonal, F diagonal), the tuples the pass yields; the caller
+    holds the lock.
 
-    Tables are memoized under (x band, y band).  n is `size` or the size
-    of the largest of the entry's tables already in `memo`, whichever is
-    larger; a table that is missing or smaller is built at n.
+    Per band pair (`_band_pairs`), one `core.band_diagonals` pass to the
+    largest size missing.  At an exact q (no w) the pass keeps every
+    diagonal, since `verify` and the tables read each size, the largest
+    first; at q = 2**w only the sizes read.  The memo gains nothing until
+    every pass is done, so a refused band leaves no entry.
     """
-    keys = _band_pairs(xcon, ycon)
-    size = max([size] + [memo[key][0] for key, _ in keys if key in memo])
-    sides = []
-    for key, _ in keys:
-        table = memo.get(key)
-        if table is None or table[0] < size:
-            table = memo[key] = core.band_table(*key, size, a, b)
-        sides.append(table[1 if last_x else 2])
-    return (size, tuple(sign for _, sign in keys), *sides)
+    wanted: dict = {}  # band pair -> the sizes read
+    for _, xcon, ycon, size in entries:
+        for pair, _ in _band_pairs(xcon, ycon):
+            wanted.setdefault(pair, set()).add(size)
+    filled = {}
+    for (xband, yband), sizes in wanted.items():
+        missing = {size for size in sizes if (xband, yband, *w, size) not in memo}
+        if missing:
+            for d, s, f in core.band_diagonals(xband, yband, max(missing), a, b):
+                if not w or d in missing:
+                    filled[xband, yband, *w, d] = s, f
+    memo.update(filled)
 
 
-def _signed_sum(signs, diagonals) -> tuple:
-    """The sum, entry by entry, of `diagonals` with their `signs`, the
-    first 1."""
-    total = diagonals[0]
-    for sign, diagonal in zip(signs[1:], diagonals[1:]):
-        total = map(operator.add if sign > 0 else operator.sub, total, diagonal)
+def _entry(memo: dict, entry: tuple, *w: int) -> tuple:
+    """The anti-diagonal of one (last_x, xcon, ycon, size): the signed sum,
+    entry by entry, of its band pairs' diagonals in `memo` (`_fill`), each
+    its S side (`last_x`) or F side; `KeyError` where one is missing."""
+    last_x, xcon, ycon, size = entry
+    side = 0 if last_x else 1
+    (pair, _), *rest = _band_pairs(xcon, ycon)
+    total = memo[(*pair, *w, size)][side]
+    if not rest:
+        return total
+    for pair, sign in rest:
+        total = map(operator.add if sign > 0 else operator.sub, total,
+                    memo[(*pair, *w, size)][side])
     return tuple(total)
-
-
-def _diagonal(entry: tuple, size: int) -> tuple:
-    """Entries (size - r, r), r = 0..size, of the signed sum of an entry's
-    tables, (n, signs, *tables) as `_tables` gives them, n >= size: one
-    slice of each flat table, since diagonal `size` starts at
-    size*(size+1)/2 in every table."""
-    cut = slice(size * (size + 1) // 2, (size + 1) * (size + 2) // 2)
-    return _signed_sum(entry[1], [table[cut] for table in entry[2:]])
 
 
 _default_cache = KernelValueCache()

@@ -13,9 +13,10 @@ theorem sides read too.  Every event gives one row of counts per failure
 count f: the sequences of one f share the prefactor theta**(n-f)
 (theta; q)_f, so they are added as one term whose kernel is their counts
 as a polynomial in q.
-The rows are summed by `qcalc.TermSum`, the accumulator the formula layer
-uses: one integer over d**n * b**B at theta = c/d and q = a/b, and one
-Fraction at the end.  The shared accumulator is tested against plain
+At exact inputs the rows are summed by `qcalc.TermSum`, the accumulator
+the formula layer uses: one integer over d**n * b**B at theta = c/d and
+q = a/b, and one Fraction at the end; at float ones by `math.fsum`
+(`_float_sum`).  The shared accumulator is tested against plain
 Fraction arithmetic on its own, each event's rows against a per-sequence
 grouping of `model.stopping_time` and `model.longest_runs`, and the sums
 against `model.sequence_probability` summed over sequences.
@@ -24,6 +25,7 @@ against `model.sequence_probability` summed over sequences.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +40,10 @@ from .distributions import (
     _WAITING_FAMILIES, Pmf, Rel, _zero, support_min, waiting_time_pmf,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
-from .qcalc import DEFAULT_TOLERANCE, Scalar, TermSum, horner_numerator, poly_value
+from .qcalc import (
+    DEFAULT_TOLERANCE, Scalar, TermSum, horner_numerator, is_exact, poly_value,
+    q_pochhammer_prefixes,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -166,16 +171,25 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
     else:
         rows = _counts(n, pred)
 
-    q = params.q
-    terms = TermSum(params.theta, q, n)
-    if terms.exact:
-        a, b = q.numerator, q.denominator
-        for f, e_min, degree, coeffs in rows:
-            terms.add(e_min, f, horner_numerator(coeffs, a, b), degree)
-    else:
-        for f, e_min, _, coeffs in rows:
-            terms.add(e_min, f, poly_value(coeffs, q))
+    th, q = params.theta, params.q
+    if not is_exact(th, q):
+        return _float_sum(th, q, n, rows)
+    terms = TermSum(th, q, n)
+    a, b = q.numerator, q.denominator
+    for f, e_min, degree, coeffs in rows:
+        terms.add(e_min, f, horner_numerator(coeffs, a, b), degree)
     return terms.total()
+
+
+def _float_sum(th: Scalar, q: Scalar, n: int, rows) -> float:
+    """The probability of the length-n classes `rows`, (f, e_min, degree,
+    coefficients) as `core.count_rows` gives them, where theta or q is a
+    float: the `math.fsum`, correctly rounded, of th**(n-f) * q**e_min *
+    (th; q)_f * K, in that order, K the row's counts at q, a row whose K
+    is zero skipped."""
+    prefixes = q_pochhammer_prefixes(th, q, n)
+    values = ((f, e_min, poly_value(coeffs, q)) for f, e_min, _, coeffs in rows)
+    return math.fsum(th ** (n - f) * q ** e_min * prefixes[f] * k for f, e_min, k in values if k)
 
 
 def oracle_waiting_pmf(params: ModelParams, quota: QuotaSpec, n_max: int) -> Pmf:

@@ -6,15 +6,12 @@ All functions are total on their stated domains and exact when given
 
 Every probability of length-n sequences sums, over classes of f failures,
 terms theta**(n-f) * q**j * (theta; q)_f * K, K an integer polynomial in q.
-`TermSum` adds such terms, each K given by its value: at rational q = a/b
-as an integer numerator over a power of b, read off the arrangement tables
-at that q (or, for the oracle, the Horner numerator of one failure count's
-sequence counts), so no formula evaluates a polynomial there; at float
-inputs as a float, and the float terms are summed by `math.fsum`: that
-branch serves the oracle's float sums, since the formula layer takes a
-float table's terms as one numpy product (`distributions._mass`).  At
-rational theta = c/d and q = a/b every term of the n-th probability has a
-denominator dividing d**n * b**B for some B, so the exact sum is one
+`TermSum` adds such terms at rational theta and q, each K given as an
+integer numerator over a power of b, q = a/b: read off the arrangement
+tables at that q (or, for the oracle, the Horner numerator of one failure
+count's sequence counts), so no formula evaluates a polynomial there.
+At rational theta = c/d and q = a/b every term of the n-th probability
+has a denominator dividing d**n * b**B for some B, so the exact sum is one
 integer numerator over that common denominator, and one `Fraction` is
 built at the end.  `poly_value` evaluates a polynomial at q, by integer
 Horner at Fraction q, for the oracle's float sums and the single-kernel
@@ -135,8 +132,6 @@ def poly_value(coeffs, q: Scalar) -> Scalar:
 # by a single assignment, so a reader always sees a key and numerators that
 # belong together, and it holds one point's numerators
 _numerator_memo: tuple = (None, ())
-# the same for float inputs: ((theta, q, their types), (theta; q)_0..m)
-_prefix_memo: tuple = (None, ())
 
 
 def _numerators(point: tuple, n: int) -> tuple:
@@ -156,65 +151,37 @@ def _numerators(point: tuple, n: int) -> tuple:
     return nums
 
 
-def _float_prefixes(th: Scalar, q: Scalar, n: int) -> tuple:
-    """`q_pochhammer_prefixes(th, q, m)`, m >= n, at inputs where one is a
-    float: held for the last (theta, q) asked for, as `_numerators` holds
-    the exact ones.  The key carries the input types, since 1.0 == 1 but
-    the prefixes of an int q and of a float q are computed apart."""
-    global _prefix_memo
-    point = th, q, type(th), type(q)
-    key, prefixes = _prefix_memo
-    if key != point or len(prefixes) <= n:
-        prefixes = tuple(q_pochhammer_prefixes(th, q, n))
-        _prefix_memo = point, prefixes
-    return prefixes
-
-
 class TermSum:
     """Sum of theta**(n-f) * q**j * (theta; q)_f * K over the terms added,
-    each a class of length-n sequences with f <= n failures, at one (theta, q).
+    each a class of length-n sequences with f <= n failures, at one exact
+    (theta, q): ints or Fractions.
 
-    At exact theta = c/d and q = a/b, K is given as an integer H over
-    b**e, and the term is the integer c**(n-f) a**j N_f H over
+    At theta = c/d and q = a/b, K is given as an integer H over b**e, and
+    the term is the integer c**(n-f) a**j N_f H over
     d**n b**(j + f(f-1)/2 + e), where N_f = prod_{k<f} (d b**k - c a**k)
     is the Pochhammer numerator.  The numerators are held per point
     (`_numerators`), so the sums of one table, which ask for every n at one
     (theta, q), compute each N_f once.  The running numerator is rescaled when a
     term needs a larger power of b, and `total` builds one Fraction (an
-    int when neither input is a Fraction).  At float inputs, which only
-    the oracle's sums bring here, K is its value, each term is
-    th**(n-f) * q**j * (th; q)_f * K in that order, as a product of
-    floats, with the prefixes (th; q)_f held per point as the numerators
-    are (`_float_prefixes`), and `total` is the `math.fsum` of the terms:
-    correctly rounded, so no digit is lost to the order in which they are
-    added.  `distributions._mass` computes the formula layer's float
-    terms in the same order, as one numpy product.
+    int when neither input is a Fraction).  Float sums take their terms
+    elsewhere: the formula layer's as one numpy product
+    (`distributions._mass`), the oracle's one by one (`oracle._float_sum`).
 
     A term whose K is zero is skipped.  With no term added the total is the
-    int 0 at exact inputs and 0.0 at float ones; a term added with a zero
-    prefactor (theta = 1) makes an exact total Fraction(0).
+    int 0; a term added with a zero prefactor (theta = 1) makes a total at
+    Fraction inputs Fraction(0).
     """
 
     def __init__(self, th: Scalar, q: Scalar, n: int) -> None:
         self._th, self._q, self._n = th, q, n
-        self.exact = is_exact(th, q)
-        if not self.exact:
-            self._ffp = _float_prefixes(th, q, n)
-            self._terms = []
-            return
         self._added = False
         self._cdab = th.numerator, th.denominator, q.numerator, q.denominator
         self._pochhammer = _numerators(self._cdab, n)
         self._num = 0
         self._b_exp = 0
 
-    def add(self, j: int, f: int, h: Scalar, e: int = 0) -> None:
-        """Add theta**(n-f) * q**j * (theta; q)_f * K, with K = h / b**e at
-        exact inputs (h an int) and K = h at float ones (e unused)."""
-        if not self.exact:
-            if h:
-                self._terms.append(self._th ** (self._n - f) * self._q ** j * self._ffp[f] * h)
-            return
+    def add(self, j: int, f: int, h: int, e: int = 0) -> None:
+        """Add theta**(n-f) * q**j * (theta; q)_f * K, with K = h / b**e."""
         if not h:
             return
         self._added = True
@@ -229,8 +196,6 @@ class TermSum:
         self._num += num
 
     def total(self) -> Scalar:
-        if not self.exact:
-            return math.fsum(self._terms)
         if not self._added:
             return 0
         if isinstance(self._th, Fraction) or isinstance(self._q, Fraction):

@@ -244,47 +244,49 @@ def test_waiting_time_table_examples():
 
 def test_waiting_time_table_does_not_rebuild_band_tables_as_n_grows(monkeypatch):
     # a table asks for its largest n first, so a band pair is not filled
-    # again as n grows: at most twice per table.  Exact inputs build whole
-    # value tables at q, at most once more where the two stopping sides
-    # (tails k1 and k2) ask one shared table for m + r = n - k1 and
-    # n - k2; float ones fill each band pair once, in one pass over the
-    # diagonals every n reads, all at the packed width of the largest
-    # size, and hold those diagonals only.  Its rows equal the one-n calls
+    # again as n grows: at most twice per table.  Exact inputs keep every
+    # anti-diagonal of a pass, and fill a band pair at most once more where
+    # the two stopping sides (tails k1 and k2) ask it for m + r = n - k1
+    # and n - k2; float ones fill each band pair exactly once, in one pass
+    # over the diagonals every n reads, all at the packed width of the
+    # largest size, and hold those diagonals only.  Its rows equal the
+    # one-n calls
     from qbtrials import _core_py as core
     from qbtrials.distributions import _waiting_sides
     from qbtrials.kernels import _band_pairs
 
-    built = []
-    for name in ("band_table", "band_diagonals"):
-        real = getattr(core, name)
-        monkeypatch.setattr(core, name, lambda *args, real=real, name=name:
-                            built.append((name, args[:2])) or real(*args))
+    fills = []
+    real = core.band_diagonals
+    monkeypatch.setattr(core, "band_diagonals",
+                        lambda *args: fills.append(args[:3]) or real(*args))
     for params in (HALF, ModelParams(0.5, 0.5)):
         for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode):
             quota = make_quota(s_freq, f_freq, 3, 2, mode)
             cache = KernelValueCache()
             table = waiting_time_table(params, quota, 30, cache)
-            tables = [bands for name, bands in built if name == "band_table"]
-            fills = [bands for name, bands in built if name == "band_diagonals"]
-            assert fills and max(map(fills.count, fills)) <= 2
+            pairs = [args[:2] for args in fills]
+            assert pairs and max(map(pairs.count, pairs)) <= 2
+            read = {(*pair, size) for n in table.support()
+                    for _, xcon, ycon, size, rows in _waiting_sides(quota.key, n) if rows
+                    for pair, _ in _band_pairs(xcon, ycon)}
             if isinstance(params.q, Fraction):
-                # band pairs, beside the (n, signs, *columns) keyed (last_x, xcon, ycon)
-                bands = [key for key in cache._values[1] if len(key) == 2]
-                assert fills == tables  # each a whole table
-                assert len(set(tables)) == len(bands) and not cache._band_memo
+                # every diagonal up to each band pair's largest pass
+                top = {}
+                for xband, yband, n in fills:
+                    top[xband, yband] = max(n, top.get((xband, yband), 0))
+                assert set(cache._values[1]) == {(*pair, d) for pair, n in top.items()
+                                                 for d in range(n + 1)}
+                assert read <= set(cache._values[1]) and not cache._band_memo
             else:
-                assert not tables and not cache._values[1]
-                assert len(fills) == len(set(fills))
-                read = {(*pair, size) for n in table.support()
-                        for _, xcon, ycon, size, rows in _waiting_sides(quota.key, n) if rows
-                        for pair, _ in _band_pairs(xcon, ycon)}
+                assert not cache._values[1]
+                assert len(pairs) == len(set(pairs))
                 w = core.packed_width(max(size for *_, size in read))
                 assert set(cache._band_memo) == {(x, y, w, size) for x, y, size in read}
-                assert {key[:2] for key in cache._band_memo} == set(fills)
-            built.clear()
+                assert {key[:2] for key in cache._band_memo} == set(pairs)
+            fills.clear()
             assert table.probs == [waiting_time_pmf(params, quota, n, KernelValueCache())
                                    for n in table.support()]
-            built.clear()
+            fills.clear()
 
 
 @pytest.mark.parametrize("s_freq,f_freq", ALL_KINDS)

@@ -318,8 +318,8 @@ def test_cache_does_not_grow_with_q():
 
 def test_memo_entries_are_not_gc_tracked():
     # keys and values are plain tuples of ints, None, strings and ranges
-    # (the band tables tuples of packed ints or numerators, an exact read's
-    # flat (n, signs, *tables)) and numpy arrays (the float plans' term
+    # (the anti-diagonals tuples of packed ints or of numerators) and
+    # numpy arrays (the float plans' term
     # indices and matrices), which the garbage collector does not track
     # once collected, so a large memo does not slow every full collection;
     # the single-cell kernels fill the default cache's peel memo
@@ -404,8 +404,8 @@ def _constraints(lo, top):
 
 def _in_domain(xcon, ycon):
     """Whether every band pair of two constraints is in the domain of
-    `core.band_table`: failure runs from length 1 and, beside empty success
-    runs, of at most one length."""
+    `core.band_diagonals`: failure runs from length 1 and, beside empty
+    success runs, of at most one length."""
     from qbtrials.kernels import _bands
 
     return all(ylo >= 1 and (xlo or yhi is not None and yhi <= ylo)
@@ -476,17 +476,16 @@ def test_band_tables_equal_top_down_peel():
 
 def test_band_table_equals_top_down_peel_at_q():
     # the one bottom-up fill against the top-down peel of its band pair
-    # (need 0 on both sides), entry by entry: entry (m, r) of a side of
-    # (n + 1)(n + 2)/2 entries is index r of anti-diagonal d = m + r,
-    # which starts at d(d + 1)/2; at q = a/b an entry over b**(m*r) is the
-    # peel's polynomial at q, and at q = 2**w (b = 1) the peel's
-    # polynomial packed.  q = 1, 2 and 4 step by shifts, q = 0 and
+    # (need 0 on both sides), entry by entry: index r of anti-diagonal d
+    # of a side is the entry (m, r), m = d - r; at q = a/b an entry over
+    # b**(m*r) is the peel's polynomial at q, and at q = 2**w (b = 1) the
+    # peel's polynomial packed.  q = 1, 2 and 4 step by shifts, q = 0 and
     # -2 (b = 1, not a positive power of two) and the random a/b by
     # multiplies.  One cache's exact anti-diagonals (each side's need
     # combined) against the peel, with the q changing between examples;
     # the bands are those of the constraints of
     # `test_band_tables_equal_top_down_peel`, and every draw outside the
-    # tables' domain is refused, the fill and the cache alike
+    # fill's domain is refused, the fill and the cache alike
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -506,23 +505,23 @@ def test_band_table_equals_top_down_peel_at_q():
         if not _in_domain(xband + (0,), yband + (0,)):
             for args in ((a, b), (1 << w, 1)):
                 with pytest.raises(ValueError):
-                    core.band_table(xband, yband, n, *args)
+                    list(core.band_diagonals(xband, yband, n, *args))
             return
-        tables = core.band_table(xband, yband, n, a, b), \
-            core.band_table(xband, yband, n, 1 << w, 1)
-        for size, *sides in tables:
-            assert size == n and [len(side) for side in sides] == [(n + 1) * (n + 2) // 2] * 2
-        (_, values_s, values_f), (_, packed_s, packed_f) = tables
+        passes = list(core.band_diagonals(xband, yband, n, a, b)), \
+            list(core.band_diagonals(xband, yband, n, 1 << w, 1))
+        for diagonals in passes:
+            assert [d for d, _, _ in diagonals] == list(range(n + 1))
+            assert all(len(s_d) == len(f_d) == d + 1 and type(s_d) is type(f_d) is tuple
+                       for d, s_d, f_d in diagonals)
         xcon, ycon = xband + (0,), yband + (0,)
-        for d in range(n + 1):
+        for (d, *values), (_, *packed) in zip(*passes):
             for r in range(d + 1):
-                m, i = d - r, d * (d + 1) // 2 + r
-                for last_x, values, packed in ((True, values_s, packed_s),
-                                               (False, values_f, packed_f)):
+                m = d - r
+                for last_x, side in ((True, 0), (False, 1)):
                     want = core.arrangement_poly(last_x, m, r, xcon, ycon, peel)
                     where = (xband, yband, last_x, m, r, q)
-                    assert core.unpack(packed[i], w) == want, where
-                    assert Fraction(values[i], b ** (m * r)) == poly_value(want, q), where
+                    assert core.unpack(packed[side][r], w) == want, where
+                    assert Fraction(values[side][r], b ** (m * r)) == poly_value(want, q), where
 
     @settings(max_examples=150, deadline=None)
     @given(st.booleans(), st.integers(0, 10), st.integers(0, 10),
@@ -547,37 +546,31 @@ def test_band_table_equals_top_down_peel_at_q():
     for q in (Fraction(81, 100), Fraction(2), Fraction(-2)):
         for args in ((q.numerator, q.denominator), (1 << core.packed_width(44), 1)):
             with pytest.raises(ValueError):
-                core.band_table((0, None), (1, None), 44, *args)
+                list(core.band_diagonals((0, None), (1, None), 44, *args))
 
 
 def test_band_tables_extend_every_smaller_table():
-    # anti-diagonal d starts at d(d + 1)/2 whatever the table's size, so
-    # at an exact q a table of size n starts with the table of size n' of
-    # the same bands for every n' < n, and a cache whose tables grew to n
-    # reads every smaller anti-diagonal as a fresh cache does: an entry
-    # with a need on both sides (four tables) and a longest-run cell
-    from qbtrials import _core_py as core
+    # an exact fill keeps every anti-diagonal up to the size asked for, so
+    # a cache whose diagonals grew to n reads every smaller anti-diagonal
+    # as a fresh cache does, and holds each band pair's sizes 0..n: an
+    # entry with a need on both sides (four band pairs) and a longest-run
+    # cell
+    from qbtrials.kernels import _band_pairs
 
     n = 12
-    bands = (((1, 2), (1, None)), ((1, None), (2, 4)), ((2, 3), (3, 3)), ((0, 3), (1, 1)))
-    for q in (Fraction(81, 100), 0, 1, -3):
-        a, b = q.numerator, q.denominator
-        for xband, yband in bands:
-            _, s, f = core.band_table(xband, yband, n, a, b)
-            for k in range(n):
-                _, s_k, f_k = core.band_table(xband, yband, k, a, b)
-                assert (s[:len(s_k)], f[:len(f_k)]) == (s_k, f_k), (xband, yband, q, k)
     keys = ((True, (1, 3, 2), (1, None, 3)), (False, (1, 3, 2), (1, None, 3)),
             (True, (0, 4, 4), (1, 1, 0)))
     for q in (Fraction(81, 100), Fraction(-3, 7), -3):
         cache = KernelValueCache()
         for key in keys:
             cache.diagonal(q, *key, 3)
-            cache.diagonal(q, *key, n)  # grows the entry's tables from 3 to n
+            cache.diagonal(q, *key, n)  # grows the entry's diagonals from 3 to n
             for size in range(n + 1):
                 assert cache.diagonal(q, *key, size) == \
                     KernelValueCache().diagonal(q, *key, size), (key, q, size)
-        assert {table[0] for table in cache._values[1].values()} == {n}
+        assert set(cache._values[1]) == {(*pair, size) for key in keys
+                                         for pair, _ in _band_pairs(*key[1:])
+                                         for size in range(n + 1)}
 
 
 def test_value_memo_is_swapped_under_the_lock():
@@ -648,11 +641,12 @@ def test_value_memo_is_swapped_under_the_lock():
 
 def test_band_tables_grow(monkeypatch):
     # the packed memo holds the anti-diagonals reads asked for, and no
-    # other: an exact read stores its own size at its own width for each
-    # band pair of its entry, and a float read stores every size it reads
-    # at the width of its largest.  One pass per band pair fills the sizes
-    # missing, a read of held diagonals fills nothing, and every entry
-    # equals a fresh cache's, before and after the memo grows
+    # other: an exact coefficient read stores its own size at its own
+    # width for each band pair of its entry, and a float read stores every
+    # size it reads at the width of its largest.  One pass per band pair
+    # fills the sizes missing, a read of held diagonals fills nothing, and
+    # every entry equals a fresh cache's, before and after the memo grows.
+    # The value memo at an exact q keeps every diagonal of a pass instead
     from qbtrials import _core_py as core
     from qbtrials.kernels import _band_pairs
 
@@ -697,6 +691,20 @@ def test_band_tables_grow(monkeypatch):
     fills.clear()
     assert [m.tolist() for m in cache.float_matrix(reads)[2:]] == [matrix.tolist()]
     assert not fills
+    # at an exact q a read stores every diagonal of its passes, keyed
+    # (x band, y band, size): one pass per band pair to the size read,
+    # none for a smaller size, one more for a larger one, and every read
+    # equals a fresh cache's
+    q, xcon, ycon = Fraction(81, 100), (1, None, 3), (1, 4, 2)
+    cache = KernelValueCache()
+    for size, top, fill in ((14, 14, True), (3, 14, False), (14, 14, False), (20, 20, True),
+                            (0, 20, False)):
+        fills.clear()
+        got = [cache.diagonal(q, last_x, xcon, ycon, size) for last_x in (True, False)]
+        assert fills == ([(*pair, size) for pair in pairs] if fill else [])
+        assert got == [KernelValueCache().diagonal(q, last_x, xcon, ycon, size)
+                       for last_x in (True, False)]
+        assert set(cache._values[1]) == {(*pair, d) for pair in pairs for d in range(top + 1)}
 
 
 def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
@@ -757,17 +765,17 @@ def _library_band_pairs():
 def test_band_diagonals_equal_the_whole_table(q):
     # the pass that holds only the diagonals its recurrence still reads,
     # and no older one, gives the anti-diagonals of the whole table, sizes
-    # 0..40, at q = 2**w
-    # (None) and at 81/100, for every kind of band pair the library asks
-    # for; the packed memo's diagonals, filled by passes to several sizes,
-    # are the same slices; and entries near both ends of diagonal 40 equal
-    # the top-down peel
+    # 0..40, at q = 2**w (None) and at 81/100, for every kind of band pair
+    # the library asks for: every pass to a smaller size gives the same
+    # diagonals; one cache's memo at that kind of q, filled by passes to
+    # several sizes in three orders, holds the same diagonals; and entries
+    # near both ends of diagonal 40 equal the top-down peel
     from qbtrials import _core_py as core
     from qbtrials.qcalc import poly_value
 
     n, w = 40, core.packed_width(40)
     a, b = (1 << w, 1) if q is None else (q.numerator, q.denominator)
-    cache, peel = KernelValueCache(), {}
+    peel = {}
     pairs = _library_band_pairs()
     assert len(pairs) >= 20 and ((0, 5), (1, 1)) in pairs and ((1, None), (1, 2)) in pairs
     def held(diagonals, side):
@@ -776,7 +784,6 @@ def test_band_diagonals_equal_the_whole_table(q):
         return [d for d, *sides in diagonals[1:] if sys.getrefcount(sides[side]) > 3]
 
     for xband, yband in pairs:
-        _, s, f = core.band_table(xband, yband, n, a, b)
         # the pass holds each side's diagonals max(lo, hi + 1) back, lo
         # when hi is None: what the other side's recurrence reads
         (xlo, xhi), (ylo, yhi) = xband, yband
@@ -788,24 +795,27 @@ def test_band_diagonals_equal_the_whole_table(q):
             assert held(diagonals, 0) == list(range(max(1, d - s_back), d + 1))
             assert held(diagonals, 1) == list(range(max(1, d - f_back), d + 1))
         assert [d for d, _, _ in diagonals] == list(range(n + 1))
-        for d, s_d, f_d in diagonals:
-            cut = slice(d * (d + 1) // 2, (d + 1) * (d + 2) // 2)
-            assert (list(s_d), list(f_d)) == (list(s[cut]), list(f[cut])), (xband, yband, d)
-        if q is None:
-            for sizes in ((7, 3), range(0, n + 1, 5), range(n + 1)):
-                entries = [(last_x, xband + (0,), yband + (0,), size)
-                           for last_x in (True, False) for size in sizes]
+        for size in (0, 1, 7, 23, 39):
+            assert list(core.band_diagonals(xband, yband, size, a, b)) == \
+                diagonals[:size + 1], (xband, yband, size)
+        cache = KernelValueCache()
+        for sizes in ((7, 3), range(0, n + 1, 5), range(n + 1)):
+            entries = [(last_x, xband + (0,), yband + (0,), size)
+                       for last_x in (True, False) for size in sizes]
+            if q is None:
                 got = cache._packed(entries, w)
-                for entry in entries:
-                    assert list(got[entry]) == list(diagonals[entry[3]][1 if entry[0] else 2])
+            else:
+                got = {entry: cache.diagonal(q, *entry) for entry in entries}
+            for entry in entries:
+                assert got[entry] == diagonals[entry[3]][1 if entry[0] else 2]
+        s, f = diagonals[n][1:]
         for r in (0, 1, 2, n - 2, n - 1, n):
             for last_x, side in ((True, s), (False, f)):
                 want = core.arrangement_poly(last_x, n - r, r, xband + (0,), yband + (0,), peel)
-                got = side[n * (n + 1) // 2 + r]
                 if q is None:
-                    assert core.unpack(got, w) == want, (xband, yband, last_x, r)
+                    assert core.unpack(side[r], w) == want, (xband, yband, last_x, r)
                 else:
-                    assert Fraction(got, b ** ((n - r) * r)) == poly_value(want, q)
+                    assert Fraction(side[r], b ** ((n - r) * r)) == poly_value(want, q)
 
 
 def test_float_longest_run_reads_only_diagonal_n(monkeypatch):

@@ -496,19 +496,20 @@ def test_differential_scan_small_grid_matches():
 
 
 def test_differential_scan_builds_value_tables_once_per_point(monkeypatch):
-    # each point's formula rows go from n_max down, so its value tables are
-    # built at full size once: at most twice per band pair, where the two
-    # stopping sides ask for n_max - k1 and n_max - k2 (as in
-    # `waiting_time_table`), not once per n.  q changes at every point, so
-    # each point starts from an empty value memo.  Reports stay ascending
+    # each point's formula rows go from n_max down, and an exact fill keeps
+    # every anti-diagonal of its pass, so each band pair is filled at full
+    # size once: at most twice per band pair, where the two stopping sides
+    # ask for n_max - k1 and n_max - k2 (as in `waiting_time_table`), not
+    # once per n.  q changes at every point, so each point starts from an
+    # empty value memo.  Reports stay ascending
     from qbtrials import oracle
 
     grid = ScanGrid(thetas=(Fraction(1, 3), Fraction(3, 4)),
                     qs=(Fraction(1, 2), Fraction(7, 9)), k_pairs=((2, 3), (3, 2)), n_max=12)
     points = []
-    real_table, real_oracle = core.band_table, oracle.oracle_waiting_pmf
-    monkeypatch.setattr(core, "band_table",
-                        lambda *args: points[-1].append(args[:2]) or real_table(*args))
+    real_fill, real_oracle = core.band_diagonals, oracle.oracle_waiting_pmf
+    monkeypatch.setattr(core, "band_diagonals",
+                        lambda *args: points[-1].append(args[:2]) or real_fill(*args))
     monkeypatch.setattr(oracle, "oracle_waiting_pmf",
                         lambda *args: points.append([]) or real_oracle(*args))
     reports = differential_scan(grid)

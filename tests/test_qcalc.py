@@ -163,15 +163,16 @@ def _fraction_horner(coeffs, q):
 
 
 def test_term_sum_matches_fraction_arithmetic():
-    """`TermSum` against plain Fraction arithmetic (value and type), and its
-    float regime against the float expressions it replaced, bit for bit,
-    summed by `math.fsum`.
+    """`TermSum` against plain Fraction arithmetic (value and type), and the
+    oracle's float sum of the same terms against the float expressions
+    it replaced, bit for bit, summed by `math.fsum`.
     A term is a class of length-n sequences with f failures, so its theta
     exponent is n - f.  An exact term's kernel is a Horner numerator over
     b**e, e at least the degree, as the value tables give it (e = m*r)."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
+    from qbtrials.oracle import _float_sum
     from qbtrials.qcalc import TermSum, horner_numerator, poly_value, q_pochhammer_prefixes
 
     def ratio(zero_ok):
@@ -206,29 +207,26 @@ def test_term_sum_matches_fraction_arithmetic():
         assert got == want
         assert type(got) is type(want), (type(got), type(want))
 
-        # float regime: the expressions of the waiting-time sum, the failure
-        # sum (no q factor) and the oracle (a count times the prefactors),
-        # the terms summed by math.fsum
+        # float regime: the oracle's float sum of the same classes, rows
+        # (f, e_min, degree, coefficients), against the float expressions
+        # it replaced, each term th**(n-f) * q**j * (th; q)_f * K, and the
+        # terms summed by math.fsum; alone with no q factor, and with an
+        # int count as its kernel
         fth, fq = float(th), float(q)
         ffp = q_pochhammer_prefixes(fth, fq, n)
-        acc = TermSum(fth, fq, n)
         want = []
         for j, f, cs, _ in terms:
-            acc.add(j, f, poly_value(cs, fq))
             v = poly_value(cs, fq)
             if v:
                 want.append(fth ** (n - f) * fq ** j * ffp[f] * v)
-        assert acc.total().hex() == math.fsum(want).hex()
+        rows = [(f, j, len(cs) - 1, tuple(cs)) for j, f, cs, _ in terms]
+        assert _float_sum(fth, fq, n, rows).hex() == math.fsum(want).hex()
         for j, f, cs, _ in terms:
-            single = TermSum(fth, fq, n)
-            single.add(0, f, poly_value(cs, fq))
             v = poly_value(cs, fq)
-            assert single.total().hex() == (fth ** (n - f) * ffp[f] * v if v else 0.0).hex()
-            # the oracle's class count, an int kernel
-            single = TermSum(fth, fq, n)
-            single.add(j, f, cs[0] + 1)
-            assert single.total().hex() == \
-                ((cs[0] + 1) * (fth ** (n - f) * fq ** j * ffp[f])).hex()
+            got = _float_sum(fth, fq, n, [(f, 0, len(cs) - 1, tuple(cs))])
+            assert got.hex() == (fth ** (n - f) * ffp[f] * v if v else 0.0).hex()
+            got = _float_sum(fth, fq, n, [(f, j, 0, (cs[0] + 1,))])
+            assert got.hex() == ((cs[0] + 1) * (fth ** (n - f) * fq ** j * ffp[f])).hex()
 
     check()
 
@@ -275,10 +273,11 @@ def test_term_sum_numerators_held_per_point():
 def test_float_prefixes_held_apart_from_exact_numerators():
     """Exact and float sums alternate at theta = q = 1, given as ints,
     floats, Fractions and mixed, whose points compare equal: every total,
-    of a TermSum and of a longest-run probability, has the type and value
-    of plain arithmetic, and the float prefixes (theta; q)_f are held for
-    the last float point, its input types in the key."""
+    of a TermSum at exact points, of the oracle's float sum at float ones,
+    and of a longest-run probability, has the type and value of plain
+    arithmetic."""
     from qbtrials import ModelParams, longest_run_pmf, qcalc
+    from qbtrials.oracle import _float_sum
     from qbtrials.qcalc import TermSum
 
     points = [(1, 1), (1.0, 1.0), (Fraction(1), Fraction(1)), (1, 1.0), (1.0, 1), (1, 1)]
@@ -286,23 +285,20 @@ def test_float_prefixes_held_apart_from_exact_numerators():
         for th, q in points:
             if not qcalc.is_exact(th, q):
                 want_type = float
-            elif isinstance(th, Fraction) or isinstance(q, Fraction):
-                want_type = Fraction
+                # theta**n * q * (theta; q)_0 * 3, and (1; 1)_2 = 0 times 5
+                got = _float_sum(th, q, n, [(0, 1, 0, (3,)), (2, 0, 0, (5,))])
             else:
-                want_type = int
-            acc = TermSum(th, q, n)
-            acc.add(1, 0, 3)  # theta**n * q * (theta; q)_0 * 3
-            acc.add(0, 2, 5)  # (1; 1)_2 = 0
-            got = acc.total()
+                want_type = Fraction if Fraction in (type(th), type(q)) else int
+                acc = TermSum(th, q, n)
+                acc.add(1, 0, 3)
+                acc.add(0, 2, 5)
+                got = acc.total()
             assert got == 3 and type(got) is want_type, (th, q, n, got)
             # theta = 1: every trial succeeds, so the longest run is n
             got = longest_run_pmf(ModelParams(th, q), n, n)
             assert got == 1 and type(got) is want_type, (th, q, n, got)
             got = longest_run_pmf(ModelParams(th, q), n, n - 1)
             assert got == 0 and type(got) is want_type, (th, q, n, got)
-    key, prefixes = qcalc._prefix_memo
-    assert key == (1.0, 1, float, int) and len(prefixes) > 3
-    assert prefixes[:3] == (1.0, 0.0, 0.0) and all(type(p) is float for p in prefixes)
 
 
 def test_waiting_tables_at_points_computed_concurrently():
