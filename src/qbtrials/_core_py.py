@@ -6,12 +6,12 @@ library's arrangement counts come from `band_diagonals`, a bottom-up fill
 with no recursion, per pair of bands (every run of a symbol in lo..hi), at
 one rational q = a/b: each entry is an integer numerator over a power of
 b.  It fills by anti-diagonal m + r, each from the few before it, and
-holds no older one, so a caller keeps only the diagonals it reads: the
-kernel cache keeps every diagonal of a pass at an exact q, which is read
-per n, and only the sizes read at q = 2**w.  At q = 2**w (b = 1) an
-entry is its polynomial packed into one int, coefficient i at bits w*i,
-and `unpack` turns it into a coefficient tuple (index = power of q),
-`unpack_matrix` a list of them into one float64 matrix for the float path;
+holds no older one, so a caller keeps only the diagonals it reads, as
+the kernel cache does at an exact q and at q = 2**w alike.  At q = 2**w
+(b = 1) an entry is its polynomial packed into one int, coefficient i at
+bits w*i, and `unpack` turns it into a coefficient tuple (index = power
+of q), `unpack_matrix` a list of them into one float64 matrix for the
+float path;
 at the q of an exact probability it is the value that probability reads,
 with no unpacking and no Horner.  Two top-down peels remain, each one
 `_fill` with no recursion: `arrangement_poly`, the paper's fixed-run-count

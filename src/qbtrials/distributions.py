@@ -11,13 +11,15 @@ symbol under the same constraints, and s covers every feasible run count,
 so K counts, q-weighted, the arrangements of x successes and y failures
 that end with that symbol.
 Every term of one side of a sum reads K off one anti-diagonal
-x + y = size of the cache's bottom-up arrangement tables.  At exact theta
-and q = a/b, `_mass` reads it with one `kernels.KernelValueCache.diagonal`
-per side and n, as the integer numerators over b**(x*y) of K at a/b.  At
-float inputs it takes every n of a table at once: the call's q-free plan
-holds one float64 matrix with a row per term, the K it reads
+x + y = size of the cache's bottom-up arrangement tables, and `_mass`
+takes every n of a table at once.  At exact theta and q = a/b it reads
+the anti-diagonals of every side of every n with one
+`kernels.KernelValueCache.diagonals` call, as the integer numerators over
+b**(x*y) of K at a/b.  At float inputs the call's q-free plan holds one
+float64 matrix with a row per term, the K it reads
 (`kernels.KernelValueCache.float_matrix`), so one product with q**powers
-gives every K of the call, in term order.
+gives every K of the call, in term order.  At both kinds of q the cache
+keeps only the anti-diagonals read.
 
 * `_WAITING_FAMILIES`, keyed (success freq?, failure freq?, later?), holds
   the families summed when the success side stops the wait and those summed
@@ -143,15 +145,12 @@ def waiting_time_pmf(
 ) -> Scalar:
     """P(waiting time = n) for any quota pair in either mode.
 
-    Calls per n read the cache's anti-diagonals differently at each kind
-    of q.  At exact inputs a fill keeps every diagonal up to the size
-    asked for, so calls from the largest n down (as `verify` makes them)
-    fill each band pair once, and calls upwards once per n.  At float
-    inputs the cache keeps only the packed diagonals a call reads, so a
-    call per n fills its band pairs again whichever way n moves: later
-    run:3/freq:2 at n = 60 down to 5 takes about 0.2 s, as much as when
-    it rises.  `waiting_time_table` reads every n with one fill per band
-    pair at either kind."""
+    The cache keeps only the anti-diagonals a call reads, at either kind
+    of q, so calls per n fill their band pairs again whichever way n
+    moves: later run:3/freq:2 at n = 60 down to 5 takes about 0.2 s at
+    (37/100, 81/100) and at (0.37, 0.81), as much as when n rises.
+    `waiting_time_table` reads every n in one call, with one fill per
+    band pair: about 0.05 s at either point."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n < support_min(quota):
@@ -207,25 +206,29 @@ def _mass(th, q, ns, cache, sides, *args):
     the terms of `sides(*args, n)`, sides as `_waiting_sides` gives them.
 
     Every entry of a side lies on the anti-diagonal x + y = size of its
-    tables.  At exact theta and q = a/b each n is one `TermSum`, and each
-    side reads its K once, for every y, with `KernelValueCache.diagonal`:
-    integer numerators over b**(x*y).  Otherwise the terms of every n are
-    taken at once, by the q-free plan of `_float_plan`, memoized in the
-    cache under (name of `sides`, ns, *args): the K of every term is one
-    product of the plan's matrix with the powers of q, the terms are one
-    numpy product, theta**(n-f) * q**j * (theta; q)_f * K in that
-    order, and each n's total is one `math.fsum` of its slice,
-    so it is correctly rounded.
+    tables.  At exact theta and q = a/b every side of every n reads its K,
+    for every y, in one `KernelValueCache.diagonals` call: integer
+    numerators over b**(x*y); each n is then one `TermSum`.  Otherwise
+    the terms of every n are taken at once, by the q-free plan of
+    `_float_plan`, memoized in the cache under (name of `sides`, ns,
+    *args): the K of every term is one product of the plan's matrix with
+    the powers of q, the terms are one numpy product, theta**(n-f) *
+    q**j * (theta; q)_f * K in that order, and each n's total is one
+    `math.fsum` of its slice, so it is correctly rounded.
     """
     if is_exact(th, q):
+        per_n = [sides(*args, n) for n in ns]
+        # a side with no rows builds no table
+        ks = cache.diagonals(q, dict.fromkeys(side[:4] for n_sides in per_n
+                                              for side in n_sides if side[4]))
         out = []
-        for n in ns:
+        for n, n_sides in zip(ns, per_n):
             terms = TermSum(th, q, n)
-            for last_x, xcon, ycon, size, rows in sides(*args, n):
-                if rows:  # else no table to build
-                    ks = cache.diagonal(q, last_x, xcon, ycon, size)
-                    for j, f, x, y in rows:
-                        terms.add(j, f, ks[y], x * y)
+            for side in n_sides:
+                if side[4]:
+                    diagonal = ks[side[:4]]
+                    for j, f, x, y in side[4]:
+                        terms.add(j, f, diagonal[y], x * y)
             out.append(terms.total())
         return out
     (nf, j, f), cuts, low, matrix, top = cache.float_plan(
@@ -413,17 +416,31 @@ def waiting_time_table(
     cache: KernelValueCache | None = None,
 ) -> Pmf:
     """PMF table from the support minimum up to n_max inclusive."""
-    offset = support_min(quota)
-    if n_max < offset:
-        raise ValueError(f"n_max={n_max} is below the support minimum {offset}")
-    # n_max first, so exact band tables are built at full size, not again per n
-    probs = _mass(params.theta, params.q, range(n_max, offset - 1, -1), cache or _default_cache,
-                  _waiting_sides, quota.key)
-    probs.reverse()
+    probs = _waiting_probs(params, quota, n_max, cache)
     running: Scalar = 0
     for p in probs:
         running = running + p
     # an exact table may not exceed 1 at all, a float one by rounding only
     if running > 1 + (_SUM_SLACK if isinstance(running, float) else 0):
         raise ValueError(f"partial sums exceed 1: {running}")
-    return Pmf(offset=offset, probs=probs)
+    return Pmf(offset=support_min(quota), probs=probs)
+
+
+def _waiting_probs(
+    params: ModelParams,
+    quota: QuotaSpec,
+    n_max: int,
+    cache: KernelValueCache | None = None,
+) -> list[Scalar]:
+    """P(waiting time = n) for n from the support minimum up to n_max,
+    all from one `_mass` call.  `waiting_time_table` checks their partial
+    sums; `oracle.differential_scan` reads them unchecked, as it checks
+    each one against enumeration."""
+    offset = support_min(quota)
+    if n_max < offset:
+        raise ValueError(f"n_max={n_max} is below the support minimum {offset}")
+    # n_max first, the order the float plans are keyed and built in
+    probs = _mass(params.theta, params.q, range(n_max, offset - 1, -1), cache or _default_cache,
+                  _waiting_sides, quota.key)
+    probs.reverse()
+    return probs

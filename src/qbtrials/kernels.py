@@ -25,12 +25,10 @@ term of one side of a sum reads one anti-diagonal x + y = size of those
 sums.  The cache asks for them at two kinds of q:
 
 * at the exact q = a/b of a probability, integer numerators over
-  b**(x*y), which `KernelValueCache.diagonal` gives: every anti-diagonal
-  of a pass is held, for one q at a time, since a verify grid and a
-  table read every size, the largest first;
+  b**(x*y), which `KernelValueCache.diagonals` gives, for one q at a
+  time;
 * at q = 2**w, where an entry is its polynomial packed with coefficient i
-  at bits w*i: only the anti-diagonals read are held, each band pair's
-  at the sizes asked for (`KernelValueCache._packed`).
+  at bits w*i (`KernelValueCache._packed`).
   `KernelValueCache.float_matrix` unpacks the nonzero entries a float
   probability or table reads, all at one width, one row per term in its
   order, into one q-free float64 matrix over the power range of those
@@ -40,9 +38,12 @@ sums.  The cache asks for them at two kinds of q:
   coefficient tuple, for the tests.
 
 Both memos are flat, (x band, y band, size) -> (S diagonal, F diagonal),
-the packed one's key carrying w before the size; one `_fill` fills them,
-a pass per band pair, and one `_entry` reads an entry: a dict lookup per
-band pair and, where a side needs some part >= need, one signed sum.
+the packed one's key carrying w before the size, and hold only the
+anti-diagonals read, each band pair's at the sizes asked for.  A call
+asks for every entry it reads at once (`_read`): one `_fill` fills them,
+a pass per band pair to the largest size missing, and one `_entry` reads
+an entry: a dict lookup per band pair and, where a side needs some part
+>= need, one signed sum.
 
 `family_arrangement` gives a family's last symbol and constraints.  The
 top-down peels, in a memo of their own, stay as the fixed-s API and the
@@ -200,11 +201,11 @@ class KernelValueCache:
       the fixed-s kernels and, in the default cache, the U and V cells.
 
     `_values` is (q, value memo), the exact reads of one q = a/b, keyed
-    q = (a, b): the anti-diagonals at a/b, keyed (x band, y band, size) ->
-    (S diagonal, F diagonal), every one up to the largest size a pass was
-    asked for (`_fill`, `diagonal`).  A call at another q replaces the
-    pair under the lock, so its memory is that of one q's diagonals
-    however many q are asked for.
+    q = (a, b): the anti-diagonals at a/b that reads asked for, keyed
+    (x band, y band, size) -> (S diagonal, F diagonal) (`_read`,
+    `diagonals`).  A call at another q replaces the pair under the lock,
+    so its memory is that of one q's diagonals however many q are asked
+    for.
 
     Keys and values hold only ints, None, strings, ranges, tuples of them
     and numpy arrays, so the garbage collector does not track them.  One
@@ -240,34 +241,26 @@ class KernelValueCache:
             diagonal = self._packed((entry,), w)[entry]
         return core.unpack(diagonal[r], w)
 
-    def diagonal(self, q: Scalar, last_x: bool, xcon: tuple, ycon: tuple, size: int) -> tuple:
-        """ks, with ks[y] the arrangements of size - y successes and y
-        failures that end with a success run iff `last_x`, and the empty
-        one, at an int or Fraction q = a/b: the integer numerator over
+    def diagonals(self, q: Scalar, entries) -> dict:
+        """{entry: ks} for each (last_x, xcon, ycon, size) of `entries`, at
+        an int or Fraction q = a/b: ks[y] is the integer numerator over
         b**((size - y)*y) of `arrangement_poly(last_x, size - y, y, xcon,
-        ycon)` at a/b, for y = 0..size, off the anti-diagonals at a/b.
+        ycon)` at a/b, the arrangements of size - y successes and y
+        failures that end with a success run iff `last_x`, and the empty
+        one, for y = 0..size.
 
-        Those are memoized for one q at a time: a call at another q swaps
-        in an empty value memo under the lock.  A pass fills every
-        anti-diagonal up to the size it is asked for, so a caller that
-        reads the largest size first (`verify`, the tables) reads every
-        smaller one with no further pass; a read of held diagonals takes
-        no lock.  Float q reads `float_matrix` instead.
+        Read off the value memo, whose anti-diagonals are those of one q
+        at a time: a call at another q swaps in an empty one under the
+        lock.  Like `float_matrix`, a call asks for every entry it reads at
+        once, so one pass per band pair to the largest size missing fills
+        them (`_fill`), and the memo keeps only the sizes read.  Float q
+        reads `float_matrix` instead.
         """
         a, b = q.numerator, q.denominator
-        entry = (last_x, xcon, ycon, size)
-        value_q, memo = self._values  # one attribute, so the pair stays consistent
-        if value_q == (a, b):
-            try:
-                return _entry(memo, entry)
-            except KeyError:
-                pass
         with self._lock:
             if self._values[0] != (a, b):
                 self._values = (a, b), {}
-            memo = self._values[1]
-            _fill(memo, (entry,), a, b)
-            return _entry(memo, entry)
+            return _read(self._values[1], entries, a, b)
 
     def float_matrix(self, reads) -> tuple:
         """(live, low, matrix) for the entries `reads`, each (last_x, xcon,
@@ -308,9 +301,8 @@ class KernelValueCache:
     def _packed(self, entries, w: int) -> dict:
         """{entry: its packed anti-diagonal} for each (last_x, xcon, ycon,
         size) of `entries`, at q = 2**w, w >= `core.packed_width(size)`,
-        off `_band_memo` (`_fill`, `_entry`); the caller holds the lock."""
-        _fill(self._band_memo, entries, 1 << w, 1, w)
-        return {entry: _entry(self._band_memo, entry, w) for entry in entries}
+        off `_band_memo` (`_read`); the caller holds the lock."""
+        return _read(self._band_memo, entries, 1 << w, 1, w)
 
 
 @functools.cache  # a few constraint pairs, each read once per anti-diagonal
@@ -328,10 +320,9 @@ def _fill(memo: dict, entries, a: int, b: int, *w: int) -> None:
     holds the lock.
 
     Per band pair (`_band_pairs`), one `core.band_diagonals` pass to the
-    largest size missing.  At an exact q (no w) the pass keeps every
-    diagonal, since `verify` and the tables read each size, the largest
-    first; at q = 2**w only the sizes read.  The memo gains nothing until
-    every pass is done, so a refused band leaves no entry.
+    largest size missing, which keeps only the sizes read, at either kind
+    of q.  The memo gains nothing until every pass is done, so a refused
+    band leaves no entry.
     """
     wanted: dict = {}  # band pair -> the sizes read
     for _, xcon, ycon, size in entries:
@@ -342,9 +333,17 @@ def _fill(memo: dict, entries, a: int, b: int, *w: int) -> None:
         missing = {size for size in sizes if (xband, yband, *w, size) not in memo}
         if missing:
             for d, s, f in core.band_diagonals(xband, yband, max(missing), a, b):
-                if not w or d in missing:
+                if d in missing:
                     filled[xband, yband, *w, d] = s, f
     memo.update(filled)
+
+
+def _read(memo: dict, entries, a: int, b: int, *w: int) -> dict:
+    """{entry: its anti-diagonal} for each entry of `entries` at q = a/b,
+    filled into `memo` first (`_fill`, `_entry`); the caller holds the
+    lock."""
+    _fill(memo, entries, a, b, *w)
+    return {entry: _entry(memo, entry, *w) for entry in entries}
 
 
 def _entry(memo: dict, entry: tuple, *w: int) -> tuple:

@@ -37,7 +37,7 @@ import numpy as np
 from . import _core_py as core
 from ._core_py import EnumerationBudgetError
 from .distributions import (
-    _WAITING_FAMILIES, Pmf, Rel, _zero, support_min, waiting_time_pmf,
+    _WAITING_FAMILIES, Pmf, Rel, _waiting_probs, _zero, support_min,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
 from .qcalc import (
@@ -267,13 +267,17 @@ def _quota_label(quota: QuotaSpec) -> str:
 
 def differential_scan(
     grid: ScanGrid,
-    formula: Callable[[ModelParams, QuotaSpec, int], Scalar] = waiting_time_pmf,
+    formula: Callable[[ModelParams, QuotaSpec, int], list[Scalar]] = _waiting_probs,
 ) -> list[DiscrepancyReport]:
     """One report per grid point comparing the formula layer to enumeration,
     over the eight configurations of the theorem table in its order.
 
-    With exact parameters the verdict is mismatch iff the difference is
-    nonzero; in float mode iff it exceeds DEFAULT_TOLERANCE.
+    `formula(params, quota, n_max)` gives the probabilities of n from the
+    support minimum up to n_max, one table per configuration and point;
+    the default is `waiting_time_table`'s, without its partial-sum check,
+    since every value is checked against enumeration.  With exact
+    parameters the verdict is mismatch iff the difference is nonzero; in
+    float mode iff it exceeds DEFAULT_TOLERANCE.
     """
     reports = []
     for s_freq, f_freq, later in _WAITING_FAMILIES:
@@ -292,11 +296,7 @@ def differential_scan(
                     exact = params.exact
                     label = f"{_quota_label(quota)} theta={theta} q={q}"
                     got = oracle_waiting_pmf(params, quota, grid.n_max)
-                    # n_max first, as in `waiting_time_table`, so the
-                    # point's tables are built at full size, not once per n
-                    fvs = [formula(params, quota, n) for n in range(grid.n_max, lo - 1, -1)]
-                    fvs.reverse()
-                    for n, fv in enumerate(fvs, lo):
+                    for n, fv in enumerate(formula(params, quota, grid.n_max), lo):
                         ov = got.probs[n - got.offset]
                         diff = abs(fv - ov)
                         bad = (diff != 0) if exact else (diff > DEFAULT_TOLERANCE)

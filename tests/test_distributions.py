@@ -242,15 +242,12 @@ def test_waiting_time_table_examples():
         waiting_time_table(HALF, make_quota(False, False, 2, 2, Mode.LATER), 3)
 
 
-def test_waiting_time_table_does_not_rebuild_band_tables_as_n_grows(monkeypatch):
-    # a table asks for its largest n first, so a band pair is not filled
-    # again as n grows: at most twice per table.  Exact inputs keep every
-    # anti-diagonal of a pass, and fill a band pair at most once more where
-    # the two stopping sides (tails k1 and k2) ask it for m + r = n - k1
-    # and n - k2; float ones fill each band pair exactly once, in one pass
-    # over the diagonals every n reads, all at the packed width of the
-    # largest size, and hold those diagonals only.  Its rows equal the
-    # one-n calls
+def test_waiting_time_table_fills_each_band_pair_once(monkeypatch):
+    # a table reads every n in one call, so each band pair is filled in
+    # one pass, to the largest size any n reads, at either kind of q, and
+    # the memo of that kind holds exactly the sizes the table's sides read
+    # (at float inputs all at the packed width of the largest) and no
+    # other; the other memo stays empty.  Its rows equal the one-n calls
     from qbtrials import _core_py as core
     from qbtrials.distributions import _waiting_sides
     from qbtrials.kernels import _band_pairs
@@ -265,24 +262,19 @@ def test_waiting_time_table_does_not_rebuild_band_tables_as_n_grows(monkeypatch)
             cache = KernelValueCache()
             table = waiting_time_table(params, quota, 30, cache)
             pairs = [args[:2] for args in fills]
-            assert pairs and max(map(pairs.count, pairs)) <= 2
+            assert pairs and len(pairs) == len(set(pairs))
             read = {(*pair, size) for n in table.support()
                     for _, xcon, ycon, size, rows in _waiting_sides(quota.key, n) if rows
                     for pair, _ in _band_pairs(xcon, ycon)}
+            assert set(fills) == {
+                (x, y, max(size for *pair, size in read if pair == [x, y])) for x, y in pairs}
             if isinstance(params.q, Fraction):
-                # every diagonal up to each band pair's largest pass
-                top = {}
-                for xband, yband, n in fills:
-                    top[xband, yband] = max(n, top.get((xband, yband), 0))
-                assert set(cache._values[1]) == {(*pair, d) for pair, n in top.items()
-                                                 for d in range(n + 1)}
-                assert read <= set(cache._values[1]) and not cache._band_memo
+                assert set(cache._values[1]) == read and not cache._band_memo
             else:
                 assert not cache._values[1]
-                assert len(pairs) == len(set(pairs))
                 w = core.packed_width(max(size for *_, size in read))
                 assert set(cache._band_memo) == {(x, y, w, size) for x, y, size in read}
-                assert {key[:2] for key in cache._band_memo} == set(pairs)
+            assert {key[:2] for key in read} == set(pairs)
             fills.clear()
             assert table.probs == [waiting_time_pmf(params, quota, n, KernelValueCache())
                                    for n in table.support()]

@@ -341,9 +341,9 @@ def test_memo_entries_are_not_gc_tracked():
     for n in (5, 9):
         longest_run_pmf(floats, n, 2, cache)
     joint_longest(floats, 9, 2, Rel.LE, 3, Rel.GE, cache)
-    for last_x in (True, False):
-        cache.diagonal(Fraction(1, 3), last_x, (1, 2, 0), (1, None, 3), 11)
-    cache.diagonal(Fraction(1, 3), True, (0, 2, 2), (1, 1, 0), 9)
+    cache.diagonals(Fraction(1, 3), [(True, (1, 2, 0), (1, None, 3), 11),
+                                     (False, (1, 2, 0), (1, None, 3), 11),
+                                     (True, (0, 2, 2), (1, 1, 0), 9)])
     for t in range(4):
         longest_cell_kernel_U(5, 6, t, 2, Fraction(1, 3))
     longest_cell_kernel_V(5, 6, 2, Fraction(1, 3))
@@ -531,11 +531,12 @@ def test_band_table_equals_top_down_peel_at_q():
         for xband, _ in _bands(xcon):
             for yband, _ in _bands(ycon):
                 agree(xband, yband, m + r, q)
+        entry = (last_x, xcon, ycon, m + r)
         if not _in_domain(xcon, ycon):
             with pytest.raises(ValueError):
-                cache.diagonal(q, last_x, xcon, ycon, m + r)
+                cache.diagonals(q, [entry])
             return
-        ks = cache.diagonal(q, last_x, xcon, ycon, m + r)
+        ks = cache.diagonals(q, [entry])[entry]
         assert len(ks) == m + r + 1
         assert Fraction(ks[r], q.denominator ** (m * r)) == \
             poly_value(core.arrangement_poly(last_x, m, r, xcon, ycon, peel), q)
@@ -550,11 +551,11 @@ def test_band_table_equals_top_down_peel_at_q():
 
 
 def test_band_tables_extend_every_smaller_table():
-    # an exact fill keeps every anti-diagonal up to the size asked for, so
-    # a cache whose diagonals grew to n reads every smaller anti-diagonal
-    # as a fresh cache does, and holds each band pair's sizes 0..n: an
-    # entry with a need on both sides (four band pairs) and a longest-run
-    # cell
+    # an exact memo grown by reads of size 3 and then n holds those two
+    # sizes of each band pair, and then reads every smaller anti-diagonal,
+    # all at once, as a fresh cache does, holding each band pair's sizes
+    # 0..n: an entry with a need on both sides (four band pairs) and a
+    # longest-run cell
     from qbtrials.kernels import _band_pairs
 
     n = 12
@@ -563,11 +564,15 @@ def test_band_tables_extend_every_smaller_table():
     for q in (Fraction(81, 100), Fraction(-3, 7), -3):
         cache = KernelValueCache()
         for key in keys:
-            cache.diagonal(q, *key, 3)
-            cache.diagonal(q, *key, n)  # grows the entry's diagonals from 3 to n
-            for size in range(n + 1):
-                assert cache.diagonal(q, *key, size) == \
-                    KernelValueCache().diagonal(q, *key, size), (key, q, size)
+            cache.diagonals(q, [(*key, 3)])
+            cache.diagonals(q, [(*key, n)])  # adds size n beside 3
+        assert set(cache._values[1]) == {(*pair, size) for key in keys
+                                         for pair, _ in _band_pairs(*key[1:])
+                                         for size in (3, n)}
+        entries = [(*key, size) for key in keys for size in range(n + 1)]
+        got = cache.diagonals(q, entries)
+        for entry in entries:
+            assert got[entry] == KernelValueCache().diagonals(q, [entry])[entry], (entry, q)
         assert set(cache._values[1]) == {(*pair, size) for key in keys
                                          for pair, _ in _band_pairs(*key[1:])
                                          for size in range(n + 1)}
@@ -602,12 +607,13 @@ def test_value_memo_is_swapped_under_the_lock():
                 [longest_run_pmf(params, 14, k, cache) for k in range(15)])
 
     # the threads also read the anti-diagonals of one small entry
-    # directly, sizes 0..4 in turn, so that q changes between most calls
+    # directly, two of sizes 0..4 per read in turn, so that q changes
+    # between most calls
     qs = [p.q for p in points]
-    entry = (True, (1, 2, 0), (1, None, 2))
+    key = (True, (1, 2, 0), (1, None, 2))
     want = [values(params, KernelValueCache()) for params in points]
-    want_tables = [[KernelValueCache().diagonal(q, *entry, size) for size in range(5)]
-                   for q in qs]
+    want_tables = [[KernelValueCache().diagonals(q, [(*key, size)])[(*key, size)]
+                    for size in range(5)] for q in qs]
     cache = KernelValueCache()
     results = ([], [], [], [])
     tables = ([], [], [], [])
@@ -618,7 +624,9 @@ def test_value_memo_is_swapped_under_the_lock():
             results[t].append((j, values(points[j], cache)))
         for i in range(5000):
             j = (i + t) % 2
-            tables[t].append((j, i % 5, cache.diagonal(qs[j], *entry, i % 5)))
+            sizes = (i % 5, (i + 2) % 5)
+            got = cache.diagonals(qs[j], [(*key, size) for size in sizes])
+            tables[t].extend((j, size, got[(*key, size)]) for size in sizes)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -631,22 +639,23 @@ def test_value_memo_is_swapped_under_the_lock():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert all(len(r) == 10 for r in results) and all(len(r) == 5000 for r in tables)
+    assert all(len(r) == 10 for r in results) and all(len(r) == 10000 for r in tables)
     for j, got in sum(results, []):
         assert got == want[j]
     for j, size, got in sum(tables, []):
-        # the shared cache may hold a larger table of the same entries
+        # the shared cache may hold other sizes of the same entries
         assert got == want_tables[j][size]
 
 
-def test_band_tables_grow(monkeypatch):
-    # the packed memo holds the anti-diagonals reads asked for, and no
-    # other: an exact coefficient read stores its own size at its own
-    # width for each band pair of its entry, and a float read stores every
-    # size it reads at the width of its largest.  One pass per band pair
-    # fills the sizes missing, a read of held diagonals fills nothing, and
-    # every entry equals a fresh cache's, before and after the memo grows.
-    # The value memo at an exact q keeps every diagonal of a pass instead
+def test_band_tables_hold_the_sizes_read(monkeypatch):
+    # both memos hold the anti-diagonals reads asked for, and no other.
+    # In the packed memo an exact coefficient read stores its own size at
+    # its own width for each band pair of its entry, and a float read
+    # stores every size it reads at the width of its largest; the value
+    # memo at an exact q stores every size a read asks for.  One pass per
+    # band pair fills the sizes missing, a read of held diagonals fills
+    # nothing, and every entry equals a fresh cache's, before and after
+    # the memo grows
     from qbtrials import _core_py as core
     from qbtrials.kernels import _band_pairs
 
@@ -691,20 +700,23 @@ def test_band_tables_grow(monkeypatch):
     fills.clear()
     assert [m.tolist() for m in cache.float_matrix(reads)[2:]] == [matrix.tolist()]
     assert not fills
-    # at an exact q a read stores every diagonal of its passes, keyed
-    # (x band, y band, size): one pass per band pair to the size read,
-    # none for a smaller size, one more for a larger one, and every read
-    # equals a fresh cache's
+    # at an exact q a read stores the sizes it asks for, keyed (x band,
+    # y band, size): one pass per band pair to the largest size missing,
+    # for a smaller size too, none where every size is held, and every
+    # read equals a fresh cache's
     q, xcon, ycon = Fraction(81, 100), (1, None, 3), (1, 4, 2)
     cache = KernelValueCache()
-    for size, top, fill in ((14, 14, True), (3, 14, False), (14, 14, False), (20, 20, True),
-                            (0, 20, False)):
+    held = set()
+    for sizes, fill in (((14,), 14), ((3,), 3), ((14, 3), None), ((20, 3, 9), 20),
+                        ((0, 9), 0)):
         fills.clear()
-        got = [cache.diagonal(q, last_x, xcon, ycon, size) for last_x in (True, False)]
-        assert fills == ([(*pair, size) for pair in pairs] if fill else [])
-        assert got == [KernelValueCache().diagonal(q, last_x, xcon, ycon, size)
-                       for last_x in (True, False)]
-        assert set(cache._values[1]) == {(*pair, d) for pair in pairs for d in range(top + 1)}
+        entries = [(last_x, xcon, ycon, size) for last_x in (True, False) for size in sizes]
+        got = cache.diagonals(q, entries)
+        assert fills == ([(*pair, fill) for pair in pairs] if fill is not None else [])
+        assert got == {entry: KernelValueCache().diagonals(q, [entry])[entry]
+                       for entry in entries}
+        held.update(sizes)
+        assert set(cache._values[1]) == {(*pair, d) for pair in pairs for d in held}
 
 
 def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
@@ -727,7 +739,7 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
             with pytest.raises(ValueError):
                 cache.arrangement_poly(last_x, 13, 31, xcon, ycon)
             with pytest.raises(ValueError):
-                cache.diagonal(Fraction(81, 100), last_x, xcon, ycon, 44)
+                cache.diagonals(Fraction(81, 100), [(last_x, xcon, ycon, 44)])
             with pytest.raises(ValueError):
                 cache.float_plan(("refused", (44,)), lambda: cache.float_matrix(
                     [(last_x, xcon, ycon, 44, y) for y in range(45)]))
@@ -805,7 +817,7 @@ def test_band_diagonals_equal_the_whole_table(q):
             if q is None:
                 got = cache._packed(entries, w)
             else:
-                got = {entry: cache.diagonal(q, *entry) for entry in entries}
+                got = cache.diagonals(q, entries)
             for entry in entries:
                 assert got[entry] == diagonals[entry[3]][1 if entry[0] else 2]
         s, f = diagonals[n][1:]
@@ -847,6 +859,37 @@ def test_float_longest_run_reads_only_diagonal_n(monkeypatch):
     assert set(cache._band_memo) == {((0, k), (1, 1), core.packed_width(40), 40)
                                      for k in range(41)}
     assert peak < 12 * 2**20, peak
+
+
+def test_exact_longest_run_reads_only_diagonal_n(monkeypatch):
+    # the exact longest-run PMF and CDF of every k at n = 40, on a fresh
+    # cache, fill each cell band pair (0, k) x (1, 1) once and hold only
+    # diagonal 40 of each, as at a float q; the PMF sums to 1 and its
+    # running sums are the CDF.  Its traced peak stays far below that of
+    # a memo that keeps every diagonal of a pass (10.6 MB with it, 1.2 MB
+    # without)
+    import tracemalloc
+
+    from qbtrials import ModelParams, longest_run_cdf, longest_run_pmf
+    from qbtrials import _core_py as core
+
+    fills = []
+    real = core.band_diagonals
+    monkeypatch.setattr(core, "band_diagonals",
+                        lambda *args: fills.append(args[:3]) or real(*args))
+    params, cache = ModelParams(Fraction(37, 100), Fraction(81, 100)), KernelValueCache()
+    tracemalloc.start()
+    try:
+        pmf, cdf = zip(*[(longest_run_pmf(params, 40, k, cache),
+                          longest_run_cdf(params, 40, k, cache)) for k in range(41)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(pmf) == 1 and list(itertools.accumulate(pmf)) == list(cdf)
+    assert sorted(fills, key=repr) == sorted((((0, k), (1, 1), 40) for k in range(41)), key=repr)
+    assert set(cache._values[1]) == {((0, k), (1, 1), 40) for k in range(41)}
+    assert not cache._band_memo
+    assert peak < 3 * 2**20, peak
 
 
 @pytest.mark.parametrize("n", [40, 55, 70])
@@ -920,7 +963,8 @@ def test_diagonal_equals_arrangement_poly(size):
         polys = [core.arrangement_poly(last_x, size - y, y, xcon, ycon, peel)
                  for y in range(size + 1)]
         for q in (Fraction(81, 100), 1):
-            ks = cache.diagonal(q, last_x, xcon, ycon, size)
+            entry = (last_x, xcon, ycon, size)
+            ks = cache.diagonals(q, [entry])[entry]
             assert len(ks) == size + 1 and all(type(k) is int for k in ks)
             for y, (k, poly) in enumerate(zip(ks, polys)):
                 assert Fraction(k, q.denominator ** ((size - y) * y)) == poly_value(poly, q), \

@@ -33,7 +33,9 @@ from qbtrials import (
     oracle_waiting_pmf,
     sequence_probability,
     stopping_time,
+    support_min,
     waiting_time_pmf,
+    waiting_time_table,
 )
 from qbtrials import _core_py as core
 from qbtrials.model import longest_runs
@@ -441,7 +443,8 @@ def test_waiting_event_walks_once(monkeypatch):
     # the default scan walks each of its 8 x 3 events once
     calls.clear()
     oracle._held.clear()
-    reports = differential_scan(default_grid(), formula=lambda params, quota, n: 0)
+    reports = differential_scan(
+        default_grid(), formula=lambda params, quota, n_max: [0] * (n_max - support_min(quota) + 1))
     assert len(reports) == 2520 and len(calls) == 24 and len(set(calls)) == 24
     # a table above the budget is refused before any walk
     calls.clear()
@@ -496,12 +499,10 @@ def test_differential_scan_small_grid_matches():
 
 
 def test_differential_scan_builds_value_tables_once_per_point(monkeypatch):
-    # each point's formula rows go from n_max down, and an exact fill keeps
-    # every anti-diagonal of its pass, so each band pair is filled at full
-    # size once: at most twice per band pair, where the two stopping sides
-    # ask for n_max - k1 and n_max - k2 (as in `waiting_time_table`), not
-    # once per n.  q changes at every point, so each point starts from an
-    # empty value memo.  Reports stay ascending
+    # each point's formula rows are one table, which fills each band pair
+    # it reads once, not once per n: at most twice per band pair.  q
+    # changes at every point, so each point starts from an empty value
+    # memo.  Reports stay ascending
     from qbtrials import oracle
 
     grid = ScanGrid(thetas=(Fraction(1, 3), Fraction(3, 4)),
@@ -531,11 +532,10 @@ def test_differential_scan_flags_corrupted_formula():
         n_max=6,
     )
 
-    def corrupted(params, quota, n):
-        value = waiting_time_pmf(params, quota, n)
-        if n == 4:
-            return value + Fraction(1, 1000)
-        return value
+    def corrupted(params, quota, n_max):
+        table = waiting_time_table(params, quota, n_max)
+        table.probs[4 - table.offset] += Fraction(1, 1000)
+        return table.probs
 
     reports = differential_scan(grid, formula=corrupted)
     assert any(r.verdict == "mismatch" for r in reports)
