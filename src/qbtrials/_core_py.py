@@ -7,7 +7,7 @@ with no recursion, per pair of bands (every run of a symbol in lo..hi), at
 one rational q = a/b: each entry is an integer numerator over a power of
 b.  It fills by anti-diagonal m + r, each from the few before it, and
 holds no older one, so a caller keeps only the diagonals it reads, as
-the kernel cache does at an exact q and at q = 2**w alike.  At q = 2**w
+the kernel cache's one store does at any q, exact or 2**w.  At q = 2**w
 (b = 1) an entry is its polynomial packed into one int, coefficient i at
 bits w*i, and `unpack` turns it into a coefficient tuple (index = power
 of q), `unpack_matrix` a list of them into one float64 matrix for the
@@ -163,14 +163,14 @@ def _scaled(diag, scale, steps):
 
 
 def _next(prev, enter, leave, scale, steps):
-    """(prev + enter - leave) times steps[0], as a tuple, enter and leave
-    (or None) scaled by steps[1] and steps[2]: one diagonal of one side,
-    each term indexed alike and prev one entry short."""
+    """(prev + enter - leave) times steps[0], as a tuple, leave (or None)
+    scaled by steps[1] and enter (or None) as it is: one diagonal of one
+    side, each term indexed alike and prev one entry short."""
     out = [*prev, 0]
     if enter is not None:
-        out[:len(enter)] = map(operator.add, out, _scaled(enter, scale, steps[1]))
+        out[:len(enter)] = map(operator.add, out, enter)
     if leave is not None:
-        out[:len(leave)] = map(operator.sub, out, _scaled(leave, scale, steps[2]))
+        out[:len(leave)] = map(operator.sub, out, _scaled(leave, scale, steps[1]))
     # tuples from lists, of exact size: one built from an iterator keeps
     # the slack of its last resize
     return tuple(out if steps[0] is None else list(map(scale, out, steps[0])))
@@ -191,10 +191,11 @@ def band_diagonals(xband, yband, n, a, b):
     (d - r, r); the entry is the integer numerator of its value over
     b**(m*r), since each of its polynomials has degree <= m*r; at b = 1
     (int q, q = 1) it is the value itself, and q = 0 goes through
-    0**0 == 1.  Failure runs need lo >= 1
-    and, beside empty success runs (x lo 0), at most one length, as in the
-    longest-run cells; other bands raise `ValueError` at the first
-    diagonal (there failures split around empty success runs in more than
+    0**0 == 1.  Failure runs need lo = 1 and success runs lo 0 or 1, the
+    bands the library's constraints give; beside empty success runs
+    (x lo 0) failure runs need hi 1, as in the longest-run cells, or 0,
+    the empty band; other bands raise `ValueError` at the first diagonal
+    (beside empty success runs, failures split around them in more than
     one way, and no library caller asks for them).  At a = 1 << w, b = 1,
     w >= `packed_width(n)`, an entry is its polynomial packed, coefficient
     i at bits w*i: a polynomial with coefficients below 2**w is its value
@@ -204,50 +205,47 @@ def band_diagonals(xband, yband, n, a, b):
     entry and no state carried along it; in numerators, a term outside
     the table being 0,
 
-        F(m, r) = (F(m, r-1) + S(m, r-ylo) b**(m(ylo-1))
-                   - S(m, r-yhi-1) b**(m*yhi)) b**m,
-        S(m, r) = (S(m-1, r) + F(m-xlo, r) a**(r(xlo-1))
-                   - F(m-xhi-1, r) a**(r*xhi)) a**r:
+        F(m, r) = (F(m, r-1) + S(m, r-1) - S(m, r-yhi-1) b**(m*yhi)) b**m,
+        S(m, r) = (S(m-1, r) + F(m-1, r) - F(m-xhi-1, r) a**(r*xhi)) a**r:
 
-    the last run one symbol longer, plus a last run of the band's
-    shortest length, minus one that has just grown too long.  So F reads
-    S at most max(ylo, yhi + 1) diagonals back (ylo when yhi is None) and
-    S reads F at most max(xlo, xhi + 1) back, and the pass holds no
-    diagonal older than that: a caller that keeps the sizes it asks for
-    holds O(n) entries per size beside an O(n * window) pass, not the
-    O(n**2) table.  At xlo = 0 the entering term is F(m, r) itself,
-    filled first and added after the step; at ylo = yhi (the longest-run
-    cells) F is one term, S(m, r-ylo) b**(m*ylo).  Diagonal 0, the empty
-    arrangement, is 1 in both, but 0 as the predecessor of its own side
-    (F(0, 0) in F(0, 1), S(0, 0) in S(1, 0)) unless xlo = 0, where in S
-    it also ends with an empty success run.  F's terms share m and S's
-    share r, so F is filled by m and reversed.  The fill is linear and
-    exact on ints, so a signed sum of packed diagonals unpacks to the
-    signed sum of their coefficients when each of those fits in w bits.
+    the last run one symbol longer, plus a last run of length 1, minus
+    one that has just grown too long.  So F reads S at most yhi + 1
+    diagonals back (1 when yhi is None) and S reads F at most
+    max(xlo, xhi + 1) back, and the pass holds no diagonal older than
+    that: a caller that keeps the sizes it asks for holds O(n) entries
+    per size beside an O(n * window) pass, not the O(n**2) table.  At
+    xlo = 0 the entering term is F(m, r) itself, filled first and added
+    after the step; at yhi = 1 (the longest-run cells) F is one term,
+    S(m, r-1) b**m.  Diagonal 0, the empty arrangement, is 1 in both,
+    but 0 as the predecessor of its own side (F(0, 0) in F(0, 1),
+    S(0, 0) in S(1, 0)) unless xlo = 0, where in S it also ends with an
+    empty success run.  F's terms share m and S's share r, so F is
+    filled by m and reversed.  The fill is linear and exact on ints, so
+    a signed sum of packed diagonals unpacks to the signed sum of their
+    coefficients when each of those fits in w bits.
     """
     xlo, xhi = xband
     ylo, yhi = yband
-    if ylo < 1 or not xlo and (yhi is None or yhi > ylo):
-        raise ValueError(f"bands {xband} x {yband}: failure runs need lo >= 1 and, "
-                         "beside empty success runs, at most one length")
+    if ylo != 1 or xlo not in (0, 1) or not xlo and yhi not in (0, 1):
+        raise ValueError(f"bands {xband} x {yband}: failure runs need lo 1, success runs "
+                         "lo 0 or 1 and, beside empty success runs, failure runs hi 0 or 1")
     # how far back each side's diagonals are read
-    s_back = ylo if yhi is None else max(ylo, yhi + 1)
+    s_back = 1 if yhi is None else yhi + 1
     f_back = xlo if xhi is None else max(xlo, xhi + 1)
-    s_scale, s_steps = _steps(a, n, 1, max(xlo - 1, 0), xhi)
-    f_scale, f_steps = _steps(b, n, 1, ylo - 1, yhi)
+    s_scale, s_steps = _steps(a, n, 1, xhi)
+    f_scale, f_steps = _steps(b, n, 1, yhi)
     s_diags, f_diags = [(1,)], [(1,)]  # the empty arrangement
     yield 0, s_diags[0], f_diags[0]
     s, f = (0,) if xlo else (1,), (0,)  # diagonal 0 as its own side's predecessor
     for d in range(1, n + 1):
-        if ylo == yhi:
-            f = (0,) * (d + 1) if d < ylo else \
-                (*_scaled(s_diags[d - ylo][::-1], f_scale, f_steps[2]), *(0,) * ylo)
+        if yhi == 1:
+            f = (*_scaled(s_diags[d - 1][::-1], f_scale, f_steps[1]), 0)
         else:
-            f = _next(f, s_diags[d - ylo][::-1] if d >= ylo else None,
+            f = _next(f, s_diags[d - 1][::-1],
                       s_diags[d - yhi - 1][::-1] if yhi is not None and d > yhi else None,
                       f_scale, f_steps)
         f_diags.append(f[::-1])
-        s = _next(s, f_diags[d - xlo] if xlo and d >= xlo else None,
+        s = _next(s, f_diags[d - 1] if xlo else None,
                   f_diags[d - xhi - 1] if xhi is not None and d > xhi else None, s_scale, s_steps)
         if not xlo:
             s = tuple(list(map(operator.add, s, f_diags[d])))

@@ -18,8 +18,11 @@ the anti-diagonals of every side of every n with one
 b**(x*y) of K at a/b.  At float inputs the call's q-free plan holds one
 float64 matrix with a row per term, the K it reads
 (`kernels.KernelValueCache.float_matrix`), so one product with q**powers
-gives every K of the call, in term order.  At both kinds of q the cache
-keeps only the anti-diagonals read.
+gives every K of the call, in term order; the plan's build reads the
+cache's one anti-diagonal store, as `diagonals` does, at the integer
+q = 2**w, where K is its polynomial packed.
+The store keeps only the anti-diagonals read, of one q at a time, so an
+exact read after a plan's build at another q fills its band pairs again.
 
 * `_WAITING_FAMILIES`, keyed (success freq?, failure freq?, later?), holds
   the families summed when the success side stops the wait and those summed

@@ -22,26 +22,27 @@ lo..hi); a constraint that needs some part >= need is its band minus the
 band capped at need - 1, so one entry is a signed sum of up to four band
 pairs' counts, each in the domain `core.band_diagonals` states.  Every
 term of one side of a sum reads one anti-diagonal x + y = size of those
-sums.  The cache asks for them at two kinds of q:
+sums.  `KernelValueCache.diagonals` reads them at one q at a time, of
+two kinds:
 
 * at the exact q = a/b of a probability, integer numerators over
-  b**(x*y), which `KernelValueCache.diagonals` gives, for one q at a
-  time;
-* at q = 2**w, where an entry is its polynomial packed with coefficient i
-  at bits w*i (`KernelValueCache._packed`).
-  `KernelValueCache.float_matrix` unpacks the nonzero entries a float
-  probability or table reads, all at one width, one row per term in its
-  order, into one q-free float64 matrix over the power range of those
-  rows, held with the call's plan (`KernelValueCache.float_plan`), so
-  one product with q**powers gives every K of the call at a float q;
-  `KernelValueCache.arrangement_poly` reads one entry exactly, as a
-  coefficient tuple, for the tests.
+  b**(x*y);
+* at the integer q = 2**w, where an entry is its polynomial packed with
+  coefficient i at bits w*i.  `KernelValueCache.float_matrix` unpacks
+  the nonzero entries a float probability or table reads, all at one
+  width, one row per term in its order, into one q-free float64 matrix
+  over the power range of those rows, held with the call's plan
+  (`KernelValueCache.float_plan`), so one product with q**powers gives
+  every K of the call at a float q; `KernelValueCache.arrangement_poly`
+  reads one entry exactly, as a coefficient tuple, for the tests.
 
-Both memos are flat, (x band, y band, size) -> (S diagonal, F diagonal),
-the packed one's key carrying w before the size, and hold only the
-anti-diagonals read, each band pair's at the sizes asked for.  A call
-asks for every entry it reads at once (`_read`): one `_fill` fills them,
-a pass per band pair to the largest size missing, and one `_entry` reads
+The store is one flat memo, (x band, y band, size) -> (S diagonal,
+F diagonal), of the q last read, and holds only the anti-diagonals read,
+each band pair's at the sizes asked for; a read at another q replaces
+it.  It knows only q: the packed format is known only to its two
+readers and to `core.packed_width`, `unpack` and `unpack_matrix`.  A
+call asks for every entry it reads at once: one `_fill` fills them, a
+pass per band pair to the largest size missing, and one `_entry` reads
 an entry: a dict lookup per band pair and, where a side needs some part
 >= need, one signed sum.
 
@@ -176,8 +177,8 @@ def _bands(con: tuple) -> tuple:
 
 class KernelValueCache:
     """Memo of kernel, arrangement and cell polynomials, of the float
-    path's plans and their matrices, and of arrangement values at one
-    exact q; safe to share across threads.
+    path's plans and their matrices, and of the anti-diagonals at one q;
+    safe to share across threads.
 
     Kernel values are polynomials in q with nonnegative integer
     coefficients, so the polynomial memos hold only the q-independent
@@ -185,13 +186,8 @@ class KernelValueCache:
     The kernel API evaluates its polynomial at q afresh on every call:
     exactly at int or Fraction q, in floating point at float q;
     `float_matrix` hands its caller the coefficients to evaluate.  There
-    are three of them:
+    are two of them:
 
-    * `_band_memo`: the anti-diagonals that reads asked for at q = 2**w,
-      packed polynomials, keyed (x band, y band, w, size) -> (S diagonal,
-      F diagonal) (`_fill`, `_packed`); a float plan reads all its
-      entries at w = `core.packed_width` of its largest size, and
-      `arrangement_poly` one entry at that of its own, unmemoized;
     * `_plan_memo`: the float path's plans, keyed (name of the sides
       function, ns, *args) as `distributions._mass` asks for them: each
       term's indices and one float64 matrix of the nonzero K the plan
@@ -200,12 +196,14 @@ class KernelValueCache:
       (keys of six, the run count last) and `core.cell_poly_u` (of four):
       the fixed-s kernels and, in the default cache, the U and V cells.
 
-    `_values` is (q, value memo), the exact reads of one q = a/b, keyed
-    q = (a, b): the anti-diagonals at a/b that reads asked for, keyed
-    (x band, y band, size) -> (S diagonal, F diagonal) (`_read`,
-    `diagonals`).  A call at another q replaces the pair under the lock,
-    so its memory is that of one q's diagonals however many q are asked
-    for.
+    `_values` is (q, value memo), the cache's one anti-diagonal store,
+    keyed q = (a, b): the anti-diagonals at a/b that reads asked for,
+    keyed (x band, y band, size) -> (S diagonal, F diagonal) (`_fill`,
+    `diagonals`).  An exact probability reads it at its own q, a float
+    plan (`float_matrix`) and `arrangement_poly` at the integer q = 2**w
+    of the width they unpack.  A call at another q replaces the pair
+    under the lock, so its memory is that of one q's diagonals however
+    many q are asked for.
 
     Keys and values hold only ints, None, strings, ranges, tuples of them
     and numpy arrays, so the garbage collector does not track them.  One
@@ -213,7 +211,6 @@ class KernelValueCache:
     """
 
     def __init__(self) -> None:
-        self._band_memo: dict = {}
         self._plan_memo: dict = {}
         self._peel_memo: dict = {}
         self._values: tuple = (None, {})
@@ -231,15 +228,15 @@ class KernelValueCache:
         success run iff `last_x`, and the empty one, as `core.arrangement_poly`
         gives them; constraints are plain (lo, hi, need) tuples whose band
         pairs are in the domain of `core.band_diagonals` (`ValueError`
-        otherwise).  The exact accessor:
-        entry r of the packed anti-diagonal m + r, at w = `core.packed_width(m
-        + r)`, unpacked; not memoized itself."""
+        otherwise).  The exact accessor: entry r of anti-diagonal m + r at
+        q = 2**w, w = `core.packed_width(m + r)`, which is the polynomial
+        packed (`diagonals`), unpacked; not memoized itself.  Each call
+        reads at its own width, so a call at another width than the last
+        read replaces the store."""
         if m < 0 or r < 0:
             return core._ZERO
         entry, w = (last_x, xcon, ycon, m + r), core.packed_width(m + r)
-        with self._lock:
-            diagonal = self._packed((entry,), w)[entry]
-        return core.unpack(diagonal[r], w)
+        return core.unpack(self.diagonals(1 << w, (entry,))[entry][r], w)
 
     def diagonals(self, q: Scalar, entries) -> dict:
         """{entry: ks} for each (last_x, xcon, ycon, size) of `entries`, at
@@ -247,20 +244,24 @@ class KernelValueCache:
         b**((size - y)*y) of `arrangement_poly(last_x, size - y, y, xcon,
         ycon)` at a/b, the arrangements of size - y successes and y
         failures that end with a success run iff `last_x`, and the empty
-        one, for y = 0..size.
+        one, for y = 0..size.  At q = 2**w, w >= `core.packed_width(size)`,
+        ks[y] is that polynomial packed, coefficient i at bits w*i, which
+        is how `float_matrix` and `arrangement_poly` read it.
 
-        Read off the value memo, whose anti-diagonals are those of one q
-        at a time: a call at another q swaps in an empty one under the
-        lock.  Like `float_matrix`, a call asks for every entry it reads at
-        once, so one pass per band pair to the largest size missing fills
-        them (`_fill`), and the memo keeps only the sizes read.  Float q
-        reads `float_matrix` instead.
+        The cache's one anti-diagonal store, `_values`, holds one q at a
+        time: a call at another q, exact or 2**w, swaps in an empty memo
+        under the lock.  A call asks for every entry it reads at once, so
+        one pass per band pair to the largest size missing fills them
+        (`_fill`), and the memo keeps only the sizes read.  Float q reads
+        `float_matrix` instead.
         """
         a, b = q.numerator, q.denominator
         with self._lock:
             if self._values[0] != (a, b):
                 self._values = (a, b), {}
-            return _read(self._values[1], entries, a, b)
+            memo = self._values[1]
+            _fill(memo, entries, a, b)
+            return {entry: _entry(memo, entry) for entry in entries}
 
     def float_matrix(self, reads) -> tuple:
         """(live, low, matrix) for the entries `reads`, each (last_x, xcon,
@@ -272,15 +273,14 @@ class KernelValueCache:
         matrix @ q**(low + e) gives every nonzero K read, in order, at a
         float q.
 
-        The entries are read off the packed anti-diagonals (`_packed`),
-        all at one width, w = `core.packed_width` of the largest size read,
-        and one `core.unpack_matrix` unpacks them.  Not memoized itself:
-        `float_plan` holds each plan's matrix, `_band_memo` the diagonals.
+        The entries are read as packed polynomials, `diagonals` at
+        q = 2**w, all at one width, w = `core.packed_width` of the largest
+        size read, and one `core.unpack_matrix` unpacks them.  Not
+        memoized itself: `float_plan` holds each plan's matrix.
         `OverflowError` where a coefficient overflows a float.
         """
         w = core.packed_width(max((read[3] for read in reads), default=0))
-        with self._lock:
-            diagonals = self._packed(dict.fromkeys(read[:4] for read in reads), w)
+        diagonals = self.diagonals(1 << w, dict.fromkeys(read[:4] for read in reads))
         rows = [diagonals[read[:4]][read[4]] for read in reads]
         live = [t for t, p in enumerate(rows) if p]
         low, matrix = core.unpack_matrix([rows[t] for t in live], w)
@@ -298,12 +298,6 @@ class KernelValueCache:
                 plan = self._plan_memo.setdefault(key, plan)
         return plan
 
-    def _packed(self, entries, w: int) -> dict:
-        """{entry: its packed anti-diagonal} for each (last_x, xcon, ycon,
-        size) of `entries`, at q = 2**w, w >= `core.packed_width(size)`,
-        off `_band_memo` (`_read`); the caller holds the lock."""
-        return _read(self._band_memo, entries, 1 << w, 1, w)
-
 
 @functools.cache  # a few constraint pairs, each read once per anti-diagonal
 def _band_pairs(xcon: tuple, ycon: tuple) -> tuple:
@@ -313,16 +307,16 @@ def _band_pairs(xcon: tuple, ycon: tuple) -> tuple:
     return tuple(((xb, yb), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon))
 
 
-def _fill(memo: dict, entries, a: int, b: int, *w: int) -> None:
+def _fill(memo: dict, entries, a: int, b: int) -> None:
     """Store in `memo` the anti-diagonals at q = a/b that the (last_x,
-    xcon, ycon, size) of `entries` read, keyed (x band, y band, *w, size)
-    -> (S diagonal, F diagonal), the tuples the pass yields; the caller
-    holds the lock.
+    xcon, ycon, size) of `entries` read, keyed (x band, y band, size) ->
+    (S diagonal, F diagonal), the tuples the pass yields; the caller holds
+    the lock.  The memo knows only q: at q = 2**w (b = 1) a diagonal is
+    its polynomials packed.
 
     Per band pair (`_band_pairs`), one `core.band_diagonals` pass to the
-    largest size missing, which keeps only the sizes read, at either kind
-    of q.  The memo gains nothing until every pass is done, so a refused
-    band leaves no entry.
+    largest size missing, which keeps only the sizes read.  The memo gains
+    nothing until every pass is done, so a refused band leaves no entry.
     """
     wanted: dict = {}  # band pair -> the sizes read
     for _, xcon, ycon, size in entries:
@@ -330,35 +324,27 @@ def _fill(memo: dict, entries, a: int, b: int, *w: int) -> None:
             wanted.setdefault(pair, set()).add(size)
     filled = {}
     for (xband, yband), sizes in wanted.items():
-        missing = {size for size in sizes if (xband, yband, *w, size) not in memo}
+        missing = {size for size in sizes if (xband, yband, size) not in memo}
         if missing:
             for d, s, f in core.band_diagonals(xband, yband, max(missing), a, b):
                 if d in missing:
-                    filled[xband, yband, *w, d] = s, f
+                    filled[xband, yband, d] = s, f
     memo.update(filled)
 
 
-def _read(memo: dict, entries, a: int, b: int, *w: int) -> dict:
-    """{entry: its anti-diagonal} for each entry of `entries` at q = a/b,
-    filled into `memo` first (`_fill`, `_entry`); the caller holds the
-    lock."""
-    _fill(memo, entries, a, b, *w)
-    return {entry: _entry(memo, entry, *w) for entry in entries}
-
-
-def _entry(memo: dict, entry: tuple, *w: int) -> tuple:
+def _entry(memo: dict, entry: tuple) -> tuple:
     """The anti-diagonal of one (last_x, xcon, ycon, size): the signed sum,
     entry by entry, of its band pairs' diagonals in `memo` (`_fill`), each
     its S side (`last_x`) or F side; `KeyError` where one is missing."""
     last_x, xcon, ycon, size = entry
     side = 0 if last_x else 1
     (pair, _), *rest = _band_pairs(xcon, ycon)
-    total = memo[(*pair, *w, size)][side]
+    total = memo[(*pair, size)][side]
     if not rest:
         return total
     for pair, sign in rest:
         total = map(operator.add if sign > 0 else operator.sub, total,
-                    memo[(*pair, *w, size)][side])
+                    memo[(*pair, size)][side])
     return tuple(total)
 
 

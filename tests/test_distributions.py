@@ -140,9 +140,10 @@ def test_longest_run_pmf_is_cdf_difference_at_n_100():
 
 def test_longest_run_fills_the_callers_cache():
     # a caller's cache fills and the module-level one gains nothing: exact
-    # inputs fill the value memo at q, float ones the packed band tables
-    # and the float plans with their matrices; the calls without a cache, which
-    # use the module-level one, agree
+    # inputs fill the store at q, float ones the float plans with their
+    # matrices, whose builds read the store at q = 2**w in its place; the
+    # calls without a cache, which use the module-level one, agree
+    from qbtrials import _core_py as core
     from qbtrials.kernels import _default_cache
 
     def state(cache):
@@ -158,11 +159,12 @@ def test_longest_run_fills_the_callers_cache():
               for k in range(14)]
     assert state(_default_cache) == before
     assert cache._values[0] == (5, 11) and cache._values[1]
-    assert not cache._plan_memo and not cache._band_memo
+    assert not cache._plan_memo
     float_values = [(longest_run_pmf(floats, 13, k, cache), longest_run_cdf(floats, 13, k, cache))
                     for k in range(14)]
     assert state(_default_cache) == before
-    assert cache._plan_memo and cache._band_memo
+    assert cache._plan_memo and cache._values[1]
+    assert cache._values[0] == (1 << core.packed_width(13), 1)
     assert values == [(longest_run_pmf(params, 13, k), longest_run_cdf(params, 13, k))
                       for k in range(14)]
     assert float_values == [(longest_run_pmf(floats, 13, k), longest_run_cdf(floats, 13, k))
@@ -245,9 +247,9 @@ def test_waiting_time_table_examples():
 def test_waiting_time_table_fills_each_band_pair_once(monkeypatch):
     # a table reads every n in one call, so each band pair is filled in
     # one pass, to the largest size any n reads, at either kind of q, and
-    # the memo of that kind holds exactly the sizes the table's sides read
-    # (at float inputs all at the packed width of the largest) and no
-    # other; the other memo stays empty.  Its rows equal the one-n calls
+    # the store holds exactly the sizes the table's sides read and no
+    # other, at the exact q or, at float inputs, at q = 2**w, w the packed
+    # width of the largest.  Its rows equal the one-n calls
     from qbtrials import _core_py as core
     from qbtrials.distributions import _waiting_sides
     from qbtrials.kernels import _band_pairs
@@ -269,11 +271,10 @@ def test_waiting_time_table_fills_each_band_pair_once(monkeypatch):
             assert set(fills) == {
                 (x, y, max(size for *pair, size in read if pair == [x, y])) for x, y in pairs}
             if isinstance(params.q, Fraction):
-                assert set(cache._values[1]) == read and not cache._band_memo
+                at = params.q.numerator, params.q.denominator
             else:
-                assert not cache._values[1]
-                w = core.packed_width(max(size for *_, size in read))
-                assert set(cache._band_memo) == {(x, y, w, size) for x, y, size in read}
+                at = 1 << core.packed_width(max(size for *_, size in read)), 1
+            assert cache._values[0] == at and set(cache._values[1]) == read
             assert {key[:2] for key in read} == set(pairs)
             fills.clear()
             assert table.probs == [waiting_time_pmf(params, quota, n, KernelValueCache())

@@ -273,8 +273,8 @@ def test_caches_keep_float_and_fraction_regimes_apart():
 
 def test_cache_does_not_grow_with_q():
     # the polynomial memos, term memos included, hold q-independent
-    # polynomials, so a new q adds no entry; the value memo holds the
-    # tables of the last exact q only, the same ones at every exact q
+    # polynomials, so a new q adds no entry; the anti-diagonal store holds
+    # the tables of the last q read only, the same ones at every exact q
     from qbtrials import (
         Mode,
         ModelParams,
@@ -312,7 +312,7 @@ def test_cache_does_not_grow_with_q():
                 first_values = values
             assert values == first_values
     assert sizes() == first
-    assert set(first) == {"_band_memo", "_plan_memo", "_peel_memo"}
+    assert set(first) == {"_plan_memo", "_peel_memo"}
     assert all(first.values()) and first_values
 
 
@@ -322,12 +322,20 @@ def test_memo_entries_are_not_gc_tracked():
     # numpy arrays (the float plans' term
     # indices and matrices), which the garbage collector does not track
     # once collected, so a large memo does not slow every full collection;
-    # the single-cell kernels fill the default cache's peel memo
+    # the store is checked after packed reads and again after an exact
+    # one; the single-cell kernels fill the default cache's peel memo
     import gc
 
     from qbtrials import Mode, ModelParams, QuotaSpec, Rel, RunQuota, FreqQuota
+    from qbtrials import _core_py as core
     from qbtrials import joint_longest, longest_run_pmf, waiting_time_table
     from qbtrials.kernels import _default_cache
+
+    def untracked(*memos):
+        gc.collect()
+        gc.collect()
+        return all(memos) and not any(gc.is_tracked(key) or gc.is_tracked(value)
+                                      for memo in memos for key, value in memo.items())
 
     cache = KernelValueCache()
     for fam in FAMILY_NAMES:
@@ -341,20 +349,19 @@ def test_memo_entries_are_not_gc_tracked():
     for n in (5, 9):
         longest_run_pmf(floats, n, 2, cache)
     joint_longest(floats, 9, 2, Rel.LE, 3, Rel.GE, cache)
+    # the joint plan read the store last, packed at the width of size 9
+    assert cache._values[0] == (1 << core.packed_width(9), 1)
+    assert untracked(cache._values[1])
     cache.diagonals(Fraction(1, 3), [(True, (1, 2, 0), (1, None, 3), 11),
                                      (False, (1, 2, 0), (1, None, 3), 11),
                                      (True, (0, 2, 2), (1, 1, 0), 9)])
+    assert cache._values[0] == (1, 3)
     for t in range(4):
         longest_cell_kernel_U(5, 6, t, 2, Fraction(1, 3))
     longest_cell_kernel_V(5, 6, 2, Fraction(1, 3))
-    gc.collect()
-    gc.collect()
     cells = _default_cache._peel_memo
     # U cells (r, s, t, k) beside V's arrangement-peel states, which carry a run count
     assert {len(key) for key in cells} == {4, 6}
-    memos = (cache._band_memo, cache._plan_memo, cache._peel_memo, cells,
-             cache._values[1])
-    assert all(memos)
     # the float path's plans, ((n - f, j, f) intp arrays, cuts, first
     # power, float64 matrix, top) per (name of the sides, ns, *args), the
     # joint relations as bools; apart from the fixed-s kernels' peel states
@@ -363,8 +370,7 @@ def test_memo_entries_are_not_gc_tracked():
     assert all(isinstance(column, np.ndarray) for plan in cache._plan_memo.values()
                for column in (*plan[0], plan[3]))
     assert {key[-1] is None for key in cache._peel_memo} == {False}
-    assert not any(gc.is_tracked(key) or gc.is_tracked(value)
-                   for memo in memos for key, value in memo.items())
+    assert untracked(cache._plan_memo, cache._peel_memo, cells, cache._values[1])
 
 
 def _horner_fraction(coeffs, q):
@@ -404,11 +410,12 @@ def _constraints(lo, top):
 
 def _in_domain(xcon, ycon):
     """Whether every band pair of two constraints is in the domain of
-    `core.band_diagonals`: failure runs from length 1 and, beside empty
-    success runs, of at most one length."""
+    `core.band_diagonals`: failure runs from length 1, success runs from
+    length 0 or 1 and, beside empty success runs, failure runs capped at
+    0 or 1."""
     from qbtrials.kernels import _bands
 
-    return all(ylo >= 1 and (xlo or yhi is not None and yhi <= ylo)
+    return all(ylo == 1 and xlo in (0, 1) and (xlo or yhi in (0, 1))
                for (xlo, _), _ in _bands(xcon) for (ylo, yhi), _ in _bands(ycon))
 
 
@@ -608,15 +615,23 @@ def test_value_memo_is_swapped_under_the_lock():
 
     # the threads also read the anti-diagonals of one small entry
     # directly, two of sizes 0..4 per read in turn, so that q changes
-    # between most calls
+    # between most calls; threads 0 and 1 make a packed read after each,
+    # in turn a float matrix of a fixed read list (at q = 2**8) and one
+    # exact coefficient tuple (at q = 2**16), so the store also changes
+    # kind between most calls
     qs = [p.q for p in points]
     key = (True, (1, 2, 0), (1, None, 2))
+    reads = [(*key, 4, 1), (*key, 6, 2), (True, (0, 2, 0), (1, 1, 0), 7, 3)]
+    cell = (True, 5, 6, (0, 3, 3), (1, 1, 0))
     want = [values(params, KernelValueCache()) for params in points]
     want_tables = [[KernelValueCache().diagonals(q, [(*key, size)])[(*key, size)]
                     for size in range(5)] for q in qs]
+    live, low, matrix = KernelValueCache().float_matrix(reads)
+    want_packed = ((live, low, matrix.tolist()), KernelValueCache().arrangement_poly(*cell))
     cache = KernelValueCache()
     results = ([], [], [], [])
     tables = ([], [], [], [])
+    packed = ([], [], [], [])
 
     def worker(t):
         for i in range(10):
@@ -627,6 +642,11 @@ def test_value_memo_is_swapped_under_the_lock():
             sizes = (i % 5, (i + 2) % 5)
             got = cache.diagonals(qs[j], [(*key, size) for size in sizes])
             tables[t].extend((j, size, got[(*key, size)]) for size in sizes)
+            if t < 2 and i % 2:
+                live, low, matrix = cache.float_matrix(reads)
+                packed[t].append((0, (live, low, matrix.tolist())))
+            elif t < 2:
+                packed[t].append((1, cache.arrangement_poly(*cell)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -645,17 +665,64 @@ def test_value_memo_is_swapped_under_the_lock():
     for j, size, got in sum(tables, []):
         # the shared cache may hold other sizes of the same entries
         assert got == want_tables[j][size]
+    assert [len(p) for p in packed] == [5000, 5000, 0, 0]
+    for kind, got in sum(packed, []):
+        assert got == want_packed[kind]
+
+
+def test_one_store_serves_exact_and_packed_reads_in_turn(monkeypatch):
+    # one cache reads exact q = 81/100, then float inputs (plan misses,
+    # which read the store at q = 2**w), then 81/100 again: every value
+    # equals a fresh cache's, the store names the q of the last read, and
+    # the exact re-read refills what the first exact read filled, pass for
+    # pass, since the float reads replaced the store: the one cost of a
+    # single store.  That is one pass per band pair, two for the waiting
+    # table and one per longest-run cell (0, k) x (1, 1)
+    from qbtrials import (
+        FreqQuota,
+        Mode,
+        ModelParams,
+        QuotaSpec,
+        RunQuota,
+        longest_run_pmf,
+        waiting_time_table,
+    )
+    from qbtrials import _core_py as core
+
+    fills = []
+    real = core.band_diagonals
+    monkeypatch.setattr(core, "band_diagonals",
+                        lambda *args: fills.append(args) or real(*args))
+    exact, floats = ModelParams(Fraction(37, 100), Fraction(81, 100)), ModelParams(0.37, 0.81)
+    quota = QuotaSpec(RunQuota(3), FreqQuota(2), Mode.LATER)
+
+    def values(params, cache):
+        return (waiting_time_table(params, quota, 24, cache).probs,
+                [longest_run_pmf(params, 20, k, cache) for k in range(21)])
+
+    want = [values(params, KernelValueCache()) for params in (exact, floats)]
+    cache = KernelValueCache()
+    passes = []
+    # the float reads end with the longest-run plans, at the width of 20
+    for j, at in ((0, (81, 100)), (1, (1 << core.packed_width(20), 1)), (0, (81, 100))):
+        fills.clear()
+        assert values((exact, floats)[j], cache) == want[j]
+        assert cache._values[0] == at
+        passes.append(list(fills))
+    assert {a[3:] for a in passes[1]} == {(1 << core.packed_width(n), 1) for n in (20, 24)}
+    assert len(passes[2]) == len(passes[0]) == 23 and passes[2] == passes[0]
 
 
 def test_band_tables_hold_the_sizes_read(monkeypatch):
-    # both memos hold the anti-diagonals reads asked for, and no other.
-    # In the packed memo an exact coefficient read stores its own size at
-    # its own width for each band pair of its entry, and a float read
-    # stores every size it reads at the width of its largest; the value
-    # memo at an exact q stores every size a read asks for.  One pass per
-    # band pair fills the sizes missing, a read of held diagonals fills
-    # nothing, and every entry equals a fresh cache's, before and after
-    # the memo grows
+    # the store holds the anti-diagonals reads asked for at its one q, and
+    # no other.  An exact coefficient read stores its own size at q = 2**w,
+    # w its own width, for each band pair of its entry, beside the sizes
+    # held at that width, and a read at another width replaces the store;
+    # a float read stores every size it reads at the width of its largest;
+    # a read at an exact q stores every size it asks for.  One pass per
+    # band pair fills the sizes missing, a read of sizes held at its q
+    # fills nothing, and every entry equals a fresh cache's, before and
+    # after the store grows or is replaced
     from qbtrials import _core_py as core
     from qbtrials.kernels import _band_pairs
 
@@ -666,20 +733,35 @@ def test_band_tables_hold_the_sizes_read(monkeypatch):
     cache = KernelValueCache()
     xcon, ycon = (1, None, 3), (1, 4, 2)
     pairs = [pair for pair, _ in _band_pairs(xcon, ycon)]
-    steps = ((2, 2), (14, 6), (3, 3), (11, 22), (5, 7))
+    # sizes 4, 6, 6 at w = 8, then 20, 20 at 24, 33 at 40 and 12 at 16
+    steps = ((2, 2), (1, 5), (3, 3), (14, 6), (11, 9), (11, 22), (5, 7))
+    last_w, held = None, set()
     for m, r in steps:
+        w = core.packed_width(m + r)
+        held = (held if w == last_w else set()) | {m + r}
         for last_x in (True, False):
             got = cache.arrangement_poly(last_x, m, r, xcon, ycon)
             assert got == KernelValueCache().arrangement_poly(last_x, m, r, xcon, ycon)
-    assert set(cache._band_memo) == \
-        {(*pair, core.packed_width(m + r), m + r) for pair in pairs for m, r in steps}
+        assert cache._values[0] == (1 << w, 1)
+        assert set(cache._values[1]) == {(*pair, size) for pair in pairs for size in held}
+        last_w = w
     for last_x, m, r in itertools.product((True, False), range(8), range(8)):
         assert cache.arrangement_poly(last_x, m, r, xcon, ycon) == \
             KernelValueCache().arrangement_poly(last_x, m, r, xcon, ycon)
+    # the store was left at the width of size 14; sizes 4, 6 and 7 at
+    # w = 8 fill one pass per band pair for each size missing, and a
+    # re-read of them fills nothing
     fills.clear()
-    for m, r in steps:
+    small = ((2, 2), (1, 5), (3, 3), (0, 7))
+    for m, r in small:
         cache.arrangement_poly(True, m, r, xcon, ycon)
+    assert fills == [(*pair, size) for size in (4, 6, 7) for pair in pairs]
+    fills.clear()
+    for m, r in small:
+        for last_x in (True, False):
+            cache.arrangement_poly(last_x, m, r, xcon, ycon)
     assert not fills
+    assert set(cache._values[1]) == {(*pair, size) for pair in pairs for size in (4, 6, 7)}
     # a float read of two entries that share the band pair (1, 3) x (1, 4),
     # at sizes 4, 9 and 60, reads every size at the width of 60, and fills
     # each band pair in one pass to its largest size
@@ -689,9 +771,10 @@ def test_band_tables_hold_the_sizes_read(monkeypatch):
     reads = [(*small, 4, 2), (*large, 60, 30), (*large, 9, 3), (*large, 60, 31)]
     live, low, matrix = cache.float_matrix(reads)
     assert sorted(fills) == [((1, 3), (1, 4), 60), ((1, 5), (1, 4), 60)]
-    assert set(cache._band_memo) == {((1, 3), (1, 4), w, 4), ((1, 5), (1, 4), w, 60),
-                                     ((1, 5), (1, 4), w, 9), ((1, 3), (1, 4), w, 60),
-                                     ((1, 3), (1, 4), w, 9)}
+    assert cache._values[0] == (1 << w, 1)
+    assert set(cache._values[1]) == {((1, 3), (1, 4), 4), ((1, 5), (1, 4), 60),
+                                     ((1, 5), (1, 4), 9), ((1, 3), (1, 4), 60),
+                                     ((1, 3), (1, 4), 9)}
     assert live == [0, 1, 2, 3]
     for (last_x, xcon, ycon, size, y), row in zip(reads, matrix):
         want = KernelValueCache().arrangement_poly(last_x, size - y, y, xcon, ycon)
@@ -724,17 +807,21 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
     # failure run, an empty success run and a failure run count apart from
     # the merged run, so coefficients outgrow n + 1 bits (51 bits at
     # m + r = 44, against 48); failure runs of length 0 leave the fill
-    # nothing to read.  Nothing in the library asks for either, and the
-    # cache refuses both at packed and at exact q, storing nothing, not
-    # even the diagonals of a read's other band pairs filled before the
-    # refused one.  The longest-run cells (failure runs of length 1) pack
-    # at n + 1 bits and equal the top-down peel at m + r = 44
+    # nothing to read, and the fill adds a last run of length 1, so runs
+    # from length 2 are outside it on either side.  Nothing in the library
+    # asks for any of them, and the cache refuses them at packed and at
+    # exact q, storing nothing, not even the diagonals of a read's other
+    # band pairs filled before the refused one.  The longest-run cells
+    # (failure runs of length 1) pack at n + 1 bits and equal the top-down
+    # peel at m + r = 44
     from qbtrials import _core_py as core
 
     cache = KernelValueCache()
     for xcon, ycon in (((0, None, 0), (1, None, 0)), ((0, 9, 0), (1, 6, 2)),
                        ((0, None, 5), (1, None, 3)), ((1, None, 0), (0, 3, 0)),
-                       ((0, 5, 0), (0, 0, 0))):
+                       ((0, 5, 0), (0, 0, 0)), ((2, None, 0), (1, None, 0)),
+                       ((2, 5, 0), (1, 1, 0)), ((1, None, 0), (2, 4, 0)),
+                       ((0, 5, 0), (2, 2, 0))):
         for last_x in (True, False):
             with pytest.raises(ValueError):
                 cache.arrangement_poly(last_x, 13, 31, xcon, ycon)
@@ -747,7 +834,7 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
             with pytest.raises(ValueError):
                 cache.float_matrix([(True, (0, 5, 0), (1, 1, 0), 44, 3),
                                     (last_x, xcon, ycon, 44, 3)])
-    assert not cache._band_memo and not cache._plan_memo and not cache._values[1]
+    assert not cache._plan_memo and not cache._values[1]
     assert max(core.arrangement_poly(True, 13, 31, (0, None, 0), (1, None, 0), {})) \
         >= 2 ** core.packed_width(44)
     peel = {}
@@ -755,7 +842,8 @@ def test_band_tables_refuse_empty_success_runs_beside_failure_bands():
         cell = cache.arrangement_poly(True, 44 - y, y, (0, 5, 0), (1, 1, 0))  # longest-run cells
         assert cell == core.arrangement_poly(True, 44 - y, y, (0, 5, 0), (1, 1, 0), peel)
         assert max(cell) < 2 ** 45
-    assert list(cache._band_memo) == [((0, 5), (1, 1), core.packed_width(44), 44)]
+    assert cache._values[0] == (1 << core.packed_width(44), 1)
+    assert list(cache._values[1]) == [((0, 5), (1, 1), 44)]
 
 
 def _library_band_pairs():
@@ -796,10 +884,11 @@ def test_band_diagonals_equal_the_whole_table(q):
         return [d for d, *sides in diagonals[1:] if sys.getrefcount(sides[side]) > 3]
 
     for xband, yband in pairs:
-        # the pass holds each side's diagonals max(lo, hi + 1) back, lo
-        # when hi is None: what the other side's recurrence reads
-        (xlo, xhi), (ylo, yhi) = xband, yband
-        s_back = ylo if yhi is None else max(ylo, yhi + 1)
+        # the pass holds S's diagonals yhi + 1 back (1 when yhi is None)
+        # and F's max(xlo, xhi + 1) back (xlo when xhi is None): what the
+        # other side's recurrence reads
+        (xlo, xhi), (_, yhi) = xband, yband
+        s_back = 1 if yhi is None else yhi + 1
         f_back = xlo if xhi is None else max(xlo, xhi + 1)
         diagonals = []
         for d, s_d, f_d in core.band_diagonals(xband, yband, n, a, b):
@@ -814,10 +903,7 @@ def test_band_diagonals_equal_the_whole_table(q):
         for sizes in ((7, 3), range(0, n + 1, 5), range(n + 1)):
             entries = [(last_x, xband + (0,), yband + (0,), size)
                        for last_x in (True, False) for size in sizes]
-            if q is None:
-                got = cache._packed(entries, w)
-            else:
-                got = cache.diagonals(q, entries)
+            got = cache.diagonals(1 << w if q is None else q, entries)
             for entry in entries:
                 assert got[entry] == diagonals[entry[3]][1 if entry[0] else 2]
         s, f = diagonals[n][1:]
@@ -856,8 +942,8 @@ def test_float_longest_run_reads_only_diagonal_n(monkeypatch):
         tracemalloc.stop()
     assert abs(math.fsum(pmf) - 1) <= 1e-12
     assert sorted(fills) == [((0, k), (1, 1)) for k in range(41)]
-    assert set(cache._band_memo) == {((0, k), (1, 1), core.packed_width(40), 40)
-                                     for k in range(41)}
+    assert cache._values[0] == (1 << core.packed_width(40), 1)
+    assert set(cache._values[1]) == {((0, k), (1, 1), 40) for k in range(41)}
     assert peak < 12 * 2**20, peak
 
 
@@ -887,8 +973,8 @@ def test_exact_longest_run_reads_only_diagonal_n(monkeypatch):
         tracemalloc.stop()
     assert sum(pmf) == 1 and list(itertools.accumulate(pmf)) == list(cdf)
     assert sorted(fills, key=repr) == sorted((((0, k), (1, 1), 40) for k in range(41)), key=repr)
+    assert cache._values[0] == (81, 100) and not cache._plan_memo
     assert set(cache._values[1]) == {((0, k), (1, 1), 40) for k in range(41)}
-    assert not cache._band_memo
     assert peak < 3 * 2**20, peak
 
 
