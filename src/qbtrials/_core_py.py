@@ -21,12 +21,13 @@ reference the tables are tested against, and `cell_poly_u`, the U cells;
 through their trials together, one numpy vector step per trial: random
 draws of the model for Monte Carlo, and for enumeration every prefix,
 doubled into its two continuations at each trial.  The unconditioned walk
-keeps all 2^n; `waiting_stop_counts` drops each prefix once its wait has
-ended, so one walk gives the rows of every t up to n_max.  `count_rows`
-counts the sequences of one event, a boolean mask over the walk, by failure
-count and success weight, which fix a sequence's probability completely; it
-gives one row of counts per failure count, and callers turn the rows into
-exact probabilities.
+keeps all 2^n; `waiting_stop_counts` drops each prefix once the later rule
+has stopped it, so one walk of a quota gives the rows of every t up to
+n_max under both rules.  `count_rows` counts the sequences of one event, a
+boolean mask over the walk, by failure count and success weight, which fix
+a sequence's probability completely; it gives one row of counts per failure
+count, found for every row at once by `_table_rows`, and callers turn the
+rows into exact probabilities.
 """
 
 from __future__ import annotations
@@ -472,7 +473,7 @@ class _Lockstep:
         every sequence bit t - 1 of an index is trial t."""
         size = self.weight.size
         self._apply(lambda a: np.concatenate((a, a)))
-        self.step(np.repeat((False, True), size))
+        self.step(np.array((False, True)).repeat(size))
 
     def keep(self, mask):
         """Drop the sequences where `mask` is False."""
@@ -529,42 +530,68 @@ def simulate(rng, theta, q, n, samples, quota=None):
     return seqs
 
 
+def _table_rows(table):
+    """The rows of a (group, f, w) count table, one row tuple per group:
+    (f, e_min, degree, coefficients) per f with a nonzero count, in
+    ascending f, whose coefficients are the counts of weights e_min ..
+    e_min + degree.  One `!= 0` / `any` / `argmax` pass finds every row's
+    first and last nonzero weight."""
+    nonzero = table != 0
+    present = nonzero.any(axis=-1)
+    first = nonzero.argmax(axis=-1)[present]
+    last = table.shape[-1] - 1 - nonzero[..., ::-1].argmax(axis=-1)[present]
+    groups = [[] for _ in range(table.shape[0])]
+    for g, f, lo, hi, counts in zip(*(a.tolist() for a in np.nonzero(present)),
+                                    first.tolist(), last.tolist(), table[present].tolist()):
+        groups[g].append((f, lo, hi - lo, tuple(counts[lo:hi + 1])))
+    return [tuple(rows) for rows in groups]
+
+
+def _class_counts(seqs, keep, size):
+    """The walked sequences where `keep` holds, counted by class
+    f * (max_weight + 1) + weight into `size` bins: one `np.bincount`, with
+    f cast to intp first, since in the walk's narrow unsigned dtypes the
+    class would wrap."""
+    key = seqs.failures[keep].astype(np.intp) * (seqs.max_weight + 1) + seqs.weight[keep]
+    return np.bincount(key, minlength=size)
+
+
 def count_rows(seqs, keep):
     """The walked sequences where `keep` holds, counted per failure count f:
     one row (f, e_min, degree, coefficients) per f that occurs, in ascending
     f, whose coefficients count the sequences of success weights e_min ..
-    e_min + degree, a polynomial in q with the weight as exponent.  One
-    `np.bincount` over f * (max_weight + 1) + weight, with f cast to intp
-    first: in the walk's narrow unsigned dtypes the key would wrap."""
+    e_min + degree, a polynomial in q with the weight as exponent."""
     width = seqs.max_weight + 1
-    key = seqs.failures[keep].astype(np.intp) * width + seqs.weight[keep]
-    table = np.bincount(key, minlength=(seqs.trials + 1) * width).reshape(-1, width)
-    rows = []
-    for f, counts in enumerate(table):
-        e = np.flatnonzero(counts)
-        if e.size:
-            lo, hi = e[[0, -1]].tolist()
-            rows.append((f, lo, hi - lo, tuple(counts[lo:hi + 1].tolist())))
-    return tuple(rows)
+    table = _class_counts(seqs, keep, (seqs.trials + 1) * width)
+    return _table_rows(table.reshape(1, -1, width))[0]
 
 
-def waiting_stop_counts(n_max, s_freq, k1, f_freq, k2, later):
+def waiting_stop_counts(n_max, s_freq, k1, f_freq, k2):
     """`count_rows` of the sequences whose quota wait ends at trial t, one
-    row tuple per t = 1..n_max, from one walk.
+    row tuple per t = 1..n_max, for the sooner and the later rule: the pair
+    (sooner rows, later rows), from one walk.
 
     {T = t} depends on trials 1..t only, and a wait that has ended never
-    ends again, so after each grow the prefixes that stop at t are counted
-    and every stopped prefix is dropped: each sequence of every length is
-    still walked trial by trial, but a stopped one is never doubled.  The
-    walk keeps every unstopped prefix, so it is still exponential in
-    n_max (the later run/run wait at k = (4, 4) keeps 81% of 2**20 at
-    n_max = 20).
+    ends again.  A later wait never ends before the sooner one, so the
+    prefixes the later rule has not stopped hold every one the sooner rule
+    has not: after each grow the prefixes that stop at t under each rule
+    are added to a held (rule, t, f, w) count table, one `_class_counts`
+    per rule, and every prefix the later rule stopped is dropped.  Each
+    sequence of every length is still walked trial by trial, but a stopped
+    one is never doubled; one `_table_rows` pass at the end gives the rows.
+    The walk keeps every prefix the later rule has not stopped, so it is
+    still exponential in n_max (the later run/run wait at k = (4, 4) keeps
+    81% of 2**20 at n_max = 20).
     """
     seqs = _Lockstep(1, n_max, (s_freq, k1, f_freq, k2))
-    rows = []
+    width = seqs.max_weight + 1
+    size = (n_max + 1) * width
+    table = np.zeros((2, n_max, size), _uint(1 << n_max))
     for t in range(1, n_max + 1):
         seqs.grow()
-        stop = seqs.stop(later)
-        rows.append(count_rows(seqs, stop == t))
-        seqs.keep(stop == 0)
-    return tuple(rows)
+        for later in (False, True):
+            stop = seqs.stop(later)
+            table[int(later), t - 1] = _class_counts(seqs, stop == t, size)
+        seqs.keep(stop == 0)  # the later rule's stop
+    rows = _table_rows(table.reshape(2 * n_max, n_max + 1, width))
+    return tuple(rows[:n_max]), tuple(rows[n_max:])

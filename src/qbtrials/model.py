@@ -93,8 +93,9 @@ class QuotaSpec:
     @property
     def key(self) -> tuple[bool, int, bool, int, bool]:
         """(success freq?, k1, failure freq?, k2, later?): the one internal
-        form of a quota.  The formula's theorem sides, the oracle's held
-        rows and its walker read all five, the sampler the first four."""
+        form of a quota.  The formula's theorem sides read all five; the
+        walker, the oracle's held rows and the sampler the first four, and
+        the fifth picks the stopping rule."""
         sq, fq = self.success_quota, self.failure_quota
         return (isinstance(sq, FreqQuota), sq.k, isinstance(fq, FreqQuota), fq.k,
                 self.mode is Mode.LATER)

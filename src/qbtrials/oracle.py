@@ -4,15 +4,16 @@ The enumeration walks every sequence and counts those in an event by
 (failure count, success weight), which fixes a sequence's probability
 exactly; with Fraction parameters every oracle value is an exact rational,
 so "match" in a report means equality, not closeness.  A longest-run or
-joint predicate is a mask over the walk of all 2**n sequences.  A waiting
-event is one walk that grows its prefixes trial by trial and drops each
-one once its wait has ended, counting at every t the prefixes that stop
-there; the rows of every t up to the longest walked so far are held
-under the quota's `QuotaSpec.key`, the form the walker and the formula's
-theorem sides read too.  Every event gives one row of counts per failure
-count f: the sequences of one f share the prefactor theta**(n-f)
-(theta; q)_f, so they are added as one term whose kernel is their counts
-as a polynomial in q.
+joint predicate is a mask over the walk of all 2**n sequences.  The
+waiting events of a quota, sooner and later, are one walk that grows its
+prefixes trial by trial, counts at every t the prefixes that stop there
+under each rule, and drops each one once the later rule has stopped it;
+the rows of both modes, for every t up to the longest walked so far, are
+held under the first four fields of the quota's `QuotaSpec.key`, the
+fields the walker reads, and the fifth picks the mode.  Every event
+gives one row of counts per failure count f: the sequences of one f
+share the prefactor theta**(n-f) (theta; q)_f, so they are added as one
+term whose kernel is their counts as a polynomial in q.
 At exact inputs the rows are summed by `qcalc.TermSum`, the accumulator
 the formula layer uses: one integer over d**n * b**B at theta = c/d and
 q = a/b, and one Fraction at the end; at float ones by `math.fsum`
@@ -104,7 +105,8 @@ class JointLongest:
 EventPredicate = WaitingEquals | LongestEquals | LongestAtMost | JointLongest
 
 
-# held waiting rows by quota key; the least recently used goes first
+# held waiting rows, both rules, by the first four fields of the quota
+# key; the least recently used quota goes first
 _HELD_EVENTS = 256
 _held = {}
 _held_lock = threading.Lock()
@@ -113,19 +115,22 @@ _held_lock = threading.Lock()
 def _waiting_rows(key, n):
     """The rows of the waiting event of a quota, keyed by its
     `QuotaSpec.key`, for t = 1..n at least, one `core.count_rows` tuple per
-    t: the sequences whose wait ends at trial t.  The longest row tuple
-    walked so far is held per key, and a longer n walks once to n.  The rows
-    are parameter-free, so one walk serves the whole theta/q grid of a scan.
-    Threads share the held rows under one lock, the walk included, so an
-    event is walked once however many threads ask for it."""
+    t: the sequences whose wait ends at trial t.  One walk gives the rows
+    of both rules, so the longest (sooner rows, later rows) pair walked so
+    far is held per quota, `key[:4]`, and a longer n walks once to n; the
+    fifth field (later?) picks the rule.  The rows are parameter-free, so
+    one walk serves the whole theta/q grid of a scan and both modes.
+    Threads share the held rows under one lock, the walk included, so a
+    quota is walked once however many threads ask for it."""
+    quota, later = key[:4], key[4]
     with _held_lock:
-        rows = _held.pop(key, ())
-        if len(rows) < n:
-            rows = core.waiting_stop_counts(n, *key)
-        _held[key] = rows
+        pair = _held.pop(quota, ((), ()))
+        if len(pair[0]) < n:
+            pair = core.waiting_stop_counts(n, *quota)
+        _held[quota] = pair
         if len(_held) > _HELD_EVENTS:
             del _held[next(iter(_held))]
-        return rows
+        return pair[later]
 
 
 @lru_cache(maxsize=4096)
@@ -149,7 +154,7 @@ def _walk(n):
 def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scalar:
     """Sum of sequence probabilities over all length-n sequences in the event;
     {T = t} depends on trials 1..t only, so it sums the sequences of its
-    first t trials: the event's held rows when they reach t, otherwise one
+    first t trials: its quota's held rows when they reach t, otherwise one
     walk to t.
 
     A sequence with f failures and success weight e (the failures before
@@ -193,8 +198,9 @@ def _float_sum(th: Scalar, q: Scalar, n: int, rows) -> float:
 
 
 def oracle_waiting_pmf(params: ModelParams, quota: QuotaSpec, n_max: int) -> Pmf:
-    """Exact PMF of the waiting time, truncated at n_max: one walk to
-    n_max, then one `oracle_event_prob` per n on the held rows."""
+    """Exact PMF of the waiting time, truncated at n_max: one walk of its
+    quota to n_max, which the other mode's table reads too, then one
+    `oracle_event_prob` per n on the held rows."""
     if n_max > DEFAULT_BUDGET:
         # refused before any table is enumerated
         raise EnumerationBudgetError(
@@ -298,7 +304,10 @@ def differential_scan(
                     got = oracle_waiting_pmf(params, quota, grid.n_max)
                     for n, fv in enumerate(formula(params, quota, grid.n_max), lo):
                         ov = got.probs[n - got.offset]
-                        diff = abs(fv - ov)
+                        # two equal Fractions differ by Fraction(0): no
+                        # subtraction, no gcd
+                        same = fv == ov and isinstance(fv, Fraction) and isinstance(ov, Fraction)
+                        diff = Fraction(0) if same else abs(fv - ov)
                         bad = (diff != 0) if exact else (diff > DEFAULT_TOLERANCE)
                         reports.append(
                             DiscrepancyReport(

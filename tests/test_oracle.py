@@ -125,12 +125,15 @@ def test_oracle_matches_naive_summation(s_freq, f_freq, mode):
         got = oracle_event_prob(params, n, WaitingEquals(quota, t))
         assert got == want
     # and its rows must match model.stopping_time sequence by sequence:
-    # the event's at trial n, and the walk's masked at every other target
-    # (0: the wait has not ended by trial n)
+    # the walk's masked at every target (0: the wait has not ended by
+    # trial n), and one waiting_stop_counts call's rows of both rules,
+    # whose last row is the length-n grouping of its rule and whose
+    # earlier rows are the previous n's
     later = mode is Mode.LATER
-    for n in range(0, 9):
-        for k1, k2 in ((1, 1), (2, 3), (3, 2)):
-            quota = _quota(s_freq, f_freq, k1, k2, mode)
+    for k1, k2 in ((1, 1), (2, 3), (3, 2)):
+        quota = _quota(s_freq, f_freq, k1, k2, mode)
+        held = ((), ())
+        for n in range(0, 9):
             table = _grouped(n, lambda seq: stopping_time(seq, quota) or 0)
             walk = core.enumerate_walk(n, (s_freq, k1, f_freq, k2))
             for target in range(0, n + 2):
@@ -139,10 +142,17 @@ def test_oracle_matches_naive_summation(s_freq, f_freq, mode):
                 got = core.count_rows(walk, walk.stop(later) == target)
                 assert got == want and _all_ints(got), (n, k1, k2, target)
             if n:
-                # one row tuple per t = 1..n; the last is the walk's at n
-                got = core.waiting_stop_counts(n, s_freq, k1, f_freq, k2, later)
-                assert len(got) == n, (n, k1, k2)
-                assert got[-1] == core.count_rows(walk, walk.stop(later) == n), (n, k1, k2)
+                pair = core.waiting_stop_counts(n, s_freq, k1, f_freq, k2)
+                assert [len(rows) for rows in pair] == [n, n], (n, k1, k2)
+                for rule in Mode:
+                    rule_quota = _quota(s_freq, f_freq, k1, k2, rule)
+                    stops = _grouped(n, lambda seq: stopping_time(seq, rule_quota) or 0)
+                    want = _naive_rows({(f, e): c for (stop, f, e), c in stops.items()
+                                        if stop == n})
+                    got = pair[rule is Mode.LATER]
+                    assert got[-1] == want and _all_ints(got[-1]), (n, k1, k2, rule)
+                    assert got[:-1] == held[rule is Mode.LATER], (n, k1, k2, rule)
+                held = pair
 
 
 def test_longest_counts_match_naive_summation():
@@ -373,28 +383,57 @@ def test_waiting_event_reads_only_its_trials(monkeypatch):
 
 @pytest.mark.parametrize("s_freq,f_freq,later", _WAITING_FAMILIES)
 def test_pruned_walk_equals_unpruned_walk(monkeypatch, s_freq, f_freq, later):
-    # one walk to n_max = 14 that drops stopped prefixes gives, for every t,
-    # the rows of the full t-trial walk masked at stop == t; at k = (15, 15)
-    # no wait ends, so nothing is dropped and every row is empty
+    # one walk to n_max = 14 that drops each prefix once the later rule
+    # stops it gives, for every t and for both rules, the rows of the full
+    # t-trial walk masked at stop == t; the prefixes live before each grow
+    # are the t-trial prefixes the later rule has not stopped; at
+    # k = (15, 15) no wait ends, so nothing is dropped and every row is
+    # empty
     live = []
     real = core._Lockstep.grow
     monkeypatch.setattr(core._Lockstep, "grow",
                         lambda self: live.append(self.weight.size) or real(self))
     for k1, k2 in ((1, 1), (2, 3), (3, 2), (4, 4), (15, 15)):
         live.clear()
-        got = core.waiting_stop_counts(14, s_freq, k1, f_freq, k2, later)
+        pair = core.waiting_stop_counts(14, s_freq, k1, f_freq, k2)
         live_before = list(live)  # live prefixes before each grow
-        assert len(got) == 14 and len(live_before) == 14
-        for t in range(1, 15):
+        assert [len(rows) for rows in pair] == [14, 14] and len(live_before) == 14
+        for t in range(0, 15):
             walk = core.enumerate_walk(t, (s_freq, k1, f_freq, k2))
-            want = core.count_rows(walk, walk.stop(later) == t)
-            assert got[t - 1] == want and _all_ints(got[t - 1]), (k1, k2, t)
+            for rule in (later, not later):
+                if t:
+                    want = core.count_rows(walk, walk.stop(rule) == t)
+                    got = pair[rule][t - 1]
+                    assert got == want and _all_ints(got), (k1, k2, t, rule)
+            if t < 14:
+                assert live_before[t] == np.count_nonzero(walk.stop(True) == 0), (k1, k2, t)
         if (k1, k2) == (15, 15):
-            assert got == ((),) * 14 and live_before == [1 << t for t in range(14)]
-        elif (s_freq, f_freq, later, k1, k2) == (True, True, False, 4, 4):
-            # 4 successes or 4 failures end the wait by trial 7: at most
-            # the C(6, 3) = 20 prefixes of 3 each stay live
-            assert max(live_before) == 20 and live_before[7:] == [0] * 7, live_before
+            assert pair == (((),) * 14,) * 2 and live_before == [1 << t for t in range(14)]
+        elif (s_freq, f_freq, k1, k2) == (True, True, 4, 4):
+            # the later wait needs 4 successes and 4 failures, so the live
+            # t-trial prefixes are those with fewer than 4 of either
+            assert live_before == [sum(math.comb(t, j) for j in range(t + 1) if min(j, t - j) < 4)
+                                   for t in range(14)], live_before
+
+
+def test_paired_walk_equals_per_mode_walks():
+    # one walk of a quota gives the rows of both rules: for every t, each
+    # rule's rows equal the full t-trial walk masked at that rule's
+    # stop == t, grouped here by (failures, weight) sequence by sequence;
+    # every quota kind, k1, k2 in 1..5, t up to 16, and a shorter walk's
+    # rows are the first of a longer one's
+    n_max = 16
+    for s_freq, f_freq in ALL_KINDS:
+        for k1, k2 in itertools.product(range(1, 6), repeat=2):
+            quota = (s_freq, k1, f_freq, k2)
+            pair = core.waiting_stop_counts(n_max, *quota)
+            for n in (1, 5, 11):
+                assert core.waiting_stop_counts(n, *quota) == tuple(rows[:n] for rows in pair)
+            for t in range(1, n_max + 1):
+                walk = core.enumerate_walk(t, quota)
+                for later in (False, True):
+                    want = _naive_rows(_classes(walk, walk.stop(later) == t))
+                    assert pair[later][t - 1] == want, (quota, t, later)
 
 
 def test_enumerate_walk_index_order():
@@ -417,9 +456,9 @@ def test_enumerate_walk_index_order():
 
 
 def test_waiting_event_walks_once(monkeypatch):
-    # the rows of a waiting event are held for every t up to the longest
-    # walked: one table walks once, and later tables, points and lone
-    # events within it walk no more
+    # the rows of both rules of a quota are held for every t up to the
+    # longest walked: one table walks once, and later tables, points, lone
+    # events within it and the other mode's tables walk no more
     from qbtrials import oracle
 
     real = core.waiting_stop_counts
@@ -429,7 +468,7 @@ def test_waiting_event_walks_once(monkeypatch):
     oracle._held.clear()
     quota = QuotaSpec(RunQuota(2), FreqQuota(3), Mode.LATER)
     first = oracle_waiting_pmf(HALF, quota, 14)
-    assert calls == [(14, False, 2, True, 3, True)]
+    assert calls == [(14, False, 2, True, 3)]
     params = ModelParams(Fraction(3, 7), Fraction(5, 11))
     table = oracle_waiting_pmf(params, quota, 14)
     for t in range(1, 15):
@@ -439,13 +478,18 @@ def test_waiting_event_walks_once(monkeypatch):
     assert len(calls) == 1
     # a longer table walks once more, to its own n_max
     oracle_waiting_pmf(HALF, quota, 16)
-    assert calls[1:] == [(16, False, 2, True, 3, True)]
-    # the default scan walks each of its 8 x 3 events once
+    assert calls[1:] == [(16, False, 2, True, 3)]
+    # a sooner table after a later table of the same quota walks nothing
+    sooner = QuotaSpec(RunQuota(2), FreqQuota(3), Mode.SOONER)
+    assert oracle_waiting_pmf(params, sooner, 16) == waiting_time_table(params, sooner, 16)
+    assert len(calls) == 2
+    # the default scan walks each of its 4 x 3 quota pairs once, for both
+    # modes
     calls.clear()
     oracle._held.clear()
     reports = differential_scan(
         default_grid(), formula=lambda params, quota, n_max: [0] * (n_max - support_min(quota) + 1))
-    assert len(reports) == 2520 and len(calls) == 24 and len(set(calls)) == 24
+    assert len(reports) == 2520 and len(calls) == 12 and len(set(calls)) == 12
     # a table above the budget is refused before any walk
     calls.clear()
     with pytest.raises(EnumerationBudgetError):
@@ -460,13 +504,14 @@ def test_waiting_event_walks_once(monkeypatch):
     with ThreadPoolExecutor(4) as pool:
         tables = list(pool.map(lambda _: oracle_waiting_pmf(HALF, quota, 16), range(4)))
     assert len(calls) == 1 and all(t == tables[0] for t in tables)
-    # the least recently used event goes once more are held than allowed
+    # the least recently used quota goes once more are held than allowed;
+    # the held rows are keyed by the first four fields of the quota key
     calls.clear()
     monkeypatch.setattr(oracle, "_HELD_EVENTS", 2)
     oracle._held.clear()
     for k in (2, 3, 2, 4):
         oracle_waiting_pmf(HALF, QuotaSpec(RunQuota(k), RunQuota(k), Mode.SOONER), 8)
-    assert list(oracle._held) == [(False, 2, False, 2, False), (False, 4, False, 4, False)]
+    assert list(oracle._held) == [(False, 2, False, 2), (False, 4, False, 4)]
     assert len(calls) == 3
     oracle._held.clear()
 
