@@ -45,9 +45,9 @@ is exactly k, which is the band (0, k) minus the band (0, k - 1), so
 PMF(k) shares its tables with CDF(k) and CDF(k - 1).  Each function that
 reads kernels takes an optional `KernelValueCache` and uses the
 module-level one without it.  At rational theta = c/d and q = a/b each
-probability hands its terms' j, f and K to one `qcalc.TermSum`: the whole
-sum is one integer over d**n * b**B, and one Fraction is built at the
-end.  At float inputs the terms of every n are one numpy product,
+probability hands its terms' j, f and K to one `qcalc.term_sum` call: the
+whole sum is one integer over d**n * b**B, and one Fraction is built at
+the end.  At float inputs the terms of every n are one numpy product,
 theta**(n-f) * q**j * (theta; q)_f * K in that order, over the plan's
 indices, memoized in the cache, and each n's terms are summed by
 `math.fsum`.
@@ -76,7 +76,7 @@ from .kernels import (
     named_kernel,
 )
 from .model import Mode, ModelParams, QuotaSpec
-from .qcalc import Scalar, TermSum, is_exact, q_binomial, q_pochhammer
+from .qcalc import Scalar, is_exact, q_binomial, q_pochhammer, term_sum
 
 __all__ = [
     "Pmf",
@@ -211,7 +211,8 @@ def _mass(th, q, ns, cache, sides, *args):
     Every entry of a side lies on the anti-diagonal x + y = size of its
     tables.  At exact theta and q = a/b every side of every n reads its K,
     for every y, in one `KernelValueCache.diagonals` call: integer
-    numerators over b**(x*y); each n is then one `TermSum`.  Otherwise
+    numerators over b**(x*y); each n is then one `qcalc.term_sum` over its
+    sides' rows, each side's diagonal looked up once.  Otherwise
     the terms of every n are taken at once, by the q-free plan of
     `_float_plan`, memoized in the cache under (name of `sides`, ns,
     *args): the K of every term is one product of the plan's matrix with
@@ -224,16 +225,11 @@ def _mass(th, q, ns, cache, sides, *args):
         # a side with no rows builds no table
         ks = cache.diagonals(q, dict.fromkeys(side[:4] for n_sides in per_n
                                               for side in n_sides if side[4]))
-        out = []
-        for n, n_sides in zip(ns, per_n):
-            terms = TermSum(th, q, n)
-            for side in n_sides:
-                if side[4]:
-                    diagonal = ks[side[:4]]
-                    for j, f, x, y in side[4]:
-                        terms.add(j, f, diagonal[y], x * y)
-            out.append(terms.total())
-        return out
+        return [term_sum(th, q, n, ((j, f, diagonal[y], x * y)
+                                    for diagonal, rows in ((ks[side[:4]], side[4])
+                                                           for side in n_sides if side[4])
+                                    for j, f, x, y in rows))
+                for n, n_sides in zip(ns, per_n)]
     (nf, j, f), cuts, low, matrix, top = cache.float_plan(
         (sides.__name__, ns, *args), lambda: _float_plan(ns, cache, sides, args))
     ths, qs, prefixes = _float_powers(float(th), float(q), top)
@@ -420,9 +416,7 @@ def waiting_time_table(
 ) -> Pmf:
     """PMF table from the support minimum up to n_max inclusive."""
     probs = _waiting_probs(params, quota, n_max, cache)
-    running: Scalar = 0
-    for p in probs:
-        running = running + p
+    running = sum(probs)
     # an exact table may not exceed 1 at all, a float one by rounding only
     if running > 1 + (_SUM_SLACK if isinstance(running, float) else 0):
         raise ValueError(f"partial sums exceed 1: {running}")

@@ -39,7 +39,7 @@ two kinds:
 The store is one flat memo, (x band, y band, size) -> (S diagonal,
 F diagonal), of the q last read, and holds only the anti-diagonals read,
 each band pair's at the sizes asked for; a read at another q replaces
-it.  It knows only q: the packed format is known only to its two
+it, and a read of no entry leaves it.  It knows only q: the packed format is known only to its two
 readers and to `core.packed_width`, `unpack` and `unpack_matrix`.  A
 call asks for every entry it reads at once: one `_fill` fills them, a
 pass per band pair to the largest size missing, and one `_entry` reads
@@ -250,11 +250,14 @@ class KernelValueCache:
 
         The cache's one anti-diagonal store, `_values`, holds one q at a
         time: a call at another q, exact or 2**w, swaps in an empty memo
-        under the lock.  A call asks for every entry it reads at once, so
+        under the lock; a call with no entries reads nothing and leaves it
+        as it is.  A call asks for every entry it reads at once, so
         one pass per band pair to the largest size missing fills them
         (`_fill`), and the memo keeps only the sizes read.  Float q reads
         `float_matrix` instead.
         """
+        if not entries:
+            return {}
         a, b = q.numerator, q.denominator
         with self._lock:
             if self._values[0] != (a, b):

@@ -14,10 +14,10 @@ fields the walker reads, and the fifth picks the mode.  Every event
 gives one row of counts per failure count f: the sequences of one f
 share the prefactor theta**(n-f) (theta; q)_f, so they are added as one
 term whose kernel is their counts as a polynomial in q.
-At exact inputs the rows are summed by `qcalc.TermSum`, the accumulator
-the formula layer uses: one integer over d**n * b**B at theta = c/d and
+At exact inputs the rows are summed by `qcalc.term_sum`, the sum the
+formula layer uses: one integer over d**n * b**B at theta = c/d and
 q = a/b, and one Fraction at the end; at float ones by `math.fsum`
-(`_float_sum`).  The shared accumulator is tested against plain
+(`_float_sum`).  The shared sum is tested against plain
 Fraction arithmetic on its own, each event's rows against a per-sequence
 grouping of `model.stopping_time` and `model.longest_runs`, and the sums
 against `model.sequence_probability` summed over sequences.
@@ -42,8 +42,8 @@ from .distributions import (
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
 from .qcalc import (
-    DEFAULT_TOLERANCE, Scalar, TermSum, horner_numerator, is_exact, poly_value,
-    q_pochhammer_prefixes,
+    DEFAULT_TOLERANCE, Scalar, horner_numerator, is_exact, poly_value,
+    q_pochhammer_prefixes, term_sum,
 )
 
 __all__ = [
@@ -179,11 +179,9 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
     th, q = params.theta, params.q
     if not is_exact(th, q):
         return _float_sum(th, q, n, rows)
-    terms = TermSum(th, q, n)
     a, b = q.numerator, q.denominator
-    for f, e_min, degree, coeffs in rows:
-        terms.add(e_min, f, horner_numerator(coeffs, a, b), degree)
-    return terms.total()
+    return term_sum(th, q, n, ((e_min, f, horner_numerator(coeffs, a, b), degree)
+                               for f, e_min, degree, coeffs in rows))
 
 
 def _float_sum(th: Scalar, q: Scalar, n: int, rows) -> float:

@@ -6,7 +6,7 @@ All functions are total on their stated domains and exact when given
 
 Every probability of length-n sequences sums, over classes of f failures,
 terms theta**(n-f) * q**j * (theta; q)_f * K, K an integer polynomial in q.
-`TermSum` adds such terms at rational theta and q, each K given as an
+`term_sum` adds such terms at rational theta and q, each K given as an
 integer numerator over a power of b, q = a/b: read off the arrangement
 tables at that q (or, for the oracle, the Horner numerator of one failure
 count's sequence counts), so no formula evaluates a polynomial there.
@@ -151,57 +151,46 @@ def _numerators(point: tuple, n: int) -> tuple:
     return nums
 
 
-class TermSum:
-    """Sum of theta**(n-f) * q**j * (theta; q)_f * K over the terms added,
-    each a class of length-n sequences with f <= n failures, at one exact
-    (theta, q): ints or Fractions.
+def term_sum(th: Scalar, q: Scalar, n: int, terms) -> Scalar:
+    """Sum of theta**(n-f) * q**j * (theta; q)_f * K over the (j, f, h, e)
+    of `terms`, K = h / b**e, at one exact (theta, q): ints or Fractions.
+    Each term is a class of length-n sequences with f <= n failures.
 
-    At theta = c/d and q = a/b, K is given as an integer H over b**e, and
-    the term is the integer c**(n-f) a**j N_f H over
-    d**n b**(j + f(f-1)/2 + e), where N_f = prod_{k<f} (d b**k - c a**k)
+    At theta = c/d and q = a/b the term is the integer c**(n-f) a**j N_f h
+    over d**n b**(j + f(f-1)/2 + e), where N_f = prod_{k<f} (d b**k - c a**k)
     is the Pochhammer numerator.  The numerators are held per point
     (`_numerators`), so the sums of one table, which ask for every n at one
-    (theta, q), compute each N_f once.  The running numerator is rescaled when a
-    term needs a larger power of b, and `total` builds one Fraction (an
-    int when neither input is a Fraction).  Float sums take their terms
-    elsewhere: the formula layer's as one numpy product
+    (theta, q), compute each N_f once.  The running numerator is rescaled
+    when a term needs a larger power of b, and one Fraction is built at the
+    end (an int when neither input is a Fraction).  Float sums take their
+    terms elsewhere: the formula layer's as one numpy product
     (`distributions._mass`), the oracle's one by one (`oracle._float_sum`).
 
-    A term whose K is zero is skipped.  With no term added the total is the
-    int 0; a term added with a zero prefactor (theta = 1) makes a total at
-    Fraction inputs Fraction(0).
+    A term whose h is zero is skipped.  With no other term the sum is the
+    int 0; a term with a zero prefactor (theta = 1) makes a sum at Fraction
+    inputs Fraction(0).
     """
-
-    def __init__(self, th: Scalar, q: Scalar, n: int) -> None:
-        self._th, self._q, self._n = th, q, n
-        self._added = False
-        self._cdab = th.numerator, th.denominator, q.numerator, q.denominator
-        self._pochhammer = _numerators(self._cdab, n)
-        self._num = 0
-        self._b_exp = 0
-
-    def add(self, j: int, f: int, h: int, e: int = 0) -> None:
-        """Add theta**(n-f) * q**j * (theta; q)_f * K, with K = h / b**e."""
+    c, d, a, b = point = th.numerator, th.denominator, q.numerator, q.denominator
+    pochhammer = _numerators(point, n)
+    added = False
+    total = b_exp = 0
+    for j, f, h, e in terms:
         if not h:
-            return
-        self._added = True
-        c, _, a, b = self._cdab
-        num = c ** (self._n - f) * a ** j * self._pochhammer[f] * h
-        b_exp = j + f * (f - 1) // 2 + e
-        if b_exp > self._b_exp:
-            self._num *= b ** (b_exp - self._b_exp)
-            self._b_exp = b_exp
+            continue
+        added = True
+        num = c ** (n - f) * a ** j * pochhammer[f] * h
+        e += j + f * (f - 1) // 2
+        if e > b_exp:
+            total *= b ** (e - b_exp)
+            b_exp = e
         else:
-            num *= b ** (self._b_exp - b_exp)
-        self._num += num
-
-    def total(self) -> Scalar:
-        if not self._added:
-            return 0
-        if isinstance(self._th, Fraction) or isinstance(self._q, Fraction):
-            _, d, _, b = self._cdab
-            return Fraction(self._num, d ** self._n * b ** self._b_exp)
-        return self._num
+            num *= b ** (b_exp - e)
+        total += num
+    if not added:
+        return 0
+    if isinstance(th, Fraction) or isinstance(q, Fraction):
+        return Fraction(total, d ** n * b ** b_exp)
+    return total
 
 
 def _comb(n: int, k: int) -> int:
@@ -234,23 +223,10 @@ def count_M(a: int, b: int) -> int:
 
 def count_R(a: int, b: int, c: int) -> int:
     """Compositions of c into a positive parts with at least one part >= b."""
-    if a <= 0:
-        return 0
-    total = 0
-    for j in range(1, a + 1):
-        term = _comb(a, j) * _comb(c - j * (b - 1) - 1, a - 1)
-        total += -term if j % 2 == 0 else term
-    return total
+    return count_M(a, c) - count_S(a, b, c)
 
 
 def count_C(a: int, b: int, c: int) -> int:
-    """Solutions of x1 + ... + xb = a with 0 <= xi <= c."""
-    if a == 0:
-        return 1
-    if a < 0 or b <= 0 or c < 0:
-        return 0
-    total = 0
-    for j in range(b + 1):
-        term = _comb(b, j) * _comb(a - (c + 1) * j + b - 1, b - 1)
-        total += term if j % 2 == 0 else -term
-    return total
+    """Solutions of x1 + ... + xb = a with 0 <= xi <= c: each xi + 1 is a
+    part of a + b strictly between 0 and c + 2."""
+    return count_S(b, c + 2, a + b)

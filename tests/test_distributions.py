@@ -28,7 +28,7 @@ from qbtrials import (
     waiting_time_table,
 )
 from qbtrials.oracle import JointLongest
-from qbtrials.qcalc import TermSum, horner_numerator
+from qbtrials.qcalc import horner_numerator, term_sum
 
 HALF = ModelParams(Fraction(1, 2), Fraction(1, 2))
 IID = ModelParams(Fraction(1, 2), Fraction(1))
@@ -395,11 +395,10 @@ def test_classical_reduction_at_q_one_all_configs():
                     ALL_KINDS, (Mode.SOONER, Mode.LATER)):
                 quota = make_quota(s_freq, f_freq, k1, k2, mode)
                 for n in range(support_min(quota), 15):
-                    terms = TermSum(theta, one, n)
-                    for last_x, xcon, ycon, _, rows in d._waiting_sides(quota.key, n):
-                        for j, f, x, y in rows:
-                            terms.add(j, f, counting_term(last_x, x, y, xcon, ycon))
-                    classical = terms.total()
+                    classical = term_sum(theta, one, n, (
+                        (j, f, counting_term(last_x, x, y, xcon, ycon), 0)
+                        for last_x, xcon, ycon, _, rows in d._waiting_sides(quota.key, n)
+                        for j, f, x, y in rows))
                     assert classical == waiting_time_pmf(params, quota, n), (
                         s_freq, f_freq, mode, k1, k2, theta, n)
 
@@ -428,23 +427,23 @@ def test_encodings_agree_beyond_enumeration(theta, q, k1, k2, n):
     def B(x):
         return q_binomial_pmf(params, n, x)
 
-    def add(terms, f, poly):
-        terms.add(0, f, horner_numerator(poly, q.numerator, q.denominator), len(poly) - 1)
+    def total(f, polys):
+        # the length-n classes with f failures whose K sums `polys`
+        return term_sum(theta, q, n, [
+            (0, f, horner_numerator(poly, q.numerator, q.denominator), len(poly) - 1)
+            for poly in polys])
 
     def C(y):
         # longest success run <= k1 - 1, y failures
-        terms = TermSum(theta, q, n)
-        add(terms, y, cells[y])
-        return terms.total()
+        return total(y, [cells[y]])
 
     def D(x):
         # longest failure run <= k2 - 1, x successes
         y, ycon = n - x, (1, k2 - 1, 0)
-        terms = TermSum(theta, q, n)
-        add(terms, y, cache.arrangement_poly(True, x, y, (1, None, 0), ycon))
+        polys = [cache.arrangement_poly(True, x, y, (1, None, 0), ycon)]
         if y:
-            add(terms, y, cache.arrangement_poly(False, x, y, (1, None, 0), ycon))
-        return terms.total()
+            polys.append(cache.arrangement_poly(False, x, y, (1, None, 0), ycon))
+        return total(y, polys)
 
     sooner, later = Mode.SOONER, Mode.LATER
     assert 1 - S(False, False, sooner) == J(k1 - 1, Rel.LE, k2 - 1, Rel.LE)

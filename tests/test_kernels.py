@@ -585,6 +585,22 @@ def test_band_tables_extend_every_smaller_table():
                                          for size in range(n + 1)}
 
 
+def test_empty_read_leaves_the_store_alone():
+    # a read of no entries at another q keeps the store's q and keys, so
+    # the next read at the store's q refills nothing; a zero-probability
+    # joint quadrant reads no entry
+    from qbtrials import ModelParams, Rel, joint_longest, longest_run_cdf
+
+    cache = KernelValueCache()
+    longest_run_cdf(ModelParams(Fraction(1, 3), Fraction(1, 2)), 20, 3, cache)
+    q, keys = cache._values[0], set(cache._values[1])
+    assert q == (1, 2) and keys
+    assert cache.diagonals(Fraction(2, 3), []) == {}
+    assert joint_longest(ModelParams(Fraction(1, 3), Fraction(2, 3)), 3, 5, Rel.GE, 1, Rel.LE,
+                         cache) == 0
+    assert cache._values[0] == q and set(cache._values[1]) == keys
+
+
 def test_value_memo_is_swapped_under_the_lock():
     # four threads (more than a 2-vCPU host has cores) share one cache and
     # alternate between two exact q, half of them starting at each; each

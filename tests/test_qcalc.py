@@ -155,6 +155,29 @@ def test_infeasible_inputs_return_zero():
     assert count_C(0, 0, 0) == 1
 
 
+def test_counts_outside_the_positive_domain_against_enumeration():
+    """count_R and count_C on every input of a small box that reaches past
+    their positive domain (negative or zero counts, parts and bounds),
+    against plain enumeration: no composition of 0 into positive parts
+    has a part >= b, and no part lies in 0..c when c < 0."""
+
+    def tuples(parts, lo, hi):
+        # every tuple of `parts` values in lo..hi; none for parts < 0
+        return itertools.product(range(lo, hi + 1), repeat=parts) if parts >= 0 else ()
+
+    for a in range(-2, 6):
+        for b in range(-3, 7):
+            for c in range(-3, 10):
+                want = sum(1 for comp in tuples(a, 1, c)
+                           if sum(comp) == c and any(part >= b for part in comp))
+                assert count_R(a, b, c) == want, (a, b, c)
+    for a in range(-2, 8):
+        for b in range(-2, 5):
+            for c in range(-3, 4):
+                want = sum(1 for comp in tuples(b, 0, c) if sum(comp) == a)
+                assert count_C(a, b, c) == want, (a, b, c)
+
+
 def _fraction_horner(coeffs, q):
     out = 0
     for c in reversed(coeffs):
@@ -163,7 +186,7 @@ def _fraction_horner(coeffs, q):
 
 
 def test_term_sum_matches_fraction_arithmetic():
-    """`TermSum` against plain Fraction arithmetic (value and type), and the
+    """`term_sum` against plain Fraction arithmetic (value and type), and the
     oracle's float sum of the same terms against the float expressions
     it replaced, bit for bit, summed by `math.fsum`.
     A term is a class of length-n sequences with f failures, so its theta
@@ -173,7 +196,7 @@ def test_term_sum_matches_fraction_arithmetic():
     from hypothesis import strategies as st
 
     from qbtrials.oracle import _float_sum
-    from qbtrials.qcalc import TermSum, horner_numerator, poly_value, q_pochhammer_prefixes
+    from qbtrials.qcalc import horner_numerator, poly_value, q_pochhammer_prefixes, term_sum
 
     def ratio(zero_ok):
         return st.integers(1, 60).flatmap(
@@ -194,16 +217,15 @@ def test_term_sum_matches_fraction_arithmetic():
         terms = data.draw(st.lists(st.tuples(
             st.integers(0, 3 * n + 3), st.integers(0, n), coeffs, st.integers(0, 4)),
             max_size=8))
-        acc = TermSum(th, q, n)
         want = 0
         for j, f, cs, extra in terms:
-            e = len(cs) - 1 + extra
-            acc.add(j, f, horner_numerator(cs, q.numerator, q.denominator)
-                    * q.denominator ** extra, e)
             if any(cs):
                 want = want + th ** (n - f) * q ** j * q_pochhammer(th, q, f) \
                     * _fraction_horner(cs, q)
-        got = acc.total()
+        got = term_sum(th, q, n, (
+            (j, f, horner_numerator(cs, q.numerator, q.denominator) * q.denominator ** extra,
+             len(cs) - 1 + extra)
+            for j, f, cs, extra in terms))
         assert got == want
         assert type(got) is type(want), (type(got), type(want))
 
@@ -237,7 +259,7 @@ def test_term_sum_numerators_held_per_point():
     and q = 1 and int inputs among them, equal plain Fraction arithmetic in
     value and type."""
     from qbtrials import qcalc
-    from qbtrials.qcalc import TermSum, horner_numerator
+    from qbtrials.qcalc import horner_numerator, term_sum
 
     th1, q1 = Fraction(3, 7), Fraction(5, 11)
     th2, q2 = Fraction(2, 9), Fraction(7, 13)
@@ -247,22 +269,20 @@ def test_term_sum_numerators_held_per_point():
         [(th2, 1, 14), (th2, Fraction(1), 14), (3, 2, 7), (th1, q1, 31), (th2, q2, 3)],
     ]
     for points in groups:
-        # every sum of a group is created before any term is added, and
-        # the terms are added round-robin: one per failure count, with
-        # kernels of a few degrees
-        sums = [TermSum(th, q, n) for th, q, n in points]
-        wants = [0] * len(points)
-        for f in range(max(n for _, _, n in points) + 1):
-            j, cs = f % 4, [1 + f, 0, 3 * f + 2][: 1 + f % 3]
-            for i, (th, q, n) in enumerate(points):
-                if f <= n:
-                    sums[i].add(j, f, horner_numerator(cs, q.numerator, q.denominator),
-                                len(cs) - 1)
-                    wants[i] = wants[i] + th ** (n - f) * q ** j \
-                        * q_pochhammer(th, q, f) * _fraction_horner(cs, q)
-        for acc, want, point in zip(sums, wants, points):
-            got = acc.total()
-            assert got == want and type(got) is type(want), (point, got, want)
+        # one sum per point, in the group's order, so a sum often follows
+        # one at another point, or at the same point and another n, and
+        # replaces or extends the numerators held
+        for th, q, n in points:
+            # one term per failure count, with kernels of a few degrees
+            terms = [(f % 4, f, [1 + f, 0, 3 * f + 2][: 1 + f % 3]) for f in range(n + 1)]
+            got = term_sum(th, q, n, [
+                (j, f, horner_numerator(cs, q.numerator, q.denominator), len(cs) - 1)
+                for j, f, cs in terms])
+            want = 0
+            for j, f, cs in terms:
+                want = want + th ** (n - f) * q ** j * q_pochhammer(th, q, f) \
+                    * _fraction_horner(cs, q)
+            assert got == want and type(got) is type(want), ((th, q, n), got, want)
     # one point's numerators are held: the last asked for
     th, q, n = groups[-1][-1]
     key, nums = qcalc._numerator_memo
@@ -273,12 +293,12 @@ def test_term_sum_numerators_held_per_point():
 def test_float_prefixes_held_apart_from_exact_numerators():
     """Exact and float sums alternate at theta = q = 1, given as ints,
     floats, Fractions and mixed, whose points compare equal: every total,
-    of a TermSum at exact points, of the oracle's float sum at float ones,
+    of `term_sum` at exact points, of the oracle's float sum at float ones,
     and of a longest-run probability, has the type and value of plain
     arithmetic."""
     from qbtrials import ModelParams, longest_run_pmf, qcalc
     from qbtrials.oracle import _float_sum
-    from qbtrials.qcalc import TermSum
+    from qbtrials.qcalc import term_sum
 
     points = [(1, 1), (1.0, 1.0), (Fraction(1), Fraction(1)), (1, 1.0), (1.0, 1), (1, 1)]
     for n in (3, 6, 4, 6, 3):
@@ -289,10 +309,7 @@ def test_float_prefixes_held_apart_from_exact_numerators():
                 got = _float_sum(th, q, n, [(0, 1, 0, (3,)), (2, 0, 0, (5,))])
             else:
                 want_type = Fraction if Fraction in (type(th), type(q)) else int
-                acc = TermSum(th, q, n)
-                acc.add(1, 0, 3)
-                acc.add(0, 2, 5)
-                got = acc.total()
+                got = term_sum(th, q, n, [(1, 0, 3, 0), (0, 2, 5, 0)])
             assert got == 3 and type(got) is want_type, (th, q, n, got)
             # theta = 1: every trial succeeds, so the longest run is n
             got = longest_run_pmf(ModelParams(th, q), n, n)
