@@ -20,18 +20,21 @@ reference the tables are tested against, and `cell_poly_u`, the U cells;
 `kernel_direct_poly` is brute force.  One walker steps many sequences
 through their trials together, one numpy vector step per trial: random
 draws of the model for Monte Carlo, and for enumeration every prefix,
-doubled into its two continuations at each trial.  The unconditioned walk
-keeps all 2^n; `waiting_stop_counts` drops each prefix once the later rule
-has stopped it, so one walk of a quota gives the rows of every t up to
-n_max under both rules.  `count_rows` counts the sequences of one event, a
+doubled into its two continuations at each trial, so bit t - 1 of an
+index is trial t.  `count_rows` counts the sequences of one event, a
 boolean mask over the walk, by failure count and success weight, which fix
 a sequence's probability completely; it gives one row of counts per failure
 count, found for every row at once by `_table_rows`, and callers turn the
-rows into exact probabilities.
+rows into exact probabilities.  `waiting_stop_counts` gives those rows for
+the waiting events of a quota, every t up to n_max under both rules,
+without walking the quota: a length-t prefix is an index below 2**t
+padded with failures, so one pass over the 2**n_max indices, in blocks,
+reads each one's stop trial off its bits.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from itertools import repeat
 
@@ -449,8 +452,7 @@ class _Lockstep:
     for a quota (s_freq, k1, f_freq, k2), the trial at which each side met
     it (0 while it has not) or, without one, the longest runs (l1, l0).
     `grow()` doubles every sequence into its two continuations and steps
-    once, so enumeration starts from the empty sequence; `keep(mask)`
-    drops the sequences where `mask` is False.
+    once, so enumeration starts from the empty sequence.
     """
 
     def __init__(self, size, n, quota=None):
@@ -474,10 +476,6 @@ class _Lockstep:
         size = self.weight.size
         self._apply(lambda a: np.concatenate((a, a)))
         self.step(np.array((False, True)).repeat(size))
-
-    def keep(self, mask):
-        """Drop the sequences where `mask` is False."""
-        self._apply(lambda a: a[mask])
 
     def step(self, success):
         failure = ~success
@@ -547,51 +545,87 @@ def _table_rows(table):
     return [tuple(rows) for rows in groups]
 
 
-def _class_counts(seqs, keep, size):
-    """The walked sequences where `keep` holds, counted by class
-    f * (max_weight + 1) + weight into `size` bins: one `np.bincount`, with
-    f cast to intp first, since in the walk's narrow unsigned dtypes the
-    class would wrap."""
-    key = seqs.failures[keep].astype(np.intp) * (seqs.max_weight + 1) + seqs.weight[keep]
-    return np.bincount(key, minlength=size)
-
-
 def count_rows(seqs, keep):
     """The walked sequences where `keep` holds, counted per failure count f:
     one row (f, e_min, degree, coefficients) per f that occurs, in ascending
     f, whose coefficients count the sequences of success weights e_min ..
-    e_min + degree, a polynomial in q with the weight as exponent."""
+    e_min + degree, a polynomial in q with the weight as exponent.  One
+    `np.bincount` of the class f * width + weight, f cast to intp first,
+    since in the walk's narrow unsigned dtypes the class would wrap."""
     width = seqs.max_weight + 1
-    table = _class_counts(seqs, keep, (seqs.trials + 1) * width)
+    key = seqs.failures[keep].astype(np.intp) * width + seqs.weight[keep]
+    table = np.bincount(key, minlength=(seqs.trials + 1) * width)
     return _table_rows(table.reshape(1, -1, width))[0]
+
+
+_BLOCK = 14  # trials of the low bits of one block of indices
+
+
+@functools.lru_cache(maxsize=1)
+def _low_block():
+    """(successes, weight) of every index below 2**_BLOCK as int32 arrays,
+    from one walk: held, never mutated.  The first 2**L entries are those
+    of the L-trial indices, since trailing failures add no weight."""
+    walk = enumerate_walk(_BLOCK)
+    return _BLOCK - walk.failures.astype(np.int32), walk.weight.astype(np.int32)
+
+
+def _hit_powers(x, freq, k, n):
+    """2**t for the trial t at which a side meets its quota, per bit string
+    x of n trials (bit t - 1 is trial t, a set bit this side's symbol), and
+    2**(n + 1) where it does not: t is the trial of the k-th set bit (freq)
+    or of the last of the first k set bits in a row."""
+    if k > n:
+        return np.full(x.shape, 2 << n, x.dtype)
+    m = x
+    for j in range(1, k):
+        # not `m &= ...`, which at j = 1 would write into x
+        m = m & (m - 1) if freq else m & (x >> j)
+    # a guard bit above every other stands for no hit
+    m = m | 1 << (n if freq else n - k + 1)
+    return (m & -m) << (1 if freq else k)
 
 
 def waiting_stop_counts(n_max, s_freq, k1, f_freq, k2):
     """`count_rows` of the sequences whose quota wait ends at trial t, one
     row tuple per t = 1..n_max, for the sooner and the later rule: the pair
-    (sooner rows, later rows), from one walk.
+    (sooner rows, later rows), from one pass over the 2**n_max indices.
 
-    {T = t} depends on trials 1..t only, and a wait that has ended never
-    ends again.  A later wait never ends before the sooner one, so the
-    prefixes the later rule has not stopped hold every one the sooner rule
-    has not: after each grow the prefixes that stop at t under each rule
-    are added to a held (rule, t, f, w) count table, one `_class_counts`
-    per rule, and every prefix the later rule stopped is dropped.  Each
-    sequence of every length is still walked trial by trial, but a stopped
-    one is never doubled; one `_table_rows` pass at the end gives the rows.
-    The walk keeps every prefix the later rule has not stopped, so it is
-    still exponential in n_max (the later run/run wait at k = (4, 4) keeps
-    81% of 2**20 at n_max = 20).
+    In `enumerate_walk`'s order (bit t - 1 is trial t) a length-t prefix
+    is an index i < 2**t padded with failures, and {T = t} depends on
+    trials 1..t only, so the prefixes that stop at t are the indices with
+    T(i) = t and i < 2**t.  Each side's hit is read off the index bits as
+    a power of two (`_hit_powers`), so the sooner stop is their minimum,
+    the later their maximum, and a prefix is one where i < 2**T.  The
+    padding adds failures but no weight, so a prefix's class is
+    (T - successes, weight).  The indices go in blocks of 2**_BLOCK, one
+    `np.bincount` per rule and block into a (t, f, w) count table per
+    rule, and one `_table_rows` pass per rule at the end gives the rows.
+    A block's low bits take their successes and weight from `_low_block`;
+    its top bits c, trials _BLOCK + 1..n_max, add scalars (c's own weight
+    plus each of its successes times the low bits' failures) and bound
+    its prefixes' lengths from below.  Memory stays flat in n_max; time
+    is exponential in it.
     """
-    seqs = _Lockstep(1, n_max, (s_freq, k1, f_freq, k2))
-    width = seqs.max_weight + 1
-    size = (n_max + 1) * width
-    table = np.zeros((2, n_max, size), _uint(1 << n_max))
-    for t in range(1, n_max + 1):
-        seqs.grow()
-        for later in (False, True):
-            stop = seqs.stop(later)
-            table[int(later), t - 1] = _class_counts(seqs, stop == t, size)
-        seqs.keep(stop == 0)  # the later rule's stop
-    rows = _table_rows(table.reshape(2 * n_max, n_max + 1, width))
-    return tuple(rows[:n_max]), tuple(rows[n_max:])
+    n = n_max
+    low = min(n, _BLOCK)
+    successes, weight = (a[:1 << low] for a in _low_block())
+    index = np.arange(1 << low, dtype=_uint(2 << n))  # holds 2**(n + 1), no hit
+    width = n * n // 4 + 1
+    size = (n + 1) * width  # one t
+    tables = [np.zeros(n * size, np.intp) for _ in range(2)]
+    for c in range(1 << (n - low)):
+        top = [j for j in range(n - low) if c >> j & 1]
+        s_top, w_top = len(top), sum(top) - len(top) * (len(top) - 1) // 2
+        shortest = low + c.bit_length() if c else 1  # shortest prefix in the block
+        i = index | c << low
+        hit1 = _hit_powers(i, s_freq, k1, n)
+        hit0 = _hit_powers(i ^ ((1 << n) - 1), f_freq, k2, n)
+        for table, p in zip(tables, (np.minimum(hit1, hit0), np.maximum(hit1, hit0))):
+            stopped = i < (p & ((2 << n) - 1))  # no stop by n: 2**(n + 1) masks to 0
+            t = np.frexp(p[stopped].astype(np.float32))[1] - 1  # 2**t is exact in float32
+            s = successes[stopped]
+            w = weight[stopped] + s_top * (low - s) + w_top
+            key = ((t - shortest) * (n + 1) + t - s - s_top) * width + w
+            table[(shortest - 1) * size:] += np.bincount(key, minlength=(n + 1 - shortest) * size)
+    return tuple(tuple(_table_rows(table.reshape(n, n + 1, width))) for table in tables)

@@ -274,9 +274,11 @@ def _load_grid(parser, spec: str) -> ScanGrid:
 def _cmd_verify(parser, args) -> int:
     grid = _load_grid(parser, args.grid)
     # opened before the scan, so a path that cannot be written is refused
-    # up front instead of after the scan's work
+    # up front instead of after the scan's work, but not truncated until
+    # the scan has succeeded, so a refused scan leaves an old report as it
+    # was
     try:
-        report = open(args.report, "w", encoding="utf-8") if args.report else None
+        report = open(args.report, "a", encoding="utf-8") if args.report else None
     except OSError as exc:
         parser.error(f"cannot write report {args.report!r}: {exc}")
     with report or contextlib.nullcontext():
@@ -287,6 +289,7 @@ def _cmd_verify(parser, args) -> int:
         if not reports:
             parser.error(f"grid {args.grid!r} has no points to check")
         if report:
+            report.truncate(0)
             report.write(reports_to_json(reports))
     mismatches = [r for r in reports if r.verdict == "mismatch"]
     print(f"checked {len(reports)} grid points: {len(mismatches)} mismatches")

@@ -5,15 +5,16 @@ The enumeration walks every sequence and counts those in an event by
 exactly; with Fraction parameters every oracle value is an exact rational,
 so "match" in a report means equality, not closeness.  A longest-run or
 joint predicate is a mask over the walk of all 2**n sequences.  The
-waiting events of a quota, sooner and later, are one walk that grows its
-prefixes trial by trial, counts at every t the prefixes that stop there
-under each rule, and drops each one once the later rule has stopped it;
-the rows of both modes, for every t up to the longest walked so far, are
-held under the first four fields of the quota's `QuotaSpec.key`, the
-fields the walker reads, and the fifth picks the mode.  Every event
-gives one row of counts per failure count f: the sequences of one f
-share the prefactor theta**(n-f) (theta; q)_f, so they are added as one
-term whose kernel is their counts as a polynomial in q.
+waiting events of a quota, sooner and later, are one pass over the
+2**n_max indices (`core.waiting_stop_counts`) that reads each index's stop
+trial under each rule off its bits, an index below 2**t being a length-t
+prefix padded with failures; the rows of both modes, for every t up to
+the longest counted so far, are held under the first four fields of the
+quota's `QuotaSpec.key`, the fields that pass reads, and the fifth picks
+the mode.  Every event gives one row of counts per failure count f: the
+sequences of one f share the prefactor theta**(n-f) (theta; q)_f, so
+they are added as one term whose kernel is their counts as a polynomial
+in q.
 At exact inputs the rows are summed by `qcalc.term_sum`, the sum the
 formula layer uses: one integer over d**n * b**B at theta = c/d and
 q = a/b, and one Fraction at the end; at float ones by `math.fsum`
@@ -115,13 +116,14 @@ _held_lock = threading.Lock()
 def _waiting_rows(key, n):
     """The rows of the waiting event of a quota, keyed by its
     `QuotaSpec.key`, for t = 1..n at least, one `core.count_rows` tuple per
-    t: the sequences whose wait ends at trial t.  One walk gives the rows
-    of both rules, so the longest (sooner rows, later rows) pair walked so
-    far is held per quota, `key[:4]`, and a longer n walks once to n; the
-    fifth field (later?) picks the rule.  The rows are parameter-free, so
-    one walk serves the whole theta/q grid of a scan and both modes.
-    Threads share the held rows under one lock, the walk included, so a
-    quota is walked once however many threads ask for it."""
+    t: the sequences whose wait ends at trial t.  One
+    `core.waiting_stop_counts` pass gives the rows of both rules, so the
+    longest (sooner rows, later rows) pair counted so far is held per
+    quota, `key[:4]`, and a longer n counts once to n; the fifth field
+    (later?) picks the rule.  The rows are parameter-free, so one pass
+    serves the whole theta/q grid of a scan and both modes.  Threads share
+    the held rows under one lock, the pass included, so a quota is counted
+    once however many threads ask for it."""
     quota, later = key[:4], key[4]
     with _held_lock:
         pair = _held.pop(quota, ((), ()))
@@ -155,7 +157,7 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
     """Sum of sequence probabilities over all length-n sequences in the event;
     {T = t} depends on trials 1..t only, so it sums the sequences of its
     first t trials: its quota's held rows when they reach t, otherwise one
-    walk to t.
+    pass over the 2**t indices of those trials.
 
     A sequence with f failures and success weight e (the failures before
     each success, summed) has probability theta^(n-f) q^e (theta; q)_f, so
@@ -196,9 +198,9 @@ def _float_sum(th: Scalar, q: Scalar, n: int, rows) -> float:
 
 
 def oracle_waiting_pmf(params: ModelParams, quota: QuotaSpec, n_max: int) -> Pmf:
-    """Exact PMF of the waiting time, truncated at n_max: one walk of its
-    quota to n_max, which the other mode's table reads too, then one
-    `oracle_event_prob` per n on the held rows."""
+    """Exact PMF of the waiting time, truncated at n_max: one pass of its
+    quota over the 2**n_max indices, whose rows the other mode's table
+    reads too, then one `oracle_event_prob` per n on the held rows."""
     if n_max > DEFAULT_BUDGET:
         # refused before any table is enumerated
         raise EnumerationBudgetError(

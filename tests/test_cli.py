@@ -112,6 +112,29 @@ def test_verify_default_small_file_grid(capsys, tmp_path):
     assert all(item["verdict"] == "match" for item in payload)
 
 
+def test_refused_verify_leaves_an_old_report(capsys, tmp_path):
+    # a scan refused over the enumeration budget or for want of points
+    # exits 2 and leaves an existing report byte for byte as it was; a
+    # scan that succeeds then replaces it whole
+    report = tmp_path / "report.json"
+    old = b"old\n" * 4096
+    report.write_bytes(old)
+    path = tmp_path / "grid.json"
+    for grid in ({"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[2, 2]], "n_max": 21},
+                 {"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[30, 30]], "n_max": 5}):
+        path.write_text(json.dumps(grid))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--grid", str(path), "--report", str(report)])
+        assert exc.value.code == 2, grid
+        assert report.read_bytes() == old, grid
+    path.write_text(json.dumps({"thetas": ["1/2"], "qs": ["1/2"], "k_pairs": [[2, 2]],
+                                "n_max": 5}))
+    code, out, _ = run_cli(capsys, "verify", "--grid", str(path), "--report", str(report))
+    assert code == 0 and "0 mismatches" in out
+    payload = json.loads(report.read_text())
+    assert payload and all(item["verdict"] == "match" for item in payload)
+
+
 def test_exact_requires_fraction_inputs(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pmf", "--mode", "sooner", "--success", "run:2", "--failure",

@@ -112,18 +112,20 @@ def _predicates(n):
 @pytest.mark.parametrize("mode", [Mode.SOONER, Mode.LATER])
 def test_oracle_matches_naive_summation(s_freq, f_freq, mode):
     # the oracle must agree with a literal sum of sequence_probability over
-    # the sequences whose wait ends at t, for every t in 0..n
+    # the sequences whose wait ends at t, for every t in 0..n, at quotas of
+    # 1 and at k1 = 8, above n, too
     params = ModelParams(Fraction(2, 7), Fraction(3, 5))
     n = 7
-    quota = _quota(s_freq, f_freq, 3, 2, mode)
-    for t in range(0, n + 1):
-        want = sum(
-            sequence_probability(params, seq)
-            for seq in itertools.product((0, 1), repeat=n)
-            if stopping_time(seq, quota) == t
-        )
-        got = oracle_event_prob(params, n, WaitingEquals(quota, t))
-        assert got == want
+    for k1, k2 in ((3, 2), (1, 1), (2, 4), (8, 1)):
+        quota = _quota(s_freq, f_freq, k1, k2, mode)
+        for t in range(0, n + 1):
+            want = sum(
+                sequence_probability(params, seq)
+                for seq in itertools.product((0, 1), repeat=n)
+                if stopping_time(seq, quota) == t
+            )
+            got = oracle_event_prob(params, n, WaitingEquals(quota, t))
+            assert got == want, (k1, k2, t)
     # and its rows must match model.stopping_time sequence by sequence:
     # the walk's masked at every target (0: the wait has not ended by
     # trial n), and one waiting_stop_counts call's rows of both rules,
@@ -382,38 +384,39 @@ def test_waiting_event_reads_only_its_trials(monkeypatch):
 
 
 @pytest.mark.parametrize("s_freq,f_freq,later", _WAITING_FAMILIES)
-def test_pruned_walk_equals_unpruned_walk(monkeypatch, s_freq, f_freq, later):
-    # one walk to n_max = 14 that drops each prefix once the later rule
-    # stops it gives, for every t and for both rules, the rows of the full
-    # t-trial walk masked at stop == t; the prefixes live before each grow
-    # are the t-trial prefixes the later rule has not stopped; at
-    # k = (15, 15) no wait ends, so nothing is dropped and every row is
-    # empty
-    live = []
-    real = core._Lockstep.grow
-    monkeypatch.setattr(core._Lockstep, "grow",
-                        lambda self: live.append(self.weight.size) or real(self))
+def test_pruned_walk_equals_unpruned_walk(s_freq, f_freq, later):
+    # one pass over the 2**14 indices, which counts at t only the indices
+    # below 2**t, gives for every t and both rules the rows of the full,
+    # unpruned t-trial walk masked at stop == t; at k = (15, 15) no wait
+    # ends, so every row is empty
     for k1, k2 in ((1, 1), (2, 3), (3, 2), (4, 4), (15, 15)):
-        live.clear()
         pair = core.waiting_stop_counts(14, s_freq, k1, f_freq, k2)
-        live_before = list(live)  # live prefixes before each grow
-        assert [len(rows) for rows in pair] == [14, 14] and len(live_before) == 14
-        for t in range(0, 15):
+        assert [len(rows) for rows in pair] == [14, 14]
+        for t in range(1, 15):
             walk = core.enumerate_walk(t, (s_freq, k1, f_freq, k2))
             for rule in (later, not later):
-                if t:
-                    want = core.count_rows(walk, walk.stop(rule) == t)
-                    got = pair[rule][t - 1]
-                    assert got == want and _all_ints(got), (k1, k2, t, rule)
-            if t < 14:
-                assert live_before[t] == np.count_nonzero(walk.stop(True) == 0), (k1, k2, t)
+                want = core.count_rows(walk, walk.stop(rule) == t)
+                got = pair[rule][t - 1]
+                assert got == want and _all_ints(got), (k1, k2, t, rule)
         if (k1, k2) == (15, 15):
-            assert pair == (((),) * 14,) * 2 and live_before == [1 << t for t in range(14)]
-        elif (s_freq, f_freq, k1, k2) == (True, True, 4, 4):
-            # the later wait needs 4 successes and 4 failures, so the live
-            # t-trial prefixes are those with fewer than 4 of either
-            assert live_before == [sum(math.comb(t, j) for j in range(t + 1) if min(j, t - j) < 4)
-                                   for t in range(14)], live_before
+            assert pair == (((),) * 14,) * 2
+
+
+@pytest.mark.parametrize("s_freq,f_freq", ALL_KINDS)
+def test_index_pass_across_blocks(s_freq, f_freq):
+    # at n_max = 20 the pass spans 64 blocks of 2**14 indices, whose top
+    # bits add successes and weight to the low bits' and bound the prefix
+    # lengths: the rows at t = 14, 15, 16 and 20, where blocks begin to
+    # count, equal the full t-trial walk masked at stop == t, for both
+    # rules, at k = 21 above n_max too
+    for k1, k2 in ((2, 3), (4, 4), (21, 1)):
+        quota = (s_freq, k1, f_freq, k2)
+        pair = core.waiting_stop_counts(20, *quota)
+        for t in (14, 15, 16, 20):
+            walk = core.enumerate_walk(t, quota)
+            for later in (False, True):
+                want = core.count_rows(walk, walk.stop(later) == t)
+                assert pair[later][t - 1] == want, (quota, t, later)
 
 
 def test_paired_walk_equals_per_mode_walks():
