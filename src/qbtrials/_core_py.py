@@ -13,10 +13,14 @@ bits w*i, and `unpack` turns it into a coefficient tuple (index = power
 of q), `unpack_matrix` a list of them into one float64 matrix for the
 float path;
 at the q of an exact probability it is the value that probability reads,
-with no unpacking and no Horner.  Two top-down peels remain, each one
-`_fill` with no recursion: `arrangement_poly`, the paper's fixed-run-count
-kernel (`kernel_eval_poly` and the V cells, `cell_poly_v`) and the
-reference the tables are tested against, and `cell_poly_u`, the U cells;
+with no unpacking and no Horner.  `capped_cells` gives the longest-run
+cells of a long cap at an exact q without a pass of their own, as an
+alternating sum over the uncapped cells (the q-binomial theorem); the
+kernel cache takes it only where that sum is short.  Two top-down peels
+remain, each one `_fill` with no recursion: `arrangement_poly`, the
+paper's fixed-run-count kernel (`kernel_eval_poly` and the V cells,
+`cell_poly_v`) and the reference the tables are tested against, and
+`cell_poly_u`, the U cells;
 `kernel_direct_poly` is brute force.  One walker steps many sequences
 through their trials together, one numpy vector step per trial: random
 draws of the model for Monte Carlo, and for enumeration every prefix,
@@ -227,6 +231,13 @@ def band_diagonals(xband, yband, n, a, b):
     filled by m and reversed.  The fill is linear and exact on ints, so
     a signed sum of packed diagonals unpacks to the signed sum of their
     coefficients when each of those fits in w bits.
+
+    The kernel cache reads every band pair through this pass at q = 2**w,
+    and at an exact q every one but a long cap k of the cells, (0, k) x
+    (1, 1) at n // (k + 1) <= k, which `capped_cells` sums from this
+    pass's uncapped cells (0, None) x (1, 1): the leaving term's
+    a**(r*k) products and the cells' F window bind only the packed reads
+    and the short caps.
     """
     xlo, xhi = xband
     ylo, yhi = yband
@@ -260,6 +271,59 @@ def band_diagonals(xband, yband, n, a, b):
             s_diags[d - s_back] = None
         if d >= f_back:
             f_diags[d - f_back] = None
+
+
+def capped_cells(k, n, a, b, uncapped):
+    """S_n, anti-diagonal n of the S side of the longest-run cells capped
+    at k, the band pair ((0, k), (1, 1)), at q = a/b, as `band_diagonals`
+    yields it, from the uncapped cells ((0, None), (1, 1)): uncapped[d] is
+    their S diagonal of size d, entry y the Gaussian binomial [d, y] at
+    a/b over b**((d - y)*y), read at the sizes d = n - s*(k + 1), s >= 0.
+
+    The cells of S(m, y) are y + 1 success runs of 0..k around y single
+    failures, run j weighing j per item.  By inclusion-exclusion over the
+    s runs of k + 1 or more (the q-binomial theorem), with c = k + 1,
+
+        S(m, y) = sum_s (-1)**s q**(c*s*(s-1)/2) [y+1, s]_(q**c) [n-s*c, y]_q,
+
+    s from 0 to min(y + 1, (n - y) // c): taking c items from each of
+    runs j_1 < ... < j_s leaves uncapped cells and removes weight
+    c*(j_1 + ... + j_s), whose sum over the s-subsets is the first two
+    factors.  In numerators over b**(m*y), term s is (a*b)**(c*s*(s-1)/2)
+    times G[y+1][s], the numerator of [y+1, s] at q**c over
+    b**(c*s*(y+1-s)), times the uncapped entry.  G comes from the
+    q-Pascal rule, G[N][s] = G[N-1][s-1] b**(c*(N-s)) + a**(c*s) G[N-1][s],
+    one row per y and only as far as the sum reads it; from y = n - c + 1
+    on the sum is the uncapped entry alone.  `cell_failures` gives the F
+    side from S_(n-1).
+
+    The identity is exact at any a/b, with up to n // c + 1 terms per
+    entry against a pass of n diagonals, so it pays for long caps (the
+    kernel cache takes it where n // c <= k, at exact q <= 1) and not at
+    q = 2**w, where each product is a polynomial product.
+    """
+    c = k + 1
+    cols = [uncapped[d] for d in range(n, -1, -c)]
+    signed = [(-1) ** s * (a * b) ** (c * s * (s - 1) // 2) for s in range(len(cols))]
+    a_steps = [a ** (c * s) for s in range(len(cols))]
+    b_steps = [b ** (c * i) for i in range(n - c + 2)]
+    g = [1]  # row y + 1 of G, y = -1
+    out = []
+    for y in range(n - c + 1):
+        top = min(y + 1, (n - y) // c)
+        g = [1, *(g[s - 1] * b_steps[y + 1 - s] + (a_steps[s] * g[s] if s < len(g) else 0)
+                  for s in range(1, top + 1))]
+        out.append(sum([signed[s] * g[s] * cols[s][y] for s in range(1, top + 1)], cols[0][y]))
+    return (*out, *cols[0][len(out):])
+
+
+def cell_failures(s_prev, b):
+    """F_n of the longest-run cells, n >= 1, from their S_(n-1) at q = a/b:
+    F(m, y) = S(m, y - 1) b**m, and 0 at y = 0, as `band_diagonals` fills
+    it for failure runs of length 1."""
+    n = len(s_prev)
+    scale, (steps,) = _steps(b, n, 1)
+    return (0, *_scaled(s_prev, scale, None if steps is None else steps[n - 1::-1]))
 
 
 def unpack(p, w):

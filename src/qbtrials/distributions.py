@@ -42,7 +42,11 @@ The longest-run PMF and CDF are one sum over the failure count y of the
 same tables' cells, read through `_mass` like every other probability:
 the y + 1 success runs are at most k long and, for the PMF, one of them
 is exactly k, which is the band (0, k) minus the band (0, k - 1), so
-PMF(k) shares its tables with CDF(k) and CDF(k - 1).  Each function that
+PMF(k) shares its tables with CDF(k) and CDF(k - 1).  At exact inputs a
+long cap (n // (k + 1) <= k) reads no pass of its own: the cache sums its
+diagonal from the uncapped cells (`_core_py.capped_cells`), one pass of
+which serves every such k at one q; short caps and float plans read the
+band pass.  Each function that
 reads kernels takes an optional `KernelValueCache` and uses the
 module-level one without it.  At rational theta = c/d and q = a/b each
 probability hands its terms' j, f and K to one `qcalc.term_sum` call: the
@@ -62,6 +66,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -416,9 +421,15 @@ def waiting_time_table(
 ) -> Pmf:
     """PMF table from the support minimum up to n_max inclusive."""
     probs = _waiting_probs(params, quota, n_max, cache)
-    running = sum(probs)
-    # an exact table may not exceed 1 at all, a float one by rounding only
-    if running > 1 + (_SUM_SLACK if isinstance(running, float) else 0):
+    # an exact table may not exceed 1 at all, a float one by rounding only;
+    # exact probabilities add as one integer over the lcm of their
+    # denominators, with no Fraction per partial sum
+    if is_exact(params.theta, params.q):
+        common = math.lcm(*(p.denominator for p in probs))
+        total = sum(p.numerator * (common // p.denominator) for p in probs)
+        if total > common:
+            raise ValueError(f"partial sums exceed 1: {Fraction(total, common)}")
+    elif (running := sum(probs)) > 1 + _SUM_SLACK:
         raise ValueError(f"partial sums exceed 1: {running}")
     return Pmf(offset=support_min(quota), probs=probs)
 

@@ -44,7 +44,16 @@ readers and to `core.packed_width`, `unpack` and `unpack_matrix`.  A
 call asks for every entry it reads at once: one `_fill` fills them, a
 pass per band pair to the largest size missing, and one `_entry` reads
 an entry: a dict lookup per band pair and, where a side needs some part
->= need, one signed sum.
+>= need, one signed sum.  Which fill a read takes:
+
+* the pass, at q = 2**w, for every band pair, since there each product
+  of a sum would be a polynomial product;
+* at an exact q <= 1, the pass for every band pair but a long cap k of
+  the longest-run cells, (0, k) x (1, 1) at size n with n // (k + 1) <= k:
+  that one is `core.capped_cells`, an alternating sum of at most k + 1
+  terms over the uncapped cells (0, None) x (1, 1), whose one pass the
+  store keeps at the sizes the sums read, beside the caps'.  Its F side
+  is filled only once a read asks for it, and () until then.
 
 `family_arrangement` gives a family's last symbol and constraints.  The
 top-down peels, in a memo of their own, stay as the fixed-s API and the
@@ -199,9 +208,11 @@ class KernelValueCache:
     `_values` is (q, value memo), the cache's one anti-diagonal store,
     keyed q = (a, b): the anti-diagonals at a/b that reads asked for,
     keyed (x band, y band, size) -> (S diagonal, F diagonal) (`_fill`,
-    `diagonals`).  An exact probability reads it at its own q, a float
-    plan (`float_matrix`) and `arrangement_poly` at the integer q = 2**w
-    of the width they unpack.  A call at another q replaces the pair
+    `diagonals`), and the uncapped cells' diagonals that a long cap's
+    sum read, F () for a long cap whose F side no read has asked for.
+    An exact probability reads it at its own q, a float plan
+    (`float_matrix`) and `arrangement_poly` at the integer q = 2**w of
+    the width they unpack.  A call at another q replaces the pair
     under the lock, so its memory is that of one q's diagonals however
     many q are asked for.
 
@@ -253,8 +264,9 @@ class KernelValueCache:
         under the lock; a call with no entries reads nothing and leaves it
         as it is.  A call asks for every entry it reads at once, so
         one pass per band pair to the largest size missing fills them
-        (`_fill`), and the memo keeps only the sizes read.  Float q reads
-        `float_matrix` instead.
+        (`_fill`; a long cap of the cells at an exact q <= 1 is one sum
+        over the uncapped cells instead), and the memo keeps only the
+        sizes read.  Float q reads `float_matrix` instead.
         """
         if not entries:
             return {}
@@ -310,6 +322,9 @@ def _band_pairs(xcon: tuple, ycon: tuple) -> tuple:
     return tuple(((xb, yb), sx * sy) for xb, sx in _bands(xcon) for yb, sy in _bands(ycon))
 
 
+_UNCAPPED = ((0, None), (1, 1))  # the longest-run cells with no cap
+
+
 def _fill(memo: dict, entries, a: int, b: int) -> None:
     """Store in `memo` the anti-diagonals at q = a/b that the (last_x,
     xcon, ycon, size) of `entries` read, keyed (x band, y band, size) ->
@@ -318,13 +333,41 @@ def _fill(memo: dict, entries, a: int, b: int) -> None:
     its polynomials packed.
 
     Per band pair (`_band_pairs`), one `core.band_diagonals` pass to the
-    largest size missing, which keeps only the sizes read.  The memo gains
-    nothing until every pass is done, so a refused band leaves no entry.
+    largest size missing, which keeps only the sizes read.  The one
+    exception is a long cap k of the longest-run cells, (0, k) x (1, 1),
+    at size n // (k + 1) <= k and an exact q <= 1: `core.capped_cells`
+    sums its S side from the uncapped cells, whose pass keeps the sizes
+    the sum reads beside the others, and its F side, from S at n - 1, only
+    where an entry reads it (F is () until then).  Short caps and every
+    read at q = 2**w, where its products are polynomial products, take
+    the pass.  The memo gains nothing until every pass is done, so a
+    refused band leaves no entry.
     """
     wanted: dict = {}  # band pair -> the sizes read
     for _, xcon, ycon, size in entries:
         for pair, _ in _band_pairs(xcon, ycon):
             wanted.setdefault(pair, set()).add(size)
+    capped = {}  # (k, size) -> whether a read takes the F side, of the long caps to fill
+    if a <= b:
+        failures = None  # (band pair, size) of the F sides read, found once a cap needs it
+        for (xband, yband), sizes in wanted.items():
+            k = xband[1]
+            if xband[0] or k is None or yband != (1, 1):
+                continue
+            for n in [n for n in sizes if n // (k + 1) <= k]:
+                sizes.remove(n)
+                if failures is None:
+                    failures = {(pair, size) for last_x, xcon, ycon, size in entries
+                                if not last_x for pair, _ in _band_pairs(xcon, ycon)}
+                f_read = ((xband, yband), n) in failures
+                held = memo.get((xband, yband, n))
+                if held is None or f_read and not held[1]:
+                    capped[k, n] = f_read
+        if capped:
+            # the sizes n - s*(k + 1) of S and, where F is read, n - 1 - s*(k + 1)
+            wanted.setdefault(_UNCAPPED, set()).update(
+                d for (k, n), f_read in capped.items()
+                for top in ((n, n - 1) if f_read else (n,)) for d in range(top, -1, -k - 1))
     filled = {}
     for (xband, yband), sizes in wanted.items():
         missing = {size for size in sizes if (xband, yband, size) not in memo}
@@ -332,6 +375,15 @@ def _fill(memo: dict, entries, a: int, b: int) -> None:
             for d, s, f in core.band_diagonals(xband, yband, max(missing), a, b):
                 if d in missing:
                     filled[xband, yband, d] = s, f
+    if capped:
+        uncapped = {d: (filled.get((*_UNCAPPED, d)) or memo[(*_UNCAPPED, d)])[0]
+                    for d in wanted[_UNCAPPED]}
+        for (k, n), f_read in capped.items():
+            s = f = core.capped_cells(k, n, a, b, uncapped)  # at n = 0 both are (1,)
+            if n:
+                f = () if not f_read else core.cell_failures(
+                    core.capped_cells(k, n - 1, a, b, uncapped), b)
+            filled[(0, k), (1, 1), n] = s, f
     memo.update(filled)
 
 

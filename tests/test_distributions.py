@@ -313,6 +313,19 @@ def test_exact_table_partial_sums_may_not_exceed_one(monkeypatch):
         waiting_time_table(HALF, quota, 3)
     floats = waiting_time_table(ModelParams(0.5, 0.5), quota, 3)
     assert floats.total() == pytest.approx(1 + 1e-12, rel=1e-15)
+    # tables of given rows, n = 3 first as `_mass` gives them: rows of
+    # unlike denominators that sum to exactly 1 pass, and the same rows
+    # raised by 10**-40 are refused with their sum in the message
+    tiny = Fraction(1, 10**40)
+    for rows, ok in (([Fraction(2, 3), Fraction(1, 3)], True), ([1, 0], True),
+                     ([Fraction(5, 7), Fraction(2, 7) + tiny], False),
+                     ([Fraction(4, 9) + tiny, Fraction(5, 9)], False)):
+        monkeypatch.setattr(d, "_mass", lambda *args, rows=rows: list(rows))
+        if ok:
+            assert waiting_time_table(HALF, quota, 3).probs == rows[::-1]
+        else:
+            with pytest.raises(ValueError, match=f"partial sums exceed 1: {1 + tiny}$"):
+                waiting_time_table(HALF, quota, 3)
 
 
 def test_later_mode_is_defective_for_small_q():

@@ -557,12 +557,23 @@ def test_band_table_equals_top_down_peel_at_q():
                 list(core.band_diagonals((0, None), (1, None), 44, *args))
 
 
+def _with_uncapped(keys):
+    """The store keys that reading the anti-diagonals `keys` leaves at an
+    exact q <= 1: each key and, for a long cap k of the longest-run cells
+    ((0, k), (1, 1), n), n // (k + 1) <= k, the diagonals n - s*(k + 1) of
+    the uncapped cells that `core.capped_cells` reads for its S side."""
+    return set(keys) | {((0, None), (1, 1), d) for (lo, k), yband, n in keys
+                        if not lo and k is not None and yband == (1, 1) and n // (k + 1) <= k
+                        for d in range(n, -1, -k - 1)}
+
+
 def test_band_tables_extend_every_smaller_table():
     # an exact memo grown by reads of size 3 and then n holds those two
     # sizes of each band pair, and then reads every smaller anti-diagonal,
     # all at once, as a fresh cache does, holding each band pair's sizes
     # 0..n: an entry with a need on both sides (four band pairs) and a
-    # longest-run cell
+    # longest-run cell, whose caps 4 and 3 are long at every size here,
+    # so the store also holds the uncapped diagonals their sums read
     from qbtrials.kernels import _band_pairs
 
     n = 12
@@ -573,16 +584,17 @@ def test_band_tables_extend_every_smaller_table():
         for key in keys:
             cache.diagonals(q, [(*key, 3)])
             cache.diagonals(q, [(*key, n)])  # adds size n beside 3
-        assert set(cache._values[1]) == {(*pair, size) for key in keys
-                                         for pair, _ in _band_pairs(*key[1:])
-                                         for size in (3, n)}
+        read = {(*pair, size) for key in keys for pair, _ in _band_pairs(*key[1:])
+                for size in (3, n)}
+        assert set(cache._values[1]) == _with_uncapped(read)
+        assert {((0, None), (1, 1), d) for d in (12, 7, 2, 8, 4, 0, 3)} < set(cache._values[1])
         entries = [(*key, size) for key in keys for size in range(n + 1)]
         got = cache.diagonals(q, entries)
         for entry in entries:
             assert got[entry] == KernelValueCache().diagonals(q, [entry])[entry], (entry, q)
-        assert set(cache._values[1]) == {(*pair, size) for key in keys
-                                         for pair, _ in _band_pairs(*key[1:])
-                                         for size in range(n + 1)}
+        read = {(*pair, size) for key in keys for pair, _ in _band_pairs(*key[1:])
+                for size in range(n + 1)}
+        assert set(cache._values[1]) == _with_uncapped(read)
 
 
 def test_empty_read_leaves_the_store_alone():
@@ -691,9 +703,12 @@ def test_one_store_serves_exact_and_packed_reads_in_turn(monkeypatch):
     # which read the store at q = 2**w), then 81/100 again: every value
     # equals a fresh cache's, the store names the q of the last read, and
     # the exact re-read refills what the first exact read filled, pass for
-    # pass, since the float reads replaced the store: the one cost of a
-    # single store.  That is one pass per band pair, two for the waiting
-    # table and one per longest-run cell (0, k) x (1, 1)
+    # pass and sum for sum, since the float reads replaced the store: the
+    # one cost of a single store.  That is one pass per band pair, two for
+    # the waiting table and one per short longest-run cap (0, k) x (1, 1),
+    # k < 4, and passes of the uncapped cells, whose diagonals the long
+    # caps 4..20 (20 // (k + 1) <= k) are summed from, one sum each; the
+    # float reads sum none
     from qbtrials import (
         FreqQuota,
         Mode,
@@ -705,10 +720,12 @@ def test_one_store_serves_exact_and_packed_reads_in_turn(monkeypatch):
     )
     from qbtrials import _core_py as core
 
-    fills = []
-    real = core.band_diagonals
+    fills, sums = [], []
+    real, real_sum = core.band_diagonals, core.capped_cells
     monkeypatch.setattr(core, "band_diagonals",
                         lambda *args: fills.append(args) or real(*args))
+    monkeypatch.setattr(core, "capped_cells",
+                        lambda *args: sums.append(args[:2]) or real_sum(*args))
     exact, floats = ModelParams(Fraction(37, 100), Fraction(81, 100)), ModelParams(0.37, 0.81)
     quota = QuotaSpec(RunQuota(3), FreqQuota(2), Mode.LATER)
 
@@ -718,15 +735,22 @@ def test_one_store_serves_exact_and_packed_reads_in_turn(monkeypatch):
 
     want = [values(params, KernelValueCache()) for params in (exact, floats)]
     cache = KernelValueCache()
-    passes = []
+    passes, summed = [], []
     # the float reads end with the longest-run plans, at the width of 20
     for j, at in ((0, (81, 100)), (1, (1 << core.packed_width(20), 1)), (0, (81, 100))):
         fills.clear()
+        sums.clear()
         assert values((exact, floats)[j], cache) == want[j]
         assert cache._values[0] == at
         passes.append(list(fills))
+        summed.append(list(sums))
     assert {a[3:] for a in passes[1]} == {(1 << core.packed_width(n), 1) for n in (20, 24)}
-    assert len(passes[2]) == len(passes[0]) == 23 and passes[2] == passes[0]
+    assert not summed[1]
+    short = [args for args in passes[0] if args[0] != (0, None)]
+    assert len(short) == 2 + 4 and {args[0] for args in short[2:]} == {(0, k) for k in range(4)}
+    assert all(args[2] <= 20 for args in passes[0] if args[0] == (0, None))
+    assert len(passes[2]) == len(passes[0]) and passes[2] == passes[0]
+    assert sorted(summed[2]) == sorted(summed[0]) == [(k, 20) for k in range(4, 21)]
 
 
 def test_band_tables_hold_the_sizes_read(monkeypatch):
@@ -932,6 +956,35 @@ def test_band_diagonals_equal_the_whole_table(q):
                     assert Fraction(side[r], b ** ((n - r) * r)) == poly_value(want, q)
 
 
+@pytest.mark.parametrize("q", [Fraction(81, 100), Fraction(13, 19), Fraction(1), None])
+def test_capped_cells_equal_the_band_pass(q):
+    # the q-binomial sum of a capped cell over the uncapped cells equals
+    # the pass of the cells band pair (0, k) x (1, 1), S and F, for every
+    # cap k = 0..n at every size n <= 30: at 81/100, 13/19 and q = 1, and
+    # at q = 2**w (None), where the cache never takes it, called directly.
+    # At an exact q a fresh cache's reads of both sides, in that order,
+    # equal the pass too, long caps (n // (k + 1) <= k) summed and short
+    # ones passed, and hold both sides of each once F is read
+    from qbtrials import _core_py as core
+
+    top, w = 30, core.packed_width(30)
+    a, b = (1 << w, 1) if q is None else (q.numerator, q.denominator)
+    uncapped = {d: s for d, s, _ in core.band_diagonals((0, None), (1, 1), top, a, b)}
+    for k in range(top + 1):
+        cache = KernelValueCache()
+        for n, s, f in core.band_diagonals((0, k), (1, 1), top, a, b):
+            if k > n:
+                continue
+            assert core.capped_cells(k, n, a, b, uncapped) == s, (k, n)
+            if n:
+                assert core.cell_failures(core.capped_cells(k, n - 1, a, b, uncapped), b) == f
+            if q is not None:
+                entries = [(last_x, (0, k, 0), (1, 1, 0), n) for last_x in (True, False)]
+                for entry, want in zip(entries, (s, f)):
+                    assert cache.diagonals(q, [entry])[entry] == want, (k, n, entry[0])
+                assert cache._values[1][(0, k), (1, 1), n] == (s, f)
+
+
 def test_float_longest_run_reads_only_diagonal_n(monkeypatch):
     # the float longest-run PMF of every k at n = 40, on a fresh cache,
     # fills each cell band pair (0, k) x (1, 1) once, as PMF(k) reads the
@@ -966,19 +1019,24 @@ def test_float_longest_run_reads_only_diagonal_n(monkeypatch):
 def test_exact_longest_run_reads_only_diagonal_n(monkeypatch):
     # the exact longest-run PMF and CDF of every k at n = 40, on a fresh
     # cache, fill each cell band pair (0, k) x (1, 1) once and hold only
-    # diagonal 40 of each, as at a float q; the PMF sums to 1 and its
-    # running sums are the CDF.  Its traced peak stays far below that of
-    # a memo that keeps every diagonal of a pass (10.6 MB with it, 1.2 MB
-    # without)
+    # diagonal 40 of each, as at a float q, beside the uncapped diagonals
+    # that the long caps' sums read: a short cap (40 // (k + 1) > k, so
+    # k <= 5) by one pass, a long one by one `core.capped_cells` sum, and
+    # every other pass is of the uncapped cells, to at most 40.  The PMF
+    # sums to 1 and its running sums are the CDF.  Its traced peak stays
+    # far below that of a memo that keeps every diagonal of a pass
+    # (10.6 MB with it, 1.2 MB without)
     import tracemalloc
 
     from qbtrials import ModelParams, longest_run_cdf, longest_run_pmf
     from qbtrials import _core_py as core
 
-    fills = []
-    real = core.band_diagonals
+    fills, sums = [], []
+    real, real_sum = core.band_diagonals, core.capped_cells
     monkeypatch.setattr(core, "band_diagonals",
                         lambda *args: fills.append(args[:3]) or real(*args))
+    monkeypatch.setattr(core, "capped_cells",
+                        lambda *args: sums.append(args[:2]) or real_sum(*args))
     params, cache = ModelParams(Fraction(37, 100), Fraction(81, 100)), KernelValueCache()
     tracemalloc.start()
     try:
@@ -988,9 +1046,14 @@ def test_exact_longest_run_reads_only_diagonal_n(monkeypatch):
     finally:
         tracemalloc.stop()
     assert sum(pmf) == 1 and list(itertools.accumulate(pmf)) == list(cdf)
-    assert sorted(fills, key=repr) == sorted((((0, k), (1, 1), 40) for k in range(41)), key=repr)
+    capped = [args for args in fills if args[0] != (0, None)]
+    assert sorted(capped, key=repr) == sorted((((0, k), (1, 1), 40) for k in range(6)), key=repr)
+    uncapped = [args for args in fills if args[0] == (0, None)]
+    assert len(uncapped) + len(capped) == len(fills)
+    assert uncapped and all(args[1] == (1, 1) and args[2] <= 40 for args in uncapped)
+    assert sorted(sums) == [(k, 40) for k in range(6, 41)]
     assert cache._values[0] == (81, 100) and not cache._plan_memo
-    assert set(cache._values[1]) == {((0, k), (1, 1), 40) for k in range(41)}
+    assert set(cache._values[1]) == _with_uncapped({((0, k), (1, 1), 40) for k in range(41)})
     assert peak < 3 * 2**20, peak
 
 
