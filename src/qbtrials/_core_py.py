@@ -16,7 +16,11 @@ at the q of an exact probability it is the value that probability reads,
 with no unpacking and no Horner.  `capped_cells` gives the longest-run
 cells of a long cap at an exact q without a pass of their own, as an
 alternating sum over the uncapped cells (the q-binomial theorem); the
-kernel cache takes it only where that sum is short.  Two top-down peels
+kernel cache takes it only where that sum is short.  Beside empty success
+runs (the cells) every arrangement ends with a success run, so the S side
+counts them all: the pass still fills F, which its S recurrence reads,
+but the cache keeps S alone there, and the peel below still gives F for
+the fixed-s API.  Two top-down peels
 remain, each one `_fill` with no recursion: `arrangement_poly`, the
 paper's fixed-run-count kernel (`kernel_eval_poly` and the V cells,
 `cell_poly_v`) and the reference the tables are tested against, and
@@ -235,9 +239,11 @@ def band_diagonals(xband, yband, n, a, b):
     The kernel cache reads every band pair through this pass at q = 2**w,
     and at an exact q every one but a long cap k of the cells, (0, k) x
     (1, 1) at n // (k + 1) <= k, which `capped_cells` sums from this
-    pass's uncapped cells (0, None) x (1, 1): the leaving term's
-    a**(r*k) products and the cells' F window bind only the packed reads
-    and the short caps.
+    pass's uncapped cells (0, None) x (1, 1), held at every size: the
+    leaving term's a**(r*k) products and the cells' F window bind only
+    the packed reads and the short caps.  Beside empty success runs the
+    cache keeps S alone of what this pass yields; F stays in the pass,
+    whose S recurrence reads it.
     """
     xlo, xhi = xband
     ylo, yhi = yband
@@ -294,8 +300,8 @@ def capped_cells(k, n, a, b, uncapped):
     b**(c*s*(y+1-s)), times the uncapped entry.  G comes from the
     q-Pascal rule, G[N][s] = G[N-1][s-1] b**(c*(N-s)) + a**(c*s) G[N-1][s],
     one row per y and only as far as the sum reads it; from y = n - c + 1
-    on the sum is the uncapped entry alone.  `cell_failures` gives the F
-    side from S_(n-1).
+    on the sum is the uncapped entry alone.  No F side is summed: beside
+    empty success runs S counts every arrangement, and no read takes F.
 
     The identity is exact at any a/b, with up to n // c + 1 terms per
     entry against a pass of n diagonals, so it pays for long caps (the
@@ -315,15 +321,6 @@ def capped_cells(k, n, a, b, uncapped):
                   for s in range(1, top + 1))]
         out.append(sum([signed[s] * g[s] * cols[s][y] for s in range(1, top + 1)], cols[0][y]))
     return (*out, *cols[0][len(out):])
-
-
-def cell_failures(s_prev, b):
-    """F_n of the longest-run cells, n >= 1, from their S_(n-1) at q = a/b:
-    F(m, y) = S(m, y - 1) b**m, and 0 at y = 0, as `band_diagonals` fills
-    it for failure runs of length 1."""
-    n = len(s_prev)
-    scale, (steps,) = _steps(b, n, 1)
-    return (0, *_scaled(s_prev, scale, None if steps is None else steps[n - 1::-1]))
 
 
 def unpack(p, w):

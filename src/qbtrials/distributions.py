@@ -33,20 +33,24 @@ exact read after a plan's build at another q fills its band pairs again.
   arrangement, which adds k to f for a failure tail and y*k to j for a
   success tail; a frequency quota of k fixes that side's count at k and
   has no tail.
-* A joint quadrant bounds the success runs by k1 and the failure runs by
-  k2, each from above (<=) or below (>=), and its K is the arrangements
-  that end with a success run plus those that end with a failure run; there
-  j = 0 and f = y.
+* A full-length event, whose constraints bound every run of the n
+  trials, is `_full_sides(xcon, ycon, n)`: its K is the arrangements of
+  n - y successes and y failures that end with a success run plus those
+  that end with a failure run, with j = 0 and f = y.  A joint quadrant
+  bounds the success runs by k1 and the failure runs by k2, each from
+  above (<=) or below (>=).
 
-The longest-run PMF and CDF are one sum over the failure count y of the
-same tables' cells, read through `_mass` like every other probability:
-the y + 1 success runs are at most k long and, for the PMF, one of them
-is exactly k, which is the band (0, k) minus the band (0, k - 1), so
-PMF(k) shares its tables with CDF(k) and CDF(k - 1).  At exact inputs a
-long cap (n // (k + 1) <= k) reads no pass of its own: the cache sums its
-diagonal from the uncapped cells (`_core_py.capped_cells`), one pass of
-which serves every such k at one q; short caps and float plans read the
-band pass.  Each function that
+The longest-run PMF and CDF are full-length events over the same tables'
+cells, y + 1 success runs of 0..k around y single failures, read through
+`_mass` like every other probability: beside empty success runs every
+arrangement ends with a success run, so they read the S side alone.  For
+the PMF one run is exactly k, which is the band (0, k) minus the band
+(0, k - 1), so PMF(k) shares its tables with CDF(k) and CDF(k - 1).  At
+exact inputs a long cap (n // (k + 1) <= k) reads no pass of its own: the
+cache sums its diagonal from the uncapped cells
+(`_core_py.capped_cells`), one pass of which, held at every size, serves
+every such k at one q; short caps and float plans read the band pass.
+Each function that
 reads kernels takes an optional `KernelValueCache` and uses the
 module-level one without it.  At rational theta = c/d and q = a/b each
 probability hands its terms' j, f and K to one `qcalc.term_sum` call: the
@@ -345,7 +349,7 @@ def longest_run_pmf(
     th, q = params.theta, params.q
     if k < 0 or k > n:
         return _zero(th, q)
-    return _longest_mass(th, q, n, k, k, cache or _default_cache)
+    return _mass(th, q, (n,), cache or _default_cache, _full_sides, (0, k, k), (1, 1, 0))[0]
 
 
 def longest_run_cdf(
@@ -362,20 +366,23 @@ def longest_run_cdf(
         return _zero(th, q)
     if k >= n:
         return _zero(th, q) + 1
-    return _longest_mass(th, q, n, k, 0, cache or _default_cache)
+    return _mass(th, q, (n,), cache or _default_cache, _full_sides, (0, k, 0), (1, 1, 0))[0]
 
 
-def _longest_mass(th, q, n, k, need, cache):
-    """Mass of the length-n sequences whose success runs are all <= k and,
-    unless need is 0, one of them >= need: the cells, y + 1 success runs
-    of 0..k around y failure runs of length 1."""
-    return _mass(th, q, (n,), cache, _longest_sides, k, need)[0]
-
-
-def _longest_sides(k, need, n):
-    """`_longest_mass`'s one side, as `_waiting_sides` gives sides."""
-    rows = [(0, y, n - y, y) for y in range(n - need + 1)]
-    return [(True, (0, k, need), (1, 1, 0), n, rows)]
+def _full_sides(xcon, ycon, n):
+    """The sides, as `_waiting_sides` gives them, of the length-n
+    sequences whose success and failure runs meet xcon and ycon: rows
+    (0, y, n - y, y) for y from ycon's need to n minus xcon's need.  The
+    S side counts those that end with a success run, and the empty one;
+    the F side those that end with a failure run, so it has no row at
+    y = 0.  Beside empty success runs (x lo 0, the longest-run cells:
+    y + 1 success runs of 0..k around y single failures) the S side
+    counts every arrangement, and there is no F side."""
+    rows = [(0, y, n - y, y) for y in range(ycon[2], n - xcon[2] + 1)]
+    sides = [(True, xcon, ycon, n, rows)]
+    if xcon[0]:
+        sides.append((False, xcon, ycon, n, [row for row in rows if row[1]]))
+    return sides
 
 
 def joint_longest(
@@ -395,22 +402,10 @@ def joint_longest(
             raise ValueError("a >= relation needs k >= 1")
         if rel is Rel.LE and k < 0:
             raise ValueError("a <= relation needs k >= 0")
-    return _mass(params.theta, params.q, (n,), cache or _default_cache,
-                 _joint_sides, k1, rel1 is Rel.LE, k2, rel2 is Rel.LE)[0]
-
-
-def _joint_sides(k1, le1, k2, le2, n):
-    """`joint_longest`'s two sides, as `_waiting_sides` gives sides; le1
-    and le2 are whether each relation is <=."""
     # every run of the symbol <= k, or some run >= k
-    xcon = (1, k1, 0) if le1 else (1, None, k1)
-    ycon = (1, k2, 0) if le2 else (1, None, k2)
-    ys = range(0 if le2 else k2, n - (0 if le1 else k1) + 1)
-    rows = [(0, y, n - y, y) for y in ys]
-    # its K ends with either symbol, one side each; with no failure the
-    # empty arrangement, counted among those that end with a success run,
-    # ends with one
-    return [(True, xcon, ycon, n, rows), (False, xcon, ycon, n, [row for row in rows if row[1]])]
+    xcon = (1, k1, 0) if rel1 is Rel.LE else (1, None, k1)
+    ycon = (1, k2, 0) if rel2 is Rel.LE else (1, None, k2)
+    return _mass(params.theta, params.q, (n,), cache or _default_cache, _full_sides, xcon, ycon)[0]
 
 
 def waiting_time_table(

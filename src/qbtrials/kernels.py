@@ -39,9 +39,13 @@ two kinds:
 The store is one flat memo, (x band, y band, size) -> (S diagonal,
 F diagonal), of the q last read, and holds only the anti-diagonals read,
 each band pair's at the sizes asked for; a read at another q replaces
-it, and a read of no entry leaves it.  It knows only q: the packed format is known only to its two
-readers and to `core.packed_width`, `unpack` and `unpack_matrix`.  A
-call asks for every entry it reads at once: one `_fill` fills them, a
+it, and a read of no entry leaves it.  Beside empty success runs (x lo 0,
+the longest-run cells) every arrangement ends with a success run, so S
+counts them all, F is None, and a read of F there is refused with
+`ValueError` before the store changes; the pass keeps its own F window,
+which its S recurrence reads.  The store knows only q: the packed format
+is known only to its two readers and to `core.packed_width`, `unpack`
+and `unpack_matrix`.  A call asks for every entry it reads at once: one `_fill` fills them, a
 pass per band pair to the largest size missing, and one `_entry` reads
 an entry: a dict lookup per band pair and, where a side needs some part
 >= need, one signed sum.  Which fill a read takes:
@@ -51,9 +55,9 @@ an entry: a dict lookup per band pair and, where a side needs some part
 * at an exact q <= 1, the pass for every band pair but a long cap k of
   the longest-run cells, (0, k) x (1, 1) at size n with n // (k + 1) <= k:
   that one is `core.capped_cells`, an alternating sum of at most k + 1
-  terms over the uncapped cells (0, None) x (1, 1), whose one pass the
-  store keeps at the sizes the sums read, beside the caps'.  Its F side
-  is filled only once a read asks for it, and () until then.
+  terms over the uncapped cells (0, None) x (1, 1), whose one pass per q
+  the store keeps at every size up to the largest such n, so the next
+  long cap at that q takes no pass.
 
 `family_arrangement` gives a family's last symbol and constraints.  The
 top-down peels, in a memo of their own, stay as the fixed-s API and the
@@ -72,6 +76,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import _core_py as core
@@ -208,8 +213,9 @@ class KernelValueCache:
     `_values` is (q, value memo), the cache's one anti-diagonal store,
     keyed q = (a, b): the anti-diagonals at a/b that reads asked for,
     keyed (x band, y band, size) -> (S diagonal, F diagonal) (`_fill`,
-    `diagonals`), and the uncapped cells' diagonals that a long cap's
-    sum read, F () for a long cap whose F side no read has asked for.
+    `diagonals`), F None beside empty success runs (the longest-run
+    cells), and the uncapped cells' diagonals at every size up to the
+    largest long cap summed at that q.
     An exact probability reads it at its own q, a float plan
     (`float_matrix`) and `arrangement_poly` at the integer q = 2**w of
     the width they unpack.  A call at another q replaces the pair
@@ -243,7 +249,10 @@ class KernelValueCache:
         q = 2**w, w = `core.packed_width(m + r)`, which is the polynomial
         packed (`diagonals`), unpacked; not memoized itself.  Each call
         reads at its own width, so a call at another width than the last
-        read replaces the store."""
+        read replaces the store.  As `diagonals` does, it refuses the
+        arrangements that end with a failure run beside empty success
+        runs (x lo 0), where every arrangement ends with a success run:
+        `core.arrangement_poly` gives them."""
         if m < 0 or r < 0:
             return core._ZERO
         entry, w = (last_x, xcon, ycon, m + r), core.packed_width(m + r)
@@ -266,10 +275,19 @@ class KernelValueCache:
         one pass per band pair to the largest size missing fills them
         (`_fill`; a long cap of the cells at an exact q <= 1 is one sum
         over the uncapped cells instead), and the memo keeps only the
-        sizes read.  Float q reads `float_matrix` instead.
+        sizes read.  Float q reads `float_matrix` instead: a float q is a
+        `TypeError`, and an entry that ends with a failure run beside
+        empty success runs (not last_x, x lo 0), whose F side the store
+        does not hold, a `ValueError`, each before the store changes.
         """
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"diagonals reads an int or Fraction q, not {type(q).__name__}: "
+                            "a float q reads float_matrix")
         if not entries:
             return {}
+        if any(not last_x and not xcon[0] for last_x, xcon, _, _ in entries):
+            raise ValueError("beside empty success runs (x lo 0) every arrangement ends "
+                             "with a success run: read the S side (last_x)")
         a, b = q.numerator, q.denominator
         with self._lock:
             if self._values[0] != (a, b):
@@ -328,7 +346,8 @@ _UNCAPPED = ((0, None), (1, 1))  # the longest-run cells with no cap
 def _fill(memo: dict, entries, a: int, b: int) -> None:
     """Store in `memo` the anti-diagonals at q = a/b that the (last_x,
     xcon, ycon, size) of `entries` read, keyed (x band, y band, size) ->
-    (S diagonal, F diagonal), the tuples the pass yields; the caller holds
+    (S diagonal, F diagonal), the tuples the pass yields, F None beside
+    empty success runs (x lo 0), where no read takes it; the caller holds
     the lock.  The memo knows only q: at q = 2**w (b = 1) a diagonal is
     its polynomials packed.
 
@@ -336,55 +355,40 @@ def _fill(memo: dict, entries, a: int, b: int) -> None:
     largest size missing, which keeps only the sizes read.  The one
     exception is a long cap k of the longest-run cells, (0, k) x (1, 1),
     at size n // (k + 1) <= k and an exact q <= 1: `core.capped_cells`
-    sums its S side from the uncapped cells, whose pass keeps the sizes
-    the sum reads beside the others, and its F side, from S at n - 1, only
-    where an entry reads it (F is () until then).  Short caps and every
-    read at q = 2**w, where its products are polynomial products, take
-    the pass.  The memo gains nothing until every pass is done, so a
-    refused band leaves no entry.
+    sums it from the uncapped cells, whose one pass the memo keeps at
+    every size up to the largest such n, so the next cap at this q takes
+    no pass.  Short caps and every read at q = 2**w, where its products
+    are polynomial products, take the pass.  The memo gains nothing until
+    every pass is done, so a refused band leaves no entry.
     """
     wanted: dict = {}  # band pair -> the sizes read
     for _, xcon, ycon, size in entries:
         for pair, _ in _band_pairs(xcon, ycon):
             wanted.setdefault(pair, set()).add(size)
-    capped = {}  # (k, size) -> whether a read takes the F side, of the long caps to fill
+    capped = []  # (k, size) of the long caps to sum
     if a <= b:
-        failures = None  # (band pair, size) of the F sides read, found once a cap needs it
         for (xband, yband), sizes in wanted.items():
             k = xband[1]
             if xband[0] or k is None or yband != (1, 1):
                 continue
-            for n in [n for n in sizes if n // (k + 1) <= k]:
-                sizes.remove(n)
-                if failures is None:
-                    failures = {(pair, size) for last_x, xcon, ycon, size in entries
-                                if not last_x for pair, _ in _band_pairs(xcon, ycon)}
-                f_read = ((xband, yband), n) in failures
-                held = memo.get((xband, yband, n))
-                if held is None or f_read and not held[1]:
-                    capped[k, n] = f_read
+            long = {n for n in sizes if n // (k + 1) <= k}
+            sizes -= long
+            capped += [(k, n) for n in long if (xband, yband, n) not in memo]
         if capped:
-            # the sizes n - s*(k + 1) of S and, where F is read, n - 1 - s*(k + 1)
-            wanted.setdefault(_UNCAPPED, set()).update(
-                d for (k, n), f_read in capped.items()
-                for top in ((n, n - 1) if f_read else (n,)) for d in range(top, -1, -k - 1))
+            top = max(n for _, n in capped)
+            wanted.setdefault(_UNCAPPED, set()).update(range(top + 1))
     filled = {}
     for (xband, yband), sizes in wanted.items():
         missing = {size for size in sizes if (xband, yband, size) not in memo}
         if missing:
             for d, s, f in core.band_diagonals(xband, yband, max(missing), a, b):
                 if d in missing:
-                    filled[xband, yband, d] = s, f
-    if capped:
-        uncapped = {d: (filled.get((*_UNCAPPED, d)) or memo[(*_UNCAPPED, d)])[0]
-                    for d in wanted[_UNCAPPED]}
-        for (k, n), f_read in capped.items():
-            s = f = core.capped_cells(k, n, a, b, uncapped)  # at n = 0 both are (1,)
-            if n:
-                f = () if not f_read else core.cell_failures(
-                    core.capped_cells(k, n - 1, a, b, uncapped), b)
-            filled[(0, k), (1, 1), n] = s, f
+                    filled[xband, yband, d] = s, f if xband[0] else None
     memo.update(filled)
+    if capped:
+        uncapped = [memo[(*_UNCAPPED, d)][0] for d in range(top + 1)]
+        for k, n in capped:
+            memo[(0, k), (1, 1), n] = core.capped_cells(k, n, a, b, uncapped), None
 
 
 def _entry(memo: dict, entry: tuple) -> tuple:

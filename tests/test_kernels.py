@@ -274,7 +274,8 @@ def test_caches_keep_float_and_fraction_regimes_apart():
 def test_cache_does_not_grow_with_q():
     # the polynomial memos, term memos included, hold q-independent
     # polynomials, so a new q adds no entry; the anti-diagonal store holds
-    # the tables of the last q read only, the same ones at every exact q
+    # the tables of the last q read only, the same ones at every exact q,
+    # with no F side beside empty success runs (the longest-run cells)
     from qbtrials import (
         Mode,
         ModelParams,
@@ -307,7 +308,9 @@ def test_cache_does_not_grow_with_q():
         if i % 2:
             value_q, memo = cache._values
             assert value_q == (i + 1, 211)
-            values = {key: len(table[1]) for key, table in memo.items()}
+            values = {key: (len(s), None if f is None else len(f))
+                      for key, (s, f) in memo.items()}
+            assert all((f is None) == (not key[0][0]) for key, (_, f) in memo.items())
             if i == 1:
                 first_values = values
             assert values == first_values
@@ -364,9 +367,12 @@ def test_memo_entries_are_not_gc_tracked():
     assert {len(key) for key in cells} == {4, 6}
     # the float path's plans, ((n - f, j, f) intp arrays, cuts, first
     # power, float64 matrix, top) per (name of the sides, ns, *args), the
-    # joint relations as bools; apart from the fixed-s kernels' peel states
+    # full-length events' constraints as tuples; apart from the fixed-s
+    # kernels' peel states
     assert sorted(key[0] for key in cache._plan_memo) == \
-        ["_joint_sides", "_longest_sides", "_longest_sides", "_waiting_sides"]
+        ["_full_sides", "_full_sides", "_full_sides", "_waiting_sides"]
+    assert {key[2:] for key in cache._plan_memo if key[0] == "_full_sides"} == \
+        {((0, 2, 2), (1, 1, 0)), ((1, 2, 0), (1, None, 3))}
     assert all(isinstance(column, np.ndarray) for plan in cache._plan_memo.values()
                for column in (*plan[0], plan[3]))
     assert {key[-1] is None for key in cache._peel_memo} == {False}
@@ -419,6 +425,23 @@ def _in_domain(xcon, ycon):
                for (xlo, _), _ in _bands(xcon) for (ylo, yhi), _ in _bands(ycon))
 
 
+def _pass_diagonal(entry, a, b):
+    """The anti-diagonal of one (last_x, xcon, ycon, size) at q = a/b
+    straight from `core.band_diagonals`: the signed sum, over its band
+    pairs, of each pass's last S (last_x) or F diagonal, as the cache
+    combines them; it reads the F side beside empty success runs too,
+    which the cache's store does not hold."""
+    from qbtrials import _core_py as core
+    from qbtrials.kernels import _band_pairs
+
+    last_x, xcon, ycon, size = entry
+    total = [0] * (size + 1)
+    for (xband, yband), sign in _band_pairs(xcon, ycon):
+        *_, (_, s, f) = core.band_diagonals(xband, yband, size, a, b)
+        total = [t + sign * v for t, v in zip(total, s if last_x else f)]
+    return tuple(total)
+
+
 def test_arrangement_poly_equals_direct_over_run_counts():
     # the run-count-free recurrence against brute force summed over every
     # run count, the empty arrangement (0 runs) once; with x parts from 0
@@ -457,7 +480,9 @@ def test_band_tables_equal_top_down_peel():
     # unpacked, against the top-down peel, coefficient for coefficient;
     # one cache for every example, so the tables also grow between them.
     # A draw outside the tables' domain (empty success runs beside failure
-    # runs of several lengths) is refused
+    # runs of several lengths) is refused.  Beside empty success runs (the
+    # longest-run cells) the cache refuses the F side, which its store
+    # does not hold, and the pass's F side is checked directly
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -475,7 +500,13 @@ def test_band_tables_equal_top_down_peel():
                 cache.arrangement_poly(last_x, m, r, xcon, ycon)
             return
         want = core.arrangement_poly(last_x, m, r, xcon, ycon, {})
-        got = cache.arrangement_poly(last_x, m, r, xcon, ycon)
+        if not last_x and not xcon[0]:
+            with pytest.raises(ValueError):
+                cache.arrangement_poly(last_x, m, r, xcon, ycon)
+            w = core.packed_width(m + r)
+            got = core.unpack(_pass_diagonal((last_x, xcon, ycon, m + r), 1 << w, 1)[r], w)
+        else:
+            got = cache.arrangement_poly(last_x, m, r, xcon, ycon)
         assert type(got) is tuple and list(got) == list(want)
 
     check()
@@ -492,7 +523,9 @@ def test_band_table_equals_top_down_peel_at_q():
     # combined) against the peel, with the q changing between examples;
     # the bands are those of the constraints of
     # `test_band_tables_equal_top_down_peel`, and every draw outside the
-    # fill's domain is refused, the fill and the cache alike
+    # fill's domain is refused, the fill and the cache alike.  The cache
+    # refuses the F side beside empty success runs, and the passes' signed
+    # sum gives it instead
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -543,7 +576,12 @@ def test_band_table_equals_top_down_peel_at_q():
             with pytest.raises(ValueError):
                 cache.diagonals(q, [entry])
             return
-        ks = cache.diagonals(q, [entry])[entry]
+        if not last_x and not xcon[0]:
+            with pytest.raises(ValueError):
+                cache.diagonals(q, [entry])
+            ks = _pass_diagonal(entry, q.numerator, q.denominator)
+        else:
+            ks = cache.diagonals(q, [entry])[entry]
         assert len(ks) == m + r + 1
         assert Fraction(ks[r], q.denominator ** (m * r)) == \
             poly_value(core.arrangement_poly(last_x, m, r, xcon, ycon, peel), q)
@@ -559,12 +597,13 @@ def test_band_table_equals_top_down_peel_at_q():
 
 def _with_uncapped(keys):
     """The store keys that reading the anti-diagonals `keys` leaves at an
-    exact q <= 1: each key and, for a long cap k of the longest-run cells
-    ((0, k), (1, 1), n), n // (k + 1) <= k, the diagonals n - s*(k + 1) of
-    the uncapped cells that `core.capped_cells` reads for its S side."""
-    return set(keys) | {((0, None), (1, 1), d) for (lo, k), yband, n in keys
-                        if not lo and k is not None and yband == (1, 1) and n // (k + 1) <= k
-                        for d in range(n, -1, -k - 1)}
+    exact q <= 1: each key and, where some are long caps k of the
+    longest-run cells ((0, k), (1, 1), n), n // (k + 1) <= k, the uncapped
+    cells' diagonals at every size up to the largest such n, which
+    `core.capped_cells` sums them from."""
+    long = [n for (lo, k), yband, n in keys
+            if not lo and k is not None and yband == (1, 1) and n // (k + 1) <= k]
+    return set(keys) | {((0, None), (1, 1), d) for d in range(max(long, default=-1) + 1)}
 
 
 def test_band_tables_extend_every_smaller_table():
@@ -573,7 +612,8 @@ def test_band_tables_extend_every_smaller_table():
     # all at once, as a fresh cache does, holding each band pair's sizes
     # 0..n: an entry with a need on both sides (four band pairs) and a
     # longest-run cell, whose caps 4 and 3 are long at every size here,
-    # so the store also holds the uncapped diagonals their sums read
+    # so the store also holds the uncapped diagonals at every size up to
+    # n, and no F side of any cells' band pair
     from qbtrials.kernels import _band_pairs
 
     n = 12
@@ -587,7 +627,8 @@ def test_band_tables_extend_every_smaller_table():
         read = {(*pair, size) for key in keys for pair, _ in _band_pairs(*key[1:])
                 for size in (3, n)}
         assert set(cache._values[1]) == _with_uncapped(read)
-        assert {((0, None), (1, 1), d) for d in (12, 7, 2, 8, 4, 0, 3)} < set(cache._values[1])
+        assert {((0, None), (1, 1), d) for d in range(n + 1)} < set(cache._values[1])
+        assert all((f is None) == (not key[0][0]) for key, (_, f) in cache._values[1].items())
         entries = [(*key, size) for key in keys for size in range(n + 1)]
         got = cache.diagonals(q, entries)
         for entry in entries:
@@ -611,6 +652,39 @@ def test_empty_read_leaves_the_store_alone():
     assert joint_longest(ModelParams(Fraction(1, 3), Fraction(2, 3)), 3, 5, Rel.GE, 1, Rel.LE,
                          cache) == 0
     assert cache._values[0] == q and set(cache._values[1]) == keys
+
+
+def test_diagonals_refuse_before_the_store_changes():
+    # two reads are refused up front, leaving the store's q and memo as
+    # they were: a float q, which reads `float_matrix` instead (a
+    # TypeError, with or without entries), and, beside empty success runs
+    # (the longest-run cells), where every arrangement ends with a success
+    # run and the store holds no F side, a read of F (a ValueError), alone
+    # or after entries the store could fill, at the store's q, another
+    # exact q or a packed one
+    from qbtrials import ModelParams, longest_run_pmf
+    from qbtrials import _core_py as core
+
+    cache = KernelValueCache()
+    longest_run_pmf(ModelParams(Fraction(1, 3), Fraction(1, 2)), 20, 8, cache)
+    store = cache._values[0], dict(cache._values[1])
+    assert all(f is None for s, f in store[1].values())
+    fine = [(True, (0, 3, 0), (1, 1, 0), 9), (True, (1, 2, 0), (1, None, 2), 9)]
+    for q in (0.5, 1.0, np.float64(0.5)):
+        for entries in (fine, []):
+            with pytest.raises(TypeError, match="float_matrix"):
+                cache.diagonals(q, entries)
+    for q in (Fraction(1, 2), Fraction(2, 3), 1 << core.packed_width(9)):
+        for xcon in ((0, 3, 0), (0, None, 0), (0, 8, 8)):
+            for entries in ([], fine):
+                with pytest.raises(ValueError, match="success run"):
+                    cache.diagonals(q, [*entries, (False, xcon, (1, 1, 0), 9)])
+    with pytest.raises(ValueError):
+        cache.arrangement_poly(False, 5, 4, (0, 3, 0), (1, 1, 0))
+    assert (cache._values[0], cache._values[1]) == store
+    got = cache.diagonals(Fraction(1, 2), fine)
+    assert got == {entry: KernelValueCache().diagonals(Fraction(1, 2), [entry])[entry]
+                   for entry in fine}
 
 
 def test_value_memo_is_swapped_under_the_lock():
@@ -908,8 +982,10 @@ def test_band_diagonals_equal_the_whole_table(q):
     # 0..40, at q = 2**w (None) and at 81/100, for every kind of band pair
     # the library asks for: every pass to a smaller size gives the same
     # diagonals; one cache's memo at that kind of q, filled by passes to
-    # several sizes in three orders, holds the same diagonals; and entries
-    # near both ends of diagonal 40 equal the top-down peel
+    # several sizes in three orders, holds the same diagonals, the S side
+    # alone beside empty success runs, where it refuses an F read and
+    # leaves the store as it was; and entries near both ends of diagonal
+    # 40 equal the top-down peel, on both sides of the pass
     from qbtrials import _core_py as core
     from qbtrials.qcalc import poly_value
 
@@ -940,12 +1016,18 @@ def test_band_diagonals_equal_the_whole_table(q):
             assert list(core.band_diagonals(xband, yband, size, a, b)) == \
                 diagonals[:size + 1], (xband, yband, size)
         cache = KernelValueCache()
+        at = 1 << w if q is None else q
         for sizes in ((7, 3), range(0, n + 1, 5), range(n + 1)):
             entries = [(last_x, xband + (0,), yband + (0,), size)
-                       for last_x in (True, False) for size in sizes]
-            got = cache.diagonals(1 << w if q is None else q, entries)
+                       for last_x in (True, False)[:1 + xlo] for size in sizes]
+            got = cache.diagonals(at, entries)
             for entry in entries:
                 assert got[entry] == diagonals[entry[3]][1 if entry[0] else 2]
+            if not xlo:
+                store = cache._values[0], dict(cache._values[1])
+                with pytest.raises(ValueError):
+                    cache.diagonals(at, [(False, xband + (0,), yband + (0,), max(sizes))])
+                assert (cache._values[0], cache._values[1]) == store
         s, f = diagonals[n][1:]
         for r in (0, 1, 2, n - 2, n - 1, n):
             for last_x, side in ((True, s), (False, f)):
@@ -956,15 +1038,19 @@ def test_band_diagonals_equal_the_whole_table(q):
                     assert Fraction(side[r], b ** ((n - r) * r)) == poly_value(want, q)
 
 
-@pytest.mark.parametrize("q", [Fraction(81, 100), Fraction(13, 19), Fraction(1), None])
+@pytest.mark.parametrize("q", [Fraction(81, 100), Fraction(13, 19), Fraction(1), None,
+                               Fraction(0), Fraction(-3, 7), Fraction(-3)])
 def test_capped_cells_equal_the_band_pass(q):
     # the q-binomial sum of a capped cell over the uncapped cells equals
-    # the pass of the cells band pair (0, k) x (1, 1), S and F, for every
-    # cap k = 0..n at every size n <= 30: at 81/100, 13/19 and q = 1, and
-    # at q = 2**w (None), where the cache never takes it, called directly.
-    # At an exact q a fresh cache's reads of both sides, in that order,
-    # equal the pass too, long caps (n // (k + 1) <= k) summed and short
-    # ones passed, and hold both sides of each once F is read
+    # the S side of the pass of the cells band pair (0, k) x (1, 1) for
+    # every cap k = 0..n at every size n <= 30: at 81/100, 13/19, q = 1,
+    # q = 0 and the negative -3/7 and -3, all of them exact q <= 1 where
+    # the cache sums long caps, and at q = 2**w (None), where the cache
+    # never takes it, called directly.  The pass's F side is S one
+    # diagonal back, shifted by one failure: F(m, y) = S(m, y - 1) b**m.
+    # At an exact q a fresh cache's S reads equal the pass too, long caps
+    # (n // (k + 1) <= k) summed and short ones passed, and its store
+    # holds S alone; an F read is refused and leaves the store as it was
     from qbtrials import _core_py as core
 
     top, w = 30, core.packed_width(30)
@@ -972,17 +1058,22 @@ def test_capped_cells_equal_the_band_pass(q):
     uncapped = {d: s for d, s, _ in core.band_diagonals((0, None), (1, 1), top, a, b)}
     for k in range(top + 1):
         cache = KernelValueCache()
+        s_prev = None
         for n, s, f in core.band_diagonals((0, k), (1, 1), top, a, b):
+            if n:
+                assert f == (0, *(s_prev[y - 1] * b ** (n - y) for y in range(1, n + 1))), (k, n)
+            s_prev = s
             if k > n:
                 continue
             assert core.capped_cells(k, n, a, b, uncapped) == s, (k, n)
-            if n:
-                assert core.cell_failures(core.capped_cells(k, n - 1, a, b, uncapped), b) == f
             if q is not None:
-                entries = [(last_x, (0, k, 0), (1, 1, 0), n) for last_x in (True, False)]
-                for entry, want in zip(entries, (s, f)):
-                    assert cache.diagonals(q, [entry])[entry] == want, (k, n, entry[0])
-                assert cache._values[1][(0, k), (1, 1), n] == (s, f)
+                entry = (True, (0, k, 0), (1, 1, 0), n)
+                assert cache.diagonals(q, [entry])[entry] == s, (k, n)
+                assert cache._values[1][(0, k), (1, 1), n] == (s, None)
+                store = cache._values[0], dict(cache._values[1])
+                with pytest.raises(ValueError):
+                    cache.diagonals(q, [entry, (False, *entry[1:])])
+                assert (cache._values[0], cache._values[1]) == store
 
 
 def test_float_longest_run_reads_only_diagonal_n(monkeypatch):
@@ -1019,10 +1110,10 @@ def test_float_longest_run_reads_only_diagonal_n(monkeypatch):
 def test_exact_longest_run_reads_only_diagonal_n(monkeypatch):
     # the exact longest-run PMF and CDF of every k at n = 40, on a fresh
     # cache, fill each cell band pair (0, k) x (1, 1) once and hold only
-    # diagonal 40 of each, as at a float q, beside the uncapped diagonals
-    # that the long caps' sums read: a short cap (40 // (k + 1) > k, so
-    # k <= 5) by one pass, a long one by one `core.capped_cells` sum, and
-    # every other pass is of the uncapped cells, to at most 40.  The PMF
+    # diagonal 40 of each, as at a float q, beside the uncapped cells'
+    # diagonals at every size to 40: a short cap (40 // (k + 1) > k, so
+    # k <= 5) by one pass, a long one by one `core.capped_cells` sum, all
+    # of them over the one pass of the uncapped cells, to 40.  The PMF
     # sums to 1 and its running sums are the CDF.  Its traced peak stays
     # far below that of a memo that keeps every diagonal of a pass
     # (10.6 MB with it, 1.2 MB without)
@@ -1048,9 +1139,8 @@ def test_exact_longest_run_reads_only_diagonal_n(monkeypatch):
     assert sum(pmf) == 1 and list(itertools.accumulate(pmf)) == list(cdf)
     capped = [args for args in fills if args[0] != (0, None)]
     assert sorted(capped, key=repr) == sorted((((0, k), (1, 1), 40) for k in range(6)), key=repr)
-    uncapped = [args for args in fills if args[0] == (0, None)]
-    assert len(uncapped) + len(capped) == len(fills)
-    assert uncapped and all(args[1] == (1, 1) and args[2] <= 40 for args in uncapped)
+    assert [args for args in fills if args[0] == (0, None)] == [((0, None), (1, 1), 40)]
+    assert len(fills) == len(capped) + 1
     assert sorted(sums) == [(k, 40) for k in range(6, 41)]
     assert cache._values[0] == (81, 100) and not cache._plan_memo
     assert set(cache._values[1]) == _with_uncapped({((0, k), (1, 1), 40) for k in range(41)})
