@@ -32,12 +32,14 @@ doubled into its two continuations at each trial, so bit t - 1 of an
 index is trial t.  `count_rows` counts the sequences of one event, a
 boolean mask over the walk, by failure count and success weight, which fix
 a sequence's probability completely; it gives one row of counts per failure
-count, found for every row at once by `_table_rows`, and callers turn the
-rows into exact probabilities.  `waiting_stop_counts` gives those rows for
-the waiting events of a quota, every t up to n_max under both rules,
-without walking the quota: a length-t prefix is an index below 2**t
-padded with failures, so one pass over the 2**n_max indices, in blocks,
-reads each one's stop trial off its bits.
+count, and callers turn the rows into exact probabilities.  Both counts
+go through `_tabulate`, one `np.bincount` of class keys that reads every
+row at once.  `waiting_stop_counts` gives those rows for the waiting
+events of a quota, every t up to n_max under both rules, without walking
+the quota: a length-t prefix is an index below 2**t padded with failures,
+so one pass over the 2**n_max indices, in blocks, reads each one's stop
+trial off its bits, and one `_tabulate` per rule counts the keys of every
+block's stopped prefixes.
 """
 
 from __future__ import annotations
@@ -589,34 +591,36 @@ def simulate(rng, theta, q, n, samples, quota=None):
     return seqs
 
 
-def _table_rows(table):
-    """The rows of a (group, f, w) count table, one row tuple per group:
-    (f, e_min, degree, coefficients) per f with a nonzero count, in
-    ascending f, whose coefficients are the counts of weights e_min ..
-    e_min + degree.  One `!= 0` / `any` / `argmax` pass finds every row's
-    first and last nonzero weight."""
+def _tabulate(keys, groups, trials, width):
+    """The rows of the class keys (group * (trials + 1) + f) * width + w, one
+    row tuple per group: (f, e_min, degree, coefficients) per f with a
+    nonzero count, in ascending f, whose coefficients are the counts of
+    weights e_min .. e_min + degree.  One `np.bincount` counts the keys
+    into a (group, f, w) table, and one `!= 0` / `any` / `argmax` pass
+    finds every row's first and last nonzero weight."""
+    table = np.bincount(keys, minlength=groups * (trials + 1) * width)
+    table = table.reshape(groups, trials + 1, width)
     nonzero = table != 0
     present = nonzero.any(axis=-1)
     first = nonzero.argmax(axis=-1)[present]
-    last = table.shape[-1] - 1 - nonzero[..., ::-1].argmax(axis=-1)[present]
-    groups = [[] for _ in range(table.shape[0])]
+    last = width - 1 - nonzero[..., ::-1].argmax(axis=-1)[present]
+    rows = [[] for _ in range(groups)]
     for g, f, lo, hi, counts in zip(*(a.tolist() for a in np.nonzero(present)),
                                     first.tolist(), last.tolist(), table[present].tolist()):
-        groups[g].append((f, lo, hi - lo, tuple(counts[lo:hi + 1])))
-    return [tuple(rows) for rows in groups]
+        rows[g].append((f, lo, hi - lo, tuple(counts[lo:hi + 1])))
+    return [tuple(r) for r in rows]
 
 
 def count_rows(seqs, keep):
     """The walked sequences where `keep` holds, counted per failure count f:
     one row (f, e_min, degree, coefficients) per f that occurs, in ascending
     f, whose coefficients count the sequences of success weights e_min ..
-    e_min + degree, a polynomial in q with the weight as exponent.  One
-    `np.bincount` of the class f * width + weight, f cast to intp first,
-    since in the walk's narrow unsigned dtypes the class would wrap."""
+    e_min + degree, a polynomial in q with the weight as exponent.  The
+    class key is f * width + weight, f cast to intp first, since in the
+    walk's narrow unsigned dtypes the key would wrap."""
     width = seqs.max_weight + 1
     key = seqs.failures[keep].astype(np.intp) * width + seqs.weight[keep]
-    table = np.bincount(key, minlength=(seqs.trials + 1) * width)
-    return _table_rows(table.reshape(1, -1, width))[0]
+    return _tabulate(key, 1, seqs.trials, width)[0]
 
 
 _BLOCK = 14  # trials of the low bits of one block of indices
@@ -659,34 +663,31 @@ def waiting_stop_counts(n_max, s_freq, k1, f_freq, k2):
     a power of two (`_hit_powers`), so the sooner stop is their minimum,
     the later their maximum, and a prefix is one where i < 2**T.  The
     padding adds failures but no weight, so a prefix's class is
-    (T - successes, weight).  The indices go in blocks of 2**_BLOCK, one
-    `np.bincount` per rule and block into a (t, f, w) count table per
-    rule, and one `_table_rows` pass per rule at the end gives the rows.
+    (T - successes, weight).  The indices go in blocks of 2**_BLOCK, each
+    giving every rule the class keys (t, f, w) of its stopped prefixes,
+    and one `_tabulate` per rule at the end counts them and gives the rows.
     A block's low bits take their successes and weight from `_low_block`;
     its top bits c, trials _BLOCK + 1..n_max, add scalars (c's own weight
-    plus each of its successes times the low bits' failures) and bound
-    its prefixes' lengths from below.  Memory stays flat in n_max; time
-    is exponential in it.
+    plus each of its successes times the low bits' failures).  Memory is
+    bounded by the stopped prefixes, at most one key per index and rule;
+    time is exponential in n_max.
     """
     n = n_max
     low = min(n, _BLOCK)
     successes, weight = (a[:1 << low] for a in _low_block())
     index = np.arange(1 << low, dtype=_uint(2 << n))  # holds 2**(n + 1), no hit
     width = n * n // 4 + 1
-    size = (n + 1) * width  # one t
-    tables = [np.zeros(n * size, np.intp) for _ in range(2)]
+    keys = ([], [])
     for c in range(1 << (n - low)):
         top = [j for j in range(n - low) if c >> j & 1]
         s_top, w_top = len(top), sum(top) - len(top) * (len(top) - 1) // 2
-        shortest = low + c.bit_length() if c else 1  # shortest prefix in the block
         i = index | c << low
         hit1 = _hit_powers(i, s_freq, k1, n)
         hit0 = _hit_powers(i ^ ((1 << n) - 1), f_freq, k2, n)
-        for table, p in zip(tables, (np.minimum(hit1, hit0), np.maximum(hit1, hit0))):
+        for rule, p in zip(keys, (np.minimum(hit1, hit0), np.maximum(hit1, hit0))):
             stopped = i < (p & ((2 << n) - 1))  # no stop by n: 2**(n + 1) masks to 0
             t = np.frexp(p[stopped].astype(np.float32))[1] - 1  # 2**t is exact in float32
             s = successes[stopped]
             w = weight[stopped] + s_top * (low - s) + w_top
-            key = ((t - shortest) * (n + 1) + t - s - s_top) * width + w
-            table[(shortest - 1) * size:] += np.bincount(key, minlength=(n + 1 - shortest) * size)
-    return tuple(tuple(_table_rows(table.reshape(n, n + 1, width))) for table in tables)
+            rule.append(((t - 1) * (n + 1) + t - s - s_top) * width + w)
+    return tuple(tuple(_tabulate(np.concatenate(rule), n, n, width)) for rule in keys)

@@ -47,6 +47,13 @@ class ModelParams:
         return is_exact(self.theta, self.q)
 
 
+def _check_int(k) -> None:
+    """A quota's k is an int: a bool would print as True yet key as 1, and a
+    float would fail deep in the walk or pass silently through a sampler."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"quota k must be an int, got {k!r}")
+
+
 @dataclass(frozen=True)
 class RunQuota:
     """Met at the k-th consecutive occurrence of the symbol."""
@@ -54,6 +61,7 @@ class RunQuota:
     k: int
 
     def __post_init__(self) -> None:
+        _check_int(self.k)
         if self.k < 1:
             raise ValueError("run quota k must be >= 1")
 
@@ -65,6 +73,7 @@ class FreqQuota:
     k: int
 
     def __post_init__(self) -> None:
+        _check_int(self.k)
         if self.k < 1:
             raise ValueError("frequency quota k must be >= 1")
 

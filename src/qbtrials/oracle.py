@@ -8,26 +8,26 @@ joint predicate is a mask over the walk of all 2**n sequences.  The
 waiting events of a quota, sooner and later, are one pass over the
 2**n_max indices (`core.waiting_stop_counts`) that reads each index's stop
 trial under each rule off its bits, an index below 2**t being a length-t
-prefix padded with failures; the rows of both modes, for every t up to
-the longest counted so far, are held under the first four fields of the
-quota's `QuotaSpec.key`, the fields that pass reads, and the fifth picks
-the mode.  Every event gives one row of counts per failure count f: the
+prefix padded with failures, and counts each rule's stopped prefixes with
+one bincount; the rows of both modes, for every t up to the longest
+counted so far, are held under the first four fields of the quota's
+`QuotaSpec.key`, the fields that pass reads, and the fifth picks the
+mode.  Every event gives one row of counts per failure count f: the
 sequences of one f share the prefactor theta**(n-f) (theta; q)_f, so
 they are added as one term whose kernel is their counts as a polynomial
-in q.
-At exact inputs the rows are summed by `qcalc.term_sum`, the sum the
-formula layer uses: one integer over d**n * b**B at theta = c/d and
-q = a/b, and one Fraction at the end; at float ones by `math.fsum`
-(`_float_sum`).  The shared sum is tested against plain
-Fraction arithmetic on its own, each event's rows against a per-sequence
-grouping of `model.stopping_time` and `model.longest_runs`, and the sums
-against `model.sequence_probability` summed over sequences.
+in q.  The rows are summed by `qcalc.term_sum`, the sum the formula layer
+uses: one integer over d**n * b**B at theta = c/d and q = a/b, and one
+Fraction at the end.  A float theta or q is read as its exact binary
+value, so a float probability is the exact one at those values, rounded
+once.  The shared sum is tested against plain Fraction arithmetic on its
+own, each event's rows against a per-sequence grouping of
+`model.stopping_time` and `model.longest_runs`, and the sums against
+`model.sequence_probability` summed over sequences.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,10 +42,7 @@ from .distributions import (
     _WAITING_FAMILIES, Pmf, Rel, _waiting_probs, _zero, support_min,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
-from .qcalc import (
-    DEFAULT_TOLERANCE, Scalar, horner_numerator, is_exact, poly_value,
-    q_pochhammer_prefixes, term_sum,
-)
+from .qcalc import DEFAULT_TOLERANCE, Scalar, horner_numerator, is_exact, term_sum
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -161,8 +158,10 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
 
     A sequence with f failures and success weight e (the failures before
     each success, summed) has probability theta^(n-f) q^e (theta; q)_f, so
-    the classes of one f add as one term, their counts a polynomial in q:
-    at q = a/b its Horner numerator over b**degree, at float q its value."""
+    the classes of one f add as one term, their counts a polynomial in q,
+    at q = a/b its Horner numerator over b**degree.  A float theta or q
+    is summed at its exact binary value (`Fraction(x)`) and the sum
+    rounded once, so a float result is the exact value there, rounded."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if isinstance(pred, WaitingEquals):
@@ -179,22 +178,13 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
         rows = _counts(n, pred)
 
     th, q = params.theta, params.q
-    if not is_exact(th, q):
-        return _float_sum(th, q, n, rows)
+    exact = is_exact(th, q)
+    if not exact:
+        th, q = Fraction(th), Fraction(q)
     a, b = q.numerator, q.denominator
-    return term_sum(th, q, n, ((e_min, f, horner_numerator(coeffs, a, b), degree)
-                               for f, e_min, degree, coeffs in rows))
-
-
-def _float_sum(th: Scalar, q: Scalar, n: int, rows) -> float:
-    """The probability of the length-n classes `rows`, (f, e_min, degree,
-    coefficients) as `core.count_rows` gives them, where theta or q is a
-    float: the `math.fsum`, correctly rounded, of th**(n-f) * q**e_min *
-    (th; q)_f * K, in that order, K the row's counts at q, a row whose K
-    is zero skipped."""
-    prefixes = q_pochhammer_prefixes(th, q, n)
-    values = ((f, e_min, poly_value(coeffs, q)) for f, e_min, _, coeffs in rows)
-    return math.fsum(th ** (n - f) * q ** e_min * prefixes[f] * k for f, e_min, k in values if k)
+    total = term_sum(th, q, n, ((e_min, f, horner_numerator(coeffs, a, b), degree)
+                                for f, e_min, degree, coeffs in rows))
+    return total if exact else float(total)
 
 
 def oracle_waiting_pmf(params: ModelParams, quota: QuotaSpec, n_max: int) -> Pmf:

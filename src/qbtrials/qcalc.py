@@ -9,13 +9,14 @@ terms theta**(n-f) * q**j * (theta; q)_f * K, K an integer polynomial in q.
 `term_sum` adds such terms at rational theta and q, each K given as an
 integer numerator over a power of b, q = a/b: read off the arrangement
 tables at that q (or, for the oracle, the Horner numerator of one failure
-count's sequence counts), so no formula evaluates a polynomial there.
+count's sequence counts), so no formula evaluates a polynomial there.  The
+oracle sums at a float theta or q too, at its exact binary value, and
+rounds the sum once.
 At rational theta = c/d and q = a/b every term of the n-th probability
 has a denominator dividing d**n * b**B for some B, so the exact sum is one
 integer numerator over that common denominator, and one `Fraction` is
 built at the end.  `poly_value` evaluates a polynomial at q, by integer
-Horner at Fraction q, for the oracle's float sums and the single-kernel
-API.
+Horner at Fraction q, for the single-kernel API.
 """
 
 from __future__ import annotations
@@ -88,16 +89,11 @@ def q_binomial(n: int, m: int, q: Scalar) -> Scalar:
 
 def q_pochhammer(a: Scalar, q: Scalar, n: int) -> Scalar:
     """(a; q)_n = product over k = 0..n-1 of (1 - a*q**k)."""
-    return q_pochhammer_prefixes(a, q, n)[-1]
-
-
-def q_pochhammer_prefixes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
-    """[(a; q)_0, ..., (a; q)_n], each the one before it times (1 - a*q**k)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = [_one(a, q)]
+    out = _one(a, q)
     for k in range(n):
-        out.append(out[-1] * (1 - a * q ** k))
+        out = out * (1 - a * q ** k)
     return out
 
 
@@ -162,9 +158,10 @@ def term_sum(th: Scalar, q: Scalar, n: int, terms) -> Scalar:
     (`_numerators`), so the sums of one table, which ask for every n at one
     (theta, q), compute each N_f once.  The running numerator is rescaled
     when a term needs a larger power of b, and one Fraction is built at the
-    end (an int when neither input is a Fraction).  Float sums take their
-    terms elsewhere: the formula layer's as one numpy product
-    (`distributions._mass`), the oracle's one by one (`oracle._float_sum`).
+    end (an int when neither input is a Fraction).  The formula layer's
+    float sums take their terms elsewhere, as one numpy product
+    (`distributions._mass`); the oracle's pass a float's exact binary value
+    here and round the sum once.
 
     A term whose h is zero is skipped.  With no other term the sum is the
     int 0; a term with a zero prefactor (theta = 1) makes a sum at Fraction

@@ -105,6 +105,17 @@ def test_quota_key_spells_each_configuration():
     assert QuotaSpec(FreqQuota(5), RunQuota(3), Mode.LATER).key == (True, 5, False, 3, True)
 
 
+def test_quota_k_must_be_an_int():
+    # a k that is not an int is refused before its range is checked: a
+    # float k would fail deep in a table or pass silently through the
+    # sampler, and True would print as run:True yet key as RunQuota(1)
+    for cls in (RunQuota, FreqQuota):
+        for k in (2.5, 2.0, True, False, Fraction(2), "3"):
+            with pytest.raises(TypeError):
+                cls(k)
+        assert cls(3).k == 3
+
+
 @given(bits)
 def test_sooner_below_later(seq):
     sooner = stopping_time(seq, RUN22_SOONER)

@@ -242,9 +242,9 @@ def _oracle_events(n_max):
 def test_oracle_sums_per_failure_count():
     # the oracle adds one term per failure count; it equals the sum over
     # the raw (failures, weight) classes in plain Fraction arithmetic,
-    # value and type, and at a float point the exact value at the same
-    # rationals within 1e-15 (there at n = 4, 8, 12: the exact sums at
-    # its 50-bit denominators take most of the time)
+    # value and type, and at a float point the exact value at the floats'
+    # binary values, rounded once (there at n = 4, 8, 12: the exact sums
+    # at its 50-bit denominators take most of the time)
     from qbtrials.qcalc import q_pochhammer
 
     exact_points = ((Fraction(3, 7), Fraction(5, 11)), (Fraction(1), Fraction(1, 2)),
@@ -268,8 +268,30 @@ def test_oracle_sums_per_failure_count():
                 assert got == want and type(got) is type(want), (th, q, n, pred)
             else:
                 got = oracle_event_prob(ModelParams(fth, fq), n, pred)
-                assert type(got) is float
-                assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 15) * want, (n, pred)
+                assert type(got) is float and got == float(want), (n, pred)
+
+
+def test_float_oracle_is_the_exact_oracle_rounded_once():
+    # at a float theta or q the oracle sums at the inputs' exact binary
+    # values and rounds once: every event probability and waiting table
+    # equals float() of the exact oracle at Fraction(theta), Fraction(q),
+    # at the theta edges, at q = 1, at mixed int, Fraction and float
+    # inputs, and at a q whose powers underflow in floats
+    points = [(0.37, 0.81), (0.0, 0.81), (1.0, 0.81), (0.37, 1.0), (0.5, 1),
+              (1, 0.5), (Fraction(1, 3), 0.9), (0.7, Fraction(2, 3)), (0.37, 1e-300)]
+    for th, q in points:
+        params, exact = ModelParams(th, q), ModelParams(Fraction(th), Fraction(q))
+        for (s_freq, f_freq, later), (k1, k2) in itertools.product(
+                _WAITING_FAMILIES, ((2, 3), (3, 2))):
+            quota = _quota(s_freq, f_freq, k1, k2, Mode.LATER if later else Mode.SOONER)
+            got, want = oracle_waiting_pmf(params, quota, 12), oracle_waiting_pmf(exact, quota, 12)
+            assert got.offset == want.offset and all(type(v) is float for v in got.probs)
+            assert got.probs == [float(v) for v in want.probs], (th, q, quota)
+        for n in range(13):
+            for pred in _predicates(n):
+                got = oracle_event_prob(params, n, pred)
+                assert type(got) is float, (th, q, n, pred)
+                assert got == float(oracle_event_prob(exact, n, pred)), (th, q, n, pred)
 
 
 def test_oracle_budget(monkeypatch):

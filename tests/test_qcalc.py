@@ -187,16 +187,17 @@ def _fraction_horner(coeffs, q):
 
 def test_term_sum_matches_fraction_arithmetic():
     """`term_sum` against plain Fraction arithmetic (value and type), and the
-    oracle's float sum of the same terms against the float expressions
-    it replaced, bit for bit, summed by `math.fsum`.
+    oracle at the same point in floats against plain Fraction arithmetic
+    at the floats' exact binary values, rounded once.
     A term is a class of length-n sequences with f failures, so its theta
     exponent is n - f.  An exact term's kernel is a Horner numerator over
     b**e, e at least the degree, as the value tables give it (e = m*r)."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from qbtrials.oracle import _float_sum
-    from qbtrials.qcalc import horner_numerator, poly_value, q_pochhammer_prefixes, term_sum
+    from qbtrials import LongestAtMost, ModelParams, oracle_event_prob
+    from qbtrials.model import longest_runs, sequence_probability
+    from qbtrials.qcalc import horner_numerator, term_sum
 
     def ratio(zero_ok):
         return st.integers(1, 60).flatmap(
@@ -229,26 +230,19 @@ def test_term_sum_matches_fraction_arithmetic():
         assert got == want
         assert type(got) is type(want), (type(got), type(want))
 
-        # float regime: the oracle's float sum of the same classes, rows
-        # (f, e_min, degree, coefficients), against the float expressions
-        # it replaced, each term th**(n-f) * q**j * (th; q)_f * K, and the
-        # terms summed by math.fsum; alone with no q factor, and with an
-        # int count as its kernel
+        # float regime: the oracle sums a float theta and q at their exact
+        # binary values and rounds once, so a longest-run probability at
+        # the floats is float() of the sum over its sequences in plain
+        # Fraction arithmetic at Fraction(float(theta)), Fraction(float(q))
         fth, fq = float(th), float(q)
-        ffp = q_pochhammer_prefixes(fth, fq, n)
-        want = []
-        for j, f, cs, _ in terms:
-            v = poly_value(cs, fq)
-            if v:
-                want.append(fth ** (n - f) * fq ** j * ffp[f] * v)
-        rows = [(f, j, len(cs) - 1, tuple(cs)) for j, f, cs, _ in terms]
-        assert _float_sum(fth, fq, n, rows).hex() == math.fsum(want).hex()
-        for j, f, cs, _ in terms:
-            v = poly_value(cs, fq)
-            got = _float_sum(fth, fq, n, [(f, 0, len(cs) - 1, tuple(cs))])
-            assert got.hex() == (fth ** (n - f) * ffp[f] * v if v else 0.0).hex()
-            got = _float_sum(fth, fq, n, [(f, j, 0, (cs[0] + 1,))])
-            assert got.hex() == ((cs[0] + 1) * (fth ** (n - f) * fq ** j * ffp[f])).hex()
+        m = n % 7
+        pred = LongestAtMost(data.draw(st.integers(0, m)))
+        at_binary = ModelParams(Fraction(fth), Fraction(fq))
+        want = sum((sequence_probability(at_binary, seq)
+                    for seq in itertools.product((0, 1), repeat=m)
+                    if pred.holds(*longest_runs(seq))), Fraction(0))
+        got = oracle_event_prob(ModelParams(fth, fq), m, pred)
+        assert type(got) is float and got == float(want), (fth, fq, m, pred, got)
 
     check()
 
@@ -292,12 +286,12 @@ def test_term_sum_numerators_held_per_point():
 
 def test_float_prefixes_held_apart_from_exact_numerators():
     """Exact and float sums alternate at theta = q = 1, given as ints,
-    floats, Fractions and mixed, whose points compare equal: every total,
-    of `term_sum` at exact points, of the oracle's float sum at float ones,
-    and of a longest-run probability, has the type and value of plain
-    arithmetic."""
-    from qbtrials import ModelParams, longest_run_pmf, qcalc
-    from qbtrials.oracle import _float_sum
+    floats, Fractions and mixed, whose points compare equal and, read at
+    their exact binary values, share one point of held Pochhammer
+    numerators: every total, of `term_sum` at exact points, of the oracle
+    at every point, and of a longest-run probability, has the type and
+    value of plain arithmetic."""
+    from qbtrials import LongestEquals, ModelParams, longest_run_pmf, oracle_event_prob, qcalc
     from qbtrials.qcalc import term_sum
 
     points = [(1, 1), (1.0, 1.0), (Fraction(1), Fraction(1)), (1, 1.0), (1.0, 1), (1, 1)]
@@ -305,17 +299,17 @@ def test_float_prefixes_held_apart_from_exact_numerators():
         for th, q in points:
             if not qcalc.is_exact(th, q):
                 want_type = float
-                # theta**n * q * (theta; q)_0 * 3, and (1; 1)_2 = 0 times 5
-                got = _float_sum(th, q, n, [(0, 1, 0, (3,)), (2, 0, 0, (5,))])
             else:
                 want_type = Fraction if Fraction in (type(th), type(q)) else int
+                # theta**n * q * (theta; q)_0 * 3, and (1; 1)_2 = 0 times 5
                 got = term_sum(th, q, n, [(1, 0, 3, 0), (0, 2, 5, 0)])
-            assert got == 3 and type(got) is want_type, (th, q, n, got)
+                assert got == 3 and type(got) is want_type, (th, q, n, got)
             # theta = 1: every trial succeeds, so the longest run is n
-            got = longest_run_pmf(ModelParams(th, q), n, n)
-            assert got == 1 and type(got) is want_type, (th, q, n, got)
-            got = longest_run_pmf(ModelParams(th, q), n, n - 1)
-            assert got == 0 and type(got) is want_type, (th, q, n, got)
+            for k, want in ((n, 1), (n - 1, 0)):
+                got = oracle_event_prob(ModelParams(th, q), n, LongestEquals(k))
+                assert got == want and type(got) is want_type, (th, q, n, k, got)
+                got = longest_run_pmf(ModelParams(th, q), n, k)
+                assert got == want and type(got) is want_type, (th, q, n, k, got)
 
 
 def test_waiting_tables_at_points_computed_concurrently():
