@@ -388,7 +388,12 @@ def _fill(memo, top, parts):
     coefficient tuples, never mutated.  Children are trimmed and
     nonnegative and zero ones are skipped, so sums need no trim; a state
     with no own coefficients and one unshifted child stores the child's
-    tuple itself.
+    tuple itself.  A state is pushed only while missing, and a state's
+    children are popped last-listed first, so one could be pushed twice
+    only from below a sibling listed after it.  In both peels none is:
+    no count grows along a peel, and a later sibling leaves fewer symbols
+    (items, for the cells) on the side its parent peeled than every
+    earlier one, so `parts` is asked once per state stored.
     """
     out = memo.get(top)
     if out is not None:
@@ -397,8 +402,6 @@ def _fill(memo, top, parts):
     while stack:
         key, got = stack.pop()
         if got is None:
-            if key in memo:  # pushed by two parents
-                continue
             got = parts(key)
             missing = [(child, None) for _, child in got[1] if child not in memo]
             if missing:

@@ -157,6 +157,9 @@ def waiting_time_pmf(
 ) -> Scalar:
     """P(waiting time = n) for any quota pair in either mode.
 
+    Below the support minimum the theorem's sides hold no row, so the
+    sum is the int 0 at exact inputs and 0.0 at float ones.
+
     The cache keeps only the anti-diagonals a call reads, at either kind
     of q, so calls per n fill their band pairs again whichever way n
     moves: later run:3/freq:2 at n = 60 down to 5 takes about 0.2 s at
@@ -165,8 +168,6 @@ def waiting_time_pmf(
     band pair: about 0.05 s at either point."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n < support_min(quota):
-        return _zero(params.theta, params.q)
     return _mass(params.theta, params.q, (n,), cache or _default_cache,
                  _waiting_sides, quota.key)[0]
 
@@ -179,11 +180,14 @@ def _waiting_sides(key, n):
     Side j (0 = success, 1 = failure) stops the wait at trial n.  Under a
     run quota the last k_j trials are the tail run and the other side's
     count ranges; under a frequency quota side j holds exactly k_j trials,
-    the last of them on trial n.  A side is (last_x, xcon, ycon, size,
-    rows), its kernels summed over s and over its families: each row
-    (j, f, x, y) is the term theta**(n-f) q**j (theta; q)_f K(x, y), K the
-    arrangements of x successes and y failures (x + y <= size) that end
-    with a success run iff last_x, under the constraints.
+    the last of them on trial n.  The other side's count is below its
+    quota k_o in a sooner wait under a frequency quota, and at least k_o
+    in a later wait, which it has already met.  A side is (last_x, xcon,
+    ycon, size, rows), its kernels summed over s and over its families:
+    each row (j, f, y) is the term theta**(n-f) q**j (theta; q)_f K, K the
+    arrangements of size - y successes and y failures that end with a
+    success run iff last_x, under the constraints.  The rows are right at
+    every n: below the support minimum no side has one.
 
     The terms do not depend on theta and q, so they are memoized as tuples:
     building them costs about as much as evaluating them at float inputs.
@@ -200,28 +204,31 @@ def _waiting_sides(key, n):
         hi = n - ks[j]
         if freqs[o] and not later:
             hi = min(hi, ks[o] - 1)  # the other side must not reach its quota
-        lo = n - ks[j] if freqs[j] else (ks[o] if later else 0)
-        others = range(max(lo, 0), hi + 1)
+        # a later wait's other side has met its quota already
+        lo = max(n - ks[j] if freqs[j] else 0, ks[o] if later else 0)
+        others = range(lo, hi + 1)
         if j == 0:
             # y failures and n - tail - y successes, then the success tail,
             # whose successes each follow the y failures
-            rows = [(y * tail, y, n - tail - y, y) for y in others]
+            rows = [(y * tail, y, y) for y in others]
         else:
             # x successes and n - tail - x failures, then the failure tail
-            rows = [(0, n - x, x, n - tail - x) for x in others]
+            rows = [(0, n - x, n - tail - x) for x in others]
         sides.append((last_x, xcon, ycon, n - tail, tuple(rows)))
     return tuple(sides)
 
 
 def _mass(th, q, ns, cache, sides, *args):
     """The probabilities of the n in `ns`, in their order: each the sum of
-    the terms of `sides(*args, n)`, sides as `_waiting_sides` gives them.
+    the terms of `sides(*args, n)`, sides as `_waiting_sides` gives them;
+    an n whose sides have no row is the int 0 at exact inputs, 0.0 at
+    float ones.
 
     Every entry of a side lies on the anti-diagonal x + y = size of its
-    tables.  At exact theta and q = a/b every side of every n reads its K,
-    for every y, in one `KernelValueCache.diagonals` call: integer
-    numerators over b**(x*y); each n is then one `qcalc.term_sum` over its
-    sides' rows, each side's diagonal looked up once.  Otherwise
+    tables, x = size - y.  At exact theta and q = a/b every side of every
+    n reads its K, for every y, in one `KernelValueCache.diagonals` call:
+    integer numerators over b**(x*y); each n is then one `qcalc.term_sum`
+    over its sides' rows, each side's diagonal looked up once.  Otherwise
     the terms of every n are taken at once, by the q-free plan of
     `_float_plan`, memoized in the cache under (name of `sides`, ns,
     *args): the K of every term is one product of the plan's matrix with
@@ -234,10 +241,10 @@ def _mass(th, q, ns, cache, sides, *args):
         # a side with no rows builds no table
         ks = cache.diagonals(q, dict.fromkeys(side[:4] for n_sides in per_n
                                               for side in n_sides if side[4]))
-        return [term_sum(th, q, n, ((j, f, diagonal[y], x * y)
-                                    for diagonal, rows in ((ks[side[:4]], side[4])
-                                                           for side in n_sides if side[4])
-                                    for j, f, x, y in rows))
+        return [term_sum(th, q, n, ((j, f, diagonal[y], (size - y) * y)
+                                    for diagonal, size, rows in ((ks[side[:4]], side[3], side[4])
+                                                                 for side in n_sides if side[4])
+                                    for j, f, y in rows))
                 for n, n_sides in zip(ns, per_n)]
     (nf, j, f), cuts, low, matrix, top = cache.float_plan(
         (sides.__name__, ns, *args), lambda: _float_plan(ns, cache, sides, args))
@@ -294,6 +301,11 @@ def _float_plan(ns, cache, sides, args):
     ordered by n, those of ns[i] at cuts[i]:cuts[i + 1].  Every power of q
     and of theta that the terms and the matrix ask for is below top.
 
+    The sort by (n, n - f, j, f) fixes the order of the terms and the
+    matrix rows: left in the sides' order, some float waiting tables,
+    per-n values, longest-run and joint probabilities move in their last
+    digit.
+
     `_mass` memoizes it in the cache (`KernelValueCache.float_plan`).
     Building a plan costs several evaluations of it.  Its matrix holds the
     rows the plan reads and no other: 16 rows over 7 powers for sooner
@@ -303,7 +315,7 @@ def _float_plan(ns, cache, sides, args):
     terms = []
     for i, n in enumerate(ns):
         for last_x, xcon, ycon, size, rows in sides(*args, n):
-            terms += [(i, n - f, j, f, (last_x, xcon, ycon, size, y)) for j, f, _, y in rows]
+            terms += [(i, n - f, j, f, (last_x, xcon, ycon, size, y)) for j, f, y in rows]
     terms.sort(key=lambda term: term[:4])
     live, low, matrix = cache.float_matrix([term[4] for term in terms])
     i, *columns = np.array([terms[t][:4] for t in live], np.intp).reshape(-1, 4).T
@@ -347,7 +359,7 @@ def longest_run_pmf(
     if n < 0:
         raise ValueError("n must be >= 0")
     th, q = params.theta, params.q
-    if k < 0 or k > n:
+    if k < 0:
         return _zero(th, q)
     return _mass(th, q, (n,), cache or _default_cache, _full_sides, (0, k, k), (1, 1, 0))[0]
 
@@ -372,17 +384,29 @@ def longest_run_cdf(
 def _full_sides(xcon, ycon, n):
     """The sides, as `_waiting_sides` gives them, of the length-n
     sequences whose success and failure runs meet xcon and ycon: rows
-    (0, y, n - y, y) for y from ycon's need to n minus xcon's need.  The
-    S side counts those that end with a success run, and the empty one;
-    the F side those that end with a failure run, so it has no row at
-    y = 0.  Beside empty success runs (x lo 0, the longest-run cells:
+    (0, y, y), the arrangements of n - y successes and y failures, for y
+    from ycon's need to n minus xcon's need, none when the needs add up
+    past n (a longest run k > n).  The S side counts those that end with
+    a success run, and the empty one; the F side those that end with a
+    failure run, so it has no row at y = 0.  Beside empty success runs (x lo 0, the longest-run cells:
     y + 1 success runs of 0..k around y single failures) the S side
     counts every arrangement, and there is no F side."""
-    rows = [(0, y, n - y, y) for y in range(ycon[2], n - xcon[2] + 1)]
+    rows = [(0, y, y) for y in range(ycon[2], n - xcon[2] + 1)]
     sides = [(True, xcon, ycon, n, rows)]
     if xcon[0]:
         sides.append((False, xcon, ycon, n, [row for row in rows if row[1]]))
     return sides
+
+
+def _check_quadrant(k1: int, rel1: Rel, k2: int, rel2: Rel) -> None:
+    """Raise `ValueError` unless both bounds of a joint quadrant are ones
+    `joint_longest` sums: a >= relation needs k >= 1, a <= relation
+    k >= 0.  `oracle.JointLongest` refuses the same ones."""
+    for rel, k in ((rel1, k1), (rel2, k2)):
+        if rel is Rel.GE and k < 1:
+            raise ValueError("a >= relation needs k >= 1")
+        if rel is Rel.LE and k < 0:
+            raise ValueError("a <= relation needs k >= 0")
 
 
 def joint_longest(
@@ -397,11 +421,7 @@ def joint_longest(
     """P(longest success run rel1 k1 AND longest failure run rel2 k2)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for rel, k in ((rel1, k1), (rel2, k2)):
-        if rel is Rel.GE and k < 1:
-            raise ValueError("a >= relation needs k >= 1")
-        if rel is Rel.LE and k < 0:
-            raise ValueError("a <= relation needs k >= 0")
+    _check_quadrant(k1, rel1, k2, rel2)
     # every run of the symbol <= k, or some run >= k
     xcon = (1, k1, 0) if rel1 is Rel.LE else (1, None, k1)
     ycon = (1, k2, 0) if rel2 is Rel.LE else (1, None, k2)

@@ -399,8 +399,6 @@ def _entry(memo: dict, entry: tuple) -> tuple:
     side = 0 if last_x else 1
     (pair, _), *rest = _band_pairs(xcon, ycon)
     total = memo[(*pair, size)][side]
-    if not rest:
-        return total
     for pair, sign in rest:
         total = map(operator.add if sign > 0 else operator.sub, total,
                     memo[(*pair, size)][side])

@@ -39,7 +39,7 @@ import numpy as np
 from . import _core_py as core
 from ._core_py import EnumerationBudgetError
 from .distributions import (
-    _WAITING_FAMILIES, Pmf, Rel, _waiting_probs, _zero, support_min,
+    _WAITING_FAMILIES, Pmf, Rel, _check_quadrant, _waiting_probs, _zero, support_min,
 )
 from .model import FreqQuota, Mode, ModelParams, QuotaSpec, RunQuota, quota_label
 from .qcalc import DEFAULT_TOLERANCE, Scalar, horner_numerator, is_exact, term_sum
@@ -95,6 +95,9 @@ class JointLongest:
     rel1: Rel
     k2: int
     rel2: Rel
+
+    def __post_init__(self) -> None:
+        _check_quadrant(self.k1, self.rel1, self.k2, self.rel2)
 
     def holds(self, l1, l0):
         return _rel_holds(l1, self.rel1, self.k1) & _rel_holds(l0, self.rel2, self.k2)
@@ -159,9 +162,11 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
     A sequence with f failures and success weight e (the failures before
     each success, summed) has probability theta^(n-f) q^e (theta; q)_f, so
     the classes of one f add as one term, their counts a polynomial in q,
-    at q = a/b its Horner numerator over b**degree.  A float theta or q
-    is summed at its exact binary value (`Fraction(x)`) and the sum
-    rounded once, so a float result is the exact value there, rounded."""
+    at q = a/b its Horner numerator over b**degree.  A theta or q that is
+    not an int or a Fraction (a float, a numpy float, a Decimal) is read
+    as `float(x)`, as the formula layer reads it, and summed at that
+    float's exact binary value (`Fraction(float(x))`); the sum is rounded
+    once, so a float result is the exact value there, rounded."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if isinstance(pred, WaitingEquals):
@@ -180,7 +185,7 @@ def oracle_event_prob(params: ModelParams, n: int, pred: EventPredicate) -> Scal
     th, q = params.theta, params.q
     exact = is_exact(th, q)
     if not exact:
-        th, q = Fraction(th), Fraction(q)
+        th, q = (x if isinstance(x, (int, Fraction)) else Fraction(float(x)) for x in (th, q))
     a, b = q.numerator, q.denominator
     total = term_sum(th, q, n, ((e_min, f, horner_numerator(coeffs, a, b), degree)
                                 for f, e_min, degree, coeffs in rows))

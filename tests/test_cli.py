@@ -164,6 +164,21 @@ def test_bad_params_exit_2(capsys, tmp_path, monkeypatch):
               "run:2", "--theta", "0.5", "--q", "1", "--n-max", "3",
               "--precision", "-1"])
     assert exc.value.code == 2
+    # each refusal names its cause on stderr
+    refused = (
+        (["pmf", "--mode", "sooner", "--success", "run:2", "--failure", "run:2",
+          "--theta", "half", "--q", "1/2", "--n-max", "3"], "not a number: 'half'"),
+        (["pmf", "--mode", "later", "--success", "run:2", "--failure", "freq:3",
+          "--theta", "1/2", "--q", "1/2", "--n-max", "4"], "--n-max below the support minimum 5"),
+        (["longest", "--n", "-1", "--theta", "1/2", "--q", "1/2"], "--n must be >= 0"),
+        (["mc", "--samples", "10", "--seed", "1", "--theta", "1/2", "--q", "1/2", "--n", "4"],
+         "mc needs either --atmost or --mode/--success/--failure"),
+    )
+    for argv, message in refused:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and message in capsys.readouterr().err, argv
     for quota_flag in (("--mode", "sooner"), ("--success", "run:2"), ("--failure", "run:2")):
         with pytest.raises(SystemExit) as exc:
             main(["mc", "--samples", "10", "--seed", "1", "--theta", "1/2",

@@ -75,6 +75,27 @@ def test_waiting_time_matches_oracle_trimmed(s_freq, f_freq, mode):
                     table.probs[n - table.offset], (quota, theta, q, n)
 
 
+def test_theorem_sides_have_no_mass_below_the_support():
+    # every theorem's sides hold no row below the support minimum, so their
+    # sum is the int 0 at exact inputs and 0.0 at float ones with no guard
+    # in front: all 8 configurations at k1, k2 in 1..6.  A later wait's
+    # other side has met its quota, so a later side counts the other
+    # symbol from its quota up
+    from qbtrials import distributions as d
+
+    below = [(quota.key, n) for (s_freq, f_freq), mode in itertools.product(ALL_KINDS, Mode)
+             for k1, k2 in itertools.product(range(1, 7), repeat=2)
+             for quota in [make_quota(s_freq, f_freq, k1, k2, mode)]
+             for n in range(support_min(quota))]
+    for th, q, zero in ((Fraction(37, 100), Fraction(81, 100), 0), (0.37, 0.81, 0.0)):
+        cache = KernelValueCache()
+        got = {(key, n): d._mass(th, q, (n,), cache, d._waiting_sides, key)[0]
+               for key, n in below}
+        assert {case: p for case, p in got.items() if p != 0} == {}
+        assert all(type(p) is type(zero) for p in got.values())
+    assert [case for case in below if any(side[4] for side in d._waiting_sides(*case))] == []
+
+
 def test_sooner_freq_freq_closed_examples():
     assert sooner_freq_freq_closed(ModelParams(Fraction(1, 2), Fraction(1)), 1, 1, 1) == 1
     assert sooner_freq_freq_closed(HALF, 2, 1, 1) == Fraction(1, 2)
@@ -89,6 +110,9 @@ def test_sooner_freq_freq_closed_examples():
         got = sooner_freq_freq_closed(params, k1, k2, n)
         want = waiting_time_pmf(params, make_quota(True, True, k1, k2, Mode.SOONER), n)
         assert got == want == 0 and type(got) is type(want), (th, q, k1, k2, n)
+    for k1, k2 in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="quota sizes"):
+            sooner_freq_freq_closed(HALF, k1, k2, 3)
 
 
 def test_sooner_freq_freq_closed_matches_assembly():
@@ -116,6 +140,14 @@ def test_longest_run_examples():
     assert longest_run_cdf(HALF, 3, 3) == 1
     assert longest_run_cdf(HALF, 2, 0) == Fraction(3, 8)
     assert longest_run_cdf(HALF, 2, 1) == Fraction(3, 4)
+    # k > n has no row to sum: the int 0 at exact inputs, 0.0 at float ones
+    for params, zero in ((HALF, 0), (ModelParams(0.5, 0.5), 0.0)):
+        for n, k in ((0, 1), (2, 3), (5, 9)):
+            got = longest_run_pmf(params, n, k)
+            assert got == zero and type(got) is type(zero), (params, n, k)
+    for fn in (longest_run_pmf, longest_run_cdf):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            fn(HALF, -1, 1)
 
 
 def test_longest_run_pmf_is_cdf_difference():
@@ -187,13 +219,24 @@ def test_joint_longest_examples():
     assert joint_longest(HALF, 3, 2, Rel.GE, 2, Rel.GE) == 0
     with pytest.raises(ValueError):
         joint_longest(HALF, 3, 0, Rel.GE, 1, Rel.LE)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        joint_longest(HALF, -1, 1, Rel.LE, 1, Rel.LE)
 
 
 def test_joint_longest_matches_oracle_trimmed():
+    # and both refuse the same quadrants, with one check: a >= relation
+    # needs k >= 1, a <= relation k >= 0
     params = ModelParams(Fraction(1, 2), Fraction(1, 2))
     for n in range(0, 9):
-        for k1, k2 in itertools.product((1, 2, 3), repeat=2):
+        ks = (1, 2, 3) if n > 6 else range(-1, n + 2)
+        for k1, k2 in itertools.product(ks, repeat=2):
             for r1, r2 in itertools.product((Rel.LE, Rel.GE), repeat=2):
+                if any(k < (1 if rel is Rel.GE else 0) for k, rel in ((k1, r1), (k2, r2))):
+                    with pytest.raises(ValueError, match="relation needs k"):
+                        joint_longest(params, n, k1, r1, k2, r2)
+                    with pytest.raises(ValueError, match="relation needs k"):
+                        JointLongest(k1, r1, k2, r2)
+                    continue
                 got = joint_longest(params, n, k1, r1, k2, r2)
                 want = oracle_event_prob(params, n, JointLongest(k1, r1, k2, r2))
                 assert got == want, (n, k1, r1, k2, r2)
@@ -326,6 +369,10 @@ def test_exact_table_partial_sums_may_not_exceed_one(monkeypatch):
         else:
             with pytest.raises(ValueError, match=f"partial sums exceed 1: {1 + tiny}$"):
                 waiting_time_table(HALF, quota, 3)
+    # past the float slack, 1 + 10**-9, a float table is refused too
+    monkeypatch.setattr(d, "_mass", lambda *args: [0.5 + 1e-9, 0.5])
+    with pytest.raises(ValueError, match="partial sums exceed 1: 1.000000001"):
+        waiting_time_table(ModelParams(0.5, 0.5), quota, 3)
 
 
 def test_later_mode_is_defective_for_small_q():
@@ -409,9 +456,9 @@ def test_classical_reduction_at_q_one_all_configs():
                 quota = make_quota(s_freq, f_freq, k1, k2, mode)
                 for n in range(support_min(quota), 15):
                     classical = term_sum(theta, one, n, (
-                        (j, f, counting_term(last_x, x, y, xcon, ycon), 0)
-                        for last_x, xcon, ycon, _, rows in d._waiting_sides(quota.key, n)
-                        for j, f, x, y in rows))
+                        (j, f, counting_term(last_x, size - y, y, xcon, ycon), 0)
+                        for last_x, xcon, ycon, size, rows in d._waiting_sides(quota.key, n)
+                        for j, f, y in rows))
                     assert classical == waiting_time_pmf(params, quota, n), (
                         s_freq, f_freq, mode, k1, k2, theta, n)
 

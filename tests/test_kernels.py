@@ -118,6 +118,11 @@ def test_cell_kernel_examples():
     assert longest_cell_kernel_V(1, 2, 3, 0.4) == 1
     assert longest_cell_kernel_V(2, 1, 2, q) == 1 + q
     assert longest_cell_kernel_V(3, 4, 2, 1) == count_C(4, 3, 2) == 6
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            longest_cell_kernel_U(r, 0, 0, 2, q)
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            longest_cell_kernel_V(r, 0, 2, q)
 
 
 def test_cell_kernels_reach_past_the_recursion_limit():
@@ -180,6 +185,10 @@ def test_direct_budget_error(monkeypatch):
     monkeypatch.setattr(core, "_DIRECT_BUDGET", 10)
     spec = KernelSpec(ArrangementShape.FS, 12, 24, 24, Positive(), Positive())
     with pytest.raises(EnumerationBudgetError):
+        kernel_direct(spec, Fraction(1, 2))
+    # 5 compositions on each side, within the budget, but 25 pairs beyond it
+    spec = KernelSpec(ArrangementShape.FS, 2, 6, 6, Positive(), Positive())
+    with pytest.raises(EnumerationBudgetError, match="5x5 composition pairs"):
         kernel_direct(spec, Fraction(1, 2))
 
 
@@ -510,6 +519,9 @@ def test_band_tables_equal_top_down_peel():
         assert type(got) is tuple and list(got) == list(want)
 
     check()
+    # a negative count has no arrangement, and reads no table
+    for m, r in ((-1, 3), (3, -1)):
+        assert KernelValueCache().arrangement_poly(True, m, r, (1, 2, 0), (1, 2, 0)) == (0,)
 
 
 def test_band_table_equals_top_down_peel_at_q():
@@ -1163,7 +1175,7 @@ def test_float_matrices_equal_the_exact_coefficients(n):
     from qbtrials.kernels import family_arrangement
 
     def whole_diagonal(key, n):
-        return [(*key, n, [(0, r, n - r, r) for r in range(n + 1)])]
+        return [(*key, n, [(0, r, r) for r in range(n + 1)])]
 
     keys = {family_arrangement(fam, 3, 2) for fam in FAMILY_NAMES}
     keys |= {(True, (0, 5, need), (1, 1, 0)) for need in (0, 5)}
@@ -1429,6 +1441,37 @@ def test_peels_are_not_bounded_by_the_recursion_limit(monkeypatch):
     monkeypatch.setattr(kernels, "_default_cache", cache)
     spec = KernelSpec(ArrangementShape.SS, 1499, 3, 1499, BoundedWithZero(1), Bounded(1))
     assert kernel_eval(spec, q, cache) == want == longest_cell_kernel_V(1500, 3, 1, q)
+
+
+def test_peel_asks_each_state_for_its_parts_once(monkeypatch):
+    # `_fill` asks `parts` once for each state it stores and for no other:
+    # children are popped last-listed first, and no earlier child lies
+    # below a later sibling, so no state is pushed twice.  Fixed-s kernels of
+    # every family at two sizes, the cells (as arrangements, U with each
+    # full count and V) and a U state of 1500 cells, past the recursion
+    # limit, each from an empty memo
+    from collections import Counter
+
+    from qbtrials import _core_py as core
+
+    asked = Counter()
+    for name in ("_arrangement_parts", "_cell_parts"):
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda key, real=real: asked.update([key]) or real(key))
+    calls = [(core.kernel_eval_poly, *family_spec(fam, m, r, s, 3, 2).core_args())
+             for fam in FAMILY_NAMES for m, r, s in ((5, 4, 2), (9, 8, 3))]
+    calls += [(core.arrangement_poly, True, 12 - y, y, (0, 3, need), (1, 1, 0))
+              for y in range(0, 13, 4) for need in (0, 3)]
+    calls += [(core.cell_poly_u, 6, 9, t, 3) for t in range(4)]
+    calls += [(core.cell_poly_v, 6, 9, 3), (core.cell_poly_u, 1500, 1, 1, 1)]
+    stored = 0
+    for fn, *args in calls:
+        memo = {}
+        fn(*args, memo)
+        assert asked.keys() == memo.keys() and set(asked.values()) <= {1}, fn
+        stored += len(memo)
+        asked.clear()
+    assert stored > 9000
 
 
 def test_spec_run_counts_follow_shape():

@@ -43,6 +43,8 @@ def test_success_prob_after_examples():
     assert success_prob_after(HALF, 0) == Fraction(1, 2)
     assert success_prob_after(HALF, 2) == Fraction(1, 8)
     assert success_prob_after(ModelParams(Fraction(3, 10), 1), 7) == Fraction(3, 10)
+    with pytest.raises(ValueError, match="prior_failures"):
+        success_prob_after(HALF, -1)
 
 
 def test_sequence_probability_examples():

@@ -54,6 +54,10 @@ def test_oracle_examples():
     table = oracle_waiting_pmf(IID, RR_SOONER, 3)
     assert table.offset == 2
     assert table.probs == [Fraction(1, 2), Fraction(1, 4)]
+    with pytest.raises(ValueError, match="below the support minimum 4"):
+        oracle_waiting_pmf(IID, _quota(False, False, 2, 2, Mode.LATER), 3)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        oracle_event_prob(HALF, -1, LongestAtMost(1))
 
 
 ALL_KINDS = list(itertools.product((False, True), repeat=2))
@@ -276,11 +280,17 @@ def test_float_oracle_is_the_exact_oracle_rounded_once():
     # values and rounds once: every event probability and waiting table
     # equals float() of the exact oracle at Fraction(theta), Fraction(q),
     # at the theta edges, at q = 1, at mixed int, Fraction and float
-    # inputs, and at a q whose powers underflow in floats
+    # inputs, and at a q whose powers underflow in floats.  A numpy
+    # float32 or a Decimal is read as float(x), as the formula reads it
+    from decimal import Decimal
+
     points = [(0.37, 0.81), (0.0, 0.81), (1.0, 0.81), (0.37, 1.0), (0.5, 1),
-              (1, 0.5), (Fraction(1, 3), 0.9), (0.7, Fraction(2, 3)), (0.37, 1e-300)]
+              (1, 0.5), (Fraction(1, 3), 0.9), (0.7, Fraction(2, 3)), (0.37, 1e-300),
+              (Fraction(1, 2), np.float32(0.5)), (np.float32(0.37), Decimal("0.81"))]
     for th, q in points:
-        params, exact = ModelParams(th, q), ModelParams(Fraction(th), Fraction(q))
+        params = ModelParams(th, q)
+        exact = ModelParams(*(x if isinstance(x, (int, Fraction)) else Fraction(float(x))
+                              for x in (th, q)))
         for (s_freq, f_freq, later), (k1, k2) in itertools.product(
                 _WAITING_FAMILIES, ((2, 3), (3, 2))):
             quota = _quota(s_freq, f_freq, k1, k2, Mode.LATER if later else Mode.SOONER)
@@ -292,6 +302,11 @@ def test_float_oracle_is_the_exact_oracle_rounded_once():
                 got = oracle_event_prob(params, n, pred)
                 assert type(got) is float, (th, q, n, pred)
                 assert got == float(oracle_event_prob(exact, n, pred)), (th, q, n, pred)
+    # the formula reads a float32 q alike
+    params = ModelParams(Fraction(1, 2), np.float32(0.5))
+    quota = _quota(False, True, 2, 3, Mode.SOONER)
+    assert oracle_event_prob(params, 5, WaitingEquals(quota, 5)) == \
+        waiting_time_pmf(params, quota, 5) == 0.076171875
 
 
 def test_oracle_budget(monkeypatch):
@@ -464,7 +479,10 @@ def test_paired_walk_equals_per_mode_walks():
 def test_enumerate_walk_index_order():
     # bit t - 1 of a sequence's index is trial t, a set bit a success: at
     # index i the walk holds what model computes from the bits of i, and
-    # the stop of a quota walk is model.stopping_time's
+    # the stop of a quota walk is model.stopping_time's.  Its arrays take
+    # the narrowest unsigned dtype that holds their bound
+    assert [core._uint(bound) for bound in (255, 256, 2**16 - 1, 2**16, 2**32)] == \
+        [np.uint8, np.uint16, np.uint16, np.uint32, np.uint64]
     for n in range(11):
         walk = core.enumerate_walk(n)
         assert walk.weight.size == 1 << n

@@ -35,12 +35,16 @@ def test_q_number_examples():
     assert q_number(0, 0.5) == 0
     assert q_number(3, 1) == 3
     assert q_number(2, 0.5) == pytest.approx(1.5, abs=TOL)
+    with pytest.raises(ValueError, match="nonnegative"):
+        q_number(-1, 0.5)
 
 
 def test_q_factorial_examples():
     assert q_factorial(0, 0.3) == 1
     assert q_factorial(3, 1) == 6
     assert q_factorial(2, 0.5) == pytest.approx(1.5, abs=TOL)
+    with pytest.raises(ValueError, match="nonnegative"):
+        q_factorial(-1, 0.5)
 
 
 def test_q_binomial_examples():
@@ -55,6 +59,8 @@ def test_q_pochhammer_examples():
     assert q_pochhammer(0.5, 0.5, 0) == 1
     assert q_pochhammer(0.5, 1, 2) == pytest.approx(0.25, abs=TOL)
     assert q_pochhammer(0.5, 0.5, 2) == pytest.approx(0.375, abs=TOL)
+    with pytest.raises(ValueError, match="nonnegative"):
+        q_pochhammer(0.5, 0.5, -1)
 
 
 def test_float_inputs_give_floats():
