@@ -228,7 +228,7 @@ def test_joint_longest_matches_oracle_trimmed():
     # needs k >= 1, a <= relation k >= 0
     params = ModelParams(Fraction(1, 2), Fraction(1, 2))
     for n in range(0, 9):
-        ks = (1, 2, 3) if n > 6 else range(-1, n + 2)
+        ks = (1, 2, 3) if n > 6 else range(-1, max(n + 2, 4))
         for k1, k2 in itertools.product(ks, repeat=2):
             for r1, r2 in itertools.product((Rel.LE, Rel.GE), repeat=2):
                 if any(k < (1 if rel is Rel.GE else 0) for k, rel in ((k1, r1), (k2, r2))):

@@ -281,16 +281,18 @@ def test_float_oracle_is_the_exact_oracle_rounded_once():
     # equals float() of the exact oracle at Fraction(theta), Fraction(q),
     # at the theta edges, at q = 1, at mixed int, Fraction and float
     # inputs, and at a q whose powers underflow in floats.  A numpy
-    # float32 or a Decimal is read as float(x), as the formula reads it
+    # float32 or a Decimal is read as float(x), as the formula reads it:
+    # its exact point is written out
     from decimal import Decimal
 
-    points = [(0.37, 0.81), (0.0, 0.81), (1.0, 0.81), (0.37, 1.0), (0.5, 1),
-              (1, 0.5), (Fraction(1, 3), 0.9), (0.7, Fraction(2, 3)), (0.37, 1e-300),
-              (Fraction(1, 2), np.float32(0.5)), (np.float32(0.37), Decimal("0.81"))]
-    for th, q in points:
+    points = [(th, q, Fraction(th), Fraction(q)) for th, q in (
+        (0.37, 0.81), (0.0, 0.81), (1.0, 0.81), (0.37, 1.0), (0.5, 1), (1, 0.5),
+        (Fraction(1, 3), 0.9), (0.7, Fraction(2, 3)), (0.37, 1e-300))]
+    points += [(Fraction(1, 2), np.float32(0.5), Fraction(1, 2), Fraction(1, 2)),
+               (np.float32(0.37), Decimal("0.81"), Fraction(3103785, 8388608), Fraction(0.81))]
+    for th, q, *exact_point in points:
         params = ModelParams(th, q)
-        exact = ModelParams(*(x if isinstance(x, (int, Fraction)) else Fraction(float(x))
-                              for x in (th, q)))
+        exact = ModelParams(*exact_point)
         for (s_freq, f_freq, later), (k1, k2) in itertools.product(
                 _WAITING_FAMILIES, ((2, 3), (3, 2))):
             quota = _quota(s_freq, f_freq, k1, k2, Mode.LATER if later else Mode.SOONER)
